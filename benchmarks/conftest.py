@@ -14,6 +14,23 @@ import pytest
 from repro.data import center_and_scale, load_dataset
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--bench-record", action="store_true",
+        help="write the measured rows to BENCH_*.json at the repo root "
+             "(off by default: a plain test run leaves the tree clean)",
+    )
+
+
+@pytest.fixture(autouse=True)
+def bench_recording(request):
+    """Tell the perf modules (their ``_record``) whether to write."""
+    if hasattr(request.module, "BENCH_RECORD"):
+        request.module.BENCH_RECORD = request.config.getoption(
+            "--bench-record", default=False
+        )
+
+
 def table(title: str, headers: list[str], rows: list[list]) -> None:
     """Print a fixed-width comparison table (captured with pytest -s)."""
     print()

@@ -20,7 +20,8 @@ at the repo root so the perf trajectory is visible across PRs:
   measured spread crosses 1.0, see RECORDED.md);
 * ``tsqr_tree``         — butterfly vs eliminate-and-broadcast TSQR at
   4 ranks (the butterfly drops the broadcast and folds on every rank in
-  parallel; bit-identical R either way);
+  parallel; bit-identical R either way — asserted; the gain is recorded
+  only, see RECORDED.md);
 * ``dist_sthosvd_overlap`` — the end-to-end driver with the overlap knob
   flipped (recorded for the trajectory, not asserted: on a problem this
   tiny the ratio is set by the transport's real per-message posting
@@ -30,9 +31,10 @@ at the repo root so the perf trajectory is visible across PRs:
 * ``dist_sthosvd_mixed`` — the end-to-end tolerance-driven driver under
   ``compute_dtype="mixed"`` vs the float64 default: float32
   Gram/TSQR/TTM words and flops, same truncation decisions on a problem
-  whose noise floor sits below both tolerance shares.  Asserted: mixed
-  must not lose, and its delivered relative error must meet the
-  requested tolerance (the achieved/requested ratio is recorded);
+  whose noise floor sits below both tolerance shares.  Asserted: same
+  truncation decisions, and the delivered relative error meets the
+  requested tolerance (the achieved/requested ratio is recorded); the
+  gain is recorded only, see RECORDED.md;
 * ``dist_sthosvd_plan`` — the TSQR-based ``method="svd"`` driver under
   the autotuned :func:`~repro.perfmodel.plan_sthosvd` config (planned
   against the calibrated machine, as ``repro-tucker plan`` does) vs the
@@ -112,9 +114,15 @@ def production_fastpath(monkeypatch):
 
 _RESULTS: dict = {}
 
+#: Set per test from ``--bench-record`` (benchmarks/conftest.py): without
+#: the flag the rows are measured, printed and asserted but not written.
+BENCH_RECORD = False
+
 
 def _record(key: str, payload: dict) -> None:
     _RESULTS[key] = payload
+    if not BENCH_RECORD:
+        return
     existing = {}
     if _OUT.exists():
         try:
@@ -350,9 +358,9 @@ def test_tsqr_butterfly_vs_binary(benchmark):
          "butterfly": stats["variant_sec"], "gain": stats["gain"],
          "gain_min": stats["gain_min"], "gain_max": stats["gain_max"]},
     )
-    # Dropping the broadcast must pay for the extra folds (observed
-    # 1.3-1.45x even on one core).
-    _assert_gain("tsqr_tree", stats)
+    # Recorded, not asserted: the schedule gain (dropped broadcast vs
+    # extra folds) measured 0.98 on a 2-CPU box — the spread straddles
+    # 1.0, see benchmarks/RECORDED.md.  Bit-identity above is the claim.
 
 
 def test_dist_ttm_blocked_overlap(benchmark):
@@ -536,8 +544,9 @@ def test_dist_sthosvd_mixed_vs_float64(benchmark):
     assert achieved <= tol, (
         f"mixed delivered {achieved:.3e} > requested tol {tol}"
     )
-    # Narrow words and flops must pay end to end (observed 1.1-1.3x).
-    _assert_gain("dist_sthosvd_mixed", stats)
+    # The gain itself is recorded, not asserted: paired ratios measured
+    # 0.63..1.48 on one box (see benchmarks/RECORDED.md); the narrow
+    # words are asserted where they dominate, in ``dtype_rounds``.
 
 
 def test_dist_sthosvd_autotuned_plan(benchmark):

@@ -41,9 +41,15 @@ _OUT = Path(__file__).resolve().parents[1] / "BENCH_transport.json"
 
 _RESULTS: dict = {}
 
+#: Set per test from ``--bench-record`` (benchmarks/conftest.py): without
+#: the flag the rows are measured, printed and asserted but not written.
+BENCH_RECORD = False
+
 
 def _record(key: str, payload: dict) -> None:
     _RESULTS[key] = payload
+    if not BENCH_RECORD:
+        return
     existing = {}
     if _OUT.exists():
         try:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.errors import normalized_rms
 from repro.tensor.dense import as_ndarray, fold, unfold
 from repro.util.validation import check_axis, prod
 
@@ -45,13 +46,7 @@ class PcaCompressed:
         return fold(mat, self.mode, self.shape)
 
     def relative_error(self, x: np.ndarray) -> float:
-        arr = as_ndarray(x)
-        denom = float(np.linalg.norm(arr.reshape(-1)))
-        if denom == 0:
-            raise ValueError("cannot compute relative error of a zero tensor")
-        return float(
-            np.linalg.norm((arr - self.reconstruct()).reshape(-1)) / denom
-        )
+        return normalized_rms(x, self.reconstruct())
 
 
 class PcaCompressor:

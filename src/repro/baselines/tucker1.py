@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.errors import normalized_rms
 from repro.core.tucker import TuckerTensor
-from repro.tensor.dense import as_ndarray
+from repro.tensor.dense import as_ndarray, norm_sq
 from repro.tensor.eig import eigendecompose, rank_from_tolerance
 from repro.tensor.gram import gram
 from repro.tensor.ttm import ttm
@@ -45,13 +46,7 @@ class Tucker1Compressed:
         return ttm(self.core, self.factor, self.mode)
 
     def relative_error(self, x: np.ndarray) -> float:
-        arr = as_ndarray(x)
-        denom = float(np.linalg.norm(arr.reshape(-1)))
-        if denom == 0:
-            raise ValueError("cannot compute relative error of a zero tensor")
-        return float(
-            np.linalg.norm((arr - self.reconstruct()).reshape(-1)) / denom
-        )
+        return normalized_rms(x, self.reconstruct())
 
     def to_tucker(self) -> TuckerTensor:
         """Express as a full TuckerTensor (identity factors elsewhere)."""
@@ -82,7 +77,7 @@ class Tucker1Compressor:
         if rank is None:
             if tol <= 0:
                 raise ValueError(f"tol must be positive, got {tol}")
-            x_norm_sq = float(np.linalg.norm(arr.reshape(-1)) ** 2)
+            x_norm_sq = norm_sq(arr)
             rank = rank_from_tolerance(eig.values, (tol**2) * x_norm_sq)
         factor = eig.leading(rank)
         core = ttm(arr, factor, mode, transpose=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.tucker import TuckerTensor
-from repro.tensor.dense import as_ndarray
+from repro.tensor.dense import as_ndarray, norm
 from repro.tensor.ttm import multi_ttm
 
 
@@ -88,8 +88,8 @@ def validate_tucker(
             )
 
     recon = t.reconstruct()
-    g_norm = float(np.linalg.norm(t.core.reshape(-1)))
-    recon_norm = float(np.linalg.norm(recon.reshape(-1)))
+    g_norm = t.core_norm()
+    recon_norm = norm(recon)
     gap = abs(recon_norm - g_norm) / max(g_norm, 1e-300)
     if gap > max(atol, 1e-12):
         issues.append(
@@ -106,22 +106,18 @@ def validate_tucker(
                 f"tensor shape {arr.shape} does not match decomposition "
                 f"{t.shape}"
             )
-        x_norm = float(np.linalg.norm(arr.reshape(-1)))
+        x_norm = norm(arr)
         if x_norm == 0:
             raise ValueError("cannot validate against a zero tensor")
         optimal_core = multi_ttm(arr, list(t.factors), transpose=True)
-        core_residual = float(
-            np.linalg.norm((t.core - optimal_core).reshape(-1)) / x_norm
-        )
+        core_residual = norm(t.core - optimal_core) / x_norm
         if core_residual > max(atol, 1e-10):
             issues.append(
                 f"core is not the optimal projection (residual "
                 f"{core_residual:.2e}); was it produced by a different "
                 f"factor set?"
             )
-        relative_error = float(
-            np.linalg.norm((arr - recon).reshape(-1)) / x_norm
-        )
+        relative_error = norm(arr - recon) / x_norm
 
     return ValidationReport(
         orthonormality_errors=orth,

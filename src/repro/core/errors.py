@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.tensor.dense import as_ndarray
+from repro.tensor.dense import as_ndarray, norm
 from repro.tensor.eig import eigendecompose
 from repro.tensor.gram import gram
 from repro.util.validation import check_shape_like, prod
@@ -36,10 +36,10 @@ def normalized_rms(x: np.ndarray, x_hat: np.ndarray) -> float:
     b = as_ndarray(x_hat)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    denom = float(np.linalg.norm(a.reshape(-1)))
+    denom = norm(a)
     if denom == 0:
         raise ValueError("cannot normalize by a zero tensor")
-    return float(np.linalg.norm((a - b).reshape(-1)) / denom)
+    return norm(a - b) / denom
 
 
 #: Alias: the quantity is exactly the relative Frobenius-norm error.
@@ -79,8 +79,8 @@ def modewise_error_curves(
     the Gram matrices (the distributed driver supplies them).
     """
     arr = as_ndarray(x)
-    norm = float(np.linalg.norm(arr.reshape(-1)))
-    if norm == 0:
+    x_norm = norm(arr)
+    if x_norm == 0:
         raise ValueError("zero tensor has no meaningful error curve")
     if eigenvalues is None:
         eigenvalues = mode_eigenvalues(arr)
@@ -89,7 +89,7 @@ def modewise_error_curves(
         n = values.shape[0]
         tail = np.zeros(n + 1)
         tail[:n] = np.cumsum(values[::-1])[::-1]
-        curves.append(np.sqrt(np.clip(tail, 0.0, None)) / norm)
+        curves.append(np.sqrt(np.clip(tail, 0.0, None)) / x_norm)
     return curves
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.sthosvd import SthosvdResult, sthosvd
 from repro.core.tucker import TuckerTensor
-from repro.tensor.dense import as_ndarray
+from repro.tensor.dense import as_ndarray, norm_sq
 from repro.tensor.eig import eigendecompose
 from repro.tensor.gram import gram
 from repro.tensor.ttm import multi_ttm, ttm
@@ -115,8 +115,8 @@ def hooi(
     factors = [np.array(f, copy=True) for f in init.decomposition.factors]
     core = np.array(init.decomposition.core, copy=True)
 
-    x_norm_sq = float(np.linalg.norm(arr.reshape(-1)) ** 2)
-    history = [max(0.0, x_norm_sq - float(np.linalg.norm(core.reshape(-1)) ** 2))]
+    x_norm_sq = norm_sq(arr)
+    history = [max(0.0, x_norm_sq - norm_sq(core))]
 
     converged = False
     iterations = 0
@@ -133,9 +133,7 @@ def hooi(
         assert y is not None
         core = np.asfortranarray(ttm(y, factors[n_modes - 1], n_modes - 1, transpose=True))
         iterations += 1
-        residual = max(
-            0.0, x_norm_sq - float(np.linalg.norm(core.reshape(-1)) ** 2)
-        )
+        residual = max(0.0, x_norm_sq - norm_sq(core))
         history.append(residual)
         if (history[-2] - history[-1]) / x_norm_sq < improvement_tol:
             converged = True

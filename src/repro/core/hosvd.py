@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core.sthosvd import SthosvdResult
 from repro.core.tucker import TuckerTensor
-from repro.tensor.dense import as_ndarray
+from repro.tensor.dense import as_ndarray, norm
 from repro.tensor.eig import eigendecompose, rank_from_tolerance
 from repro.tensor.gram import gram
 from repro.tensor.ttm import multi_ttm
@@ -49,7 +49,7 @@ def hosvd(
             if r > s:
                 raise ValueError(f"rank {r} exceeds dimension {s}")
 
-    x_norm = float(np.linalg.norm(arr.reshape(-1)))
+    x_norm = norm(arr)
     threshold = (tol**2) * (x_norm**2) / n_modes if tol is not None else None
 
     factors: list[np.ndarray] = []

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.tucker import TuckerTensor
-from repro.tensor.dense import as_ndarray
+from repro.tensor.dense import as_ndarray, norm
 from repro.tensor.eig import eigendecompose, rank_from_tolerance
 from repro.tensor.gram import gram
 from repro.tensor.ttm import ttm
@@ -174,7 +174,7 @@ def sthosvd(
     order = _resolve_order(mode_order, n_modes)
     spectrum = _mode_spectrum_gram if method == "gram" else _mode_spectrum_svd
 
-    x_norm = float(np.linalg.norm(arr.reshape(-1)))
+    x_norm = norm(arr)
     threshold = (
         (tol**2) * (x_norm**2) / n_modes if tol is not None else None
     )

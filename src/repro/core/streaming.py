@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.sthosvd import sthosvd
 from repro.core.tucker import TuckerTensor
-from repro.tensor.dense import as_ndarray
+from repro.tensor.dense import as_ndarray, norm, norm_sq
 from repro.tensor.ttm import multi_ttm
 from repro.util.validation import check_shape_like
 
@@ -98,7 +98,7 @@ class StreamingTucker:
                 f"slab shape {arr.shape} does not match spatial shape "
                 f"{self._spatial_shape} (+ optional time axis)"
             )
-        slab_energy = float(np.linalg.norm(arr.reshape(-1)) ** 2)
+        slab_energy = norm_sq(arr)
         self._energy += slab_energy
         self._n_steps += arr.shape[-1]
         if slab_energy == 0.0:
@@ -139,18 +139,13 @@ class StreamingTucker:
             return
 
         projected = multi_ttm(arr, list(self._bases) + [None], transpose=True)
-        residual_energy = slab_energy - float(
-            np.linalg.norm(projected.reshape(-1)) ** 2
-        )
+        residual_energy = slab_energy - norm_sq(projected)
         if residual_energy > budget:
             self._expand_bases(arr, projected, budget)
             projected = multi_ttm(
                 arr, list(self._bases) + [None], transpose=True
             )
-        self._discarded += max(
-            0.0,
-            slab_energy - float(np.linalg.norm(projected.reshape(-1)) ** 2),
-        )
+        self._discarded += max(0.0, slab_energy - norm_sq(projected))
         self._core_slabs.append(np.asfortranarray(projected))
 
     def _expand_bases(
@@ -160,7 +155,7 @@ class StreamingTucker:
         # Residual slab: what the current bases miss.
         back = multi_ttm(projected, list(self._bases) + [None], transpose=False)
         residual = arr - back
-        res_norm = float(np.linalg.norm(residual.reshape(-1)))
+        res_norm = norm(residual)
         if res_norm == 0.0:
             return
         res = sthosvd(

@@ -19,7 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.tensor.dense import as_ndarray
+from repro.core.errors import normalized_rms
+from repro.tensor.dense import as_ndarray, norm
 from repro.tensor.ttm import multi_ttm
 from repro.util.validation import prod
 
@@ -127,7 +128,7 @@ class TuckerTensor:
 
     def core_norm(self) -> float:
         """``||G||``; equals ``||X~||`` when all factors are orthonormal."""
-        return float(np.linalg.norm(self.core.reshape(-1)))
+        return norm(self.core)
 
     def residual_norm_sq(self, x_norm_sq: float) -> float:
         """``||X||^2 - ||G||^2``, the paper's fit quantity (Alg. 2 line 10).
@@ -145,12 +146,7 @@ class TuckerTensor:
                 f"tensor shape {arr.shape} does not match decomposition "
                 f"shape {self.shape}"
             )
-        denom = float(np.linalg.norm(arr.reshape(-1)))
-        if denom == 0:
-            raise ValueError("cannot compute relative error of a zero tensor")
-        return float(
-            np.linalg.norm((arr - self.reconstruct()).reshape(-1)) / denom
-        )
+        return normalized_rms(arr, self.reconstruct())
 
     # -- compression accounting (Sec. VII-B) --------------------------------------------
 

@@ -38,22 +38,23 @@ def center_and_scale(
     Returns the normalized tensor and the :class:`ScaleInfo` to undo it.
     The input is not modified.
     """
-    arr = np.array(as_ndarray(x), copy=True)
+    arr = as_ndarray(x)
     mode = check_axis(species_mode, arr.ndim, "species_mode")
     axes = tuple(a for a in range(arr.ndim) if a != mode)
     means = arr.mean(axis=axes, keepdims=True)
     stds = arr.std(axis=axes, keepdims=True)
     divisors = np.where(stds < SIGMA_FLOOR, 1.0, stds)
-    arr -= means
-    arr /= divisors
-    return np.asfortranarray(arr), ScaleInfo(
+    out = np.empty(arr.shape, dtype=arr.dtype, order="F")
+    np.subtract(arr, means, out=out)
+    out /= divisors
+    return out, ScaleInfo(
         mode=mode, means=means.squeeze(), stds=divisors.squeeze()
     )
 
 
 def invert_scaling(x: np.ndarray, info: ScaleInfo) -> np.ndarray:
     """Undo :func:`center_and_scale` (e.g. after reconstruction)."""
-    arr = np.array(as_ndarray(x), copy=True)
+    arr = as_ndarray(x)
     mode = check_axis(info.mode, arr.ndim, "info.mode")
     n = arr.shape[mode]
     means = np.asarray(info.means, dtype=np.float64).reshape(-1)
@@ -63,6 +64,7 @@ def invert_scaling(x: np.ndarray, info: ScaleInfo) -> np.ndarray:
             f"scale info covers {means.shape[0]} slices but tensor has {n}"
         )
     expand = (1,) * mode + (-1,) + (1,) * (arr.ndim - 1 - mode)
-    arr *= stds.reshape(expand)
-    arr += means.reshape(expand)
-    return np.asfortranarray(arr)
+    out = np.empty(arr.shape, dtype=arr.dtype, order="F")
+    np.multiply(arr, stds.reshape(expand), out=out)
+    out += means.reshape(expand)
+    return out

@@ -25,7 +25,7 @@ from repro.distributed.layout import local_block, local_shape
 from repro.mpi.cart import CartGrid
 from repro.mpi.errors import CommunicatorError
 from repro.mpi.reduce_ops import SUM
-from repro.tensor.dense import match_dtype, unfold
+from repro.tensor.dense import match_dtype, norm_sq, unfold
 from repro.util.validation import check_shape_like
 
 
@@ -59,19 +59,29 @@ class DistTensor:
         self._grid = grid
         self._global_shape = global_shape
         # float32 blocks stay float32 (the mixed-precision working
-        # representation); everything else is coerced to float64 as always.
-        self._local = np.asfortranarray(
-            np.asarray(local, dtype=match_dtype(np.asarray(local).dtype))
+        # representation); everything else is coerced to float64.  A
+        # compliant block is kept as is, any other costs one F-order copy.
+        local = np.asarray(local)
+        self._local = local.astype(
+            match_dtype(local.dtype), order="F", copy=False
         )
 
     # -- constructors -----------------------------------------------------------
 
     @classmethod
     def from_global(cls, grid: CartGrid, array: np.ndarray) -> "DistTensor":
-        """Each rank slices its own block from a replicated global array."""
-        array = np.asarray(array, dtype=match_dtype(np.asarray(array).dtype))
+        """Each rank slices its own block from a replicated global array.
+
+        The block is the one copy made and never aliases ``array`` (which
+        may be a borrowed SPMD argument, valid only while the rank runs).
+        """
+        array = np.asarray(array)
         slices = local_block(array.shape, grid.dims, grid.coords)
-        return cls(grid, array.shape, np.array(array[slices], copy=True))
+        local = np.array(
+            array[slices], dtype=match_dtype(array.dtype), order="F"
+        )
+        assert local.base is None, "from_global must own its block"
+        return cls(grid, array.shape, local)
 
     @classmethod
     def scatter(
@@ -94,7 +104,7 @@ class DistTensor:
             arr = np.asarray(array, dtype=match_dtype(np.asarray(array).dtype))
             blocks = [
                 np.array(arr[local_block(shape, grid.dims, grid.coords_of(r))],
-                         copy=True)
+                         order="F")
                 for r in range(comm.size)
             ]
         else:
@@ -148,16 +158,8 @@ class DistTensor:
     # -- global reductions -------------------------------------------------------------
 
     def norm_sq(self) -> float:
-        """``||X||^2`` via local sum-of-squares + all-reduce.
-
-        Always accumulated in float64 — the norm feeds tolerance
-        thresholds, and a float32 running sum would lose the very digits
-        the error budget accounts for.
-        """
-        flat = self._local.reshape(-1)
-        if flat.dtype == np.float32:
-            flat = flat.astype(np.float64)
-        local = float(np.dot(flat, flat))
+        """``||X||^2`` via local sum-of-squares (float64) + all-reduce."""
+        local = norm_sq(self._local)
         self.comm.add_flops(2 * self._local.size)
         return float(self.comm.allreduce(local, SUM))
 

@@ -53,7 +53,9 @@ warm:
   instead of a fork.
 * A task carries ``(fn, args, rank_args, machine, timeout)``.  Large
   ndarray arguments are staged through the shared-memory arena, not the
-  queue pipe.  The rank function itself is pickled *by reference*, so
+  queue pipe, and mapped copy-on-write by each worker (private and
+  writable, valid only while the rank function runs).  The rank
+  function itself is pickled *by reference*, so
   closures and lambdas cannot ride the pool — those runs transparently
   fall back to fork-per-run (fork inherits closures for free).
 * Each run gets a fresh ``run_seq``; stragglers from an earlier run that
@@ -559,9 +561,8 @@ def _pool_worker(
                 # forked before it was defined — that must fail the rank,
                 # not crash the worker inside the queue machinery.
                 # Arguments are staged once in the parent's arena and
-                # borrowed: each worker copies them out, so rank code
-                # gets private writable arrays, matching the
-                # copy-on-write semantics of the fork path.
+                # borrowed copy-on-write: rank code gets private writable
+                # arrays, as under fork, and copies only what it touches.
                 fn, args, extra, machine, timeout, topts = decode_borrowed(
                     pickle.loads(blob)
                 )
@@ -575,21 +576,23 @@ def _pool_worker(
                     rank, n_ranks, fn, args, extra, machine, timeout,
                     inboxes, abort_event, run_seq, transport_opts=topts,
                 )
-            result_queue.put(
-                _safe_report_blob(run_seq, rank, value, failure, costs,
-                                  rsummary)
-            )
-            # Drop the report's references before the next item, and
-            # break the exception<->frame reference cycle: traceback
-            # frames pin shm-backed views, and cyclic garbage finalizes
-            # in arbitrary order — a SharedMemory handle collected
-            # before its exporting ndarray spews BufferError from
-            # __del__.  Refcount teardown releases views first.
+                del fn, args, extra
+            report = _safe_report_blob(run_seq, rank, value, failure, costs,
+                                       rsummary)
+            # Drop the run's references *before* reporting (the parent
+            # recycles the segments behind the borrowed arguments once
+            # every report is in), and break the exception<->frame
+            # reference cycle: traceback frames pin shm-backed views,
+            # and cyclic garbage finalizes in arbitrary order — a
+            # SharedMemory handle collected before its exporting ndarray
+            # spews BufferError from __del__.  Refcount teardown
+            # releases views first.
             if failure is not None:
                 failure.__traceback__ = None
                 failure.__context__ = None
                 failure.__cause__ = None
             del value, failure, costs, rsummary
+            result_queue.put(report)
     finally:
         process_arena().teardown()
 
@@ -664,10 +667,10 @@ class _RankPool:
         Returns the run's sequence number, or ``None`` when the task is
         not picklable (closures, lambdas) and the caller must fall back to
         fork-per-run.  Ndarray arguments are staged through the parent's
-        arena *once*, shared by every rank (workers borrow-copy them and
-        the parent recycles the segments after the run), so only headers
-        travel the queue pipe and a P-rank dispatch costs one staged copy,
-        not P.
+        arena *once*, shared by every rank (workers map them
+        copy-on-write and the parent recycles the segments after the
+        run), so only headers travel the queue pipe and a P-rank dispatch
+        costs one staged copy, not P.
         """
         try:
             # Probe the function alone first: the common fallback reason
@@ -686,10 +689,12 @@ class _RankPool:
             rboard=self.rboard.name,
         )
         try:
-            shared = encode_payload((fn, args, machine, timeout), segments, arena)
+            # POSIX shm only: workers map these privately (decode_borrowed).
+            common = (fn, args, machine, timeout)
+            shared = encode_payload(common, segments, arena, huge=False)
             for rank in range(self.n_ranks):
                 extra = rank_args[rank] if rank_args is not None else ()
-                encoded_extra = encode_payload(extra, segments, arena)
+                encoded_extra = encode_payload(extra, segments, arena, False)
                 fn_enc, args_enc, machine_enc, timeout_enc = shared
                 tasks.append(
                     (

@@ -55,6 +55,7 @@ spinning on a window fence) notices within one poll interval and raises
 
 from __future__ import annotations
 
+import _posixshmem
 import errno
 import mmap
 import os
@@ -348,7 +349,7 @@ _HUGE_FALLBACK_ERRNOS = frozenset(
 )
 
 
-def create_segment(nbytes: int, purpose: str = "segment"):
+def create_segment(nbytes: int, purpose: str = "segment", huge: bool = True):
     """A fresh shared segment of at least ``nbytes``.
 
     The resource governor gates every creation first: the ``purpose``
@@ -369,10 +370,11 @@ def create_segment(nbytes: int, purpose: str = "segment"):
     arena buckets the distributed kernels exchange, and fall back
     transparently to POSIX shm when the mmap hits a resource limit;
     :data:`HUGEPAGE_STATS` records which mapping each request got.
+    ``huge=False`` keeps the segment on POSIX shm whatever its size.
     """
     gov = resources.governor()
     gov.gate(purpose, nbytes)
-    if nbytes >= HUGE_MIN_BYTES:
+    if huge and nbytes >= HUGE_MIN_BYTES:
         directory = hugepage_dir()
         if directory is not None and nbytes >= hugepage_size(directory):
             name = f"{_HUGE_PREFIX}{os.getpid()}_{secrets.token_hex(8)}"
@@ -552,22 +554,26 @@ class SegmentArena:
         self.reused = 0
         self.adopted = 0
 
-    def acquire(self, nbytes: int) -> shared_memory.SharedMemory:
+    def acquire(
+        self, nbytes: int, huge: bool = True
+    ) -> shared_memory.SharedMemory:
         """A mapped segment of at least ``nbytes`` (caller owns it).
 
         Buckets at or above :data:`HUGE_MIN_BYTES` come from the
         huge-page substrate when the host provides one (see
         :func:`create_segment`); either way the segment circulates
-        through the same free lists.
+        through the same free lists (``huge=False``: POSIX shm only).
         """
         bucket = _bucket_of(nbytes)
-        box = self._free.get(bucket)
-        if box:
-            self.reused += 1
-            self._free_bytes -= bucket
-            return box.popleft()
+        box = self._free.get(bucket, ())
+        for shm in box:
+            if huge or not isinstance(shm, HugePageSegment):
+                box.remove(shm)
+                self.reused += 1
+                self._free_bytes -= bucket
+                return shm
         self.created += 1
-        return create_segment(bucket, purpose="arena")
+        return create_segment(bucket, purpose="arena", huge=huge)
 
     def recycle(self, shm: shared_memory.SharedMemory) -> None:
         """Return an owned segment to the free list (or unlink it)."""
@@ -746,6 +752,7 @@ def encode_payload(
     obj: Any,
     segments: list[shared_memory.SharedMemory],
     arena: SegmentArena | None = None,
+    huge: bool = True,
 ) -> Any:
     """Replace large ndarrays in ``obj`` with shared-memory headers.
 
@@ -761,7 +768,7 @@ def encode_payload(
     injected ``enospc`` fault at the ``arena`` site — the array is left
     in place so it rides the pickle stream instead, bit-identically; the
     fallback is recorded on the resource governor.  Any other ``OSError``
-    still propagates.
+    still propagates.  ``huge=False`` stages on POSIX shm only.
     """
     if (
         isinstance(obj, np.ndarray)
@@ -774,9 +781,9 @@ def encode_payload(
         src = np.asarray(obj, order=order)
         try:
             if arena is not None:
-                shm = arena.acquire(src.nbytes)
+                shm = arena.acquire(src.nbytes, huge)
             else:
-                shm = create_segment(src.nbytes, purpose="arena")
+                shm = create_segment(src.nbytes, purpose="arena", huge=huge)
         except OSError as exc:
             if not resources.is_exhaustion(exc):
                 raise
@@ -790,77 +797,56 @@ def encode_payload(
         ] = src
         return ShmHeader(shm.name, src.shape, src.dtype, order)
     if isinstance(obj, tuple):
-        return tuple(encode_payload(x, segments, arena) for x in obj)
+        return tuple(encode_payload(x, segments, arena, huge) for x in obj)
     if isinstance(obj, list):
-        return [encode_payload(x, segments, arena) for x in obj]
+        return [encode_payload(x, segments, arena, huge) for x in obj]
     if isinstance(obj, dict):
-        return {k: encode_payload(v, segments, arena) for k, v in obj.items()}
+        items = obj.items()
+        return {k: encode_payload(v, segments, arena, huge) for k, v in items}
     return obj
 
 
-def decode_payload(
-    obj: Any, arena: SegmentArena | None = None, copy: bool = False
-) -> Any:
-    """Inverse of :func:`encode_payload`.
+def decode_payload(obj: Any, arena: SegmentArena) -> Any:
+    """Inverse of :func:`encode_payload` (the receive fast path).
 
-    With ``copy=False`` (the receive fast path) segment-backed arrays come
-    back as read-only :class:`ShmArrayView` instances — no bytes are
-    copied; the segment is recycled into ``arena`` when the last view
-    dies.  With ``copy=True`` the data is copied out immediately and the
-    segment recycled (used for one-shot payloads such as pool task
-    arguments, where the caller expects a private writable array).
-
-    Without an ``arena`` the pre-arena semantics apply: copy out and
-    unlink the segment on the spot.
+    Segment-backed arrays come back as read-only :class:`ShmArrayView`
+    instances — no bytes are copied; the segment is recycled into
+    ``arena`` when the last view dies.
     """
     if isinstance(obj, ShmHeader):
-        shm = attach_segment(obj.name)
-        if arena is None:
-            try:
-                view = np.ndarray(
-                    obj.shape, dtype=obj.dtype, buffer=shm.buf, order=obj.order
-                )
-                return np.array(view, copy=True)
-            finally:
-                _close_and_unlink(shm)
-        lease = _SegmentLease(arena, shm)
-        view = ShmArrayView(lease, obj.shape, obj.dtype, obj.order)
-        if not copy:
-            return view
-        out = np.array(view, copy=True)
-        del view
-        lease.close()
-        return out
+        lease = _SegmentLease(arena, attach_segment(obj.name))
+        return ShmArrayView(lease, obj.shape, obj.dtype, obj.order)
     if isinstance(obj, tuple):
-        return tuple(decode_payload(x, arena, copy) for x in obj)
+        return tuple(decode_payload(x, arena) for x in obj)
     if isinstance(obj, list):
-        return [decode_payload(x, arena, copy) for x in obj]
+        return [decode_payload(x, arena) for x in obj]
     if isinstance(obj, dict):
-        return {k: decode_payload(v, arena, copy) for k, v in obj.items()}
+        return {k: decode_payload(v, arena) for k, v in obj.items()}
     return obj
 
 
 def decode_borrowed(obj: Any) -> Any:
-    """Copy data out of segments the *sender still owns*.
+    """Map segments the *sender still owns* copy-on-write.
 
     Used for pool task arguments: the dispatching parent stages them in
-    its own arena once, every worker copies its arguments out (attach,
-    copy, close — never unlink, never adopt), and the parent recycles the
-    segments when the run completes.  This keeps one staged copy total
-    instead of one per rank.
+    its own arena once, on POSIX shm (a private mapping of a hugetlbfs
+    file would reserve its whole length in huge pages, in every rank),
+    and every worker maps that segment ``MAP_PRIVATE``, never unlinking
+    or adopting it.  The rank gets a private writable array — a write
+    never reaches the parent, another rank or the next run — but pays
+    only for the pages it touches.  Each array owns its mapping; the
+    worker drops them before it reports, because the parent then recycles
+    the segments and unwritten pages would show the next tenant's bytes.
     """
     if isinstance(obj, ShmHeader):
-        shm = attach_segment(obj.name)
+        fd = _posixshmem.shm_open("/" + obj.name, os.O_RDONLY, mode=0)
         try:
-            view = np.ndarray(
-                obj.shape, dtype=obj.dtype, buffer=shm.buf, order=obj.order
-            )
-            return np.array(view, copy=True)
+            mapping = mmap.mmap(fd, 0, access=mmap.ACCESS_COPY)
         finally:
-            try:
-                shm.close()
-            except BufferError:  # pragma: no cover - lingering export
-                pass
+            os.close(fd)
+        return np.ndarray(
+            obj.shape, dtype=obj.dtype, buffer=mapping, order=obj.order
+        )
     if isinstance(obj, tuple):
         return tuple(decode_borrowed(x) for x in obj)
     if isinstance(obj, list):

@@ -8,7 +8,7 @@ Everything here is sequential; the distributed algorithms in
 :mod:`repro.distributed` call these kernels on per-rank local blocks.
 """
 
-from repro.tensor.dense import Tensor, as_f_contiguous, fold, unfold
+from repro.tensor.dense import Tensor, as_f_contiguous, fold, norm, norm_sq, unfold
 from repro.tensor.ttm import multi_ttm, ttm, ttm_blocked
 from repro.tensor.gram import gram, gram_blocked
 from repro.tensor.eig import (
@@ -24,6 +24,8 @@ __all__ = [
     "as_f_contiguous",
     "fold",
     "unfold",
+    "norm",
+    "norm_sq",
     "ttm",
     "ttm_blocked",
     "multi_ttm",

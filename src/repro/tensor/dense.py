@@ -57,6 +57,34 @@ def fold(matrix: np.ndarray, mode: int, shape: Sequence[int]) -> np.ndarray:
     return np.moveaxis(np.reshape(matrix, moved, order="F"), 0, mode)
 
 
+#: float32 elements widened to float64 per step of :func:`norm_sq`.
+_NORM_CHUNK = 1 << 16
+
+
+def norm_sq(array: np.ndarray) -> float:
+    """``||X||^2``, accumulated in float64 with no full-size temporary.
+
+    Entries are visited in *memory* order: a contiguous tensor of either
+    layout is a zero-copy 1-D view, where ``array.reshape(-1)`` first
+    transposes a Fortran-ordered one into a C-order copy.  float32 input
+    is widened a chunk at a time — the norm feeds tolerance thresholds,
+    and a float32 running sum would lose the digits the budget counts on.
+    """
+    flat = as_ndarray(array).ravel(order="K")
+    if flat.dtype != np.float32:
+        return float(np.dot(flat, flat))
+    total = 0.0
+    for start in range(0, flat.size, _NORM_CHUNK):
+        chunk = flat[start:start + _NORM_CHUNK].astype(np.float64)
+        total += float(np.dot(chunk, chunk))
+    return total
+
+
+def norm(array: np.ndarray) -> float:
+    """Tensor norm ``||X|| = ||X_(1)||_F`` (root of :func:`norm_sq`)."""
+    return float(np.sqrt(norm_sq(array)))
+
+
 class Tensor:
     """A dense real tensor with the paper's layout and mode operations.
 
@@ -124,7 +152,7 @@ class Tensor:
 
     def norm(self) -> float:
         """Tensor norm ``||X|| = ||X_(1)||_F`` (root of sum of squares)."""
-        return float(np.linalg.norm(self._data.reshape(-1)))
+        return norm(self._data)
 
     def nrank(self, mode: int, tol: float | None = None) -> int:
         """n-rank: column rank of the mode-``mode`` unfolding."""

@@ -74,3 +74,59 @@ class TestInvertScaling:
         err = np.abs(back - x)
         for s in range(3):
             assert err[:, :, s].max() <= 1e-2 * info.stds[s]
+
+
+def _layouts(x):
+    """The same values as F-ordered, C-ordered, strided and read-only."""
+    frozen = np.asfortranarray(x)
+    frozen.flags.writeable = False
+    return {
+        "fortran": np.asfortranarray(x),
+        "c": np.ascontiguousarray(x),
+        "strided": np.repeat(x, 2, axis=0)[::2],
+        "read-only": frozen,
+    }
+
+
+class TestOneOwnedFortranResult:
+    """Both directions allocate exactly the result: F-ordered, owned,
+    never an alias of the input, and bit-for-bit what the textbook
+    expressions give on that input."""
+
+    @pytest.mark.parametrize("mode", [0, 1, 2, 3])
+    @pytest.mark.parametrize("name", ["fortran", "c", "strided", "read-only"])
+    def test_center_and_scale(self, rng, name, mode):
+        x = _layouts(rng.normal(3.0, 2.0, size=(6, 5, 4, 3)))[name]
+        x_before = x.copy()
+        axes = tuple(a for a in range(x.ndim) if a != mode)
+        means = x.mean(axis=axes, keepdims=True)
+        stds = x.std(axis=axes, keepdims=True)
+        y, info = center_and_scale(x, species_mode=mode)
+        assert y.flags.f_contiguous and y.flags.owndata and y.flags.writeable
+        assert not np.shares_memory(y, x)
+        np.testing.assert_array_equal(y, (x - means) / stds)
+        np.testing.assert_array_equal(info.means, means.squeeze())
+        np.testing.assert_array_equal(info.stds, stds.squeeze())
+        np.testing.assert_array_equal(x, x_before)
+
+    @pytest.mark.parametrize("name", ["fortran", "c", "strided", "read-only"])
+    def test_invert_scaling(self, rng, name):
+        x = rng.normal(3.0, 2.0, size=(6, 5, 4, 3))
+        y, info = center_and_scale(x, species_mode=2)
+        y = _layouts(y)[name]
+        y_before = y.copy()
+        back = invert_scaling(y, info)
+        assert back.flags.f_contiguous and back.flags.owndata
+        assert not np.shares_memory(back, y)
+        expand = (1, 1, -1, 1)
+        np.testing.assert_array_equal(
+            back, y * info.stds.reshape(expand) + info.means.reshape(expand)
+        )
+        np.testing.assert_array_equal(y, y_before)
+
+    def test_float32_stays_float32(self, rng):
+        x = rng.standard_normal((5, 4, 3)).astype(np.float32)
+        y, info = center_and_scale(x, species_mode=1)
+        assert y.dtype == np.float32 and y.flags.f_contiguous
+        assert invert_scaling(y, info).dtype == np.float32
+

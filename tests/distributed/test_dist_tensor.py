@@ -150,3 +150,58 @@ class TestReductionsAndUnfoldings:
 
         for recovered in spmd(6, prog):
             np.testing.assert_allclose(recovered, 2 * x)
+
+
+def _from_global_facts(comm, x):
+    g = CartGrid(comm, (2, 1, 1))
+    dt = DistTensor.from_global(g, x)
+    local, expected = dt.local, x[dt.local_slices]
+    return (
+        bool(np.array_equal(local, expected)),
+        local.flags.f_contiguous,
+        local.flags.writeable,
+        local.base is None,
+        bool(np.shares_memory(local, x)),
+        str(local.dtype),
+    )
+
+
+class TestFromGlobalOwnsOneCopy:
+    """``from_global`` takes any layout and always owns its F-ordered
+    block — on the process backend ``x`` is a borrowed mapping that is
+    gone once the rank function returns."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda x: np.asfortranarray(x),
+            lambda x: np.ascontiguousarray(x),
+            lambda x: np.asfortranarray(np.repeat(x, 2, axis=1))[:, ::2],
+            lambda x: x.astype(np.float32),
+            lambda x: (x * 100).astype(np.int64),
+        ],
+        ids=["fortran", "c", "strided", "float32", "int64"],
+    )
+    def test_layouts_and_dtypes(self, make):
+        x = make(_x())
+        want = "float32" if x.dtype == np.float32 else "float64"
+        for facts in spmd(2, _from_global_facts, x):
+            assert facts == (True, True, True, True, False, want)
+
+    def test_read_only_input(self):
+        x = np.asfortranarray(_x())
+        x.flags.writeable = False
+        for facts in spmd(2, _from_global_facts, x):
+            assert facts[:5] == (True, True, True, True, False)
+
+    def test_compliant_block_is_not_copied_again(self):
+        # The constructor itself keeps a block that is already F-ordered
+        # and of the working dtype: kernels hand their outputs over.
+        def prog(comm):
+            g = CartGrid(comm, (2, 1, 1))
+            dt = DistTensor.from_global(g, _x())
+            block = np.asfortranarray(dt.local * 2)
+            return dt.with_local(block).local is block
+
+        assert all(spmd(2, prog).values)
+
