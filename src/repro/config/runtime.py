@@ -207,12 +207,6 @@ CONFIG_FIELDS: tuple[ConfigField, ...] = (
         "TSQR reduction tree: 'binary' or 'butterfly'",
     ),
     ConfigField(
-        "ttm_batch_lead", "REPRO_TTM_BATCH_LEAD", 32,
-        _parse_int("REPRO_TTM_BATCH_LEAD"), "kernels",
-        "max leading block columns for the batched local TTM fast path "
-        "(0 disables batching)",
-    ),
-    ConfigField(
         "compute_dtype", "REPRO_DTYPE", "float64", _parse_dtype, "kernels",
         "kernel compute precision: 'float64', 'float32', or 'mixed' "
         "(float32 kernels + float64 refinement against the split error "
@@ -282,7 +276,6 @@ class RuntimeConfig:
     hugepages: str = "auto"
     overlap: bool = True
     tsqr_tree: str = "binary"
-    ttm_batch_lead: int = 32
     compute_dtype: str = "float64"
     compress_wire: bool = False
     sanitize: int = 0
@@ -305,7 +298,6 @@ class RuntimeConfig:
         object.__setattr__(self, "hugepages", str(self.hugepages))
         object.__setattr__(self, "overlap", bool(self.overlap))
         object.__setattr__(self, "tsqr_tree", str(self.tsqr_tree))
-        object.__setattr__(self, "ttm_batch_lead", int(self.ttm_batch_lead))
         object.__setattr__(self, "compute_dtype", str(self.compute_dtype))
         object.__setattr__(self, "compress_wire", bool(self.compress_wire))
         object.__setattr__(self, "sanitize", int(self.sanitize))
@@ -329,11 +321,6 @@ class RuntimeConfig:
             raise ValueError(
                 f"unknown TSQR tree {self.tsqr_tree!r}; "
                 f"use one of {_TSQR_TREES}"
-            )
-        if self.ttm_batch_lead < 0:
-            raise ValueError(
-                f"ttm_batch_lead must be non-negative, got "
-                f"{self.ttm_batch_lead}"
             )
         if self.compute_dtype not in _COMPUTE_DTYPES:
             raise ValueError(

@@ -131,7 +131,7 @@ def hooi(
         # Core reuses the last inner iteration's Y (Alg. 2 line 9): that Y
         # already has every mode but N-1 projected.
         assert y is not None
-        core = np.asfortranarray(ttm(y, factors[n_modes - 1], n_modes - 1, transpose=True))
+        core = ttm(y, factors[n_modes - 1], n_modes - 1, transpose=True)
         iterations += 1
         residual = max(0.0, x_norm_sq - norm_sq(core))
         history.append(residual)

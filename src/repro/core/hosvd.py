@@ -64,7 +64,7 @@ def hosvd(
         factors.append(eig.leading(rn))
         eigenvalues.append(eig.values)
 
-    core = np.asfortranarray(multi_ttm(arr, factors, transpose=True))
+    core = multi_ttm(arr, factors, transpose=True)
     return SthosvdResult(
         decomposition=TuckerTensor(core=core, factors=tuple(factors)),
         eigenvalues=tuple(eigenvalues),

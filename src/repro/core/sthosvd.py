@@ -192,8 +192,7 @@ def sthosvd(
         eigenvalues[n] = values
         y = ttm(y, factors[n], n, transpose=True)
 
-    core = np.asfortranarray(y)
-    decomposition = TuckerTensor(core=core, factors=tuple(factors))  # type: ignore[arg-type]
+    decomposition = TuckerTensor(core=y, factors=tuple(factors))  # type: ignore[arg-type]
     return SthosvdResult(
         decomposition=decomposition,
         eigenvalues=tuple(eigenvalues),  # type: ignore[arg-type]

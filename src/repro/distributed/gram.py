@@ -17,7 +17,10 @@ each block multiply overlaps the remaining in-flight hops.
 
 When ``P_n == 1`` the ring disappears: one symmetric local Gram (dsyrk-
 style, exploiting symmetry) followed by the all-reduce, the fully-symmetric
-fast path the paper highlights.
+fast path the paper highlights.  That product, and the diagonal block of
+either ring, is the sequential :func:`~repro.tensor.gram.gram` kernel run
+on the local block where it lies; only the off-diagonal ``(mine, peer)``
+products need the two unfoldings as matrices.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from repro.distributed.ring import (
     unfold_peer as _unfold_peer,
 )
 from repro.mpi.reduce_ops import SUM
+from repro.tensor.gram import gram
 from repro.util.validation import check_axis
 
 
@@ -74,30 +78,31 @@ def dist_gram(
     pn, my_pn = col.size, col.rank
     jn = dt.global_shape[mode]
     ranges = block_ranges(jn, pn)
-    my_unf = dt.local_unfolding(mode)  # (my rows) x (local columns)
+    local = dt.local
+    my_rows = local.shape[mode]
+    my_cols = local.size // my_rows
     pipelined = pn > 1 and overlap_enabled(overlap)
     inflight = 1
 
     blocks: list[np.ndarray | None] = [None] * pn
     if pn == 1:
         # Fully symmetric local Gram (half the flops of the general case).
-        s_local = my_unf @ my_unf.T
-        s_local = (s_local + s_local.T) * 0.5
-        dt.comm.add_flops(my_unf.shape[0] * (my_unf.shape[0] + 1) * my_unf.shape[1])
-        blocks[0] = s_local
+        blocks[0] = gram(local, mode)
+        dt.comm.add_flops(my_rows * (my_rows + 1) * my_cols)
     elif not exploit_symmetry:
         # Full ring (Alg. 4 lines 6-12) on the shared pipeline.  The
         # exchange generator posts every hop before the first block is
         # consumed (pipelined) — the diagonal dgemm then runs with all
         # hops in flight, and each peer multiply overlaps the rest.
         hops = mode_ring_hops(pn, my_pn)
-        exchanges = ring_exchange(col, dt.local, hops, pipelined)
-        blocks[my_pn] = my_unf @ my_unf.T
-        dt.comm.add_flops(2 * my_unf.shape[0] ** 2 * my_unf.shape[1])
+        exchanges = ring_exchange(col, local, hops, pipelined)
+        blocks[my_pn] = gram(local, mode)
+        dt.comm.add_flops(2 * my_rows**2 * my_cols)
+        my_unf = dt.local_unfolding(mode)  # (my rows) x (local columns)
         for hop, w in exchanges:
             w_unf = _unfold_peer(w, mode)
             blocks[hop.source] = my_unf @ w_unf.T
-            dt.comm.add_flops(2 * my_unf.shape[0] * w_unf.shape[0] * my_unf.shape[1])
+            dt.comm.add_flops(2 * my_rows * w_unf.shape[0] * my_cols)
         inflight = pn - 1 if pipelined else 1
     else:
         # Halved ring: `half` paired steps, plus one antipodal step for
@@ -112,20 +117,18 @@ def dist_gram(
             hops.append(
                 RingHop(step=pn // 2, dest=anti, source=anti, tag=("symA", pn // 2))
             )
-        exchanges = ring_exchange(col, dt.local, hops, pipelined)
+        exchanges = ring_exchange(col, local, hops, pipelined)
         # Diagonal block with symmetric flop count.
-        diag = my_unf @ my_unf.T
-        blocks[my_pn] = (diag + diag.T) * 0.5
-        dt.comm.add_flops(my_unf.shape[0] * (my_unf.shape[0] + 1) * my_unf.shape[1])
+        blocks[my_pn] = gram(local, mode)
+        dt.comm.add_flops(my_rows * (my_rows + 1) * my_cols)
+        my_unf = dt.local_unfolding(mode)  # (my rows) x (local columns)
         for hop, w in exchanges:
             i, k = hop.step, hop.source
             j = (my_pn - i) % pn
             if hop.tag[0] == "sym":
                 w_unf = _unfold_peer(w, mode)
                 blocks[k] = my_unf @ w_unf.T
-                dt.comm.add_flops(
-                    2 * my_unf.shape[0] * w_unf.shape[0] * my_unf.shape[1]
-                )
+                dt.comm.add_flops(2 * my_rows * w_unf.shape[0] * my_cols)
                 # Ship block (my, k) to rank k, whose (k, my) block is its
                 # transpose; receive my (my, j) block from rank j in return.
                 received = col.sendrecv(blocks[k], dest=k, source=j, tag=("symT", i))
@@ -135,9 +138,7 @@ def dist_gram(
                 # multiplies.
                 w_unf = _unfold_peer(w, mode)
                 blocks[k] = my_unf @ w_unf.T
-                dt.comm.add_flops(
-                    2 * my_unf.shape[0] * w_unf.shape[0] * my_unf.shape[1]
-                )
+                dt.comm.add_flops(2 * my_rows * w_unf.shape[0] * my_cols)
                 col.send(blocks[k], dest=k, tag=("symAT", i))
             else:
                 blocks[k] = np.asarray(col.recv(source=k, tag=("symAT", i))).T
@@ -145,12 +146,12 @@ def dist_gram(
 
     # Assemble the (my rows) x J_n slab, ordering peer blocks by their global
     # row ranges, then sum contributions over the processor row.
-    slab = np.empty((my_unf.shape[0], jn), dtype=my_unf.dtype)
+    slab = np.empty((my_rows, jn), dtype=local.dtype)
     for k, (start, stop) in enumerate(ranges):
         slab[:, start:stop] = blocks[k]
     # M_GRAM live set: local tensor + in-flight peer tensors + V + S.  The
     # blocking ring holds one exchange in flight (the paper's eq. (2)
     # accounting); the pipelined ring trades memory for time and holds
     # them all, which the noted peak reports honestly.
-    dt.comm.note_memory((1 + inflight) * dt.local.size + 2 * slab.size)
+    dt.comm.note_memory((1 + inflight) * local.size + 2 * slab.size)
     return np.asarray(row.allreduce(slab, SUM))

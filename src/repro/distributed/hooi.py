@@ -93,7 +93,6 @@ def dist_hooi(
     n_modes = dt.ndim
     cfg = _resolve_driver_config(dt, tol, ranks, None, config, plan)
     overlap = cfg.overlap if cfg is not None else None
-    batch_lead = cfg.ttm_batch_lead if cfg is not None else None
     tree = cfg.tsqr_tree if cfg is not None else None
     if compute_dtype is None and cfg is not None:
         compute_dtype = cfg.compute_dtype
@@ -136,7 +135,6 @@ def dist_hooi(
                         target_ranks[m],
                         strategy=ttm_strategy,
                         overlap=overlap,
-                        batch_lead=batch_lead,
                     )
             if method == "svd":
                 from repro.distributed.tsqr import dist_mode_svd
@@ -162,7 +160,6 @@ def dist_hooi(
                 target_ranks[n_modes - 1],
                 strategy=ttm_strategy,
                 overlap=overlap,
-                batch_lead=batch_lead,
             )
         iterations += 1
         history.append(max(0.0, x_norm_sq - core.norm_sq()))

@@ -273,7 +273,6 @@ def _refine_sweep_f64(
     method: str,
     tsqr_tree: str | None,
     overlap: bool | None,
-    batch_lead: int | None,
 ) -> DistTensor:
     """One float64 HOOI-style sweep against the original tensor slabs.
 
@@ -300,7 +299,7 @@ def _refine_sweep_f64(
             u64 = np.asarray(factors[m], dtype=np.float64)
             z = dist_ttm(
                 z, u64.T.copy(), m, target_ranks[m], strategy=ttm_strategy,
-                overlap=overlap, batch_lead=batch_lead,
+                overlap=overlap,
             )
         if method == "svd":
             from repro.distributed.tsqr import dist_mode_svd
@@ -319,7 +318,6 @@ def _refine_sweep_f64(
             y = dist_ttm(
                 z, u_local.T.copy(), n, target_ranks[n],
                 strategy=ttm_strategy, overlap=overlap,
-                batch_lead=batch_lead,
             )
     return y
 
@@ -453,7 +451,6 @@ def dist_sthosvd(
         raise ValueError(f"mode_order {mode_order} is not a permutation")
     cfg = _resolve_driver_config(dt, tol, ranks, order, config, plan)
     overlap = cfg.overlap if cfg is not None else None
-    batch_lead = cfg.ttm_batch_lead if cfg is not None else None
     if tsqr_tree is None and cfg is not None:
         tsqr_tree = cfg.tsqr_tree
     if compute_dtype is None and cfg is not None:
@@ -527,7 +524,7 @@ def dist_sthosvd(
         with comm.section("ttm"):
             y = dist_ttm(
                 y, u_local.T.copy(), n, rn, strategy=ttm_strategy,
-                overlap=overlap, batch_lead=batch_lead,
+                overlap=overlap,
             )
         factors[n] = u_local
         eigenvalues[n] = eig.values
@@ -551,7 +548,7 @@ def dist_sthosvd(
             if est_prec > prec_share:
                 y = _refine_sweep_f64(
                     dt, order, y.global_shape, factors, eigenvalues,
-                    ttm_strategy, method, tsqr_tree, overlap, batch_lead,
+                    ttm_strategy, method, tsqr_tree, overlap,
                 )
     if work == np.float32:
         # Outputs are always float64: the compressed object is tiny, and

@@ -30,7 +30,7 @@ from repro.distributed.layout import block_range, block_ranges
 from repro.distributed.overlap import overlap_enabled
 from repro.mpi.reduce_ops import SUM
 from repro.tensor.dense import match_dtype
-from repro.tensor.ttm import ttm_blocked
+from repro.tensor.ttm import ttm
 from repro.util.validation import check_axis
 
 
@@ -48,7 +48,6 @@ def dist_ttm(
     new_dim: int,
     strategy: str = "auto",
     overlap: bool | None = None,
-    batch_lead: int | None = None,
 ) -> DistTensor:
     """Parallel ``Z = Y x_n V`` (Alg. 3).
 
@@ -72,11 +71,6 @@ def dist_ttm(
         block-row reduce is posted non-blocking and completed only after
         the next block's local TTM, hiding the reduce fences behind the
         dgemms.  Results and charges are bit-identical either way.
-    batch_lead:
-        Skinny-block threshold for the local
-        :func:`~repro.tensor.ttm.ttm_blocked` kernels (default: the run's
-        resolved config, ``REPRO_TTM_BATCH_LEAD``).  Pure tuning — both
-        local paths are bit-identical.
 
     Returns
     -------
@@ -112,11 +106,9 @@ def dist_ttm(
         fits = new_dim <= max(1, dt.global_shape[mode] // pn)
         strategy = "reduce_scatter" if (even and fits) else "blocked"
     if strategy == "reduce_scatter":
-        return _ttm_reduce_scatter(dt, v_local, mode, new_dim, batch_lead)
+        return _ttm_reduce_scatter(dt, v_local, mode, new_dim)
     if strategy == "blocked":
-        return _ttm_blocked(
-            dt, v_local, mode, new_dim, overlap=overlap, batch_lead=batch_lead
-        )
+        return _ttm_blocked(dt, v_local, mode, new_dim, overlap=overlap)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
@@ -132,7 +124,6 @@ def _ttm_blocked(
     mode: int,
     new_dim: int,
     overlap: bool | None = None,
-    batch_lead: int | None = None,
 ) -> DistTensor:
     """Alg. 3: P_n iterations of (local TTM block row, reduce to member l).
 
@@ -155,7 +146,7 @@ def _ttm_blocked(
     for ell, (start, stop) in enumerate(block_ranges(new_dim, pn)):
         # Local mode-n TTM with the ell-th block row of V (layout-respecting
         # dgemms, Sec. IV-C).
-        w = ttm_blocked(local, v_local[start:stop], mode, batch_lead=batch_lead)
+        w = ttm(local, v_local[start:stop], mode)
         dt.comm.add_flops(2 * (stop - start) * local.size)
         # M_TTM live set: local input + factor block + temporary + result,
         # plus — pipelined — the previous block row, which stays alive in
@@ -201,7 +192,6 @@ def _ttm_reduce_scatter(
     v_local: np.ndarray,
     mode: int,
     new_dim: int,
-    batch_lead: int | None = None,
 ) -> DistTensor:
     """Sec. V-B fast path: one local multiply + one reduce-scatter.
 
@@ -216,7 +206,7 @@ def _ttm_reduce_scatter(
             f"reduce_scatter strategy requires {pn} | {new_dim}; use 'blocked'"
         )
     local = dt.local
-    w = ttm_blocked(local, v_local, mode, batch_lead=batch_lead)
+    w = ttm(local, v_local, mode)
     dt.comm.add_flops(2 * new_dim * local.size)
     # Reduce-scatter along the mode axis: move mode to front so equal blocks
     # along axis 0 correspond to the K partition.

@@ -4,12 +4,11 @@ The runtime exposes several knobs whose best setting depends on the
 problem, not on taste: communication/computation overlap pays only when
 there is enough communication to hide *and* its extra non-blocking
 messages cost less than what they hide; the TSQR reduction tree trades
-latency for bandwidth with the processor-column height; the local TTM's
-batched fast path is gated on a skinny-block threshold tied to BLAS
-dispatch overhead.  Historically those knobs were global defaults, and a
-default that wins at scale can lose outright on small problems — the
-committed benchmark suite carries exactly such a case, where pipelined
-``dist_sthosvd`` *pays* for overlap on a tiny tensor.
+latency for bandwidth with the processor-column height.  Historically
+those knobs were global defaults, and a default that wins at scale can
+lose outright on small problems — the committed benchmark suite carries
+exactly such a case, where pipelined ``dist_sthosvd`` *pays* for overlap
+on a tiny tensor.
 
 :func:`plan_sthosvd` turns the paper's alpha-beta-gamma cost model
 (Secs. V-VI) into decisions: given the global shape, the target ranks
@@ -35,19 +34,6 @@ from repro.config import RuntimeConfig
 from repro.perfmodel.algorithms import AlgorithmCost, sthosvd_cost
 from repro.perfmodel.machine import EDISON, MachineSpec
 from repro.util.validation import check_shape_like
-
-#: Below roughly this many seconds of dgemm per sub-block, the Python
-#: loop of :func:`~repro.tensor.ttm.ttm_blocked` is dominated by per-call
-#: dispatch, so the plan widens the batched fast path to cover the block.
-#: The constant is a conservative per-call overhead estimate (a NumPy
-#: matmul dispatch plus loop bookkeeping), not a measured quantity; it
-#: only needs to sit between "clearly tiny" and "clearly BLAS-bound".
-DISPATCH_CUTOFF_SECONDS = 2.0e-6
-
-#: Hard cap for an autotuned ``ttm_batch_lead``: beyond this the batched
-#: path's staging buffer stops being "small" relative to cache, and the
-#: loop's per-block dgemms are wide enough to amortize dispatch anyway.
-MAX_BATCH_LEAD = 4096
 
 #: A planned tolerance at or above this keeps the mixed pipeline's
 #: precision share comfortably above the float32 noise floor (see
@@ -141,61 +127,13 @@ def _tree_decision(grid: Sequence[int]) -> tuple[str, str]:
     return "binary", "grid has no multi-rank mode column; tree is moot"
 
 
-def _batch_lead_decision(
-    shape: Sequence[int],
-    ranks: Sequence[int],
-    grid: Sequence[int],
-    machine: MachineSpec,
-    mode_order: Sequence[int],
-    base_lead: int,
-) -> tuple[int, str]:
-    """Widen the batched local-TTM gate over dispatch-bound block loops.
-
-    Walking the ST-HOSVD shape evolution, each mode-``n`` local TTM loops
-    over sub-blocks with ``lead = prod_{m<n} local I_m`` columns.  When a
-    block's dgemm is cheaper than its dispatch, the loop is pure
-    overhead; raise the cap to the smallest power of two covering such
-    blocks so the stacked-matmul path takes them in one call.
-    """
-    lead_cap = base_lead
-    driver = None
-    current = list(shape)
-    for n in mode_order:
-        lead = 1
-        for m in range(n):
-            lead *= max(1, current[m] // grid[m])
-        local_jn = max(1, current[n] // grid[n])
-        local_k = max(1, ranks[n] // grid[n])
-        per_block = machine.flop_time(
-            2.0 * lead * local_jn * local_k,
-            (lead, local_k, local_jn),
-        )
-        if per_block < DISPATCH_CUTOFF_SECONDS and lead > lead_cap:
-            cap = 1
-            while cap < lead:
-                cap *= 2
-            lead_cap = min(cap, MAX_BATCH_LEAD)
-            driver = (n, lead, per_block)
-        current[n] = ranks[n]
-    if driver is None:
-        return base_lead, (
-            f"no dispatch-bound block loop beyond the default cap "
-            f"{base_lead}"
-        )
-    n, lead, per_block = driver
-    return lead_cap, (
-        f"mode {n} loops {lead}-column blocks at {per_block:.1e} s/dgemm "
-        f"(< {DISPATCH_CUTOFF_SECONDS:.0e} s dispatch); batching them"
-    )
-
-
 def _dtype_decision(
     cost: AlgorithmCost, tol: float | None, machine: MachineSpec
 ) -> tuple[str, str]:
     """Choose the compute dtype from the error budget and modeled traffic.
 
-    Every *scheduling* knob (overlap, tree, batch lead) is pure tuning —
-    bit-identical results whatever the plan picks.  The dtype knob is
+    Every *scheduling* knob (overlap, tree) is pure tuning — bit-identical
+    results whatever the plan picks.  The dtype knob is
     not: it changes the numbers, so it is chosen conservatively.  The
     plan stays ``float64`` unless a tolerance was planned for and is
     loose enough (>= ``MIXED_TOL_FLOOR``) that the float32 noise floor
@@ -261,8 +199,7 @@ def plan_sthosvd(
     base:
         Config to start from (default ``RuntimeConfig()``); the plan only
         changes the knobs it actually decides (overlap, tsqr_tree,
-        ttm_batch_lead, compute_dtype), so executor/transport settings
-        are preserved.
+        compute_dtype), so executor/transport settings are preserved.
     mode_order:
         Mode processing order (default increasing).
 
@@ -308,14 +245,10 @@ def plan_sthosvd(
     overlap, overlap_why = _overlap_decision(cost, machine)
     tree, tree_why = _tree_decision(grid)
     base_cfg = base if base is not None else RuntimeConfig()
-    lead, lead_why = _batch_lead_decision(
-        shape, planned_ranks, grid, machine, order, base_cfg.ttm_batch_lead
-    )
     dtype, dtype_why = _dtype_decision(cost, tol, machine)
     config = base_cfg.replace(
         overlap=overlap,
         tsqr_tree=tree,
-        ttm_batch_lead=lead,
         compute_dtype=dtype,
     )
     return ExecutionPlan(
@@ -325,7 +258,6 @@ def plan_sthosvd(
         decisions={
             "overlap": overlap_why,
             "tsqr_tree": tree_why,
-            "ttm_batch_lead": lead_why,
             "compute_dtype": dtype_why,
         },
     )
@@ -367,8 +299,6 @@ __all__ = [
     "ExecutionPlan",
     "plan_sthosvd",
     "refine_machine",
-    "DISPATCH_CUTOFF_SECONDS",
-    "MAX_BATCH_LEAD",
     "MIXED_TOL_FLOOR",
     "MIXED_WORDS_FLOOR",
 ]

@@ -233,3 +233,17 @@ def as_f_contiguous(arr: np.ndarray) -> np.ndarray:
     if arr.flags.f_contiguous:
         return arr
     return np.asfortranarray(arr)
+
+
+def fortran_view(arr: np.ndarray, mode: int) -> tuple[np.ndarray, int, bool]:
+    """The Fortran-contiguous array the local kernels run on.
+
+    Returns ``(f, mode_in_f, reversed)``.  A Fortran-ordered ``arr`` is
+    itself; a C-ordered one is its transpose — the same buffer with the
+    modes reversed, so ``mode`` becomes ``N - 1 - mode`` and a tensor
+    result must be handed back transposed; only a genuinely strided
+    ``arr`` is copied (once, to Fortran order).
+    """
+    if arr.flags.c_contiguous and not arr.flags.f_contiguous:
+        return arr.T, arr.ndim - 1 - mode, True
+    return as_f_contiguous(arr), mode, False

@@ -1,19 +1,27 @@
 """Tensor-times-matrix (TTM) products (paper Sec. II-A, IV-C).
 
 ``ttm(x, v, n)`` computes ``Y = X x_n V``, equivalently ``Y_(n) = V X_(n)``.
-Two implementations are provided:
+There is one kernel, and it never permutes the tensor: the paper's layout
+(Sec. IV-C) makes unfolding *logical*, so the Fortran buffer viewed as
+``(lead, I_n, trail)`` — ``lead`` the product of the modes before ``n``,
+``trail`` of those after — already is the operand BLAS needs:
 
-* :func:`ttm` — the production path: one ``tensordot`` call, which BLAS
-  executes as a single dgemm after an internal transpose.
-* :func:`ttm_blocked` — the paper-faithful path that walks the unfolded
-  tensor's contiguous sub-blocks (Fig. 3b) and multiplies each with dgemm,
-  never materializing a full permuted copy.  This is the layout-respecting
-  strategy the paper uses for local computations; tests assert it matches
-  :func:`ttm` exactly, and it is the kernel the distributed TTM calls so
-  that local work mirrors Alg. 3.
+* ``lead == 1`` (the first mode): the ``(I_n, trail)`` view is one
+  column-major matrix and the whole product is one dgemm.
+* otherwise: each of the ``trail`` slices is one contiguous ``lead x I_n``
+  sub-block (Fig. 3b) and ``block @ V^T`` is its dgemm; one stacked
+  ``matmul`` issues them all from C, written straight into the result's
+  sub-blocks.  The last mode is the one-slice case of the same call.
+* a C-ordered tensor is the same buffer with the modes reversed
+  (``ttm(x, V, n) == ttm(x.T, V, N-1-n).T``), so it rides the same two
+  cases and gets a C-ordered result back; only a genuinely strided input
+  is copied, once.
 
-``multi_ttm`` applies a sequence of factor matrices along multiple modes,
-optionally skipping one (the HOOI inner step ``X x {U^T}_{m != n}``).
+Every caller — the sequential drivers, reconstruction, the baselines and
+the distributed Alg. 3 — runs this function; ``ttm_blocked`` is its
+historical second name.  ``multi_ttm`` applies a sequence of factor
+matrices along multiple modes, optionally skipping one (the HOOI inner
+step ``X x {U^T}_{m != n}``).
 """
 
 from __future__ import annotations
@@ -22,21 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.config import default_for
-from repro.tensor.dense import Tensor, as_f_contiguous, as_ndarray, match_dtype
+from repro.tensor.dense import Tensor, as_ndarray, fortran_view, match_dtype
 from repro.util.validation import check_axis, prod
-
-#: Batched fast-path gate for :func:`ttm_blocked`: collapse the
-#: per-sub-block Python loop into batched/stacked dgemms when the
-#: sub-blocks are *skinny* (few leading columns per block) and numerous
-#: enough for the per-block Python and BLAS-dispatch overhead to matter.
-#: Wide blocks keep the loop: each dgemm is then large enough to amortize
-#: its dispatch, and the loop avoids the batched path's staging buffer.
-#: ``BATCH_MAX_LEAD`` is the built-in default; per-run values come from
-#: the resolved config (``REPRO_TTM_BATCH_LEAD``) or an explicit
-#: ``batch_lead=`` argument, e.g. from an autotuned execution plan.
-BATCH_MAX_LEAD = 32
-BATCH_MIN_TRAIL = 8
 
 
 def _check_ttm_shapes(
@@ -76,94 +71,41 @@ def ttm(
     Returns
     -------
     np.ndarray
-        Tensor of shape ``I_1 x ... x I_{n-1} x K x I_{n+1} x ... x I_N``.
-    """
-    arr = as_ndarray(x)
-    mode = check_axis(mode, arr.ndim)
-    v = np.asarray(v, dtype=match_dtype(arr.dtype))
-    _check_ttm_shapes(arr.shape, v, mode, transpose)
-    contract_axis = 0 if transpose else 1
-    # tensordot puts v's surviving axis first; move it back to `mode`.
-    out = np.tensordot(v, arr, axes=([contract_axis], [mode]))
-    return np.moveaxis(out, 0, mode)
-
-
-def ttm_blocked(
-    x: "Tensor | np.ndarray",
-    v: np.ndarray,
-    mode: int,
-    transpose: bool = False,
-    batched: bool | None = None,
-    batch_lead: int | None = None,
-) -> np.ndarray:
-    """Layout-respecting TTM: per-sub-block dgemm as in paper Sec. IV-C.
-
-    The mode-n unfolding of a Fortran-stored tensor consists of
-    ``prod_{m > n} I_m`` contiguous blocks, each an ``I_n x prod_{m < n} I_m``
-    matrix (stored column-major within the block).  We multiply each block
-    by ``V`` separately, exactly as the paper's implementation does with
-    dgemm, avoiding any global data permutation.
-
-    When the sub-blocks are skinny (``lead <= BATCH_MAX_LEAD``) and
-    numerous (``trail >= BATCH_MIN_TRAIL``), the per-block Python loop is
-    collapsed into one batched call: for ``lead == 1`` (leading modes)
-    the whole product is a *single* dgemm on the ``(I_n, trail)`` view
-    the Fortran layout already provides, and otherwise one stacked
-    ``matmul`` runs the same per-block dgemms from C.  ``batched``
-    overrides the gate (``None`` = auto) — the benchmark suite uses it to
-    measure loop vs. batched on equal shapes.  ``batch_lead`` overrides
-    the skinny-block threshold (``None`` = the run's resolved config,
-    ``REPRO_TTM_BATCH_LEAD``, default :data:`BATCH_MAX_LEAD`); both
-    paths compute bit-identical results, so the knob is pure tuning.
+        Tensor of shape ``I_1 x ... x I_{n-1} x K x I_{n+1} x ... x I_N``,
+        owned and contiguous in ``x``'s layout (Fortran-ordered unless
+        ``x`` is C-ordered).  ``x`` is only read — it may be a read-only
+        shared-memory view — and is copied only when it is strided.
     """
     arr = as_ndarray(x)
     mode = check_axis(mode, arr.ndim)
     v = np.asarray(v, dtype=match_dtype(arr.dtype))
     k = _check_ttm_shapes(arr.shape, v, mode, transpose)
-    shape = arr.shape
-    lead = prod(shape[:mode])  # columns per sub-block
-    trail = prod(shape[mode + 1 :])  # number of sub-blocks
-    vmat = v.T if transpose else v
-    new_shape = shape[:mode] + (k,) + shape[mode + 1 :]
-
-    # View the tensor as (lead, I_n, trail) in Fortran order: mode indices
-    # before `mode` are flattened into the leading axis, those after into the
-    # trailing axis.  Each trail slice is one contiguous sub-block.
-    flat = np.reshape(as_f_contiguous(arr), (lead, shape[mode], trail), order="F")
-    if batched is None:
-        lead_cap = (
-            int(default_for("ttm_batch_lead"))
-            if batch_lead is None
-            else int(batch_lead)
-        )
-        batched = lead <= lead_cap and trail >= BATCH_MIN_TRAIL
-    if batched and trail > 1:
-        if lead == 1:
-            # All sub-blocks share their single row index, so the
-            # (I_n, trail) Fortran view is one matrix and the whole TTM
-            # is one dgemm written straight into the F-ordered output.
-            flat2 = np.reshape(flat, (shape[mode], trail), order="F")
-            out2 = np.empty((k, trail), dtype=arr.dtype, order="F")
-            np.matmul(vmat, flat2, out=out2)
-            return np.reshape(out2, new_shape, order="F")
-        # Stacked matmul: the identical per-block dgemm (same operand
-        # layouts as the loop below, so the bits match exactly), batched
-        # in C and written straight into the F-ordered output through its
-        # (trail, lead, k) transpose view.
-        out = np.empty((lead, k, trail), dtype=arr.dtype, order="F")
+    new_shape = arr.shape[:mode] + (k,) + arr.shape[mode + 1 :]
+    src, mode, reversed_ = fortran_view(arr, mode)
+    out = np.empty(new_shape, dtype=arr.dtype, order="C" if reversed_ else "F")
+    dst = out.T if reversed_ else out
+    rows = src.shape[mode]
+    lead = prod(src.shape[:mode])  # columns per sub-block
+    trail = prod(src.shape[mode + 1 :])  # number of sub-blocks
+    # V^T, C-contiguous: the right-hand operand of every sub-block's dgemm.
+    vt = np.ascontiguousarray(v if transpose else v.T)
+    if lead == 1:
         np.matmul(
-            flat.transpose(2, 0, 1),
-            np.ascontiguousarray(vmat.T),
-            out=out.transpose(2, 0, 1),
+            vt.T,
+            np.reshape(src, (rows, trail), order="F"),
+            out=np.reshape(dst, (k, trail), order="F"),
         )
-        return np.reshape(out, new_shape, order="F")
-    out = np.empty((lead, k, trail), dtype=arr.dtype, order="F")
-    vt = np.ascontiguousarray(vmat.T)
-    for b in range(trail):
-        # One dgemm per contiguous sub-block: out_block = block @ V^T, i.e.
-        # the transpose of V @ (mode-n columns of this block).
-        out[:, :, b] = flat[:, :, b] @ vt
-    return np.reshape(out, new_shape, order="F")
+    else:
+        np.matmul(
+            np.reshape(src, (lead, rows, trail), order="F").transpose(2, 0, 1),
+            vt,
+            out=np.reshape(dst, (lead, k, trail), order="F").transpose(2, 0, 1),
+        )
+    return out
+
+
+#: Historical name of the layout-respecting kernel; there is only one now.
+ttm_blocked = ttm
 
 
 def multi_ttm(

@@ -8,6 +8,8 @@ through the active-config dispatch — so an explicit ``RuntimeConfig``
 and the equivalent environment produce bit-identical runs.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -89,10 +91,10 @@ class TestPrecedence:
 
 class TestEnvDefault:
     def test_parses_each_field_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TTM_BATCH_LEAD", "128")
+        monkeypatch.setenv("REPRO_SPMD_WINDOW_SLOT", "128")
         monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "7.5")
         monkeypatch.setenv("REPRO_SHM_ARENA", "0")
-        assert env_default("ttm_batch_lead") == 128
+        assert env_default("window_slot") == 128
         assert env_default("timeout") == 7.5
         assert env_default("arena") is False
 
@@ -117,7 +119,6 @@ class TestValidation:
             ({"retry": 0}, "retry"),
             ({"timeout": 0.0}, "timeout"),
             ({"window_slot": -1}, "window_slot"),
-            ({"ttm_batch_lead": -1}, "ttm_batch_lead"),
             ({"hugepages": "maybe"}, "REPRO_SPMD_HUGEPAGES"),
         ],
     )
@@ -134,7 +135,7 @@ class TestSerialization:
     def test_json_round_trip(self):
         cfg = RuntimeConfig(
             backend="process", overlap=False, tsqr_tree="butterfly",
-            ttm_batch_lead=64, sanitize=2, faults="crash:rank=1:call=3",
+            window_slot=64, sanitize=2, faults="crash:rank=1:call=3",
             timeout=5.0,
         )
         assert RuntimeConfig.from_json(cfg.to_json()) == cfg
@@ -146,6 +147,19 @@ class TestSerialization:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown RuntimeConfig key"):
             RuntimeConfig.from_dict({"overlap": True, "bogus": 1})
+
+    def test_retired_knob_in_persisted_json_is_rejected(self):
+        # A config or plan saved before the local TTM had one path still
+        # carries ``ttm_batch_lead``; replaying it must say so, not
+        # silently drop the key.
+        stale = json.loads(RuntimeConfig().to_json())
+        stale["ttm_batch_lead"] = 32
+        with pytest.raises(
+            ValueError, match="unknown RuntimeConfig key.*ttm_batch_lead"
+        ):
+            RuntimeConfig.from_json(json.dumps(stale))
+        assert "ttm_batch_lead" not in {f.name for f in CONFIG_FIELDS}
+        assert len(CONFIG_FIELDS) == 17
 
     def test_replace_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown RuntimeConfig key"):
@@ -183,8 +197,8 @@ class TestActiveConfigDispatch:
         assert active_config() is None
 
     def test_default_for_falls_back_to_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TTM_BATCH_LEAD", "256")
-        assert default_for("ttm_batch_lead") == 256
+        monkeypatch.setenv("REPRO_SPMD_WINDOW_SLOT", "256")
+        assert default_for("window_slot") == 256
 
     def test_run_spmd_installs_config_in_ranks(self):
         cfg = RuntimeConfig(overlap=False, tsqr_tree="butterfly", timeout=20.0)
@@ -243,14 +257,11 @@ class TestBitIdentity:
         return spmd(int(np.prod(self.GRID)), prog)[0]
 
     def test_config_matches_equivalent_env(self, monkeypatch):
-        cfg = RuntimeConfig(
-            overlap=False, tsqr_tree="butterfly", ttm_batch_lead=64
-        )
+        cfg = RuntimeConfig(overlap=False, tsqr_tree="butterfly")
         via_config = self._factors_and_core(config=cfg)
 
         monkeypatch.setenv("REPRO_SPMD_OVERLAP", "0")
         monkeypatch.setenv("REPRO_TSQR_TREE", "butterfly")
-        monkeypatch.setenv("REPRO_TTM_BATCH_LEAD", "64")
         via_env = self._factors_and_core()
 
         assert via_config[0].tobytes() == via_env[0].tobytes()

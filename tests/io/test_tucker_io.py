@@ -44,11 +44,28 @@ class TestRoundtrip:
         _, meta = load_tucker(path)
         assert meta == {}
 
-    def test_uncompressed_container(self, tmp_path):
+    def test_members_are_stored_not_deflated(self, tmp_path):
+        import zipfile
+
         path = tmp_path / "m.npz"
-        save_tucker(path, _tucker(), compressed=False)
-        loaded, _ = load_tucker(path)
-        assert loaded.ranks == (2, 3, 4)
+        save_tucker(path, _tucker())
+        with zipfile.ZipFile(path) as archive:
+            assert {i.compress_type for i in archive.infolist()} == {
+                zipfile.ZIP_STORED
+            }
+
+    def test_deflated_container_still_loads(self, tmp_path):
+        # Containers written before save_tucker stopped deflating.
+        t = _tucker()
+        stored, deflated = tmp_path / "stored.npz", tmp_path / "deflated.npz"
+        save_tucker(stored, t, metadata={"eps": 1e-3})
+        with np.load(stored) as data:
+            np.savez_compressed(deflated, **{k: data[k] for k in data.files})
+        loaded, meta = load_tucker(deflated)
+        assert meta == {"eps": 1e-3}
+        assert loaded.core.tobytes() == t.core.tobytes()
+        for got, want in zip(loaded.factors, t.factors):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestDiskAccounting:

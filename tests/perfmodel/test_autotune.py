@@ -37,7 +37,6 @@ class TestGoldenDecisions:
             BENCH_SHAPE, ranks=BENCH_RANKS, grid=BENCH_GRID, machine=EDISON
         )
         assert plan.config.tsqr_tree == "butterfly"
-        assert plan.config.ttm_batch_lead == 32
 
     def test_large_case_enables_overlap(self):
         plan = plan_sthosvd(
@@ -56,9 +55,9 @@ class TestGoldenDecisions:
         assert plan.config.tsqr_tree == "binary"
         assert plan.config.overlap is False
 
-    def test_dispatch_bound_loop_widens_batch_lead(self):
-        # mode_order puts mode 2 first, so its block loop runs over the
-        # full 8*8 = 64 leading columns of tiny dgemms.
+    def test_plan_decides_only_what_still_has_two_settings(self):
+        # The local TTM has one path, so no plan carries a batching
+        # decision: a tiny-block problem plans the same knobs as any other.
         plan = plan_sthosvd(
             (8, 8, 4),
             ranks=(2, 2, 2),
@@ -66,8 +65,8 @@ class TestGoldenDecisions:
             machine=EDISON,
             mode_order=(2, 0, 1),
         )
-        assert plan.config.ttm_batch_lead == 64
-        assert "batching" in plan.decisions["ttm_batch_lead"]
+        assert set(plan.decisions) == {"overlap", "tsqr_tree", "compute_dtype"}
+        assert not hasattr(plan.config, "ttm_batch_lead")
 
 
 class TestPlanMechanics:
@@ -103,7 +102,7 @@ class TestPlanMechanics:
         )
         text = plan.describe()
         assert "grid: 2x2x1" in text
-        for knob in ("overlap", "tsqr_tree", "ttm_batch_lead"):
+        for knob in ("overlap", "tsqr_tree", "compute_dtype"):
             assert knob in text
         assert "predicted time" in text
 

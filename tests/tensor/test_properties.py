@@ -10,7 +10,7 @@ projections never increase norms, and Gram matrices are PSD with trace
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.tensor import fold, gram, multi_ttm, ttm, ttm_blocked, unfold
+from repro.tensor import fold, gram, multi_ttm, ttm, unfold
 from repro.util.seeding import rng_for
 
 # Small orders/dims keep each example fast; hypothesis explores the space.
@@ -42,15 +42,6 @@ def test_ttm_matches_matricized_definition(shape, seed, mode, new_dim):
     v = rng_for(seed, "mat", shape, mode).standard_normal((new_dim, shape[mode]))
     y = ttm(x, v, mode)
     np.testing.assert_allclose(unfold(y, mode), v @ unfold(x, mode), atol=1e-10)
-
-
-@given(shape=shapes, seed=st.integers(0, 2**16), mode=st.integers(0, 3))
-@settings(max_examples=40, deadline=None)
-def test_blocked_ttm_agrees(shape, seed, mode):
-    mode = mode % len(shape)
-    x = _tensor_for(shape, seed)
-    v = rng_for(seed, "blk", shape, mode).standard_normal((3, shape[mode]))
-    np.testing.assert_allclose(ttm_blocked(x, v, mode), ttm(x, v, mode), atol=1e-10)
 
 
 @given(

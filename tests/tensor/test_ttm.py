@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.tensor import multi_ttm, ttm, ttm_blocked, unfold
+from repro.tensor import fold, multi_ttm, ttm, ttm_blocked, unfold
+
+
+def ttm_reference(x, v, mode, transpose=False):
+    """The definition ``Y_(n) = V X_(n)``, by materialising the unfolding."""
+    v = v.T if transpose else v
+    shape = x.shape[:mode] + (v.shape[0],) + x.shape[mode + 1 :]
+    return fold(v @ unfold(x, mode), mode, shape)
 
 
 class TestTtmBasics:
@@ -60,13 +67,19 @@ class TestTtmBasics:
             ttm(rng.standard_normal((4, 5)), rng.standard_normal(5), 1)
 
 
-class TestTtmBlocked:
+class TestOneKernel:
+    """``ttm_blocked`` is the same function: every caller, sequential or
+    distributed, runs one layout-true kernel."""
+
+    def test_blocked_is_the_kernel(self):
+        assert ttm_blocked is ttm
+
     @pytest.mark.parametrize("mode", [0, 1, 2, 3])
-    def test_matches_tensordot_path(self, rng, mode):
+    def test_matches_definition(self, rng, mode):
         x = rng.standard_normal((3, 4, 5, 2))
         v = rng.standard_normal((6, x.shape[mode]))
         np.testing.assert_allclose(
-            ttm_blocked(x, v, mode), ttm(x, v, mode), atol=1e-12
+            ttm(x, v, mode), ttm_reference(x, v, mode), atol=1e-12
         )
 
     @pytest.mark.parametrize("mode", [0, 1, 2])
@@ -74,20 +87,22 @@ class TestTtmBlocked:
         x = rng.standard_normal((4, 5, 6))
         u = rng.standard_normal((x.shape[mode], 3))
         np.testing.assert_allclose(
-            ttm_blocked(x, u, mode, transpose=True),
             ttm(x, u, mode, transpose=True),
+            ttm_reference(x, u, mode, transpose=True),
             atol=1e-12,
         )
 
     def test_output_fortran_ordered(self, rng):
-        x = rng.standard_normal((3, 4, 5))
-        y = ttm_blocked(x, rng.standard_normal((2, 4)), 1)
+        x = np.asfortranarray(rng.standard_normal((3, 4, 5)))
+        y = ttm(x, rng.standard_normal((2, 4)), 1)
         assert y.flags.f_contiguous
 
-    def test_c_ordered_input(self, rng):
+    def test_c_ordered_input_keeps_its_layout(self, rng):
         x = np.ascontiguousarray(rng.standard_normal((3, 4, 5)))
         v = rng.standard_normal((2, 4))
-        np.testing.assert_allclose(ttm_blocked(x, v, 1), ttm(x, v, 1), atol=1e-12)
+        y = ttm(x, v, 1)
+        assert y.flags.c_contiguous
+        np.testing.assert_allclose(y, ttm_reference(x, v, 1), atol=1e-12)
 
 
 class TestMultiTtm:
@@ -126,51 +141,44 @@ class TestMultiTtm:
             multi_ttm(x, mats, order=[0, 0])
 
 
-class TestTtmBlockedBatched:
-    """The skinny-block fast path: batched/stacked dgemms instead of the
-    per-sub-block Python loop, gated on block shape."""
+class TestSubBlockShapes:
+    """The three shapes of the ``(lead, I_n, trail)`` view the one kernel
+    meets: a single dgemm (``lead == 1``), many skinny sub-blocks, a few
+    wide ones."""
 
     @pytest.mark.parametrize("shape,mode", [
         ((1, 24, 40), 1),    # lead == 1: single-dgemm collapse
-        ((2, 24, 40), 1),    # small lead: stacked matmul
+        ((2, 24, 40), 1),    # small lead: many skinny sub-blocks
         ((3, 4, 5, 64), 2),  # interior mode, many skinny blocks
-        ((64, 24, 3), 1),    # wide blocks: gate keeps the loop
+        ((64, 24, 3), 1),    # few wide blocks
+        ((64, 24), 1),       # last mode: one sub-block
     ])
-    def test_batched_matches_loop(self, rng, shape, mode):
-        x = rng.standard_normal(shape)
+    def test_matches_definition(self, rng, shape, mode):
+        x = np.asfortranarray(rng.standard_normal(shape))
         v = rng.standard_normal((6, shape[mode]))
-        loop = ttm_blocked(x, v, mode, batched=False)
-        auto = ttm_blocked(x, v, mode)
-        forced = ttm_blocked(x, v, mode, batched=True)
-        np.testing.assert_allclose(auto, loop, atol=1e-12)
-        np.testing.assert_allclose(forced, loop, atol=1e-12)
-        np.testing.assert_allclose(loop, ttm(x, v, mode), atol=1e-12)
+        y = ttm(x, v, mode)
+        assert y.flags.f_contiguous
+        np.testing.assert_allclose(y, ttm_reference(x, v, mode), atol=1e-12)
 
-    def test_stacked_path_is_bit_identical_to_loop(self, rng):
-        # lead > 1 batching runs the very same per-block dgemm from C, so
-        # the bits must match the Python loop exactly.
-        x = rng.standard_normal((2, 32, 128))
+    def test_bit_identical_to_per_block_loop(self, rng):
+        # The stacked matmul runs, from C, the very dgemm a Python loop
+        # over the contiguous sub-blocks would run, so the bits match.
+        x = np.asfortranarray(rng.standard_normal((2, 32, 128)))
         v = rng.standard_normal((5, 32))
-        assert ttm_blocked(x, v, 1, batched=True).tobytes() == ttm_blocked(
-            x, v, 1, batched=False
-        ).tobytes()
+        vt = np.ascontiguousarray(v.T)
+        expected = np.empty((2, 5, 128), order="F")
+        for b in range(128):
+            expected[:, :, b] = x[:, :, b] @ vt
+        assert ttm(x, v, 1).tobytes() == expected.tobytes()
 
-    def test_batched_transpose_direction(self, rng):
+    def test_transpose_direction(self, rng):
         x = rng.standard_normal((2, 16, 64))
         u = rng.standard_normal((16, 3))
         np.testing.assert_allclose(
-            ttm_blocked(x, u, 1, transpose=True, batched=True),
             ttm(x, u, 1, transpose=True),
+            ttm_reference(x, u, 1, transpose=True),
             atol=1e-12,
         )
-
-    def test_batched_output_fortran_ordered(self, rng):
-        for shape, mode in [((1, 8, 32), 1), ((2, 8, 32), 1)]:
-            y = ttm_blocked(
-                rng.standard_normal(shape), rng.standard_normal((4, 8)), mode,
-                batched=True,
-            )
-            assert y.flags.f_contiguous
 
     def test_read_only_fortran_input_not_copied_or_written(self, rng):
         # The distributed hot path hands the kernel read-only shm-backed
@@ -179,5 +187,5 @@ class TestTtmBlockedBatched:
         x.flags.writeable = False
         v = rng.standard_normal((4, 12))
         np.testing.assert_allclose(
-            ttm_blocked(x, v, 1), ttm(np.array(x), v, 1), atol=1e-12
+            ttm(x, v, 1), ttm_reference(np.array(x), v, 1), atol=1e-12
         )
