@@ -17,6 +17,10 @@ at the repo root so the perf trajectory is visible across PRs:
   ``seq-hcci`` workload and the rank-local ones of ``dist-sp`` (recorded
   only: single-process wall time on a shared box; the end-to-end claim
   lives in ``bench/``.  Asserted: kernel and reference agree);
+* ``qr_layout`` — the streaming QR kernel vs ``np.linalg.qr`` of a
+  materialised ``unfold(x, n).T`` at the rank-local step shapes of
+  ``cli-tjlr`` and at 36 x 427680 (recorded only, as above.  Asserted:
+  ``|R|`` agrees);
 * ``dist_mode_svd_overlap`` — the Sec. IX TSQR/SVD kernel's mode-column
   ring at 4 ranks, overlap on vs off (the shared ``ring_exchange``
   pipeline: all hops posted before the slab scatter and local QR;
@@ -81,7 +85,7 @@ from repro.mpi import CartGrid, ProcessBackend, run_spmd, shutdown_worker_pools
 from repro.mpi.backends import POOL_ENV_VAR
 from repro.mpi.process_transport import ARENA_ENV_VAR, WINDOWS_ENV_VAR
 from repro.perfmodel import EDISON_CALIBRATED, plan_sthosvd
-from repro.tensor import gram, low_rank_tensor, ttm, unfold
+from repro.tensor import gram, low_rank_tensor, qr_r, ttm, unfold
 
 from benchmarks.conftest import table
 
@@ -427,10 +431,30 @@ def _gram_unfold_copy(x, mode):
     return (s + s.T) * 0.5
 
 
-def _layout_rows(kernel, reference):
+#: What the streaming QR kernel factorizes in ``cli-tjlr``, rank-local on
+#: its 1x1x1x2x1 grid (tol 1e-3, ``--method svd``): the local block in the
+#: four undivided modes, the ring-assembled ``(kept columns) x J_n`` slab
+#: in the divided one; and the issue's tall-skinny reference shape.
+_QR_SHAPES = {
+    "cli-tjlr": [
+        ((20, 24, 16, 18, 16), 0, 14), ((14, 24, 16, 18, 16), 1, 8),
+        ((14, 8, 16, 18, 16), 2, 11), ((9856, 35), 1, 35),
+        ((14, 8, 11, 18, 16), 4, 16),
+    ],
+    "tall-skinny": [((36, 427680), 0, 36)],
+}
+
+
+def _qr_unfold_copy(x, mode):
+    """The local TSQR step the kernel replaced: LAPACK's unblocked QR of a
+    materialised, transposed unfolding."""
+    return np.linalg.qr(unfold(x, mode).T, mode="r")
+
+
+def _layout_rows(kernel, reference, step_shapes=_STEP_SHAPES):
     """Per step shape: paired in-process medians of reference and kernel."""
     rows = []
-    for workload, steps in _STEP_SHAPES.items():
+    for workload, steps in step_shapes.items():
         for shape, mode, rank in steps:
             rng = np.random.default_rng(len(rows))
             x = np.asfortranarray(rng.standard_normal(shape))
@@ -487,6 +511,22 @@ def test_gram_layout_vs_unfold_copy(benchmark):
     _layout_table("gram: layout-true kernel vs unfold copy", "unfold copy",
                   rows)
     _record("gram_layout", {"reference": "unfold copy + syrk", "rows": rows})
+
+
+def test_qr_layout_vs_unfold_copy(benchmark):
+    # |R| on both sides: the two factorizations differ by row signs only.
+    rows = benchmark.pedantic(
+        lambda: _layout_rows(
+            lambda x, u, mode: np.abs(qr_r(x, mode)),
+            lambda x, u, mode: np.abs(_qr_unfold_copy(x, mode)),
+            _QR_SHAPES,
+        ),
+        rounds=1, iterations=1,
+    )
+    _layout_table("qr: streaming layout-true kernel vs QR of an unfold copy",
+                  "unfold + qr", rows)
+    _record("qr_layout", {"reference": "unfold copy + np.linalg.qr",
+                          "rows": rows})
 
 
 def test_dist_sthosvd_overlap_end_to_end(benchmark):

@@ -24,15 +24,26 @@ module implements that improvement on the distributed substrate:
   bits match exactly, before and after the sign convention).
 
 * :func:`dist_mode_svd` — this rank's block row of ``U^(n)`` computed from
-  the *transposed* local unfolding: the local tensors travel around the
-  mode-column ring (the shared :func:`~repro.distributed.ring.ring_exchange`
-  pipeline, all hops posted up front under ``REPRO_SPMD_OVERLAP``), each
-  rank assembles complete rows of ``Y_(n)^T`` for its share of the column
-  range while later hops are still in flight, the local QR of the
-  assembled slab runs at the pipeline tail, and the TSQR tree combines
-  the R factors over the whole grid; a small ``J_n x J_n`` SVD of the
-  final R yields the spectrum and this rank's factor rows.
+  ``Y_(n)^T`` without ever forming it.  Every local QR — here, in
+  :func:`tsqr_r` and in the sequential ``core.sthosvd(method="svd")`` — is
+  the streaming, layout-true :func:`~repro.tensor.qr.qr_r` kernel: rows of
+  ``Y_(n)^T`` walked in cache-sized chunks where the tensor lies and
+  folded into a running triangle by LAPACK's blocked
+  triangular-pentagonal QR.  When the mode is undivided (``P_n == 1``)
+  the kernel runs on the local block itself; otherwise the local tensors
+  travel around the mode-column ring (the shared
+  :func:`~repro.distributed.ring.ring_exchange` pipeline, all hops posted
+  up front under ``REPRO_SPMD_OVERLAP``), each rank assembles complete
+  rows of ``Y_(n)^T`` for its share of the column range while later hops
+  are still in flight, and the kernel runs on that slab at the pipeline
+  tail.  The TSQR tree then combines the true-shape R factors over the
+  whole grid; a small ``J_n x J_n`` SVD of the final R yields the
+  spectrum and this rank's factor rows.
 
+"Roughly twice the cost" is what it now costs: the kernel does twice the
+Gram kernel's flops plus an in-cache transpose (measured 2.3-3x ``gram``
+on the same view), and a sequential ST-HOSVD through it takes 1.8x the
+Gram path on the repo benchmark's ``cli-tjlr`` input (README, "TSQR").
 Unlike Alg. 4 + Alg. 5 this path never squares the condition number, so
 epsilon-truncation remains reliable down to machine precision.
 """
@@ -45,11 +56,17 @@ from repro.config import default_for
 from repro.distributed.dist_tensor import DistTensor
 from repro.distributed.layout import block_range
 from repro.distributed.overlap import overlap_enabled
-from repro.distributed.ring import mode_ring_hops, ring_exchange, unfold_peer
+from repro.distributed.ring import mode_ring_hops, ring_exchange
 from repro.mpi.comm import Communicator
-from repro.tensor.dense import match_dtype
-from repro.tensor.eig import EigResult, _fix_signs, rank_from_tolerance
-from repro.util.validation import check_axis
+from repro.tensor.dense import as_f_contiguous
+from repro.tensor.eig import EigResult, rank_from_tolerance
+from repro.tensor.qr import (
+    copy_unfolding_rows,
+    full_triangle,
+    qr_r,
+    spectrum_from_r,
+)
+from repro.util.validation import check_axis, prod
 
 #: Environment switch for the TSQR reduction tree: ``binary`` (default,
 #: eliminate-and-broadcast) or ``butterfly`` (allreduce-style exchange
@@ -67,23 +84,14 @@ def tsqr_tree(override: str | None = None) -> str:
     return tree
 
 
-def _local_r(matrix: np.ndarray) -> np.ndarray:
-    """Upper-triangular R of a local QR, in its *true* shape.
-
-    For an ``m x n`` slab with ``m < n`` the R factor is ``m x n``; tree
-    nodes stack true shapes (no zero-row padding), so flop charges reflect
-    the rows actually factorized.
-    """
-    return np.linalg.qr(matrix, mode="r")
-
-
 def _fold(comm: Communicator, mine: np.ndarray, other, lower_first: bool):
     """One tree node: stack two R factors (lower group rank on top) and
-    re-factorize, charging the true stacked shape."""
+    re-factorize, charging the true stacked shape.  Both are at most
+    ``n x n`` — the one QR here that is too small to be worth streaming."""
     other = np.asarray(other)
     stacked = np.vstack([mine, other] if lower_first else [other, mine])
     n = stacked.shape[1]
-    r = _local_r(stacked)
+    r = np.linalg.qr(stacked, mode="r")
     comm.add_flops(2 * stacked.shape[0] * n * n)
     return r
 
@@ -182,6 +190,23 @@ def _tsqr_butterfly(
     return r
 
 
+def _reduce_r(
+    comm: Communicator,
+    r: np.ndarray,
+    tree: str | None,
+    overlap: bool | None,
+) -> np.ndarray:
+    """Combine every rank's true-shape local R over ``comm`` into the
+    global ``n x n`` triangle (non-negative diagonal), on every rank."""
+    variant = tsqr_tree(tree)
+    if comm.size > 1:
+        if variant == "butterfly":
+            r = _tsqr_butterfly(comm, r, overlap_enabled(overlap))
+        else:
+            r = _tsqr_binary(comm, r)
+    return full_triangle(r)
+
+
 def tsqr_r(
     comm: Communicator,
     local: np.ndarray,
@@ -192,7 +217,9 @@ def tsqr_r(
 
     Every rank passes its local ``m_i x n`` slab (``n`` identical across
     ranks); all ranks return the same ``n x n`` R factor (up to a
-    deterministic sign convention on the diagonal).
+    deterministic sign convention on the diagonal).  The local step is
+    the streaming :func:`~repro.tensor.qr.qr_r` kernel — the slab is only
+    read, in either layout.
 
     ``tree`` selects the reduction tree (``"binary"`` /
     ``"butterfly"``, default the ``REPRO_TSQR_TREE`` environment switch);
@@ -206,64 +233,52 @@ def tsqr_r(
     each node's flop charge is ``2 (m_a + m_b) n^2`` for the rows it
     actually factorizes; only the final factor is padded to ``n x n``.
     """
-    local = np.asarray(local, dtype=match_dtype(np.asarray(local).dtype))
+    local = np.asarray(local)
     if local.ndim != 2:
         raise ValueError(f"tsqr_r expects a matrix, got ndim={local.ndim}")
-    variant = tsqr_tree(tree)
-    pipelined = overlap_enabled(overlap)
-    n = local.shape[1]
-    r = _local_r(local)
-    comm.add_flops(2 * local.shape[0] * n * n)
-
-    if comm.size > 1:
-        if variant == "butterfly":
-            r = _tsqr_butterfly(comm, r, pipelined)
-        else:
-            r = _tsqr_binary(comm, r)
-
-    # Every rank now holds the same global R in its true shape; pad to
-    # n x n so downstream consumers always see the full triangle.
-    if r.shape[0] < n:
-        r = np.vstack([r, np.zeros((n - r.shape[0], n), dtype=r.dtype)])
-    # Deterministic sign convention: make the diagonal non-negative.
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return signs[:, None] * r
+    m, n = local.shape
+    r = qr_r(local, 1)  # a matrix is the transposed mode-1 unfolding of itself
+    comm.add_flops(2 * m * n * n)
+    return _reduce_r(comm, r, tree, overlap)
 
 
-def _assemble_slab_t(
-    dt: DistTensor,
-    local_unf: np.ndarray,
-    mode: int,
-    keep: slice,
-    jn: int,
-    pn: int,
-    my_pn: int,
-    row_start: int,
-    row_stop: int,
-    pipelined: bool,
+def _assemble_slab(
+    dt: DistTensor, mode: int, pipelined: bool
 ) -> np.ndarray:
-    """Assemble the *transposed* slab ``Y_(n)^T[:, keep].T`` — shape
-    ``(J_n, kept columns)``, C-ordered, so its ``.T`` is the F-ordered
-    ``(kept columns) x J_n`` slab LAPACK's QR consumes without a copy.
+    """This rank's share of the rows of ``Y_(n)^T`` — ``(kept columns of
+    the local unfolding) x J_n``, F-ordered — assembled from the mode
+    column's blocks as they come off the ring.
 
-    Each row block is written straight from the peer unfolding (one copy,
-    no intermediate transposed temporaries: the former C-ordered slab
-    forced every block through a strided transpose assignment).  The ring
-    pipeline posts all hops up front, so each arriving block's
-    unfold/scatter overlaps the hops still in flight.
+    Every block lands by :func:`~repro.tensor.qr.copy_unfolding_rows`
+    straight from its ``(lead, rows, trail)`` view: same-layout block
+    copies in runs of ``lead`` words, no unfolding and no transpose of a
+    peer tensor.  The ring pipeline posts all hops up front, so each
+    arriving block's scatter overlaps the hops still in flight.
     """
+    jn = dt.global_shape[mode]
     col = dt.grid.mode_column(mode)
-    slab_t = np.zeros((jn, keep.stop - keep.start), dtype=local_unf.dtype)
+    pn, my_pn = col.size, col.rank
+    local = dt.local
+    lead = prod(local.shape[:mode])
+    # My share of this processor column's unfolding columns (may be empty
+    # when the local block has fewer columns than P_n).
+    base, rem = divmod(local.size // local.shape[mode], pn)
+    first = my_pn * base + min(my_pn, rem)
+    keep = (first, first + base + (1 if my_pn < rem else 0))
+    slab = np.empty((keep[1] - keep[0], jn), dtype=local.dtype, order="F")
+
+    def scatter(block: np.ndarray, source: int) -> None:
+        start, stop = block_range(jn, pn, source)
+        flat = np.reshape(block, (lead, stop - start, -1), order="F")
+        copy_unfolding_rows(slab[:, start:stop], flat, *keep)
+
     exchanges = ring_exchange(
-        col, dt.local, mode_ring_hops(pn, my_pn, tag="svd"), pipelined
-    ) if pn > 1 else iter(())
-    slab_t[row_start:row_stop, :] = local_unf[:, keep]
+        col, local, mode_ring_hops(pn, my_pn, tag="svd"), pipelined
+    )
+    scatter(local, my_pn)
     for hop, w in exchanges:
-        w_unf = unfold_peer(w, mode)
-        w_rows = block_range(jn, pn, hop.source)
-        slab_t[w_rows[0] : w_rows[1], :] = w_unf[:, keep]
-    return slab_t
+        scatter(as_f_contiguous(np.asarray(w)), hop.source)
+    return slab
 
 
 def dist_mode_svd(
@@ -283,19 +298,22 @@ def dist_mode_svd(
     survives below sqrt(machine eps).
 
     Construction: a row of ``Y_(n)^T`` is one column of the unfolding —
-    complete only when the ``P_n`` ranks of a mode column (which share the
-    column range but own different ``J_n`` rows) combine their pieces.  As
-    in Alg. 4 the local tensors travel around the mode-column ring — the
-    shared pipelined :func:`~repro.distributed.ring.ring_exchange`, all
-    hops posted up front under ``overlap`` (default
-    ``REPRO_SPMD_OVERLAP``), each arriving block scattered into the slab
-    while the remaining hops are in flight and the local QR folded in at
-    the pipeline tail.  Each rank assembles complete rows for *its* share
-    of the column range (a ``1/P_n`` slice, so no row is duplicated
-    across the grid), and the global TSQR ``tree`` (default
-    ``REPRO_TSQR_TREE``) reduces every rank's slab to the ``J_n x J_n``
-    R factor of the exactly-stacked ``Y_(n)^T``.  Results are
-    bit-identical across overlap on/off and tree choices.
+    complete on a rank only when ``P_n == 1``, and then the streaming
+    :func:`~repro.tensor.qr.qr_r` kernel factorizes the local block where
+    it lies: no unfolding, no slab, nothing tensor-sized allocated.  With
+    ``P_n > 1`` the ranks of a mode column share the column range but own
+    different ``J_n`` rows, so as in Alg. 4 the local tensors travel
+    around the mode-column ring — the shared pipelined
+    :func:`~repro.distributed.ring.ring_exchange`, all hops posted up
+    front under ``overlap`` (default ``REPRO_SPMD_OVERLAP``), each
+    arriving block scattered into the slab while the remaining hops are
+    in flight and the same kernel run on the slab at the pipeline tail.
+    Each rank assembles complete rows for *its* share of the column range
+    (a ``1/P_n`` slice, so no row is duplicated across the grid), and the
+    global TSQR ``tree`` (default ``REPRO_TSQR_TREE``) reduces every
+    rank's true-shape R to the ``J_n x J_n`` R factor of the
+    exactly-stacked ``Y_(n)^T``.  Results are bit-identical across
+    overlap on/off and tree choices.
     """
     mode = check_axis(mode, dt.ndim)
     if (rank is None) == (threshold is None):
@@ -304,41 +322,35 @@ def dist_mode_svd(
     col = dt.grid.mode_column(mode)
     pn, my_pn = col.size, col.rank
     row_start, row_stop = block_range(jn, pn, my_pn)
+    local = dt.local
 
-    local_unf = dt.local_unfolding(mode)
-    # My share of this processor column's unfolding columns (may be empty
-    # when the local block has fewer columns than P_n).
-    base, rem = divmod(local_unf.shape[1], pn)
-    keep_start = my_pn * base + min(my_pn, rem)
-    keep = slice(keep_start, keep_start + base + (1 if my_pn < rem else 0))
-
-    pipelined = pn > 1 and overlap_enabled(overlap)
-    slab_t = _assemble_slab_t(
-        dt, local_unf, mode, keep, jn, pn, my_pn, row_start, row_stop,
-        pipelined,
-    )
-    # Live set mirrors the Gram ring's accounting: local tensor +
-    # in-flight peer tensors + the assembled slab (held once — the QR
-    # consumes the transposed view in place).
-    inflight = (pn - 1) if pipelined else min(1, pn - 1)
-    dt.comm.note_memory((1 + inflight) * dt.local.size + slab_t.size)
-    r = tsqr_r(dt.comm, slab_t.T, tree=tree, overlap=overlap)
-    # SVD of R (J_n x J_n, small): Y_(n)^T = Q R  =>  right singular
-    # vectors of R are the left singular vectors of Y_(n).  Like the
-    # eigensolve on the Gram path, the small SVD always runs in float64
-    # (a no-op cast on the float64 path) — only the bandwidth-carrying
-    # QR folds run narrow.
-    _, sing, vt = np.linalg.svd(np.asarray(r, dtype=np.float64))
+    if pn == 1:
+        m = local.size // jn
+        # Live set: the local tensor and the triangle (the kernel's chunk
+        # is a constant).
+        dt.comm.note_memory(local.size + jn * jn)
+        r = qr_r(local, mode)
+    else:
+        pipelined = overlap_enabled(overlap)
+        slab = _assemble_slab(dt, mode, pipelined)
+        m = slab.shape[0]
+        # Live set mirrors the Gram ring's accounting: local tensor +
+        # in-flight peer tensors + the assembled slab.
+        inflight = (pn - 1) if pipelined else 1
+        dt.comm.note_memory((1 + inflight) * local.size + slab.size)
+        r = qr_r(slab, 1)
+    dt.comm.add_flops(2 * m * jn * jn)
+    r = _reduce_r(dt.comm, r, tree, overlap)
+    # Y_(n)^T = Q R  =>  right singular vectors of R (J_n x J_n, small)
+    # are the left singular vectors of Y_(n).
+    eig = spectrum_from_r(r)
     dt.comm.add_flops((10 * jn**3) // 3)
-    values = sing**2
-    vectors = _fix_signs(vt.T)
-    eig = EigResult(values=values, vectors=vectors)
 
     if rank is not None:
         rn = rank
     else:
-        rn = max(min_rank, rank_from_tolerance(values, threshold))  # type: ignore[arg-type]
+        rn = max(min_rank, rank_from_tolerance(eig.values, threshold))  # type: ignore[arg-type]
     u_full = eig.leading(rn)
     # Block row in the pipeline's working dtype (cf. dist_evecs).
-    return np.array(u_full[row_start:row_stop], dtype=local_unf.dtype,
+    return np.array(u_full[row_start:row_stop], dtype=local.dtype,
                     copy=True), eig

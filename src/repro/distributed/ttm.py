@@ -19,6 +19,10 @@ Two strategies, as in the paper (Sec. V-B):
 
 ``strategy="auto"`` picks the fast path when the memory condition holds and
 the block sizes divide evenly (our reduce-scatter requires equal blocks).
+When ``P_n == 1`` there is nothing to reduce: whatever the strategy, the
+local :func:`~repro.tensor.ttm.ttm` result *is* the output block (same
+flops charged, no words, no messages — as a one-member reduction always
+was), mirroring ``dist_gram``'s ``P_n == 1`` branch.
 """
 
 from __future__ import annotations
@@ -64,7 +68,8 @@ def dist_ttm(
         The global output dimension ``K`` (needed because ``v_local`` only
         shows the local column count).
     strategy:
-        ``"blocked"``, ``"reduce_scatter"``, or ``"auto"``.
+        ``"blocked"``, ``"reduce_scatter"``, or ``"auto"``.  Irrelevant
+        when ``P_n == 1``: the local product is returned as the block.
     overlap:
         Communication/computation pipelining for the blocked strategy
         (default: the ``REPRO_SPMD_OVERLAP`` environment switch): each
@@ -101,15 +106,24 @@ def dist_ttm(
             f"mode {mode}; choose a smaller grid"
         )
 
+    if strategy not in ("auto", "blocked", "reduce_scatter"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if pn == 1:
+        # The mode column is this rank alone: the local product is the
+        # block.  Every strategy degenerates to it — a size-1 reduce or
+        # reduce-scatter moves nothing — so none of their staging copies
+        # are made; ttm's owned F-ordered result is adopted as is.
+        z_local = ttm(dt.local, v_local, mode)
+        dt.comm.add_flops(2 * new_dim * dt.local.size)
+        dt.comm.note_memory(dt.local.size + v_local.size + z_local.size)
+        return DistTensor(dt.grid, _out_shape(dt, mode, new_dim), z_local)
     if strategy == "auto":
         even = new_dim % pn == 0
         fits = new_dim <= max(1, dt.global_shape[mode] // pn)
         strategy = "reduce_scatter" if (even and fits) else "blocked"
     if strategy == "reduce_scatter":
         return _ttm_reduce_scatter(dt, v_local, mode, new_dim)
-    if strategy == "blocked":
-        return _ttm_blocked(dt, v_local, mode, new_dim, overlap=overlap)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    return _ttm_blocked(dt, v_local, mode, new_dim, overlap=overlap)
 
 
 def _out_shape(dt: DistTensor, mode: int, new_dim: int) -> tuple[int, ...]:

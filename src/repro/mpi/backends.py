@@ -104,6 +104,9 @@ from repro.mpi.process_transport import (
     process_arena,
     reap_stale_segments,
     release_payload,
+    StagedValue,
+    stage_value,
+    unstage_value,
 )
 from repro.mpi.transport import ThreadTransport
 from repro.perfmodel.machine import MachineSpec
@@ -401,8 +404,14 @@ def _run_one_rank(
     abort_event,
     run_seq: int,
     transport_opts: dict | None = None,
+    stage: Callable[[Any], Any] | None = None,
 ) -> tuple[Any, BaseException | None, Any, dict | None]:
-    """Execute one rank against a fresh transport; always cleans up."""
+    """Execute one rank against a fresh transport; always cleans up.
+
+    ``stage`` (pool workers) maps a healthy rank's return value to what
+    is reported; it runs while the rank's governor is still configured,
+    so its allocation is gated, charged and summarised like any other.
+    """
     topts = dict(transport_opts or {})
     # The run's resolved RuntimeConfig is installed around everything
     # rank-side — pooled workers were forked long before this run, so
@@ -487,6 +496,11 @@ def _run_one_rank(
                     if board is not None:
                         board.close()
             costs = ledger.rank_costs(rank)
+            if stage is not None and failure is None:
+                try:
+                    value = stage(value)
+                except Exception as exc:  # noqa: BLE001 - reraised via SpmdError
+                    value, failure = None, exc
         finally:
             rsummary = gov.deconfigure()
             if rboard is not None:
@@ -533,9 +547,25 @@ def _pool_worker(
     abort_event,
 ) -> None:
     """Persistent pool worker: loop over dispatched runs until the sentinel."""
+    # The segment behind the last report's arrays.  It stays this
+    # worker's: the parent only borrows it (it reads every report before
+    # it sends anything else), so the next item of any kind takes it back.
+    held: list = []
+
+    def stage(value: Any) -> Any:
+        staged, shm = stage_value(value, process_arena())
+        if shm is not None:
+            held.append(shm)
+        return staged
+
+    def take_back() -> None:
+        while held:
+            process_arena().recycle(held.pop())
+
     try:
         while True:
             item = task_queue.get()
+            take_back()
             if item is None:
                 break
             if item[0] == "ping":
@@ -575,6 +605,7 @@ def _pool_worker(
                 value, failure, costs, rsummary = _run_one_rank(
                     rank, n_ranks, fn, args, extra, machine, timeout,
                     inboxes, abort_event, run_seq, transport_opts=topts,
+                    stage=stage,
                 )
                 del fn, args, extra
             report = _safe_report_blob(run_seq, rank, value, failure, costs,
@@ -594,6 +625,7 @@ def _pool_worker(
             del value, failure, costs, rsummary
             result_queue.put(report)
     finally:
+        take_back()
         process_arena().teardown()
 
 
@@ -1124,6 +1156,8 @@ class ProcessBackend(ExecutorBackend):
                     ledger.install_rank(rank, costs)
                 if failure is not None:
                     failures[rank] = failure
+                elif isinstance(value, StagedValue):
+                    values[rank] = unstage_value(value)
                 else:
                     values[rank] = value
         stale_task_load = any(

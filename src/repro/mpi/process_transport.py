@@ -825,6 +825,16 @@ def decode_payload(obj: Any, arena: SegmentArena) -> Any:
     return obj
 
 
+def _map_borrowed(name: str, access: int) -> mmap.mmap:
+    """Map a POSIX shm segment another process owns, whole, without
+    adopting it (no ``SharedMemory`` handle, no resource-tracker entry)."""
+    fd = _posixshmem.shm_open("/" + name, os.O_RDONLY, mode=0)
+    try:
+        return mmap.mmap(fd, 0, access=access)
+    finally:
+        os.close(fd)
+
+
 def decode_borrowed(obj: Any) -> Any:
     """Map segments the *sender still owns* copy-on-write.
 
@@ -839,13 +849,9 @@ def decode_borrowed(obj: Any) -> Any:
     the segments and unwritten pages would show the next tenant's bytes.
     """
     if isinstance(obj, ShmHeader):
-        fd = _posixshmem.shm_open("/" + obj.name, os.O_RDONLY, mode=0)
-        try:
-            mapping = mmap.mmap(fd, 0, access=mmap.ACCESS_COPY)
-        finally:
-            os.close(fd)
         return np.ndarray(
-            obj.shape, dtype=obj.dtype, buffer=mapping, order=obj.order
+            obj.shape, dtype=obj.dtype, order=obj.order,
+            buffer=_map_borrowed(obj.name, mmap.ACCESS_COPY),
         )
     if isinstance(obj, tuple):
         return tuple(decode_borrowed(x) for x in obj)
@@ -877,6 +883,87 @@ def release_payload(obj: Any) -> None:
     elif isinstance(obj, dict):
         for x in obj.values():
             release_payload(x)
+
+
+#: Byte alignment of each buffer inside a staged-result segment.
+_STAGE_ALIGN = 64
+
+
+@dataclass(frozen=True)
+class StagedValue:
+    """A rank's return value whose array bytes wait in a segment the rank
+    still owns: ``body`` is a protocol-5 pickle with its buffers out of
+    band, ``spans`` their ``(offset, nbytes)`` inside segment ``name``."""
+
+    body: bytes
+    name: str
+    spans: tuple[tuple[int, int], ...]
+
+
+def stage_value(
+    value: Any, arena: SegmentArena
+) -> tuple[Any, shared_memory.SharedMemory | None]:
+    """The return-path mirror of :func:`decode_borrowed`: write the
+    buffers of ``value`` once to one arena segment (POSIX shm only) so
+    that only a small pickle has to cross the result queue.
+
+    Pickle protocol 5 finds the buffers inside *any* returned object — a
+    ``TuckerTensor`` is opaque to :func:`encode_payload`'s container
+    walk.  Returns ``(StagedValue, segment)``; the caller keeps the
+    segment until the parent has read it (:func:`unstage_value` only
+    borrows) and then recycles it.  Values with no buffer of at least
+    :data:`SHM_MIN_BYTES`, values pickle refuses, and allocations denied
+    for exhaustion (recorded on the governor) return ``(value, None)``
+    and ride the pickle stream as before.
+    """
+    buffers: list[memoryview] = []
+
+    def in_band(buf: pickle.PickleBuffer) -> bool:
+        raw = buf.raw()
+        if raw.nbytes < SHM_MIN_BYTES:
+            return True
+        buffers.append(raw)
+        return False
+
+    try:
+        body = pickle.dumps(value, protocol=5, buffer_callback=in_band)
+    except Exception:
+        return value, None  # the report path words the diagnosis
+    if not buffers:
+        return value, None
+    spans = []
+    total = 0
+    for raw in buffers:
+        spans.append((total, raw.nbytes))
+        total += -(-raw.nbytes // _STAGE_ALIGN) * _STAGE_ALIGN
+    try:
+        shm = arena.acquire(total, huge=False)
+    except OSError as exc:
+        if not resources.is_exhaustion(exc):
+            raise
+        resources.governor().note_degradation(
+            "arena", "pickle", total, str(exc)
+        )
+        return value, None
+    for (offset, nbytes), raw in zip(spans, buffers):
+        shm.buf[offset : offset + nbytes] = raw
+    return StagedValue(body, shm.name, tuple(spans)), shm
+
+
+def unstage_value(staged: StagedValue) -> Any:
+    """Rebuild a staged value from its (borrowed) segment: every buffer
+    is copied out once, so the arrays are private, writable and outlive
+    the segment, which stays the staging rank's to recycle."""
+    mapping = _map_borrowed(staged.name, mmap.ACCESS_READ)
+    try:
+        with memoryview(mapping) as view:
+            buffers = [
+                bytearray(view[offset : offset + nbytes])
+                for offset, nbytes in staged.spans
+            ]
+    finally:
+        mapping.close()
+    return pickle.loads(staged.body, buffers=buffers)
 
 
 # -- collective windows ------------------------------------------------------

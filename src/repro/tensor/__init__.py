@@ -2,8 +2,9 @@
 
 Implements the tensor notation of paper Sec. II-A: mode-n unfoldings in the
 paper's layout convention (the mode-1 unfolding of a stored tensor is
-column-major), the tensor-times-matrix (TTM) product, mode-n Gram matrices,
-and the truncated symmetric eigensolver used for factor-matrix computation.
+column-major), the tensor-times-matrix (TTM) product, mode-n Gram matrices
+and triangular (QR) factors, and the truncated symmetric eigensolver used
+for factor-matrix computation.
 Everything here is sequential; the distributed algorithms in
 :mod:`repro.distributed` call these kernels on per-rank local blocks.
 """
@@ -11,6 +12,7 @@ Everything here is sequential; the distributed algorithms in
 from repro.tensor.dense import Tensor, as_f_contiguous, fold, norm, norm_sq, unfold
 from repro.tensor.ttm import multi_ttm, ttm, ttm_blocked
 from repro.tensor.gram import gram, gram_blocked
+from repro.tensor.qr import qr_r
 from repro.tensor.eig import (
     EigResult,
     eigendecompose,
@@ -31,6 +33,7 @@ __all__ = [
     "multi_ttm",
     "gram",
     "gram_blocked",
+    "qr_r",
     "EigResult",
     "eigendecompose",
     "leading_eigenvectors",
