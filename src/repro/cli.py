@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -25,7 +26,7 @@ from repro.core import hooi, sthosvd
 from repro.data.preprocess import center_and_scale
 from repro.io import load_tucker, save_tucker, stored_bytes
 from repro.mpi.errors import SpmdError
-from repro.util.validation import prod
+from repro.util.validation import check_axis, prod
 
 
 def _backend_choices() -> tuple[str, ...]:
@@ -53,57 +54,91 @@ def _parse_selection(token: str, dim: int):
     return idx
 
 
-def _parallel_sthosvd_prog(comm, x, grid, tol, ranks, method, plan, dtype):
+def _input_header(path: str, species_mode: int | None):
+    """``(shape, dtype, species mode)`` of the ``.npy`` tensor at ``path``.
+
+    Only the header is read (the file is memory-mapped and dropped).
+    Raises ``ValueError`` unless the file is a single real numeric array
+    with at least one mode and ``species_mode`` names one of them.
+    """
+    try:
+        header = np.load(path, mmap_mode="r")
+    except (ValueError, EOFError) as exc:
+        raise ValueError(f"{path} is not a .npy tensor: {exc}") from None
+    if not isinstance(header, np.ndarray):  # an .npz archive
+        header.close()
+        raise ValueError(f"{path} is not a single .npy array")
+    if header.dtype.kind not in "iuf" or header.ndim < 1:
+        raise ValueError(
+            f"{path} must hold a dense numeric tensor, got dtype "
+            f"{header.dtype} with {header.ndim} modes"
+        )
+    if species_mode is not None:
+        species_mode = check_axis(species_mode, header.ndim, "--species-mode")
+    return header.shape, header.dtype, species_mode
+
+
+def _scale_metadata(info) -> dict:
+    return {
+        "species_mode": info.mode,
+        "means": info.means.tolist(),
+        "stds": info.stds.tolist(),
+    }
+
+
+def _compress_prog(
+    comm, src, dst, grid, species_mode, tol, ranks, method, plan, dtype,
+    metadata,
+):
     """SPMD program behind ``compress --parallel``.
 
+    Every rank reads and normalizes only its own block of the file at
+    ``src``; rank 0 alone receives the model, writes it to ``dst`` and
+    returns ``(ranks, compression ratio, error estimate)``.  Both paths
+    are absolute: a warm pool worker keeps the cwd it was forked with.
     Module-level (not a closure) so the process backend can pickle it by
     reference and dispatch repeated compressions to its warm rank pool.
     """
+    from repro.data.preprocess import dist_center_and_scale
     from repro.distributed import DistTensor, dist_sthosvd
     from repro.mpi import CartGrid
+    from repro.resources import check_deadline
 
-    g = CartGrid(comm, grid)
-    dt = DistTensor.from_global(g, x)
+    check_deadline("input read")
+    dt = DistTensor.from_npy(CartGrid(comm, grid), src)
+    if species_mode is not None:
+        info = dist_center_and_scale(dt, species_mode)
+        metadata = {**metadata, "normalized": _scale_metadata(info)}
     t = dist_sthosvd(
         dt, tol=tol, ranks=ranks, method=method, plan=plan, compute_dtype=dtype
     )
-    gathered = t.to_tucker()  # collective: every rank participates
-    if comm.rank == 0:
-        return gathered, t.error_estimate()
-    return None
+    model = t.to_tucker(root=0)  # collective: every rank participates
+    if model is None:
+        return None
+    check_deadline("model save")
+    save_tucker(dst, model, metadata=metadata)
+    return model.ranks, model.compression_ratio, t.error_estimate()
 
 
 def _compress_parallel(
-    x: np.ndarray, args: argparse.Namespace, metadata: dict
+    args: argparse.Namespace, shape, species_mode, metadata: dict
 ):
     """Run the distributed ST-HOSVD on ``--parallel`` simulated ranks.
 
-    Returns ``(decomposition, error_estimate)``; factors are bit-identical
-    across backends, so the container does not depend on the choice.
+    The parent ships paths and scalars only — no rank ever receives more
+    of the tensor than its own block.  Returns what rank 0 returned;
+    factors are bit-identical across backends, so the container does not
+    depend on the choice.
     """
     from repro.distributed import choose_grid
     from repro.mpi import ProcessBackend, resolve_backend, run_spmd
 
     ranks = tuple(args.ranks) if args.ranks else None
-    grid = choose_grid(args.parallel, x.shape, ranks=ranks)
+    grid = choose_grid(args.parallel, shape, ranks=ranks)
 
     backend = resolve_backend(args.backend)
     if args.no_pool and isinstance(backend, ProcessBackend):
         backend = ProcessBackend(pool=False)
-    res = run_spmd(
-        args.parallel,
-        _parallel_sthosvd_prog,
-        x,
-        grid,
-        args.tol,
-        ranks,
-        args.method,
-        args.plan,
-        args.dtype,
-        backend=backend,
-        sanitize=args.sanitize,
-        timeout=args.timeout,
-    )
     metadata["parallel"] = {
         "ranks": args.parallel,
         "grid": list(grid),
@@ -111,6 +146,23 @@ def _compress_parallel(
     }
     if args.dtype is not None:
         metadata["parallel"]["compute_dtype"] = args.dtype
+    res = run_spmd(
+        args.parallel,
+        _compress_prog,
+        os.path.abspath(args.input),
+        os.path.abspath(args.output),
+        grid,
+        species_mode,
+        args.tol,
+        ranks,
+        args.method,
+        args.plan,
+        args.dtype,
+        metadata,
+        backend=backend,
+        sanitize=args.sanitize,
+        timeout=args.timeout,
+    )
     print(
         f"  parallel     : {args.parallel} ranks, grid "
         f"{'x'.join(map(str, grid))}, {backend.name} backend, "
@@ -120,10 +172,6 @@ def _compress_parallel(
 
 
 def _cmd_compress(args: argparse.Namespace) -> int:
-    x = np.load(args.input)
-    if x.ndim < 1:
-        print("error: input must be a dense tensor", file=sys.stderr)
-        return 2
     if args.parallel < 0:
         print("error: --parallel must be >= 0", file=sys.stderr)
         return 2
@@ -171,17 +219,18 @@ def _cmd_compress(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    metadata: dict = {"source": args.input}
-    if args.species_mode is not None:
-        x, info = center_and_scale(x, args.species_mode)
-        metadata["normalized"] = {
-            "species_mode": info.mode,
-            "means": np.asarray(info.means).ravel().tolist(),
-            "stds": np.asarray(info.stds).ravel().tolist(),
-        }
+    shape, dtype, species_mode = _input_header(args.input, args.species_mode)
+    metadata: dict = {"source": args.input, "tol": args.tol,
+                      "method": args.method}
     if args.parallel:
-        decomposition, error_estimate = _compress_parallel(x, args, metadata)
+        model_ranks, ratio, error_estimate = _compress_parallel(
+            args, shape, species_mode, metadata
+        )
     else:
+        x = np.load(args.input)
+        if species_mode is not None:
+            x, info = center_and_scale(x, species_mode)
+            metadata["normalized"] = _scale_metadata(info)
         ranks = tuple(args.ranks) if args.ranks else None
         result = sthosvd(x, tol=args.tol, ranks=ranks, method=args.method)
         error_estimate = result.error_estimate()
@@ -190,15 +239,15 @@ def _cmd_compress(args: argparse.Namespace) -> int:
             decomposition = refined.decomposition
         else:
             decomposition = result.decomposition
-    metadata["tol"] = args.tol
-    metadata["method"] = args.method
-    save_tucker(args.output, decomposition, metadata=metadata)
-    raw = x.size * 8
+        save_tucker(args.output, decomposition, metadata=metadata)
+        model_ranks = decomposition.ranks
+        ratio = decomposition.compression_ratio
+    raw = prod(shape) * dtype.itemsize
     disk = stored_bytes(args.output)
     print(
-        f"compressed {args.input} {x.shape} -> {args.output}\n"
-        f"  ranks        : {decomposition.ranks}\n"
-        f"  ratio        : {decomposition.compression_ratio:.1f}x in memory, "
+        f"compressed {args.input} {shape} -> {args.output}\n"
+        f"  ranks        : {model_ranks}\n"
+        f"  ratio        : {ratio:.1f}x in memory, "
         f"{raw / disk:.1f}x on disk\n"
         f"  error (est.) : {error_estimate:.3e}"
     )
@@ -446,7 +495,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # Missing input, unwritable output directory, full disk.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -10,13 +10,20 @@ experiments depend on (see DESIGN.md).  Generators:
   datasets, with compressibility ordered SP >> HCCI >> TJLR as in the paper.
 * :func:`multiway_field` — the underlying constructor: smooth per-mode
   bases x a core with prescribed per-mode spectral decay + noise floor.
-* :func:`center_and_scale` — the paper's per-species normalization.
+* :func:`center_and_scale` — the paper's per-species normalization
+  (:func:`dist_center_and_scale`: the same, in place on a block-distributed
+  tensor).
 * :mod:`repro.data.synthetic` — the exact-low-rank tensors of the
   performance experiments (Sec. VIII).
 """
 
 from repro.data.fields import dct_basis, decay_profile, multiway_field
-from repro.data.preprocess import ScaleInfo, center_and_scale, invert_scaling
+from repro.data.preprocess import (
+    ScaleInfo,
+    center_and_scale,
+    dist_center_and_scale,
+    invert_scaling,
+)
 from repro.data.s3d import (
     DATASETS,
     Dataset,
@@ -37,6 +44,7 @@ __all__ = [
     "dct_basis",
     "decay_profile",
     "center_and_scale",
+    "dist_center_and_scale",
     "invert_scaling",
     "ScaleInfo",
     "Dataset",

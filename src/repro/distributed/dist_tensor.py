@@ -7,16 +7,20 @@ mode-n unfolding of the local block (Sec. IV-C), so no distributed method
 here ever redistributes tensor data — the property the paper's design is
 built around.
 
-Construction helpers cover the two situations that matter in practice:
-``from_global`` (every rank slices its block from a replicated array —
-convenient in tests), ``scatter`` (root holds the array and scatters blocks,
-the realistic ingest path), and ``from_local_factory`` (each rank generates
-its own block, allowing simulated tensors larger than any single rank would
-want to hold).
+Construction helpers: ``from_npy`` is the ingest path — every rank copies
+only its own block out of a memory-mapped ``.npy`` file, so no process ever
+holds the whole tensor (how the paper's code reads its data, and what
+``repro-tucker compress --parallel`` runs).  ``from_global`` is the
+replicated-array convenience (every rank already holds the whole array and
+slices its block — tests, and callers whose data is in memory anyway),
+``scatter`` has the root hold the array and send blocks, and
+``from_local_factory`` lets each rank generate its own block, allowing
+simulated tensors larger than any single rank would want to hold.
 """
 
 from __future__ import annotations
 
+import os
 from typing import Callable, Sequence
 
 import numpy as np
@@ -82,6 +86,22 @@ class DistTensor:
         )
         assert local.base is None, "from_global must own its block"
         return cls(grid, array.shape, local)
+
+    @classmethod
+    def from_npy(cls, grid: CartGrid, path: str | os.PathLike) -> "DistTensor":
+        """Each rank reads only its own block of the ``.npy`` file at ``path``.
+
+        The file is memory-mapped (C- or Fortran-ordered alike) and the
+        rank's slice copied once into an owned Fortran-ordered block; the
+        mapping is dropped on return, so the file may be replaced or
+        deleted afterwards.
+        """
+        mapped = np.load(os.fspath(path), mmap_mode="r")
+        slices = local_block(mapped.shape, grid.dims, grid.coords)
+        local = np.array(
+            mapped[slices], dtype=match_dtype(mapped.dtype), order="F"
+        )
+        return cls(grid, mapped.shape, local)
 
     @classmethod
     def scatter(

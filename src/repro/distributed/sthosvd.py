@@ -28,7 +28,7 @@ from repro.resources import check_deadline
 from repro.distributed.dist_tensor import DistTensor
 from repro.distributed.evecs import dist_evecs
 from repro.distributed.gram import dist_gram
-from repro.distributed.layout import block_range
+from repro.distributed.layout import block_range, local_block
 from repro.distributed.ttm import dist_ttm
 from repro.mpi.reduce_ops import SUM
 from repro.util.validation import check_shape_like
@@ -84,15 +84,45 @@ class DistTucker:
         pieces = col.allgather(self.factors_local[mode])
         return np.vstack(pieces)
 
-    def to_tucker(self) -> TuckerTensor:
+    def to_tucker(self, root: int | None = None) -> TuckerTensor | None:
         """Gather everything into a sequential :class:`TuckerTensor`.
 
-        For analysis and testing; the gathered object is small (core +
-        factors), which is the entire point of the compression.
+        The gathered object is small (core + factors), which is the entire
+        point of the compression.  By default every rank receives it
+        (all-gathers; for analysis and testing).  With ``root=r`` the core
+        blocks and one copy of each factor block row travel to rank ``r``
+        only, in a single gather, and every other rank returns ``None`` —
+        what a driver that only writes the model needs.  Collective.
         """
-        core = self.core.to_global()
-        factors = tuple(self.factor_global(n) for n in range(self.core.ndim))
-        return TuckerTensor(core=core, factors=factors)
+        if root is None:
+            core = self.core.to_global()
+            factors = tuple(
+                self.factor_global(n) for n in range(self.core.ndim)
+            )
+            return TuckerTensor(core=core, factors=factors)
+        grid = self.core.grid
+        # A factor block row is replicated over its processor row; the
+        # copy on the column through the grid origin is the one that goes.
+        rows = [
+            f if not any(c for m, c in enumerate(grid.coords) if m != n)
+            else None
+            for n, f in enumerate(self.factors_local)
+        ]
+        pieces = self.core.comm.gather(
+            (grid.coords, self.core.local, rows), root=root
+        )
+        if pieces is None:
+            return None
+        core = np.empty(self.ranks, dtype=self.core.local.dtype, order="F")
+        stacks: list[list] = [[None] * p for p in grid.dims]
+        for coords, block, block_rows in pieces:
+            core[local_block(self.ranks, grid.dims, coords)] = block
+            for n, f in enumerate(block_rows):
+                if f is not None:
+                    stacks[n][coords[n]] = f
+        return TuckerTensor(
+            core=core, factors=tuple(np.vstack(rows) for rows in stacks)
+        )
 
     def reconstruct_distributed(self) -> DistTensor:
         """Distributed reconstruction ``X~ = G x {U^(n)}`` (eq. 1).

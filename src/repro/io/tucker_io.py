@@ -23,6 +23,7 @@ killed mid-write can never corrupt a committed checkpoint.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -47,7 +48,9 @@ def save_tucker(
     """Write a Tucker decomposition to ``path`` (.npz appended if missing).
 
     ``metadata`` must be JSON-serializable; it is stored verbatim and
-    returned by :func:`load_tucker`.
+    returned by :func:`load_tucker`.  The container is published
+    atomically (``tmp + os.replace``): a writer that fails or is killed
+    leaves whatever ``path`` held before, never a truncated file.
     """
     if not isinstance(t, TuckerTensor):
         raise TypeError(f"expected a TuckerTensor, got {type(t).__name__}")
@@ -64,7 +67,10 @@ def save_tucker(
     arrays = {"core": t.core, "meta": np.frombuffer(meta_json.encode(), dtype=np.uint8)}
     for n, f in enumerate(t.factors):
         arrays[f"factor_{n}"] = f
-    np.savez(os.fspath(path), **arrays)
+    target = os.fspath(path)
+    if not target.endswith(".npz"):
+        target += ".npz"
+    _atomic_write_npz(target, arrays)
 
 
 def load_tucker(path: str | os.PathLike) -> tuple[TuckerTensor, dict[str, Any]]:
@@ -121,11 +127,17 @@ def _step_file(path: str, step: int, rank: int) -> str:
 
 def _atomic_write_npz(target: str, arrays: dict[str, np.ndarray]) -> None:
     # A file object sidesteps np.savez's auto-".npz" suffix; os.replace
-    # makes the publication atomic (a killed writer leaves only a .tmp).
+    # makes the publication atomic (a killed writer leaves only a .tmp,
+    # a failed one removes it).
     tmp = target + ".tmp"
-    with open(tmp, "wb") as fh:
-        np.savez(fh, **arrays)
-    os.replace(tmp, target)
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def save_checkpoint_state(

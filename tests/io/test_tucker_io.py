@@ -83,6 +83,38 @@ class TestDiskAccounting:
         assert stored_bytes(base) > 0
 
 
+class TestAtomicPublication:
+    """``save_tucker`` is ``tmp + os.replace``: a writer that fails leaves
+    what the path held before, and nothing else."""
+
+    @pytest.mark.parametrize("name", ["model.npz", "model"])
+    def test_failed_write_keeps_the_previous_container(
+        self, tmp_path, monkeypatch, name
+    ):
+        save_tucker(tmp_path / name, _tucker(seed=0), metadata={"v": 1})
+        before = (tmp_path / "model.npz").read_bytes()
+
+        def torn_savez(fh, **arrays):
+            fh.write(b"PK half a container")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(np, "savez", torn_savez)
+        with pytest.raises(OSError, match="No space left"):
+            save_tucker(tmp_path / name, _tucker(seed=1), metadata={"v": 2})
+        assert os.listdir(tmp_path) == ["model.npz"]
+        assert (tmp_path / "model.npz").read_bytes() == before
+        assert load_tucker(tmp_path / "model.npz")[1] == {"v": 1}
+
+    def test_replaces_a_previous_container(self, tmp_path):
+        path = tmp_path / "model.npz"
+        save_tucker(path, _tucker(seed=0), metadata={"v": 1})
+        save_tucker(path, _tucker(seed=1), metadata={"v": 2})
+        assert os.listdir(tmp_path) == ["model.npz"]
+        loaded, meta = load_tucker(path)
+        assert meta == {"v": 2}
+        np.testing.assert_array_equal(loaded.core, _tucker(seed=1).core)
+
+
 class TestFailureModes:
     def test_rejects_non_tucker(self, tmp_path):
         with pytest.raises(TypeError, match="TuckerTensor"):
