@@ -1,6 +1,6 @@
 """The paper's primary contribution: Tucker decomposition for compression.
 
-Sequential reference implementations of the paper's algorithms:
+The sequential entry points of the paper's algorithms:
 
 * :func:`sthosvd` — sequentially-truncated HOSVD (Alg. 1), the paper's
   initialization and, in practice, its complete compression method.
@@ -13,8 +13,9 @@ Sequential reference implementations of the paper's algorithms:
 * :mod:`repro.core.errors` — normalized RMS error, the mode-wise error
   curves of Fig. 6, and the T-HOSVD error bound, eq. (3).
 
-The distributed counterparts live in :mod:`repro.distributed` and are tested
-for exact agreement with these references.
+Each algorithm is written once, in :mod:`repro.distributed`: ``sthosvd``,
+``hooi`` and :class:`StreamingTucker` run its drivers on a one-rank grid
+(:func:`repro.distributed.grid.self_grid`), on the caller's array.
 """
 
 from repro.core.tucker import TuckerTensor

@@ -13,6 +13,9 @@ quantity stops decreasing, drops below a tolerance, or a maximum number of
 iterations is reached.  The paper's observation (Sec. VII-C) — that HOOI
 barely improves on ST-HOSVD for combustion data — is reproduced in the
 Table II benchmark.
+
+Like :func:`~repro.core.sthosvd.sthosvd`, :func:`hooi` is the parallel
+driver (:func:`~repro.distributed.hooi.dist_hooi`) on a one-rank grid.
 """
 
 from __future__ import annotations
@@ -22,13 +25,13 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.sthosvd import SthosvdResult, sthosvd
+from repro.config import RuntimeConfig
+from repro.core.sthosvd import SthosvdResult, one_rank_tensor, sthosvd
 from repro.core.tucker import TuckerTensor
+from repro.distributed.dist_tensor import DistTensor
+from repro.distributed.hooi import dist_hooi
+from repro.distributed.sthosvd import DistTucker
 from repro.tensor.dense import as_ndarray, norm_sq
-from repro.tensor.eig import eigendecompose
-from repro.tensor.gram import gram
-from repro.tensor.ttm import multi_ttm, ttm
-from repro.util.validation import check_shape_like
 
 
 @dataclass(frozen=True)
@@ -105,44 +108,38 @@ def hooi(
 
     if init is None:
         init = sthosvd(arr, tol=tol, ranks=ranks)
-    else:
-        if init.decomposition.shape != arr.shape:
-            raise ValueError(
-                f"init shape {init.decomposition.shape} does not match input "
-                f"{arr.shape}"
-            )
-    target_ranks = check_shape_like(init.decomposition.ranks, "ranks")
-    factors = [np.array(f, copy=True) for f in init.decomposition.factors]
-    core = np.array(init.decomposition.core, copy=True)
-
-    x_norm_sq = norm_sq(arr)
-    history = [max(0.0, x_norm_sq - norm_sq(core))]
-
-    converged = False
-    iterations = 0
-    for _ in range(max_iterations):
-        y = None
-        for n in range(n_modes):
-            # Y = X x {U^(m)T} for m != n (Alg. 2 line 5).
-            y = multi_ttm(arr, factors, skip=n, transpose=True)
-            s = gram(y, n)
-            eig = eigendecompose(s)
-            factors[n] = eig.leading(target_ranks[n])
-        # Core reuses the last inner iteration's Y (Alg. 2 line 9): that Y
-        # already has every mode but N-1 projected.
-        assert y is not None
-        core = ttm(y, factors[n_modes - 1], n_modes - 1, transpose=True)
-        iterations += 1
-        residual = max(0.0, x_norm_sq - norm_sq(core))
-        history.append(residual)
-        if (history[-2] - history[-1]) / x_norm_sq < improvement_tol:
-            converged = True
-            break
-
+    elif init.decomposition.shape != arr.shape:
+        raise ValueError(
+            f"init shape {init.decomposition.shape} does not match input "
+            f"{arr.shape}"
+        )
+    dt, flipped = one_rank_tensor(arr)
+    step = -1 if flipped else 1
+    core = init.decomposition.core.T if flipped else init.decomposition.core
+    res = dist_hooi(
+        dt,
+        max_iterations=max_iterations,
+        improvement_tol=improvement_tol,
+        init=DistTucker(
+            core=DistTensor(dt.grid, core.shape, core),
+            factors_local=list(init.decomposition.factors[::step]),
+            eigenvalues=list(init.eigenvalues[::step]),
+            x_norm_sq=norm_sq(arr),
+            mode_order=tuple(
+                n_modes - 1 - m if flipped else m for m in init.mode_order
+            ),
+        ),
+        mode_order=range(n_modes)[::step],
+        config=RuntimeConfig(),  # the run knobs (REPRO_*) do not apply
+    )
+    t = res.decomposition
     return HooiResult(
-        decomposition=TuckerTensor(core=core, factors=tuple(factors)),
-        residual_history=tuple(history),
-        n_iterations=iterations,
-        converged=converged,
+        decomposition=TuckerTensor(
+            core=t.core.local.T if flipped else t.core.local,
+            factors=tuple(t.factors_local[::step]),
+        ),
+        residual_history=res.residual_history,
+        n_iterations=res.n_iterations,
+        converged=res.converged,
         init=init,
     )

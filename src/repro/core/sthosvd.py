@@ -11,6 +11,12 @@ Mode ordering matters only for cost, not correctness (Sec. VIII-C); this
 module also provides the two greedy ordering heuristics the paper discusses:
 ``greedy_flops_order`` (Vannieuwenhoven et al.'s flop-minimizing rule) and
 ``greedy_ratio_order`` (maximize the compression ratio ``I_n / R_n``).
+
+The algorithm is written once, as the parallel driver
+:func:`~repro.distributed.sthosvd.dist_sthosvd`: on a ``1 x ... x 1`` grid
+its kernels are the sequential ones and its collectives identities, so
+:func:`sthosvd` is that driver on :func:`~repro.distributed.grid.self_grid`,
+run on the caller's array where it lies.
 """
 
 from __future__ import annotations
@@ -20,12 +26,13 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.config import RuntimeConfig
+from repro.core.errors import error_bound
 from repro.core.tucker import TuckerTensor
+from repro.distributed.dist_tensor import DistTensor
+from repro.distributed.grid import self_grid
+from repro.distributed.sthosvd import dist_sthosvd, resolve_mode_order
 from repro.tensor.dense import as_ndarray, norm
-from repro.tensor.eig import eigendecompose, rank_from_tolerance
-from repro.tensor.gram import gram
-from repro.tensor.qr import full_triangle, qr_r, spectrum_from_r
-from repro.tensor.ttm import ttm
 from repro.util.validation import check_shape_like, prod
 
 
@@ -64,57 +71,23 @@ class SthosvdResult:
         discarded eigenvalue mass of each processing step [22], so this
         estimate is tight (up to roundoff) without reconstructing.
         """
-        total = 0.0
-        for n in range(len(self.eigenvalues)):
-            values = self.eigenvalues[n]
-            r = self.ranks[n]
-            total += float(np.sum(values[r:]))
-        if self.x_norm == 0:
-            raise ValueError("zero input tensor")
-        return float(np.sqrt(max(0.0, total)) / self.x_norm)
+        return error_bound(self.eigenvalues, self.ranks, self.x_norm)
 
 
-def _resolve_order(
-    order: Sequence[int] | str | None, n_modes: int
-) -> list[int] | None:
-    """Normalize the mode_order argument; None means natural order."""
-    if order is None or order == "natural":
-        return list(range(n_modes))
-    if isinstance(order, str):
-        raise ValueError(
-            f"unknown mode_order {order!r}; pass a permutation, 'natural', "
-            f"or use greedy_flops_order/greedy_ratio_order"
-        )
-    order = [int(m) for m in order]
-    if sorted(order) != list(range(n_modes)):
-        raise ValueError(f"mode_order {order} is not a permutation of modes")
-    return order
+def one_rank_tensor(arr: np.ndarray) -> tuple[DistTensor, bool]:
+    """``arr`` as the block of a one-rank :class:`DistTensor`, uncopied,
+    and whether its modes are reversed.
 
-
-def _mode_spectrum_gram(y: np.ndarray, mode: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (decreasing) and eigenvectors via the Gram matrix.
-
-    The paper's production path: cheap (one syrk + one small symmetric
-    eigensolve) but limited to accuracies above sqrt(machine epsilon),
-    because forming ``Y Y^T`` squares the condition number.
+    A C-ordered array is its Fortran-ordered transpose — the same buffer
+    with the modes reversed, which is how the local kernels run it too
+    (:func:`~repro.tensor.dense.fortran_view`) — so a caller runs a driver
+    on the transpose with mode indices ``m -> N - 1 - m`` and per-mode
+    lists reversed.  Only a strided array is copied, once, to Fortran
+    order.
     """
-    eig = eigendecompose(gram(y, mode))
-    return eig.values, eig.vectors
-
-
-def _mode_spectrum_svd(y: np.ndarray, mode: int) -> tuple[np.ndarray, np.ndarray]:
-    """Squared singular values and left singular vectors of the unfolding.
-
-    The numerically robust alternative the paper's Sec. IX proposes for
-    eps near or below sqrt(machine epsilon): the streaming QR kernel
-    reduces the tall-skinny ``Y_(n)^T`` to its ``I_n x I_n`` triangle
-    where the tensor lies (about twice the Gram kernel's flops, the
-    paper's "roughly twice the cost"), and the right singular vectors of
-    that small triangle are the factor.  The same two calls as
-    ``dist_mode_svd`` on one rank, so the bits match.
-    """
-    eig = spectrum_from_r(full_triangle(qr_r(y, mode)))
-    return eig.values, eig.vectors
+    flipped = arr.flags.c_contiguous and not arr.flags.f_contiguous
+    f = arr.T if flipped else arr
+    return DistTensor(self_grid(arr.ndim), f.shape, f), flipped
 
 
 def sthosvd(
@@ -154,46 +127,31 @@ def sthosvd(
     """
     arr = as_ndarray(x)
     n_modes = arr.ndim
-    if (tol is None) == (ranks is None):
-        raise ValueError("specify exactly one of tol= or ranks=")
-    if tol is not None and tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if method not in ("gram", "svd"):
-        raise ValueError(f"unknown method {method!r}; use 'gram' or 'svd'")
-    if ranks is not None:
-        ranks = check_shape_like(ranks, "ranks")
-        if len(ranks) != n_modes:
-            raise ValueError(f"need {n_modes} ranks, got {len(ranks)}")
-        for r, s in zip(ranks, arr.shape):
-            if r > s:
-                raise ValueError(f"rank {r} exceeds dimension {s}")
-    order = _resolve_order(mode_order, n_modes)
-    spectrum = _mode_spectrum_gram if method == "gram" else _mode_spectrum_svd
+    order = resolve_mode_order(mode_order, n_modes)
 
-    x_norm = norm(arr)
-    threshold = (
-        (tol**2) * (x_norm**2) / n_modes if tol is not None else None
+    dt, flipped = one_rank_tensor(arr)
+    if flipped and ranks is not None:
+        ranks = ranks[::-1]
+    t = dist_sthosvd(
+        dt,
+        tol=tol,
+        ranks=ranks,
+        mode_order=[n_modes - 1 - m for m in order] if flipped else order,
+        method=method,
+        config=RuntimeConfig(),  # the run knobs (REPRO_*) do not apply
     )
-
-    y = arr
-    factors: list[np.ndarray | None] = [None] * n_modes
-    eigenvalues: list[np.ndarray | None] = [None] * n_modes
-    for n in order:
-        values, vectors = spectrum(y, n)
-        if threshold is not None:
-            rn = rank_from_tolerance(values, threshold)
-        else:
-            rn = ranks[n]  # type: ignore[index]
-        factors[n] = np.array(vectors[:, :rn], copy=True)
-        eigenvalues[n] = values
-        y = ttm(y, factors[n], n, transpose=True)
-
-    decomposition = TuckerTensor(core=y, factors=tuple(factors))  # type: ignore[arg-type]
+    step = -1 if flipped else 1
+    core = t.core.local.T if flipped else t.core.local
+    # A strided input was copied for the kernels; its norm is still summed
+    # where it lies.
+    contiguous = arr.flags.c_contiguous or arr.flags.f_contiguous
     return SthosvdResult(
-        decomposition=decomposition,
-        eigenvalues=tuple(eigenvalues),  # type: ignore[arg-type]
+        decomposition=TuckerTensor(
+            core=core, factors=tuple(t.factors_local[::step])
+        ),
+        eigenvalues=tuple(t.eigenvalues[::step]),
         mode_order=tuple(order),
-        x_norm=x_norm,
+        x_norm=t.x_norm if contiguous else norm(arr),
     )
 
 

@@ -13,13 +13,14 @@ implement the paper's parallel system:
 * :func:`dist_evecs` — parallel eigenvectors, Alg. 5 (all-gather +
   redundant eigensolve).
 * :func:`dist_sthosvd` / :func:`dist_hooi` — the full parallel algorithms.
-* :func:`choose_grid` — processor-grid selection heuristics (Sec. VIII-B).
+* :func:`choose_grid` — processor-grid selection heuristics (Sec. VIII-B);
+  :func:`self_grid` — the one-rank grid.
 * :mod:`repro.distributed.overlap` — the ``REPRO_SPMD_OVERLAP`` knob: the
   Gram ring and the blocked TTM pipeline their communication behind the
   local dgemms by default (bit-identical results with the knob off).
 
-Every public entry point is exercised against the sequential reference
-implementation in the test suite.
+On :func:`self_grid` (one rank, every collective an identity) the drivers
+are the sequential algorithms, which is how :mod:`repro.core` runs them.
 """
 
 from repro.distributed.layout import block_range, block_ranges, local_block
@@ -31,7 +32,7 @@ from repro.distributed.gram import dist_gram
 from repro.distributed.evecs import dist_evecs
 from repro.distributed.sthosvd import DistTucker, dist_sthosvd
 from repro.distributed.hooi import dist_hooi
-from repro.distributed.grid import choose_grid
+from repro.distributed.grid import choose_grid, self_grid
 from repro.distributed.tsqr import (
     TSQR_TREE_ENV_VAR,
     dist_mode_svd,
@@ -59,6 +60,7 @@ __all__ = [
     "dist_sthosvd",
     "dist_hooi",
     "choose_grid",
+    "self_grid",
     "dist_mode_svd",
     "tsqr_r",
     "DistStreamingTucker",

@@ -96,12 +96,7 @@ class DistTensor:
         mapping is dropped on return, so the file may be replaced or
         deleted afterwards.
         """
-        mapped = np.load(os.fspath(path), mmap_mode="r")
-        slices = local_block(mapped.shape, grid.dims, grid.coords)
-        local = np.array(
-            mapped[slices], dtype=match_dtype(mapped.dtype), order="F"
-        )
-        return cls(grid, mapped.shape, local)
+        return cls.from_global(grid, np.load(os.fspath(path), mmap_mode="r"))
 
     @classmethod
     def scatter(

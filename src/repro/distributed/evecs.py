@@ -31,6 +31,7 @@ def dist_evecs(
     rank: int | None = None,
     threshold: float | None = None,
     min_rank: int = 1,
+    dtype: np.dtype | type | None = None,
 ) -> tuple[np.ndarray, EigResult]:
     """Parallel eigenvectors (Alg. 5).
 
@@ -49,6 +50,8 @@ def dist_evecs(
         extent ``P_n``: the block distribution needs at least one output
         row per processor, so very aggressive truncations are rounded up
         (a strictly better approximation, never worse).
+    dtype:
+        dtype of the returned block row (default the Gram matrix's).
 
     Returns
     -------
@@ -85,12 +88,15 @@ def dist_evecs(
     else:
         rn = max(min_rank, rank_from_tolerance(eig.values, threshold))  # type: ignore[arg-type]
     u_full = eig.leading(rn)
-    # Extract this rank's block row (line 6), in the Gram matrix's working
-    # dtype: the eigensolve always runs in float64 (it is rank-local and
-    # cheap), but a float32 pipeline ships and applies float32 factors so
-    # the downstream TTM keeps its narrow words.
+    # Extract this rank's block row (line 6), by default in the Gram
+    # matrix's working dtype: the eigensolve always runs in float64 (it is
+    # rank-local and cheap), but a float32 pipeline ships and applies
+    # float32 factors so the downstream TTM keeps its narrow words.
     start, stop = block_range(jn, col.size, col.rank)
-    u_local = np.array(u_full[start:stop], dtype=s_rows.dtype, copy=True)
+    u_local = np.array(
+        u_full[start:stop], dtype=s_rows.dtype if dtype is None else dtype,
+        copy=True,
+    )
     # M_EIG live set: local S block + gathered S + full U + local U block.
     dt.comm.note_memory(s_rows.size + s_full.size + u_full.size + u_local.size)
     return u_local, eig

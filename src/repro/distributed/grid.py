@@ -8,12 +8,20 @@ and pick the one whose *modeled* ST-HOSVD cost is smallest.  The paper's
 observation that the best grids put ``P_1 = 1`` (no communication in the
 first, most expensive Gram/TTM) emerges from the model rather than being
 hard-coded.
+
+:func:`self_grid` is the other end of the range: the ``1 x ... x 1`` grid
+the sequential entry points (:mod:`repro.core`) run the distributed
+drivers on.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from repro.mpi.cart import CartGrid
+from repro.mpi.comm import Communicator
+from repro.mpi.ledger import CostLedger
+from repro.mpi.transport import ThreadTransport
 from repro.perfmodel.algorithms import sthosvd_cost
 from repro.perfmodel.machine import EDISON, MachineSpec
 from repro.perfmodel.scaling import candidate_grids
@@ -69,3 +77,17 @@ def choose_grid(
         candidates,
         key=lambda g: sthosvd_cost(shape, ranks, g, machine).time,
     )
+
+
+def self_grid(ndim: int) -> CartGrid:
+    """An all-ones grid of order ``ndim`` over a one-rank communicator.
+
+    Built in the calling thread: no launch, no rank thread, no sanitizer
+    or fault injector, a private ledger.  Every collective of a size-1
+    group is an identity, so the distributed drivers run on it as the
+    sequential algorithm, on the caller's array.
+    """
+    comm = Communicator(
+        ThreadTransport(), CostLedger(1, EDISON), "self", (0,), 0
+    )
+    return CartGrid(comm, (1,) * ndim)

@@ -17,14 +17,13 @@ import numpy as np
 from repro.config import RuntimeConfig
 from repro.core.precision import resolve_compute_dtype
 from repro.distributed.dist_tensor import DistTensor
-from repro.distributed.evecs import dist_evecs
-from repro.distributed.gram import dist_gram
 from repro.distributed.sthosvd import (
     DistTucker,
+    _hooi_sweep,
     _resolve_driver_config,
     dist_sthosvd,
+    resolve_mode_order,
 )
-from repro.distributed.ttm import dist_ttm
 
 
 @dataclass
@@ -59,6 +58,7 @@ def dist_hooi(
     config: RuntimeConfig | None = None,
     plan: str | None = None,
     compute_dtype: str | None = None,
+    mode_order: Sequence[int] | None = None,
 ) -> DistHooiResult:
     """Parallel higher-order orthogonal iteration (Alg. 2).
 
@@ -82,6 +82,10 @@ def dist_hooi(
     ``"float32"`` runs the iterations narrow as well; outputs are always
     returned as float64.  ``"float64"`` is bit-identical to the historical
     behavior.
+
+    ``mode_order=`` is the order in which every sweep updates the factors
+    (and the ST-HOSVD initialization processes the modes); default
+    increasing.
     """
     if max_iterations < 0:
         raise ValueError(f"max_iterations must be >= 0, got {max_iterations}")
@@ -89,9 +93,8 @@ def dist_hooi(
         raise ValueError(f"improvement_tol must be >= 0, got {improvement_tol}")
     if method not in ("gram", "svd"):
         raise ValueError(f"unknown method {method!r}; use 'gram' or 'svd'")
-    comm = dt.comm
-    n_modes = dt.ndim
-    cfg = _resolve_driver_config(dt, tol, ranks, None, config, plan)
+    order = resolve_mode_order(mode_order, dt.ndim)
+    cfg = _resolve_driver_config(dt, tol, ranks, order, config, plan)
     overlap = cfg.overlap if cfg is not None else None
     tree = cfg.tsqr_tree if cfg is not None else None
     if compute_dtype is None and cfg is not None:
@@ -104,63 +107,27 @@ def dist_hooi(
 
     if init is None:
         init = dist_sthosvd(
-            dt, tol=tol, ranks=ranks, ttm_strategy=ttm_strategy,
-            method=method, config=cfg, compute_dtype=init_compute,
+            dt, tol=tol, ranks=ranks, mode_order=order,
+            ttm_strategy=ttm_strategy, method=method, config=cfg,
+            compute_dtype=init_compute,
         )
-    target_ranks = init.ranks
     factors = [np.array(f, dtype=iter_dtype, copy=True) for f in init.factors_local]
     eigenvalues = list(init.eigenvalues)
     xwork = dt
     if iter_dtype == np.float32 and dt.local.dtype != np.float32:
         xwork = dt.with_local(np.asarray(dt.local, dtype=np.float32))
 
-    x_norm_sq = init.x_norm**2
+    x_norm_sq = init.x_norm_sq
     core = init.core
     history = [max(0.0, x_norm_sq - core.norm_sq())]
 
     converged = False
     iterations = 0
     for _ in range(max_iterations):
-        y: DistTensor | None = None
-        for n in range(n_modes):
-            y = xwork
-            with comm.section("ttm"):
-                for m in range(n_modes):
-                    if m == n:
-                        continue
-                    y = dist_ttm(
-                        y,
-                        factors[m].T.copy(),
-                        m,
-                        target_ranks[m],
-                        strategy=ttm_strategy,
-                        overlap=overlap,
-                    )
-            if method == "svd":
-                from repro.distributed.tsqr import dist_mode_svd
-
-                with comm.section("svd"):
-                    u_local, eig = dist_mode_svd(
-                        y, n, rank=target_ranks[n], overlap=overlap, tree=tree
-                    )
-            else:
-                with comm.section("gram"):
-                    s_rows = dist_gram(y, n, overlap=overlap)
-                with comm.section("evecs"):
-                    u_local, eig = dist_evecs(y, s_rows, n, rank=target_ranks[n])
-            factors[n] = u_local
-            eigenvalues[n] = eig.values
-        assert y is not None
-        # Core from the last inner iteration's Y (Alg. 2 line 9).
-        with comm.section("ttm"):
-            core = dist_ttm(
-                y,
-                factors[n_modes - 1].T.copy(),
-                n_modes - 1,
-                target_ranks[n_modes - 1],
-                strategy=ttm_strategy,
-                overlap=overlap,
-            )
+        core = _hooi_sweep(
+            xwork, order, factors, eigenvalues, method, ttm_strategy,
+            overlap, tree, iter_dtype,
+        )
         iterations += 1
         history.append(max(0.0, x_norm_sq - core.norm_sq()))
         if (history[-2] - history[-1]) / x_norm_sq < improvement_tol:
@@ -175,7 +142,7 @@ def dist_hooi(
         core=core,
         factors_local=factors,
         eigenvalues=eigenvalues,
-        x_norm=init.x_norm,
+        x_norm_sq=x_norm_sq,
         mode_order=init.mode_order,
     )
     return DistHooiResult(

@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.config import RuntimeConfig, resolve_plan
+from repro.core.errors import compression_ratio, error_bound
 from repro.core.precision import (
     FLOAT32_NOISE_FLOOR,
     kernel_dtype,
@@ -29,8 +30,10 @@ from repro.distributed.dist_tensor import DistTensor
 from repro.distributed.evecs import dist_evecs
 from repro.distributed.gram import dist_gram
 from repro.distributed.layout import block_range, local_block
+from repro.distributed.tsqr import dist_mode_svd
 from repro.distributed.ttm import dist_ttm
 from repro.mpi.reduce_ops import SUM
+from repro.tensor.eig import EigResult
 from repro.util.validation import check_shape_like
 
 
@@ -51,8 +54,9 @@ class DistTucker:
     eigenvalues:
         Per mode, the Gram eigenvalue spectrum observed when that mode was
         processed (identical on all ranks).
-    x_norm:
-        ``||X||`` of the input.
+    x_norm_sq:
+        ``||X||^2`` of the input, exactly as summed (HOOI's fit quantity
+        starts from it).
     mode_order:
         Processing order used.
     """
@@ -60,8 +64,13 @@ class DistTucker:
     core: DistTensor
     factors_local: list[np.ndarray]
     eigenvalues: list[np.ndarray]
-    x_norm: float
+    x_norm_sq: float
     mode_order: tuple[int, ...]
+
+    @property
+    def x_norm(self) -> float:
+        """``||X||`` of the input."""
+        return float(np.sqrt(self.x_norm_sq))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -80,9 +89,7 @@ class DistTucker:
 
     def factor_global(self, mode: int) -> np.ndarray:
         """Assemble the full ``I_n x R_n`` factor (all-gather over the column)."""
-        col = self.core.grid.mode_column(mode)
-        pieces = col.allgather(self.factors_local[mode])
-        return np.vstack(pieces)
+        return gather_rows(self.core.grid, mode, self.factors_local[mode])
 
     def to_tucker(self, root: int | None = None) -> TuckerTensor | None:
         """Gather everything into a sequential :class:`TuckerTensor`.
@@ -131,13 +138,9 @@ class DistTucker:
         Sec. IV-B: the ``I_n x R_n`` factor's columns are blocked by the
         rank's local core extent.
         """
-        y = self.core
-        for n in range(self.core.ndim):
-            u_full = self.factor_global(n)
-            pn = y.grid.dims[n]
-            start, stop = block_range(y.global_shape[n], pn, y.grid.coords[n])
-            y = dist_ttm(y, u_full[:, start:stop].copy(), n, u_full.shape[0])
-        return y
+        return reconstruct_modes(
+            self.core, self.factors_local, range(self.core.ndim)
+        )
 
     def reconstruct_subtensor(self, indices) -> np.ndarray:
         """Reconstruct a subtensor on every rank (paper Sec. II-C).
@@ -153,21 +156,50 @@ class DistTucker:
     def error_estimate(self) -> float:
         """Normalized RMS error from truncated eigenvalue tails (exact for
         ST-HOSVD, see :meth:`repro.core.sthosvd.SthosvdResult.error_estimate`)."""
-        total = 0.0
-        for n, values in enumerate(self.eigenvalues):
-            total += float(np.sum(values[self.ranks[n]:]))
-        if self.x_norm == 0:
-            raise ValueError("zero input tensor")
-        return float(np.sqrt(max(0.0, total)) / self.x_norm)
+        return error_bound(self.eigenvalues, self.ranks, self.x_norm)
 
     @property
     def compression_ratio(self) -> float:
-        shape = self.shape
-        ranks = self.ranks
-        storage = int(np.prod(ranks)) + sum(
-            i * r for i, r in zip(shape, ranks)
+        return compression_ratio(self.shape, self.ranks)
+
+
+def gather_rows(grid, mode: int, rows: np.ndarray) -> np.ndarray:
+    """The whole matrix whose block rows the mode-``mode`` processor
+    column holds, ``rows`` being this rank's (an all-gather)."""
+    return np.vstack(grid.mode_column(mode).allgather(rows))
+
+
+def project_modes(
+    y: DistTensor,
+    factors_local: Sequence[np.ndarray],
+    modes: Sequence[int],
+    strategy: str = "auto",
+    overlap: bool | None = None,
+) -> DistTensor:
+    """``y x_m U^(m)T`` for ``m`` in ``modes``, each factor given as this
+    rank's block row — the decomposition direction, where no
+    communication stages the factor (Sec. IV-B)."""
+    for m in modes:
+        u = factors_local[m]
+        y = dist_ttm(
+            y, u.T.copy(), m, u.shape[1], strategy=strategy, overlap=overlap
         )
-        return float(np.prod(shape)) / storage
+    return y
+
+
+def reconstruct_modes(
+    y: DistTensor, factors_local: Sequence[np.ndarray], modes: Sequence[int]
+) -> DistTensor:
+    """``y x_m U^(m)`` for ``m`` in ``modes``: the reconstruction direction
+    of Sec. IV-B, the gathered factor's columns blocked by this rank's
+    local core extent."""
+    for m in modes:
+        u = gather_rows(y.grid, m, factors_local[m])
+        start, stop = block_range(
+            y.global_shape[m], y.grid.dims[m], y.grid.coords[m]
+        )
+        y = dist_ttm(y, u[:, start:stop].copy(), m, u.shape[0])
+    return y
 
 
 def _checkpoint_digest(
@@ -293,63 +325,86 @@ def _orthonormality_defect(grid, factors: Sequence[np.ndarray]) -> float:
     return float(np.sqrt(total))
 
 
-def _refine_sweep_f64(
-    dt: DistTensor,
+def _mode_factor(
+    y: DistTensor,
+    mode: int,
+    method: str,
+    rank: int | None = None,
+    threshold: float | None = None,
+    min_rank: int = 1,
+    overlap: bool | None = None,
+    tree: str | None = None,
+    dtype: np.dtype | None = None,
+) -> tuple[np.ndarray, EigResult]:
+    """This rank's block row of ``U^(mode)`` and the spectrum behind it:
+    Gram + eigenvectors (Algs. 4-5) or the Gram-free QR path (Sec. IX),
+    each kernel charged to its ledger section."""
+    comm = y.comm
+    if method == "svd":
+        with comm.section("svd"):
+            return dist_mode_svd(
+                y, mode, rank=rank, threshold=threshold, min_rank=min_rank,
+                overlap=overlap, tree=tree, dtype=dtype,
+            )
+    with comm.section("gram"):
+        s_rows = dist_gram(y, mode, overlap=overlap)
+    with comm.section("evecs"):
+        return dist_evecs(
+            y, s_rows, mode, rank=rank, threshold=threshold,
+            min_rank=min_rank, dtype=dtype,
+        )
+
+
+def _hooi_sweep(
+    x: DistTensor,
     order: Sequence[int],
-    target_ranks: Sequence[int],
     factors: list,
     eigenvalues: list,
-    ttm_strategy: str,
     method: str,
-    tsqr_tree: str | None,
+    ttm_strategy: str,
     overlap: bool | None,
+    tree: str | None,
+    dtype: np.dtype,
 ) -> DistTensor:
-    """One float64 HOOI-style sweep against the original tensor slabs.
+    """One HOOI sweep (Alg. 2 lines 4-9) against ``x``; returns the core.
 
-    For each mode (in the driver's order): project the *original* float64
-    tensor onto every other mode's current factor, recompute this mode's
-    factor at its fixed rank, and update it in place.  The final mode's
-    projection yields the refined core.  This is exactly the
-    :func:`~repro.distributed.hooi.dist_hooi` inner iteration, run once —
-    the classic mixed-precision pattern: cheap narrow sweep for the
-    subspaces and ranks, one wide sweep to restore accuracy.
-
-    After refinement each ``eigenvalues[n]`` is the spectrum seen while
-    *re*-solving mode ``n`` on the projected tensor, so the sum-of-tails
-    error estimate becomes an upper estimate rather than exact (the
-    ST-HOSVD identity no longer applies); it is never smaller than the
-    true residual.
+    For each mode ``n`` in ``order``: project ``x`` onto every other
+    mode's current factor, recompute ``U^(n)`` at its width and replace
+    ``factors[n]`` / ``eigenvalues[n]``.  The last projection already
+    carries every other new factor, so one more TTM yields the core.
     """
-    y = dt
+    comm = x.comm
     for n in order:
-        z = dt
-        for m in order:
-            if m == n:
-                continue
-            u64 = np.asarray(factors[m], dtype=np.float64)
-            z = dist_ttm(
-                z, u64.T.copy(), m, target_ranks[m], strategy=ttm_strategy,
-                overlap=overlap,
+        with comm.section("ttm"):
+            y = project_modes(
+                x, factors, [m for m in order if m != n], ttm_strategy,
+                overlap,
             )
-        if method == "svd":
-            from repro.distributed.tsqr import dist_mode_svd
-
-            u_local, eig = dist_mode_svd(
-                z, n, rank=target_ranks[n], overlap=overlap, tree=tsqr_tree
-            )
-        else:
-            s_rows = dist_gram(z, n, overlap=overlap)
-            u_local, eig = dist_evecs(z, s_rows, n, rank=target_ranks[n])
-        factors[n] = u_local
+        factors[n], eig = _mode_factor(
+            y, n, method, rank=factors[n].shape[1], overlap=overlap,
+            tree=tree, dtype=dtype,
+        )
         eigenvalues[n] = eig.values
-        if n == order[-1]:
-            # The last projection chain already carries every other mode's
-            # refined factor, so one more TTM yields the refined core.
-            y = dist_ttm(
-                z, u_local.T.copy(), n, target_ranks[n],
-                strategy=ttm_strategy, overlap=overlap,
-            )
-    return y
+    with comm.section("ttm"):
+        return project_modes(y, factors, [n], ttm_strategy, overlap)
+
+
+def resolve_mode_order(
+    order: Sequence[int] | str | None, n_modes: int
+) -> list[int]:
+    """A ``mode_order`` argument as a list: a permutation of the modes,
+    ``"natural"`` or ``None`` (both increasing)."""
+    if order is None or order == "natural":
+        return list(range(n_modes))
+    if isinstance(order, str):
+        raise ValueError(
+            f"unknown mode_order {order!r}; pass a permutation, 'natural', "
+            f"or use greedy_flops_order/greedy_ratio_order"
+        )
+    order = [int(m) for m in order]
+    if sorted(order) != list(range(n_modes)):
+        raise ValueError(f"mode_order {order} is not a permutation of modes")
+    return order
 
 
 def _resolve_driver_config(
@@ -399,7 +454,7 @@ def dist_sthosvd(
     dt: DistTensor,
     tol: float | None = None,
     ranks: Sequence[int] | None = None,
-    mode_order: Sequence[int] | None = None,
+    mode_order: Sequence[int] | str | None = None,
     ttm_strategy: str = "auto",
     method: str = "gram",
     tsqr_tree: str | None = None,
@@ -441,18 +496,11 @@ def dist_sthosvd(
     over the plan.
 
     ``compute_dtype=`` selects the kernel precision (default the
-    resolved config's ``compute_dtype`` / ``REPRO_DTYPE``): ``"float64"``
-    is the historical bit-exact pipeline; ``"float32"`` runs
-    Gram/TSQR/TTM narrow end to end (half the bytes on every ring hop,
-    allgather and reduce) and delivers the requested truncation error
-    plus a single-precision noise floor
-    (:func:`repro.core.precision.float32_error_budget`); ``"mixed"``
-    splits ``tol`` into truncation and precision shares (see
-    :mod:`repro.core.precision`), truncates against the tighter share,
-    and — only when the measured float32 defect exceeds the precision
-    share — runs one float64 refinement sweep against the original
-    tensor slabs, so the delivered relative error still meets ``tol``.
-    Outputs (core and factors) are always returned in float64.
+    resolved config's ``compute_dtype`` / ``REPRO_DTYPE``) under the
+    contracts of :mod:`repro.core.precision`; ``"mixed"`` ends, when the
+    measured float32 defect exceeds the precision share, with one float64
+    :func:`~repro.distributed.hooi.dist_hooi` sweep against the original
+    tensor.  Outputs (core and factors) are always returned in float64.
     """
     n_modes = dt.ndim
     if (tol is None) == (ranks is None):
@@ -472,13 +520,7 @@ def dist_sthosvd(
                 raise ValueError(
                     f"rank {r} smaller than grid extent {p}; use a smaller grid"
                 )
-    order = (
-        list(range(n_modes))
-        if mode_order is None
-        else [int(m) for m in mode_order]
-    )
-    if sorted(order) != list(range(n_modes)):
-        raise ValueError(f"mode_order {mode_order} is not a permutation")
+    order = resolve_mode_order(mode_order, n_modes)
     cfg = _resolve_driver_config(dt, tol, ranks, order, config, plan)
     overlap = cfg.overlap if cfg is not None else None
     if tsqr_tree is None and cfg is not None:
@@ -524,40 +566,15 @@ def dist_sthosvd(
         # Threshold-based selection is floored at the grid extent: the
         # block distribution needs one output row per processor in the
         # mode (strictly more accurate than requested, never worse).
-        pn = dt.grid.dims[n]
-        if method == "svd":
-            from repro.distributed.tsqr import dist_mode_svd
-
-            with comm.section("svd"):
-                if threshold is not None:
-                    u_local, eig = dist_mode_svd(
-                        y, n, threshold=threshold, min_rank=pn,
-                        overlap=overlap, tree=tsqr_tree,
-                    )
-                else:
-                    u_local, eig = dist_mode_svd(
-                        y, n, rank=ranks[n],  # type: ignore[index]
-                        overlap=overlap, tree=tsqr_tree,
-                    )
-                rn = u_local.shape[1]
-        else:
-            with comm.section("gram"):
-                s_rows = dist_gram(y, n, overlap=overlap)
-            with comm.section("evecs"):
-                if threshold is not None:
-                    u_local, eig = dist_evecs(
-                        y, s_rows, n, threshold=threshold, min_rank=pn
-                    )
-                else:
-                    u_local, eig = dist_evecs(y, s_rows, n, rank=ranks[n])  # type: ignore[index]
-                rn = u_local.shape[1]
-        with comm.section("ttm"):
-            y = dist_ttm(
-                y, u_local.T.copy(), n, rn, strategy=ttm_strategy,
-                overlap=overlap,
-            )
-        factors[n] = u_local
+        factors[n], eig = _mode_factor(
+            y, n, method,
+            rank=None if threshold is not None else ranks[n],  # type: ignore[index]
+            threshold=threshold, min_rank=dt.grid.dims[n],
+            overlap=overlap, tree=tsqr_tree, dtype=work,
+        )
         eigenvalues[n] = eig.values
+        with comm.section("ttm"):
+            y = project_modes(y, factors, [n], ttm_strategy, overlap)  # type: ignore[arg-type]
         if checkpoint is not None:
             with comm.section("checkpoint"):
                 _checkpoint_commit(
@@ -576,17 +593,21 @@ def dist_sthosvd(
                 dt.grid, factors  # type: ignore[arg-type]
             )
             if est_prec > prec_share:
-                y = _refine_sweep_f64(
-                    dt, order, y.global_shape, factors, eigenvalues,
-                    ttm_strategy, method, tsqr_tree, overlap,
+                # One float64 HOOI sweep against the original tensor slabs:
+                # the classic mixed-precision pattern (narrow sweep for the
+                # subspaces and ranks, one wide sweep to restore accuracy).
+                # The re-solved spectra make the error estimate an upper
+                # estimate rather than exact; it is never below the truth.
+                y = _hooi_sweep(
+                    dt, order, factors, eigenvalues, method, ttm_strategy,
+                    overlap, tsqr_tree, np.dtype(np.float64),
                 )
-    if work == np.float32:
-        # Outputs are always float64: the compressed object is tiny, and
-        # downstream consumers (reconstruction, I/O, error accounting)
-        # expect the historical dtype.
-        factors = [np.asarray(f, dtype=np.float64) for f in factors]
-        if y.local.dtype != np.float64:
-            y = y.with_local(np.asarray(y.local, dtype=np.float64))
+    # Outputs are always float64, whatever the working dtype or the
+    # input's: the compressed object is tiny, and downstream consumers
+    # (reconstruction, I/O, error accounting) expect the historical dtype.
+    factors = [np.asarray(f, dtype=np.float64) for f in factors]
+    if y.local.dtype != np.float64:
+        y = y.with_local(np.asarray(y.local, dtype=np.float64))
 
     if checkpoint is not None:
         # The run is complete; restart files are transient by design —
@@ -603,6 +624,6 @@ def dist_sthosvd(
         core=y,
         factors_local=list(factors),  # type: ignore[arg-type]
         eigenvalues=list(eigenvalues),  # type: ignore[arg-type]
-        x_norm=float(np.sqrt(x_norm_sq)),
+        x_norm_sq=x_norm_sq,
         mode_order=tuple(order),
     )

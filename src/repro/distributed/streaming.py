@@ -1,42 +1,41 @@
-"""Distributed streaming Tucker compression (in-situ scenario).
+"""Streaming Tucker compression of time-appended simulation output.
 
-The paper's motivating use case is a *running parallel simulation* whose
-output outgrows storage (Sec. I).  The natural deployment is in situ: each
-rank holds its block of every new time slab, and compression happens on the
-simulation's own processor grid without ever gathering a slab.  This module
-runs the :class:`repro.core.streaming.StreamingTucker` recipe on the
-distributed substrate:
+The paper's motivating scenario is a running parallel simulation whose
+output outgrows storage (Sec. I).  Deployed in situ, each rank holds its
+block of every new time slab and compression runs on the simulation's own
+grid (spatial modes, plus a time mode that is never partitioned) without
+gathering a slab; on a one-rank grid this is the sequential
+:class:`repro.core.streaming.StreamingTucker`.
 
-* spatial bases live in the paper's redundant block-row distribution
-  (each rank stores its ``I_n``-rows slice, Sec. IV-B);
-* slab projection is a chain of distributed TTMs (Alg. 3) — no
-  redistribution;
-* basis growth runs a distributed ST-HOSVD (Algs. 3-5) on the *residual*
-  slab;
-* the accumulated core — the compressed stream itself, small by
-  construction — is kept *replicated* on every rank (gathering each
-  projected slab costs one all-gather of core-slab size; keeping it
-  replicated avoids redistributing accumulated slabs whenever a basis
-  grows and block boundaries move); :meth:`finalize` recompresses it and
-  returns an ordinary :class:`~repro.core.tucker.TuckerTensor` on every
-  rank.
+* Spatial bases are grown on demand, held as block rows (Sec. IV-B): each
+  slab is projected onto them by distributed TTMs; if the residual exceeds
+  the slab's budget, a distributed ST-HOSVD of the residual supplies new
+  orthonormal directions and the stored core is zero-padded into them.
+* The core — the compressed stream, small by construction — grows one
+  slab at a time, replicated on every rank, so no stored slab moves when a
+  basis grows; :meth:`DistStreamingTucker.finalize` recompresses it, time
+  mode included, and returns a :class:`~repro.core.tucker.TuckerTensor`.
 
-The grid covers the spatial modes only; time is the append axis.  The error
-budget argument is identical to the sequential streamer (see
-:mod:`repro.core.streaming`), and tests pin the two implementations to the
-same results.
+Budget: each slab may discard at most ``eps^2 ||slab||^2 / 2`` of energy
+and the final recompression at ``eps / sqrt(2)`` at most
+``eps^2 ||X||^2 / 2``; slab energies sum to ``||X||^2``, so the total
+squared error is at most ``eps^2 ||X||^2`` — batch ST-HOSVD's guarantee,
+without ever holding the full tensor.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.sthosvd import sthosvd
 from repro.core.tucker import TuckerTensor
 from repro.distributed.dist_tensor import DistTensor
-from repro.distributed.layout import local_block
-from repro.distributed.sthosvd import dist_sthosvd
-from repro.distributed.ttm import dist_ttm
+from repro.distributed.layout import block_range, local_shape
+from repro.distributed.sthosvd import (
+    dist_sthosvd,
+    gather_rows,
+    project_modes,
+    reconstruct_modes,
+)
 from repro.mpi.cart import CartGrid
 from repro.util.validation import check_shape_like
 
@@ -99,44 +98,19 @@ class DistStreamingTucker:
 
     @property
     def current_ranks(self) -> tuple[int, ...]:
+        """Current basis sizes for the non-streaming modes."""
         return tuple(
             0 if b is None else b.shape[1] for b in self._bases_local
         )
 
-    def _slab_dist(self, local_slab: np.ndarray) -> DistTensor:
-        t = local_slab.shape[-1]
-        return DistTensor(
-            self._grid, self._spatial_shape + (t,), local_slab
-        )
+    @property
+    def streamed_norm(self) -> float:
+        """``||X||`` of everything ingested so far."""
+        return float(np.sqrt(self._energy))
 
     def _project(self, slab: DistTensor) -> DistTensor:
         """Distributed ``slab x {U^(n)T}`` over the spatial modes."""
-        y = slab
-        for n in range(self._n_spatial):
-            # Basis width is global: identical on all ranks because the
-            # bases are replicated row-blocks of one global matrix.
-            y = dist_ttm(
-                y, self._bases_local[n].T.copy(), n,
-                self._bases_local[n].shape[1],
-            )
-        return y
-
-    def _back_project(self, core_slab: DistTensor) -> DistTensor:
-        """Distributed ``core x {U^(n)}`` back to physical space."""
-        from repro.distributed.layout import block_range
-
-        y = core_slab
-        for n in range(self._n_spatial):
-            col = self._grid.mode_column(n)
-            pieces = col.allgather(self._bases_local[n])
-            u_full = np.vstack(pieces)
-            start, stop = block_range(
-                y.global_shape[n], self._grid.dims[n], self._grid.coords[n]
-            )
-            y = dist_ttm(
-                y, u_full[:, start:stop].copy(), n, u_full.shape[0]
-            )
-        return y
+        return project_modes(slab, self._bases_local, range(self._n_spatial))
 
     # -- streaming ----------------------------------------------------------------
 
@@ -149,13 +123,8 @@ class DistStreamingTucker:
         if self._finalized:
             raise RuntimeError("cannot update a finalized streamer")
         arr = np.asarray(local_slab, dtype=np.float64)
-        expected = tuple(
-            s.stop - s.start
-            for s in local_block(
-                self._spatial_shape,
-                self._grid.dims[:-1],
-                self._grid.coords[:-1],
-            )
+        expected = local_shape(
+            self._spatial_shape, self._grid.dims[:-1], self._grid.coords[:-1]
         )
         if arr.shape == expected:
             arr = arr.reshape(expected + (1,))
@@ -164,21 +133,19 @@ class DistStreamingTucker:
                 f"local slab shape {arr.shape} does not match this rank's "
                 f"block {expected} (+ time axis)"
             )
-        slab = self._slab_dist(np.asfortranarray(arr))
+        slab = DistTensor(
+            self._grid, self._spatial_shape + arr.shape[-1:],
+            np.asfortranarray(arr),
+        )
         slab_energy = slab.norm_sq()
         self._energy += slab_energy
         self._n_steps += arr.shape[-1]
         if slab_energy == 0.0:
-            if all(b is not None for b in self._bases_local):
-                self._core_slabs.append(
-                    np.zeros(self.current_ranks + (arr.shape[-1],), dtype=np.float64)
-                )
-            else:
-                self._pending_zero += arr.shape[-1]
+            # Zero rows of the core, sized when the next slab is stored.
+            self._pending_zero += arr.shape[-1]
             return
 
         budget = (self._tol**2) * slab_energy / 2.0
-
         if any(b is None for b in self._bases_local):
             # The streamer does its own error-budget accounting, so the
             # inner factorizations run full precision: letting REPRO_DTYPE
@@ -189,27 +156,29 @@ class DistStreamingTucker:
                 tol=float(np.sqrt(budget / slab_energy)),
                 compute_dtype="float64",
             )
-            for n in range(self._n_spatial):
-                self._bases_local[n] = res.factors_local[n]
-            if self._pending_zero:
-                self._core_slabs.append(
-                    np.zeros(self.current_ranks + (self._pending_zero,), dtype=np.float64)
-                )
-                self._pending_zero = 0
-            self._core_slabs.append(self._project(slab).to_global())
-            return
-
-        projected = self._project(slab)
-        residual_energy = slab_energy - projected.norm_sq()
-        if residual_energy > budget:
-            self._expand(slab, projected, budget)
+            self._bases_local = res.factors_local[: self._n_spatial]
             projected = self._project(slab)
+        else:
+            projected = self._project(slab)
+            if slab_energy - projected.norm_sq() > budget:
+                self._expand(slab, projected, budget)
+                projected = self._project(slab)
+        self._store_pending_zeros()
         self._core_slabs.append(projected.to_global())
+
+    def _store_pending_zeros(self) -> None:
+        if self._pending_zero:
+            self._core_slabs.append(np.zeros(
+                self.current_ranks + (self._pending_zero,), dtype=np.float64
+            ))
+            self._pending_zero = 0
 
     def _expand(
         self, slab: DistTensor, projected: DistTensor, budget: float
     ) -> None:
-        back = self._back_project(projected)
+        back = reconstruct_modes(
+            projected, self._bases_local, range(self._n_spatial)
+        )
         residual = slab.with_local(slab.local - back.local)
         res_norm_sq = residual.norm_sq()
         if res_norm_sq == 0.0:
@@ -226,25 +195,17 @@ class DistStreamingTucker:
             # inner products, identical on all ranks of a mode column; the
             # QR of the extra block must also be global — do it on the
             # gathered matrices (small: I_n x r).
-            col = self._grid.mode_column(n)
-            old_full = np.vstack(col.allgather(old))
-            new_full = np.vstack(col.allgather(new_dirs))
+            old_full = gather_rows(self._grid, n, old)
+            new_full = gather_rows(self._grid, n, new_dirs)
             extra = new_full - old_full @ (old_full.T @ new_full)
             q, r = np.linalg.qr(extra)
-            keep = np.abs(np.diag(r)) > 1e-12 * max(
-                1.0, float(np.sqrt(res_norm_sq))
-            )
-            q = q[:, keep]
-            max_growth = self._spatial_shape[n] - old_full.shape[1]
-            q = q[:, :max_growth]
+            keep = np.abs(np.diag(r)) > 1e-12 * max(1.0, np.sqrt(res_norm_sq))
+            # New directions, at most as many as the mode has room for.
+            q = q[:, keep][:, : self._spatial_shape[n] - old_full.shape[1]]
             if q.shape[1] == 0:
                 continue
-            from repro.distributed.layout import block_range
-
             start, stop = block_range(
-                self._spatial_shape[n],
-                self._grid.dims[n],
-                self._grid.coords[n],
+                self._spatial_shape[n], self._grid.dims[n], self._grid.coords[n]
             )
             self._bases_local[n] = np.hstack([old, q[start:stop]])
             grew = True
@@ -262,7 +223,15 @@ class DistStreamingTucker:
     # -- output ------------------------------------------------------------------------
 
     def finalize(self) -> TuckerTensor:
-        """Gather the core, recompress, return the decomposition (collective)."""
+        """Recompress the accumulated core and return the decomposition.
+
+        The result approximates the full streamed tensor with normalized
+        RMS error at most ``tol``; the streamer becomes read-only
+        afterwards.  Collective.
+        """
+        # Imported here: repro.core.sthosvd itself imports this package.
+        from repro.core.sthosvd import sthosvd
+
         if self._n_steps == 0:
             raise RuntimeError("no data was streamed")
         if not self._core_slabs:
@@ -270,14 +239,20 @@ class DistStreamingTucker:
                 "streamed data is identically zero; nothing to decompose"
             )
         self._finalized = True
+        self._store_pending_zeros()
         core = np.concatenate(self._core_slabs, axis=-1)
         inner = sthosvd(core, tol=self._tol / np.sqrt(2.0))
         factors = []
         for n in range(self._n_spatial):
-            col = self._grid.mode_column(n)
-            u_full = np.vstack(col.allgather(self._bases_local[n]))
+            u_full = gather_rows(self._grid, n, self._bases_local[n])
             factors.append(u_full @ inner.decomposition.factors[n])
         factors.append(inner.decomposition.factors[self._n_spatial])
         return TuckerTensor(
             core=inner.decomposition.core, factors=tuple(factors)
+        )
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"{type(self).__name__}(spatial={self._spatial_shape}, "
+            f"steps={self._n_steps}, ranks={self.current_ranks})"
         )

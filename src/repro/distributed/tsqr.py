@@ -24,12 +24,12 @@ module implements that improvement on the distributed substrate:
   bits match exactly, before and after the sign convention).
 
 * :func:`dist_mode_svd` — this rank's block row of ``U^(n)`` computed from
-  ``Y_(n)^T`` without ever forming it.  Every local QR — here, in
-  :func:`tsqr_r` and in the sequential ``core.sthosvd(method="svd")`` — is
-  the streaming, layout-true :func:`~repro.tensor.qr.qr_r` kernel: rows of
-  ``Y_(n)^T`` walked in cache-sized chunks where the tensor lies and
-  folded into a running triangle by LAPACK's blocked
-  triangular-pentagonal QR.  When the mode is undivided (``P_n == 1``)
+  ``Y_(n)^T`` without ever forming it (on a one-rank grid, the sequential
+  ``core.sthosvd(method="svd")``).  Every local QR — here and in
+  :func:`tsqr_r` — is the streaming, layout-true
+  :func:`~repro.tensor.qr.qr_r` kernel: rows of ``Y_(n)^T`` walked in
+  cache-sized chunks where the tensor lies and folded into a running
+  triangle by LAPACK's blocked triangular-pentagonal QR.  When the mode is undivided (``P_n == 1``)
   the kernel runs on the local block itself; otherwise the local tensors
   travel around the mode-column ring (the shared
   :func:`~repro.distributed.ring.ring_exchange` pipeline, all hops posted
@@ -289,13 +289,14 @@ def dist_mode_svd(
     min_rank: int = 1,
     overlap: bool | None = None,
     tree: str | None = None,
+    dtype: np.dtype | type | None = None,
 ) -> tuple[np.ndarray, EigResult]:
     """Gram-free factor computation: left singular vectors of ``Y_(n)``.
 
     Drop-in replacement for ``dist_gram`` + ``dist_evecs`` with the same
-    return convention (this rank's block row of ``U^(n)`` plus the full
-    squared-singular-value spectrum), but computed via QR so accuracy
-    survives below sqrt(machine eps).
+    return convention (this rank's block row of ``U^(n)``, in ``dtype``
+    or else the tensor's, plus the full squared-singular-value spectrum),
+    but computed via QR so accuracy survives below sqrt(machine eps).
 
     Construction: a row of ``Y_(n)^T`` is one column of the unfolding —
     complete on a rank only when ``P_n == 1``, and then the streaming
@@ -352,5 +353,6 @@ def dist_mode_svd(
         rn = max(min_rank, rank_from_tolerance(eig.values, threshold))  # type: ignore[arg-type]
     u_full = eig.leading(rn)
     # Block row in the pipeline's working dtype (cf. dist_evecs).
-    return np.array(u_full[row_start:row_stop], dtype=local.dtype,
+    return np.array(u_full[row_start:row_stop],
+                    dtype=local.dtype if dtype is None else dtype,
                     copy=True), eig

@@ -10,11 +10,11 @@ group-rank order), so any divergence is a transport bug, not roundoff.
 import numpy as np
 import pytest
 
-from repro.core import sthosvd
 from repro.distributed import OVERLAP_ENV_VAR, DistTensor, dist_sthosvd
 from repro.mpi import SUM, CartGrid, run_spmd, shutdown_worker_pools
 from repro.tensor import low_rank_tensor
 from tests.conftest import recon_atol
+from tests.reference import st_hosvd
 
 GRID = (1, 2, 2)
 N_RANKS = 4
@@ -68,9 +68,9 @@ class TestBitIdenticalResults:
         assert t0[2] == p0[2]  # same truncation decisions
         assert t0[0].tobytes() == p0[0].tobytes()
 
-    def test_matches_sequential_reference(self):
+    def test_matches_reference(self):
         x = low_rank_tensor((8, 6, 4), (3, 3, 2), seed=11, noise=0.02)
-        seq = sthosvd(x, ranks=(3, 3, 2)).decomposition.reconstruct()
+        ref = st_hosvd(x, ranks=(3, 3, 2)).reconstruct()
         by_backend = _run_both(x, ranks=(3, 3, 2))
         for res in by_backend.values():
             core, factors, _ = res[0]
@@ -78,9 +78,9 @@ class TestBitIdenticalResults:
 
             recon = TuckerTensor(core=core, factors=factors).reconstruct()
             # Backends stay bit-identical to each other under every
-            # dtype; agreement with the float64 sequential reference
-            # loosens when the suite runs narrow.
-            np.testing.assert_allclose(recon, seq, atol=recon_atol())
+            # dtype; agreement with the float64 reference loosens when
+            # the suite runs narrow.
+            np.testing.assert_allclose(recon, ref, atol=recon_atol())
 
 
 def _nine_collectives(comm, x):

@@ -1,21 +1,21 @@
-"""Parallel HOOI tests against the sequential reference."""
+"""Parallel HOOI tests against the textbook reference."""
 
 import numpy as np
 import pytest
 
-from repro.core import hooi
 from repro.distributed import DistTensor, dist_hooi, dist_sthosvd
 from repro.mpi import CartGrid
 from repro.tensor import low_rank_tensor
 from tests.conftest import spmd, suite_compute_dtype
+from tests.reference import hooi
 
 
 class TestAgreement:
     @pytest.mark.parametrize("grid_dims", [(2, 2, 1), (1, 1, 1), (2, 1, 2)])
-    def test_residual_history_matches_sequential(self, grid_dims):
+    def test_residual_history_matches_reference(self, grid_dims):
         x = low_rank_tensor((8, 6, 4), (4, 3, 2), seed=1, noise=0.1)
         iters = 4
-        seq = hooi(x, ranks=(3, 2, 2), max_iterations=iters, improvement_tol=0.0)
+        ref = hooi(x, ranks=(3, 2, 2), iterations=iters)
 
         def prog(comm):
             g = CartGrid(comm, grid_dims)
@@ -27,18 +27,18 @@ class TestAgreement:
 
         n = int(np.prod(grid_dims))
         # A narrowed suite runs the float32 init path, so the first
-        # iterates start ~sqrt(eps_f32) away from the sequential ones and
+        # iterates start ~sqrt(eps_f32) away from the reference ones and
         # the float64 sweeps contract onto the same history (measured
         # 6e-7 relative at entry 0, 1e-12 by entry 4).
         rtol = 1e-8 if suite_compute_dtype() == "float64" else 1e-5
         for hist in spmd(n, prog):
             np.testing.assert_allclose(
-                hist, seq.residual_history, rtol=rtol, atol=1e-10
+                hist, ref.residual_history, rtol=rtol, atol=1e-10
             )
 
-    def test_reconstruction_matches_sequential(self):
+    def test_reconstruction_matches_reference(self):
         x = low_rank_tensor((8, 6, 4), (4, 3, 2), seed=2, noise=0.1)
-        seq = hooi(x, ranks=(3, 2, 2), max_iterations=3, improvement_tol=0.0)
+        ref = hooi(x, ranks=(3, 2, 2), iterations=3)
 
         def prog(comm):
             g = CartGrid(comm, (2, 2, 1))
@@ -50,7 +50,7 @@ class TestAgreement:
 
         for tucker in spmd(4, prog):
             np.testing.assert_allclose(
-                tucker.reconstruct(), seq.decomposition.reconstruct(), atol=1e-8
+                tucker.reconstruct(), ref.reconstruct(), atol=1e-8
             )
 
     def test_monotone_residuals(self):
@@ -90,8 +90,8 @@ class TestAgreement:
             res = dist_hooi(dt, init=init, max_iterations=2, improvement_tol=0.0)
             return res.ranks, res.error_estimate()
 
-        seq = hooi(x, ranks=(3, 2, 2), max_iterations=2, improvement_tol=0.0)
-        x_norm = float(np.linalg.norm(x.ravel()))
+        ref = hooi(x, ranks=(3, 2, 2), iterations=2)
+        want = np.sqrt(ref.residual_history[-1]) / np.linalg.norm(x.ravel())
         for ranks, est in spmd(4, prog):
             assert ranks == (3, 2, 2)
-            assert est == pytest.approx(seq.error_estimate(x_norm), rel=1e-6)
+            assert est == pytest.approx(want, rel=1e-6)

@@ -1,13 +1,13 @@
-"""Parallel ST-HOSVD driver tests against the sequential reference."""
+"""Parallel ST-HOSVD driver tests against the textbook reference."""
 
 import numpy as np
 import pytest
 
-from repro.core import sthosvd
 from repro.distributed import DistTensor, dist_sthosvd
 from repro.mpi import CartGrid, SpmdError
 from repro.tensor import low_rank_tensor
 from tests.conftest import recon_atol, spmd, suite_compute_dtype
+from tests.reference import st_hosvd
 
 
 def _run(x, grid_dims, **kwargs):
@@ -21,42 +21,42 @@ def _run(x, grid_dims, **kwargs):
     return spmd(n, prog)
 
 
-class TestAgreementWithSequential:
+class TestAgreementWithReference:
     @pytest.mark.parametrize(
         "grid_dims", [(2, 3, 2), (1, 1, 1), (1, 3, 2), (2, 2, 1)]
     )
     def test_fixed_ranks_reconstruction_matches(self, grid_dims):
         x = low_rank_tensor((8, 6, 4), (3, 3, 2), seed=1, noise=0.02)
         res = _run(x, grid_dims, ranks=(3, 3, 2))
-        seq = sthosvd(x, ranks=(3, 3, 2))
+        ref = st_hosvd(x, ranks=(3, 3, 2))
         for tucker, _, ranks in res:
             assert ranks == (3, 3, 2)
             np.testing.assert_allclose(
                 tucker.reconstruct(),
-                seq.decomposition.reconstruct(),
+                ref.reconstruct(),
                 atol=recon_atol(),
             )
 
     def test_tolerance_based_ranks_match(self):
         x = low_rank_tensor((8, 6, 4), (3, 2, 2), seed=2, noise=0.05)
-        seq = sthosvd(x, tol=0.1)
+        ref = st_hosvd(x, tol=0.1)
         res = _run(x, (2, 3, 2), tol=0.1)
         for tucker, est, ranks in res:
             if suite_compute_dtype() == "float64":
-                assert ranks == seq.ranks
-                assert est == pytest.approx(seq.error_estimate(), rel=1e-6)
+                assert ranks == ref.ranks
+                assert est == pytest.approx(ref.error_estimate, rel=1e-6)
             else:
                 # A narrowed sweep truncates against the tighter share of
                 # the split budget (mixed) or float32-noisy tails, so it
                 # may keep more directions — never fewer — and must still
                 # meet the requested tolerance.
-                assert all(r >= rs for r, rs in zip(ranks, seq.ranks))
+                assert all(r >= rs for r, rs in zip(ranks, ref.ranks))
                 assert est <= 0.1
 
     def test_mode_order_respected(self):
         x = low_rank_tensor((8, 6, 4), (3, 3, 2), seed=3, noise=0.02)
         order = (2, 0, 1)
-        seq = sthosvd(x, ranks=(3, 3, 2), mode_order=order)
+        ref = st_hosvd(x, ranks=(3, 3, 2), mode_order=order)
 
         def prog(comm):
             g = CartGrid(comm, (2, 1, 2))
@@ -67,27 +67,27 @@ class TestAgreementWithSequential:
         for tucker, mode_order in spmd(4, prog):
             assert mode_order == order
             np.testing.assert_allclose(
-                tucker.reconstruct(), seq.decomposition.reconstruct(),
+                tucker.reconstruct(), ref.reconstruct(),
                 atol=recon_atol(),
             )
 
     def test_uneven_distribution(self):
         x = low_rank_tensor((7, 5, 6), (3, 2, 3), seed=4, noise=0.02)
-        seq = sthosvd(x, ranks=(3, 2, 3))
+        ref = st_hosvd(x, ranks=(3, 2, 3))
         res = _run(x, (3, 1, 2), ranks=(3, 2, 3))
         for tucker, _, _ in res:
             np.testing.assert_allclose(
-                tucker.reconstruct(), seq.decomposition.reconstruct(),
+                tucker.reconstruct(), ref.reconstruct(),
                 atol=recon_atol(),
             )
 
     def test_4way(self):
         x = low_rank_tensor((6, 4, 4, 5), (2, 2, 2, 2), seed=5, noise=0.02)
-        seq = sthosvd(x, ranks=(2, 2, 2, 2))
+        ref = st_hosvd(x, ranks=(2, 2, 2, 2))
         res = _run(x, (2, 1, 2, 1), ranks=(2, 2, 2, 2))
         for tucker, _, _ in res:
             np.testing.assert_allclose(
-                tucker.reconstruct(), seq.decomposition.reconstruct(),
+                tucker.reconstruct(), ref.reconstruct(),
                 atol=recon_atol(),
             )
 
@@ -95,10 +95,10 @@ class TestAgreementWithSequential:
     def test_ttm_strategies_equivalent(self, strategy):
         x = low_rank_tensor((8, 6, 4), (4, 2, 2), seed=6, noise=0.02)
         res = _run(x, (2, 2, 1), ranks=(4, 2, 2), ttm_strategy=strategy)
-        seq = sthosvd(x, ranks=(4, 2, 2))
+        ref = st_hosvd(x, ranks=(4, 2, 2))
         for tucker, _, _ in res:
             np.testing.assert_allclose(
-                tucker.reconstruct(), seq.decomposition.reconstruct(),
+                tucker.reconstruct(), ref.reconstruct(),
                 atol=recon_atol(),
             )
 

@@ -1,15 +1,15 @@
 """Property-based tests for the distributed layer.
 
 The fundamental invariant of the whole parallel design: for *any* shape,
-grid, and data, the distributed algorithms compute exactly what the
-sequential reference computes.  Hypothesis explores shapes/grids including
+grid, and data, the distributed algorithms compute what the definitions
+(the kernels' sequential counterparts, the textbook ST-HOSVD of
+``tests/reference.py``) compute.  Hypothesis explores shapes/grids including
 uneven divisions the unit tests don't enumerate.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core import sthosvd
 from repro.distributed import DistTensor, dist_gram, dist_sthosvd, dist_ttm
 from repro.distributed.layout import block_range
 from repro.mpi import CartGrid
@@ -17,6 +17,7 @@ from repro.tensor import gram, ttm
 from repro.util.seeding import rng_for
 from repro.util.validation import prod
 from tests.conftest import recon_atol, spmd
+from tests.reference import st_hosvd
 
 
 @st.composite
@@ -79,12 +80,12 @@ def test_dist_gram_matches_sequential(problem, seed, mode):
 
 @given(problem=problems(), seed=st.integers(0, 2**16))
 @settings(max_examples=15, deadline=None)
-def test_dist_sthosvd_matches_sequential(problem, seed):
+def test_dist_sthosvd_matches_reference(problem, seed):
     shape, grid = problem
     # Ranks: feasible (>= grid extent, <= dim).
     ranks = tuple(max(p, min(s, 2)) for s, p in zip(shape, grid))
     x = rng_for(seed, "dst", shape).standard_normal(shape)
-    seq = sthosvd(x, ranks=ranks)
+    ref = st_hosvd(x, ranks=ranks)
 
     def prog(comm):
         g = CartGrid(comm, grid)
@@ -94,7 +95,7 @@ def test_dist_sthosvd_matches_sequential(problem, seed):
 
     tucker = spmd(prod(grid), prog)[0]
     np.testing.assert_allclose(
-        tucker.reconstruct(), seq.decomposition.reconstruct(),
+        tucker.reconstruct(), ref.reconstruct(),
         atol=recon_atol(1e-7),
     )
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import normalized_rms
-from repro.core.streaming import StreamingTucker
 from repro.distributed.dist_tensor import DistTensor
 from repro.distributed.layout import local_block
 from repro.distributed.streaming import DistStreamingTucker
@@ -12,6 +11,7 @@ from repro.mpi import CartGrid, SpmdError
 from repro.tensor import low_rank_tensor
 from repro.util.validation import prod
 from tests.conftest import spmd
+from tests.reference import st_hosvd
 
 
 def _stream_distributed(x, grid_dims, tol, chunk):
@@ -59,18 +59,19 @@ class TestErrorGuarantee:
         for t in res:
             assert normalized_rms(x, t.reconstruct()) <= 1e-3
 
-    def test_matches_sequential_streamer_quality(self):
+    @pytest.mark.parametrize("grid_dims", [(1, 1, 1), (2, 1, 1)])
+    def test_matches_batch_reference_quality(self, grid_dims):
         x = low_rank_tensor((8, 9, 12), (3, 4, 4), seed=114, noise=0.01)
         tol, chunk = 0.05, 4
-        seq = StreamingTucker(x.shape[:-1], tol=tol)
-        for t0 in range(0, x.shape[-1], chunk):
-            seq.update(x[..., t0 : t0 + chunk])
-        seq_err = normalized_rms(x, seq.finalize().reconstruct())
-        res = _stream_distributed(x, (2, 1, 1), tol=tol, chunk=chunk)
-        dist_err = normalized_rms(x, res[0].reconstruct())
-        # Same algorithm, same budgets: comparable quality (exact equality
-        # is not required — min_rank flooring and fp order may differ).
-        assert dist_err <= max(tol, 3 * seq_err)
+        batch = st_hosvd(x, tol=tol)
+        batch_err = normalized_rms(x, batch.reconstruct())
+        res = _stream_distributed(x, grid_dims, tol=tol, chunk=chunk)
+        t = res[0]
+        # Same budget as the textbook batch ST-HOSVD: comparable quality
+        # and no more than a few extra directions per mode.
+        assert normalized_rms(x, t.reconstruct()) <= max(tol, 3 * batch_err)
+        for rs, rb, dim in zip(t.ranks, batch.ranks, x.shape):
+            assert rs <= min(dim, 3 * rb)
 
 
 class TestValidation:

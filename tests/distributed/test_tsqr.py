@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core import sthosvd
 from repro.distributed import DistTensor, dist_mode_svd, dist_sthosvd, tsqr_r
 from repro.distributed.layout import block_range, block_ranges
 from repro.distributed.tsqr import tsqr_tree
@@ -11,6 +10,7 @@ from repro.mpi import CartGrid, SpmdError
 from repro.tensor import gram, low_rank_tensor, unfold
 from repro.tensor.eig import _fix_signs, eigendecompose
 from tests.conftest import recon_atol, spmd, suite_compute_dtype
+from tests.reference import st_hosvd
 
 
 class TestTsqrR:
@@ -244,16 +244,16 @@ class TestSvdSthosvd:
             t = dist_sthosvd(dt, ranks=(3, 3, 2), method="svd")
             return t.to_tucker()
 
-        seq = sthosvd(x, ranks=(3, 3, 2))
+        ref = st_hosvd(x, ranks=(3, 3, 2))
         for tucker in spmd(6, prog):
             np.testing.assert_allclose(
-                tucker.reconstruct(), seq.decomposition.reconstruct(),
+                tucker.reconstruct(), ref.reconstruct(),
                 atol=recon_atol(),
             )
 
-    def test_matches_sequential_svd_method_ranks(self):
+    def test_matches_reference_svd_method_ranks(self):
         x = low_rank_tensor((12, 8, 6), (3, 2, 2), seed=12, noise=1e-9)
-        seq = sthosvd(x, tol=1e-8, method="svd")
+        ref = st_hosvd(x, tol=1e-8, method="svd")
 
         def prog(comm):
             g = CartGrid(comm, (2, 2, 1))
@@ -263,12 +263,12 @@ class TestSvdSthosvd:
 
         for ranks in spmd(4, prog):
             if suite_compute_dtype() == "float64":
-                assert ranks == seq.ranks
+                assert ranks == ref.ranks
             else:
                 # tol=1e-8 sits far below the float32 noise floor: the
                 # narrow sweep cannot resolve tails that small and keeps
                 # extra (noise-level) directions rather than dropping any.
-                assert all(r >= rs for r, rs in zip(ranks, seq.ranks))
+                assert all(r >= rs for r, rs in zip(ranks, ref.ranks))
 
     def test_ledger_uses_svd_section(self):
         x = low_rank_tensor((8, 6, 4), (3, 3, 2), seed=13, noise=0.02)
