@@ -171,6 +171,20 @@ def _compress_parallel(
     return res[0]
 
 
+def _check_plan(plan: str | None) -> None:
+    """Reject a saved-config plan (``--plan`` or ``$REPRO_PLAN``) before
+    any rank is launched: every rank would parse it and fail alike."""
+    from repro.config import RuntimeConfig, resolve_plan
+
+    selector = resolve_plan(plan)
+    if selector is None or selector == "auto":
+        return
+    try:
+        RuntimeConfig.from_json(selector)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"--plan: {exc}") from None
+
+
 def _cmd_compress(args: argparse.Namespace) -> int:
     if args.parallel < 0:
         print("error: --parallel must be >= 0", file=sys.stderr)
@@ -219,6 +233,8 @@ def _cmd_compress(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.parallel:
+        _check_plan(args.plan)
     shape, dtype, species_mode = _input_header(args.input, args.species_mode)
     metadata: dict = {"source": args.input, "tol": args.tol,
                       "method": args.method}
@@ -424,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: $REPRO_SPMD_TIMEOUT or 120)")
     p.add_argument("--plan", default=None, metavar="PLAN",
                    help="execution plan for --parallel runs: 'auto' (pick "
-                        "kernel knobs from the perf model), 'default', or "
+                        "the compute dtype from the perf model), 'default', or "
                         "a RuntimeConfig JSON object (default: $REPRO_PLAN)")
     p.add_argument("--dtype", choices=("float64", "float32", "mixed"),
                    default=None,

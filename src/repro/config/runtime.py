@@ -1,7 +1,7 @@
 """Typed runtime configuration: every ``REPRO_*`` knob as one frozen object.
 
-Historically each runtime knob — backend, pool, arena, windows, overlap,
-TSQR tree, sanitize, faults, timeout, ... — was resolved ad hoc at its
+Historically each runtime knob — backend, pool, arena, windows, dtype,
+sanitize, faults, timeout, ... — was resolved ad hoc at its
 point of use by a scattered ``os.environ`` read, which meant there was no
 single object describing how a run would execute (and nothing an
 autotuner could decide).  This module is the fix:
@@ -20,8 +20,8 @@ autotuner could decide).  This module is the fix:
   and drivers without changing any public helper contract: ``run_spmd``
   installs the resolved config for the duration of the run (and ships
   it to pooled workers via the per-run dispatch), and every legacy
-  helper (``overlap_enabled``, ``tsqr_tree``, ``sanitize_level``, ...)
-  consults :func:`default_for` instead of the environment.
+  helper (``sanitize_level``, ``resolve_compute_dtype``, ...) consults
+  :func:`default_for` instead of the environment.
 
 The config is plain data (str/bool/int/float only), picklable and
 JSON-round-trippable, so it can ride the process backend's per-run
@@ -57,7 +57,6 @@ __all__ = [
 #: string replays a saved :class:`RuntimeConfig`.
 PLAN_ENV_VAR = "REPRO_PLAN"
 
-_TSQR_TREES = ("binary", "butterfly")
 _SANITIZE_LEVELS = (0, 1, 2)
 _COMPUTE_DTYPES = ("float64", "float32", "mixed")
 
@@ -199,24 +198,10 @@ CONFIG_FIELDS: tuple[ConfigField, ...] = (
         "huge-page backing: 'auto', '0', '1', or a directory path",
     ),
     ConfigField(
-        "overlap", "REPRO_SPMD_OVERLAP", True, _parse_bool, "kernels",
-        "communication/computation pipelining in the distributed kernels",
-    ),
-    ConfigField(
-        "tsqr_tree", "REPRO_TSQR_TREE", "binary", str, "kernels",
-        "TSQR reduction tree: 'binary' or 'butterfly'",
-    ),
-    ConfigField(
         "compute_dtype", "REPRO_DTYPE", "float64", _parse_dtype, "kernels",
         "kernel compute precision: 'float64', 'float32', or 'mixed' "
         "(float32 kernels + float64 refinement against the split error "
         "budget)",
-    ),
-    ConfigField(
-        "compress_wire", "REPRO_WIRE_COMPRESS", False, _parse_bool,
-        "transport",
-        "downcast float64 ring-hop payloads to float32 on the wire "
-        "(lossy; bit-identity suites pin it off)",
     ),
     ConfigField(
         "sanitize", "REPRO_SANITIZE", 0, _parse_sanitize, "runtime",
@@ -274,10 +259,7 @@ class RuntimeConfig:
     windows: bool = True
     window_slot: int = 0
     hugepages: str = "auto"
-    overlap: bool = True
-    tsqr_tree: str = "binary"
     compute_dtype: str = "float64"
-    compress_wire: bool = False
     sanitize: int = 0
     faults: str = ""
     retry: int = 1
@@ -296,10 +278,7 @@ class RuntimeConfig:
         object.__setattr__(self, "windows", bool(self.windows))
         object.__setattr__(self, "window_slot", int(self.window_slot))
         object.__setattr__(self, "hugepages", str(self.hugepages))
-        object.__setattr__(self, "overlap", bool(self.overlap))
-        object.__setattr__(self, "tsqr_tree", str(self.tsqr_tree))
         object.__setattr__(self, "compute_dtype", str(self.compute_dtype))
-        object.__setattr__(self, "compress_wire", bool(self.compress_wire))
         object.__setattr__(self, "sanitize", int(self.sanitize))
         object.__setattr__(self, "faults", str(self.faults))
         object.__setattr__(self, "retry", int(self.retry))
@@ -316,11 +295,6 @@ class RuntimeConfig:
             raise ValueError(
                 f"invalid REPRO_SPMD_HUGEPAGES value {hp!r}: "
                 f"use 'auto', '0', or a directory path"
-            )
-        if self.tsqr_tree not in _TSQR_TREES:
-            raise ValueError(
-                f"unknown TSQR tree {self.tsqr_tree!r}; "
-                f"use one of {_TSQR_TREES}"
             )
         if self.compute_dtype not in _COMPUTE_DTYPES:
             raise ValueError(
@@ -431,10 +405,6 @@ def env_default(name: str) -> Any:
     if name == "sanitize" and value not in _SANITIZE_LEVELS:
         raise ValueError(
             f"sanitize level must be one of {_SANITIZE_LEVELS}, got {value}"
-        )
-    if name == "tsqr_tree" and value not in _TSQR_TREES:
-        raise ValueError(
-            f"unknown TSQR tree {value!r}; use one of {_TSQR_TREES}"
         )
     if name == "compute_dtype" and value not in _COMPUTE_DTYPES:
         raise ValueError(

@@ -15,16 +15,15 @@ implement the paper's parallel system:
 * :func:`dist_sthosvd` / :func:`dist_hooi` — the full parallel algorithms.
 * :func:`choose_grid` — processor-grid selection heuristics (Sec. VIII-B);
   :func:`self_grid` — the one-rank grid.
-* :mod:`repro.distributed.overlap` — the ``REPRO_SPMD_OVERLAP`` knob: the
-  Gram ring and the blocked TTM pipeline their communication behind the
-  local dgemms by default (bit-identical results with the knob off).
+* :func:`ring_exchange` — the pipelined mode-column ring the Gram and
+  TSQR/SVD kernels share; with the blocked TTM's posted reduces it hides
+  their communication behind the local dgemms.
 
 On :func:`self_grid` (one rank, every collective an identity) the drivers
 are the sequential algorithms, which is how :mod:`repro.core` runs them.
 """
 
 from repro.distributed.layout import block_range, block_ranges, local_block
-from repro.distributed.overlap import OVERLAP_ENV_VAR, overlap_enabled
 from repro.distributed.ring import RingHop, mode_ring_hops, ring_exchange
 from repro.distributed.dist_tensor import DistTensor
 from repro.distributed.ttm import dist_ttm
@@ -33,25 +32,16 @@ from repro.distributed.evecs import dist_evecs
 from repro.distributed.sthosvd import DistTucker, dist_sthosvd
 from repro.distributed.hooi import dist_hooi
 from repro.distributed.grid import choose_grid, self_grid
-from repro.distributed.tsqr import (
-    TSQR_TREE_ENV_VAR,
-    dist_mode_svd,
-    tsqr_r,
-    tsqr_tree,
-)
+from repro.distributed.tsqr import dist_mode_svd, tsqr_r
 from repro.distributed.streaming import DistStreamingTucker
 
 __all__ = [
     "block_range",
     "block_ranges",
     "local_block",
-    "OVERLAP_ENV_VAR",
-    "overlap_enabled",
     "RingHop",
     "mode_ring_hops",
     "ring_exchange",
-    "TSQR_TREE_ENV_VAR",
-    "tsqr_tree",
     "DistTensor",
     "dist_ttm",
     "dist_gram",

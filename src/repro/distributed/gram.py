@@ -12,13 +12,13 @@ input distribution Alg. 5 expects.
 
 The ring itself is the shared :func:`~repro.distributed.ring.ring_exchange`
 pipeline (also driving :func:`~repro.distributed.tsqr.dist_mode_svd`):
-pipelined, every hop's exchange is posted before the diagonal dgemm and
-each block multiply overlaps the remaining in-flight hops.
+every hop's exchange is posted before the diagonal dgemm and each block
+multiply overlaps the remaining in-flight hops.
 
 When ``P_n == 1`` the ring disappears: one symmetric local Gram (dsyrk-
 style, exploiting symmetry) followed by the all-reduce, the fully-symmetric
-fast path the paper highlights.  That product, and the diagonal block of
-either ring, is the sequential :func:`~repro.tensor.gram.gram` kernel run
+fast path the paper highlights.  That product, and the ring's diagonal
+block, is the sequential :func:`~repro.tensor.gram.gram` kernel run
 on the local block where it lies; only the off-diagonal ``(mine, peer)``
 products need the two unfoldings as matrices.
 """
@@ -29,9 +29,7 @@ import numpy as np
 
 from repro.distributed.dist_tensor import DistTensor
 from repro.distributed.layout import block_ranges
-from repro.distributed.overlap import overlap_enabled
 from repro.distributed.ring import (
-    RingHop,
     mode_ring_hops,
     ring_exchange,
     unfold_peer as _unfold_peer,
@@ -41,36 +39,20 @@ from repro.tensor.gram import gram
 from repro.util.validation import check_axis
 
 
-def dist_gram(
-    dt: DistTensor,
-    mode: int,
-    exploit_symmetry: bool = False,
-    overlap: bool | None = None,
-) -> np.ndarray:
+def dist_gram(dt: DistTensor, mode: int) -> np.ndarray:
     """Parallel ``S = Y_(n) Y_(n)^T`` (Alg. 4).
 
     Returns this rank's block row ``S[my mode-n rows, :]`` of the global
     ``J_n x J_n`` Gram matrix (identical on all ranks sharing the same
     mode-``n`` grid coordinate).
 
-    ``exploit_symmetry=True`` enables the optimization the paper leaves as
-    future work ("up to a factor of two could be saved by exploiting
-    symmetry of S"): each off-diagonal block pair ``(p, k)/(k, p)`` is
-    multiplied once and the transpose is shipped to the symmetric partner
-    — halving the ring length and the off-diagonal flops at the price of
-    one extra (small) block exchange per retained ring step.
-
-    ``overlap`` controls communication/computation pipelining (default:
-    the ``REPRO_SPMD_OVERLAP`` environment switch, on unless ``"0"``):
-    every ring step sends the *same* local tensor, so the pipelined
-    schedule posts all hops' exchanges up front and every dgemm computes
-    with the remaining exchanges in flight — no receive ever idles the
-    rank once its peers have posted.  Results, charges and fold order are
-    bit-identical either way; the price is memory, not time: up to
-    ``P_n - 1`` exchanges are in flight instead of one, and the noted
-    ``M_GRAM`` live set grows accordingly (the paper's eq. (2) bound
-    assumes the one-in-flight blocking ring — disable overlap to stay
-    inside it on memory-critical runs).
+    Every ring step sends the *same* local tensor, so the ring posts all
+    hops' exchanges up front and every dgemm computes with the remaining
+    exchanges in flight — no receive ever idles the rank once its peers
+    have posted.  Charges and fold order are those of the blocking ring;
+    the price is memory, not time: the ring holds ``P_n - 1`` peer blocks
+    in flight, and the noted ``M_GRAM`` live set counts them all.  The
+    paper's eq. (2) bound assumes one; the two agree at ``P_n <= 2``.
     """
     mode = check_axis(mode, dt.ndim)
     col = dt.grid.mode_column(mode)
@@ -81,7 +63,6 @@ def dist_gram(
     local = dt.local
     my_rows = local.shape[mode]
     my_cols = local.size // my_rows
-    pipelined = pn > 1 and overlap_enabled(overlap)
     inflight = 1
 
     blocks: list[np.ndarray | None] = [None] * pn
@@ -89,13 +70,12 @@ def dist_gram(
         # Fully symmetric local Gram (half the flops of the general case).
         blocks[0] = gram(local, mode)
         dt.comm.add_flops(my_rows * (my_rows + 1) * my_cols)
-    elif not exploit_symmetry:
+    else:
         # Full ring (Alg. 4 lines 6-12) on the shared pipeline.  The
         # exchange generator posts every hop before the first block is
-        # consumed (pipelined) — the diagonal dgemm then runs with all
-        # hops in flight, and each peer multiply overlaps the rest.
-        hops = mode_ring_hops(pn, my_pn)
-        exchanges = ring_exchange(col, local, hops, pipelined)
+        # consumed — the diagonal dgemm then runs with all hops in
+        # flight, and each peer multiply overlaps the rest.
+        exchanges = ring_exchange(col, local, mode_ring_hops(pn, my_pn))
         blocks[my_pn] = gram(local, mode)
         dt.comm.add_flops(2 * my_rows**2 * my_cols)
         my_unf = dt.local_unfolding(mode)  # (my rows) x (local columns)
@@ -103,55 +83,13 @@ def dist_gram(
             w_unf = _unfold_peer(w, mode)
             blocks[hop.source] = my_unf @ w_unf.T
             dt.comm.add_flops(2 * my_rows * w_unf.shape[0] * my_cols)
-        inflight = pn - 1 if pipelined else 1
-    else:
-        # Halved ring: `half` paired steps, plus one antipodal step for
-        # even P_n.  All local-tensor shipments ride the shared pipeline
-        # (they all carry ``dt.local``); only the symT block shipments
-        # stay synchronous, since each carries a block computed in that
-        # very step.
-        half = (pn - 1) // 2
-        hops = mode_ring_hops(pn, my_pn, tag="sym")[:half]
-        if pn % 2 == 0:
-            anti = (my_pn + pn // 2) % pn
-            hops.append(
-                RingHop(step=pn // 2, dest=anti, source=anti, tag=("symA", pn // 2))
-            )
-        exchanges = ring_exchange(col, local, hops, pipelined)
-        # Diagonal block with symmetric flop count.
-        blocks[my_pn] = gram(local, mode)
-        dt.comm.add_flops(my_rows * (my_rows + 1) * my_cols)
-        my_unf = dt.local_unfolding(mode)  # (my rows) x (local columns)
-        for hop, w in exchanges:
-            i, k = hop.step, hop.source
-            j = (my_pn - i) % pn
-            if hop.tag[0] == "sym":
-                w_unf = _unfold_peer(w, mode)
-                blocks[k] = my_unf @ w_unf.T
-                dt.comm.add_flops(2 * my_rows * w_unf.shape[0] * my_cols)
-                # Ship block (my, k) to rank k, whose (k, my) block is its
-                # transpose; receive my (my, j) block from rank j in return.
-                received = col.sendrecv(blocks[k], dest=k, source=j, tag=("symT", i))
-                blocks[j] = np.asarray(received).T
-            elif my_pn < k:
-                # The antipodal pair: only the lower-coordinate rank
-                # multiplies.
-                w_unf = _unfold_peer(w, mode)
-                blocks[k] = my_unf @ w_unf.T
-                dt.comm.add_flops(2 * my_rows * w_unf.shape[0] * my_cols)
-                col.send(blocks[k], dest=k, tag=("symAT", i))
-            else:
-                blocks[k] = np.asarray(col.recv(source=k, tag=("symAT", i))).T
-        inflight = max(1, len(hops)) if pipelined else 1
+        inflight = pn - 1
 
     # Assemble the (my rows) x J_n slab, ordering peer blocks by their global
     # row ranges, then sum contributions over the processor row.
     slab = np.empty((my_rows, jn), dtype=local.dtype)
     for k, (start, stop) in enumerate(ranges):
         slab[:, start:stop] = blocks[k]
-    # M_GRAM live set: local tensor + in-flight peer tensors + V + S.  The
-    # blocking ring holds one exchange in flight (the paper's eq. (2)
-    # accounting); the pipelined ring trades memory for time and holds
-    # them all, which the noted peak reports honestly.
+    # M_GRAM live set: local tensor + in-flight peer tensors + V + S.
     dt.comm.note_memory((1 + inflight) * local.size + 2 * slab.size)
     return np.asarray(row.allreduce(slab, SUM))

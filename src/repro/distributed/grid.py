@@ -44,9 +44,15 @@ def choose_grid(
     shape:
         Global tensor dimensions.
     ranks:
-        Anticipated reduced dimensions; if unknown, a 10x-per-mode
-        compression is assumed (only the *relative* sizes matter for
-        ranking grids).
+        Fixed reduced dimensions, or ``None`` for a tolerance-driven run.
+        Fixed ranks rule out grids with ``P_n > R_n`` (the truncated
+        mode's blocks would be empty after the TTM).  Without them a
+        10x-per-mode compression is assumed (only the *relative* sizes
+        matter for ranking grids), and grids within it are preferred: a
+        larger ``P_n`` floors the threshold rank and keeps more of the
+        core than the tolerance asks for.  When no grid fits the guess,
+        every grid that fits the tensor still runs — ``dist_sthosvd``
+        floors threshold ranks at ``P_n`` — and is scored that way.
     machine:
         Machine model used to score candidates.
 
@@ -55,19 +61,20 @@ def choose_grid(
     The modeled-cost-minimizing grid, one entry per mode.
     """
     shape = check_shape_like(shape, "shape")
+    grids = candidate_grids(n_ranks, shape, max_candidates=max_candidates)
     if ranks is None:
-        ranks = tuple(max(1, s // 10) for s in shape)
-    else:
-        ranks = check_shape_like(ranks, "ranks")
-        if len(ranks) != len(shape):
-            raise ValueError(f"ranks {ranks} and shape {shape} differ in order")
-    candidates = [
-        g
-        for g in candidate_grids(n_ranks, shape, max_candidates=max_candidates)
-        # A grid extent beyond R_n would make the truncated mode's blocks
-        # empty after the TTM; exclude such grids.
-        if all(pn <= rn for pn, rn in zip(g, ranks))
-    ]
+        guess = [max(1, s // 10) for s in shape]
+        fitting = [g for g in grids if all(p <= r for p, r in zip(g, guess))]
+        return min(
+            fitting or grids,
+            key=lambda g: sthosvd_cost(
+                shape, tolerance_ranks(guess, shape, g), g, machine
+            ).time,
+        )
+    ranks = check_shape_like(ranks, "ranks")
+    if len(ranks) != len(shape):
+        raise ValueError(f"ranks {ranks} and shape {shape} differ in order")
+    candidates = [g for g in grids if all(pn <= rn for pn, rn in zip(g, ranks))]
     if not candidates:
         raise ValueError(
             f"no feasible grid for P={n_ranks} on shape {tuple(shape)} with "
@@ -77,6 +84,14 @@ def choose_grid(
         candidates,
         key=lambda g: sthosvd_cost(shape, ranks, g, machine).time,
     )
+
+
+def tolerance_ranks(
+    ranks: Sequence[int], shape: Sequence[int], grid: Sequence[int]
+) -> tuple[int, ...]:
+    """``ranks`` as a tolerance-driven ``dist_sthosvd`` on ``grid`` would
+    keep them: at least ``P_n`` per mode, at most ``I_n``."""
+    return tuple(min(s, max(r, p)) for r, s, p in zip(ranks, shape, grid))
 
 
 def self_grid(ndim: int) -> CartGrid:

@@ -68,10 +68,9 @@ def dist_hooi(
     ``max_iterations`` outer iterations.  ``method="svd"`` uses the
     TSQR-based factor kernel for both the initialization and the inner
     updates (the Sec. IX numerical improvement).  ``config=``/``plan=``
-    pin or select the kernel tuning knobs exactly as in
+    pin or select the kernel precision exactly as in
     :func:`~repro.distributed.sthosvd.dist_sthosvd` (and are forwarded
-    to the ST-HOSVD initialization); results are bit-identical across
-    plans on a fixed grid.
+    to the ST-HOSVD initialization).
 
     ``compute_dtype=`` selects the kernel precision (default the resolved
     config's ``compute_dtype`` / ``REPRO_DTYPE``).  ``"mixed"`` runs the
@@ -95,8 +94,6 @@ def dist_hooi(
         raise ValueError(f"unknown method {method!r}; use 'gram' or 'svd'")
     order = resolve_mode_order(mode_order, dt.ndim)
     cfg = _resolve_driver_config(dt, tol, ranks, order, config, plan)
-    overlap = cfg.overlap if cfg is not None else None
-    tree = cfg.tsqr_tree if cfg is not None else None
     if compute_dtype is None and cfg is not None:
         compute_dtype = cfg.compute_dtype
     compute = resolve_compute_dtype(compute_dtype)
@@ -125,8 +122,7 @@ def dist_hooi(
     iterations = 0
     for _ in range(max_iterations):
         core = _hooi_sweep(
-            xwork, order, factors, eigenvalues, method, ttm_strategy,
-            overlap, tree, iter_dtype,
+            xwork, order, factors, eigenvalues, method, ttm_strategy, iter_dtype
         )
         iterations += 1
         history.append(max(0.0, x_norm_sq - core.norm_sq()))

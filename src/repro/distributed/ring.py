@@ -1,6 +1,6 @@
 """Shared mode-column ring-shift pipeline (Alg. 4's exchange pattern).
 
-Three distributed kernels move local tensors around a mode-``n`` processor
+Two distributed kernels move local tensors around a mode-``n`` processor
 column the same way: at step ``i`` the rank sends its payload ``i`` hops
 "down" the column and receives from ``i`` hops "up", so after ``P_n - 1``
 steps every rank has seen every column member's block.  Crucially *every
@@ -12,13 +12,11 @@ the caller's compute.
 
 :func:`ring_exchange` is that pipeline, extracted from the ring
 ``dist_gram`` grew when the deferred-completion transport landed, so the
-Gram kernel (both the default and the symmetry-halved ring) and the
-TSQR/SVD kernel (:func:`~repro.distributed.tsqr.dist_mode_svd`) share one
-schedule instead of three hand-rolled copies.  Results, charges and hop
-order are bit-identical whether the pipeline is enabled or not — only
-when communication is *initiated* changes (see
-:mod:`repro.distributed.overlap`); the price of pipelining is memory, not
-time: up to ``len(hops)`` exchanges are in flight instead of one.
+Gram kernel and the TSQR/SVD kernel
+(:func:`~repro.distributed.tsqr.dist_mode_svd`) share one schedule.  Its
+charges and hop order are those of the blocking Alg. 4 ring — only when
+communication is *initiated* differs; the price of pipelining is memory,
+not time: ``len(hops)`` exchanges are in flight instead of one.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ class RingHop:
     """One step of a ring schedule: ship the payload to ``dest``, receive
     the same step's payload from ``source``, matched by ``tag``."""
 
-    step: int
     dest: int
     source: int
     tag: Hashable
@@ -64,7 +61,6 @@ def mode_ring_hops(
     """
     return [
         RingHop(
-            step=i,
             dest=(my_pn - i) % pn,
             source=(my_pn + i) % pn,
             tag=i if tag is None else (tag, i),
@@ -77,39 +73,28 @@ def ring_exchange(
     comm: Communicator,
     payload: Any,
     hops: Sequence[RingHop],
-    pipelined: bool,
 ) -> Iterator[tuple[RingHop, Any]]:
     """Run a ring schedule, yielding ``(hop, received_block)`` in hop order.
 
-    Every hop ships the *same* ``payload`` (the ring invariant).
-    Pipelined, all hops' ``isendrecv`` exchanges are posted before the
-    first block is consumed; the caller's per-block compute then overlaps
-    the remaining in-flight hops, and each hop's charges land at its wait
-    exactly as the blocking schedule would charge them.  Blocking, each
-    hop is one ``sendrecv`` — the pre-pipelining Alg. 4 schedule.
+    Every hop ships the *same* ``payload`` (the ring invariant), so all
+    hops' ``isendrecv`` exchanges are posted before the first block is
+    consumed; the caller's per-block compute then overlaps the remaining
+    in-flight hops, and each hop's charges land at its wait exactly as a
+    blocking ``sendrecv`` would charge them.
 
-    Pipelined posts happen *at the call*, not at the first iteration —
-    the caller's compute between the call and the first block consumption
+    The posts happen *at the call*, not at the first iteration — the
+    caller's compute between the call and the first block consumption
     (e.g. the Gram kernel's diagonal dgemm) therefore already overlaps
     every hop.  The payload must not be mutated while the exchange is
     live (the usual MPI rule for posted sends).
     """
-    if pipelined:
-        requests = [
-            comm.isendrecv(payload, dest=h.dest, source=h.source, tag=h.tag)
-            for h in hops
-        ]
+    requests = [
+        comm.isendrecv(payload, dest=h.dest, source=h.source, tag=h.tag)
+        for h in hops
+    ]
 
-        def _drain() -> Iterator[tuple[RingHop, Any]]:
-            for hop, request in zip(hops, requests):
-                yield hop, request.wait()
+    def _drain() -> Iterator[tuple[RingHop, Any]]:
+        for hop, request in zip(hops, requests):
+            yield hop, request.wait()
 
-        return _drain()
-
-    def _blocking() -> Iterator[tuple[RingHop, Any]]:
-        for hop in hops:
-            yield hop, comm.sendrecv(
-                payload, dest=hop.dest, source=hop.source, tag=hop.tag
-            )
-
-    return _blocking()
+    return _drain()

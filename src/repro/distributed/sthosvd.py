@@ -174,16 +174,13 @@ def project_modes(
     factors_local: Sequence[np.ndarray],
     modes: Sequence[int],
     strategy: str = "auto",
-    overlap: bool | None = None,
 ) -> DistTensor:
     """``y x_m U^(m)T`` for ``m`` in ``modes``, each factor given as this
     rank's block row — the decomposition direction, where no
     communication stages the factor (Sec. IV-B)."""
     for m in modes:
         u = factors_local[m]
-        y = dist_ttm(
-            y, u.T.copy(), m, u.shape[1], strategy=strategy, overlap=overlap
-        )
+        y = dist_ttm(y, u.T.copy(), m, u.shape[1], strategy=strategy)
     return y
 
 
@@ -332,8 +329,6 @@ def _mode_factor(
     rank: int | None = None,
     threshold: float | None = None,
     min_rank: int = 1,
-    overlap: bool | None = None,
-    tree: str | None = None,
     dtype: np.dtype | None = None,
 ) -> tuple[np.ndarray, EigResult]:
     """This rank's block row of ``U^(mode)`` and the spectrum behind it:
@@ -344,10 +339,10 @@ def _mode_factor(
         with comm.section("svd"):
             return dist_mode_svd(
                 y, mode, rank=rank, threshold=threshold, min_rank=min_rank,
-                overlap=overlap, tree=tree, dtype=dtype,
+                dtype=dtype,
             )
     with comm.section("gram"):
-        s_rows = dist_gram(y, mode, overlap=overlap)
+        s_rows = dist_gram(y, mode)
     with comm.section("evecs"):
         return dist_evecs(
             y, s_rows, mode, rank=rank, threshold=threshold,
@@ -362,8 +357,6 @@ def _hooi_sweep(
     eigenvalues: list,
     method: str,
     ttm_strategy: str,
-    overlap: bool | None,
-    tree: str | None,
     dtype: np.dtype,
 ) -> DistTensor:
     """One HOOI sweep (Alg. 2 lines 4-9) against ``x``; returns the core.
@@ -377,16 +370,14 @@ def _hooi_sweep(
     for n in order:
         with comm.section("ttm"):
             y = project_modes(
-                x, factors, [m for m in order if m != n], ttm_strategy,
-                overlap,
+                x, factors, [m for m in order if m != n], ttm_strategy
             )
         factors[n], eig = _mode_factor(
-            y, n, method, rank=factors[n].shape[1], overlap=overlap,
-            tree=tree, dtype=dtype,
+            y, n, method, rank=factors[n].shape[1], dtype=dtype
         )
         eigenvalues[n] = eig.values
     with comm.section("ttm"):
-        return project_modes(y, factors, [n], ttm_strategy, overlap)
+        return project_modes(y, factors, [n], ttm_strategy)
 
 
 def resolve_mode_order(
@@ -415,10 +406,10 @@ def _resolve_driver_config(
     config: RuntimeConfig | None,
     plan: str | None,
 ) -> RuntimeConfig | None:
-    """The kernel-knob config a driver call should run under.
+    """The config whose ``compute_dtype`` a driver call should run under.
 
     Precedence: explicit ``config=`` > explicit ``plan=`` > the
-    ``REPRO_PLAN`` selector > none (every kernel falls back to the run's
+    ``REPRO_PLAN`` selector > none (the dtype falls back to the run's
     active config / environment).  ``plan="auto"`` asks the perf model
     (:func:`repro.perfmodel.autotune.plan_sthosvd`) using this call's
     actual shape, ranks/tol, grid and the ledger's machine constants —
@@ -457,7 +448,6 @@ def dist_sthosvd(
     mode_order: Sequence[int] | str | None = None,
     ttm_strategy: str = "auto",
     method: str = "gram",
-    tsqr_tree: str | None = None,
     checkpoint: str | os.PathLike | None = None,
     config: RuntimeConfig | None = None,
     plan: str | None = None,
@@ -470,10 +460,7 @@ def dist_sthosvd(
     identical arguments.  ``method="svd"`` replaces the Gram + eigenvector
     kernels with the TSQR-based factor computation of
     :func:`repro.distributed.tsqr.dist_mode_svd` (the paper's Sec. IX
-    numerical improvement, at roughly twice the cost); ``tsqr_tree``
-    selects its reduction tree (``"binary"``/``"butterfly"``, default the
-    ``REPRO_TSQR_TREE`` environment switch — factors are bit-identical
-    across tree choices).
+    numerical improvement, at roughly twice the cost).
 
     ``checkpoint=`` names a directory used for crash recovery: after
     each mode completes, every rank writes its shrunk core block and
@@ -484,16 +471,13 @@ def dist_sthosvd(
     producing bit-identical factors.  The store is validated against the
     call's parameters (digest) and cleared on successful completion.
 
-    ``config=`` pins the kernel tuning knobs (overlap, TSQR tree, TTM
-    batch threshold) to an explicit :class:`~repro.config.RuntimeConfig`
-    for this call; ``plan=`` selects one instead: ``"auto"`` asks the
-    perf model for this problem (see
-    :func:`repro.perfmodel.autotune.plan_sthosvd`), ``"default"``/None
-    keeps the run's active config, and any other string is parsed as a
-    saved config's JSON.  ``None`` consults ``REPRO_PLAN``.  Every
-    *scheduling* knob is pure tuning: factors and core are bit-identical
-    across plans on a fixed grid.  An explicit ``tsqr_tree=`` still wins
-    over the plan.
+    ``config=`` pins the kernel precision to an explicit
+    :class:`~repro.config.RuntimeConfig`'s ``compute_dtype`` for this
+    call; ``plan=`` selects one instead: ``"auto"`` asks the perf model
+    for this problem (see :func:`repro.perfmodel.autotune.plan_sthosvd`),
+    ``"default"``/None keeps the run's active config, and any other
+    string is parsed as a saved config's JSON.  ``None`` consults
+    ``REPRO_PLAN``.
 
     ``compute_dtype=`` selects the kernel precision (default the
     resolved config's ``compute_dtype`` / ``REPRO_DTYPE``) under the
@@ -522,9 +506,6 @@ def dist_sthosvd(
                 )
     order = resolve_mode_order(mode_order, n_modes)
     cfg = _resolve_driver_config(dt, tol, ranks, order, config, plan)
-    overlap = cfg.overlap if cfg is not None else None
-    if tsqr_tree is None and cfg is not None:
-        tsqr_tree = cfg.tsqr_tree
     if compute_dtype is None and cfg is not None:
         compute_dtype = cfg.compute_dtype
     compute = resolve_compute_dtype(compute_dtype)
@@ -569,12 +550,11 @@ def dist_sthosvd(
         factors[n], eig = _mode_factor(
             y, n, method,
             rank=None if threshold is not None else ranks[n],  # type: ignore[index]
-            threshold=threshold, min_rank=dt.grid.dims[n],
-            overlap=overlap, tree=tsqr_tree, dtype=work,
+            threshold=threshold, min_rank=dt.grid.dims[n], dtype=work,
         )
         eigenvalues[n] = eig.values
         with comm.section("ttm"):
-            y = project_modes(y, factors, [n], ttm_strategy, overlap)  # type: ignore[arg-type]
+            y = project_modes(y, factors, [n], ttm_strategy)  # type: ignore[arg-type]
         if checkpoint is not None:
             with comm.section("checkpoint"):
                 _checkpoint_commit(
@@ -600,7 +580,7 @@ def dist_sthosvd(
                 # estimate rather than exact; it is never below the truth.
                 y = _hooi_sweep(
                     dt, order, factors, eigenvalues, method, ttm_strategy,
-                    overlap, tsqr_tree, np.dtype(np.float64),
+                    np.dtype(np.float64),
                 )
     # Outputs are always float64, whatever the working dtype or the
     # input's: the compressed object is tiny, and downstream consumers

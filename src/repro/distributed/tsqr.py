@@ -8,20 +8,9 @@ module implements that improvement on the distributed substrate:
 
 * :func:`tsqr_r` — the R factor of a tall-skinny QR across a communicator
   (Demmel et al.'s communication-avoiding TSQR; only R is needed here, so
-  Q is never formed), with two reduction trees:
-
-  - ``tree="binary"`` — eliminate-and-broadcast: a binary reduction of
-    stacked local R factors to group rank 0, then a broadcast.
-  - ``tree="butterfly"`` — the allreduce-style butterfly: ``log2 P``
-    pairwise exchange rounds after which *every* rank holds the global
-    R, no broadcast.  Non-power-of-two sizes work by skipping absent
-    partners and fanning the finished R out to the (few) ranks the
-    truncated butterfly leaves incomplete.
-
-  Both trees stack partner triangles lower-group-rank first at every
-  node, so they perform the *same* floating-point folds in the same
-  bracketing and return bit-identical R factors (up to nothing — the
-  bits match exactly, before and after the sign convention).
+  Q is never formed): a binary reduction of stacked local R factors to
+  group rank 0 (partner triangles stacked lower group rank first at
+  every node), then a broadcast.
 
 * :func:`dist_mode_svd` — this rank's block row of ``U^(n)`` computed from
   ``Y_(n)^T`` without ever forming it (on a one-rank grid, the sequential
@@ -33,10 +22,10 @@ module implements that improvement on the distributed substrate:
   the kernel runs on the local block itself; otherwise the local tensors
   travel around the mode-column ring (the shared
   :func:`~repro.distributed.ring.ring_exchange` pipeline, all hops posted
-  up front under ``REPRO_SPMD_OVERLAP``), each rank assembles complete
-  rows of ``Y_(n)^T`` for its share of the column range while later hops
-  are still in flight, and the kernel runs on that slab at the pipeline
-  tail.  The TSQR tree then combines the true-shape R factors over the
+  up front), each rank assembles complete rows of ``Y_(n)^T`` for its
+  share of the column range while later hops are still in flight, and
+  the kernel runs on that slab at the pipeline tail.  The TSQR tree then
+  combines the true-shape R factors over the
   whole grid; a small ``J_n x J_n`` SVD of the final R yields the
   spectrum and this rank's factor rows.
 
@@ -52,10 +41,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.config import default_for
 from repro.distributed.dist_tensor import DistTensor
 from repro.distributed.layout import block_range
-from repro.distributed.overlap import overlap_enabled
 from repro.distributed.ring import mode_ring_hops, ring_exchange
 from repro.mpi.comm import Communicator
 from repro.tensor.dense import as_f_contiguous
@@ -68,28 +55,12 @@ from repro.tensor.qr import (
 )
 from repro.util.validation import check_axis, prod
 
-#: Environment switch for the TSQR reduction tree: ``binary`` (default,
-#: eliminate-and-broadcast) or ``butterfly`` (allreduce-style exchange
-#: rounds, no broadcast).  A ``tree=`` keyword on the kernels overrides it.
-TSQR_TREE_ENV_VAR = "REPRO_TSQR_TREE"
 
-_TREES = ("binary", "butterfly")
-
-
-def tsqr_tree(override: str | None = None) -> str:
-    """Resolve the TSQR tree variant: kwarg > ``REPRO_TSQR_TREE`` > binary."""
-    tree = override if override is not None else default_for("tsqr_tree")
-    if tree not in _TREES:
-        raise ValueError(f"unknown TSQR tree {tree!r}; use one of {_TREES}")
-    return tree
-
-
-def _fold(comm: Communicator, mine: np.ndarray, other, lower_first: bool):
+def _fold(comm: Communicator, mine: np.ndarray, other) -> np.ndarray:
     """One tree node: stack two R factors (lower group rank on top) and
     re-factorize, charging the true stacked shape.  Both are at most
     ``n x n`` — the one QR here that is too small to be worth streaming."""
-    other = np.asarray(other)
-    stacked = np.vstack([mine, other] if lower_first else [other, mine])
+    stacked = np.vstack([mine, np.asarray(other)])
     n = stacked.shape[1]
     r = np.linalg.qr(stacked, mode="r")
     comm.add_flops(2 * stacked.shape[0] * n * n)
@@ -110,7 +81,7 @@ def _tsqr_binary(comm: Communicator, r: np.ndarray) -> np.ndarray:
             partner = rank + step
             if partner < size:
                 other = comm.recv(source=partner, tag=("tsqr", step))
-                r = _fold(comm, r, other, lower_first=True)
+                r = _fold(comm, r, other)
         else:
             comm.send(r, dest=rank - step, tag=("tsqr", step))
             break  # eliminated; rejoin at the broadcast
@@ -118,101 +89,15 @@ def _tsqr_binary(comm: Communicator, r: np.ndarray) -> np.ndarray:
     return np.asarray(comm.bcast(r if rank == 0 else None, root=0))
 
 
-def _butterfly_complete(size: int) -> list[bool]:
-    """Which ranks of a skip-absent-partner butterfly end holding the
-    global R.  Pure arithmetic on group ranks — every member derives the
-    identical schedule locally, so the fix-up fan-out needs no extra
-    coordination round."""
-    cover = [1 << i for i in range(size)]
-    step = 1
-    while step < size:
-        cover = [
-            c | cover[i ^ step] if i ^ step < size else c
-            for i, c in enumerate(cover)
-        ]
-        step *= 2
-    full = (1 << size) - 1
-    return [c == full for c in cover]
-
-
-def _tsqr_butterfly(
-    comm: Communicator, r: np.ndarray, pipelined: bool
-) -> np.ndarray:
-    """Butterfly (allreduce-style) TSQR: ``log2 P`` pairwise exchange
-    rounds; every rank folds its partner's triangle each round, stacking
-    the lower group rank first — the same folds, in the same bracketing,
-    as the binary tree, so the result is bit-identical to it.
-
-    A rank whose partner ``rank ^ 2^k`` falls outside the group skips
-    that round (its R is simply carried forward).  For non-power-of-two
-    sizes a few ranks therefore finish without every contribution; the
-    ranks that did finish fan the global R out to them — far cheaper
-    than the binary tree's full broadcast, and absent entirely at
-    power-of-two sizes.  The exchange rounds themselves have no schedule
-    freedom (each round's send is the previous round's fold, so
-    ``sendrecv``'s staged send leg is already maximally eager); overlap
-    only changes the fix-up fan-out, whose sends are posted ``isend`` s
-    completed after the receivers are served.
-    """
-    rank, size = comm.rank, comm.size
-    step = 1
-    while step < size:
-        partner = rank ^ step
-        if partner < size:
-            other = comm.sendrecv(
-                r, dest=partner, source=partner, tag=("tsqr-bfly", step)
-            )
-            r = _fold(comm, r, other, lower_first=rank < partner)
-        step *= 2
-
-    if size & (size - 1) == 0:
-        return r  # power of two: every rank already holds the global R
-    complete = _butterfly_complete(size)
-    if not all(complete):
-        donors = [i for i, done in enumerate(complete) if done]
-        needy = [i for i, done in enumerate(complete) if not done]
-        posted = []
-        for t, dst in enumerate(needy):
-            src = donors[t % len(donors)]
-            if rank == src:
-                if pipelined:
-                    posted.append(
-                        comm.isend(r, dest=dst, tag=("tsqr-fix", t))
-                    )
-                else:
-                    comm.send(r, dest=dst, tag=("tsqr-fix", t))
-            elif rank == dst:
-                r = np.asarray(
-                    comm.recv(source=src, tag=("tsqr-fix", t))
-                )
-        for req in posted:
-            req.wait()
-    return r
-
-
-def _reduce_r(
-    comm: Communicator,
-    r: np.ndarray,
-    tree: str | None,
-    overlap: bool | None,
-) -> np.ndarray:
+def _reduce_r(comm: Communicator, r: np.ndarray) -> np.ndarray:
     """Combine every rank's true-shape local R over ``comm`` into the
     global ``n x n`` triangle (non-negative diagonal), on every rank."""
-    variant = tsqr_tree(tree)
     if comm.size > 1:
-        if variant == "butterfly":
-            r = _tsqr_butterfly(comm, r, overlap_enabled(overlap))
-        else:
-            r = _tsqr_binary(comm, r)
+        r = _tsqr_binary(comm, r)
     return full_triangle(r)
 
 
-def tsqr_r(
-    comm: Communicator,
-    local: np.ndarray,
-    tree: str | None = None,
-    overlap: bool | None = None,
-) -> np.ndarray:
+def tsqr_r(comm: Communicator, local: np.ndarray) -> np.ndarray:
     """R factor of the QR of the row-stacked distributed matrix.
 
     Every rank passes its local ``m_i x n`` slab (``n`` identical across
@@ -220,13 +105,6 @@ def tsqr_r(
     deterministic sign convention on the diagonal).  The local step is
     the streaming :func:`~repro.tensor.qr.qr_r` kernel — the slab is only
     read, in either layout.
-
-    ``tree`` selects the reduction tree (``"binary"`` /
-    ``"butterfly"``, default the ``REPRO_TSQR_TREE`` environment switch);
-    the returned factor is bit-identical across tree choices.
-    ``overlap`` (default ``REPRO_SPMD_OVERLAP``) posts the butterfly's
-    non-power-of-two fix-up fan-out as deferred-completion sends;
-    charges and bits are identical either way.
 
     Intermediate R factors keep their true row counts — short local
     slabs (``m_i < n``) stack as-is instead of being zero-padded, so
@@ -239,12 +117,10 @@ def tsqr_r(
     m, n = local.shape
     r = qr_r(local, 1)  # a matrix is the transposed mode-1 unfolding of itself
     comm.add_flops(2 * m * n * n)
-    return _reduce_r(comm, r, tree, overlap)
+    return _reduce_r(comm, r)
 
 
-def _assemble_slab(
-    dt: DistTensor, mode: int, pipelined: bool
-) -> np.ndarray:
+def _assemble_slab(dt: DistTensor, mode: int) -> np.ndarray:
     """This rank's share of the rows of ``Y_(n)^T`` — ``(kept columns of
     the local unfolding) x J_n``, F-ordered — assembled from the mode
     column's blocks as they come off the ring.
@@ -272,9 +148,8 @@ def _assemble_slab(
         flat = np.reshape(block, (lead, stop - start, -1), order="F")
         copy_unfolding_rows(slab[:, start:stop], flat, *keep)
 
-    exchanges = ring_exchange(
-        col, local, mode_ring_hops(pn, my_pn, tag="svd"), pipelined
-    )
+    hops = mode_ring_hops(pn, my_pn, tag="svd")
+    exchanges = ring_exchange(col, local, hops)
     scatter(local, my_pn)
     for hop, w in exchanges:
         scatter(as_f_contiguous(np.asarray(w)), hop.source)
@@ -287,8 +162,6 @@ def dist_mode_svd(
     rank: int | None = None,
     threshold: float | None = None,
     min_rank: int = 1,
-    overlap: bool | None = None,
-    tree: str | None = None,
     dtype: np.dtype | type | None = None,
 ) -> tuple[np.ndarray, EigResult]:
     """Gram-free factor computation: left singular vectors of ``Y_(n)``.
@@ -306,15 +179,13 @@ def dist_mode_svd(
     different ``J_n`` rows, so as in Alg. 4 the local tensors travel
     around the mode-column ring — the shared pipelined
     :func:`~repro.distributed.ring.ring_exchange`, all hops posted up
-    front under ``overlap`` (default ``REPRO_SPMD_OVERLAP``), each
-    arriving block scattered into the slab while the remaining hops are
-    in flight and the same kernel run on the slab at the pipeline tail.
-    Each rank assembles complete rows for *its* share of the column range
-    (a ``1/P_n`` slice, so no row is duplicated across the grid), and the
-    global TSQR ``tree`` (default ``REPRO_TSQR_TREE``) reduces every
-    rank's true-shape R to the ``J_n x J_n`` R factor of the
-    exactly-stacked ``Y_(n)^T``.  Results are bit-identical across
-    overlap on/off and tree choices.
+    front, each arriving block scattered into the slab while the
+    remaining hops are in flight and the same kernel run on the slab at
+    the pipeline tail.  Each rank assembles complete rows for *its* share
+    of the column range (a ``1/P_n`` slice, so no row is duplicated
+    across the grid), and the global TSQR tree reduces every rank's
+    true-shape R to the ``J_n x J_n`` R factor of the exactly-stacked
+    ``Y_(n)^T``.
     """
     mode = check_axis(mode, dt.ndim)
     if (rank is None) == (threshold is None):
@@ -332,16 +203,14 @@ def dist_mode_svd(
         dt.comm.note_memory(local.size + jn * jn)
         r = qr_r(local, mode)
     else:
-        pipelined = overlap_enabled(overlap)
-        slab = _assemble_slab(dt, mode, pipelined)
+        slab = _assemble_slab(dt, mode)
         m = slab.shape[0]
         # Live set mirrors the Gram ring's accounting: local tensor +
-        # in-flight peer tensors + the assembled slab.
-        inflight = (pn - 1) if pipelined else 1
-        dt.comm.note_memory((1 + inflight) * local.size + slab.size)
+        # ``P_n - 1`` in-flight peer tensors + the assembled slab.
+        dt.comm.note_memory(pn * local.size + slab.size)
         r = qr_r(slab, 1)
     dt.comm.add_flops(2 * m * jn * jn)
-    r = _reduce_r(dt.comm, r, tree, overlap)
+    r = _reduce_r(dt.comm, r)
     # Y_(n)^T = Q R  =>  right singular vectors of R (J_n x J_n, small)
     # are the left singular vectors of Y_(n).
     eig = spectrum_from_r(r)

@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.distributed.dist_tensor import DistTensor
 from repro.distributed.layout import block_range, block_ranges
-from repro.distributed.overlap import overlap_enabled
 from repro.mpi.reduce_ops import SUM
 from repro.tensor.dense import match_dtype
 from repro.tensor.ttm import ttm
@@ -51,7 +50,6 @@ def dist_ttm(
     mode: int,
     new_dim: int,
     strategy: str = "auto",
-    overlap: bool | None = None,
 ) -> DistTensor:
     """Parallel ``Z = Y x_n V`` (Alg. 3).
 
@@ -70,12 +68,6 @@ def dist_ttm(
     strategy:
         ``"blocked"``, ``"reduce_scatter"``, or ``"auto"``.  Irrelevant
         when ``P_n == 1``: the local product is returned as the block.
-    overlap:
-        Communication/computation pipelining for the blocked strategy
-        (default: the ``REPRO_SPMD_OVERLAP`` environment switch): each
-        block-row reduce is posted non-blocking and completed only after
-        the next block's local TTM, hiding the reduce fences behind the
-        dgemms.  Results and charges are bit-identical either way.
 
     Returns
     -------
@@ -123,7 +115,7 @@ def dist_ttm(
         strategy = "reduce_scatter" if (even and fits) else "blocked"
     if strategy == "reduce_scatter":
         return _ttm_reduce_scatter(dt, v_local, mode, new_dim)
-    return _ttm_blocked(dt, v_local, mode, new_dim, overlap=overlap)
+    return _ttm_block_rows(dt, v_local, mode, new_dim)
 
 
 def _out_shape(dt: DistTensor, mode: int, new_dim: int) -> tuple[int, ...]:
@@ -132,27 +124,24 @@ def _out_shape(dt: DistTensor, mode: int, new_dim: int) -> tuple[int, ...]:
     return tuple(shape)
 
 
-def _ttm_blocked(
+def _ttm_block_rows(
     dt: DistTensor,
     v_local: np.ndarray,
     mode: int,
     new_dim: int,
-    overlap: bool | None = None,
 ) -> DistTensor:
     """Alg. 3: P_n iterations of (local TTM block row, reduce to member l).
 
-    Pipelined (the default), every block row's reduce is posted
-    non-blocking and completed only after the *next* block's local TTM,
-    so the reduce's fences hide behind the dgemms — on the process
-    backend the reduces ride the double-buffered collective windows,
-    which is exactly the two-deep pipeline they exist for.  The same
-    contributions are folded in the same group-rank order at the same
-    roots either way, so results and charges are bit-identical.
+    Every block row's reduce is posted non-blocking and completed only
+    after the *next* block's local TTM, so the reduce's fences hide
+    behind the dgemms — on the process backend the reduces ride the
+    double-buffered collective windows, which is exactly the two-deep
+    pipeline they exist for.  Contributions fold in group-rank order at
+    each root and charge what a blocking ``reduce`` would.
     """
     col = dt.grid.mode_column(mode)
     pn, my_pn = col.size, col.rank
     local = dt.local
-    pipelined = pn > 1 and overlap_enabled(overlap)
     z_local: np.ndarray | None = None
     z_words: int | None = None  # size of this rank's reduced block row
     pending = None  # (root, request) of the previous block row's reduce
@@ -163,10 +152,9 @@ def _ttm_blocked(
         w = ttm(local, v_local[start:stop], mode)
         dt.comm.add_flops(2 * (stop - start) * local.size)
         # M_TTM live set: local input + factor block + temporary + result,
-        # plus — pipelined — the previous block row, which stays alive in
-        # its posted reduce until the wait below (the same memory-for-time
-        # trade dist_gram's overlapped ring notes; off, the extra term is
-        # zero and the noted peak matches the paper's blocking schedule).
+        # plus the previous block row, which stays alive in its posted
+        # reduce until the wait below (the same memory-for-time trade
+        # dist_gram's pipelined ring notes).
         dt.comm.note_memory(
             local.size
             + v_local.size
@@ -176,21 +164,15 @@ def _ttm_blocked(
         )
         if ell == my_pn:
             z_words = w.size
-        if pipelined:
-            inflight_w = w.size
-            req = col.ireduce(w, SUM, root=ell)
-            if pending is not None:
-                prev_root, prev_req = pending
-                reduced = prev_req.wait()
-                if prev_root == my_pn:
-                    assert reduced is not None
-                    z_local = reduced
-            pending = (ell, req)
-        else:
-            reduced = col.reduce(w, SUM, root=ell)
-            if ell == my_pn:
+        inflight_w = w.size
+        req = col.ireduce(w, SUM, root=ell)
+        if pending is not None:
+            prev_root, prev_req = pending
+            reduced = prev_req.wait()
+            if prev_root == my_pn:
                 assert reduced is not None
                 z_local = reduced
+        pending = (ell, req)
     if pending is not None:
         prev_root, prev_req = pending
         reduced = prev_req.wait()

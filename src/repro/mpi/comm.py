@@ -37,7 +37,6 @@ import numpy as np
 
 from repro import resources
 from repro.analysis.sanitizer import CollectiveCall, Sanitizer
-from repro.config import default_for
 from repro.mpi.errors import BufferMismatchError, CommunicatorError
 from repro.mpi.ledger import CostLedger
 from repro.mpi.process_transport import pack_collective, packed_nbytes
@@ -46,30 +45,10 @@ from repro.mpi.transport import TransportBase
 from repro.perfmodel import collectives as cc
 
 
-class _WireF32:
-    """A float64 payload downcast to float32 for the wire.
-
-    The ``REPRO_WIRE_COMPRESS`` knob wraps float64 ring-hop payloads
-    (``sendrecv``/``isendrecv``) in this marker; the receiver upcasts back
-    to float64 on arrival.  Both peers see the wrapper, so both charge the
-    narrow word count — the ledger stays rank-symmetric.  Lossy (the low
-    29 mantissa bits are dropped): bit-identity suites pin the knob off,
-    and float32/mixed pipelines never wrap (their payloads are already
-    narrow).
-    """
-
-    __slots__ = ("data",)
-
-    def __init__(self, data: np.ndarray):
-        self.data = data
-
-
 def _words_of(obj: Any) -> int:
     """Modeled message size in 8-byte words."""
     if isinstance(obj, np.ndarray):
         return max(1, math.ceil(obj.nbytes / 8))
-    if isinstance(obj, _WireF32):
-        return max(1, math.ceil(obj.data.nbytes / 8))
     if isinstance(obj, (list, tuple)):
         return max(1, sum(_words_of(x) for x in obj))
     if isinstance(obj, dict):
@@ -83,8 +62,6 @@ def _copy_payload(obj: Any) -> Any:
     """Copy mutable payloads so sender and receiver never alias."""
     if isinstance(obj, np.ndarray):
         return np.array(obj, copy=True)
-    if isinstance(obj, _WireF32):
-        return _WireF32(np.array(obj.data, copy=True))
     return obj
 
 
@@ -179,11 +156,6 @@ class Communicator:
             if getattr(transport, "copies_on_send", False)
             else _copy_payload
         )
-        # Wire compression (REPRO_WIRE_COMPRESS): resolved once per
-        # communicator — never per message — so the whole run sees one
-        # consistent setting (children created by ``split`` re-resolve
-        # the same environment and agree).
-        self._wire32 = bool(default_for("compress_wire"))
         # Lazily opened per-communicator collective windows (process
         # transport only): a P-slot window for the one-contribution-per-
         # rank collectives and a P×P pair-slotted one for scatter and
@@ -393,24 +365,6 @@ class Communicator:
 
     # -- charged point-to-point ---------------------------------------------
 
-    def _wire_compress(self, obj: Any) -> Any:
-        """Downcast a float64 ring-hop payload for the wire (no-op unless
-        ``REPRO_WIRE_COMPRESS`` is on; narrow payloads pass through)."""
-        if (
-            self._wire32
-            and isinstance(obj, np.ndarray)
-            and obj.dtype == np.float64
-        ):
-            return _WireF32(np.asarray(obj, dtype=np.float32))
-        return obj
-
-    @staticmethod
-    def _wire_expand(obj: Any) -> Any:
-        """Upcast a compressed payload back to float64 on arrival."""
-        if isinstance(obj, _WireF32):
-            return np.asarray(obj.data, dtype=np.float64)
-        return obj
-
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         """Send a Python object or array; charges ``alpha + beta W``."""
         self._check_peer(dest, "dest")
@@ -428,7 +382,7 @@ class Communicator:
         self._ledger.charge_message(
             self._world_rank, words, cc.send_recv_cost(words, self._ledger.machine)
         )
-        return self._wire_expand(obj)
+        return obj
 
     def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
         """Nonblocking send with deferred completion.
@@ -472,7 +426,6 @@ class Communicator:
         """
         self._check_peer(dest, "dest")
         self._check_peer(source, "source")
-        obj = self._wire_compress(obj)
         words = _words_of(obj)
         self._put_raw(dest, ("p2p", tag), self._tx(obj))
 
@@ -491,7 +444,7 @@ class Communicator:
                 recv_words,
                 cc.send_recv_cost(recv_words, self._ledger.machine),
             )
-            return self._wire_expand(received)
+            return received
 
         return self._make_request("isendrecv", complete)
 
@@ -528,15 +481,9 @@ class Communicator:
         from the *received* payload — the legs may carry different sizes
         (the receive leg used to be mischarged with the sent size,
         double-charging the send cost when sizes differed).
-
-        Under ``REPRO_WIRE_COMPRESS`` a float64 array payload travels as
-        float32 (see :class:`_WireF32`): both legs charge the narrow
-        words and the receiver upcasts on arrival.  Lossy — off by
-        default, and the bit-identity suites pin it off.
         """
         self._check_peer(dest, "dest")
         self._check_peer(source, "source")
-        obj = self._wire_compress(obj)
         words = _words_of(obj)
         self._ledger.charge_message(
             self._world_rank, words, cc.send_recv_cost(words, self._ledger.machine)
@@ -549,7 +496,7 @@ class Communicator:
             recv_words,
             cc.send_recv_cost(recv_words, self._ledger.machine),
         )
-        return self._wire_expand(received)
+        return received
 
     # -- collectives ---------------------------------------------------------
 

@@ -127,7 +127,7 @@ def run_spmd(
         resolved config's ``retry`` count (``REPRO_SPMD_RETRY``).
     config:
         A complete :class:`repro.config.RuntimeConfig` describing every
-        runtime knob (backend, pool, windows, overlap, ...).  Explicit
+        runtime knob (backend, pool, windows, dtype, ...).  Explicit
         keywords above win over it; unspecified knobs fall back to the
         environment, then to the defaults.  The resolved config is
         installed for the duration of the run (and shipped to pooled

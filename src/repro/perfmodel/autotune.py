@@ -1,22 +1,18 @@
 """Perf-model-driven execution-plan selection ("autotuning").
 
-The runtime exposes several knobs whose best setting depends on the
-problem, not on taste: communication/computation overlap pays only when
-there is enough communication to hide *and* its extra non-blocking
-messages cost less than what they hide; the TSQR reduction tree trades
-latency for bandwidth with the processor-column height.  Historically
-those knobs were global defaults, and a default that wins at scale can
-lose outright on small problems — the committed benchmark suite carries
-exactly such a case, where pipelined ``dist_sthosvd`` *pays* for overlap
-on a tiny tensor.
+The one plan decision the runtime leaves open is the kernel precision:
+float64, or float32 kernels with a float64 refinement under the error
+budget (``mixed``).  Narrow words halve the bytes every ring, reduce and
+all-gather moves, but they spend part of the error budget, so the right
+setting depends on the problem, not on taste.
 
 :func:`plan_sthosvd` turns the paper's alpha-beta-gamma cost model
-(Secs. V-VI) into decisions: given the global shape, the target ranks
+(Secs. V-VI) into that decision: given the global shape, the target ranks
 (or tolerance), the processor count and a :class:`MachineSpec`, it
-consults :func:`~repro.perfmodel.algorithms.sthosvd_cost` per candidate
-and returns an :class:`ExecutionPlan` — a concrete, replayable
+consults :func:`~repro.perfmodel.algorithms.sthosvd_cost` and returns an
+:class:`ExecutionPlan` — a concrete, replayable
 :class:`~repro.config.RuntimeConfig` plus the predicted per-mode costs
-and a human-readable record of each decision.  Consume it via
+and a human-readable record of the decision.  Consume it via
 ``dist_sthosvd(..., plan="auto")``, ``run_spmd(..., config=plan.config)``
 or ``repro-tucker plan``.
 
@@ -80,61 +76,12 @@ class ExecutionPlan:
         return "\n".join(lines)
 
 
-def _overlap_decision(
-    cost: AlgorithmCost, machine: MachineSpec
-) -> tuple[bool, str]:
-    """Enable pipelining iff the hideable time exceeds its latency cost.
-
-    The overlapped schedules hide communication behind the *next* block's
-    dgemm (or vice versa), so per step at most ``min(flop, comm)`` can be
-    hidden; in exchange every message is posted non-blocking, which the
-    ledger (and a real NIC) charges roughly one extra latency each for
-    the split post/wait.  Gram and TTM are the pipelined kernels; Evecs
-    has a single all-gather and never overlaps.
-    """
-    saving = 0.0
-    messages = 0.0
-    for kernel, _mode, step in cost.steps:
-        if kernel not in ("gram", "ttm"):
-            continue
-        saving += min(step.flop_time, step.bw_time + step.lat_time)
-        messages += step.messages
-    overhead = machine.alpha * messages
-    enabled = saving > overhead
-    reason = (
-        f"hideable {saving:.2e} s vs non-blocking overhead "
-        f"{overhead:.2e} s ({int(messages)} msgs at alpha="
-        f"{machine.alpha:.1e})"
-    )
-    return enabled, reason
-
-
-def _tree_decision(grid: Sequence[int]) -> tuple[str, str]:
-    """Pick the TSQR reduction tree from the tallest processor column.
-
-    The binary tree reduces to a root and broadcasts the R factor back
-    (2 log P rounds of half-idle ranks); the butterfly keeps every rank
-    busy and leaves the result everywhere in log P rounds.  With any
-    real column height the butterfly is never worse here, so it wins as
-    soon as a mode column actually spans processors.
-    """
-    tallest = max(grid)
-    if tallest > 1:
-        return "butterfly", (
-            f"mode columns span up to {tallest} ranks; butterfly halves "
-            f"the reduction rounds vs binary+broadcast"
-        )
-    return "binary", "grid has no multi-rank mode column; tree is moot"
-
-
 def _dtype_decision(
     cost: AlgorithmCost, tol: float | None, machine: MachineSpec
 ) -> tuple[str, str]:
     """Choose the compute dtype from the error budget and modeled traffic.
 
-    Every *scheduling* knob (overlap, tree) is pure tuning — bit-identical
-    results whatever the plan picks.  The dtype knob is
-    not: it changes the numbers, so it is chosen conservatively.  The
+    The dtype changes the numbers, so it is chosen conservatively.  The
     plan stays ``float64`` unless a tolerance was planned for and is
     loose enough (>= ``MIXED_TOL_FLOOR``) that the float32 noise floor
     fits inside the error split's precision share, AND the modeled
@@ -187,8 +134,8 @@ def plan_sthosvd(
         Global tensor dimensions.
     ranks:
         Target Tucker ranks.  With ``tol=`` (or neither), a 10x-per-mode
-        compression is assumed for planning — the decisions depend on
-        relative, not exact, sizes.
+        compression floored at the grid is assumed for planning — the
+        decision depends on relative, not exact, sizes.
     n_ranks, grid:
         Processor count or an explicit grid; exactly one is required.
         With ``n_ranks``, the grid is chosen by
@@ -198,8 +145,8 @@ def plan_sthosvd(
         core; pass a :func:`refine_machine` result for calibrated plans).
     base:
         Config to start from (default ``RuntimeConfig()``); the plan only
-        changes the knobs it actually decides (overlap, tsqr_tree,
-        compute_dtype), so executor/transport settings are preserved.
+        changes ``compute_dtype``, so executor/transport settings are
+        preserved.
     mode_order:
         Mode processing order (default increasing).
 
@@ -222,17 +169,15 @@ def plan_sthosvd(
             )
     if (n_ranks is None) == (grid is None):
         raise ValueError("specify exactly one of n_ranks= or grid=")
-    if grid is None:
-        from repro.distributed.grid import choose_grid
+    from repro.distributed.grid import choose_grid, tolerance_ranks
 
+    if grid is None:
         assert n_ranks is not None
-        grid = choose_grid(n_ranks, shape, planned_ranks, machine)
+        grid = choose_grid(n_ranks, shape, ranks, machine)
     grid = check_shape_like(grid, "grid")
     if len(grid) != n_modes:
         raise ValueError(f"grid {grid} and shape {shape} differ in order")
-    planned_ranks = tuple(
-        min(s, max(r, p)) for r, s, p in zip(planned_ranks, shape, grid)
-    )
+    planned_ranks = tolerance_ranks(planned_ranks, shape, grid)
     order = (
         list(range(n_modes))
         if mode_order is None
@@ -242,24 +187,13 @@ def plan_sthosvd(
         raise ValueError(f"mode_order {mode_order} is not a permutation")
 
     cost = sthosvd_cost(shape, planned_ranks, grid, machine, order)
-    overlap, overlap_why = _overlap_decision(cost, machine)
-    tree, tree_why = _tree_decision(grid)
     base_cfg = base if base is not None else RuntimeConfig()
     dtype, dtype_why = _dtype_decision(cost, tol, machine)
-    config = base_cfg.replace(
-        overlap=overlap,
-        tsqr_tree=tree,
-        compute_dtype=dtype,
-    )
     return ExecutionPlan(
-        config=config,
+        config=base_cfg.replace(compute_dtype=dtype),
         grid=tuple(grid),
         predicted=cost,
-        decisions={
-            "overlap": overlap_why,
-            "tsqr_tree": tree_why,
-            "compute_dtype": dtype_why,
-        },
+        decisions={"compute_dtype": dtype_why},
     )
 
 

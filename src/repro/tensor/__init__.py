@@ -10,8 +10,8 @@ Everything here is sequential; the distributed algorithms in
 """
 
 from repro.tensor.dense import Tensor, as_f_contiguous, fold, norm, norm_sq, unfold
-from repro.tensor.ttm import multi_ttm, ttm, ttm_blocked
-from repro.tensor.gram import gram, gram_blocked
+from repro.tensor.ttm import multi_ttm, ttm
+from repro.tensor.gram import gram
 from repro.tensor.qr import qr_r
 from repro.tensor.eig import (
     EigResult,
@@ -29,10 +29,8 @@ __all__ = [
     "norm",
     "norm_sq",
     "ttm",
-    "ttm_blocked",
     "multi_ttm",
     "gram",
-    "gram_blocked",
     "qr_r",
     "EigResult",
     "eigendecompose",

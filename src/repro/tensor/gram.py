@@ -19,8 +19,7 @@ the unfolding: on the Fortran buffer viewed as ``(lead, I_n, trail)``
 
 C-ordered tensors are the same buffer with the modes reversed
 (``gram(x, n) == gram(x.T, N-1-n)``) and ride the same three cases; only
-a genuinely strided input is copied, once.  ``gram_blocked`` is the
-kernel's historical second name.
+a genuinely strided input is copied, once.
 
 Why the panel is a constant and not a knob: it only has to be large
 enough that a syrk amortises its dispatch and small enough to stay in
@@ -98,7 +97,3 @@ def _gram_interior(flat: np.ndarray) -> np.ndarray:
             )
         s += np.matmul(stacked.T, stacked, out=part)
     return s
-
-
-#: Historical name of the layout-respecting kernel; there is only one now.
-gram_blocked = gram

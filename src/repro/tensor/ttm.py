@@ -18,10 +18,9 @@ There is one kernel, and it never permutes the tensor: the paper's layout
   is copied, once.
 
 Every caller — the sequential drivers, reconstruction, the baselines and
-the distributed Alg. 3 — runs this function; ``ttm_blocked`` is its
-historical second name.  ``multi_ttm`` applies a sequence of factor
-matrices along multiple modes, optionally skipping one (the HOOI inner
-step ``X x {U^T}_{m != n}``).
+the distributed Alg. 3 — runs this function.  ``multi_ttm`` applies a
+sequence of factor matrices along multiple modes, optionally skipping one
+(the HOOI inner step ``X x {U^T}_{m != n}``).
 """
 
 from __future__ import annotations
@@ -102,10 +101,6 @@ def ttm(
             out=np.reshape(dst, (lead, k, trail), order="F").transpose(2, 0, 1),
         )
     return out
-
-
-#: Historical name of the layout-respecting kernel; there is only one now.
-ttm_blocked = ttm
 
 
 def multi_ttm(

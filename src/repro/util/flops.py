@@ -54,10 +54,10 @@ def ttm_flops(shape: Sequence[int], mode: int, new_dim: int) -> int:
     return 2 * new_dim * prod(shape)
 
 
-def gram_flops(shape: Sequence[int], mode: int, exploit_symmetry: bool = False) -> int:
+def gram_flops(shape: Sequence[int], mode: int) -> int:
     """Flops for forming the mode-n Gram matrix ``S = Y_(n) Y_(n)^T``.
 
     Full (non-symmetric) cost is ``2 * shape[mode] * prod(shape)``.
     """
     mode = check_axis(mode, len(shape))
-    return syrk_flops(shape[mode], prod(shape) // shape[mode], exploit_symmetry)
+    return syrk_flops(shape[mode], prod(shape) // shape[mode])

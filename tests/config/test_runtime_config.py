@@ -55,16 +55,16 @@ class TestDefaults:
 
 class TestPrecedence:
     def test_env_beats_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPMD_OVERLAP", "0")
-        monkeypatch.setenv("REPRO_TSQR_TREE", "butterfly")
+        monkeypatch.setenv("REPRO_SPMD_WINDOWS", "0")
+        monkeypatch.setenv("REPRO_DTYPE", "float32")
         cfg = resolve_config()
-        assert cfg.overlap is False
-        assert cfg.tsqr_tree == "butterfly"
+        assert cfg.windows is False
+        assert cfg.compute_dtype == "float32"
 
     def test_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPMD_OVERLAP", "0")
-        cfg = resolve_config(RuntimeConfig(overlap=True))
-        assert cfg.overlap is True
+        monkeypatch.setenv("REPRO_SPMD_WINDOWS", "0")
+        cfg = resolve_config(RuntimeConfig(windows=True))
+        assert cfg.windows is True
 
     def test_kwarg_beats_config(self):
         cfg = resolve_config(RuntimeConfig(sanitize=2), sanitize=1)
@@ -86,7 +86,7 @@ class TestPrecedence:
 
     def test_non_config_object_rejected(self):
         with pytest.raises(TypeError, match="RuntimeConfig"):
-            resolve_config({"overlap": False})
+            resolve_config({"windows": False})
 
 
 class TestEnvDefault:
@@ -105,16 +105,16 @@ class TestEnvDefault:
         monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "soon")
         with pytest.raises(ValueError, match="REPRO_SPMD_TIMEOUT"):
             env_default("timeout")
-        monkeypatch.setenv("REPRO_TSQR_TREE", "ternary")
-        with pytest.raises(ValueError, match="unknown TSQR tree"):
-            env_default("tsqr_tree")
+        monkeypatch.setenv("REPRO_DTYPE", "float16")
+        with pytest.raises(ValueError, match="unknown REPRO_DTYPE"):
+            env_default("compute_dtype")
 
 
 class TestValidation:
     @pytest.mark.parametrize(
         "changes, match",
         [
-            ({"tsqr_tree": "ternary"}, "unknown TSQR tree"),
+            ({"compute_dtype": "float16"}, "unknown REPRO_DTYPE"),
             ({"sanitize": 3}, "sanitize level"),
             ({"retry": 0}, "retry"),
             ({"timeout": 0.0}, "timeout"),
@@ -128,13 +128,13 @@ class TestValidation:
 
     def test_frozen(self):
         with pytest.raises(Exception):
-            RuntimeConfig().overlap = False
+            RuntimeConfig().windows = False
 
 
 class TestSerialization:
     def test_json_round_trip(self):
         cfg = RuntimeConfig(
-            backend="process", overlap=False, tsqr_tree="butterfly",
+            backend="process", windows=False, compute_dtype="mixed",
             window_slot=64, sanitize=2, faults="crash:rank=1:call=3",
             timeout=5.0,
         )
@@ -146,32 +146,58 @@ class TestSerialization:
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown RuntimeConfig key"):
-            RuntimeConfig.from_dict({"overlap": True, "bogus": 1})
+            RuntimeConfig.from_dict({"windows": True, "bogus": 1})
 
-    def test_retired_knob_in_persisted_json_is_rejected(self):
-        # A config or plan saved before the local TTM had one path still
-        # carries ``ttm_batch_lead``; replaying it must say so, not
-        # silently drop the key.
+    @pytest.mark.parametrize(
+        "retired, value",
+        [
+            ("ttm_batch_lead", 32),
+            ("overlap", True),
+            ("tsqr_tree", "binary"),
+            ("compress_wire", False),
+        ],
+    )
+    def test_retired_knob_in_persisted_json_is_rejected(self, retired, value):
+        # A config or plan saved while a knob still had two settings
+        # carries its key; replaying it must say so, not silently drop
+        # the key.
         stale = json.loads(RuntimeConfig().to_json())
-        stale["ttm_batch_lead"] = 32
+        stale[retired] = value
         with pytest.raises(
-            ValueError, match="unknown RuntimeConfig key.*ttm_batch_lead"
+            ValueError, match=f"unknown RuntimeConfig key.*{retired}"
         ):
             RuntimeConfig.from_json(json.dumps(stale))
-        assert "ttm_batch_lead" not in {f.name for f in CONFIG_FIELDS}
-        assert len(CONFIG_FIELDS) == 17
+        assert retired not in {f.name for f in CONFIG_FIELDS}
+        assert len(CONFIG_FIELDS) == 14
+
+    @pytest.mark.parametrize(
+        "env_var, value",
+        [
+            ("REPRO_SPMD_OVERLAP", "0"),
+            ("REPRO_TSQR_TREE", "butterfly"),
+            ("REPRO_WIRE_COMPRESS", "1"),
+        ],
+    )
+    def test_retired_env_var_is_not_consulted(self, env_var, value, monkeypatch):
+        # No field reads it any more, so the resolved config is the one an
+        # empty environment gives.
+        monkeypatch.delenv(env_var, raising=False)
+        clean = resolve_config()
+        monkeypatch.setenv(env_var, value)
+        assert resolve_config() == clean
+        assert env_var not in {f.env for f in CONFIG_FIELDS}
 
     def test_replace_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown RuntimeConfig key"):
             RuntimeConfig().replace(bogus=1)
 
     def test_replace_validates(self):
-        with pytest.raises(ValueError, match="unknown TSQR tree"):
-            RuntimeConfig().replace(tsqr_tree="ternary")
+        with pytest.raises(ValueError, match="unknown REPRO_DTYPE"):
+            RuntimeConfig().replace(compute_dtype="float16")
 
     def test_to_env_reproduces_the_config(self, monkeypatch):
         cfg = RuntimeConfig(
-            overlap=False, tsqr_tree="butterfly", sanitize=1, timeout=30.0
+            windows=False, compute_dtype="mixed", sanitize=1, timeout=30.0
         )
         for env, raw in cfg.to_env().items():
             monkeypatch.setenv(env, raw)
@@ -186,12 +212,12 @@ class TestSerialization:
 class TestActiveConfigDispatch:
     def test_install_and_restore(self):
         assert active_config() is None
-        cfg = RuntimeConfig(overlap=False)
+        cfg = RuntimeConfig(windows=False)
         previous = set_active_config(cfg)
         try:
             assert previous is None
             assert active_config() is cfg
-            assert default_for("overlap") is False
+            assert default_for("windows") is False
         finally:
             set_active_config(previous)
         assert active_config() is None
@@ -201,13 +227,13 @@ class TestActiveConfigDispatch:
         assert default_for("window_slot") == 256
 
     def test_run_spmd_installs_config_in_ranks(self):
-        cfg = RuntimeConfig(overlap=False, tsqr_tree="butterfly", timeout=20.0)
+        cfg = RuntimeConfig(windows=False, compute_dtype="mixed", timeout=20.0)
 
         def prog(comm):
-            return default_for("overlap"), default_for("tsqr_tree")
+            return default_for("windows"), default_for("compute_dtype")
 
         results = run_spmd(2, prog, config=cfg)
-        assert list(results) == [(False, "butterfly")] * 2
+        assert list(results) == [(False, "mixed")] * 2
         # The installation is scoped to the run.
         assert active_config() is None
 
@@ -257,11 +283,10 @@ class TestBitIdentity:
         return spmd(int(np.prod(self.GRID)), prog)[0]
 
     def test_config_matches_equivalent_env(self, monkeypatch):
-        cfg = RuntimeConfig(overlap=False, tsqr_tree="butterfly")
+        cfg = RuntimeConfig(compute_dtype="float32")
         via_config = self._factors_and_core(config=cfg)
 
-        monkeypatch.setenv("REPRO_SPMD_OVERLAP", "0")
-        monkeypatch.setenv("REPRO_TSQR_TREE", "butterfly")
+        monkeypatch.setenv("REPRO_DTYPE", "float32")
         via_env = self._factors_and_core()
 
         assert via_config[0].tobytes() == via_env[0].tobytes()
@@ -282,7 +307,7 @@ class TestBitIdentity:
             assert u_plan.tobytes() == u_cfg.tobytes()
 
     def test_json_plan_replays_a_config(self):
-        cfg = RuntimeConfig(overlap=False, tsqr_tree="butterfly")
+        cfg = RuntimeConfig(compute_dtype="float32")
         via_json = self._factors_and_core(plan=cfg.to_json())
         via_config = self._factors_and_core(config=cfg)
         assert via_json[0].tobytes() == via_config[0].tobytes()

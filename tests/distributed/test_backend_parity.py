@@ -10,7 +10,7 @@ group-rank order), so any divergence is a transport bug, not roundoff.
 import numpy as np
 import pytest
 
-from repro.distributed import OVERLAP_ENV_VAR, DistTensor, dist_sthosvd
+from repro.distributed import DistTensor, dist_sthosvd
 from repro.mpi import SUM, CartGrid, run_spmd, shutdown_worker_pools
 from repro.tensor import low_rank_tensor
 from tests.conftest import recon_atol
@@ -187,32 +187,45 @@ class TestNonblockingParity:
             assert t.rank_costs(rank).messages == p.rank_costs(rank).messages
 
 
-class TestOverlapBitIdentity:
-    """The acceptance bar for the overlap knob: a 4-rank distributed
-    ST-HOSVD must produce bit-identical factors, core and ledger with
-    ``REPRO_SPMD_OVERLAP`` on and off, on both backends (the knob only
-    moves when communication is initiated, never what is computed)."""
+class TestRetiredKnobsAreInert:
+    """Each kernel runs one schedule.  An environment left over from an
+    older release (the schedule, TSQR-tree and wire-width knobs) must not
+    move a single bit of the factors, core or ledger on either backend."""
 
+    @pytest.mark.parametrize("method", ["gram", "svd"])
+    @pytest.mark.parametrize(
+        "env_var, value",
+        [
+            ("REPRO_SPMD_OVERLAP", "0"),
+            ("REPRO_TSQR_TREE", "butterfly"),
+            ("REPRO_WIRE_COMPRESS", "1"),
+        ],
+    )
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_dist_sthosvd_overlap_on_off(self, backend, monkeypatch):
-        x = low_rank_tensor((8, 6, 4), (3, 3, 2), seed=17, noise=0.03)
-        prog = _factors_prog(x, ranks=(3, 3, 2))
-        by_mode = {}
-        for mode in ("1", "0"):
-            # Fresh pool so process workers inherit the right env.
+    def test_stale_env_var_changes_nothing(
+        self, backend, env_var, value, method, monkeypatch
+    ):
+        x = low_rank_tensor((8, 6, 4), (3, 3, 2), seed=19, noise=0.03)
+        prog = _factors_prog(x, ranks=(3, 3, 2), method=method)
+        runs = []
+        for setting in (None, value):
+            # Fresh pool so process workers inherit the environment.
             shutdown_worker_pools()
-            monkeypatch.setenv(OVERLAP_ENV_VAR, mode)
-            by_mode[mode] = run_spmd(N_RANKS, prog, backend=backend)
+            if setting is None:
+                monkeypatch.delenv(env_var, raising=False)
+            else:
+                monkeypatch.setenv(env_var, setting)
+            runs.append(run_spmd(N_RANKS, prog, backend=backend))
         shutdown_worker_pools()
-        on, off = by_mode["1"], by_mode["0"]
-        for on_val, off_val in zip(on.values, off.values):
-            assert on_val[0].tobytes() == off_val[0].tobytes()  # core
-            for f_on, f_off in zip(on_val[1], off_val[1]):
-                assert f_on.tobytes() == f_off.tobytes()
-            assert on_val[2] == off_val[2]  # ranks
-        assert on.ledger.summary() == off.ledger.summary()
+        clean, stale = runs
+        for c_val, s_val in zip(clean.values, stale.values):
+            assert c_val[0].tobytes() == s_val[0].tobytes()  # core
+            for f_c, f_s in zip(c_val[1], s_val[1]):
+                assert f_c.tobytes() == f_s.tobytes()
+            assert c_val[2] == s_val[2]  # ranks
+        assert clean.ledger.summary() == stale.ledger.summary()
         for rank in range(N_RANKS):
-            a, b = on.ledger.rank_costs(rank), off.ledger.rank_costs(rank)
+            a, b = clean.ledger.rank_costs(rank), stale.ledger.rank_costs(rank)
             assert (a.time, a.words_sent, a.messages, a.flops) == (
                 b.time, b.words_sent, b.messages, b.flops
             )

@@ -189,6 +189,36 @@ class TestDistGram:
 
         assert all(spmd(6, prog).values)
 
+    @pytest.mark.parametrize("pn", [2, 3, 4, 5, 6])
+    def test_every_ring_length(self, pn):
+        # 13 rows give uneven block ranges on every ring length, odd and
+        # even: P_n - 1 peer blocks are in flight at once.
+        x = _x((13, 6), seed=31)
+
+        def prog(comm):
+            g = CartGrid(comm, (pn, 1))
+            dt = DistTensor.from_global(g, x)
+            start, stop = block_range(13, pn, g.coords[0])
+            return dist_gram(dt, 0), (start, stop)
+
+        expected = gram(x, 0)
+        for s_rows, (start, stop) in spmd(pn, prog):
+            np.testing.assert_allclose(s_rows, expected[start:stop], atol=1e-9)
+
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_ring_inside_a_3d_grid(self, mode):
+        x = _x((7, 6, 5), seed=32)
+
+        def prog(comm):
+            g = CartGrid(comm, (3, 2, 1))
+            dt = DistTensor.from_global(g, x)
+            start, stop = block_range(x.shape[mode], g.dims[mode], g.coords[mode])
+            return dist_gram(dt, mode), (start, stop)
+
+        expected = gram(x, mode)
+        for s_rows, (start, stop) in spmd(6, prog):
+            np.testing.assert_allclose(s_rows, expected[start:stop], atol=1e-9)
+
 
 class TestDistEvecs:
     def test_matches_sequential_eig(self):
@@ -290,33 +320,33 @@ class TestReduceScatterLayout:
             np.testing.assert_allclose(bl, ttm(x, v, mode), atol=1e-10)
 
 
-class TestTtmOverlap:
-    @pytest.mark.parametrize("mode", [0, 1, 2])
-    def test_blocked_overlap_bit_identical(self, mode):
-        x = _x((6, 9, 4), seed=45)
-
-        def prog(comm):
-            g = CartGrid(comm, (2, 3, 2))
-            dt = DistTensor.from_global(g, x)
-            v = np.random.default_rng(6).standard_normal((6, x.shape[mode]))
-            on = dist_ttm(dt, _v_local(dt, v, mode), mode, 6,
-                          strategy="blocked", overlap=True)
-            off = dist_ttm(dt, _v_local(dt, v, mode), mode, 6,
-                           strategy="blocked", overlap=False)
-            return on.local.tobytes() == off.local.tobytes()
-
-        assert all(spmd(12, prog).values)
-
-    def test_uneven_blocks_overlap(self):
+class TestTtmBlockedPipeline:
+    def test_uneven_blocks(self):
         x = _x((7, 5, 3), seed=46)
 
         def prog(comm):
             g = CartGrid(comm, (3, 1, 1))
             dt = DistTensor.from_global(g, x)
             v = np.random.default_rng(7).standard_normal((5, 7))
-            z = dist_ttm(dt, _v_local(dt, v, 0), 0, 5, strategy="blocked",
-                         overlap=True)
+            z = dist_ttm(dt, _v_local(dt, v, 0), 0, 5, strategy="blocked")
             return z.to_global(), v
 
         z, v = spmd(3, prog)[0]
         np.testing.assert_allclose(z, ttm(x, v, 0), atol=1e-10)
+
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_uneven_blocks_every_mode(self, mode):
+        # Every mode is split unevenly or not at all: the posted ireduce
+        # chain must land each block of Z on its owner whatever the mode.
+        x = _x((7, 5, 3), seed=47)
+        k = 4
+
+        def prog(comm):
+            g = CartGrid(comm, (3, 2, 1))
+            dt = DistTensor.from_global(g, x)
+            v = np.random.default_rng(8).standard_normal((k, x.shape[mode]))
+            z = dist_ttm(dt, _v_local(dt, v, mode), mode, k, strategy="blocked")
+            return z.to_global(), v
+
+        for z, v in spmd(6, prog):
+            np.testing.assert_allclose(z, ttm(x, v, mode), atol=1e-10)

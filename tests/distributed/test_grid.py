@@ -41,3 +41,35 @@ class TestChooseGrid:
     def test_machine_parameter_accepted(self):
         grid = choose_grid(12, (48, 48, 48), ranks=(12, 12, 12), machine=EDISON)
         assert prod(grid) == 12
+
+
+class TestToleranceDrivenGrid:
+    """``ranks=None``: the grid a ``--tol`` run is launched on."""
+
+    @pytest.mark.parametrize(
+        "shape, grid",
+        [
+            ((36, 36, 36, 11, 20), (1, 1, 1, 1, 2)),
+            ((20, 24, 16, 35, 16), (1, 1, 1, 2, 1)),
+            ((96, 96, 33, 40), (1, 1, 1, 2)),
+            ((24, 24, 16, 12), (1, 2, 1, 1)),
+        ],
+    )
+    def test_benchmark_shapes_keep_their_grids(self, shape, grid):
+        # The repo benchmark's tensors on two ranks: grids within the
+        # 10x rank guess exist, so they are the ones chosen.
+        assert choose_grid(2, shape) == grid
+
+    @pytest.mark.parametrize("shape", [(12, 10, 8), (16, 16, 16)])
+    @pytest.mark.parametrize("p", [2, 3, 4, 8])
+    def test_small_modes_still_get_a_grid(self, shape, p):
+        # Every mode is below 20, so the guess is rank 1 everywhere and no
+        # grid fits it; dist_sthosvd floors threshold ranks at P_n, so any
+        # grid that fits the tensor runs.
+        grid = choose_grid(p, shape)
+        assert prod(grid) == p
+        assert all(pn <= s for pn, s in zip(grid, shape))
+
+    def test_fixed_ranks_keep_the_strict_filter(self):
+        with pytest.raises(ValueError, match="no feasible grid"):
+            choose_grid(2, (12, 10, 8), ranks=(1, 1, 1))

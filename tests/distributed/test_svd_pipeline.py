@@ -1,26 +1,16 @@
-"""Bit-identity acceptance for the pipelined TSQR/SVD path.
+"""Backend bit-identity for the pipelined TSQR/SVD path.
 
 The SVD-method driver (``dist_sthosvd(method="svd")``) must produce
-bit-identical factors, core, ranks and ledger whatever the transport
-schedule: communication/computation overlap on or off, binary or
-butterfly TSQR tree, thread or process backend.  Only *when*
-communication is initiated (and, across trees, *which route* the
-triangles take) may change — never the data or the fold bracketing.
+bit-identical factors, core, ranks and ledger on the thread and process
+backends: only *how* the bytes move may differ, never the data, the fold
+bracketing or the charges.
 """
 
-import numpy as np
 import pytest
 
-from repro.distributed import (
-    OVERLAP_ENV_VAR,
-    TSQR_TREE_ENV_VAR,
-    DistTensor,
-    dist_mode_svd,
-    dist_sthosvd,
-)
-from repro.mpi import CartGrid, run_spmd, shutdown_worker_pools
+from repro.distributed import DistTensor, dist_sthosvd
+from repro.mpi import CartGrid, run_spmd
 from repro.tensor import low_rank_tensor
-from tests.conftest import spmd
 
 GRID = (2, 2, 1)
 N_RANKS = 4
@@ -29,15 +19,15 @@ N_RANKS = 4
 @pytest.fixture(autouse=True)
 def spmd_backend():
     """Override the package-level sweep: these tests pick their backends
-    explicitly (the sweep would square the config matrix)."""
+    explicitly."""
     return None
 
 
-def _svd_prog(x, **kwargs):
+def _svd_prog(x):
     def prog(comm):
         g = CartGrid(comm, GRID)
         dt = DistTensor.from_global(g, x)
-        t = dist_sthosvd(dt, ranks=(3, 3, 2), method="svd", **kwargs)
+        t = dist_sthosvd(dt, ranks=(3, 3, 2), method="svd")
         tucker = t.to_tucker()
         return tucker.core, tuple(tucker.factors), t.ranks
 
@@ -52,43 +42,9 @@ def _assert_same_bits(a, b):
 
 
 class TestSvdPathBitIdentity:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_overlap_and_tree_sweep(self, backend, monkeypatch):
-        x = low_rank_tensor((8, 6, 4), (3, 3, 2), seed=23, noise=0.03)
-        prog = _svd_prog(x)
-        results = {}
-        for overlap in ("1", "0"):
-            for tree in ("binary", "butterfly"):
-                # Fresh pool so process workers inherit the knobs.
-                shutdown_worker_pools()
-                monkeypatch.setenv(OVERLAP_ENV_VAR, overlap)
-                monkeypatch.setenv(TSQR_TREE_ENV_VAR, tree)
-                results[overlap, tree] = run_spmd(
-                    N_RANKS, prog, backend=backend
-                )
-        shutdown_worker_pools()
-        base = results["1", "binary"]
-        for res in results.values():
-            for base_val, val in zip(base.values, res.values):
-                _assert_same_bits(base_val, val)
-        # Overlap moves charges in time, never in size: for a fixed tree
-        # the ledgers must match exactly with the knob on and off.  (The
-        # trees themselves route different messages, so ledgers are only
-        # compared within a tree.)
-        for tree in ("binary", "butterfly"):
-            on, off = results["1", tree], results["0", tree]
-            assert on.ledger.summary() == off.ledger.summary()
-            for rank in range(N_RANKS):
-                a = on.ledger.rank_costs(rank)
-                b = off.ledger.rank_costs(rank)
-                assert (a.time, a.words_sent, a.messages, a.flops) == (
-                    b.time, b.words_sent, b.messages, b.flops
-                )
-
-    @pytest.mark.parametrize("tree", ["binary", "butterfly"])
-    def test_backends_bit_identical(self, tree):
+    def test_backends_bit_identical(self):
         x = low_rank_tensor((8, 6, 4), (3, 3, 2), seed=24, noise=0.02)
-        prog = _svd_prog(x, tsqr_tree=tree)
+        prog = _svd_prog(x)
         by_backend = {
             name: run_spmd(N_RANKS, prog, backend=name)
             for name in ("thread", "process")
@@ -105,26 +61,3 @@ class TestSvdPathBitIdentity:
             assert (a.time, a.words_sent, a.messages, a.flops) == (
                 b.time, b.words_sent, b.messages, b.flops
             )
-
-
-def _mode_svd_symmetric_prog(comm):
-    """A fully even configuration (even blocks, power-of-two grid and
-    butterfly): every rank must charge the identical cost."""
-    g = CartGrid(comm, GRID)
-    x = np.arange(8.0 * 6 * 4).reshape(8, 6, 4) / 100.0
-    dt = DistTensor.from_global(g, x)
-    u_local, _ = dist_mode_svd(dt, 0, rank=3, tree="butterfly")
-    return u_local.shape
-
-
-class TestSvdLedgerSymmetry:
-    def test_butterfly_mode_svd_charges_are_rank_symmetric(self):
-        res = spmd(N_RANKS, _mode_svd_symmetric_prog, backend="process")
-        rows = [res.ledger.rank_costs(r) for r in range(N_RANKS)]
-        reference = (
-            rows[0].time, rows[0].words_sent, rows[0].messages, rows[0].flops
-        )
-        for rank, row in enumerate(rows):
-            assert (
-                row.time, row.words_sent, row.messages, row.flops
-            ) == pytest.approx(reference), f"rank {rank} diverged"

@@ -5,7 +5,6 @@ import pytest
 
 from repro.distributed import DistTensor, dist_mode_svd, dist_sthosvd, tsqr_r
 from repro.distributed.layout import block_range, block_ranges
-from repro.distributed.tsqr import tsqr_tree
 from repro.mpi import CartGrid, SpmdError
 from repro.tensor import gram, low_rank_tensor, unfold
 from repro.tensor.eig import _fix_signs, eigendecompose
@@ -61,71 +60,38 @@ class TestTsqrR:
         with pytest.raises(SpmdError):
             spmd(2, prog)
 
-    def test_rejects_unknown_tree(self):
-        def prog(comm):
-            tsqr_r(comm, np.zeros((4, 2)), tree="ternary")
-
-        with pytest.raises(SpmdError, match="unknown TSQR tree"):
-            spmd(2, prog)
-
-    def test_tree_env_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TSQR_TREE", raising=False)
-        assert tsqr_tree() == "binary"
-        monkeypatch.setenv("REPRO_TSQR_TREE", "butterfly")
-        assert tsqr_tree() == "butterfly"
-        assert tsqr_tree("binary") == "binary"  # kwarg beats the env
-        monkeypatch.setenv("REPRO_TSQR_TREE", "bogus")
-        with pytest.raises(ValueError, match="unknown TSQR tree"):
-            tsqr_tree()
-
-
-class TestButterflyTree:
-    """The butterfly performs the same folds in the same bracketing as the
-    eliminate-and-broadcast tree, so the two variants must agree *bitwise*
-    on every rank — including non-power-of-two sizes, where the truncated
-    butterfly fans the finished R out to the ranks it leaves incomplete."""
-
     @pytest.mark.parametrize("p", [2, 3, 5, 8])
-    @pytest.mark.parametrize("overlap", [True, False])
-    def test_bitwise_parity_with_binary(self, p, overlap):
+    def test_every_rank_holds_identical_bytes(self, p):
         full = np.random.default_rng(40 + p).standard_normal((6 * p + 1, 5))
         rows = block_ranges(6 * p + 1, p)
 
-        def prog(comm, tree):
+        def prog(comm):
             start, stop = rows[comm.rank]
-            return tsqr_r(comm, full[start:stop], tree=tree, overlap=overlap)
+            return tsqr_r(comm, full[start:stop])
 
-        binary = spmd(p, prog, "binary")
-        butterfly = spmd(p, prog, "butterfly")
-        bits = {r.tobytes() for r in binary.values} | {
-            r.tobytes() for r in butterfly.values
-        }
-        assert len(bits) == 1  # every rank, both trees: identical bytes
+        res = spmd(p, prog)
+        assert len({r.tobytes() for r in res.values}) == 1
         expected = np.linalg.qr(full, mode="r")
         signs = np.sign(np.diag(expected))
         signs[signs == 0] = 1
         np.testing.assert_allclose(
-            butterfly.values[0], signs[:, None] * expected, atol=1e-10
+            res.values[0], signs[:, None] * expected, atol=1e-10
         )
 
     @pytest.mark.parametrize("p", [3, 5])
-    def test_parity_with_short_local_slabs(self, p):
+    def test_all_short_local_slabs_pad_at_the_end(self, p):
         # Fewer global rows than columns: every local R is short, so the
-        # trees stack true (unpadded) shapes all the way to the final pad.
+        # tree stacks true (unpadded) shapes all the way to the final pad.
         full = np.random.default_rng(50 + p).standard_normal((p + 2, 6))
         rows = block_ranges(p + 2, p)
 
-        def prog(comm, tree):
+        def prog(comm):
             start, stop = rows[comm.rank]
-            return tsqr_r(comm, full[start:stop], tree=tree)
+            return tsqr_r(comm, full[start:stop])
 
-        binary = spmd(p, prog, "binary")
-        butterfly = spmd(p, prog, "butterfly")
-        assert len(
-            {r.tobytes() for r in binary.values}
-            | {r.tobytes() for r in butterfly.values}
-        ) == 1
-        r = butterfly.values[0]
+        res = spmd(p, prog)
+        assert len({r.tobytes() for r in res.values}) == 1
+        r = res.values[0]
         assert r.shape == (6, 6)  # padded to n x n
         np.testing.assert_allclose(r.T @ r, full.T @ full, atol=1e-10)
 
@@ -142,7 +108,7 @@ class TestTsqrFlopsAccounting:
 
         def prog(comm):
             start, stop = (0, 2) if comm.rank == 0 else (2, 9)
-            tsqr_r(comm, full[start:stop], tree="binary")
+            tsqr_r(comm, full[start:stop])
 
         res = spmd(2, prog)
         n = self.N
@@ -152,18 +118,30 @@ class TestTsqrFlopsAccounting:
         # Rank 1: local QR only (it is eliminated in round one).
         assert res.ledger.rank_costs(1).flops == 2 * 7 * n * n
 
-    def test_butterfly_charges_true_stacked_shapes(self):
-        full = np.random.default_rng(61).standard_normal((9, self.N))
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 8])
+    def test_binary_tree_charges_every_node(self, p):
+        # Equal full slabs: every fold stacks two n x n triangles.  Rank r
+        # folds at round k while bit k of r is clear and partner r + 2^k
+        # exists; the broadcast of the final R adds no flops.
+        m, n = 6, self.N
+        full = np.random.default_rng(62).standard_normal((m * p, n))
 
         def prog(comm):
-            start, stop = (0, 2) if comm.rank == 0 else (2, 9)
-            tsqr_r(comm, full[start:stop], tree="butterfly")
+            tsqr_r(comm, full[comm.rank * m:(comm.rank + 1) * m])
 
-        res = spmd(2, prog)
-        n = self.N
-        fold = 2 * (2 + 4) * n * n  # both ranks fold the same true stack
-        assert res.ledger.rank_costs(0).flops == 2 * 2 * n * n + fold
-        assert res.ledger.rank_costs(1).flops == 2 * 7 * n * n + fold
+        def folds(rank):
+            count, step = 0, 1
+            while step < p and rank % (2 * step) == 0:
+                count += rank + step < p
+                step *= 2
+            return count
+
+        res = spmd(p, prog)
+        for rank in range(p):
+            assert res.ledger.rank_costs(rank).flops == (
+                2 * m * n * n + folds(rank) * 2 * (2 * n) * n * n
+            ), f"rank {rank}"
+        assert folds(0) == (p - 1).bit_length()
 
 
 class TestDistModeSvd:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.tensor import gram, gram_blocked, unfold
+from repro.tensor import gram, unfold
 
 
 class TestGram:
@@ -41,11 +41,8 @@ def gram_reference(x, mode):
 
 
 class TestOneKernel:
-    """``gram_blocked`` is the same function: the sequential drivers and
-    ``dist_gram`` share one layout-true kernel."""
-
-    def test_blocked_is_the_kernel(self):
-        assert gram_blocked is gram
+    """The sequential drivers and ``dist_gram`` share one layout-true
+    kernel."""
 
     @pytest.mark.parametrize("mode", [0, 1, 2, 3])
     def test_matches_definition(self, rng, mode):

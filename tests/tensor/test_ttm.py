@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.tensor import fold, multi_ttm, ttm, ttm_blocked, unfold
+from repro.tensor import fold, multi_ttm, ttm, unfold
 
 
 def ttm_reference(x, v, mode, transpose=False):
@@ -68,11 +68,8 @@ class TestTtmBasics:
 
 
 class TestOneKernel:
-    """``ttm_blocked`` is the same function: every caller, sequential or
-    distributed, runs one layout-true kernel."""
-
-    def test_blocked_is_the_kernel(self):
-        assert ttm_blocked is ttm
+    """Every caller, sequential or distributed, runs one layout-true
+    kernel."""
 
     @pytest.mark.parametrize("mode", [0, 1, 2, 3])
     def test_matches_definition(self, rng, mode):

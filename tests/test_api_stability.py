@@ -27,8 +27,8 @@ PUBLIC_API = {
         "modewise_error_curves", "error_bound",
     ],
     "repro.tensor": [
-        "Tensor", "unfold", "fold", "ttm", "ttm_blocked", "multi_ttm",
-        "gram", "gram_blocked", "eigendecompose", "leading_eigenvectors",
+        "Tensor", "unfold", "fold", "ttm", "multi_ttm",
+        "gram", "eigendecompose", "leading_eigenvectors",
         "rank_from_tolerance", "low_rank_tensor", "random_factor",
         "random_tensor",
     ],
@@ -94,3 +94,43 @@ def test_all_lists_are_accurate():
             assert hasattr(module, name), (
                 f"{module_name}.__all__ lists missing name {name}"
             )
+
+
+# Each kernel runs one schedule (pipelined ring, posted-ireduce blocked
+# TTM, binary TSQR tree, full-width wire).  The keywords that once chose
+# another must stay gone: an old call site should fail loudly, not be
+# silently accepted.
+RETIRED_KEYWORDS = {
+    "overlap", "pipelined", "tree", "tsqr_tree", "compress_wire",
+    "exploit_symmetry",
+}
+ONE_SCHEDULE_CALLABLES = [
+    ("repro.distributed", "dist_gram"),
+    ("repro.distributed", "dist_ttm"),
+    ("repro.distributed", "dist_mode_svd"),
+    ("repro.distributed", "tsqr_r"),
+    ("repro.distributed", "dist_sthosvd"),
+    ("repro.distributed", "dist_hooi"),
+    ("repro.distributed", "DistStreamingTucker"),
+    ("repro.distributed.sthosvd", "project_modes"),
+    ("repro.distributed.ring", "ring_exchange"),
+    ("repro.core", "sthosvd"),
+    ("repro.core", "hooi"),
+    ("repro.core", "StreamingTucker"),
+    ("repro.perfmodel", "plan_sthosvd"),
+]
+
+
+@pytest.mark.parametrize(
+    "module_name, name", ONE_SCHEDULE_CALLABLES,
+    ids=[f"{m}.{n}" for m, n in ONE_SCHEDULE_CALLABLES],
+)
+def test_no_schedule_keywords(module_name, name):
+    import inspect
+
+    obj = getattr(importlib.import_module(module_name), name)
+    params = set(inspect.signature(obj).parameters)
+    assert not params & RETIRED_KEYWORDS, (
+        f"{module_name}.{name} takes retired keyword(s) "
+        f"{sorted(params & RETIRED_KEYWORDS)}"
+    )

@@ -179,6 +179,65 @@ def test_bad_input_is_one_error_line(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("shape", [(12, 10, 8), (16, 16, 16)])
+def test_small_modes_compress_within_tol(tmp_path, shape):
+    # Every mode is below 20: no grid fits the planner's 10x rank guess,
+    # yet threshold ranks are floored at P_n, so the run is feasible.
+    tol = 1e-2
+    x = low_rank_tensor(shape, (3, 3, 2), seed=7, noise=1e-3)
+    src, out = tmp_path / "x.npy", tmp_path / "m.npz"
+    np.save(src, x)
+    assert main(
+        ["compress", str(src), str(out), "--tol", str(tol), "--parallel", "2"]
+    ) == 0
+    t, meta = load_tucker(out)
+    assert meta["parallel"]["ranks"] == 2
+    err = np.linalg.norm(x - t.reconstruct()) / np.linalg.norm(x)
+    assert err <= tol
+
+
+#: What ``repro-tucker plan ... --json`` printed before the ``overlap``,
+#: ``tsqr_tree`` and ``compress_wire`` knobs were removed.
+STALE_PLAN = (
+    '{"arena": true, "backend": "thread", "compress_wire": false, '
+    '"compute_dtype": "float64", "deadline": 0.0, "faults": "", '
+    '"hugepages": "auto", "max_worlds": 0, "overlap": true, "pool": true, '
+    '"retry": 1, "sanitize": 0, "shm_budget": 0, "timeout": 120.0, '
+    '"tsqr_tree": "binary", "window_slot": 0, "windows": true}'
+)
+
+
+@pytest.mark.parametrize("via_env", [False, True])
+@pytest.mark.parametrize(
+    "plan, message",
+    [
+        (STALE_PLAN, "compress_wire, overlap, tsqr_tree"),
+        ("[1, 2]", "must be a mapping"),
+        ("{not json", "invalid RuntimeConfig JSON"),
+    ],
+    ids=["stale", "not-an-object", "not-json"],
+)
+def test_bad_plan_is_one_error_line_before_launch(
+    field, tmp_path, capsys, monkeypatch, plan, message, via_env
+):
+    src, _ = field
+    monkeypatch.setattr(
+        repro.mpi, "run_spmd",
+        lambda *a, **k: pytest.fail("a rank was launched on a bad plan"),
+    )
+    out = tmp_path / "out.npz"
+    argv = ["compress", str(src), str(out), "--tol", "1e-2", "--parallel", "2"]
+    if via_env:
+        monkeypatch.setenv("REPRO_PLAN", plan)
+    else:
+        argv += ["--plan", plan]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --plan:") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
+
+
 def test_summary_reports_the_files_real_bytes(tmp_path, capsys):
     x = low_rank_tensor((12, 10, 8), (3, 3, 2), seed=1).astype(np.float32)
     np.save(tmp_path / "x.npy", x)

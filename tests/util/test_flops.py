@@ -63,9 +63,3 @@ class TestGramFlops:
     def test_matches_syrk(self):
         shape = (4, 5, 6)
         assert gram_flops(shape, 0) == syrk_flops(4, 30)
-
-    def test_symmetric_variant(self):
-        shape = (4, 5, 6)
-        assert gram_flops(shape, 0, exploit_symmetry=True) == syrk_flops(
-            4, 30, exploit_symmetry=True
-        )
