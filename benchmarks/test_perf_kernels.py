@@ -14,6 +14,12 @@ repo root so the perf trajectory is visible across PRs:
   materialised ``unfold(x, n).T`` at the rank-local step shapes of
   ``cli-tjlr`` and at 36 x 427680 (recorded only, as above.  Asserted:
   ``|R|`` agrees);
+* ``reconstruct_order`` — the reconstruction chains of the three gated
+  workloads' models in increasing mode order vs ``chain_order``, with
+  each chain's flops; ``ttm_first_mode`` — the first-mode product in
+  512 KB column panels vs one dgemm over the whole view, at every
+  first-mode step of those workloads (both recorded only, as above.
+  Asserted: the two sides agree);
 * ``dist_sthosvd_mixed`` — the end-to-end tolerance-driven driver under
   ``compute_dtype="mixed"`` vs the float64 default: float32
   Gram/TSQR/TTM words and flops, same truncation decisions on a problem
@@ -44,7 +50,17 @@ from repro.distributed import DistTensor, dist_sthosvd
 from repro.mpi import CartGrid, ProcessBackend, run_spmd, shutdown_worker_pools
 from repro.mpi.backends import POOL_ENV_VAR
 from repro.mpi.process_transport import ARENA_ENV_VAR, WINDOWS_ENV_VAR
-from repro.tensor import gram, low_rank_tensor, qr_r, ttm, unfold
+from repro.tensor import (
+    gram,
+    low_rank_tensor,
+    multi_ttm,
+    qr_r,
+    random_factor,
+    random_tensor,
+    ttm,
+    unfold,
+)
+from repro.tensor.ttm import chain_order
 
 from benchmarks.conftest import table
 
@@ -259,6 +275,107 @@ def test_qr_layout_vs_unfold_copy(benchmark):
                   "unfold + qr", rows)
     _record("qr_layout", {"reference": "unfold copy + np.linalg.qr",
                           "rows": rows})
+
+
+#: The models the repo benchmark's three gated workloads compress to (tol
+#: 1e-3): ``(ranks, shape)``, the reconstruction chain's extents.
+_MODELS = {
+    "seq-hcci": ((40, 38, 28, 10), (96, 96, 33, 40)),
+    "dist-sp": ((6, 9, 8, 7, 12), (36, 36, 36, 11, 20)),
+    "cli-tjlr": ((14, 8, 11, 35, 16), (20, 24, 16, 35, 16)),
+}
+
+
+def _chain_mflop(ranks, shape, order):
+    sizes, flops = list(ranks), 0
+    for m in order:
+        flops += 2 * shape[m] * int(np.prod(sizes))
+        sizes[m] = shape[m]
+    return flops / 1e6
+
+
+def _order_rows():
+    """Per model: paired in-process medians of the reconstruction chain in
+    increasing mode order and in ``chain_order``."""
+    rows = []
+    for workload, (ranks, shape) in _MODELS.items():
+        core = random_tensor(ranks, seed=len(rows))
+        factors = [random_factor(s, r, seed=n)
+                   for n, (s, r) in enumerate(zip(shape, ranks))]
+        natural = tuple(range(len(shape)))
+        chosen = chain_order(
+            (m, r, s) for m, (r, s) in enumerate(zip(ranks, shape))
+        )
+        want = multi_ttm(core, factors, order=natural)
+        np.testing.assert_allclose(
+            multi_ttm(core, factors), want,
+            rtol=0, atol=1e-12 * float(np.abs(want).max()),
+        )
+        del want
+        natural_sec, chosen_sec = [], []
+        for _ in range(_LAUNCHES):
+            for order, out in ((natural, natural_sec), (None, chosen_sec)):
+                start = time.perf_counter()
+                multi_ttm(core, factors, order=order)
+                out.append(time.perf_counter() - start)
+        stats = _gain_stats(natural_sec, chosen_sec)
+        rows.append({"workload": workload, "ranks": list(ranks),
+                     "shape": list(shape), "order": chosen,
+                     "natural_mflop": _chain_mflop(ranks, shape, natural),
+                     "order_mflop": _chain_mflop(ranks, shape, chosen),
+                     "natural": stats["base_sec"], "ordered": stats["variant_sec"],
+                     "gain": stats["gain"], "gain_min": stats["gain_min"],
+                     "gain_max": stats["gain_max"]})
+    return rows
+
+
+def test_reconstruct_chain_order_vs_increasing(benchmark):
+    rows = benchmark.pedantic(_order_rows, rounds=1, iterations=1)
+    table(
+        f"reconstruction chain: increasing mode order vs chain_order "
+        f"(median of {_LAUNCHES}, paired, one process)",
+        ["workload", "order", "MFLOP", "increasing", "ordered", "gain"],
+        [[r["workload"], "".join(map(str, r["order"])),
+          f"{r['natural_mflop']:.0f}->{r['order_mflop']:.0f}",
+          r["natural"], r["ordered"], r["gain"]] for r in rows],
+    )
+    _record("reconstruct_order", {"reference": "increasing mode order",
+                                  "rows": rows})
+
+
+#: Every first-mode product of the three workloads' chains: the first
+#: ST-HOSVD step (``seq-hcci``, ``dist-sp`` rank-local, ``cli-tjlr``
+#: rank-local) and the mode-0 step of each reconstruction chain in
+#: ``chain_order`` — ``(working shape, 0, output extent)``.
+_FIRST_MODE_SHAPES = {
+    "seq-hcci": [((96, 96, 33, 40), 0, 40), ((40, 38, 33, 10), 0, 96)],
+    "dist-sp": [((36, 36, 36, 11, 10), 0, 6), ((6, 36, 36, 11, 20), 0, 36)],
+    "cli-tjlr": [((20, 24, 16, 18, 16), 0, 14), ((14, 8, 11, 35, 16), 0, 20)],
+}
+
+
+def _ttm_one_dgemm(x, u, mode):
+    """The first-mode product the kernel ran before it walked panels: one
+    dgemm over the whole ``(I_n, trail)`` view."""
+    rows, k = x.shape[0], u.shape[1]
+    out = np.empty((k,) + x.shape[1:], order="F")
+    np.matmul(u.T, np.reshape(x, (rows, -1), order="F"),
+              out=np.reshape(out, (k, -1), order="F"))
+    return out
+
+
+def test_ttm_first_mode_panels_vs_one_dgemm(benchmark):
+    rows = benchmark.pedantic(
+        lambda: _layout_rows(
+            lambda x, u, mode: ttm(x, u, mode, transpose=True), _ttm_one_dgemm,
+            _FIRST_MODE_SHAPES,
+        ),
+        rounds=1, iterations=1,
+    )
+    _layout_table("ttm first mode: 512 KB panels vs one dgemm", "one dgemm",
+                  rows)
+    _record("ttm_first_mode", {"reference": "one dgemm on the (I_n, trail) view",
+                               "rows": rows})
 
 
 def _sthosvd_dtype_prog(comm, x, tol, iters):

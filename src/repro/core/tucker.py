@@ -91,7 +91,9 @@ class TuckerTensor:
         matrix: a ``slice``, an integer index (that mode is kept with size
         1), an explicit index sequence, or ``None`` for the whole mode.  The
         cost scales with the *subtensor* size, never the full tensor: only
-        the selected factor rows enter the TTM chain.
+        the selected factor rows enter the TTM chain, and the chain runs its
+        shrinking steps first (:func:`~repro.tensor.ttm.chain_order`), so no
+        intermediate is larger than the core or the subtensor.
 
         Examples
         --------

@@ -136,7 +136,9 @@ def multiway_field(
             basis_rng = rng_for(seed, "multiway_field_basis", n, shape[n])
             q, _ = np.linalg.qr(basis_rng.standard_normal((shape[n], shape[n])))
             bases.append(q)
-    x = multi_ttm(core, bases, transpose=False)
+    # The modes in increasing order, explicitly: the sequence defines the
+    # data, whatever order reconstruction prefers.
+    x = multi_ttm(core, bases, transpose=False, order=range(n_modes))
 
     if bursts < 0:
         raise ValueError(f"bursts must be non-negative, got {bursts}")

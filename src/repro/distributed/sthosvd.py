@@ -34,6 +34,7 @@ from repro.distributed.tsqr import dist_mode_svd
 from repro.distributed.ttm import dist_ttm
 from repro.mpi.reduce_ops import SUM
 from repro.tensor.eig import EigResult
+from repro.tensor.ttm import chain_order
 from repro.util.validation import check_shape_like
 
 
@@ -189,9 +190,14 @@ def reconstruct_modes(
 ) -> DistTensor:
     """``y x_m U^(m)`` for ``m`` in ``modes``: the reconstruction direction
     of Sec. IV-B, the gathered factor's columns blocked by this rank's
-    local core extent."""
-    for m in modes:
-        u = gather_rows(y.grid, m, factors_local[m])
+    local core extent.  The products run in the flop-minimal
+    :func:`~repro.tensor.ttm.chain_order` of the global extents, the same
+    on every rank."""
+    full = {m: gather_rows(y.grid, m, factors_local[m]) for m in modes}
+    for m in chain_order(
+        (m, y.global_shape[m], u.shape[0]) for m, u in full.items()
+    ):
+        u = full.pop(m)
         start, stop = block_range(
             y.global_shape[m], y.grid.dims[m], y.grid.coords[m]
         )

@@ -57,6 +57,12 @@ def fold(matrix: np.ndarray, mode: int, shape: Sequence[int]) -> np.ndarray:
     return np.moveaxis(np.reshape(matrix, moved, order="F"), 0, mode)
 
 
+#: Bytes of one cache-sized working piece of the local kernels: the
+#: column panel of a first-mode ``ttm``, the packed sub-block panel of an
+#: interior-mode ``gram`` and the row chunk of ``qr_r``.  Why it is one
+#: constant and not a knob: the README's "Local kernels" tables.
+PANEL_BYTES = 512 * 1024
+
 #: float32 elements widened to float64 per step of :func:`norm_sq`.
 _NORM_CHUNK = 1 << 16
 

@@ -13,7 +13,8 @@ the unfolding: on the Fortran buffer viewed as ``(lead, I_n, trail)``
   sub-blocks (Fig. 3b) and ``S`` is the sum of their ``block^T block``
   (the paper's multiple-dsyrk strategy).  One syrk per sub-block is 7-20x
   too slow when the blocks are skinny, so consecutive sub-blocks are
-  stacked into one reused panel of :data:`PANEL_BYTES` and each panel is
+  stacked into one reused panel of
+  :data:`~repro.tensor.dense.PANEL_BYTES` and each panel is
   one syrk; a single sub-block already that large is multiplied where it
   lies.  Nothing tensor-sized is ever allocated.
 
@@ -33,11 +34,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.tensor.dense import Tensor, as_ndarray, fortran_view
+from repro.tensor.dense import PANEL_BYTES, Tensor, as_ndarray, fortran_view
 from repro.util.validation import check_axis, prod
-
-#: Bytes of contiguous sub-blocks packed into the scratch panel per syrk.
-PANEL_BYTES = 512 * 1024
 
 #: Shortest sub-block column (in words) still packed as one contiguous run.
 _MIN_RUN = 16

@@ -8,8 +8,9 @@ matrix squares away.  There is one kernel, the third beside
 like them it never builds the unfolding: on the Fortran buffer viewed as
 ``(lead, I_n, trail)`` a row of ``Y_(n)^T`` is one ``I_n``-vector
 ``flat[l, :, t]``, rows counted with ``l`` fastest.  The kernel walks
-those rows in chunks of :data:`CHUNK_BYTES`, transposes each chunk in
-cache into one reused column-major ``(rows, I_n)`` scratch and folds it
+those rows in chunks of :data:`~repro.tensor.dense.PANEL_BYTES`,
+transposes each chunk in cache into one reused column-major
+``(rows, I_n)`` scratch and folds it
 into the running ``I_n x I_n`` triangle with LAPACK's
 triangular-pentagonal QR (``?geqrt`` for the first chunk, ``?tpqrt`` with
 ``l = 0`` after): the Householder work is blocked (BLAS-3) on operands
@@ -26,7 +27,7 @@ as a matrix all return the same bits.
 
 Why the chunk and the panel width are constants and not knobs: the chunk
 only has to amortise a LAPACK call and stay in cache beside the triangle
-(512 KB, as for :data:`repro.tensor.gram.PANEL_BYTES`), and ``?geqrt`` /
+(512 KB, the Gram panel and the first-mode TTM panel), and ``?geqrt`` /
 ``?tpqrt`` recurse inside a panel, so a narrow one costs nothing;
 measured at the views the drivers produce, chunks of 256 KB to 1 MB and
 widths of 2 to 8 are one plateau and everything outside it loses on the
@@ -38,12 +39,15 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from repro.tensor.dense import Tensor, as_ndarray, fortran_view, match_dtype
+from repro.tensor.dense import (
+    PANEL_BYTES,
+    Tensor,
+    as_ndarray,
+    fortran_view,
+    match_dtype,
+)
 from repro.tensor.eig import EigResult, _fix_signs
 from repro.util.validation import check_axis, prod
-
-#: Bytes of ``Y_(n)^T`` rows transposed into the scratch per LAPACK call.
-CHUNK_BYTES = 512 * 1024
 
 #: Householder panel width handed to ``?geqrt`` / ``?tpqrt``.
 PANEL_WIDTH = 8
@@ -57,9 +61,10 @@ _LAPACK = {
 
 
 def chunk_rows(n: int, itemsize: int) -> int:
-    """Rows of ``Y_(n)^T`` per chunk: :data:`CHUNK_BYTES` worth, and never
-    fewer than ``n`` so the first chunk already yields a full triangle."""
-    return max(n, CHUNK_BYTES // (max(n, 1) * itemsize))
+    """Rows of ``Y_(n)^T`` per chunk: :data:`~repro.tensor.dense.PANEL_BYTES`
+    worth, and never fewer than ``n`` so the first chunk already yields a
+    full triangle."""
+    return max(n, PANEL_BYTES // (max(n, 1) * itemsize))
 
 
 def copy_unfolding_rows(

@@ -62,7 +62,9 @@ def low_rank_tensor(
         random_factor(s, r, seed=seed + 17 * (i + 1))
         for i, (s, r) in enumerate(zip(shape, ranks))
     ]
-    x = multi_ttm(core, factors, transpose=False)
+    # The modes in increasing order, explicitly: the sequence defines the
+    # data, whatever order reconstruction prefers.
+    x = multi_ttm(core, factors, transpose=False, order=range(len(shape)))
     if noise < 0:
         raise ValueError(f"noise must be non-negative, got {noise}")
     if noise > 0:

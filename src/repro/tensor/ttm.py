@@ -7,7 +7,15 @@ There is one kernel, and it never permutes the tensor: the paper's layout
 ``trail`` of those after — already is the operand BLAS needs:
 
 * ``lead == 1`` (the first mode): the ``(I_n, trail)`` view is one
-  column-major matrix and the whole product is one dgemm.
+  column-major matrix, walked in column panels of
+  :data:`~repro.tensor.dense.PANEL_BYTES` (counted on the wider of the
+  operand and result panel), one dgemm each, written straight into the
+  result's columns.  A single dgemm of this shape — a few dozen rows,
+  hundreds of thousands of columns — runs far below the machine's dgemm
+  rate; a panel's operands stay in cache.  A column split changes no
+  element's sum; on the benchmark's shapes the panels return the one
+  dgemm's bits, though BLAS may pick another micro-kernel for a small
+  panel than for the whole view, which can move the last bit.
 * otherwise: each of the ``trail`` slices is one contiguous ``lead x I_n``
   sub-block (Fig. 3b) and ``block @ V^T`` is its dgemm; one stacked
   ``matmul`` issues them all from C, written straight into the result's
@@ -20,16 +28,30 @@ There is one kernel, and it never permutes the tensor: the paper's layout
 Every caller — the sequential drivers, reconstruction, the baselines and
 the distributed Alg. 3 — runs this function.  ``multi_ttm`` applies a
 sequence of factor matrices along multiple modes, optionally skipping one
-(the HOOI inner step ``X x {U^T}_{m != n}``).
+(the HOOI inner step ``X x {U^T}_{m != n}``), by default in the
+flop-minimal order of :func:`chain_order`.  A step that takes a mode's
+extent from ``a`` to ``b`` costs ``2 b |Y|`` flops on the working tensor
+``Y`` and scales ``|Y|`` by ``b / a``; exchanging two adjacent steps shows
+that the total is least with the steps sorted ascending on ``1/a - 1/b``.
+Shrinking steps (projections, the row selections of a partial
+reconstruction) therefore run first and expanding ones last, so no
+intermediate is larger than the chain's input or its output.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from fractions import Fraction
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.tensor.dense import Tensor, as_ndarray, fortran_view, match_dtype
+from repro.tensor.dense import (
+    PANEL_BYTES,
+    Tensor,
+    as_ndarray,
+    fortran_view,
+    match_dtype,
+)
 from repro.util.validation import check_axis, prod
 
 
@@ -89,11 +111,17 @@ def ttm(
     # V^T, C-contiguous: the right-hand operand of every sub-block's dgemm.
     vt = np.ascontiguousarray(v if transpose else v.T)
     if lead == 1:
-        np.matmul(
-            vt.T,
-            np.reshape(src, (rows, trail), order="F"),
-            out=np.reshape(dst, (k, trail), order="F"),
-        )
+        mat = np.reshape(src, (rows, trail), order="F")
+        res = np.reshape(dst, (k, trail), order="F")
+        # Never a one-column panel (a one-column remainder joins the panel
+        # before it): NumPy hands a single column to gemv, whose sums
+        # associate differently from the dgemm's.
+        width = max(2, PANEL_BYTES // (max(rows, k, 1) * src.itemsize))
+        start = 0
+        while start < trail:
+            stop = trail if trail - start <= width + 1 else start + width
+            np.matmul(vt.T, mat[:, start:stop], out=res[:, start:stop])
+            start = stop
     else:
         np.matmul(
             np.reshape(src, (lead, rows, trail), order="F").transpose(2, 0, 1),
@@ -101,6 +129,24 @@ def ttm(
             out=np.reshape(dst, (lead, k, trail), order="F").transpose(2, 0, 1),
         )
     return out
+
+
+def chain_order(steps: Iterable[tuple[int, int, int]]) -> list[int]:
+    """The modes of a TTM chain in its flop-minimal order.
+
+    ``steps`` holds one ``(mode, a, b)`` per product, taking that mode's
+    extent from ``a`` to ``b``.  The modes come back sorted ascending on
+    ``1/a - 1/b`` (exact rationals, so the order never depends on
+    rounding), ties broken by mode; a step with an empty extent empties the
+    tensor and goes first.  Every rank of a distributed chain that passes
+    the same global extents gets the same order.
+    """
+
+    def key(step: tuple[int, int, int]) -> tuple[Fraction, int]:
+        mode, a, b = step
+        return (Fraction(b - a, a * b) if a and b else Fraction(-1), mode)
+
+    return [mode for mode, _, _ in sorted(steps, key=key)]
 
 
 def multi_ttm(
@@ -123,8 +169,9 @@ def multi_ttm(
         direction used throughout ST-HOSVD and HOOI.
     order:
         Sequence in which modes are processed.  The result is independent of
-        order (mode products commute across distinct modes) but cost is not;
-        defaults to increasing mode.
+        order (mode products commute across distinct modes) up to rounding,
+        but cost is not: by default the modes run in the flop-minimal
+        :func:`chain_order`.
     """
     arr = as_ndarray(x)
     n_modes = arr.ndim
@@ -132,11 +179,17 @@ def multi_ttm(
         raise ValueError(
             f"need one matrix per mode ({n_modes}), got {len(matrices)}"
         )
-    modes = list(range(n_modes)) if order is None else [
-        check_axis(m, n_modes, "order entry") for m in order
-    ]
-    if order is not None and sorted(modes) != list(range(n_modes)):
-        raise ValueError(f"order {order} is not a permutation of modes")
+    if order is None:
+        modes = chain_order(
+            (m, arr.shape[m],
+             _check_ttm_shapes(arr.shape, np.asarray(v), m, transpose))
+            for m, v in enumerate(matrices)
+            if m != skip and v is not None
+        )
+    else:
+        modes = [check_axis(m, n_modes, "order entry") for m in order]
+        if sorted(modes) != list(range(n_modes)):
+            raise ValueError(f"order {order} is not a permutation of modes")
     result = arr
     for m in modes:
         if m == skip or matrices[m] is None:

@@ -117,6 +117,29 @@ class TestDistTuckerObject:
 
         assert all(spmd(6, prog).values)
 
+    @pytest.mark.parametrize("grid_dims", [(2, 3, 1), (1, 2, 2), (2, 1, 2)])
+    def test_reconstruct_distributed_in_chain_order(self, grid_dims):
+        # Every rank derives the same flop-minimal order from the global
+        # extents: the result is the sequential reconstruction to rounding,
+        # and every rank is charged the same words and messages (flops
+        # follow the local block, uneven where P_n does not divide R_n).
+        x = low_rank_tensor((8, 6, 4), (4, 3, 2), seed=10, noise=0.02)
+
+        def prog(comm):
+            g = CartGrid(comm, grid_dims)
+            t = dist_sthosvd(DistTensor.from_global(g, x), ranks=(4, 3, 2))
+            row = comm.ledger.rank_costs(comm.world_rank)  # live counters
+            before = (row.words_sent, row.messages)
+            rec = t.reconstruct_distributed()
+            spent = (row.words_sent - before[0], row.messages - before[1])
+            return rec.to_global(), t.to_tucker().reconstruct(), spent
+
+        res = spmd(int(np.prod(grid_dims)), prog)
+        spent = {r[2] for r in res.values}
+        assert len(spent) == 1 and min(next(iter(spent))) > 0
+        for dist_rec, seq_rec, _ in res.values:
+            np.testing.assert_allclose(dist_rec, seq_rec, rtol=0, atol=1e-12)
+
     def test_shape_and_compression(self):
         x = low_rank_tensor((8, 6, 4), (3, 3, 2), seed=8, noise=0.02)
 

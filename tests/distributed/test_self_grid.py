@@ -16,8 +16,7 @@ from repro.core import StreamingTucker, hooi, sthosvd
 from repro.distributed import DistTensor, dist_hooi, dist_sthosvd, self_grid
 from repro.mpi import CartGrid, available_backends
 from repro.tensor import low_rank_tensor
-from repro.tensor.dense import norm_sq
-from repro.tensor.gram import PANEL_BYTES
+from repro.tensor.dense import PANEL_BYTES, norm_sq
 from tests.conftest import spmd
 from tests.reference import st_hosvd
 

@@ -8,7 +8,9 @@ multiply or factorize it — so an agreement is an agreement with the
 ``X_(n)^T = Q R``, not with a second copy of the kernel.
 """
 
+import importlib
 import tracemalloc
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -17,11 +19,15 @@ from hypothesis import given, settings, strategies as st
 from repro.core import sthosvd
 from repro.distributed import DistTensor, dist_mode_svd, dist_sthosvd, dist_ttm
 from repro.mpi import CartGrid, available_backends
-from repro.tensor import fold, gram, low_rank_tensor, qr_r, ttm, unfold
-from repro.tensor.gram import PANEL_BYTES
-from repro.tensor.qr import CHUNK_BYTES, chunk_rows, full_triangle, spectrum_from_r
+from repro.tensor import fold, gram, low_rank_tensor, multi_ttm, qr_r, ttm, unfold
+from repro.tensor.dense import PANEL_BYTES
+from repro.tensor.qr import chunk_rows, full_triangle, spectrum_from_r
+from repro.tensor.ttm import chain_order
 from repro.util.seeding import rng_for
 from tests.conftest import spmd
+
+# The module, not the function ``repro.tensor`` exports under its name.
+ttm_module = importlib.import_module("repro.tensor.ttm")
 
 shapes = st.lists(st.integers(1, 5), min_size=1, max_size=5).map(tuple)
 dtypes = st.sampled_from([np.float64, np.float32])
@@ -290,14 +296,116 @@ def test_c_order_is_the_reversed_fortran_tensor(rng):
         assert qr_r(x, mode).tobytes() == qr_r(x.T, mirrored).tobytes()
 
 
+@given(
+    shape=st.lists(st.integers(1, 6), min_size=2, max_size=4).map(tuple),
+    seed=st.integers(0, 2**16), new_dim=st.integers(1, 7),
+    panel_cols=st.integers(1, 5), transpose=st.booleans(), dtype=dtypes,
+    layout=layouts,
+)
+@settings(max_examples=150, deadline=None)
+def test_first_mode_ttm_in_many_panels_matches_definition(
+    shape, seed, new_dim, panel_cols, transpose, dtype, layout
+):
+    # The panel shrunk to a few columns, so the (I_n, trail) view spans
+    # many panels and usually ends in a ragged one.  The kernel's first
+    # mode is the tensor's mode 0, or the last mode of a C-ordered tensor
+    # (the reversed view's first).
+    x = tensor_in(layout, shape, dtype, seed)
+    mode = len(shape) - 1 if layout == "C" else 0
+    v = matrix_in("plain", new_dim, shape[mode], seed)
+    wider = max(shape[mode], new_dim) * np.dtype(dtype).itemsize
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ttm_module, "PANEL_BYTES", panel_cols * wider)
+        y = ttm(x, v.T if transpose else v, mode, transpose=transpose)
+    assert y.dtype == dtype
+    assert_owned_in_layout_of(y, x)
+    np.testing.assert_allclose(
+        y, ttm_reference(x.astype(np.float64), v, mode),
+        rtol=0, atol=25 * tolerance(dtype, shape[mode]),
+    )
+
+
+def test_first_mode_panels_never_hand_blas_a_single_column(rng):
+    # NumPy sends a one-column product to gemv, whose sums associate
+    # differently; the walk never makes one (a width of 1 becomes 2, and
+    # 130 columns in panels of 3 end in a panel of 4, not 43 x 3 + 1), so
+    # on this view every width returns the bits of one dgemm.
+    x = np.asfortranarray(rng.standard_normal((7, 10, 13)))
+    v = rng.standard_normal((5, 7))
+    whole = np.empty((5, 10, 13), order="F")
+    np.matmul(np.ascontiguousarray(v.T).T, np.reshape(x, (7, 130), order="F"),
+              out=np.reshape(whole, (5, 130), order="F"))
+    for cols in (1, 2, 3, 43, 129, 200):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ttm_module, "PANEL_BYTES", cols * 7 * 8)
+            assert ttm(x, v, 0).tobytes() == whole.tobytes()
+
+
+def chain_flops(steps, order):
+    """Flops of the TTM chain ``steps[m] = (a_m, b_m)`` run in ``order``."""
+    sizes, total = [a for a, _ in steps], 0
+    for m in order:
+        total += 2 * steps[m][1] * int(np.prod(sizes))
+        sizes[m] = steps[m][1]
+    return total
+
+
+extents = st.lists(
+    st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=1, max_size=5
+)
+
+
+@given(steps=extents)
+@settings(max_examples=300, deadline=None)
+def test_default_chain_order_is_flop_minimal(steps):
+    order = chain_order((m, a, b) for m, (a, b) in enumerate(steps))
+    assert sorted(order) == list(range(len(steps)))
+    best = min(
+        chain_flops(steps, p) for p in permutations(range(len(steps)))
+    )
+    assert chain_flops(steps, order) == best
+
+
+@given(
+    steps=st.lists(
+        st.tuples(st.integers(1, 6), st.integers(1, 6)), min_size=1,
+        max_size=5,
+    ),
+    seed=st.integers(0, 2**16), transpose=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_multi_ttm_runs_the_chain_order_and_any_order_agrees(
+    steps, seed, transpose
+):
+    rng = rng_for(seed, "chain", tuple(steps))
+    x = np.asfortranarray(rng.standard_normal([a for a, _ in steps]))
+    mats = [rng.standard_normal((b, a)) for a, b in steps]
+    given_mats = [m.T for m in mats] if transpose else mats
+    ran = []
+
+    def recording_ttm(y, v, mode, transpose=False):
+        ran.append(mode)
+        return ttm(y, v, mode, transpose)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ttm_module, "ttm", recording_ttm)
+        want = multi_ttm(x, given_mats, transpose=transpose)
+    assert ran == chain_order((m, a, b) for m, (a, b) in enumerate(steps))
+    scale = max(1.0, float(np.abs(want).max()))
+    for order in permutations(range(len(steps))):
+        np.testing.assert_allclose(
+            multi_ttm(x, given_mats, transpose=transpose, order=order), want,
+            rtol=0, atol=1e-12 * scale,
+        )
+
+
 class TestNoTensorSizedTemporary:
     """No kernel may allocate anything that scales with the tensor beyond
-    its result: the budget is 1 MB of slack plus the Gram panel (the QR
-    chunk is the same size)."""
+    its result: the budget is 1 MB of slack plus one panel (the Gram panel
+    and the QR chunk are that size)."""
 
     SHAPE = (128, 128, 128)  # 16 MiB of float64
     BUDGET = (1 << 20) + PANEL_BYTES
-    assert CHUNK_BYTES == PANEL_BYTES
 
     @pytest.fixture(scope="class")
     def big(self):
@@ -321,6 +429,17 @@ class TestNoTensorSizedTemporary:
     def test_ttm(self, big, mode):
         u = np.random.default_rng(4).standard_normal((self.SHAPE[mode], 8))
         y, peak = self.peak_of(lambda: ttm(big, u, mode, transpose=True))
+        assert peak - y.nbytes < self.BUDGET, (peak, y.nbytes)
+
+    def test_ttm_first_mode_expanding(self):
+        # The reconstruction direction: few rows in, many out, every panel
+        # written straight into the result.
+        x = np.asfortranarray(
+            np.random.default_rng(5).standard_normal((6, 64, 512))
+        )
+        v = np.random.default_rng(6).standard_normal((36, 6))
+        y, peak = self.peak_of(lambda: ttm(x, v, 0))
+        assert y.shape == (36, 64, 512)
         assert peak - y.nbytes < self.BUDGET, (peak, y.nbytes)
 
     @pytest.mark.parametrize("mode", [0, 1, 2])
