@@ -20,6 +20,13 @@ repo root so the perf trajectory is visible across PRs:
   512 KB column panels vs one dgemm over the whole view, at every
   first-mode step of those workloads (both recorded only, as above.
   Asserted: the two sides agree);
+* ``mode_order`` — tolerance-driven ``core.sthosvd`` on the repo
+  benchmark's three gated inputs in increasing mode order, in the order
+  the driver plans (Sec. VIII-C's ratio rule on sampled ranks), and in
+  the fastest of all permutations found by timing each once (recorded
+  only, as above, and run only with ``--bench-record``: the 264
+  permutations take about 45 s.  Asserted: the planned run meets the
+  tolerance);
 * ``dist_sthosvd_mixed`` — the end-to-end tolerance-driven driver under
   ``compute_dtype="mixed"`` vs the float64 default: float32
   Gram/TSQR/TTM words and flops, same truncation decisions on a problem
@@ -46,6 +53,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import itertools
+
+from repro.core import sthosvd
+from repro.data import center_and_scale, hcci_proxy, sp_proxy, tjlr_proxy
 from repro.distributed import DistTensor, dist_sthosvd
 from repro.mpi import CartGrid, ProcessBackend, run_spmd, shutdown_worker_pools
 from repro.mpi.backends import POOL_ENV_VAR
@@ -376,6 +387,72 @@ def test_ttm_first_mode_panels_vs_one_dgemm(benchmark):
                   rows)
     _record("ttm_first_mode", {"reference": "one dgemm on the (I_n, trail) view",
                                "rows": rows})
+
+
+#: The repo benchmark's gated inputs (``bench/workloads.py``, seed
+#: unpermuted): proxy, shape, species mode, factor method; tol 1e-3.
+_BENCH_INPUTS = {
+    "seq-hcci": (hcci_proxy, (96, 96, 33, 40), 2, "gram"),
+    "dist-sp": (sp_proxy, (36, 36, 36, 11, 20), 3, "gram"),
+    "cli-tjlr": (tjlr_proxy, (20, 24, 16, 35, 16), 3, "svd"),
+}
+
+
+def _timed(x, method, order):
+    start = time.perf_counter()
+    res = sthosvd(x, tol=1e-3, mode_order=order, method=method)
+    return time.perf_counter() - start, res
+
+
+def _mode_order_rows():
+    """Per input: the fastest permutation (each timed once), then paired
+    in-process medians of increasing order, the planned order and it."""
+    rows = []
+    for workload, (proxy, shape, species, method) in _BENCH_INPUTS.items():
+        x, _ = center_and_scale(proxy(shape=shape).tensor, species)
+        x = np.asfortranarray(x)
+        _, planned = _timed(x, method, None)  # warm
+        assert planned.error_estimate() <= 1e-3
+        best = min(
+            itertools.permutations(range(x.ndim)),
+            key=lambda order: _timed(x, method, order)[0],
+        )
+        sides = {"natural": "natural", "planned": None, "best": best}
+        seconds: dict = {side: [] for side in sides}
+        for _ in range(_LAUNCHES):
+            for side, order in sides.items():
+                seconds[side].append(_timed(x, method, order)[0])
+        planned_stats = _gain_stats(seconds["natural"], seconds["planned"])
+        best_stats = _gain_stats(seconds["natural"], seconds["best"])
+        rows.append({"workload": workload, "shape": list(shape),
+                     "ranks": list(planned.ranks),
+                     "planned_order": list(planned.mode_order),
+                     "best_order": list(best),
+                     "natural": planned_stats["base_sec"],
+                     "planned": planned_stats["variant_sec"],
+                     "best": best_stats["variant_sec"],
+                     "gain": planned_stats["gain"],
+                     "gain_min": planned_stats["gain_min"],
+                     "gain_max": planned_stats["gain_max"],
+                     "best_gain": best_stats["gain"]})
+    return rows
+
+
+def test_mode_order_natural_vs_planned_vs_best(benchmark):
+    if not BENCH_RECORD:
+        pytest.skip("about 45 s of permutations; runs with --bench-record")
+    rows = benchmark.pedantic(_mode_order_rows, rounds=1, iterations=1)
+    table(
+        f"tol=1e-3 ST-HOSVD mode order: increasing vs planned vs fastest "
+        f"permutation (median of {_LAUNCHES}, paired, one process)",
+        ["workload", "planned", "best", "increasing", "planned s", "best s",
+         "gain"],
+        [[r["workload"], "".join(map(str, r["planned_order"])),
+          "".join(map(str, r["best_order"])), r["natural"], r["planned"],
+          r["best"], r["gain"]] for r in rows],
+    )
+    _record("mode_order", {"reference": "increasing mode order",
+                           "tol": 1e-3, "rows": rows})
 
 
 def _sthosvd_dtype_prog(comm, x, tol, iters):

@@ -94,10 +94,11 @@ def _compress_prog(
 
     Every rank reads and normalizes only its own block of the file at
     ``src``; rank 0 alone receives the model, writes it to ``dst`` and
-    returns ``(ranks, compression ratio, error estimate)``.  Both paths
-    are absolute: a warm pool worker keeps the cwd it was forked with.
-    Module-level (not a closure) so the process backend can pickle it by
-    reference and dispatch repeated compressions to its warm rank pool.
+    returns ``(ranks, compression ratio, error estimate, mode order)``.
+    Both paths are absolute: a warm pool worker keeps the cwd it was
+    forked with.  Module-level (not a closure) so the process backend can
+    pickle it by reference and dispatch repeated compressions to its warm
+    rank pool.
     """
     from repro.data.preprocess import dist_center_and_scale
     from repro.distributed import DistTensor, dist_sthosvd
@@ -116,8 +117,9 @@ def _compress_prog(
     if model is None:
         return None
     check_deadline("model save")
+    metadata = {**metadata, "mode_order": list(t.mode_order)}
     save_tucker(dst, model, metadata=metadata)
-    return model.ranks, model.compression_ratio, t.error_estimate()
+    return model.ranks, model.compression_ratio, t.error_estimate(), t.mode_order
 
 
 def _compress_parallel(
@@ -239,7 +241,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
     metadata: dict = {"source": args.input, "tol": args.tol,
                       "method": args.method}
     if args.parallel:
-        model_ranks, ratio, error_estimate = _compress_parallel(
+        model_ranks, ratio, error_estimate, mode_order = _compress_parallel(
             args, shape, species_mode, metadata
         )
     else:
@@ -250,6 +252,8 @@ def _cmd_compress(args: argparse.Namespace) -> int:
         ranks = tuple(args.ranks) if args.ranks else None
         result = sthosvd(x, tol=args.tol, ranks=ranks, method=args.method)
         error_estimate = result.error_estimate()
+        mode_order = result.mode_order
+        metadata["mode_order"] = list(mode_order)
         if args.hooi_iterations > 0:
             refined = hooi(x, init=result, max_iterations=args.hooi_iterations)
             decomposition = refined.decomposition
@@ -263,6 +267,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
     print(
         f"compressed {args.input} {shape} -> {args.output}\n"
         f"  ranks        : {model_ranks}\n"
+        f"  mode order   : {tuple(mode_order)}\n"
         f"  ratio        : {ratio:.1f}x in memory, "
         f"{raw / disk:.1f}x on disk\n"
         f"  error (est.) : {error_estimate:.3e}"

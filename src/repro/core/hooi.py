@@ -107,7 +107,8 @@ def hooi(
         raise ValueError(f"improvement_tol must be >= 0, got {improvement_tol}")
 
     if init is None:
-        init = sthosvd(arr, tol=tol, ranks=ranks)
+        # In the sweep order, as dist_hooi initialises.
+        init = sthosvd(arr, tol=tol, ranks=ranks, mode_order="natural")
     elif init.decomposition.shape != arr.shape:
         raise ValueError(
             f"init shape {init.decomposition.shape} does not match input "

@@ -7,16 +7,24 @@ as ``U^(n)``, and shrink the working tensor with a transposed TTM.  Because
 the working tensor shrinks after every mode, later modes are much cheaper
 than in the plain T-HOSVD.
 
-Mode ordering matters only for cost, not correctness (Sec. VIII-C); this
-module also provides the two greedy ordering heuristics the paper discusses:
-``greedy_flops_order`` (Vannieuwenhoven et al.'s flop-minimizing rule) and
-``greedy_ratio_order`` (maximize the compression ratio ``I_n / R_n``).
+Mode ordering matters only for cost, not correctness (Sec. VIII-C), and
+the paper's rule is to go highest compression ratio ``I_n / R_n`` first
+(Fig. 8b).  A tolerance-driven call without ``mode_order`` does that: the
+driver predicts every mode's rank from a fixed-seed sample of its
+unfolding's columns and processes the modes by ``greedy_ratio_order`` of
+those ranks (:func:`~repro.distributed.sthosvd.plan_mode_order`); a call
+with ``ranks=`` keeps increasing order.  This module also provides the
+paper's other heuristic, ``greedy_flops_order`` (Vannieuwenhoven et al.'s
+flop-minimizing rule).
 
 The algorithm is written once, as the parallel driver
 :func:`~repro.distributed.sthosvd.dist_sthosvd`: on a ``1 x ... x 1`` grid
 its kernels are the sequential ones and its collectives identities, so
 :func:`sthosvd` is that driver on :func:`~repro.distributed.grid.self_grid`,
-run on the caller's array where it lies.
+run on the caller's array where it lies.  A C-ordered array runs as its
+Fortran-ordered transpose; the plan's sample and tie-break are defined on
+the caller's modes, so both layouts take the same logical order, and
+``SthosvdResult.mode_order`` reports it in the caller's modes.
 """
 
 from __future__ import annotations
@@ -50,7 +58,7 @@ class SthosvdResult:
         Note these are spectra of the partially-truncated working tensor,
         not of ``X`` itself, for every mode after the first processed.
     mode_order:
-        The order in which modes were processed.
+        The order in which modes were processed, in the caller's modes.
     x_norm:
         ``||X||`` of the input, needed for error accounting.
     """
@@ -112,7 +120,11 @@ def sthosvd(
         Prescribed reduced dimensions ``R_n`` (e.g. for HOOI refinement or
         performance experiments).
     mode_order:
-        Processing order: a permutation, ``"natural"``, or ``None``.
+        Processing order: a permutation or ``"natural"`` (increasing).
+        ``None`` is increasing with ``ranks=``; with ``tol=`` the driver
+        plans it, highest predicted ``I_n / R_n`` first
+        (:func:`~repro.distributed.sthosvd.plan_mode_order`), and
+        ``SthosvdResult.mode_order`` reports the order taken.
     method:
         ``"gram"`` — the paper's Gram-matrix eigensolver (Alg. 1 verbatim;
         accuracy floor around sqrt(machine eps) ~ 1e-8 in the spectrum).
@@ -127,20 +139,25 @@ def sthosvd(
     """
     arr = as_ndarray(x)
     n_modes = arr.ndim
-    order = resolve_mode_order(mode_order, n_modes)
-
     dt, flipped = one_rank_tensor(arr)
     if flipped and ranks is not None:
         ranks = ranks[::-1]
+    step = -1 if flipped else 1
+    # Driver mode m is the caller's mode labels[m] (a reversal is its own
+    # inverse, so the same map takes caller modes to driver modes).
+    labels = range(n_modes)[::step]
+    if mode_order is not None or tol is None:  # else the driver plans it
+        order = resolve_mode_order(mode_order, n_modes)
+        mode_order = [labels[m] for m in order]
     t = dist_sthosvd(
         dt,
         tol=tol,
         ranks=ranks,
-        mode_order=[n_modes - 1 - m for m in order] if flipped else order,
+        mode_order=mode_order,
         method=method,
         config=RuntimeConfig(),  # the run knobs (REPRO_*) do not apply
+        mode_labels=labels,
     )
-    step = -1 if flipped else 1
     core = t.core.local.T if flipped else t.core.local
     # A strided input was copied for the kernels; its norm is still summed
     # where it lies.
@@ -150,7 +167,7 @@ def sthosvd(
             core=core, factors=tuple(t.factors_local[::step])
         ),
         eigenvalues=tuple(t.eigenvalues[::step]),
-        mode_order=tuple(order),
+        mode_order=tuple(labels[m] for m in t.mode_order),
         x_norm=t.x_norm if contiguous else norm(arr),
     )
 
@@ -183,10 +200,13 @@ def greedy_flops_order(shape: Sequence[int], ranks: Sequence[int]) -> list[int]:
 
 
 def greedy_ratio_order(shape: Sequence[int], ranks: Sequence[int]) -> list[int]:
-    """The paper's alternative heuristic: process highest ``I_n / R_n`` first.
+    """Highest compression ratio ``I_n / R_n`` first, ties in mode order:
+    the paper's alternative heuristic (Sec. VIII-C, Fig. 8b) and the
+    order :func:`~repro.distributed.sthosvd.dist_sthosvd` plans for a
+    tolerance-driven call.
 
-    Maximizing the per-step compression ratio shrinks the working tensor
-    fastest, reducing the cost of all subsequent steps.
+    Shrinking the working tensor fastest first cuts the cost of every
+    later step.
     """
     shape = check_shape_like(shape, "shape")
     ranks = check_shape_like(ranks, "ranks")

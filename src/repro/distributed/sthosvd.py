@@ -5,11 +5,14 @@ The driver strings together the three parallel kernels per mode — Gram
 prescribes, shrinking the distributed working tensor in place.  Kernel
 charges are attributed to ledger sections ``"gram"``/``"evecs"``/``"ttm"``,
 which is how the benchmarks regenerate the paper's per-kernel runtime
-breakdowns (Fig. 8) from *measured* simulator costs.
+breakdowns (Fig. 8) from *measured* simulator costs.  A tolerance-driven
+call also plans its mode order (:func:`plan_mode_order`, section
+``"plan"``): the paper's ratio rule on ranks predicted from a sample.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -33,9 +36,16 @@ from repro.distributed.layout import block_range, local_block
 from repro.distributed.tsqr import dist_mode_svd
 from repro.distributed.ttm import dist_ttm
 from repro.mpi.reduce_ops import SUM
-from repro.tensor.eig import EigResult
+from repro.tensor.eig import EigResult, rank_from_tolerance
 from repro.tensor.ttm import chain_order
-from repro.util.validation import check_shape_like
+from repro.util.validation import check_shape_like, prod
+
+#: Fibres a tolerance-driven call samples per row of each mode's unfolding
+#: to predict the ranks its mode order is planned on:
+#: ``c_n = min(cols_n, PLAN_FIBRES * I_n)``.
+PLAN_FIBRES = 8
+#: Seed of that sample; mode ``n``'s fibres come from stream ``(seed, n)``.
+PLAN_SEED = 1608
 
 
 @dataclass
@@ -59,7 +69,8 @@ class DistTucker:
         ``||X||^2`` of the input, exactly as summed (HOOI's fit quantity
         starts from it).
     mode_order:
-        Processing order used.
+        The order the modes were processed in: the caller's, or the one
+        the driver planned for a tolerance-driven call without one.
     """
 
     core: DistTensor
@@ -386,11 +397,130 @@ def _hooi_sweep(
         return project_modes(y, factors, [n], ttm_strategy)
 
 
+@functools.lru_cache(maxsize=8)
+def _plan_gather(
+    shape: tuple[int, ...],
+    labels: tuple[int, ...],
+    dims: tuple[int, ...],
+    coords: tuple[int, ...],
+) -> tuple[tuple[int, ...], np.ndarray, np.ndarray | None]:
+    """Where the plan's fibre sample comes from on the rank at ``coords``.
+
+    The sample holds, mode after mode, a ``c_m x I_m`` matrix with one
+    sampled mode-``m`` fibre per row.  ``labels[m]`` is the caller's index
+    of mode ``m``: the stream ``(PLAN_SEED, labels[m])``, the draw (one
+    Fortran-order index over the caller's other modes) and the sort are
+    all defined on the caller's modes, so a transposed view samples the
+    same fibres into the same rows.  A mode with no more than ``c_n``
+    fibres takes every one of them.
+
+    Returns ``c_m`` per mode, the Fortran-order offsets into this rank's
+    block of the entries it owns (in fibre order, and the fibres are
+    sorted, so the gather walks the block forward) and their positions in
+    the sample, ``None`` when the rank owns all of it.  A pure function
+    of its arguments, so kept for the next call on the same layout.
+    """
+    n_modes = len(shape)
+    caller = [shape[labels.index(k)] for k in range(n_modes)]
+    block = local_block(shape, dims, coords)
+    lo = np.array([b.start for b in block], dtype=np.int64)
+    hi = np.array([b.stop for b in block], dtype=np.int64)
+    strides = np.cumprod([1, *(hi - lo)[:-1]], dtype=np.int64)
+    counts, src, dest, offset = [], [], [], 0
+    for m, label in enumerate(labels):
+        others = [k for k in range(n_modes) if k != label]
+        cols = prod(shape) // shape[m]
+        if cols <= PLAN_FIBRES * shape[m]:
+            lin = np.arange(cols)
+        else:
+            rng = np.random.default_rng((PLAN_SEED, label))
+            lin = np.sort(rng.integers(0, cols, size=PLAN_FIBRES * shape[m]))
+        idx = np.zeros((lin.size, n_modes), dtype=np.int64)
+        idx[:, others] = np.stack(
+            np.unravel_index(lin, [caller[k] for k in others], order="F"),
+            axis=1,
+        )
+        rel = idx[:, list(labels)] - lo
+        inside = (rel >= 0) & (rel < hi - lo)
+        inside[:, m] = True
+        owned = np.flatnonzero(inside.all(axis=1))
+        rel = rel[owned]
+        rel[:, m] = 0
+        rows = np.arange(lo[m], hi[m])
+        src.append(
+            ((rel @ strides)[:, None] + (rows - lo[m]) * strides[m]).ravel()
+        )
+        dest.append((offset + owned[:, None] * shape[m] + rows).ravel())
+        counts.append(lin.size)
+        offset += lin.size * shape[m]
+    src_all = np.concatenate(src)
+    dest_all = None if src_all.size == offset else np.concatenate(dest)
+    for a in (src_all, dest_all):
+        if a is not None:
+            a.flags.writeable = False
+    return tuple(counts), src_all, dest_all
+
+
+def plan_mode_order(
+    y: DistTensor, threshold: float, labels: Sequence[int] | None = None
+) -> list[int]:
+    """The order a tolerance-driven ST-HOSVD of ``y`` processes its modes.
+
+    Every mode's rank is predicted from a fixed-seed sample of its
+    unfolding's columns (``c_n`` fibres, :data:`PLAN_FIBRES`): the rank
+    :func:`~repro.tensor.eig.rank_from_tolerance` picks at ``threshold``
+    from the spectrum of ``(cols_n / c_n) A^T A``, ``A`` the ``c_n x I_n``
+    sample.  The modes then go by
+    :func:`~repro.core.sthosvd.greedy_ratio_order` on those ranks.  Each
+    rank fills the entries it owns and one all-reduce, in ledger section
+    ``"plan"``, gives every rank the same sample, so the order depends
+    only on the global tensor and ``threshold`` — not on the grid, the
+    backend or the block layout.  ``labels`` (default the modes
+    themselves) are the caller's indices of ``y``'s modes, on which the
+    sample and the tie-break are defined.  Collective.
+    """
+    # Imported here: repro.core.sthosvd itself imports this module.
+    from repro.core.sthosvd import greedy_ratio_order
+
+    labels = list(range(y.ndim)) if labels is None else [int(m) for m in labels]
+    if sorted(labels) != list(range(y.ndim)):
+        raise ValueError(f"mode labels {labels} are not a permutation of modes")
+    shape = y.global_shape
+    with y.comm.section("plan"):
+        counts, src, dest = _plan_gather(
+            tuple(shape), tuple(labels), tuple(y.grid.dims),
+            tuple(y.grid.coords),
+        )
+        mine = np.asarray(y.local.reshape(-1, order="F")[src], dtype=np.float64)
+        if dest is not None:  # other ranks hold the rest: zeros here
+            share = np.zeros(
+                sum(c * s for c, s in zip(counts, shape)), dtype=np.float64
+            )
+            share[dest] = mine
+            mine = share
+        sample = np.asarray(y.comm.allreduce(mine, SUM))
+        predicted = [0] * y.ndim
+        offset = 0
+        for m, c in enumerate(counts):
+            a = sample[offset:offset + c * shape[m]].reshape(c, shape[m])
+            offset += c * shape[m]
+            y.comm.add_flops(shape[m] * (shape[m] + 1) * c)
+            values = np.linalg.eigvalsh(a.T @ a)[::-1]
+            values = np.clip(values, 0.0, None) * (prod(shape) / shape[m] / c)
+            predicted[labels[m]] = rank_from_tolerance(values, threshold)
+    caller_shape = [shape[labels.index(k)] for k in range(y.ndim)]
+    return [
+        labels.index(k) for k in greedy_ratio_order(caller_shape, predicted)
+    ]
+
+
 def resolve_mode_order(
     order: Sequence[int] | str | None, n_modes: int
 ) -> list[int]:
     """A ``mode_order`` argument as a list: a permutation of the modes,
-    ``"natural"`` or ``None`` (both increasing)."""
+    or ``"natural"`` / ``None``, both increasing here.  (A
+    tolerance-driven :func:`dist_sthosvd` plans ``None`` with
+    :func:`plan_mode_order` before it gets here.)"""
     if order is None or order == "natural":
         return list(range(n_modes))
     if isinstance(order, str):
@@ -458,6 +588,8 @@ def dist_sthosvd(
     config: RuntimeConfig | None = None,
     plan: str | None = None,
     compute_dtype: str | None = None,
+    *,
+    mode_labels: Sequence[int] | None = None,
 ) -> DistTucker:
     """Parallel ST-HOSVD (Alg. 1 on the Sec. V kernels).
 
@@ -491,6 +623,18 @@ def dist_sthosvd(
     measured float32 defect exceeds the precision share, with one float64
     :func:`~repro.distributed.hooi.dist_hooi` sweep against the original
     tensor.  Outputs (core and factors) are always returned in float64.
+
+    ``mode_order=`` is a permutation, ``"natural"``, or ``None``.  With
+    ``ranks=``, ``None`` is increasing order.  With ``tol=``, ``None``
+    asks the driver to plan the order as well as the ranks: after the
+    norm, :func:`plan_mode_order` predicts every rank from a fixed-seed
+    fibre sample (one all-reduce, ledger section ``"plan"``) and the
+    modes go highest ``I_n / R_n`` first, the same order on every grid
+    and backend.  ``mode_labels=`` gives the caller's index of each of
+    ``dt``'s modes, on which that sample and its tie-break are defined
+    (default ``dt``'s own): a caller that runs its tensor as a transpose
+    passes the reversed modes and gets the order its own layout would.
+    ``DistTucker.mode_order`` is the order processed.
     """
     n_modes = dt.ndim
     if (tol is None) == (ranks is None):
@@ -510,7 +654,8 @@ def dist_sthosvd(
                 raise ValueError(
                     f"rank {r} smaller than grid extent {p}; use a smaller grid"
                 )
-    order = resolve_mode_order(mode_order, n_modes)
+    planned = mode_order is None and tol is not None and n_modes > 1
+    order = None if planned else resolve_mode_order(mode_order, n_modes)
     cfg = _resolve_driver_config(dt, tol, ranks, order, config, plan)
     if compute_dtype is None and cfg is not None:
         compute_dtype = cfg.compute_dtype
@@ -529,6 +674,8 @@ def dist_sthosvd(
         (tol_trunc**2) * x_norm_sq / n_modes if tol_trunc is not None
         else None
     )
+    if planned:
+        order = plan_mode_order(dt, threshold, mode_labels)
 
     y = dt
     if work == np.float32:

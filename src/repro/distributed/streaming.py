@@ -154,6 +154,7 @@ class DistStreamingTucker:
             res = dist_sthosvd(
                 slab,
                 tol=float(np.sqrt(budget / slab_energy)),
+                mode_order="natural",
                 compute_dtype="float64",
             )
             self._bases_local = res.factors_local[: self._n_spatial]
@@ -185,6 +186,7 @@ class DistStreamingTucker:
             return
         res = dist_sthosvd(
             residual, tol=float(np.sqrt(budget / res_norm_sq)),
+            mode_order="natural",
             compute_dtype="float64",  # see update(): budget already split
         )
         grew = False
@@ -241,7 +243,9 @@ class DistStreamingTucker:
         self._finalized = True
         self._store_pending_zeros()
         core = np.concatenate(self._core_slabs, axis=-1)
-        inner = sthosvd(core, tol=self._tol / np.sqrt(2.0))
+        inner = sthosvd(
+            core, tol=self._tol / np.sqrt(2.0), mode_order="natural"
+        )
         factors = []
         for n in range(self._n_spatial):
             u_full = gather_rows(self._grid, n, self._bases_local[n])

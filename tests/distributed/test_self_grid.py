@@ -83,7 +83,8 @@ def test_c_ordered_input_gives_the_c_ordered_core(method, kw):
         from_c.decomposition.core, from_f.decomposition.core,
         rtol=0, atol=1e-12,
     )
-    ref = st_hosvd(f, **kw)
+    assert from_c.mode_order == from_f.mode_order
+    ref = st_hosvd(f, mode_order=from_c.mode_order, **kw)
     np.testing.assert_allclose(
         from_c.decomposition.reconstruct(), ref.reconstruct(), atol=1e-10
     )

@@ -52,7 +52,14 @@ class TestCompress:
         t, meta = load_tucker(out)
         assert t.shape == x.shape
         assert meta["tol"] == 1e-2
-        assert "ratio" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "ratio" in printed
+        # The order the driver planned, printed and kept in the container.
+        order = tuple(meta["mode_order"])
+        assert sorted(order) == [0, 1, 2]
+        assert f"  mode order   : {order}\n" in printed
+        assert main(["info", str(out)]) == 0
+        assert '"mode_order": [' in capsys.readouterr().out
 
     def test_compress_with_ranks(self, field, tmp_path):
         src, _ = field

@@ -69,10 +69,10 @@ def test_parallel_container_matches_sequential(
     t_par, meta_par = load_tucker(par)
     assert t_par.ranks == t_seq.ranks and t_par.shape == t_seq.shape
     assert set(meta_par) == set(meta_seq) | {"parallel"}
-    assert set(meta_par) == {"source", "tol", "method", "parallel"} | (
-        {"normalized"} if species else set()
-    )
-    for key in ("source", "tol", "method"):
+    assert set(meta_par) == {
+        "source", "tol", "method", "mode_order", "parallel"
+    } | ({"normalized"} if species else set())
+    for key in ("source", "tol", "method", "mode_order"):
         assert meta_par[key] == meta_seq[key]
     assert meta_par["parallel"]["ranks"] == 2
     assert meta_par["parallel"]["backend"] == backend
