@@ -53,6 +53,9 @@ def choose_grid(
         core than the tolerance asks for.  When no grid fits the guess,
         every grid that fits the tensor still runs — ``dist_sthosvd``
         floors threshold ranks at ``P_n`` — and is scored that way.
+        Grids are scored in increasing mode order; a tolerance-driven
+        ``dist_sthosvd`` keeps that order on a grid that divides the
+        mode its plan would put first.
     machine:
         Machine model used to score candidates.
 

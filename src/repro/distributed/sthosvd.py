@@ -12,7 +12,6 @@ call also plans its mode order (:func:`plan_mode_order`, section
 
 from __future__ import annotations
 
-import functools
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -397,68 +396,42 @@ def _hooi_sweep(
         return project_modes(y, factors, [n], ttm_strategy)
 
 
-@functools.lru_cache(maxsize=8)
-def _plan_gather(
-    shape: tuple[int, ...],
-    labels: tuple[int, ...],
-    dims: tuple[int, ...],
-    coords: tuple[int, ...],
-) -> tuple[tuple[int, ...], np.ndarray, np.ndarray | None]:
-    """Where the plan's fibre sample comes from on the rank at ``coords``.
+def _mode_labels(labels: Sequence[int] | None, n_modes: int) -> list[int]:
+    """``labels`` as a list, checked to permute the modes (default the
+    modes themselves)."""
+    if labels is None:
+        return list(range(n_modes))
+    labels = [int(m) for m in labels]
+    if sorted(labels) != list(range(n_modes)):
+        raise ValueError(f"mode labels {labels} are not a permutation of modes")
+    return labels
 
-    The sample holds, mode after mode, a ``c_m x I_m`` matrix with one
-    sampled mode-``m`` fibre per row.  ``labels[m]`` is the caller's index
-    of mode ``m``: the stream ``(PLAN_SEED, labels[m])``, the draw (one
-    Fortran-order index over the caller's other modes) and the sort are
-    all defined on the caller's modes, so a transposed view samples the
-    same fibres into the same rows.  A mode with no more than ``c_n``
-    fibres takes every one of them.
 
-    Returns ``c_m`` per mode, the Fortran-order offsets into this rank's
-    block of the entries it owns (in fibre order, and the fibres are
-    sorted, so the gather walks the block forward) and their positions in
-    the sample, ``None`` when the rank owns all of it.  A pure function
-    of its arguments, so kept for the next call on the same layout.
+def _plan_fibres(
+    shape: Sequence[int], labels: Sequence[int], m: int
+) -> np.ndarray:
+    """Global indices of the fibres the plan samples for mode ``m``: one
+    column per fibre, row ``m`` zero.
+
+    ``labels[k]`` is the caller's index of mode ``k``.  The stream
+    ``(PLAN_SEED, labels[m])``, the draw (one Fortran-order index over
+    the caller's other modes) and the sort are all defined on the caller's
+    modes, so a transposed view samples the same fibres in the same order.
+    A mode with no more than ``PLAN_FIBRES * I_m`` fibres takes them all.
     """
     n_modes = len(shape)
+    label = labels[m]
     caller = [shape[labels.index(k)] for k in range(n_modes)]
-    block = local_block(shape, dims, coords)
-    lo = np.array([b.start for b in block], dtype=np.int64)
-    hi = np.array([b.stop for b in block], dtype=np.int64)
-    strides = np.cumprod([1, *(hi - lo)[:-1]], dtype=np.int64)
-    counts, src, dest, offset = [], [], [], 0
-    for m, label in enumerate(labels):
-        others = [k for k in range(n_modes) if k != label]
-        cols = prod(shape) // shape[m]
-        if cols <= PLAN_FIBRES * shape[m]:
-            lin = np.arange(cols)
-        else:
-            rng = np.random.default_rng((PLAN_SEED, label))
-            lin = np.sort(rng.integers(0, cols, size=PLAN_FIBRES * shape[m]))
-        idx = np.zeros((lin.size, n_modes), dtype=np.int64)
-        idx[:, others] = np.stack(
-            np.unravel_index(lin, [caller[k] for k in others], order="F"),
-            axis=1,
-        )
-        rel = idx[:, list(labels)] - lo
-        inside = (rel >= 0) & (rel < hi - lo)
-        inside[:, m] = True
-        owned = np.flatnonzero(inside.all(axis=1))
-        rel = rel[owned]
-        rel[:, m] = 0
-        rows = np.arange(lo[m], hi[m])
-        src.append(
-            ((rel @ strides)[:, None] + (rows - lo[m]) * strides[m]).ravel()
-        )
-        dest.append((offset + owned[:, None] * shape[m] + rows).ravel())
-        counts.append(lin.size)
-        offset += lin.size * shape[m]
-    src_all = np.concatenate(src)
-    dest_all = None if src_all.size == offset else np.concatenate(dest)
-    for a in (src_all, dest_all):
-        if a is not None:
-            a.flags.writeable = False
-    return tuple(counts), src_all, dest_all
+    others = [k for k in range(n_modes) if k != label]
+    cols = prod(shape) // shape[m]
+    if cols <= PLAN_FIBRES * shape[m]:
+        lin = np.arange(cols)
+    else:
+        rng = np.random.default_rng((PLAN_SEED, label))
+        lin = np.sort(rng.integers(0, cols, size=PLAN_FIBRES * shape[m]))
+    idx = np.zeros((n_modes, lin.size), dtype=np.int64)
+    idx[others] = np.unravel_index(lin, [caller[k] for k in others], order="F")
+    return idx[list(labels)]
 
 
 def plan_mode_order(
@@ -472,36 +445,52 @@ def plan_mode_order(
     from the spectrum of ``(cols_n / c_n) A^T A``, ``A`` the ``c_n x I_n``
     sample.  The modes then go by
     :func:`~repro.core.sthosvd.greedy_ratio_order` on those ranks.  Each
-    rank fills the entries it owns and one all-reduce, in ledger section
-    ``"plan"``, gives every rank the same sample, so the order depends
-    only on the global tensor and ``threshold`` — not on the grid, the
-    backend or the block layout.  ``labels`` (default the modes
-    themselves) are the caller's indices of ``y``'s modes, on which the
-    sample and the tie-break are defined.  Collective.
+    rank copies its rows of the sampled fibres it holds into the sample,
+    zeros elsewhere, and one all-reduce, in ledger section ``"plan"``,
+    gives every rank the same sample, so the order depends only on the
+    global tensor and ``threshold`` — not on the grid, the backend or the
+    block layout.  ``labels`` (default the modes themselves) are the
+    caller's indices of ``y``'s modes, on which the sample and the
+    tie-break are defined.  Collective.
     """
     # Imported here: repro.core.sthosvd itself imports this module.
     from repro.core.sthosvd import greedy_ratio_order
 
-    labels = list(range(y.ndim)) if labels is None else [int(m) for m in labels]
-    if sorted(labels) != list(range(y.ndim)):
-        raise ValueError(f"mode labels {labels} are not a permutation of modes")
+    labels = _mode_labels(labels, y.ndim)
     shape = y.global_shape
+    block = local_block(tuple(shape), tuple(y.grid.dims), tuple(y.grid.coords))
+    extent = y.local.shape
+    lo = np.array([b.start for b in block], dtype=np.int64)[:, None]
     with y.comm.section("plan"):
-        counts, src, dest = _plan_gather(
-            tuple(shape), tuple(labels), tuple(y.grid.dims),
-            tuple(y.grid.coords),
+        fibres = [_plan_fibres(shape, labels, m) for m in range(y.ndim)]
+        share = np.zeros(
+            sum(f.shape[1] * s for f, s in zip(fibres, shape)), dtype=np.float64
         )
-        mine = np.asarray(y.local.reshape(-1, order="F")[src], dtype=np.float64)
-        if dest is not None:  # other ranks hold the rest: zeros here
-            share = np.zeros(
-                sum(c * s for c, s in zip(counts, shape)), dtype=np.float64
+        offset = 0
+        for m, idx in enumerate(fibres):
+            c = idx.shape[1]
+            a = share[offset:offset + c * shape[m]].reshape(c, shape[m])
+            offset += a.size
+            rel = idx - lo
+            inside = (rel >= 0) & (rel < np.array(extent)[:, None])
+            inside[m] = True
+            owned = np.flatnonzero(inside.all(axis=0))
+            if not owned.size:
+                continue
+            # Each owned fibre is one (lead, trail) column of the block's
+            # mode-m unfolding seen as lead x I_m x trail.
+            rel = rel[:, owned]
+            lead = np.ravel_multi_index(rel[:m], extent[:m], order="F")
+            trail = np.ravel_multi_index(rel[m + 1:], extent[m + 1:], order="F")
+            unfolded = y.local.reshape(
+                (prod(extent[:m]), extent[m], prod(extent[m + 1:])), order="F"
             )
-            share[dest] = mine
-            mine = share
-        sample = np.asarray(y.comm.allreduce(mine, SUM))
+            a[owned, block[m]] = unfolded[lead, :, trail]
+        sample = np.asarray(y.comm.allreduce(share, SUM))
         predicted = [0] * y.ndim
         offset = 0
-        for m, c in enumerate(counts):
+        for m, idx in enumerate(fibres):
+            c = idx.shape[1]
             a = sample[offset:offset + c * shape[m]].reshape(c, shape[m])
             offset += c * shape[m]
             y.comm.add_flops(shape[m] * (shape[m] + 1) * c)
@@ -630,10 +619,15 @@ def dist_sthosvd(
     norm, :func:`plan_mode_order` predicts every rank from a fixed-seed
     fibre sample (one all-reduce, ledger section ``"plan"``) and the
     modes go highest ``I_n / R_n`` first, the same order on every grid
-    and backend.  ``mode_labels=`` gives the caller's index of each of
-    ``dt``'s modes, on which that sample and its tie-break are defined
-    (default ``dt``'s own): a caller that runs its tensor as a transpose
-    passes the reversed modes and gets the order its own layout would.
+    and backend — unless the grid divides the mode that order puts
+    first.  Then the modes go in increasing order, the order
+    :func:`~repro.distributed.grid.choose_grid` scores grids in: the
+    Gram of a divided first mode rings the whole tensor.
+    ``mode_labels=`` (checked to permute the modes, whether or not the
+    order is planned) gives the caller's index of each of ``dt``'s
+    modes, on which that sample and its tie-break are defined (default
+    ``dt``'s own): a caller that runs its tensor as a transpose passes
+    the reversed modes and gets the order its own layout would.
     ``DistTucker.mode_order`` is the order processed.
     """
     n_modes = dt.ndim
@@ -654,6 +648,7 @@ def dist_sthosvd(
                 raise ValueError(
                     f"rank {r} smaller than grid extent {p}; use a smaller grid"
                 )
+    labels = _mode_labels(mode_labels, n_modes)
     planned = mode_order is None and tol is not None and n_modes > 1
     order = None if planned else resolve_mode_order(mode_order, n_modes)
     cfg = _resolve_driver_config(dt, tol, ranks, order, config, plan)
@@ -675,7 +670,12 @@ def dist_sthosvd(
         else None
     )
     if planned:
-        order = plan_mode_order(dt, threshold, mode_labels)
+        order = plan_mode_order(dt, threshold, labels)
+        if dt.grid.dims[order[0]] > 1:
+            # choose_grid scores grids in increasing order.  A divided
+            # first mode would ring the whole tensor through its Gram,
+            # which costs more than the plan saves: keep that order.
+            order = list(range(n_modes))
 
     y = dt
     if work == np.float32:

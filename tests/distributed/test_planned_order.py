@@ -8,7 +8,9 @@ order is a plan decision, so what is checked here is that it depends on
 the global tensor and the tolerance only — not on the layout, the grid,
 the backend or a restart — and that the guarantees still hold under it:
 eq. 3, the exact tail estimate, and agreement with the textbook
-ST-HOSVD of ``tests/reference.py`` run in the reported order.
+ST-HOSVD of ``tests/reference.py`` run in the reported order.  The one
+exception is a grid that divides the mode the plan puts first: that run
+keeps increasing order, the order ``choose_grid`` scores grids in.
 """
 
 import itertools
@@ -160,10 +162,31 @@ class TestTiesAndDegenerateModes:
         with pytest.raises(ValueError, match="not a permutation"):
             plan_mode_order(dt, 1.0, labels=(0, 0, 1))
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"tol": 0.1},
+            {"tol": 0.1, "mode_order": "natural"},
+            {"tol": 0.1, "mode_order": (2, 0, 1)},
+            {"ranks": (1, 2, 2)},
+        ],
+        ids=["planned", "natural", "explicit", "ranks"],
+    )
+    def test_the_driver_checks_labels_planned_or_not(self, kwargs):
+        x = np.random.default_rng(10).standard_normal((2, 3, 4))
+        dt = DistTensor(self_grid(3), x.shape, np.asfortranarray(x))
+        with pytest.raises(ValueError, match="not a permutation"):
+            dist_sthosvd(dt, mode_labels=(0, 0, 1), **kwargs)
+        # A valid permutation passes, and only a planned run reads it.
+        dist_sthosvd(dt, mode_labels=(2, 1, 0), **kwargs)
+
 
 X = low_rank_tensor((10, 12, 8), (6, 3, 2), seed=21, noise=0.001)
-GRIDS = [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 2, 1), (1, 2, 2)]
 TOL = 0.05
+#: The plan puts mode 1 first on ``X`` (``test_hooi_...`` checks it).
+GRIDS = [(1, 1, 1), (2, 1, 1), (1, 1, 2), (2, 1, 2), (4, 1, 1)]
+#: Grids that divide mode 1.
+DIVIDING_GRIDS = [(1, 2, 1), (2, 2, 1), (1, 2, 2)]
 
 
 def _factorise(comm, grid, order, checkpoint=None):
@@ -210,16 +233,38 @@ class TestGridsAndBackends:
             ]
             assert estimate == sequential.error_estimate()
 
+    @pytest.mark.parametrize("grid", DIVIDING_GRIDS, ids=str)
+    def test_a_grid_dividing_the_first_planned_mode_keeps_increasing_order(
+        self, grid
+    ):
+        res = run_spmd(
+            prod(grid), _factorise, grid, None, backend=BACKENDS[0],
+            timeout=20.0,
+        )
+        assert res.values[0][0] == (0, 1, 2)
+        assert sthosvd(X, tol=TOL).mode_order[0] == 1
+        natural = run_spmd(
+            prod(grid), _factorise, grid, "natural", backend=BACKENDS[0],
+            timeout=20.0,
+        )
+        assert res.values == natural.values
+        # The plan still ran (it names the first mode) and is all it adds.
+        for r in range(prod(grid)):
+            planned = dict(res.ledger.rank_costs(r).by_section)
+            assert planned.pop("plan") > 0
+            assert planned == natural.ledger.rank_costs(r).by_section
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_plan_section_is_rank_symmetric(self, backend):
         res = run_spmd(
-            4, _factorise, (2, 2, 1), None, backend=backend, timeout=20.0
+            4, _factorise, (2, 1, 2), None, backend=backend, timeout=20.0
         )
+        assert res.values[0][0] == (1, 2, 0)
         rows = [res.ledger.rank_costs(r) for r in range(4)]
         plan = {row.by_section["plan"] for row in rows}
         assert len(plan) == 1 and plan.pop() > 0
         explicit = run_spmd(
-            4, _factorise, (2, 2, 1), res.values[0][0], backend=backend,
+            4, _factorise, (2, 1, 2), res.values[0][0], backend=backend,
             timeout=20.0,
         )
         # The plan's messages: the same on every rank, and only there.
@@ -237,7 +282,7 @@ def test_hooi_initialises_in_its_sweep_order():
 
 
 def _interruptible(comm, ckpt):
-    return _factorise(comm, (2, 2, 1), None, checkpoint=ckpt)
+    return _factorise(comm, (2, 1, 2), None, checkpoint=ckpt)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
