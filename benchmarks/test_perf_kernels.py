@@ -58,9 +58,7 @@ import itertools
 from repro.core import sthosvd
 from repro.data import center_and_scale, hcci_proxy, sp_proxy, tjlr_proxy
 from repro.distributed import DistTensor, dist_sthosvd
-from repro.mpi import CartGrid, ProcessBackend, run_spmd, shutdown_worker_pools
-from repro.mpi.backends import POOL_ENV_VAR
-from repro.mpi.process_transport import ARENA_ENV_VAR, WINDOWS_ENV_VAR
+from repro.mpi import CartGrid, run_spmd, shutdown_worker_pools
 from repro.tensor import (
     gram,
     low_rank_tensor,
@@ -80,26 +78,16 @@ _OUT = Path(__file__).resolve().parents[1] / "BENCH_kernels.json"
 #: Interleaved launches per row: one paired ratio each.
 _LAUNCHES = 5
 
-#: The distributed row measures the production configuration — collective
-#: windows on, warm rank pool — independent of the environment sweep the
-#: CI legs apply (fork-per-run cold starts drown the per-call ratios in
-#: scheduling noise).
-_BACKEND = ProcessBackend(windows=True, pool=True)
+#: The distributed rows run the process backend's one configuration: warm
+#: rank pool (the rank programs are module-level functions), arena and
+#: platform-chosen collective windows.
+_BACKEND = "process"
 
 
 @pytest.fixture(autouse=True)
-def production_fastpath(monkeypatch):
-    """Pin the whole fast path on for the workers these tests fork.
-
-    The CI knob sweep exists to keep the *fallback* pipelines correct;
-    the ratios measured here only exist on the production configuration
-    (the arena in particular has no per-backend constructor knob).  Fresh
-    pools around each test so workers actually observe the pinned
-    environment.
-    """
+def fresh_pools():
+    """Fresh pools around each test, so no row inherits another's workers."""
     shutdown_worker_pools()
-    for var in (POOL_ENV_VAR, ARENA_ENV_VAR, WINDOWS_ENV_VAR):
-        monkeypatch.setenv(var, "1")
     yield
     shutdown_worker_pools()
 

@@ -6,9 +6,11 @@ backend and records them to ``BENCH_transport.json`` at the repo root so
 the perf trajectory is visible across PRs:
 
 * ``launch``   — per-run ``run_spmd`` overhead, warm persistent pool vs.
-  fork-per-run (the pool must be >= 5x cheaper);
+  fork-per-run (a lambda rank function, which cannot ride the pool; the
+  pool must be >= 5x cheaper);
 * ``allgather`` — collective throughput with the shared-memory windows vs.
-  the point-to-point relay path (windows must not be slower);
+  the point-to-point relay path a weakly ordered host takes (windows must
+  not be slower);
 * ``p2p``      — small-message ping-pong latency (adaptive poll backoff)
   and large-array bandwidth over the segment arena;
 * ``dtype_rounds`` — float32 vs float64 allgather+allreduce rounds on
@@ -20,6 +22,7 @@ Wall-clock numbers, so absolute values depend on the machine; the asserted
 claims are the *ratios* the fast path exists to deliver.
 """
 
+import contextlib
 import json
 import os
 import time
@@ -29,11 +32,10 @@ import numpy as np
 
 from repro.mpi import (
     SUM,
-    ProcessBackend,
-    WINDOWS_ENV_VAR,
     run_spmd,
     shutdown_worker_pools,
 )
+from repro.mpi import process_transport
 
 from benchmarks.conftest import table
 
@@ -68,6 +70,21 @@ def _noop_prog(comm):
     return comm.rank
 
 
+@contextlib.contextmanager
+def _windows(enabled: bool):
+    """Collective windows on or off, as the platform constant would set
+    them: the pool is recycled at both edges so its workers are forked
+    under the setting."""
+    saved = process_transport.WINDOWS_ENABLED
+    shutdown_worker_pools()
+    process_transport.WINDOWS_ENABLED = enabled
+    try:
+        yield
+    finally:
+        process_transport.WINDOWS_ENABLED = saved
+        shutdown_worker_pools()
+
+
 def _allgather_timed(comm, x, iters):
     comm.barrier()
     start = time.perf_counter()
@@ -94,18 +111,20 @@ def test_launch_overhead_warm_pool_vs_fork(benchmark):
     p, rounds = 4, 10
     shutdown_worker_pools()
 
-    def sweep(backend):
+    def sweep(fn):
         start = time.perf_counter()
         for _ in range(rounds):
-            assert run_spmd(p, _noop_prog, backend=backend).values == list(
+            assert run_spmd(p, fn, backend="process").values == list(
                 range(p)
             )
         return (time.perf_counter() - start) / rounds
 
-    cold = sweep(ProcessBackend(pool=False))
-    pooled = ProcessBackend(pool=True)
-    run_spmd(p, _noop_prog, backend=pooled)  # prime the pool once
-    warm = benchmark.pedantic(lambda: sweep(pooled), rounds=1, iterations=1)
+    run_spmd(p, _noop_prog, backend="process")  # prime the pool once
+    # A lambda cannot be pickled by reference: every run forks fresh ranks.
+    cold = sweep(lambda comm: comm.rank)
+    warm = benchmark.pedantic(
+        lambda: sweep(_noop_prog), rounds=1, iterations=1
+    )
     shutdown_worker_pools()
 
     speedup = cold / warm
@@ -131,17 +150,16 @@ def test_admission_overhead(benchmark):
 
     p, rounds = 4, 10
     shutdown_worker_pools()
-    pooled = ProcessBackend(pool=True)
     governed = RuntimeConfig(shm_budget=1 << 30, max_worlds=8)
 
     def sweep(config):
         start = time.perf_counter()
         for _ in range(rounds):
-            res = run_spmd(p, _noop_prog, backend=pooled, config=config)
+            res = run_spmd(p, _noop_prog, backend="process", config=config)
             assert res.values == list(range(p))
         return (time.perf_counter() - start) / rounds, res
 
-    run_spmd(p, _noop_prog, backend=pooled)  # prime the pool once
+    run_spmd(p, _noop_prog, backend="process")  # prime the pool once
     plain, _ = sweep(None)
     warm, res = benchmark.pedantic(
         lambda: sweep(governed), rounds=1, iterations=1
@@ -172,20 +190,15 @@ def test_allgather_windows_vs_p2p(benchmark):
     x = np.random.default_rng(0).standard_normal(n)
     volume_mb = p * x.nbytes / 1e6  # moved per allgather
 
-    def timed(env_value):
-        shutdown_worker_pools()
-        os.environ[WINDOWS_ENV_VAR] = env_value
-        try:
+    def timed(enabled):
+        with _windows(enabled):
             res = run_spmd(p, _allgather_timed, x, iters, backend="process")
-        finally:
-            os.environ.pop(WINDOWS_ENV_VAR, None)
-            shutdown_worker_pools()
         assert all(v[1] == x[0] for v in res.values)
         return max(v[0] for v in res.values) / iters
 
-    relay = timed("0")
+    relay = timed(False)
     windowed = benchmark.pedantic(
-        lambda: timed("1"), rounds=1, iterations=1
+        lambda: timed(True), rounds=1, iterations=1
     )
     gain = relay / windowed
     table(
@@ -232,16 +245,16 @@ def _dtype_rounds_timed(comm, n, iters):
 
 
 def test_dtype_rounds_float32_vs_float64(benchmark):
-    # Bandwidth-bound collective rounds: 4 MiB float64 per rank, windows
-    # on.  Slots and arena buckets are sized by the payload's actual
-    # nbytes, so float32 elements genuinely move half the bytes through
-    # shared memory — and the allreduce folds run on half-width words
-    # too.  The dtype knob exists for this ratio; it must stay >= 1.3x.
+    # Bandwidth-bound collective rounds: 4 MiB float64 per rank, on the
+    # window path where the platform opens windows.  Slots and arena
+    # buckets are sized by the payload's actual nbytes, so float32
+    # elements genuinely move half the bytes through shared memory — and
+    # the allreduce folds run on half-width words too.  The dtype knob
+    # exists for this ratio; it must stay >= 1.3x.
     p, iters, n, launches = 4, 6, 524_288, 5
     volume_mb = n * 8 / 1e6
 
     shutdown_worker_pools()
-    os.environ[WINDOWS_ENV_VAR] = "1"
     try:
         run_spmd(p, _dtype_rounds_timed, n, 1, backend="process")  # prime
 
@@ -258,7 +271,6 @@ def test_dtype_rounds_float32_vs_float64(benchmark):
 
         wide, narrow = benchmark.pedantic(sweep, rounds=1, iterations=1)
     finally:
-        os.environ.pop(WINDOWS_ENV_VAR, None)
         shutdown_worker_pools()
 
     ratios = sorted(w / nr for w, nr in zip(wide, narrow))
@@ -314,15 +326,12 @@ def test_remaining_collectives_windows_vs_p2p(benchmark):
     x = np.random.default_rng(2).standard_normal(n)
     ops = [("barrier", 200), ("gather", 50), ("scatter", 50), ("alltoall", 30)]
 
-    def sweep(env_value):
+    def sweep(enabled):
         # Best-of-3 per op: sub-millisecond latencies on a shared box are
         # noisy, and the minimum is the honest latency estimator.  The
-        # warm pool is shared within a sweep (workers must inherit the
-        # right REPRO_SPMD_WINDOWS, so pools are recycled at the edges).
+        # warm pool is shared within a sweep.
         per_op = {}
-        shutdown_worker_pools()
-        os.environ[WINDOWS_ENV_VAR] = env_value
-        try:
+        with _windows(enabled):
             for op, iters in ops:
                 per_op[op] = min(
                     max(
@@ -333,13 +342,12 @@ def test_remaining_collectives_windows_vs_p2p(benchmark):
                     / iters
                     for _ in range(3)
                 )
-        finally:
-            os.environ.pop(WINDOWS_ENV_VAR, None)
-            shutdown_worker_pools()
         return per_op
 
-    relay = sweep("0")
-    windowed = benchmark.pedantic(lambda: sweep("1"), rounds=1, iterations=1)
+    relay = sweep(False)
+    windowed = benchmark.pedantic(
+        lambda: sweep(True), rounds=1, iterations=1
+    )
     gains = {op: relay[op] / windowed[op] for op, _ in ops}
     table(
         f"remaining collectives, {p} ranks, {x.nbytes // 1024} KiB payloads",

@@ -653,7 +653,7 @@ _SHM_ALLOC_EXEMPT = (
 
 #: Call spellings that allocate a shared segment.
 _SHM_ALLOC_CALLS = frozenset(
-    {"create_segment", "create_window", "SharedMemory", "HugePageSegment"}
+    {"create_segment", "create_window", "SharedMemory"}
 )
 
 #: ``except`` types that discriminate by construction — OSError

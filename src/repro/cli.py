@@ -133,14 +133,12 @@ def _compress_parallel(
     depend on the choice.
     """
     from repro.distributed import choose_grid
-    from repro.mpi import ProcessBackend, resolve_backend, run_spmd
+    from repro.mpi import resolve_backend, run_spmd
 
     ranks = tuple(args.ranks) if args.ranks else None
     grid = choose_grid(args.parallel, shape, ranks=ranks)
 
     backend = resolve_backend(args.backend)
-    if args.no_pool and isinstance(backend, ProcessBackend):
-        backend = ProcessBackend(pool=False)
     metadata["parallel"] = {
         "ranks": args.parallel,
         "grid": list(grid),
@@ -436,10 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "collective matching and request lifetimes, 2 adds "
                         "shared-memory window generation checks (default: "
                         "the REPRO_SANITIZE environment variable)")
-    p.add_argument("--no-pool", action="store_true",
-                   help="with --backend process: fork fresh ranks instead "
-                        "of using the persistent worker pool "
-                        "(equivalent to REPRO_SPMD_POOL=0)")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                    help="deadlock-detection timeout for --parallel runs "
                         "(default: $REPRO_SPMD_TIMEOUT or 120)")

@@ -1,10 +1,9 @@
 """Typed runtime configuration: every ``REPRO_*`` knob as one frozen object.
 
-Historically each runtime knob — backend, pool, arena, windows, dtype,
-sanitize, faults, timeout, ... — was resolved ad hoc at its
-point of use by a scattered ``os.environ`` read, which meant there was no
-single object describing how a run would execute (and nothing an
-autotuner could decide).  This module is the fix:
+Historically each runtime knob — backend, dtype, sanitize, faults,
+timeout, ... — was resolved ad hoc at its point of use by a scattered
+``os.environ`` read, which meant there was no single object describing
+how a run would execute (and nothing an autotuner could decide).  This module is the fix:
 
 * :class:`RuntimeConfig` — a frozen dataclass holding every knob, with
   the same defaults the environment switches have always had.
@@ -23,7 +22,7 @@ autotuner could decide).  This module is the fix:
   helper (``sanitize_level``, ``resolve_compute_dtype``, ...) consults
   :func:`default_for` instead of the environment.
 
-The config is plain data (str/bool/int/float only), picklable and
+The config is plain data (str/int/float only), picklable and
 JSON-round-trippable, so it can ride the process backend's per-run
 dispatch and be printed, saved and replayed (``repro-tucker plan``,
 ``dist_sthosvd(plan=...)``).
@@ -69,12 +68,6 @@ def _parse_dtype(raw: str) -> str:
             f"use one of {_COMPUTE_DTYPES}"
         )
     return value
-
-
-def _parse_bool(raw: str) -> bool:
-    # The historical semantics of every boolean switch: anything but "0"
-    # enables it.
-    return raw != "0"
 
 
 def _parse_timeout(raw: str) -> float:
@@ -176,28 +169,6 @@ CONFIG_FIELDS: tuple[ConfigField, ...] = (
         "executor backend: 'thread' or 'process'",
     ),
     ConfigField(
-        "pool", "REPRO_SPMD_POOL", True, _parse_bool, "executor",
-        "persistent warm rank pool for the process backend",
-    ),
-    ConfigField(
-        "arena", "REPRO_SHM_ARENA", True, _parse_bool, "transport",
-        "shared-memory segment reuse (arena) in the process transport",
-    ),
-    ConfigField(
-        "windows", "REPRO_SPMD_WINDOWS", True, _parse_bool, "transport",
-        "collective windows fast path (off: point-to-point fallback)",
-    ),
-    ConfigField(
-        "window_slot", "REPRO_SPMD_WINDOW_SLOT", 0,
-        _parse_int("REPRO_SPMD_WINDOW_SLOT"), "transport",
-        "fixed initial per-rank window slot in bytes (0 = adaptive)",
-    ),
-    ConfigField(
-        "hugepages", "REPRO_SPMD_HUGEPAGES", "auto", lambda raw: raw.strip()
-        or "auto", "transport",
-        "huge-page backing: 'auto', '0', '1', or a directory path",
-    ),
-    ConfigField(
         "compute_dtype", "REPRO_DTYPE", "float64", _parse_dtype, "kernels",
         "kernel compute precision: 'float64', 'float32', or 'mixed' "
         "(float32 kernels + float64 refinement against the split error "
@@ -254,11 +225,6 @@ class RuntimeConfig:
     """
 
     backend: str = "thread"
-    pool: bool = True
-    arena: bool = True
-    windows: bool = True
-    window_slot: int = 0
-    hugepages: str = "auto"
     compute_dtype: str = "float64"
     sanitize: int = 0
     faults: str = ""
@@ -273,11 +239,6 @@ class RuntimeConfig:
         # values validate identically), then check every knob's grammar
         # with the same messages the scattered resolvers always raised.
         object.__setattr__(self, "backend", str(self.backend))
-        object.__setattr__(self, "pool", bool(self.pool))
-        object.__setattr__(self, "arena", bool(self.arena))
-        object.__setattr__(self, "windows", bool(self.windows))
-        object.__setattr__(self, "window_slot", int(self.window_slot))
-        object.__setattr__(self, "hugepages", str(self.hugepages))
         object.__setattr__(self, "compute_dtype", str(self.compute_dtype))
         object.__setattr__(self, "sanitize", int(self.sanitize))
         object.__setattr__(self, "faults", str(self.faults))
@@ -286,16 +247,6 @@ class RuntimeConfig:
         object.__setattr__(self, "shm_budget", int(self.shm_budget))
         object.__setattr__(self, "max_worlds", int(self.max_worlds))
         object.__setattr__(self, "deadline", float(self.deadline))
-        if self.window_slot < 0:
-            raise ValueError(
-                f"window_slot must be non-negative, got {self.window_slot}"
-            )
-        hp = self.hugepages
-        if hp not in ("auto", "0", "1") and not hp.startswith(("/", ".")):
-            raise ValueError(
-                f"invalid REPRO_SPMD_HUGEPAGES value {hp!r}: "
-                f"use 'auto', '0', or a directory path"
-            )
         if self.compute_dtype not in _COMPUTE_DTYPES:
             raise ValueError(
                 f"unknown REPRO_DTYPE value {self.compute_dtype!r}; "
@@ -366,23 +317,14 @@ class RuntimeConfig:
 
     def to_env(self) -> dict[str, str]:
         """The equivalent environment assignment (the user surface)."""
-        out: dict[str, str] = {}
-        for f in CONFIG_FIELDS:
-            value = getattr(self, f.name)
-            if isinstance(value, bool):
-                out[f.env] = "1" if value else "0"
-            else:
-                out[f.env] = str(value)
-        return out
+        return {f.env: str(getattr(self, f.name)) for f in CONFIG_FIELDS}
 
     def describe(self) -> list[tuple[str, str, str, str]]:
         """Rows of ``(field, env var, value, layer)`` for display."""
         rows = []
         for f in CONFIG_FIELDS:
             value = getattr(self, f.name)
-            shown = ("1" if value else "0") if isinstance(value, bool) else (
-                str(value) if value != "" else "''"
-            )
+            shown = str(value) if value != "" else "''"
             rows.append((f.name, f.env, shown, f.layer))
         return rows
 

@@ -33,7 +33,6 @@ from repro.mpi.comm import Communicator, Request
 from repro.mpi.cart import CartGrid
 from repro.mpi.backends import (
     BACKEND_ENV_VAR,
-    POOL_ENV_VAR,
     ExecutorBackend,
     ProcessBackend,
     ThreadBackend,
@@ -55,16 +54,12 @@ from repro.faults import (
 )
 from repro.mpi.ledger import CostLedger, RankCosts
 from repro.mpi.process_transport import (
-    ARENA_ENV_VAR,
-    WINDOWS_ENV_VAR,
-    WINDOW_SLOT_ENV_VAR,
     CollectiveWindow,
     MatrixWindow,
     ProcessTransport,
     SegmentArena,
     ShmArrayView,
     process_arena,
-    release_view,
 )
 from repro.mpi.reduce_ops import MAX, MIN, PROD, SUM, ReduceOp
 from repro.mpi.transport import ThreadTransport, Transport, TransportBase
@@ -114,7 +109,6 @@ __all__ = [
     "CollectiveWindow",
     "MatrixWindow",
     "process_arena",
-    "release_view",
     "ExecutorBackend",
     "ThreadBackend",
     "ProcessBackend",
@@ -122,10 +116,6 @@ __all__ = [
     "resolve_backend",
     "shutdown_worker_pools",
     "BACKEND_ENV_VAR",
-    "POOL_ENV_VAR",
-    "ARENA_ENV_VAR",
-    "WINDOWS_ENV_VAR",
-    "WINDOW_SLOT_ENV_VAR",
     "SANITIZE_ENV_VAR",
     "FAULTS_ENV_VAR",
     "TIMEOUT_ENV_VAR",

@@ -68,9 +68,6 @@ warm:
 * Pools are torn down at interpreter exit (``atexit``) or explicitly via
   :func:`shutdown_worker_pools`; teardown sends a sentinel so workers
   unlink their pooled shared-memory segments before exiting.
-
-Disable pooling with ``REPRO_SPMD_POOL=0`` (or
-``ProcessBackend(pool=False)``) to get fork-per-run unconditionally.
 """
 
 from __future__ import annotations
@@ -113,9 +110,6 @@ from repro.perfmodel.machine import MachineSpec
 
 #: Environment variable consulted when ``run_spmd`` gets no ``backend=``.
 BACKEND_ENV_VAR = "REPRO_SPMD_BACKEND"
-
-#: Environment switch: ``0`` disables the persistent rank pool.
-POOL_ENV_VAR = "REPRO_SPMD_POOL"
 
 #: Seconds the parent keeps waiting for remaining rank reports after a
 #: failure has poisoned the run (bounds cleanup, not healthy execution).
@@ -721,12 +715,12 @@ class _RankPool:
             rboard=self.rboard.name,
         )
         try:
-            # POSIX shm only: workers map these privately (decode_borrowed).
+            # Workers map these privately (decode_borrowed).
             common = (fn, args, machine, timeout)
-            shared = encode_payload(common, segments, arena, huge=False)
+            shared = encode_payload(common, segments, arena)
             for rank in range(self.n_ranks):
                 extra = rank_args[rank] if rank_args is not None else ()
-                encoded_extra = encode_payload(extra, segments, arena, False)
+                encoded_extra = encode_payload(extra, segments, arena)
                 fn_enc, args_enc, machine_enc, timeout_enc = shared
                 tasks.append(
                     (
@@ -934,10 +928,9 @@ def shutdown_worker_pools() -> None:
     # The dispatching side stages task arguments through its own arena;
     # release those pooled segments along with the workers.
     process_arena().teardown()
-    # Crash audit: sweep every segment (POSIX shm and hugetlbfs) whose
-    # creating worker died without unlinking it — killed ranks leak
-    # arena buckets, in-flight payloads, and windows, and hugetlbfs
-    # files additionally pin reserved huge pages across runs.
+    # Crash audit: sweep every segment whose creating worker died
+    # without unlinking it — killed ranks leak arena buckets, in-flight
+    # payloads, and windows.
     reap_stale_segments(worker_pids)
 
 
@@ -972,47 +965,19 @@ def _invalidate_pool(pool: _RankPool) -> None:
     pool.shutdown()
     # A pool is only retired like this on failure — exactly when a killed
     # or crashed worker may have leaked segments (arena buckets, staged
-    # payloads, windows; hugetlbfs files additionally pin reserved huge
-    # pages); sweep its dead workers' names on both substrates.
+    # payloads, windows); sweep its dead workers' names.
     reap_stale_segments(worker_pids)
 
 
 class ProcessBackend(ExecutorBackend):
     """Ranks as forked processes with shared-memory message payloads.
 
-    ``pool=None`` (the default) consults ``REPRO_SPMD_POOL``; pass
-    ``pool=False`` to force fork-per-run, ``pool=True`` to force pooling
-    for picklable rank functions.
-
-    ``windows``/``window_slot`` plumb the collective-window knobs of
-    :class:`~repro.mpi.process_transport.ProcessTransport` per backend
-    instance instead of process-wide environment variables
-    (``REPRO_SPMD_WINDOWS`` / ``REPRO_SPMD_WINDOW_SLOT``): ``windows``
-    forces the window fast path on/off, ``window_slot`` pins the initial
-    per-rank slot in bytes (``0`` = size adaptively from the first
-    payload).  ``None`` defers to the environment.  The options ride the
-    per-run dispatch, so backends with different knobs can share one
-    warm rank pool.
+    A picklable rank function rides the warm rank pool; a closure or
+    lambda (or a function the pool's workers cannot resolve) is run by
+    fresh forks instead.
     """
 
     name = "process"
-
-    def __init__(
-        self,
-        pool: bool | None = None,
-        windows: bool | None = None,
-        window_slot: int | None = None,
-    ):
-        self._pool = pool
-        self._transport_opts = {
-            "windows": windows,
-            "window_slot": window_slot,
-        }
-
-    def _pool_enabled(self) -> bool:
-        if self._pool is not None:
-            return self._pool
-        return bool(default_for("pool"))
 
     def run(
         self,
@@ -1034,41 +999,35 @@ class ProcessBackend(ExecutorBackend):
         # env change).
         shm_budget = config.shm_budget if config is not None else 0
         transport_opts = dict(
-            self._transport_opts, sanitize=sanitize, faults=faults,
+            sanitize=sanitize, faults=faults,
             attempt=attempt, config=config, shm_budget=shm_budget,
             # The run deadline (installed by the executor) ships as an
             # absolute monotonic timestamp: fork children share the
             # parent's clock, so every rank counts down the same budget.
             deadline=resources_mod.active_deadline(),
         )
-        if self._pool_enabled():
-            pool = _get_pool(n_ranks)
-            pool.busy = True
-            # The parent stages dispatch payloads through its arena:
-            # govern those allocations against the same world budget,
-            # mirrored onto the pool's board at the parent slot.
-            gov = resources_mod.governor()
-            gov.configure(
-                budget=shm_budget, board=pool.rboard, slot=n_ranks
+        pool = _get_pool(n_ranks)
+        pool.busy = True
+        # The parent stages dispatch payloads through its arena: govern
+        # those allocations against the same world budget, mirrored onto
+        # the pool's board at the parent slot.
+        gov = resources_mod.governor()
+        gov.configure(budget=shm_budget, board=pool.rboard, slot=n_ranks)
+        try:
+            run_seq = pool.dispatch(
+                fn, args, rank_args, machine, timeout,
+                transport_opts=transport_opts,
             )
-            try:
-                run_seq = pool.dispatch(
-                    fn, args, rank_args, machine, timeout,
-                    transport_opts=transport_opts,
-                )
-                if run_seq is not None:
-                    result = self._collect_pooled(
-                        pool, run_seq, n_ranks, machine
-                    )
-                    if result is not None:
-                        return result
-                    # Every worker reported _TaskLoadError: the function
-                    # is newer than the (now retired) pool; fork inherits
-                    # it.
-            finally:
-                gov.deconfigure()
-                pool.busy = False
-                pool.last_used = time.monotonic()
+            if run_seq is not None:
+                result = self._collect_pooled(pool, run_seq, n_ranks, machine)
+                if result is not None:
+                    return result
+                # Every worker reported _TaskLoadError: the function is
+                # newer than the (now retired) pool; fork inherits it.
+        finally:
+            gov.deconfigure()
+            pool.busy = False
+            pool.last_used = time.monotonic()
         return self._run_forked(
             n_ranks, fn, args, machine, timeout, rank_args, transport_opts
         )
@@ -1202,7 +1161,7 @@ class ProcessBackend(ExecutorBackend):
         machine: MachineSpec,
         timeout: float,
         rank_args: Sequence[tuple] | None,
-        transport_opts: dict | None = None,
+        transport_opts: dict,
     ) -> SpmdResult:
         import multiprocessing
 
@@ -1216,12 +1175,7 @@ class ProcessBackend(ExecutorBackend):
         abort_event = ctx.Event()
         board = StatusBoard.create(n_ranks)
         rboard = ResourceBoard.create(n_ranks + 1)
-        topts = dict(
-            transport_opts if transport_opts is not None
-            else self._transport_opts
-        )
-        topts["status"] = board.name
-        topts["rboard"] = rboard.name
+        topts = dict(transport_opts, status=board.name, rboard=rboard.name)
         procs = [
             ctx.Process(
                 target=_process_worker,
@@ -1409,25 +1363,3 @@ def resolve_backend(backend: str | ExecutorBackend | None) -> ExecutorBackend:
         ) from None
     return cls()
 
-
-def backend_from_config(cfg: RuntimeConfig) -> ExecutorBackend:
-    """Build the executor backend a resolved :class:`RuntimeConfig` names.
-
-    Unlike :func:`resolve_backend`, the backend is constructed from the
-    config's own knobs (pool, windows, window slot), so a run launched
-    with an explicit config never re-consults the environment.
-    """
-    try:
-        cls = _BACKENDS[cfg.backend]
-    except KeyError:
-        raise ValueError(
-            f"unknown SPMD backend {cfg.backend!r}; available: "
-            f"{', '.join(available_backends())}"
-        ) from None
-    if cls is ProcessBackend:
-        return ProcessBackend(
-            pool=cfg.pool,
-            windows=cfg.windows,
-            window_slot=cfg.window_slot,
-        )
-    return cls()

@@ -11,10 +11,9 @@ the distributed algorithms read like ordinary MPI code.  Differences:
   alpha-beta-gamma cost from the paper's Table I, enabling modeled-time
   measurements of the very runs the tests execute.
 * Collectives move their bytes through per-communicator shared-memory
-  windows on the process transport (every collective: one fence-ordered
-  single-copy exchange; multi-MiB windows are huge-page-backed when the
-  host provides them, see ``REPRO_SPMD_HUGEPAGES``) and fall back to
-  point-to-point relays through group rank 0 elsewhere; either way their
+  windows on the process transport on x86-64 (every collective: one
+  fence-ordered single-copy exchange) and fall back to point-to-point
+  relays through group rank 0 elsewhere; either way their
   *charged* cost is the closed-form tree cost, identical on every member,
   not the cost of the implementation used to move the bytes.
 * Non-blocking operations (``isend``/``irecv``/``isendrecv``,

@@ -37,7 +37,7 @@ from repro.mpi.backends import (
     ExecutorBackend,
     SpmdResult,
     available_backends,
-    backend_from_config,
+    resolve_backend,
 )
 from repro.mpi.errors import SpmdError
 from repro.perfmodel.machine import EDISON, MachineSpec
@@ -189,7 +189,7 @@ def run_spmd(
     if isinstance(backend, ExecutorBackend):
         executor = backend
     else:
-        executor = backend_from_config(cfg)
+        executor = resolve_backend(cfg.backend)
     # Admission control: one gate per launch, before any rank starts.
     # The footprint estimate is reconciled against actual allocations by
     # the controller's registered usage sources; AdmissionError (after a
@@ -197,7 +197,7 @@ def run_spmd(
     estimate = (
         int(shm_estimate)
         if shm_estimate is not None
-        else resources.estimate_world_shm(n_ranks, cfg)
+        else resources.estimate_world_shm(n_ranks)
     )
     controller = resources.admission_controller()
     ticket, admission_wait = controller.admit(n_ranks, estimate, cfg)

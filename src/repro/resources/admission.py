@@ -2,11 +2,11 @@
 
 Enforced once per launch at the ``run_spmd`` boundary, *before* any rank
 starts.  The singleton :class:`AdmissionController` tracks every active
-world with its up-front footprint estimate (sized from the configured
-window-slot/arena geometry — the perf model's memory picture of a
-launch) and reconciles estimates against actual allocations through the
-usage sources the backends register (warm-pool resource boards and the
-parent governor's staging bytes): admission usage is
+world with its up-front footprint estimate (sized from the window and
+arena geometry — the perf model's memory picture of a launch) and
+reconciles estimates against actual allocations through the usage
+sources the backends register (warm-pool resource boards and the parent
+governor's staging bytes): admission usage is
 ``max(live bytes, sum of active estimates)``, so a burst of admitted
 launches is bounded by its promises until real allocations take over.
 
@@ -42,31 +42,25 @@ _MIN_SLOT = 4096
 _WINDOW_FLAG_ROWS = 6
 
 
-def estimate_world_shm(
-    n_ranks: int,
-    config: "RuntimeConfig | None" = None,
-    payload_hint: int = 0,
-) -> int:
+def estimate_world_shm(n_ranks: int, payload_hint: int = 0) -> int:
     """Up-front shm footprint estimate for one world, in bytes.
 
     Models the launch-time allocations the transport will make: one
-    collective window (six int64 flag rows plus a data slot per rank,
-    sized from ``window_slot`` when pinned, else from the payload hint)
-    and one arena bucket per rank for payload staging.  Deliberately a
+    collective window (six int64 flag rows plus a data slot per rank
+    sized from the payload hint) where the platform opens windows, and
+    one arena bucket per rank for payload staging.  Deliberately a
     *floor*, reconciled upward against actual allocations by the
     controller; drivers with a better model can pass
     ``run_spmd(shm_estimate=)`` instead.
     """
-    windows = config.windows if config is not None else True
-    arena = config.arena if config is not None else True
-    slot = config.window_slot if config is not None else 0
-    if slot <= 0:
-        slot = max(_MIN_SLOT, int(payload_hint))
+    from repro.mpi import process_transport
+
     total = 0
-    if windows:
+    if process_transport.WINDOWS_ENABLED:
+        slot = max(_MIN_SLOT, int(payload_hint))
         total += _WINDOW_FLAG_ROWS * 8 * n_ranks + 8 * n_ranks
         total += n_ranks * slot
-    if arena and payload_hint:
+    if payload_hint:
         bucket = _MIN_SLOT
         while bucket < payload_hint:
             bucket <<= 1

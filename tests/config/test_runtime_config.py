@@ -55,16 +55,16 @@ class TestDefaults:
 
 class TestPrecedence:
     def test_env_beats_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPMD_WINDOWS", "0")
+        monkeypatch.setenv("REPRO_SHM_BUDGET", "1M")
         monkeypatch.setenv("REPRO_DTYPE", "float32")
         cfg = resolve_config()
-        assert cfg.windows is False
+        assert cfg.shm_budget == 1 << 20
         assert cfg.compute_dtype == "float32"
 
     def test_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPMD_WINDOWS", "0")
-        cfg = resolve_config(RuntimeConfig(windows=True))
-        assert cfg.windows is True
+        monkeypatch.setenv("REPRO_SHM_BUDGET", "1M")
+        cfg = resolve_config(RuntimeConfig(shm_budget=0))
+        assert cfg.shm_budget == 0
 
     def test_kwarg_beats_config(self):
         cfg = resolve_config(RuntimeConfig(sanitize=2), sanitize=1)
@@ -86,17 +86,17 @@ class TestPrecedence:
 
     def test_non_config_object_rejected(self):
         with pytest.raises(TypeError, match="RuntimeConfig"):
-            resolve_config({"windows": False})
+            resolve_config({"sanitize": 1})
 
 
 class TestEnvDefault:
     def test_parses_each_field_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPMD_WINDOW_SLOT", "128")
+        monkeypatch.setenv("REPRO_MAX_WORLDS", "128")
         monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "7.5")
-        monkeypatch.setenv("REPRO_SHM_ARENA", "0")
-        assert env_default("window_slot") == 128
+        monkeypatch.setenv("REPRO_SHM_BUDGET", "64K")
+        assert env_default("max_worlds") == 128
         assert env_default("timeout") == 7.5
-        assert env_default("arena") is False
+        assert env_default("shm_budget") == 64 << 10
 
     def test_historical_error_messages(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "nope")
@@ -118,8 +118,7 @@ class TestValidation:
             ({"sanitize": 3}, "sanitize level"),
             ({"retry": 0}, "retry"),
             ({"timeout": 0.0}, "timeout"),
-            ({"window_slot": -1}, "window_slot"),
-            ({"hugepages": "maybe"}, "REPRO_SPMD_HUGEPAGES"),
+            ({"shm_budget": -1}, "shm_budget"),
         ],
     )
     def test_bad_values_rejected(self, changes, match):
@@ -128,15 +127,14 @@ class TestValidation:
 
     def test_frozen(self):
         with pytest.raises(Exception):
-            RuntimeConfig().windows = False
+            RuntimeConfig().sanitize = 1
 
 
 class TestSerialization:
     def test_json_round_trip(self):
         cfg = RuntimeConfig(
-            backend="process", windows=False, compute_dtype="mixed",
-            window_slot=64, sanitize=2, faults="crash:rank=1:call=3",
-            timeout=5.0,
+            backend="process", compute_dtype="mixed", shm_budget=64,
+            sanitize=2, faults="crash:rank=1:call=3", timeout=5.0,
         )
         assert RuntimeConfig.from_json(cfg.to_json()) == cfg
 
@@ -146,7 +144,7 @@ class TestSerialization:
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown RuntimeConfig key"):
-            RuntimeConfig.from_dict({"windows": True, "bogus": 1})
+            RuntimeConfig.from_dict({"sanitize": 1, "bogus": 1})
 
     @pytest.mark.parametrize(
         "retired, value",
@@ -155,6 +153,11 @@ class TestSerialization:
             ("overlap", True),
             ("tsqr_tree", "binary"),
             ("compress_wire", False),
+            ("pool", True),
+            ("arena", True),
+            ("windows", True),
+            ("window_slot", 0),
+            ("hugepages", "auto"),
         ],
     )
     def test_retired_knob_in_persisted_json_is_rejected(self, retired, value):
@@ -168,7 +171,7 @@ class TestSerialization:
         ):
             RuntimeConfig.from_json(json.dumps(stale))
         assert retired not in {f.name for f in CONFIG_FIELDS}
-        assert len(CONFIG_FIELDS) == 14
+        assert len(CONFIG_FIELDS) == 9
 
     @pytest.mark.parametrize(
         "env_var, value",
@@ -176,6 +179,11 @@ class TestSerialization:
             ("REPRO_SPMD_OVERLAP", "0"),
             ("REPRO_TSQR_TREE", "butterfly"),
             ("REPRO_WIRE_COMPRESS", "1"),
+            ("REPRO_SPMD_POOL", "0"),
+            ("REPRO_SHM_ARENA", "0"),
+            ("REPRO_SPMD_WINDOWS", "0"),
+            ("REPRO_SPMD_WINDOW_SLOT", "131072"),
+            ("REPRO_SPMD_HUGEPAGES", "not-a-mode"),
         ],
     )
     def test_retired_env_var_is_not_consulted(self, env_var, value, monkeypatch):
@@ -197,7 +205,8 @@ class TestSerialization:
 
     def test_to_env_reproduces_the_config(self, monkeypatch):
         cfg = RuntimeConfig(
-            windows=False, compute_dtype="mixed", sanitize=1, timeout=30.0
+            backend="process", compute_dtype="mixed", sanitize=1,
+            timeout=30.0, shm_budget=4096, deadline=2.5,
         )
         for env, raw in cfg.to_env().items():
             monkeypatch.setenv(env, raw)
@@ -212,28 +221,29 @@ class TestSerialization:
 class TestActiveConfigDispatch:
     def test_install_and_restore(self):
         assert active_config() is None
-        cfg = RuntimeConfig(windows=False)
+        cfg = RuntimeConfig(sanitize=2)
         previous = set_active_config(cfg)
         try:
             assert previous is None
             assert active_config() is cfg
-            assert default_for("windows") is False
+            assert default_for("sanitize") == 2
         finally:
             set_active_config(previous)
         assert active_config() is None
 
     def test_default_for_falls_back_to_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPMD_WINDOW_SLOT", "256")
-        assert default_for("window_slot") == 256
+        monkeypatch.setenv("REPRO_MAX_WORLDS", "256")
+        assert default_for("max_worlds") == 256
 
     def test_run_spmd_installs_config_in_ranks(self):
-        cfg = RuntimeConfig(windows=False, compute_dtype="mixed", timeout=20.0)
+        cfg = RuntimeConfig(shm_budget=1 << 20, compute_dtype="mixed",
+                            timeout=20.0)
 
         def prog(comm):
-            return default_for("windows"), default_for("compute_dtype")
+            return default_for("shm_budget"), default_for("compute_dtype")
 
         results = run_spmd(2, prog, config=cfg)
-        assert list(results) == [(False, "mixed")] * 2
+        assert list(results) == [(1 << 20, "mixed")] * 2
         # The installation is scoped to the run.
         assert active_config() is None
 

@@ -7,11 +7,14 @@ backends run the very same deterministic rank code (reductions fold in
 group-rank order), so any divergence is a transport bug, not roundoff.
 """
 
+import platform
+
 import numpy as np
 import pytest
 
 from repro.distributed import DistTensor, dist_sthosvd
 from repro.mpi import SUM, CartGrid, run_spmd, shutdown_worker_pools
+from repro.mpi import process_transport
 from repro.tensor import low_rank_tensor
 from tests.conftest import recon_atol
 from tests.reference import st_hosvd
@@ -27,9 +30,9 @@ def spmd_backend():
     return None
 
 
-def _factors_prog(x, **kwargs):
+def _factors_prog(x, grid=GRID, **kwargs):
     def prog(comm):
-        g = CartGrid(comm, GRID)
+        g = CartGrid(comm, grid)
         dt = DistTensor.from_global(g, x)
         t = dist_sthosvd(dt, **kwargs)
         tucker = t.to_tucker()
@@ -226,6 +229,51 @@ class TestRetiredKnobsAreInert:
         assert clean.ledger.summary() == stale.ledger.summary()
         for rank in range(N_RANKS):
             a, b = clean.ledger.rank_costs(rank), stale.ledger.rank_costs(rank)
+            assert (a.time, a.words_sent, a.messages, a.flops) == (
+                b.time, b.words_sent, b.messages, b.flops
+            )
+
+
+class TestWeaklyOrderedPlatform:
+    """On a host without total store order (aarch64) the platform constant
+    keeps every collective window closed, and the relayed collectives
+    give the thread backend's bits."""
+
+    @pytest.mark.parametrize("method", ["gram", "svd"])
+    def test_no_window_opens_and_bits_match(self, method, monkeypatch):
+        monkeypatch.setattr(platform, "machine", lambda: "aarch64")
+        monkeypatch.setattr(
+            process_transport,
+            "WINDOWS_ENABLED",
+            platform.machine().lower() in process_transport._TSO_MACHINES,
+        )
+        assert not process_transport.WINDOWS_ENABLED
+
+        def no_window(*args, **kwargs):
+            raise AssertionError("a collective window was opened")
+
+        transport = process_transport.ProcessTransport
+        monkeypatch.setattr(transport, "create_window", no_window)
+        monkeypatch.setattr(transport, "attach_window", no_window)
+        x = low_rank_tensor((8, 6, 4), (3, 3, 2), seed=23, noise=0.03)
+        prog = _factors_prog(x, grid=(1, 2, 1), tol=0.1, method=method)
+        shutdown_worker_pools()  # ranks must be forked under the patch
+        runs = {
+            name: run_spmd(2, prog, backend=name)
+            for name in ("thread", "process")
+        }
+        shutdown_worker_pools()
+        for t_val, p_val in zip(
+            runs["thread"].values, runs["process"].values
+        ):
+            assert t_val[2] == p_val[2]  # ranks
+            assert t_val[0].tobytes() == p_val[0].tobytes()  # core
+            for tf, pf in zip(t_val[1], p_val[1]):
+                assert tf.tobytes() == pf.tobytes()
+        thread, process = runs["thread"].ledger, runs["process"].ledger
+        assert thread.summary() == process.summary()
+        for rank in range(2):
+            a, b = thread.rank_costs(rank), process.rank_costs(rank)
             assert (a.time, a.words_sent, a.messages, a.flops) == (
                 b.time, b.words_sent, b.messages, b.flops
             )

@@ -5,10 +5,8 @@ maps the staged segment copy-on-write.  The contract checked here: the
 argument is private and writable (a write reaches neither the caller, nor
 the other rank, nor the next run), the mapping is gone once the rank
 function has returned, nothing is left in ``/dev/shm``, and every way an
-argument can travel (POSIX shm with or without the huge-page substrate
-on, pickle after ``ENOSPC``, fork-per-run) shows rank code the same
-thing.  Staging itself never lands on the huge-page substrate: a private
-mapping of a hugetlbfs file reserves its whole length in every rank.
+argument can travel (a staged segment, pickle after ``ENOSPC``,
+fork-per-run) shows rank code the same thing.
 """
 
 import gc
@@ -25,24 +23,16 @@ from repro.mpi import (
     run_spmd,
     shutdown_worker_pools,
 )
-from repro.mpi.process_transport import (
-    _HP_DIR_CACHE,
-    HUGE_MIN_BYTES,
-    HUGEPAGE_STATS,
-    HUGEPAGES_ENV_VAR,
-    SegmentArena,
-    segment_backing,
-)
 
 pytestmark = pytest.mark.skipif(
     not os.path.isdir("/dev/shm"), reason="needs a Linux /dev/shm and /proc"
 )
 
-_POOLED = ProcessBackend(pool=True)
-_PREFIXES = ("rps_", "rphp_")
+_POOLED = ProcessBackend()
+_PREFIXES = ("rps_",)
 
-#: Larger than one huge page: big enough for the huge-page substrate.
-_N = HUGE_MIN_BYTES // 8 + 1000
+#: Just over 2 MiB: a multi-bucket argument.
+_N = (2 << 20) // 8 + 1000
 
 
 @pytest.fixture(autouse=True)
@@ -52,16 +42,13 @@ def spmd_backend():
 
 
 @pytest.fixture(autouse=True)
-def clean_slate(monkeypatch):
-    monkeypatch.delenv(HUGEPAGES_ENV_VAR, raising=False)
-    _HP_DIR_CACHE.clear()
+def clean_slate():
     shutdown_worker_pools()
     gc.collect()
     before = _shm_names()
     yield
     shutdown_worker_pools()
     gc.collect()
-    _HP_DIR_CACHE.clear()
     leaked = _shm_names() - before
     assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
 
@@ -102,12 +89,12 @@ def _maps_only(comm):
 
 
 def _scribble_and_swap(comm, x):
-    """``_scribble``, then a message big enough for a huge-page segment."""
+    """``_scribble``, then swap the scribbled array with the peer."""
     report = _scribble(comm, x)
     peer = 1 - comm.rank
     got = comm.sendrecv(x, dest=peer, source=peer)
     assert np.all(got == -(peer + 1.0))
-    return report + (HUGEPAGE_STATS["mapped"],)
+    return report
 
 
 def _input():
@@ -163,44 +150,19 @@ class TestEveryRouteLooksTheSame:
         res = run_spmd(2, _scribble, x, backend=_POOLED)
         return [v[:3] for v in res.values]
 
-    def test_huge_page_segments(self, tmp_path, monkeypatch):
+    def test_a_large_message_in_the_same_run(self):
+        # The rank sends its scribbled argument on through the arena: the
+        # argument was still staged on, and mapped from, an rps_ segment.
         expected = self._reference()
-        shutdown_worker_pools()
-        monkeypatch.setenv(HUGEPAGES_ENV_VAR, str(tmp_path))
-        _HP_DIR_CACHE.clear()
         x = _input()
         res = run_spmd(2, _scribble_and_swap, x, backend=_POOLED)
         assert [v[:3] for v in res.values] == expected
         for v in res.values:
-            # The substrate was on (the rank's message used it), yet the
-            # argument was staged on, and mapped from, POSIX shm.
-            assert v[4] > 0
             assert v[3]
             assert all(os.path.basename(m).startswith("rps_") for m in v[3])
         assert np.array_equal(x, _input())
         after = run_spmd(2, _maps_only, backend=_POOLED)
         assert after.values == [[], []]
-        shutdown_worker_pools()
-        assert not list(tmp_path.iterdir())
-
-    def test_staging_passes_over_pooled_huge_segments(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv(HUGEPAGES_ENV_VAR, str(tmp_path))
-        _HP_DIR_CACHE.clear()
-        arena = SegmentArena(enabled=True)
-        try:
-            pooled = arena.acquire(HUGE_MIN_BYTES)
-            assert segment_backing(pooled) == "hugetlb"
-            arena.recycle(pooled)
-            plain = arena.acquire(HUGE_MIN_BYTES, huge=False)
-            assert segment_backing(plain) == "shm"
-            assert arena.acquire(HUGE_MIN_BYTES) is pooled
-            arena.recycle(pooled)
-            arena.recycle(plain)
-        finally:
-            arena.teardown()
-        assert not list(tmp_path.iterdir())
 
     def test_enospc_degrades_to_pickle(self):
         expected = self._reference()
@@ -218,7 +180,11 @@ class TestEveryRouteLooksTheSame:
     def test_fork_per_run(self):
         expected = self._reference()
         x = _input()
-        res = run_spmd(2, _scribble, x, backend=ProcessBackend(pool=False))
+
+        def forked(comm, x):  # a closure: fork-per-run
+            return _scribble(comm, x)
+
+        res = run_spmd(2, forked, x, backend=_POOLED)
         assert [v[:3] for v in res.values] == expected
         assert np.array_equal(x, _input())
 

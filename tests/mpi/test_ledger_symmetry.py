@@ -10,26 +10,27 @@ slice, ``gather``/``allgather`` extrapolating ``my_words * P``,
 ``alltoall`` charging its own row).
 
 Backends come from the package-level ``spmd_backend`` sweep; the window
-toggle is a local parameterization (pools are recycled around each test
-so workers observe the right environment).  Rank functions live at module
-scope so the process runs ride the warm pool.
+toggle is a local parameterization that patches the platform constant
+``WINDOWS_ENABLED`` (pools are recycled around each test so workers are
+forked under the patch).  Rank functions live at module scope so the
+process runs ride the warm pool.
 """
 
 import numpy as np
 import pytest
 
 from repro.mpi import SUM, shutdown_worker_pools
-from repro.mpi.process_transport import WINDOWS_ENV_VAR
+from repro.mpi import process_transport
 from tests.conftest import spmd_unit
 
 
-@pytest.fixture(params=["1", "0"], ids=["windows", "p2p"], autouse=True)
+@pytest.fixture(params=[True, False], ids=["windows", "p2p"], autouse=True)
 def window_mode(request, monkeypatch, spmd_backend):
     """Sweep the window fast path on/off (process backend only)."""
-    if spmd_backend == "thread" and request.param == "0":
+    if spmd_backend == "thread" and not request.param:
         pytest.skip("thread backend has no windows; one sweep suffices")
-    shutdown_worker_pools()  # drop workers forked under the old env
-    monkeypatch.setenv(WINDOWS_ENV_VAR, request.param)
+    shutdown_worker_pools()  # drop workers forked under the old setting
+    monkeypatch.setattr(process_transport, "WINDOWS_ENABLED", request.param)
     yield request.param
     shutdown_worker_pools()
 

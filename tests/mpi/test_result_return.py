@@ -38,8 +38,8 @@ pytestmark = pytest.mark.skipif(
     not os.path.isdir("/dev/shm"), reason="needs a Linux /dev/shm"
 )
 
-_POOLED = ProcessBackend(pool=True)
-_PREFIXES = ("psm_", "rps_", "rphp_")
+_POOLED = ProcessBackend()
+_PREFIXES = ("psm_", "rps_")
 
 
 @pytest.fixture(autouse=True)
@@ -110,7 +110,7 @@ class TestStageAndUnstage:
     """The two halves, without a rank in between."""
 
     def test_round_trip_of_any_object(self):
-        arena = SegmentArena(enabled=True)
+        arena = SegmentArena()
         try:
             value = (_model(3), {"estimate": 0.25}, np.arange(4.0))
             staged, shm = stage_value(value, arena)
@@ -126,7 +126,7 @@ class TestStageAndUnstage:
             # the segment nor a second reading of it.
             got[0].core[...] = -1.0
             arena.recycle(shm)
-            again = arena.acquire(1, huge=False)
+            again = arena.acquire(1)
             assert again is shm  # the rank reuses it for its next report
             _assert_same_model(unstage_value(staged)[0], value[0])
             arena.recycle(again)
@@ -134,7 +134,7 @@ class TestStageAndUnstage:
             arena.teardown()
 
     def test_small_and_bufferless_values_take_the_old_route(self):
-        arena = SegmentArena(enabled=True)
+        arena = SegmentArena()
         try:
             small = np.zeros(SHM_MIN_BYTES // 8 - 1)
             for value in (None, 3.5, "text", small, (small, [small])):
@@ -145,7 +145,7 @@ class TestStageAndUnstage:
             arena.teardown()
 
     def test_unpicklable_value_is_left_for_the_report_path(self):
-        arena = SegmentArena(enabled=True)
+        arena = SegmentArena()
         try:
             value = (np.zeros(1000), lambda: None)
             staged, shm = stage_value(value, arena)
@@ -212,9 +212,10 @@ class TestThroughThePool:
         assert any(e.site == "arena" for e in res.resources.degradations)
 
     def test_fork_per_run_returns_the_same(self):
-        res = run_spmd(
-            2, _return_model, 31, backend=ProcessBackend(pool=False)
-        )
+        def forked(comm, seed):  # a closure: fork-per-run
+            return _return_model(comm, seed)
+
+        res = run_spmd(2, forked, 31, backend=_POOLED)
         _assert_same_model(res[0][0], _model(31))
 
 

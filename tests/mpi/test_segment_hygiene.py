@@ -36,12 +36,9 @@ def spmd_backend():
 
 def _segments() -> set[str]:
     # psm_: multiprocessing auto-names; rps_: the runtime's explicitly
-    # named segments (transport payloads, status boards); rphp_:
-    # hugepage-backed segments.
+    # named segments (transport payloads, status boards, windows).
     return {
-        n
-        for n in os.listdir("/dev/shm")
-        if n.startswith(("psm_", "rps_", "rphp_"))
+        n for n in os.listdir("/dev/shm") if n.startswith(("psm_", "rps_"))
     }
 
 
@@ -224,12 +221,7 @@ class TestSegmentHygiene:
             )
 
     def test_pool_teardown_reaps_workers(self):
-        # Force pooling: the claim under test is that *warm workers* are
-        # reaped, regardless of any REPRO_SPMD_POOL=0 in the environment
-        # (the CI fallback leg runs this whole suite with the pool off).
-        from repro.mpi import ProcessBackend
-
-        run_spmd(2, _unmatched_sender, backend=ProcessBackend(pool=True))
+        run_spmd(2, _unmatched_sender, backend="process")
         assert _children() >= 2  # warm workers alive
         shutdown_worker_pools()
         assert _children() == 0

@@ -4,37 +4,31 @@ Everything here targets the process backend explicitly (the thread backend
 has no shared-memory machinery), so the package-level backend sweep is
 shadowed out.  Rank functions that should ride the warm pool are defined
 at module scope — the pool pickles them by reference; closures exercise
-the fork fallback.
+the fork fallback.  The window-off path is reached the way a weakly
+ordered host reaches it: ``WINDOWS_ENABLED`` patched off before the pool
+is spawned.
 """
 
 import os
+import platform
 
 import numpy as np
 import pytest
 
+from repro import resources
 from repro.mpi import (
-    ProcessBackend,
     SpmdError,
     SUM,
     run_spmd,
     shutdown_worker_pools,
 )
-from repro.mpi.backends import POOL_ENV_VAR, _POOLS
+from repro.mpi import process_transport as pt
+from repro.mpi.backends import _POOLS
 from repro.mpi.process_transport import (
-    ARENA_ENV_VAR,
-    HUGE_MIN_BYTES,
-    HUGEPAGE_STATS,
-    HUGEPAGES_ENV_VAR,
     SegmentArena,
     ShmArrayView,
-    WINDOW_SLOT_ENV_VAR,
-    WINDOWS_ENV_VAR,
     _bucket_of,
-    _HP_DIR_CACHE,
-    attach_segment,
-    create_segment,
-    hugepage_dir,
-    segment_backing,
+    encode_payload,
 )
 
 
@@ -42,19 +36,6 @@ from repro.mpi.process_transport import (
 def spmd_backend():
     """Shadow the package sweep: every test names its backend."""
     return None
-
-
-@pytest.fixture(autouse=True)
-def fastpath_env(monkeypatch):
-    """Pin the fast-path knobs to their defaults: this suite tests the
-    fast path itself, so the CI leg that exports the 0s (to exercise the
-    fallback paths elsewhere) must not reach it."""
-    for var in (POOL_ENV_VAR, ARENA_ENV_VAR, WINDOWS_ENV_VAR,
-                WINDOW_SLOT_ENV_VAR, HUGEPAGES_ENV_VAR):
-        monkeypatch.delenv(var, raising=False)
-    _HP_DIR_CACHE.clear()
-    yield
-    _HP_DIR_CACHE.clear()
 
 
 @pytest.fixture(autouse=True)
@@ -110,26 +91,24 @@ class TestRankPool:
         def prog(comm):  # closure: not picklable by reference
             return (os.getpid(), captured["flag"])
 
+        warm = run_spmd(2, _pid, backend="process").values
         first = run_spmd(2, prog, backend="process").values
         second = run_spmd(2, prog, backend="process").values
         assert all(flag for _, flag in first)
-        # Fresh forks each run: no warm pids survive.
-        assert {pid for pid, _ in first}.isdisjoint(
-            pid for pid, _ in second
-        )
+        # Fresh forks each run: no warm pids survive, and the pool's
+        # workers serve none of them.
+        forked = {pid for pid, _ in first}
+        assert forked.isdisjoint(pid for pid, _ in second)
+        assert forked.isdisjoint(warm)
 
-    def test_pool_env_opt_out(self, monkeypatch):
-        monkeypatch.setenv(POOL_ENV_VAR, "0")
+    def test_retired_pool_env_var_keeps_the_pool(self, monkeypatch):
+        # REPRO_SPMD_POOL is no longer read: a picklable function rides
+        # the warm pool whatever the environment says.
+        monkeypatch.setenv("REPRO_SPMD_POOL", "0")
         first = run_spmd(2, _pid, backend="process").values
         second = run_spmd(2, _pid, backend="process").values
-        assert set(first).isdisjoint(second)
-        assert not _POOLS
-
-    def test_pool_constructor_opt_out(self):
-        backend = ProcessBackend(pool=False)
-        first = run_spmd(2, _pid, backend=backend).values
-        second = run_spmd(2, _pid, backend=backend).values
-        assert set(first).isdisjoint(second)
+        assert first == second
+        assert set(_POOLS) == {2}
 
     def test_failure_flags_pool_for_recycle(self):
         warm = run_spmd(2, _pid, backend="process").values
@@ -216,7 +195,7 @@ class TestSegmentArena:
         assert _bucket_of(1 << 20) == 1 << 20
 
     def test_acquire_reuses_recycled_segment(self):
-        arena = SegmentArena(enabled=True)
+        arena = SegmentArena()
         shm = arena.acquire(1000)
         name = shm.name
         arena.recycle(shm)
@@ -228,19 +207,28 @@ class TestSegmentArena:
             arena.recycle(again)
             arena.teardown()
 
-    def test_disabled_arena_unlinks_on_recycle(self):
-        arena = SegmentArena(enabled=False)
-        shm = arena.acquire(1000)
-        name = shm.name
-        arena.recycle(shm)
-        assert not os.path.exists(f"/dev/shm/{name}")
-        arena.teardown()
+    def test_budget_denied_arena_leaves_no_segment(self):
+        # A shm budget too small for one bucket denies the arena before
+        # anything reaches /dev/shm; the payload stays in the pickle
+        # stream and the fallback is recorded.
+        gov = resources.governor()
+        gov.configure(budget=1024)
+        arena = SegmentArena()
+        before = set(os.listdir("/dev/shm"))
+        try:
+            x = np.arange(1000.0)
+            segments: list = []
+            assert encode_payload(x, segments, arena) is x
+            assert not segments
+            assert set(os.listdir("/dev/shm")) == before
+        finally:
+            summary = gov.deconfigure()
+            arena.teardown()
+        assert [e[:2] for e in summary["events"]] == [("arena", "pickle")]
 
     def test_recycle_respects_byte_budget(self, monkeypatch):
-        from repro.mpi import process_transport as pt
-
         monkeypatch.setattr(pt, "_ARENA_MAX_FREE_BYTES", 8192)
-        arena = SegmentArena(enabled=True)
+        arena = SegmentArena()
         kept = [arena.acquire(4096), arena.acquire(4096)]
         over = arena.acquire(4096)
         for s in kept:
@@ -251,7 +239,7 @@ class TestSegmentArena:
         arena.teardown()
 
     def test_teardown_unlinks_pooled_segments(self):
-        arena = SegmentArena(enabled=True)
+        arena = SegmentArena()
         names = []
         segs = [arena.acquire(n) for n in (100, 5000, 100)]
         for s in segs:
@@ -326,11 +314,19 @@ def _collective_battery(comm, x):
 
 
 class TestCollectiveWindows:
-    def test_windows_used_by_default_and_disableable(self, monkeypatch):
-        assert run_spmd(2, _windows_enabled_prog, backend="process")[0]
+    def test_the_platform_decides_windows(self, monkeypatch):
+        assert pt.WINDOWS_ENABLED == (
+            platform.machine().lower() in pt._TSO_MACHINES
+        )
+        assert run_spmd(2, _windows_enabled_prog, backend="process")[0] == (
+            pt.WINDOWS_ENABLED
+        )
+        # The retired switch is not read.
         shutdown_worker_pools()
-        monkeypatch.setenv(WINDOWS_ENV_VAR, "0")
-        assert not run_spmd(2, _windows_enabled_prog, backend="process")[0]
+        monkeypatch.setenv("REPRO_SPMD_WINDOWS", "0")
+        assert run_spmd(2, _windows_enabled_prog, backend="process")[0] == (
+            pt.WINDOWS_ENABLED
+        )
 
     @pytest.mark.parametrize("n", [1024, 80_000])  # fits / forces growth
     def test_windowed_results_match_p2p_and_thread(self, monkeypatch, n):
@@ -338,7 +334,7 @@ class TestCollectiveWindows:
         p = 4
         windowed = run_spmd(p, _collective_battery, x, backend="process")
         shutdown_worker_pools()
-        monkeypatch.setenv(WINDOWS_ENV_VAR, "0")
+        monkeypatch.setattr(pt, "WINDOWS_ENABLED", False)
         p2p = run_spmd(p, _collective_battery, x, backend="process")
         threaded = run_spmd(p, _collective_battery, x, backend="thread")
         assert windowed.values == p2p.values == threaded.values
@@ -360,18 +356,18 @@ class TestCollectiveWindows:
         assert small == 4096
         assert big == 65536  # 4096 doubles up to cover ~48 KiB packed
 
-    def test_window_slot_knob_pins_initial_slot(self):
-        backend = ProcessBackend(window_slot=1 << 17)
-        res = run_spmd(2, _window_slots, backend=backend)
-        assert res[0] == (1 << 17, 1 << 17)
+    def test_weak_platform_disables_windows_on_pool_and_fork(
+        self, monkeypatch
+    ):
+        # Patched before the pool is spawned, as a weakly ordered host
+        # would have it from import: pooled and forked ranks both see it.
+        monkeypatch.setattr(pt, "WINDOWS_ENABLED", False)
 
-    def test_windows_knob_overrides_env(self):
-        # Constructor knob beats the (unset => enabled) environment.
-        backend = ProcessBackend(windows=False)
-        assert not run_spmd(2, _windows_enabled_prog, backend=backend)[0]
-        assert run_spmd(
-            2, _windows_enabled_prog, backend=ProcessBackend(windows=True)
-        )[0]
+        def forked(comm):
+            return comm._transport.windows_enabled
+
+        assert not run_spmd(2, _windows_enabled_prog, backend="process")[0]
+        assert not run_spmd(2, forked, backend="process")[0]
 
     def test_window_growth_preserves_fortran_order(self):
         f_big = np.asfortranarray(
@@ -384,156 +380,3 @@ class TestCollectiveWindows:
 
         for f_cont, same in run_spmd(3, prog, backend="process").values:
             assert f_cont and same
-
-
-def _window_backing(comm):
-    """One multi-MiB collective + one multi-MiB p2p message; report which
-    substrate mapped the window and whether the receive stayed zero-copy."""
-    x = np.arange(float(1 << 19)) + comm.rank  # 4 MiB payload
-    total = comm.allreduce(x, SUM)
-    if comm.rank == 0:
-        comm.send(x, dest=1)
-        view_kind = None
-    elif comm.rank == 1:
-        arr = comm.recv(source=0)
-        view_kind = type(arr).__name__
-    else:
-        view_kind = None
-    return float(total[0]), comm._win.backing, view_kind
-
-
-class TestHugePages:
-    """Huge-page backing for windows and arena segments.
-
-    The directory form of ``REPRO_SPMD_HUGEPAGES`` points the substrate at
-    an ordinary directory, which exercises the identical file-backed
-    mapping path (create, attach-by-name, unlink, fallback) without
-    reserved huge pages; the real-hugetlbfs test runs when the host
-    provides pages and skips cleanly otherwise.
-    """
-
-    def test_knob_off_forces_shm(self, monkeypatch):
-        monkeypatch.setenv(HUGEPAGES_ENV_VAR, "0")
-        _HP_DIR_CACHE.clear()
-        seg = create_segment(HUGE_MIN_BYTES)
-        try:
-            assert segment_backing(seg) == "shm"
-        finally:
-            seg.close()
-            seg.unlink()
-
-    def test_small_segments_stay_on_shm(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(HUGEPAGES_ENV_VAR, str(tmp_path))
-        _HP_DIR_CACHE.clear()
-        seg = create_segment(HUGE_MIN_BYTES // 2)
-        try:
-            assert segment_backing(seg) == "shm"
-        finally:
-            seg.close()
-            seg.unlink()
-        assert not list(tmp_path.iterdir())
-
-    def test_directory_override_roundtrip(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(HUGEPAGES_ENV_VAR, str(tmp_path))
-        _HP_DIR_CACHE.clear()
-        before = HUGEPAGE_STATS["mapped"]
-        seg = create_segment(HUGE_MIN_BYTES + 1)
-        assert segment_backing(seg) == "hugetlb"
-        assert HUGEPAGE_STATS["mapped"] == before + 1
-        assert seg.size >= HUGE_MIN_BYTES + 1
-        np.frombuffer(seg.buf, np.float64, 64)[:] = np.arange(64.0)
-        attached = attach_segment(seg.name)
-        assert segment_backing(attached) == "hugetlb"
-        assert np.frombuffer(attached.buf, np.float64, 64)[17] == 17.0
-        attached.close()
-        seg.close()
-        seg.unlink()
-        assert not list(tmp_path.iterdir())  # unlink removed the file
-
-    def test_mmap_failure_falls_back_to_shm(self, tmp_path, monkeypatch):
-        from repro.mpi import process_transport as pt
-
-        monkeypatch.setenv(HUGEPAGES_ENV_VAR, str(tmp_path))
-        _HP_DIR_CACHE.clear()
-
-        class ExhaustedSegment:
-            def __init__(self, *args, **kwargs):
-                # Real mmap failures carry an errno; the fallback routes
-                # on it (anything else is a bug and must re-raise).
-                import errno
-
-                raise OSError(errno.ENOMEM, "Cannot allocate memory")
-
-        monkeypatch.setattr(pt, "HugePageSegment", ExhaustedSegment)
-        before = HUGEPAGE_STATS["fallbacks"]
-        seg = create_segment(HUGE_MIN_BYTES)
-        try:
-            assert segment_backing(seg) == "shm"
-            assert HUGEPAGE_STATS["fallbacks"] == before + 1
-        finally:
-            seg.close()
-            seg.unlink()
-
-    def test_windows_and_arena_ride_hugepages_spmd(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(HUGEPAGES_ENV_VAR, str(tmp_path))
-        res = run_spmd(3, _window_backing, backend="process")
-        for total, backing, view_kind in res.values:
-            assert total == 3.0  # 0 + 1 + 2 on element 0
-            assert backing == "hugetlb"
-        # The 4 MiB p2p payload travelled through a huge arena segment and
-        # still arrived as a zero-copy view.
-        assert res.values[1][2] == "ShmArrayView"
-        shutdown_worker_pools()
-        assert not list(tmp_path.iterdir())  # nothing leaked in the "mount"
-
-    def test_invalid_knob_values_are_rejected(self, tmp_path, monkeypatch):
-        # A typo'd path or an unknown mode is a configuration error, not
-        # a silent fallback to plain shm.
-        for bad in (str(tmp_path / "nonexistent"), "hugepages-dir", "2"):
-            monkeypatch.setenv(HUGEPAGES_ENV_VAR, bad)
-            _HP_DIR_CACHE.clear()
-            with pytest.raises(ValueError, match="REPRO_SPMD_HUGEPAGES"):
-                hugepage_dir()
-
-    def test_reaper_unlinks_dead_creators_only(self, tmp_path, monkeypatch):
-        from repro.mpi.process_transport import (
-            _HUGE_PREFIX,
-            reap_stale_hugepage_segments,
-        )
-
-        monkeypatch.setenv(HUGEPAGES_ENV_VAR, str(tmp_path))
-        _HP_DIR_CACHE.clear()
-        live = create_segment(HUGE_MIN_BYTES)  # this process: must survive
-        # Forge a segment whose creating pid cannot exist.
-        dead_pid = int(open("/proc/sys/kernel/pid_max").read()) + 7
-        dead_name = f"{_HUGE_PREFIX}{dead_pid}_deadbeef"
-        (tmp_path / dead_name).write_bytes(b"x" * 64)
-        other_run = f"{_HUGE_PREFIX}{dead_pid + 1}_cafe"  # not in our pid set
-        (tmp_path / other_run).write_bytes(b"x" * 64)
-        (tmp_path / "unrelated.txt").write_bytes(b"keep me")
-        removed = reap_stale_hugepage_segments({dead_pid, os.getpid()})
-        assert removed == [dead_name]
-        assert not (tmp_path / dead_name).exists()
-        # Scoped to the passed worker pids: another run's leak is not ours
-        # to judge, and non-segment files are never touched.
-        assert (tmp_path / other_run).exists()
-        assert (tmp_path / "unrelated.txt").exists()
-        assert (tmp_path / live.name).exists()  # own pid always skipped
-        live.close()
-        live.unlink()
-        (tmp_path / other_run).unlink()
-        (tmp_path / "unrelated.txt").unlink()
-
-    def test_real_hugetlbfs_when_available(self, monkeypatch):
-        monkeypatch.setenv(HUGEPAGES_ENV_VAR, "auto")
-        _HP_DIR_CACHE.clear()
-        if hugepage_dir() is None:
-            pytest.skip("no writable hugetlbfs mount with reserved pages")
-        seg = create_segment(HUGE_MIN_BYTES)
-        try:
-            assert segment_backing(seg) == "hugetlb"
-            np.frombuffer(seg.buf, np.float64, 8)[:] = 1.5
-            assert bytes(seg.buf[:8]) == np.float64(1.5).tobytes()
-        finally:
-            seg.close()
-            seg.unlink()

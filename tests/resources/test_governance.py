@@ -14,6 +14,7 @@ import pytest
 from repro.config import RuntimeConfig
 from repro.faults import RetryPolicy
 from repro.mpi import DeadlineExceededError, SpmdError, shutdown_worker_pools
+from repro.mpi import process_transport
 from repro.mpi.backends import _recycle_idle_pools
 from tests.conftest import spmd
 
@@ -64,16 +65,20 @@ class TestBudgetDegradation:
         assert report.budget_bytes == 8192
         assert "degraded" in report.describe()
 
-    def test_arena_degradation_on_p2p_path(self):
+    def test_arena_degradation_on_p2p_path(self, monkeypatch):
         fast = spmd(3, _p2p_ring, 20_000, backend="process")
         shutdown_worker_pools()  # cold arenas: the lean run must allocate
+        # No windows (as on a weakly ordered host), so the only shm
+        # allocations left to degrade are the arena's.
+        monkeypatch.setattr(process_transport, "WINDOWS_ENABLED", False)
         lean = spmd(
             3,
             _p2p_ring,
             20_000,
             backend="process",
-            config=RuntimeConfig(shm_budget=4096, windows=False),
+            config=RuntimeConfig(shm_budget=4096),
         )
+        shutdown_worker_pools()  # no worker keeps the patched setting
         assert lean.values == fast.values
         report = lean.resources
         assert report.degraded
@@ -81,8 +86,8 @@ class TestBudgetDegradation:
         assert {e.kind for e in report.degradations} == {"pickle"}
 
     def test_unconstrained_run_reports_no_degradations(self):
-        # Explicit default config pins the fast path on even when the
-        # environment (the CI fallback leg) turns windows/arena off.
+        # Explicit default config: an environment budget (the
+        # constrained-resources CI step) must not reach this run.
         res = spmd(
             2, _collectives, 4096, backend="process", config=RuntimeConfig()
         )
@@ -110,7 +115,7 @@ class TestFaultInjection:
             4096,
             backend="process",
             faults="rank=0:site=window:kind=enospc:nth=1",
-            config=RuntimeConfig(),  # windows on even on the fallback leg
+            config=RuntimeConfig(),  # no budget from the environment
         )
         assert hit.values == fast.values
         report = hit.resources
@@ -126,7 +131,7 @@ class TestFaultInjection:
             20_000,
             backend="process",
             faults="rank=1:site=arena:kind=enospc",
-            config=RuntimeConfig(),  # arena on even on the fallback leg
+            config=RuntimeConfig(),  # no budget from the environment
         )
         assert hit.values == fast.values
         assert any(
@@ -189,12 +194,8 @@ class TestAdmission:
         assert 0.0 <= report.admission_wait < 1.0
 
     def test_recycler_reclaims_idle_warm_pools(self):
-        # Force pooling (the CI fallback leg exports REPRO_SPMD_POOL=0):
-        # the claim is about warm pools, so there must be one.
-        from repro.mpi import ProcessBackend
-
         shutdown_worker_pools()
-        spmd(2, _slow_allreduce, backend=ProcessBackend(pool=True))
+        spmd(2, _slow_allreduce, backend="process")
         warm = len(multiprocessing.active_children())
         assert warm >= 2  # the pool stays warm between runs
         _recycle_idle_pools(1)

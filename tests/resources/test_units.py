@@ -7,6 +7,7 @@ import time
 import pytest
 
 from repro.config import RuntimeConfig, resolve_config
+from repro.mpi import process_transport
 from repro.mpi.errors import AdmissionError, DeadlineExceededError
 from repro.resources import (
     AdmissionController,
@@ -209,16 +210,18 @@ class TestAdmission:
         clone = pickle.loads(pickle.dumps(exc))
         assert clone.reason == "shm_budget"
 
-    def test_estimate_scales_with_world(self):
+    def test_estimate_scales_with_world(self, monkeypatch):
+        monkeypatch.setattr(process_transport, "WINDOWS_ENABLED", True)
         small = estimate_world_shm(2)
         large = estimate_world_shm(16)
         assert 0 < small < large
         hinted = estimate_world_shm(2, payload_hint=1 << 20)
         assert hinted > small
-        no_windows = estimate_world_shm(
-            2, RuntimeConfig(windows=False, arena=False)
-        )
-        assert no_windows == 0
+        # Where the platform opens no windows only the arena buckets a
+        # payload hint asks for are left.
+        monkeypatch.setattr(process_transport, "WINDOWS_ENABLED", False)
+        assert estimate_world_shm(2) == 0
+        assert estimate_world_shm(2, payload_hint=1 << 20) == 2 << 20
 
 
 class TestReport:

@@ -31,9 +31,7 @@ def field(tmp_path):
 
 
 def _shm_names():
-    return {
-        n for n in os.listdir("/dev/shm") if n.startswith(("rps_", "rphp_"))
-    }
+    return {n for n in os.listdir("/dev/shm") if n.startswith("rps_")}
 
 
 @pytest.fixture
@@ -197,7 +195,9 @@ def test_small_modes_compress_within_tol(tmp_path, shape):
 
 
 #: What ``repro-tucker plan ... --json`` printed before the ``overlap``,
-#: ``tsqr_tree`` and ``compress_wire`` knobs were removed.
+#: ``tsqr_tree`` and ``compress_wire`` knobs were removed (and the five
+#: transport knobs after them: ``pool``, ``arena``, ``windows``,
+#: ``window_slot`` and ``hugepages``).
 STALE_PLAN = (
     '{"arena": true, "backend": "thread", "compress_wire": false, '
     '"compute_dtype": "float64", "deadline": 0.0, "faults": "", '
@@ -211,7 +211,11 @@ STALE_PLAN = (
 @pytest.mark.parametrize(
     "plan, message",
     [
-        (STALE_PLAN, "compress_wire, overlap, tsqr_tree"),
+        (
+            STALE_PLAN,
+            "arena, compress_wire, hugepages, overlap, pool, tsqr_tree, "
+            "window_slot, windows",
+        ),
         ("[1, 2]", "must be a mapping"),
         ("{not json", "invalid RuntimeConfig JSON"),
     ],
@@ -235,6 +239,23 @@ def test_bad_plan_is_one_error_line_before_launch(
     err = capsys.readouterr().err
     assert err.startswith("error: --plan:") and err.count("\n") == 1
     assert message in err
+    assert not out.exists()
+
+
+def test_no_pool_flag_is_gone(field, tmp_path, capsys, monkeypatch):
+    # The process backend has one configuration: argparse rejects the
+    # retired flag before anything is read or launched.
+    src, _ = field
+    monkeypatch.setattr(
+        repro.mpi, "run_spmd",
+        lambda *a, **k: pytest.fail("a rank was launched"),
+    )
+    out = tmp_path / "out.npz"
+    with pytest.raises(SystemExit) as exc_info:
+        main(["compress", str(src), str(out), "--tol", "1e-2",
+              "--parallel", "2", "--backend", "process", "--no-pool"])
+    assert exc_info.value.code == 2
+    assert "unrecognized arguments: --no-pool" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -287,10 +308,11 @@ class TestFailedParallelCompress:
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(np, "savez", torn_savez)
-        # --no-pool: the ranks are forked now, from this patched process.
+        # shm_clean shut the old pool down, so the ranks are forked now,
+        # from this patched process.
         err = self._fails_cleanly(
             ["compress", str(src), str(model), "--tol", "1e-2",
-             "--parallel", "2", "--backend", backend, "--no-pool"],
+             "--parallel", "2", "--backend", backend],
             capsys, model, before,
         )
         assert "No space left" in err
