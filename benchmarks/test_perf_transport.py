@@ -16,7 +16,12 @@ the perf trajectory is visible across PRs:
 * ``dtype_rounds`` — float32 vs float64 allgather+allreduce rounds on
   the window path at a bandwidth-bound payload: window slots and arena
   buckets are sized by actual nbytes, so half-width elements must buy a
-  real round-time win (>= 1.3x asserted; measured ~2-3x).
+  real round-time win (>= 1.3x asserted; measured ~2-3x);
+* ``grid_setup`` — building a ``CartGrid`` and running one collective on
+  every mode row and column, at P=2 and P=4 (recorded; the asserted
+  claim is that construction sends no message);
+* ``from_global_in_place`` — ``DistTensor.from_global`` of the
+  ``dist-sp`` input at P=2: time and bytes copied (recorded only).
 
 Wall-clock numbers, so absolute values depend on the machine; the asserted
 claims are the *ratios* the fast path exists to deliver.
@@ -30,8 +35,10 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.distributed import DistTensor
 from repro.mpi import (
     SUM,
+    CartGrid,
     run_spmd,
     shutdown_worker_pools,
 )
@@ -409,3 +416,120 @@ def test_p2p_latency_and_bandwidth(benchmark):
     # The adaptive backoff starts at 1 ms: a small-message round trip must
     # come in well under the old fixed 50 ms poll floor.
     assert latency < 0.05
+
+
+class _CountingTransport:
+    """Forwards to a rank's transport, counting what would leave the rank."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.calls = 0
+
+    def __getattr__(self, name):
+        attr = getattr(self._inner, name)
+        if name in ("put", "get", "create_window", "attach_window"):
+            def counted(*args, **kwargs):
+                self.calls += 1
+                return attr(*args, **kwargs)
+
+            return counted
+        return attr
+
+
+def _grid_setup_timed(comm, dims):
+    """Seconds to build the grid and run one allreduce on every mode row
+    and column of a fresh run's communicator, and the transport calls
+    the construction made."""
+    counting = _CountingTransport(comm._transport)
+    comm._transport = counting
+    try:
+        comm.allreduce(0.0, SUM)  # in step, the run's window sized
+        before = counting.calls
+        start = time.perf_counter()
+        g = CartGrid(comm, dims)
+        subs = [
+            s for m in range(len(dims))
+            for s in (g.mode_row(m), g.mode_column(m))
+        ]
+        sent = counting.calls - before
+        for s in subs:
+            s.allreduce(1.0, SUM)
+        elapsed = time.perf_counter() - start
+    finally:
+        comm._transport = counting._inner
+    return elapsed, sent
+
+
+def test_grid_setup(benchmark):
+    reps = 20
+    shutdown_worker_pools()
+    cases = {2: (1, 1, 1, 1, 2), 4: (2, 2, 1)}
+
+    def measure():
+        out = {}
+        for p, dims in cases.items():
+            run_spmd(p, _noop_prog, backend="process")  # prime the pool
+            out[p] = [
+                run_spmd(p, _grid_setup_timed, dims, backend="process").values
+                for _ in range(reps)
+            ]
+        return out
+
+    out = benchmark.pedantic(measure, rounds=1, iterations=1)
+    shutdown_worker_pools()
+    rows, record = [], {}
+    for p, runs in out.items():
+        ms = float(np.median([max(t for t, _ in v) for v in runs])) * 1e3
+        rows.append([p, "x".join(map(str, cases[p])), ms])
+        record[f"p{p}"] = {"dims": list(cases[p]), "median_ms": ms}
+        assert {sent for v in runs for _, sent in v} == {0}, "construction sent"
+    table(
+        f"CartGrid + one allreduce per mode row/column, fresh run "
+        f"(median of {reps})",
+        ["P", "grid", "ms"],
+        rows,
+    )
+    _record("grid_setup", record)
+
+
+#: ``dist-sp``'s input shape and grid (bench/workloads.py, choose_grid).
+_DIST_SP_SHAPE = (36, 36, 36, 11, 20)
+_DIST_SP_GRID = (1, 1, 1, 1, 2)
+
+
+def _from_global_timed(comm, x):
+    start = time.perf_counter()
+    dt = DistTensor.from_global(CartGrid(comm, _DIST_SP_GRID), x)
+    elapsed = time.perf_counter() - start
+    copied = 0 if np.shares_memory(dt.local, x) else dt.local.nbytes
+    return elapsed, copied
+
+
+def test_from_global_in_place(benchmark):
+    shutdown_worker_pools()
+    x = np.asfortranarray(
+        np.random.default_rng(2).standard_normal(_DIST_SP_SHAPE)
+    )
+    run_spmd(2, _noop_prog, backend="process")  # prime the pool
+
+    def measure():
+        return [
+            run_spmd(2, _from_global_timed, x, backend="process").values
+            for _ in range(5)
+        ]
+
+    runs = benchmark.pedantic(measure, rounds=1, iterations=1)
+    shutdown_worker_pools()
+    ms = float(np.median([max(t for t, _ in v) for v in runs])) * 1e3
+    copied = max(c for v in runs for _, c in v)
+    table(
+        f"from_global of {x.nbytes / 1e6:.1f} MB over 2 ranks "
+        "(process, warm pool, median of 5)",
+        ["metric", "value"],
+        [["ms (max over ranks)", ms], ["bytes copied per rank", copied]],
+    )
+    _record(
+        "from_global_in_place",
+        {"shape": list(_DIST_SP_SHAPE), "grid": list(_DIST_SP_GRID),
+         "ms": ms, "bytes_copied": copied},
+    )

@@ -31,7 +31,7 @@ from repro.core.tucker import TuckerTensor
 from repro.distributed.dist_tensor import DistTensor
 from repro.distributed.hooi import dist_hooi
 from repro.distributed.sthosvd import DistTucker
-from repro.tensor.dense import as_ndarray, norm_sq
+from repro.tensor.dense import as_ndarray
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def hooi(
             core=DistTensor(dt.grid, core.shape, core),
             factors_local=list(init.decomposition.factors[::step]),
             eigenvalues=list(init.eigenvalues[::step]),
-            x_norm_sq=norm_sq(arr),
+            x_norm_sq=init.x_norm_sq,
             mode_order=tuple(
                 n_modes - 1 - m if flipped else m for m in init.mode_order
             ),

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core.sthosvd import SthosvdResult
 from repro.core.tucker import TuckerTensor
-from repro.tensor.dense import as_ndarray, norm
+from repro.tensor.dense import as_ndarray, norm_sq
 from repro.tensor.eig import eigendecompose, rank_from_tolerance
 from repro.tensor.gram import gram
 from repro.tensor.ttm import multi_ttm
@@ -49,7 +49,8 @@ def hosvd(
             if r > s:
                 raise ValueError(f"rank {r} exceeds dimension {s}")
 
-    x_norm = norm(arr)
+    x_norm_sq = norm_sq(arr)
+    x_norm = float(np.sqrt(x_norm_sq))
     threshold = (tol**2) * (x_norm**2) / n_modes if tol is not None else None
 
     factors: list[np.ndarray] = []
@@ -69,5 +70,5 @@ def hosvd(
         decomposition=TuckerTensor(core=core, factors=tuple(factors)),
         eigenvalues=tuple(eigenvalues),
         mode_order=tuple(range(n_modes)),
-        x_norm=x_norm,
+        x_norm_sq=x_norm_sq,
     )

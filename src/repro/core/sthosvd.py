@@ -40,7 +40,7 @@ from repro.core.tucker import TuckerTensor
 from repro.distributed.dist_tensor import DistTensor
 from repro.distributed.grid import self_grid
 from repro.distributed.sthosvd import dist_sthosvd, resolve_mode_order
-from repro.tensor.dense import as_ndarray, norm
+from repro.tensor.dense import as_ndarray
 from repro.util.validation import check_shape_like, prod
 
 
@@ -59,14 +59,20 @@ class SthosvdResult:
         not of ``X`` itself, for every mode after the first processed.
     mode_order:
         The order in which modes were processed, in the caller's modes.
-    x_norm:
-        ``||X||`` of the input, needed for error accounting.
+    x_norm_sq:
+        ``||X||^2`` of the input as the driver carried it (HOOI's fit
+        quantity starts from it).
     """
 
     decomposition: TuckerTensor
     eigenvalues: tuple[np.ndarray, ...]
     mode_order: tuple[int, ...]
-    x_norm: float
+    x_norm_sq: float
+
+    @property
+    def x_norm(self) -> float:
+        """``||X||`` of the input, needed for error accounting."""
+        return float(np.sqrt(self.x_norm_sq))
 
     @property
     def ranks(self) -> tuple[int, ...]:
@@ -159,16 +165,13 @@ def sthosvd(
         mode_labels=labels,
     )
     core = t.core.local.T if flipped else t.core.local
-    # A strided input was copied for the kernels; its norm is still summed
-    # where it lies.
-    contiguous = arr.flags.c_contiguous or arr.flags.f_contiguous
     return SthosvdResult(
         decomposition=TuckerTensor(
             core=core, factors=tuple(t.factors_local[::step])
         ),
         eigenvalues=tuple(t.eigenvalues[::step]),
         mode_order=tuple(labels[m] for m in t.mode_order),
-        x_norm=t.x_norm if contiguous else norm(arr),
+        x_norm_sq=t.x_norm_sq,
     )
 
 

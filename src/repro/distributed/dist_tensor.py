@@ -12,7 +12,9 @@ only its own block out of a memory-mapped ``.npy`` file, so no process ever
 holds the whole tensor (how the paper's code reads its data, and what
 ``repro-tucker compress --parallel`` runs).  ``from_global`` is the
 replicated-array convenience (every rank already holds the whole array and
-slices its block — tests, and callers whose data is in memory anyway),
+slices its block — tests, and callers whose data is in memory anyway; a
+pooled process rank's array is its own copy-on-write mapping, and a
+Fortran-contiguous block of it is used where it is mapped),
 ``scatter`` has the root hold the array and send blocks, and
 ``from_local_factory`` lets each rank generate its own block, allowing
 simulated tensors larger than any single rank would want to hold.
@@ -28,6 +30,7 @@ import numpy as np
 from repro.distributed.layout import local_block, local_shape
 from repro.mpi.cart import CartGrid
 from repro.mpi.errors import CommunicatorError
+from repro.mpi.process_transport import is_borrowed
 from repro.mpi.reduce_ops import SUM
 from repro.tensor.dense import match_dtype, norm_sq, unfold
 from repro.util.validation import check_shape_like
@@ -76,16 +79,22 @@ class DistTensor:
     def from_global(cls, grid: CartGrid, array: np.ndarray) -> "DistTensor":
         """Each rank slices its own block from a replicated global array.
 
-        The block is the one copy made and never aliases ``array`` (which
-        may be a borrowed SPMD argument, valid only while the rank runs).
+        The block is private to the rank.  A pooled process rank's
+        ``array`` is a borrowed copy-on-write mapping that is already
+        private (:func:`~repro.mpi.process_transport.is_borrowed`), so a
+        block of it that is Fortran-contiguous in the working dtype is
+        used where it lies.  Any other block is the one copy made and never
+        aliases ``array``.
         """
         array = np.asarray(array)
-        slices = local_block(array.shape, grid.dims, grid.coords)
-        local = np.array(
-            array[slices], dtype=match_dtype(array.dtype), order="F"
-        )
-        assert local.base is None, "from_global must own its block"
-        return cls(grid, array.shape, local)
+        block = array[local_block(array.shape, grid.dims, grid.coords)]
+        dtype = match_dtype(array.dtype)
+        if not (
+            block.dtype == dtype and block.flags.f_contiguous
+            and is_borrowed(array)
+        ):
+            block = np.array(block, dtype=dtype, order="F")
+        return cls(grid, array.shape, block)
 
     @classmethod
     def from_npy(cls, grid: CartGrid, path: str | os.PathLike) -> "DistTensor":

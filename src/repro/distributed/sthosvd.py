@@ -245,9 +245,9 @@ def _checkpoint_resume(
     dt: DistTensor,
     factors: list[np.ndarray | None],
     eigenvalues: list[np.ndarray | None],
-) -> tuple[int, DistTensor]:
-    """Restore ``(completed steps, working tensor)`` from a committed
-    checkpoint, or ``(0, dt)`` when none exists.
+) -> tuple[int, DistTensor, float | None]:
+    """Restore ``(completed steps, working tensor, ||X||^2)`` from a
+    committed checkpoint, or ``(0, dt, None)`` when none exists.
 
     Safe to run concurrently on all ranks: the committed ``meta.json``
     is stable (nobody writes it until every rank is past this point),
@@ -258,7 +258,7 @@ def _checkpoint_resume(
     check_deadline("checkpoint resume")
     meta = read_checkpoint_meta(checkpoint)
     if meta is None:
-        return 0, dt
+        return 0, dt, None
     if meta["digest"] != digest:
         raise ValueError(
             f"checkpoint {os.fspath(checkpoint)!r} was written for "
@@ -267,13 +267,17 @@ def _checkpoint_resume(
         )
     completed = int(meta["completed"])
     if completed <= 0:
-        return 0, dt
+        return 0, dt, None
     state = load_checkpoint_state(checkpoint, completed - 1, dt.comm.rank)
     for mode, f in state["factors"].items():
         factors[mode] = f
     for mode, e in state["eigenvalues"].items():
         eigenvalues[mode] = e
-    return completed, dt.with_local(state["local"], state["global_shape"])
+    return (
+        completed,
+        dt.with_local(state["local"], state["global_shape"]),
+        float(meta["x_norm_sq"]),
+    )
 
 
 def _checkpoint_commit(
@@ -284,8 +288,10 @@ def _checkpoint_commit(
     y: DistTensor,
     factors: list[np.ndarray | None],
     eigenvalues: list[np.ndarray | None],
+    x_norm_sq: float,
 ) -> None:
-    """Commit the state after step ``step`` (position in ``order``).
+    """Commit the state after step ``step`` (position in ``order``),
+    with the ``||X||^2`` the run carries.
 
     Every rank writes its step file, a barrier establishes that all
     files exist, then rank 0 publishes ``meta.json`` and retires the
@@ -312,7 +318,7 @@ def _checkpoint_commit(
     comm.barrier()
     if comm.rank == 0:
         commit_checkpoint_meta(
-            checkpoint, digest, step + 1, comm.size, tuple(order)
+            checkpoint, digest, step + 1, comm.size, tuple(order), x_norm_sq
         )
         if step > 0:
             clear_checkpoint_step(checkpoint, step - 1)
@@ -435,15 +441,17 @@ def _plan_fibres(
 
 
 def plan_mode_order(
-    y: DistTensor, threshold: float, labels: Sequence[int] | None = None
+    y: DistTensor, budget: float, labels: Sequence[int] | None = None
 ) -> list[int]:
     """The order a tolerance-driven ST-HOSVD of ``y`` processes its modes.
 
     Every mode's rank is predicted from a fixed-seed sample of its
     unfolding's columns (``c_n`` fibres, :data:`PLAN_FIBRES`): the rank
-    :func:`~repro.tensor.eig.rank_from_tolerance` picks at ``threshold``
-    from the spectrum of ``(cols_n / c_n) A^T A``, ``A`` the ``c_n x I_n``
-    sample.  The modes then go by
+    :func:`~repro.tensor.eig.rank_from_tolerance` picks from the spectrum
+    of ``A^T A``, ``A`` the ``c_n x I_n`` sample, when the dropped tail
+    may be ``budget`` (``tol^2 / N``) of the spectrum's sum.  The sample
+    normalises itself, so the plan needs no ``||X||^2``: the driver
+    takes that from the first mode it processes.  The modes then go by
     :func:`~repro.core.sthosvd.greedy_ratio_order` on those ranks.  Each
     rank copies its rows of the sampled fibres it holds into the sample,
     zeros elsewhere, and one all-reduce, in ledger section ``"plan"``,
@@ -494,9 +502,10 @@ def plan_mode_order(
             a = sample[offset:offset + c * shape[m]].reshape(c, shape[m])
             offset += c * shape[m]
             y.comm.add_flops(shape[m] * (shape[m] + 1) * c)
-            values = np.linalg.eigvalsh(a.T @ a)[::-1]
-            values = np.clip(values, 0.0, None) * (prod(shape) / shape[m] / c)
-            predicted[labels[m]] = rank_from_tolerance(values, threshold)
+            values = np.clip(np.linalg.eigvalsh(a.T @ a)[::-1], 0.0, None)
+            predicted[labels[m]] = rank_from_tolerance(
+                values, budget * float(np.sum(values))
+            )
     caller_shape = [shape[labels.index(k)] for k in range(y.ndim)]
     return [
         labels.index(k) for k in greedy_ratio_order(caller_shape, predicted)
@@ -613,10 +622,17 @@ def dist_sthosvd(
     :func:`~repro.distributed.hooi.dist_hooi` sweep against the original
     tensor.  Outputs (core and factors) are always returned in float64.
 
+    ``||X||^2`` (``DistTucker.x_norm_sq``, the truncation threshold's
+    scale) costs no pass of its own: it is the sum of the first processed
+    mode's whole spectrum (``trace S_n`` on the Gram path, ``||R||_F^2``
+    on the QR path), which that mode computes at full rank before it is
+    truncated.  Only a float32 sweep (``"float32"``, ``"mixed"``) keeps a
+    float64 norm pass, since a float32 spectrum cannot supply it.
+
     ``mode_order=`` is a permutation, ``"natural"``, or ``None``.  With
     ``ranks=``, ``None`` is increasing order.  With ``tol=``, ``None``
-    asks the driver to plan the order as well as the ranks: after the
-    norm, :func:`plan_mode_order` predicts every rank from a fixed-seed
+    asks the driver to plan the order as well as the ranks:
+    :func:`plan_mode_order` predicts every rank from a fixed-seed
     fibre sample (one all-reduce, ledger section ``"plan"``) and the
     modes go highest ``I_n / R_n`` first, the same order on every grid
     and backend — unless the grid divides the mode that order puts
@@ -658,24 +674,26 @@ def dist_sthosvd(
     work = kernel_dtype(compute)
 
     comm = dt.comm
-    x_norm_sq = dt.norm_sq()
     # Mixed mode truncates against the tighter share of the split budget;
     # the rest of the budget is reserved for float32 precision loss.
     tol_trunc = tol
     prec_share = 0.0
     if tol is not None and compute == "mixed":
         tol_trunc, prec_share = split_tolerance(tol)
-    threshold = (
-        (tol_trunc**2) * x_norm_sq / n_modes if tol_trunc is not None
-        else None
-    )
     if planned:
-        order = plan_mode_order(dt, threshold, labels)
+        order = plan_mode_order(dt, tol_trunc**2 / n_modes, labels)
         if dt.grid.dims[order[0]] > 1:
             # choose_grid scores grids in increasing order.  A divided
             # first mode would ring the whole tensor through its Gram,
             # which costs more than the plan saves: keep that order.
             order = list(range(n_modes))
+    # ||X||^2 is the whole spectrum of the first mode processed (trace S_n,
+    # or ||R||_F^2), summed before that mode is truncated.  A float32
+    # spectrum cannot supply it, so a narrow sweep keeps the norm pass.
+    x_norm_sq = dt.norm_sq() if work == np.float32 else None
+
+    def threshold(x_norm_sq: float) -> float | None:
+        return None if tol_trunc is None else (tol_trunc**2) * x_norm_sq / n_modes
 
     y = dt
     if work == np.float32:
@@ -691,20 +709,37 @@ def dist_sthosvd(
         ckpt_digest = _checkpoint_digest(dt, tol, ranks, order, method,
                                          compute)
         with comm.section("checkpoint"):
-            completed, y = _checkpoint_resume(
+            completed, y, stored = _checkpoint_resume(
                 checkpoint, ckpt_digest, y, factors, eigenvalues
             )
+        if completed:
+            x_norm_sq = stored
     for step, n in enumerate(order):
         if step < completed:
             continue
         # Threshold-based selection is floored at the grid extent: the
         # block distribution needs one output row per processor in the
         # mode (strictly more accurate than requested, never worse).
-        factors[n], eig = _mode_factor(
-            y, n, method,
-            rank=None if threshold is not None else ranks[n],  # type: ignore[index]
-            threshold=threshold, min_rank=dt.grid.dims[n], dtype=work,
-        )
+        if x_norm_sq is None:
+            # This mode sees all of X: factor it at full rank, sum the
+            # spectrum, then cut the factor to the rank the sum implies.
+            u, eig = _mode_factor(
+                y, n, method, rank=y.global_shape[n], dtype=work
+            )
+            x_norm_sq = float(np.sum(eig.values))
+            cut = threshold(x_norm_sq)
+            keep = (
+                ranks[n] if cut is None  # type: ignore[index]
+                else max(dt.grid.dims[n], rank_from_tolerance(eig.values, cut))
+            )
+            factors[n] = np.array(u[:, :keep])
+        else:
+            cut = threshold(x_norm_sq)
+            factors[n], eig = _mode_factor(
+                y, n, method,
+                rank=None if cut is not None else ranks[n],  # type: ignore[index]
+                threshold=cut, min_rank=dt.grid.dims[n], dtype=work,
+            )
         eigenvalues[n] = eig.values
         with comm.section("ttm"):
             y = project_modes(y, factors, [n], ttm_strategy)  # type: ignore[arg-type]
@@ -712,7 +747,7 @@ def dist_sthosvd(
             with comm.section("checkpoint"):
                 _checkpoint_commit(
                     checkpoint, ckpt_digest, step, order, y,
-                    factors, eigenvalues,
+                    factors, eigenvalues, x_norm_sq,
                 )
 
     if compute == "mixed" and tol is not None:

@@ -37,7 +37,7 @@ from repro.core.tucker import TuckerTensor
 FORMAT_VERSION = 1
 
 #: Checkpoint store format version, bumped on layout changes.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_tucker(
@@ -203,9 +203,11 @@ def commit_checkpoint_meta(
     completed: int,
     n_ranks: int,
     order: tuple[int, ...],
+    x_norm_sq: float,
 ) -> None:
     """Atomically publish ``meta.json``: all state through step
-    ``completed - 1`` is on disk for every rank."""
+    ``completed - 1`` is on disk for every rank, with the ``||X||^2``
+    the run carries (JSON keeps every bit of a float)."""
     root = os.fspath(path)
     meta = {
         "checkpoint_version": CHECKPOINT_VERSION,
@@ -213,6 +215,7 @@ def commit_checkpoint_meta(
         "completed": completed,
         "n_ranks": n_ranks,
         "order": list(order),
+        "x_norm_sq": x_norm_sq,
     }
     tmp = os.path.join(root, "meta.json.tmp")
     with open(tmp, "w") as fh:

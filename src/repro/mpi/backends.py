@@ -79,6 +79,7 @@ import pickle
 import queue as queue_mod
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -98,6 +99,7 @@ from repro.mpi.process_transport import (
     ProcessTransport,
     decode_borrowed,
     encode_payload,
+    privatise_borrowed,
     process_arena,
     reap_stale_segments,
     release_payload,
@@ -540,7 +542,16 @@ def _pool_worker(
     inboxes,
     abort_event,
 ) -> None:
-    """Persistent pool worker: loop over dispatched runs until the sentinel."""
+    """Persistent pool worker: loop over dispatched runs until the sentinel.
+
+    A run's array arguments are borrowed: copy-on-write mappings of
+    segments the parent staged and recycles once every report is in
+    (:func:`~repro.mpi.process_transport.decode_borrowed`).  So before it
+    reports, the worker drops the run's references, and any mapping that
+    something still references — a block a rank function kept — is made
+    private, page by page: nothing that escapes a run ever shows the next
+    run's bytes.
+    """
     # The segment behind the last report's arrays.  It stays this
     # worker's: the parent only borrows it (it reads every report before
     # it sends anything else), so the next item of any kind takes it back.
@@ -555,6 +566,9 @@ def _pool_worker(
     def take_back() -> None:
         while held:
             process_arena().recycle(held.pop())
+
+    # The mappings behind the current run's borrowed arguments.
+    mapped: weakref.WeakSet = weakref.WeakSet()
 
     try:
         while True:
@@ -588,7 +602,7 @@ def _pool_worker(
                 # borrowed copy-on-write: rank code gets private writable
                 # arrays, as under fork, and copies only what it touches.
                 fn, args, extra, machine, timeout, topts = decode_borrowed(
-                    pickle.loads(blob)
+                    pickle.loads(blob), mapped
                 )
             except BaseException as exc:  # noqa: BLE001
                 failure = _TaskLoadError(
@@ -611,12 +625,15 @@ def _pool_worker(
             # and cyclic garbage finalizes in arbitrary order — a
             # SharedMemory handle collected before its exporting ndarray
             # spews BufferError from __del__.  Refcount teardown
-            # releases views first.
+            # releases views first.  A borrowed block that something
+            # still references (a rank function kept it) is made
+            # private, so the next run's staging never shows through.
             if failure is not None:
                 failure.__traceback__ = None
                 failure.__context__ = None
                 failure.__cause__ = None
             del value, failure, costs, rsummary
+            privatise_borrowed(mapped)
             result_queue.put(report)
     finally:
         take_back()

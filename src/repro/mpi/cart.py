@@ -10,8 +10,11 @@ geometry and provides the two sub-communicators the algorithms need:
   coordinate ``n`` (paper: ``myProcRow``).
 
 Grid coordinates map to flat ranks in C (row-major) order: coordinate N-1
-varies fastest.  Sub-communicators are created once per mode and cached;
-communicator construction is charged as out-of-band setup (zero model cost),
+varies fastest.  As with ``MPI_Cart_sub``, a sub-communicator's members and
+rank order follow from the grid alone, so each rank builds its own without
+a message (:meth:`~repro.mpi.comm.Communicator.group`): one spanning the
+whole grid in order is the grid's communicator itself, one of a single rank
+never communicates.  Construction is out-of-band setup (zero model cost),
 matching the paper's assumption of a fixed grid.
 """
 
@@ -39,6 +42,9 @@ class CartGrid:
         self._coords = tuple(
             int(c) for c in np.unravel_index(comm.rank, dims, order="C")
         )
+        # Flat rank at every grid position: a sub-communicator's members
+        # and their order follow from it, so building one sends nothing.
+        self._ranks = np.arange(comm.size).reshape(dims)
         self._col_cache: dict[int, Communicator] = {}
         self._row_cache: dict[int, Communicator] = {}
 
@@ -95,14 +101,13 @@ class CartGrid:
         The new communicator's rank order follows grid coordinate ``mode``,
         i.e. local rank equals ``coords[mode]``.
         """
-        if not 0 <= mode < self.ndim:
-            raise CommunicatorError(f"mode {mode} outside grid order {self.ndim}")
+        self._check_mode(mode)
         if mode not in self._col_cache:
-            fixed = tuple(c for i, c in enumerate(self._coords) if i != mode)
-            color = hash(("col", mode, fixed))
-            sub = self._comm.split(color=color, key=self._coords[mode])
-            assert sub is not None
-            self._col_cache[mode] = sub
+            at: list[int | slice] = list(self._coords)
+            at[mode] = slice(None)
+            self._col_cache[mode] = self._comm.group(
+                self._ranks[tuple(at)].tolist()
+            )
         return self._col_cache[mode]
 
     def mode_row(self, mode: int) -> Communicator:
@@ -111,21 +116,16 @@ class CartGrid:
         Rank order follows the C-order linearization of the remaining
         coordinates, so all mode-rows enumerate peers consistently.
         """
+        self._check_mode(mode)
+        if mode not in self._row_cache:
+            self._row_cache[mode] = self._comm.group(
+                np.take(self._ranks, self._coords[mode], axis=mode).ravel().tolist()
+            )
+        return self._row_cache[mode]
+
+    def _check_mode(self, mode: int) -> None:
         if not 0 <= mode < self.ndim:
             raise CommunicatorError(f"mode {mode} outside grid order {self.ndim}")
-        if mode not in self._row_cache:
-            color = hash(("row", mode, self._coords[mode]))
-            others_dims = tuple(d for i, d in enumerate(self._dims) if i != mode)
-            others = tuple(c for i, c in enumerate(self._coords) if i != mode)
-            key = (
-                int(np.ravel_multi_index(others, others_dims, order="C"))
-                if others_dims
-                else 0
-            )
-            sub = self._comm.split(color=color, key=key)
-            assert sub is not None
-            self._row_cache[mode] = sub
-        return self._row_cache[mode]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CartGrid(dims={self._dims}, coords={self._coords})"

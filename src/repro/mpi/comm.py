@@ -185,6 +185,8 @@ class Communicator:
         # reproducible point in the collective schedule.  Shared across
         # `split` children like the sanitizer.
         self._faults = faults
+        # Sub-communicators built by `group`, by their ranks here.
+        self._groups: dict[tuple[int, ...], Communicator] = {}
 
     # -- identity ----------------------------------------------------------
 
@@ -1534,6 +1536,30 @@ class Communicator:
             sanitizer=self._san,
             faults=self._faults,
         )
+
+    def group(self, ranks: Sequence[int]) -> "Communicator":
+        """The communicator over this one's ranks ``ranks``, in that order,
+        built without a message (cf. ``MPI_Cart_sub``).
+
+        Every member must pass the same ``ranks``.  Its id is derived from
+        them, so the same group is one communicator however often it is
+        asked for; the whole group in order is this communicator itself,
+        with its windows and sequence numbers.  Uncharged, like ``split``.
+        """
+        key = tuple(ranks)
+        if key == tuple(range(self.size)):
+            return self
+        if key not in self._groups:
+            self._groups[key] = Communicator(
+                self._transport,
+                self._ledger,
+                (self._comm_id, key),
+                tuple(self._members[r] for r in key),
+                self._world_rank,
+                sanitizer=self._san,
+                faults=self._faults,
+            )
+        return self._groups[key]
 
     def dup(self) -> "Communicator":
         """Duplicate the communicator with a fresh tag space."""

@@ -478,17 +478,24 @@ def decode_payload(obj: Any, arena: SegmentArena) -> Any:
     return obj
 
 
-def _map_borrowed(name: str, access: int) -> mmap.mmap:
+def _map_borrowed(
+    name: str, access: int, kind: type[mmap.mmap] = mmap.mmap
+) -> mmap.mmap:
     """Map a POSIX shm segment another process owns, whole, without
     adopting it (no ``SharedMemory`` handle, no resource-tracker entry)."""
     fd = _posixshmem.shm_open("/" + name, os.O_RDONLY, mode=0)
     try:
-        return mmap.mmap(fd, 0, access=access)
+        return kind(fd, 0, access=access)
     finally:
         os.close(fd)
 
 
-def decode_borrowed(obj: Any) -> Any:
+class _BorrowedMapping(mmap.mmap):
+    """A ``MAP_PRIVATE`` mapping :func:`decode_borrowed` made: the mark
+    :func:`is_borrowed` reads."""
+
+
+def decode_borrowed(obj: Any, mapped: "weakref.WeakSet[mmap.mmap]") -> Any:
     """Map segments the *sender still owns* copy-on-write.
 
     Used for pool task arguments: the dispatching parent stages them in
@@ -496,22 +503,49 @@ def decode_borrowed(obj: Any) -> Any:
     ``MAP_PRIVATE``, never unlinking
     or adopting it.  The rank gets a private writable array — a write
     never reaches the parent, another rank or the next run — but pays
-    only for the pages it touches.  Each array owns its mapping; the
-    worker drops them before it reports, because the parent then recycles
-    the segments and unwritten pages would show the next tenant's bytes.
+    only for the pages it touches, so a block of it may be used where it
+    lies (:func:`is_borrowed`).  Each array owns its mapping, which is
+    also added to ``mapped``.  The parent recycles the segments once every
+    report is in, and unwritten pages would then show the next tenant's
+    bytes: the worker drops the run's references before it reports, and
+    :func:`privatise_borrowed` gives any mapping in ``mapped`` that is
+    still referenced (a block a rank function kept) its own copy of
+    every page.
     """
     if isinstance(obj, ShmHeader):
+        mapping = _map_borrowed(obj.name, mmap.ACCESS_COPY, _BorrowedMapping)
+        mapped.add(mapping)
         return np.ndarray(
-            obj.shape, dtype=obj.dtype, order=obj.order,
-            buffer=_map_borrowed(obj.name, mmap.ACCESS_COPY),
+            obj.shape, dtype=obj.dtype, order=obj.order, buffer=mapping
         )
     if isinstance(obj, tuple):
-        return tuple(decode_borrowed(x) for x in obj)
+        return tuple(decode_borrowed(x, mapped) for x in obj)
     if isinstance(obj, list):
-        return [decode_borrowed(x) for x in obj]
+        return [decode_borrowed(x, mapped) for x in obj]
     if isinstance(obj, dict):
-        return {k: decode_borrowed(v) for k, v in obj.items()}
+        return {k: decode_borrowed(v, mapped) for k, v in obj.items()}
     return obj
+
+
+def is_borrowed(array: np.ndarray) -> bool:
+    """Whether ``array`` views a mapping :func:`decode_borrowed` made: it
+    is then this process's private copy-on-write memory."""
+    base = array
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return isinstance(base, _BorrowedMapping)
+
+
+def privatise_borrowed(mapped: "weakref.WeakSet[mmap.mmap]") -> None:
+    """Copy every page of each mapping in ``mapped`` that is still
+    referenced into private memory (one write per page forces the
+    copy-on-write), so it never shows bytes staged after this point.
+    Empties ``mapped``."""
+    for mapping in list(mapped):
+        pages = np.ndarray((len(mapping),), np.uint8, buffer=mapping)
+        pages[:: mmap.PAGESIZE] += 0
+        del pages
+    mapped.clear()
 
 
 def release_payload(obj: Any) -> None:

@@ -167,9 +167,9 @@ def _from_global_facts(comm, x):
 
 
 class TestFromGlobalOwnsOneCopy:
-    """``from_global`` takes any layout and always owns its F-ordered
-    block — on the process backend ``x`` is a borrowed mapping that is
-    gone once the rank function returns."""
+    """``from_global`` takes any layout and its F-ordered block is always
+    private to the rank.  On this ``(2, 1, 1)`` grid no block is
+    F-contiguous, so every backend pays the one copy."""
 
     @pytest.mark.parametrize(
         "make",
@@ -205,3 +205,93 @@ class TestFromGlobalOwnsOneCopy:
 
         assert all(spmd(2, prog).values)
 
+
+
+#: Blocks a rank function kept past its run (see ``_keep_block``).
+_KEPT: list = []
+
+#: Several pages; a (1, 1, 2) grid cuts it into two F-contiguous blocks.
+_BORROWED_SHAPE = (16, 16, 8)
+
+
+def _private_maps() -> list[str]:
+    with open("/proc/self/maps") as fh:
+        return [
+            f[5] for f in (line.split() for line in fh)
+            if len(f) >= 6 and f[1][3] == "p" and "rps_" in f[5]
+        ]
+
+
+def _block_facts(comm, x):
+    dt = DistTensor.from_global(CartGrid(comm, (1, 1, 2)), x)
+    return (
+        bool(np.shares_memory(dt.local, x)),
+        bool(np.array_equal(dt.local, x[dt.local_slices])),
+        dt.local.flags.f_contiguous,
+        dt.local.flags.writeable,
+    )
+
+
+def _write_block(comm, x):
+    before = x.copy()
+    dt = DistTensor.from_global(CartGrid(comm, (1, 1, 2)), x)
+    dt.local[...] = -(comm.rank + 1.0)
+    comm.barrier()  # both ranks have written before either looks
+    mine = np.zeros_like(x, dtype=bool)
+    mine[dt.local_slices] = True
+    return (
+        bool(np.all(x[mine] == -(comm.rank + 1.0))),
+        bool(np.array_equal(x[~mine], before[~mine])),
+    )
+
+
+def _keep_block(comm, x):
+    dt = DistTensor.from_global(CartGrid(comm, (1, 1, 2)), x)
+    _KEPT.append(dt.local)
+
+
+def _return_kept(comm, y):
+    maps = _private_maps()
+    return np.array(_KEPT.pop()), float(y.sum()), maps
+
+
+class TestBorrowedBlockIsPrivate:
+    """On a pooled process rank ``x`` is the rank's own copy-on-write
+    mapping of the staged argument, so a block of it that is already
+    F-contiguous is used where it lies — and is still private."""
+
+    @pytest.fixture(autouse=True)
+    def spmd_backend(self):
+        return None  # the pool's borrowed arguments are the subject
+
+    def _x(self, seed=0):
+        return np.asfortranarray(_x(_BORROWED_SHAPE, seed))
+
+    def test_the_block_is_a_view(self):
+        for facts in spmd(2, _block_facts, self._x(), backend="process"):
+            assert facts == (True, True, True, True)
+        # Not on the thread backend: there ``x`` is the caller's array.
+        for facts in spmd(2, _block_facts, self._x(), backend="thread"):
+            assert facts == (False, True, True, True)
+
+    def test_a_write_reaches_neither_the_caller_nor_the_peer(self):
+        x = self._x()
+        original = x.copy()
+        res = spmd(2, _write_block, x, backend="process")
+        assert res.values == [(True, True), (True, True)]
+        assert np.array_equal(x, original)
+
+    def test_a_kept_block_survives_the_next_run(self):
+        x = self._x()
+        spmd(2, _keep_block, x, backend="process")
+        # The same size: the parent restages this tensor into the
+        # segment the kept blocks were mapped from.
+        y = self._x(seed=1)
+        res = spmd(2, _return_kept, y, backend="process")
+        for rank, (kept, seen, maps) in enumerate(res.values):
+            assert seen == float(y.sum())
+            assert len(set(maps)) < len(maps), "segment not recycled"
+            half = _BORROWED_SHAPE[2] // 2
+            assert np.array_equal(
+                kept, x[:, :, rank * half:(rank + 1) * half]
+            )

@@ -293,12 +293,12 @@ def test_resume_after_a_mode_reproduces_the_order_and_every_bit(
         4, _interruptible, None, backend=backend, timeout=20.0
     ).values
     ckpt = tmp_path / "ck"
-    # Rank 1's fourth all-reduce falls between the first mode's commit
-    # and the second's.
+    # Rank 1's third all-reduce (after the plan's and the first mode's)
+    # falls between the first mode's commit and the second's.
     with pytest.raises(SpmdError):
         run_spmd(
             4, _interruptible, str(ckpt), backend=backend, timeout=20.0,
-            faults="rank=1:site=allreduce:nth=4:kind=exception",
+            faults="rank=1:site=allreduce:nth=3:kind=exception",
         )
     meta = read_checkpoint_meta(ckpt)
     assert meta is not None and 1 <= meta["completed"] < X.ndim

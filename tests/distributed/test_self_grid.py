@@ -141,20 +141,26 @@ def _hooi_prog(comm, x):
     res = dist_hooi(
         dt, ranks=(3, 3, 2), max_iterations=0, compute_dtype="float64"
     )
-    return res.residual_history, res.decomposition.to_tucker().core
+    return (
+        res.residual_history,
+        res.decomposition.to_tucker().core,
+        res.decomposition.x_norm_sq,
+    )
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_fit_history_starts_from_the_exact_norm(backend):
-    # ||X||^2 is carried as summed, never as the square of its root, so
-    # the first fit value is the subtraction itself, bit for bit (on an
-    # input whose norm does not survive the round trip through the root).
+    # ||X||^2 is carried as summed (the first mode's whole spectrum),
+    # never as the square of its root, so the first fit value is the
+    # subtraction itself, bit for bit (on an input whose norm does not
+    # survive the round trip through the root).
     x = np.asfortranarray(
         low_rank_tensor((9, 8, 7), (4, 3, 3), seed=27, noise=0.3)
     )
     assert np.sqrt(norm_sq(x)) ** 2 != norm_sq(x)
-    history, core = spmd(1, _hooi_prog, x, backend=backend)[0]
-    assert history[0] == norm_sq(x) - norm_sq(core)
+    history, core, x_norm_sq = spmd(1, _hooi_prog, x, backend=backend)[0]
+    assert abs(x_norm_sq - norm_sq(x)) <= 1e-14 * norm_sq(x)
+    assert history[0] == x_norm_sq - norm_sq(core)
     assert hooi(x, ranks=(3, 3, 2), max_iterations=0).residual_history == (
         history[0],
     )

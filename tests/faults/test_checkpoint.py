@@ -1,7 +1,7 @@
 """Checkpoint/restart for ``dist_sthosvd``: per-mode commit, resume, recovery.
 
 The SPMD tests run under both backends via the package sweep — the
-collective sequence is backend-independent, so ``site=allreduce:nth=4``
+collective sequence is backend-independent, so ``site=allreduce:nth=3``
 interrupts the run at the same algorithmic point everywhere.  The final
 class is the issue's acceptance scenario and is process-backend only
 (it SIGKILLs a rank).
@@ -32,7 +32,7 @@ N_RANKS = 4
 
 #: Interrupts the run after exactly two committed modes (deterministic,
 #: identical on both backends: hit counts follow the collective sequence).
-MID_RUN_FAULT = "rank=1:site=allreduce:nth=4:kind=exception"
+MID_RUN_FAULT = "rank=1:site=allreduce:nth=3:kind=exception"
 
 
 def _sthosvd_prog(comm, ckpt):
@@ -79,11 +79,12 @@ class TestCheckpointStore:
 
     def test_meta_roundtrip_and_clear(self, tmp_path):
         assert read_checkpoint_meta(tmp_path) is None
-        commit_checkpoint_meta(tmp_path, "abc", 2, 4, (0, 1, 2))
+        commit_checkpoint_meta(tmp_path, "abc", 2, 4, (0, 1, 2), 0.1 + 0.2)
         meta = read_checkpoint_meta(tmp_path)
         assert meta["digest"] == "abc"
         assert meta["completed"] == 2
         assert meta["order"] == [0, 1, 2]
+        assert meta["x_norm_sq"] == 0.1 + 0.2  # every bit of the float
         clear_checkpoint(tmp_path)
         assert read_checkpoint_meta(tmp_path) is None
 
@@ -191,7 +192,7 @@ class TestAcceptance:
             _sthosvd_prog,
             str(ckpt),
             backend="process",
-            faults="rank=1:site=allreduce:nth=4:kind=crash",
+            faults="rank=1:site=allreduce:nth=3:kind=crash",
             retry=RetryPolicy(max_attempts=3, backoff=0.01),
         )
         for rank in range(N_RANKS):

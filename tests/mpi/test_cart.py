@@ -1,9 +1,17 @@
 """Cartesian grid communicator tests (paper Sec. IV geometry)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.distributed import DistTensor, dist_sthosvd
 from repro.mpi import SUM, CartGrid, CommunicatorError, SpmdError
+from repro.tensor import low_rank_tensor
+from repro.tensor.eig import eigendecompose
+from repro.tensor.gram import gram
+from repro.tensor.qr import qr_r
+from repro.tensor.ttm import ttm
 from tests.conftest import spmd
 
 
@@ -121,3 +129,150 @@ class TestSubCommunicators:
             return g.mode_column(0).size, g.mode_row(0).size
 
         assert set(spmd(4, prog).values) == {(1, 4)}
+
+
+#: Grids the locally built sub-communicators are checked on.
+GRIDS = [(2,), (1, 2), (2, 1, 1), (2, 2, 1), (1, 2, 2), (4, 1, 1), (2, 1, 3)]
+
+
+class _CountingTransport:
+    """Forwards to a rank's transport, counting what would leave the rank."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.calls = 0
+
+    def __getattr__(self, name):
+        attr = getattr(self._inner, name)
+        if name in ("put", "get", "create_window", "attach_window"):
+            def counted(*args, **kwargs):
+                self.calls += 1
+                return attr(*args, **kwargs)
+
+            return counted
+        return attr
+
+
+def _split_reference(comm, g, mode, row):
+    """The sub-communicator ``comm.split`` builds for the same group."""
+    coords = g.coords
+    others = [c for i, c in enumerate(coords) if i != mode]
+    others_dims = [d for i, d in enumerate(g.dims) if i != mode]
+    rest = int(np.ravel_multi_index(others, others_dims)) if others else 0
+    if row:
+        return comm.split(color=coords[mode], key=rest)
+    return comm.split(color=rest, key=coords[mode])
+
+
+def _members(sub, comm):
+    return tuple(sub.allgather(comm.rank))
+
+
+@pytest.mark.parametrize("dims", GRIDS, ids=str)
+class TestLocallyBuilt:
+    def test_members_and_order_match_split(self, dims):
+        def prog(comm):
+            g = CartGrid(comm, dims)
+            out = []
+            for mode in range(len(dims)):
+                for row, sub in ((False, g.mode_column(mode)),
+                                 (True, g.mode_row(mode))):
+                    ref = _split_reference(comm, g, mode, row)
+                    out.append(
+                        (_members(sub, comm), sub.rank)
+                        == (_members(ref, comm), ref.rank)
+                    )
+            return out
+
+        for flags in spmd(int(np.prod(dims)), prog).values:
+            assert flags and all(flags)
+
+    def test_construction_sends_nothing(self, dims):
+        def prog(comm):
+            counting = _CountingTransport(comm._transport)
+            comm._transport = counting
+            try:
+                g = CartGrid(comm, dims)
+                subs = [
+                    s for m in range(len(dims))
+                    for s in (g.mode_column(m), g.mode_row(m))
+                ]
+                sent = counting.calls
+                # Every sub-communicator works: one collective on each.
+                for s in subs:
+                    s.allreduce(comm.rank, SUM)
+            finally:
+                comm._transport = counting._inner
+            return sent
+
+        assert set(spmd(int(np.prod(dims)), prog).values) == {0}
+
+    def test_the_whole_grid_is_the_grid_communicator(self, dims):
+        def prog(comm):
+            g = CartGrid(comm, dims)
+            return [
+                (g.mode_row(m) is g.comm, g.mode_column(m).size == 1)
+                for m in range(len(dims))
+            ]
+
+        for flags in spmd(int(np.prod(dims)), prog).values:
+            for m, (is_grid, single) in enumerate(flags):
+                assert is_grid == (dims[m] == 1)
+                assert single == (dims[m] == 1)
+
+
+#: The input the hashed ST-HOSVD outputs below were recorded on.
+_X = np.asfortranarray(
+    low_rank_tensor((12, 10, 8), (5, 4, 3), seed=33, noise=0.01)
+)
+
+#: ``(dims, method, tol, ranks)`` -> digest of every rank's ranks, order,
+#: core block, factor block rows and spectra, as the sub-communicators
+#: built by ``Communicator.split`` (and a separate norm pass) produced
+#: them on an x86-64 OpenBLAS host.
+_RECORDED = {
+    ((2, 1, 1), "gram", 0.05, None): "209131a100271d7e",
+    ((2, 1, 1), "gram", None, (5, 4, 3)): "d4742a76accd3f85",
+    ((2, 1, 1), "svd", 0.05, None): "c908f936f2cbf734",
+    ((1, 1, 2), "gram", 0.05, None): "d26756f721796c74",
+    ((1, 1, 2), "svd", None, (5, 4, 3)): "62b0d66ef718d7af",
+    ((2, 2, 1), "gram", 0.05, None): "05f18d7456f6bdab",
+    ((2, 2, 1), "svd", None, (5, 4, 3)): "0e07e000370df46d",
+    ((1, 2, 2), "gram", None, (5, 4, 3)): "c5dfb7af7964c391",
+    ((1, 2, 2), "svd", 0.05, None): "b1eb862fc82f9d04",
+}
+
+#: The same host's bytes for the sequential kernels those outputs are
+#: made of; elsewhere the recorded digests cannot be expected to hold.
+_KERNEL_DIGEST = "667bb838d7ab68af"
+
+
+def _kernel_digest() -> str:
+    e = eigendecompose(gram(_X, 1))
+    h = hashlib.sha256(e.vectors.tobytes())
+    h.update(np.ascontiguousarray(qr_r(_X, 2)).tobytes())
+    h.update(np.ascontiguousarray(
+        ttm(_X, e.vectors[:, :4], 1, transpose=True)
+    ).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _sthosvd_digest(comm, dims, method, tol, ranks):
+    dt = DistTensor.from_global(CartGrid(comm, dims), _X)
+    t = dist_sthosvd(
+        dt, tol=tol, ranks=ranks, method=method, compute_dtype="float64"
+    )
+    h = hashlib.sha256(repr((t.ranks, t.mode_order)).encode())
+    for a in [t.core.local, *t.factors_local, *t.eigenvalues]:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("case", list(_RECORDED), ids=str)
+def test_sthosvd_outputs_are_the_recorded_bytes(case):
+    if _kernel_digest() != _KERNEL_DIGEST:
+        pytest.skip("this host's BLAS/LAPACK rounds differently")
+    dims = case[0]
+    ranks_digests = spmd(int(np.prod(dims)), _sthosvd_digest, *case).values
+    joined = hashlib.sha256("".join(ranks_digests).encode()).hexdigest()
+    assert joined[:16] == _RECORDED[case]
