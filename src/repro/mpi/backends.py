@@ -15,9 +15,9 @@ A backend decides *how* the N ranks of an SPMD run execute:
   strong/weak-scaling experiments (Fig. 9) actually measure.
 
 Both backends present identical semantics — same collectives (blocking
-and non-blocking: the process backend completes ``ireduce``-family
-requests over double-buffered shm windows, the thread backend over the
-point-to-point relay, with identical results and charges), same
+and non-blocking: the process backend runs their rounds over shm
+windows, double-buffered for the ``ireduce`` family, the thread backend
+over message mailboxes, with identical results and charges), same
 deterministic reduction order, same poisoning/fail-fast behavior on rank
 error, same deadlock timeout, same cost-ledger contents — and are held to
 that by one shared conformance suite (``tests/mpi/test_backends.py``).

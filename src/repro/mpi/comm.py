@@ -10,15 +10,19 @@ the distributed algorithms read like ordinary MPI code.  Differences:
 * Every operation *charges* a :class:`~repro.mpi.ledger.CostLedger` with the
   alpha-beta-gamma cost from the paper's Table I, enabling modeled-time
   measurements of the very runs the tests execute.
-* Collectives move their bytes through per-communicator shared-memory
-  windows on the process transport on x86-64 (every collective: one
-  fence-ordered single-copy exchange) and fall back to point-to-point
-  relays through group rank 0 elsewhere; either way their
+* Each collective is one description (who writes, who reads, the fold or
+  assembly, its Table I cost) run by one entry point over one exchange
+  round: every member posts its modeled words, its sanitizer digest and
+  its contribution, fences, reads and finishes.  On the process transport
+  on x86-64 the round rides a per-communicator shared-memory window
+  (:class:`_WindowRound`); on the thread transport, on weakly ordered
+  hosts and for any round whose window allocation was denied it rides
+  the transport's mailboxes (:class:`_MailboxRound`).  Either way the
   *charged* cost is the closed-form tree cost, identical on every member,
-  not the cost of the implementation used to move the bytes.
+  not the cost of the round that moved the bytes.
 * Non-blocking operations (``isend``/``irecv``/``isendrecv``,
   ``ireduce``/``iallreduce``/``ireduce_scatter_block``) defer completion
-  to ``Request.wait()``: sends and window deposits are staged at post
+  to ``Request.wait()``: sends and round deposits are staged at post
   time, the blocking receives and fence waits — and every ledger charge —
   land at completion, so pipelined kernels overlap communication with
   compute while charging exactly what the blocking ops would.
@@ -30,7 +34,7 @@ runs give bitwise-identical floating-point results.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Hashable, Sequence
+from typing import Any, Callable, Hashable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,6 +46,7 @@ from repro.mpi.process_transport import pack_collective, packed_nbytes
 from repro.mpi.reduce_ops import SUM, ReduceOp
 from repro.mpi.transport import TransportBase
 from repro.perfmodel import collectives as cc
+from repro.perfmodel.machine import MachineSpec
 
 
 def _words_of(obj: Any) -> int:
@@ -120,6 +125,239 @@ class Request:
         return self._done
 
 
+# -- exchange rounds ----------------------------------------------------------
+#
+# A collective is one exchange round.  Each member posts its modeled words
+# (so every member can charge from sizes only some of them hold), its
+# sanitizer digest (0 when the sanitizer is off) and its contribution for
+# the members that read it; then it fences (``wait_posted``: every member
+# has posted), settles the round's size (``fit``), waits for the writes
+# if it reads (``wait_written``), reads, and finishes.  Both round kinds
+# below expose exactly that surface.
+
+#: "This member deposits nothing this round" (``None`` is a payload).
+_NO_DATA: Any = object()
+
+
+class _Deposit(NamedTuple):
+    """What one member posts to one round."""
+
+    #: One contribution for every member that reads it.
+    send: Any = _NO_DATA
+    #: The one member that reads ``send`` (``None``: every member).
+    reader: int | None = None
+    #: ``(dst, payload)`` pairs, each read by ``dst`` alone.
+    sends: tuple = ()
+    #: Modeled words shared at the fence.
+    words: int = 0
+    #: Sanitizer signature digest shared at the fence.
+    digest: int = 0
+
+
+class _MailboxRound:
+    """One exchange round over the transport's ``put``/``get`` mailboxes.
+
+    Each member deposits exactly one message for each peer,
+    ``(words, digest, payload)``, with the payload (``None`` otherwise)
+    only for the peers that read it; receiving one message from each peer
+    is the fence.  A mailbox round never grows and is never denied.  Every
+    reader gets a private copy: a by-reference transport ships one
+    snapshot per writer, which each reader copies again at read.  On a
+    one-member communicator the round moves nothing, which makes it the
+    one-rank shortcut too.
+    """
+
+    buf = None
+
+    def __init__(self, comm: "Communicator", tag: Hashable, deposit: _Deposit):
+        self._comm = comm
+        self._tag = tag
+        self._deposit = deposit
+        self._got: dict[int, tuple] = {}
+        self._peers = [src for src in range(comm.size) if src != comm.rank]
+        shared = deposit.send
+        if shared is not _NO_DATA and self._peers:
+            shared = comm._tx(shared)
+        addressed = {dst: comm._tx(obj) for dst, obj in deposit.sends}
+        for dst in self._peers:
+            payload = addressed.get(dst)
+            if shared is not _NO_DATA and deposit.reader in (None, dst):
+                payload = shared
+            comm._put_raw(dst, tag, (deposit.words, deposit.digest, payload))
+
+    @property
+    def key(self) -> Hashable:
+        return ("sanx", self._tag)
+
+    def wait_posted(self) -> None:
+        for src in self._peers:
+            self._got[src] = self._comm._get_raw(src, self._tag)
+
+    def mismatched(self, digest: int) -> list[int]:
+        return [src for src, msg in self._got.items() if msg[1] != digest]
+
+    def fit(self) -> "_MailboxRound":
+        return self
+
+    def wait_written(self) -> None:
+        pass
+
+    def read(self, src: int) -> Any:
+        if src == self._comm.rank:
+            return _copy_payload(self._deposit.send)
+        return _copy_payload(self._got[src][2])
+
+    #: What ``src`` addressed to this member (its ``sends`` entry).
+    read_addressed = read
+
+    def total_words(self) -> int:
+        return self._deposit.words + sum(msg[0] for msg in self._got.values())
+
+    def max_words(self) -> int:
+        return max([self._deposit.words, *(msg[0] for msg in self._got.values())])
+
+    def finish(self) -> None:
+        pass
+
+
+class _WindowRound:
+    """One exchange round over a communicator's shared-memory window.
+
+    The window (:class:`~repro.mpi.process_transport.CollectiveWindow`)
+    gives each member one data slot (a P×P matrix of pair slots for
+    ``pairs`` rounds) and single-writer flag rows: posted sizes, words and
+    digests, write commits and read completions.  The member opens the
+    round and publishes its packed size, words and digest; it writes in
+    :meth:`fit`, once the size fence has shown that every payload fits
+    (growing the window first when one did not — every member reaches that
+    decision from the shared maximum — or handing the round to the mailbox
+    when the growth is denied) and the digests were verified.  A
+    non-blocking post deposits optimistically instead: when its payload
+    fits the current slots it writes and commits at once, so its peers
+    need not wait for its ``wait()`` — its slots have no other writer this
+    round and readers only look after the write fence.  An unsanitized
+    round in which this member neither writes nor reads is the barrier:
+    one zero-byte rendezvous (``fence``).
+    """
+
+    def __init__(
+        self,
+        comm: "Communicator",
+        key: Hashable,
+        win,
+        tag: Hashable,
+        deposit: _Deposit,
+        packed: list,
+        reads: bool,
+    ):
+        self._comm = comm
+        self._key = key
+        self._tag = tag
+        self._deposit = deposit
+        self._packed = packed
+        self._needed = _packed_size(packed)
+        self.win = win
+        self.buf = key if isinstance(key, int) else None
+        self._largest = 0
+        self._written = True
+        self._sync = not (packed or reads or deposit.digest)
+        if self._sync:
+            win.fence()
+            return
+        win.begin()
+        win.post_size_nowait(self._needed, deposit.words, deposit.digest)
+        self._written = (
+            self.buf is not None
+            and self._needed <= win.slot_bytes
+            and not deposit.digest
+        )
+        if self._written:
+            self._write(win)
+            win.commit_nowait()
+
+    @property
+    def key(self) -> Hashable:
+        # Members of one window round share it even if their collective
+        # sequence numbers drifted.
+        return ("sanx", self.win.name, self.win.seq)
+
+    def _write(self, win) -> None:
+        for dst, (prefix, payload) in self._packed:
+            if dst is None:
+                win.write(prefix, payload)
+            elif self._key == "pairs":
+                win.write_pair(dst, prefix, payload)
+            else:
+                win.write_to(dst, prefix, payload)
+
+    def wait_posted(self) -> None:
+        if not self._sync:
+            self._largest = self.win.wait_posted()
+
+    def mismatched(self, digest: int) -> list[int]:
+        return self.win.digest_mismatch_ranks(digest)
+
+    def fit(self) -> "_WindowRound | _MailboxRound":
+        win = self.win
+        if self._largest > win.slot_bytes:
+            # Retire this round (nobody reads it) and post again on a
+            # grown window.
+            win.finish()
+            grown = self._comm._grow(self._key, self._largest)
+            if grown is None:
+                rnd = _MailboxRound(self._comm, self._tag, self._deposit)
+                rnd.wait_posted()
+                return rnd
+            self.win = win = grown
+            win.begin()
+            win.post_size(self._needed, self._deposit.words, self._deposit.digest)
+            self._written = False
+        if not self._written:
+            self._write(win)
+            win.commit_nowait()
+        return self
+
+    def wait_written(self) -> None:
+        if not self._sync:
+            self.win.wait_written()
+
+    def read(self, src: int) -> Any:
+        return self.win.read(src)
+
+    def read_addressed(self, src: int) -> Any:
+        if self._key == "pairs":
+            return self.win.read_pair(src)
+        return self.win.read(self.win.index)
+
+    def total_words(self) -> int:
+        return self.win.total_words()
+
+    def max_words(self) -> int:
+        return self.win.max_words()
+
+    def finish(self) -> None:
+        if not self._sync:
+            self.win.finish()
+
+
+def _pack(deposit: _Deposit) -> list:
+    """``[(dst or None, (prefix, payload))]``: a deposit packed for a
+    window (``None`` marks the member's own slot)."""
+    if deposit.send is not _NO_DATA:
+        return [(None, pack_collective(deposit.send))]
+    return [(dst, pack_collective(obj)) for dst, obj in deposit.sends]
+
+
+def _packed_size(packed: list) -> int:
+    """Slot bytes a packed deposit needs: its largest single payload."""
+    return max((packed_nbytes(*p) for _, p in packed), default=0)
+
+
+def _barrier_cost(p: int, w: float, machine: MachineSpec) -> float:
+    """A barrier is charged as a one-word all-reduce."""
+    return cc.allreduce_cost(p, 1, machine)
+
+
 class Communicator:
     """A group of simulated ranks with point-to-point and collective ops."""
 
@@ -156,21 +394,20 @@ class Communicator:
             else _copy_payload
         )
         # Lazily opened per-communicator collective windows (process
-        # transport only): a P-slot window for the one-contribution-per-
-        # rank collectives and a P×P pair-slotted one for scatter and
-        # alltoall; the generation counter keys the name-exchange tags.
-        self._win = None
-        self._mwin = None
+        # transport on x86-64 only), by key: "slots" (one slot per member,
+        # every collective but alltoall), "pairs" (P×P, alltoall) and the
+        # non-blocking buffers 0 and 1.  The generation counter keys the
+        # creator's name messages.
+        self._wins: dict[Hashable, Any] = {}
         self._win_gen = 0
-        # Double-buffered non-blocking collective windows: posts alternate
-        # between two dedicated window generations so round i+1 can be
-        # posted while stragglers are still fencing round i.  (A single
-        # window would deadlock the post-then-wait pipeline: round i+1's
-        # reuse fence waits on `done` flags the other ranks only publish
-        # at their wait of round i, which follows their own post of round
-        # i+1.)  ``_nb_pending`` remembers this rank's outstanding request
-        # per buffer so a third post force-completes the round it reuses.
-        self._nb_wins: list[Any] = [None, None]
+        # Non-blocking rounds alternate between two windows so round i+1
+        # can be posted while stragglers are still fencing round i.  (A
+        # single window would deadlock the post-then-wait pipeline: round
+        # i+1's reuse fence waits on `done` flags the other ranks only
+        # publish at their wait of round i, which follows their own post
+        # of round i+1.)  ``_nb_pending`` remembers this rank's outstanding
+        # request per buffer so a third post force-completes the round it
+        # reuses.
         self._nb_pending: list[Request | None] = [None, None]
         self._nb_toggle = 0
         # SPMD sanitizer (None when REPRO_SANITIZE=0): one per-rank
@@ -178,7 +415,6 @@ class Communicator:
         # bookkeeping and the last-collective deadlock context span
         # `split` children too.
         self._san = sanitizer
-        self._san_sig: CollectiveCall | None = None
         # Fault injector (None unless REPRO_FAULTS / run_spmd(faults=) is
         # active): every collective entry fires its op-name site before
         # any protocol traffic, so injected failures land at a precise,
@@ -233,109 +469,30 @@ class Communicator:
     # -- SPMD sanitizer ------------------------------------------------------
     #
     # At REPRO_SANITIZE >= 1 every collective entry records a signature
-    # (op, sequence number, root, reduction op, call site) and the group
-    # cross-checks it before moving bytes.  On the window transport the
-    # check costs one extra int64 (a digest of the signature) riding the
-    # size fence that every exchange already performs; a mismatch then
-    # triggers a full point-to-point signature exchange purely to build
-    # the diagnostic.  On window-less transports (thread backend) the
-    # full signatures travel an uncharged point-to-point all-to-all at
-    # entry.  Both paths are symmetric — no rank plays collector — so
-    # the verification itself can never introduce a new deadlock among
-    # ranks that agree.  Note the exchange makes every verified
-    # collective synchronizing on the point-to-point path (MPI always
-    # permits collectives to synchronize, so portable programs are
-    # unaffected).  Limitations: verification cannot pair calls that use
-    # different window objects (e.g. ``alltoall`` against ``bcast``) or
-    # diverging sequence numbers — those still deadlock, but the timeout
-    # arrives annotated with this rank's last collective and call site.
+    # (op, sequence number, root, reduction op, call site) and its digest
+    # travels in the round like the modeled words: on the window's size
+    # fence or in every mailbox message.  After the fence each member
+    # compares every digest against its own; on a mismatch every member
+    # sees the divergence, so the group runs one more (uncharged) mailbox
+    # round that exchanges the full signatures purely to build the
+    # diagnostic.  Verification is symmetric — no rank plays collector —
+    # so it can never introduce a new deadlock among ranks that agree.
+    # Limitations: calls posted to different windows (an ``alltoall``
+    # against a ``bcast`` once both windows are open) or, on the mailbox,
+    # under diverging sequence numbers never meet — those still deadlock,
+    # but the timeout arrives annotated with this rank's last collective
+    # and call site.
 
     @property
     def sanitizer(self) -> Sanitizer | None:
         """The rank's sanitizer instance, or ``None`` at REPRO_SANITIZE=0."""
         return self._san
 
-    def _san_enter(
-        self,
-        op: str,
-        seq: int,
-        root: int | None = None,
-        reduce_op: ReduceOp | None = None,
-        value: Any = None,
-        windowed: bool = True,
-    ) -> CollectiveCall | None:
-        """Record entry into a collective; on window-less transports also
-        run the symmetric signature exchange immediately.
-
-        Also the per-collective fault/liveness hook (it runs at the top
-        of *every* blocking collective, sanitizer on or off): the run
-        deadline is checked cooperatively, the status board note makes
-        this op the rank's last-known context for death post-mortems,
-        and the injector fires the op-name site.
-        """
-        resources.check_deadline(op)
-        self._transport.note_collective(op, seq)
-        if self._faults is not None:
-            self._faults.fire(op)
-        if self._san is None:
-            return None
-        sig = self._san.collective(
-            op, seq, self._rank, root=root, reduce_op=reduce_op, value=value
-        )
-        self._san_sig = sig
-        if self.size > 1 and (
-            not windowed or not self._transport.windows_enabled
-        ):
-            self._san_put_sigs(sig)
-            self._san_collect_sigs(sig)
-        return sig
-
-    def _san_put_sigs(self, sig: CollectiveCall) -> None:
-        """Deposit this rank's signature for every peer (uncharged)."""
-        wire = sig.wire()
-        for dst in range(self.size):
-            if dst != self._rank:
-                self._put_key(self._rank, dst, ("san", sig.seq), wire)
-
-    def _san_collect_sigs(self, sig: CollectiveCall) -> None:
-        """Collect every peer's signature for ``sig``'s sequence number
-        and raise if any diverges from ours."""
-        mine = sig.protocol_key()
-        peers = []
-        diverged = False
-        for src in range(self.size):
-            if src == self._rank:
-                continue
-            peer = CollectiveCall.from_wire(
-                self._transport.get(self._key(src, self._rank, ("san", sig.seq)))
-            )
-            peers.append(peer)
-            if peer.protocol_key() != mine:
-                diverged = True
-        if diverged:
-            raise self._san.mismatch(sig, peers)
-
-    def _san_check_window(self, win, sig: CollectiveCall | None) -> None:
-        """Compare the digests every member posted on ``win``'s size
-        fence; on mismatch exchange full signatures and raise."""
-        if sig is None:
-            return
-        bad = win.digest_mismatch_ranks(sig.digest)
-        if not bad:
-            return
-        # Every member observes the divergence (each compares all rows
-        # against its own digest), so this recovery exchange is entered
-        # by the whole group; tag by window round, which members of one
-        # round share even if their collective sequence numbers drifted.
-        tag = ("sanx", win.name, int(win.seq))
-        wire = sig.wire()
-        for dst in range(self.size):
-            if dst != self._rank:
-                self._put_key(self._rank, dst, tag, wire)
+    def _raise_mismatch(self, key: Hashable, sig: CollectiveCall) -> None:
+        exchange = _MailboxRound(self, key, _Deposit(send=sig.wire()))
+        exchange.wait_posted()
         peers = [
-            CollectiveCall.from_wire(
-                self._transport.get(self._key(src, self._rank, tag))
-            )
+            CollectiveCall.from_wire(exchange.read(src))
             for src in range(self.size)
             if src != self._rank
         ]
@@ -352,14 +509,11 @@ class Communicator:
     def _key(self, src: int, dst: int, tag: Hashable) -> Hashable:
         return (self._comm_id, src, dst, tag)
 
-    def _put_key(self, src: int, dst: int, tag: Hashable, payload: Any) -> None:
+    def _put_raw(self, dst: int, tag: Hashable, payload: Any) -> None:
         """Deposit for group rank ``dst``, routed by its world rank."""
         self._transport.put(
-            self._key(src, dst, tag), payload, dst=self._members[dst]
+            self._key(self._rank, dst, tag), payload, dst=self._members[dst]
         )
-
-    def _put_raw(self, dst: int, tag: Hashable, payload: Any) -> None:
-        self._put_key(self._rank, dst, tag, payload)
 
     def _get_raw(self, src: int, tag: Hashable) -> Any:
         return self._transport.get(self._key(src, self._rank, tag))
@@ -378,7 +532,7 @@ class Communicator:
     def recv(self, source: int, tag: int = 0) -> Any:
         """Receive an object sent by :meth:`send`; charges ``alpha + beta W``."""
         self._check_peer(source, "source")
-        obj = self._transport.get(self._key(source, self._rank, ("p2p", tag)))
+        obj = self._get_raw(source, ("p2p", tag))
         words = _words_of(obj)
         self._ledger.charge_message(
             self._world_rank, words, cc.send_recv_cost(words, self._ledger.machine)
@@ -436,9 +590,7 @@ class Communicator:
                 words,
                 cc.send_recv_cost(words, self._ledger.machine),
             )
-            received = self._transport.get(
-                self._key(source, self._rank, ("p2p", tag))
-            )
+            received = self._get_raw(source, ("p2p", tag))
             recv_words = _words_of(received)
             self._ledger.charge_message(
                 self._world_rank,
@@ -490,7 +642,7 @@ class Communicator:
             self._world_rank, words, cc.send_recv_cost(words, self._ledger.machine)
         )
         self._put_raw(dest, ("p2p", tag), self._tx(obj))
-        received = self._transport.get(self._key(source, self._rank, ("p2p", tag)))
+        received = self._get_raw(source, ("p2p", tag))
         recv_words = _words_of(received)
         self._ledger.charge_message(
             self._world_rank,
@@ -499,542 +651,318 @@ class Communicator:
         )
         return received
 
-    # -- collectives ---------------------------------------------------------
+    # -- collectives: the one entry point ------------------------------------
 
-    def _next_coll_tag(self, phase: int = 0) -> Hashable:
-        """Reserve a tag for one collective call (same on all ranks by SPMD)."""
-        tag = ("coll", self._coll_seq, phase)
-        return tag
+    def _collective(
+        self,
+        op: str,
+        finish: Callable[[Any], tuple[Any, int]],
+        cost: Callable[[int, float, MachineSpec], float] | None,
+        deposit: _Deposit = _Deposit(),
+        *,
+        pairs: bool = False,
+        reads: bool = True,
+        root: int | None = None,
+        reduce_op: ReduceOp | None = None,
+        value: Any = None,
+        nonblocking: bool = False,
+    ) -> Any:
+        """Run one collective: every collective enters here.
 
-    def _advance_coll(self) -> int:
+        The shared steps run in a fixed order: the sequence number, the
+        run deadline, the status-board note (this op becomes the rank's
+        last-known context for death post-mortems), the fault site, the
+        sanitizer signature, then the round — a peerless mailbox round on
+        one member — and last the charge.  ``finish(round)`` reads the
+        round and returns ``(result, words)``; ``cost(P, words, machine)``
+        is the op's closed form (``None``: uncharged).  Members that read
+        nothing (``reads=False``) skip the write fence.  A non-blocking
+        op posts its round here and returns the :class:`Request` whose
+        ``wait()`` runs the fences, the reads and the charge.
+        """
         seq = self._coll_seq
         self._coll_seq += 1
-        return seq
+        resources.check_deadline(op)
+        self._transport.note_collective(op, seq)
+        if self._faults is not None:
+            self._faults.fire(op)
+        sig = None
+        if self._san is not None:
+            sig = self._san.collective(
+                op, seq, self._rank, root=root, reduce_op=reduce_op, value=value
+            )
+            deposit = deposit._replace(digest=sig.digest)
+        rnd = self._post(("coll", seq), deposit, pairs, reads, nonblocking)
 
-    def _charge_all(self, seconds: float, words: int = 0, messages: int = 0) -> None:
-        """Charge this rank's share of a collective (every member charges once)."""
-        if messages:
-            self._ledger.charge_message(self._world_rank, words, seconds)
-        else:
-            self._ledger.charge_time(self._world_rank, seconds)
+        def complete() -> Any:
+            if rnd.buf is not None:
+                self._nb_pending[rnd.buf] = None
+            rnd.wait_posted()
+            if sig is not None and rnd.mismatched(sig.digest):
+                self._raise_mismatch(rnd.key, sig)
+            done = rnd.fit()
+            if reads:
+                done.wait_written()
+            result, words = finish(done)
+            done.finish()
+            if cost is not None:
+                seconds = cost(self.size, words, self._ledger.machine)
+                if self.size > 1 and words:
+                    self._ledger.charge_message(self._world_rank, words, seconds)
+                else:  # one member, or the zero-word barrier
+                    self._ledger.charge_time(self._world_rank, seconds)
+            return result
 
-    def _charge_reduction(self, kind: str, words: int) -> None:
-        """The one charge site for the reduction-family collectives.
+        if not nonblocking:
+            return complete()
+        req = self._make_request(op, complete)
+        if rnd.buf is not None:
+            self._nb_pending[rnd.buf] = req
+        return req
 
-        Blocking and non-blocking, window and relay, size-1 and grown —
-        every path of ``reduce``/``allreduce``/``reduce_scatter_block``
-        charges through here, which makes the "non-blocking charges
-        exactly what blocking charges" invariant structural instead of
-        merely test-enforced.
-        """
-        machine = self._ledger.machine
-        if kind == "reduce":
-            cost = cc.reduce_cost(self.size, words, machine)
-        elif kind == "allreduce":
-            cost = cc.allreduce_cost(self.size, words, machine)
-        else:
-            cost = cc.reduce_scatter_cost(self.size, words, machine)
-        self._charge_all(
-            cost, words=words, messages=1 if self.size > 1 else 0
-        )
+    def _post(
+        self,
+        tag: Hashable,
+        deposit: _Deposit,
+        pairs: bool,
+        reads: bool,
+        nonblocking: bool,
+    ) -> _WindowRound | _MailboxRound:
+        """Post this member's part of one round: on the window where the
+        transport opens windows and the allocation is granted, else on
+        the mailbox."""
+        if self.size > 1 and self._transport.windows_enabled:
+            key: Hashable
+            if nonblocking:
+                buf = key = self._nb_toggle
+                self._nb_toggle = 1 - buf
+                # Reusing a buffer whose round this rank never waited
+                # would spin on its own unpublished `done` flag; complete
+                # the old request first (a later user wait() returns the
+                # cached value), so any depth of posts stays deadlock-free.
+                pending = self._nb_pending[buf]
+                if pending is not None:
+                    pending._force()
+            else:
+                key = "pairs" if pairs else "slots"
+            packed = _pack(deposit)
+            win = self._wins.get(key)
+            if win is None:
+                win = self._open_window(_packed_size(packed), key == "pairs")
+                if win is not None:
+                    self._wins[key] = win
+            if win is not None:
+                return _WindowRound(self, key, win, tag, deposit, packed, reads)
+        return _MailboxRound(self, tag, deposit)
+
+    def _fold(self, rnd: Any, op: ReduceOp) -> Any:
+        """Fold every member's contribution in group-rank order, the same
+        order on every path, so results stay bit-identical."""
+        acc = rnd.read(0)
+        for src in range(1, self.size):
+            acc = op(acc, rnd.read(src))
+        return acc
 
     # -- collective windows --------------------------------------------------
-    #
-    # On the process transport, the data movement of every collective
-    # goes through preallocated per-communicator shared-memory windows
-    # (MPI-3 RMA style).  The one-contribution-per-rank collectives
-    # (barrier / bcast / gather / allgather / reduce / allreduce /
-    # reduce_scatter_block) use a P-slot window: every member writes its
-    # contribution into its own slot, a flag fence orders writes before
-    # reads, and readers copy directly out of the window.  Scatter rides
-    # the same P-slot window with the roles turned around — the root
-    # (that round's only writer) fills every member's slot and each
-    # member reads its own.  Only alltoall, where every rank writes P-1
-    # distinct payloads, needs the P×P pair-slotted window: rank i
-    # writes slot (i, j) for destination j and reads column (·, i)
-    # after one shared fence.  Either way it is
-    # one single-copy exchange instead of relaying O(P) point-to-point
-    # messages through rank 0.  Only the *transport* of the bytes
-    # changes: the charged ledger costs stay the closed-form tree costs,
-    # and results remain bit-identical to the thread backend because
-    # contributions are folded in the same group-rank order.
 
-    def _open_window(self, slot_bytes: int, matrix: bool = False):
-        """Collectively open a window: group rank 0 creates and publishes
-        the segment name and slot size; everyone else attaches.
-        Uncharged, like ``split`` — window setup is out of band in the
-        paper's model.  The creator's ``slot_bytes`` wins (it is sized
-        from rank 0's first payload); a later size fence grows the
-        window if another rank's payload does not fit.
+    def _open_window(self, needed: int, matrix: bool):
+        """Collectively open a window whose slots hold ``needed`` bytes:
+        group rank 0 creates it and sends every other member the segment
+        name and slot size (uncharged, and one way: the creator need not
+        wait for anyone), and they attach.  The creator's size wins; a
+        later round grows the window if another member's payload does not
+        fit.
 
-        Degrades gracefully under exhaustion: when the creator cannot
-        allocate the segment — tmpfs ``ENOSPC``/``ENOMEM``, a
-        ``REPRO_SHM_BUDGET`` denial, or an injected ``enospc`` fault at
-        the ``window`` site — it publishes a denial sentinel on the same
-        name-exchange tag and *every* member returns ``None``, so the
-        whole group falls back to the point-to-point relay for that
-        collective in lockstep (a later collective simply tries again —
-        degradation is per allocation, and the budget may have freed).
+        Degrades under exhaustion: when the creator cannot allocate the
+        segment — tmpfs ``ENOSPC``/``ENOMEM``, a ``REPRO_SHM_BUDGET``
+        denial, or an injected ``enospc`` fault at the ``window`` site —
+        it publishes an empty name and *every* member returns ``None``,
+        so the whole group runs that round on the mailbox in lockstep.  A
+        later round simply tries again: degradation is per allocation,
+        and the budget may have freed.
         """
+        slot_bytes = self._transport.window_slot(needed)
         tag = ("win", self._win_gen)
         self._win_gen += 1
-        if self._rank == 0:
-            try:
-                win = self._transport.create_window(
-                    self.size, 0, slot_bytes, matrix=matrix
-                )
-            except OSError as exc:
-                if not resources.is_exhaustion(exc):
-                    raise
-                resources.governor().note_degradation(
-                    "window", "p2p", slot_bytes * self.size, str(exc)
-                )
-                for dst in range(1, self.size):
-                    self._put_key(0, dst, tag, ("", 0))
+        if self._rank != 0:
+            name, slot_bytes = self._get_raw(0, tag)
+            if not name:  # the creator's denial
                 return None
-            for dst in range(1, self.size):
-                self._put_key(0, dst, tag, (win.name, win.slot_bytes))
-        else:
-            name, slot_bytes = self._transport.get(
-                self._key(0, self._rank, tag)
-            )
-            if not name:  # creator's denial sentinel
-                return None
-            win = self._transport.attach_window(
+            return self._transport.attach_window(
                 name, self.size, self._rank, slot_bytes, matrix=matrix
             )
+        win, name = None, ""
+        try:
+            win = self._transport.create_window(
+                self.size, 0, slot_bytes, matrix=matrix
+            )
+            name = win.name
+        except OSError as exc:
+            if not resources.is_exhaustion(exc):
+                raise
+            resources.governor().note_degradation(
+                "window", "p2p", slot_bytes * self.size, str(exc)
+            )
+        for dst in range(1, self.size):
+            self._put_raw(dst, tag, (name, slot_bytes))
         return win
 
-    def _grow_window(self, needed: int, matrix: bool = False):
-        """Replace a window with one whose slots hold ``needed`` bytes.
-
-        Every member reaches the same growth decision from the shared
-        size exchange, so this is collective.  The old window is released
-        immediately: all members attached it at creation, so the owner's
-        unlink only removes the name.  A denied growth (see
-        :meth:`_open_window`) keeps the old window installed and returns
-        ``None``; the caller retires the opened round and falls back to
-        the point-to-point path.
-        """
-        slot = self._transport.window_slot(needed)
-        new = self._open_window(slot, matrix=matrix)
-        if new is None:
-            return None
-        if matrix:
-            old, self._mwin = self._mwin, new
-        else:
-            old, self._win = self._win, new
-        if old is not None:
-            self._transport.release_window(old)
+    def _grow(self, key: Hashable, needed: int):
+        """Replace window ``key`` by one whose slots hold ``needed`` bytes
+        (collective: every member decides from the shared maximum).  The
+        old window is released at once — every member attached it at
+        creation, so the owner's unlink only removes the name.  A denied
+        growth keeps the old window and returns ``None``."""
+        new = self._open_window(needed, key == "pairs")
+        if new is not None:
+            self._transport.release_window(self._wins[key])
+            self._wins[key] = new
         return new
 
-    def _fence_round(self, win, needed: int, words: int, matrix: bool):
-        """Open the next exchange on ``win``, growing it until ``needed``
-        fits; returns the (possibly replaced) window after the size
-        fence, ready to be written, or ``None`` when growth was denied by
-        resource exhaustion (the opened round is retired in lockstep —
-        nobody wrote a slot yet — and the caller runs point-to-point).
-        When the sanitizer is active the current collective's digest
-        rides the size fence and is verified before the growth
-        decision."""
-        sig = self._san_sig if self._san is not None else None
-        digest = sig.digest if sig is not None else 0
-        while True:
-            win.begin()
-            largest = win.post_size(needed, words, digest)
-            if sig is not None:
-                self._san_check_window(win, sig)
-            if largest <= win.slot_bytes:
-                return win
-            grown = self._grow_window(largest, matrix=matrix)
-            if grown is None:
-                win.commit()
-                win.finish()
-                return None
-            win = grown
-
-    def _window_round(
-        self, contribution: Any, contribute: bool = True, words: int = 0
-    ):
-        """Run the write-and-fence half of one P-slot window exchange.
-
-        Returns the window with this round's data committed (the caller
-        reads the slots it needs, then calls ``finish()``), or ``None``
-        when the transport has no windows and the point-to-point
-        implementation must run instead.  ``words`` rides the size fence
-        so every member can charge from sizes it does not hold locally
-        (see ``total_words``/``max_words`` on the window).
-        """
-        if self.size == 1 or not self._transport.windows_enabled:
-            return None
-        if contribute:
-            prefix, payload = pack_collective(contribution)
-            needed = packed_nbytes(prefix, payload)
-        else:
-            prefix, payload, needed = b"", None, 0
-        if self._win is None:
-            self._win = self._open_window(self._transport.window_slot(needed))
-            if self._win is None:
-                return None
-        win = self._fence_round(self._win, needed, words, matrix=False)
-        if win is None:
-            return None
-        if contribute:
-            win.write(prefix, payload)
-        win.commit()
-        return win
-
-    def _scatter_window_round(self, values, root: int, total_words: int):
-        """The root half of a windowed scatter: root writes *every*
-        member's slot of the P-slot window (still one writer this round),
-        posting its exact total on the size fence; members read their own
-        slot in the non-root branch via a contribution-less
-        :meth:`_window_round`.  Returns ``None`` when windows are off.
-        """
-        if not self._transport.windows_enabled:
-            return None
-        packed = [
-            (dst, pack_collective(values[dst]))
-            for dst in range(self.size)
-            if dst != root
-        ]
-        needed = max(
-            packed_nbytes(prefix, payload) for _, (prefix, payload) in packed
-        )
-        if self._win is None:
-            self._win = self._open_window(self._transport.window_slot(needed))
-            if self._win is None:
-                return None
-        win = self._fence_round(self._win, needed, total_words, matrix=False)
-        if win is None:
-            return None
-        for dst, (prefix, payload) in packed:
-            win.write_to(dst, prefix, payload)
-        win.commit()
-        return win
-
-    def _matrix_round(self, pairs, words: int = 0):
-        """Run the write-and-fence half of one P×P pair-window exchange.
-
-        ``pairs`` is this rank's row: ``(dst, obj)`` tuples to deposit.
-        The posted size is the largest single pair, so the shared growth
-        decision bounds every slot of the matrix.
-        """
-        if self.size == 1 or not self._transport.windows_enabled:
-            return None
-        packed = [(dst, pack_collective(obj)) for dst, obj in pairs]
-        needed = max(
-            (packed_nbytes(prefix, payload) for _, (prefix, payload) in packed),
-            default=0,
-        )
-        if self._mwin is None:
-            self._mwin = self._open_window(
-                self._transport.window_slot(needed), matrix=True
-            )
-            if self._mwin is None:
-                return None
-        win = self._fence_round(self._mwin, needed, words, matrix=True)
-        if win is None:
-            return None
-        for dst, (prefix, payload) in packed:
-            win.write_pair(dst, prefix, payload)
-        win.commit()
-        return win
-
-    def _window_fold(self, win, op: ReduceOp) -> Any:
-        """Fold all slots in group-rank order (deterministic, like the
-        thread backend's rank-ordered reduction at the root)."""
-        acc = win.read(0)
-        for src in range(1, self.size):
-            acc = op(acc, win.read(src))
-        return acc
+    # -- collectives ---------------------------------------------------------
+    #
+    # Each collective below is a description: who writes (the deposit),
+    # who reads, the fold or assembly (``finish``) and the charged words —
+    # the total or the maximum of the words shared at the fence, or the
+    # result's.  Charges are the closed-form Table I costs, identical on
+    # every member whatever round moved the bytes.
 
     def barrier(self) -> None:
         """Synchronize all members; charged as one zero-byte all-reduce."""
-        seq = self._advance_coll()
-        self._san_enter("barrier", seq)
-        if self.size > 1:
-            fenced = False
-            if self._transport.windows_enabled:
-                if self._san is not None:
-                    # The plain fence publishes its done flag before
-                    # waiting on peers, so a peer may already be posting
-                    # the *next* round's digest while we read this one's;
-                    # the sanitized barrier therefore runs a full
-                    # (contribution-less) window round, whose size fence
-                    # orders the digest check correctly.
-                    win = self._window_round(None, contribute=False)
-                    if win is not None:
-                        win.finish()
-                        fenced = True
-                else:
-                    # Zero-byte window fence: one shared rendezvous — no
-                    # slot is written, read, or committed (and barriers
-                    # never grow the window, so the growth loop is
-                    # skipped too).
-                    if self._win is None:
-                        self._win = self._open_window(
-                            self._transport.window_slot(0)
-                        )
-                    if self._win is not None:
-                        self._win.fence()
-                        fenced = True
-            if not fenced:
-                # Point-to-point fallback: fan a token into group rank 0
-                # and fan one back out.
-                tag_in = ("coll", seq, 0)
-                tag_out = ("coll", seq, 1)
-                if self._rank == 0:
-                    for src in range(1, self.size):
-                        self._transport.get(self._key(src, 0, tag_in))
-                    for dst in range(1, self.size):
-                        self._put_key(0, dst, tag_out, None)
-                else:
-                    self._put_raw(0, tag_in, None)
-                    self._transport.get(self._key(0, self._rank, tag_out))
-        self._charge_all(cc.allreduce_cost(self.size, 1, self._ledger.machine))
+        self._collective(
+            "barrier", lambda rnd: (None, 0), _barrier_cost, reads=False
+        )
 
     def bcast(self, obj: Any, root: int = 0) -> Any:
         """Broadcast ``obj`` from ``root`` to all members."""
         self._check_peer(root, "root")
-        seq = self._advance_coll()
-        self._san_enter("bcast", seq, root=root, value=obj)
-        tag = ("coll", seq, 0)
-        if self.size > 1:
-            win = self._window_round(obj, contribute=self._rank == root)
-            if win is not None:
-                result = obj if self._rank == root else win.read(root)
-                win.finish()
-            elif self._rank == root:
-                payload = self._tx(obj)
-                for dst in range(self.size):
-                    if dst != root:
-                        self._put_key(root, dst, tag, payload)
-                result = obj
-            else:
-                result = _copy_payload(
-                    self._transport.get(self._key(root, self._rank, tag))
-                )
-        else:
-            result = obj
-        words = _words_of(result)
-        self._charge_all(
-            cc.bcast_cost(self.size, words, self._ledger.machine),
-            words=words,
-            messages=1 if self.size > 1 else 0,
+        is_root = self._rank == root
+
+        def finish(rnd):
+            result = obj if is_root else rnd.read(root)
+            return result, _words_of(result)
+
+        return self._collective(
+            "bcast",
+            finish,
+            cc.bcast_cost,
+            _Deposit(send=obj) if is_root else _Deposit(),
+            reads=not is_root,
+            root=root,
+            value=obj,
         )
-        return result
 
     def gather(self, value: Any, root: int = 0) -> list[Any] | None:
         """Gather one value per rank to ``root`` (returns None elsewhere).
 
         Every member charges the tree cost of the *exact* total gathered
-        words — sizes may differ per rank, so the total is shared through
-        the window's size fence (or, on the point-to-point path, fanned
-        back out by the root uncharged, like ``split``'s setup exchange).
+        words — sizes may differ per rank, so the total is the sum of the
+        words shared at the fence.
         """
         self._check_peer(root, "root")
-        seq = self._advance_coll()
-        self._san_enter("gather", seq, root=root, value=value)
-        tag_in = ("coll", seq, 0)
-        tag_out = ("coll", seq, 1)
-        my_words = _words_of(value)
-        out: list[Any] | None = None
-        if self.size == 1:
-            total_words = my_words
-            out = [_copy_payload(value)]
-        else:
-            win = self._window_round(value, words=my_words)
-            if win is not None:
-                total_words = win.total_words()
-                if self._rank == root:
-                    out = [win.read(src) for src in range(self.size)]
-                win.finish()
-            elif self._rank == root:
-                out = [None] * self.size
-                out[root] = _copy_payload(value)
-                for src in range(self.size):
-                    if src != root:
-                        out[src] = self._transport.get(
-                            self._key(src, root, tag_in)
-                        )
-                total_words = sum(_words_of(v) for v in out)
-                for dst in range(self.size):
-                    if dst != root:
-                        self._put_key(root, dst, tag_out, total_words)
-            else:
-                self._put_raw(root, tag_in, self._tx(value))
-                total_words = self._transport.get(
-                    self._key(root, self._rank, tag_out)
-                )
-        self._charge_all(
-            cc.allgather_cost(self.size, total_words, self._ledger.machine),
-            words=total_words,
-            messages=1 if self.size > 1 else 0,
+        is_root = self._rank == root
+
+        def finish(rnd):
+            out = [rnd.read(src) for src in range(self.size)] if is_root else None
+            return out, rnd.total_words()
+
+        return self._collective(
+            "gather",
+            finish,
+            cc.allgather_cost,
+            _Deposit(send=value, reader=root, words=_words_of(value)),
+            reads=is_root,
+            root=root,
+            value=value,
         )
-        return out
 
     def allgather(self, value: Any) -> list[Any]:
-        """Gather one value per rank onto every rank.
+        """Gather one value per rank onto every rank, charged from the
+        exact total gathered words (identical on all members even when
+        sizes are uneven)."""
 
-        Charged from the *exact* total gathered words (every rank holds
-        the full result, so the total needs no extra exchange), keeping
-        the cost identical on all members even when sizes are uneven.
-        """
-        seq = self._advance_coll()
-        self._san_enter("allgather", seq, value=value)
-        tag_in = ("coll", seq, 0)
-        tag_out = ("coll", seq, 1)
-        if self.size == 1:
-            out = [_copy_payload(value)]
-        else:
-            win = self._window_round(value)
-            if win is not None:
-                out = [win.read(src) for src in range(self.size)]
-                win.finish()
-            elif self._rank == 0:
-                out = [None] * self.size
-                out[0] = _copy_payload(value)
-                for src in range(1, self.size):
-                    out[src] = self._transport.get(self._key(src, 0, tag_in))
-                for dst in range(1, self.size):
-                    # Fresh copies per destination: the root may mutate its
-                    # own result list before receivers drain their mailboxes.
-                    relay = [self._tx(v) for v in out]
-                    self._put_key(0, dst, tag_out, relay)
-                out = list(out)
-            else:
-                self._put_raw(0, tag_in, self._tx(value))
-                out = self._transport.get(self._key(0, self._rank, tag_out))
-        total_words = sum(_words_of(v) for v in out)
-        self._charge_all(
-            cc.allgather_cost(self.size, total_words, self._ledger.machine),
-            words=total_words,
-            messages=1 if self.size > 1 else 0,
+        def finish(rnd):
+            return [rnd.read(src) for src in range(self.size)], rnd.total_words()
+
+        return self._collective(
+            "allgather",
+            finish,
+            cc.allgather_cost,
+            _Deposit(send=value, words=_words_of(value)),
+            value=value,
         )
-        return out
 
     def scatter(self, values: Sequence[Any] | None, root: int = 0) -> Any:
         """Scatter one value per rank from ``root``.
 
-        Every member charges the cost of the root's *exact* total — the
-        true ``sum(words)`` rides the window's size fence (or piggybacks
-        on each scattered message on the point-to-point path), so uneven
-        payloads no longer make non-roots charge a different cost than
-        the root.
+        The root addresses each member's value to it alone; every member
+        charges the cost of the root's *exact* total, the only words
+        posted at the fence.
         """
         self._check_peer(root, "root")
-        seq = self._advance_coll()
-        self._san_enter("scatter", seq, root=root)
-        tag = ("coll", seq, 0)
-        if self._rank == root:
+        is_root = self._rank == root
+        deposit = _Deposit()
+        if is_root:
             if values is None or len(values) != self.size:
                 raise CommunicatorError(
                     f"scatter root needs exactly {self.size} values, got "
                     f"{None if values is None else len(values)}"
                 )
-            my_value = _copy_payload(values[root])
-            total_words = sum(_words_of(v) for v in values)
-            if self.size > 1:
-                win = self._scatter_window_round(values, root, total_words)
-                if win is not None:
-                    win.finish()
-                else:
-                    for dst in range(self.size):
-                        if dst != root:
-                            self._put_key(
-                                root,
-                                dst,
-                                tag,
-                                (self._tx(values[dst]), total_words),
-                            )
-        else:
-            win = self._window_round(None, contribute=False)
-            if win is not None:
-                # Only the root posted a word count; the fence-shared sum
-                # is therefore exactly the root's total.
-                total_words = win.total_words()
-                my_value = win.read(self._rank)
-                win.finish()
-            else:
-                my_value, total_words = self._transport.get(
-                    self._key(root, self._rank, tag)
-                )
-        self._charge_all(
-            cc.bcast_cost(self.size, total_words, self._ledger.machine),
-            words=total_words,
-            messages=1 if self.size > 1 else 0,
+            deposit = _Deposit(
+                sends=tuple(
+                    (dst, values[dst]) for dst in range(self.size) if dst != root
+                ),
+                words=sum(_words_of(v) for v in values),
+            )
+
+        def finish(rnd):
+            if is_root:
+                return _copy_payload(values[root]), rnd.total_words()
+            return rnd.read_addressed(root), rnd.total_words()
+
+        return self._collective(
+            "scatter", finish, cc.bcast_cost, deposit, reads=not is_root, root=root
         )
-        return my_value
 
     def reduce(self, value: Any, op: ReduceOp = SUM, root: int = 0) -> Any | None:
         """Reduce values to ``root`` with ``op`` (rank-ordered, deterministic).
 
         Contributions normally share one shape, but ops that broadcast
         (NumPy ufuncs) tolerate uneven ones, so every member charges from
-        the *largest* contribution — shared on the window's size fence,
-        or fanned out by the root uncharged on the point-to-point path —
-        keeping the charge rank-independent either way.
+        the *largest* contribution shared at the fence.
         """
-        self._check_peer(root, "root")
-        seq = self._advance_coll()
-        self._san_enter("reduce", seq, root=root, reduce_op=op, value=value)
-        my_words = _words_of(value)
-        acc: Any = None
-        if self.size == 1:
-            peak_words = my_words
-            acc = _copy_payload(value)
-        else:
-            win = self._window_round(value, words=my_words)
-            if win is not None:
-                peak_words = win.max_words()
-                if self._rank == root:
-                    # Only the root folds (in group-rank order, matching
-                    # the thread backend); the rest just fence through.
-                    acc = self._window_fold(win, op)
-                win.finish()
-            else:
-                # The root never puts its own contribution, so only the
-                # senders need the transport-safe copy.
-                acc, peak_words = self._reduce_p2p(
-                    value if self._rank == root else self._tx(value),
-                    op,
-                    root,
-                    seq,
-                )
-        self._charge_reduction("reduce", peak_words)
-        return acc
+        return self._reduce("reduce", value, op, root, nonblocking=False)
 
-    def _reduce_p2p(
-        self, value_tx: Any, op: ReduceOp, root: int, seq: int
-    ) -> tuple[Any, int]:
-        """Point-to-point relay body of :meth:`reduce`: move the bytes,
-        fold at the root (group-rank order), fan the peak contribution
-        size back out.  Uncharged — callers charge from the returned
-        ``(acc_or_None, peak_words)``.  Non-root callers must pass a
-        transport-safe ``value_tx`` (pre-copied on by-reference
-        transports); the root's contribution is never put, and the fold
-        copies before accumulating."""
-        tag_in = ("coll", seq, 0)
-        tag_out = ("coll", seq, 1)
-        if self._rank == root:
-            contributions: list[Any] = [None] * self.size
-            contributions[root] = value_tx
-            for src in range(self.size):
-                if src != root:
-                    contributions[src] = self._transport.get(
-                        self._key(src, root, tag_in)
-                    )
-            peak_words = max(_words_of(c) for c in contributions)
-            acc = _copy_payload(contributions[0])
-            for src in range(1, self.size):
-                acc = op(acc, contributions[src])
-            for dst in range(self.size):
-                if dst != root:
-                    self._put_key(root, dst, tag_out, peak_words)
-            return acc, peak_words
-        self._put_raw(root, tag_in, value_tx)
-        return None, self._transport.get(self._key(root, self._rank, tag_out))
+    def ireduce(
+        self, value: Any, op: ReduceOp = SUM, root: int = 0
+    ) -> Request:
+        """Nonblocking :meth:`reduce`: ``wait()`` returns the root's
+        folded result (``None`` elsewhere) and lands the blocking op's
+        exact charge.  A non-root completes as soon as the size fence
+        resolves — it never waits on the write fence.  The contribution
+        must not be mutated between post and ``wait()``."""
+        return self._reduce("ireduce", value, op, root, nonblocking=True)
+
+    def _reduce(
+        self, name: str, value: Any, op: ReduceOp, root: int, nonblocking: bool
+    ) -> Any:
+        self._check_peer(root, "root")
+        is_root = self._rank == root
+
+        def finish(rnd):
+            return (self._fold(rnd, op) if is_root else None), rnd.max_words()
+
+        return self._collective(
+            name,
+            finish,
+            cc.reduce_cost,
+            _Deposit(send=value, reader=root, words=_words_of(value)),
+            reads=is_root,
+            root=root,
+            reduce_op=op,
+            value=value,
+            nonblocking=nonblocking,
+        )
 
     def allreduce(self, value: Any, op: ReduceOp = SUM) -> Any:
         """Reduce-then-broadcast; every rank gets the reduction.
@@ -1043,45 +971,29 @@ class Communicator:
         construction), so even broadcasting ops with uneven contributions
         charge rank-independent costs.
         """
-        seq = self._advance_coll()
-        self._san_enter("allreduce", seq, reduce_op=op, value=value)
-        if self.size == 1:
-            acc = _copy_payload(value)
-        else:
-            win = self._window_round(value)
-            if win is not None:
-                # Every rank folds the slots in the same group-rank order
-                # the thread backend's root uses, so results stay
-                # bit-identical.
-                acc = self._window_fold(win, op)
-                win.finish()
-            else:
-                acc = self._allreduce_p2p(
-                    value if self._rank == 0 else self._tx(value), op, seq
-                )
-        words = _words_of(acc)
-        self._charge_reduction("allreduce", words)
-        return acc
+        return self._allreduce("allreduce", value, op, nonblocking=False)
 
-    def _allreduce_p2p(self, value_tx: Any, op: ReduceOp, seq: int) -> Any:
-        """Point-to-point relay body of :meth:`allreduce` (fold at group
-        rank 0 in rank order, broadcast the result); uncharged."""
-        tag_in = ("coll", seq, 0)
-        tag_out = ("coll", seq, 1)
-        if self._rank == 0:
-            acc = _copy_payload(value_tx)
-            received = []
-            for src in range(1, self.size):
-                received.append(
-                    self._transport.get(self._key(src, 0, tag_in))
-                )
-            for contribution in received:
-                acc = op(acc, contribution)
-            for dst in range(1, self.size):
-                self._put_key(0, dst, tag_out, self._tx(acc))
-            return acc
-        self._put_raw(0, tag_in, value_tx)
-        return self._transport.get(self._key(0, self._rank, tag_out))
+    def iallreduce(self, value: Any, op: ReduceOp = SUM) -> Request:
+        """Nonblocking :meth:`allreduce` (deferred fences, charge and
+        rank-ordered fold at ``wait()``)."""
+        return self._allreduce("iallreduce", value, op, nonblocking=True)
+
+    def _allreduce(
+        self, name: str, value: Any, op: ReduceOp, nonblocking: bool
+    ) -> Any:
+        def finish(rnd):
+            acc = self._fold(rnd, op)
+            return acc, _words_of(acc)
+
+        return self._collective(
+            name,
+            finish,
+            cc.allreduce_cost,
+            _Deposit(send=value),
+            reduce_op=op,
+            value=value,
+            nonblocking=nonblocking,
+        )
 
     def reduce_scatter_block(
         self, array: np.ndarray, op: ReduceOp = SUM
@@ -1089,449 +1001,107 @@ class Communicator:
         """Reduce an array then scatter equal blocks along axis 0.
 
         ``array.shape[0]`` must be divisible by the communicator size, and
-        every member must pass the *same shape* (the root slices blocks
-        by its own shape, so mismatched shapes would mis-scatter — unlike
-        ``reduce``, broadcasting contributions are not meaningful here).
-        Used by the non-blocked TTM fast path (paper Sec. V-B).
+        every member must pass the *same shape* (blocks are sliced by the
+        folded shape — unlike ``reduce``, broadcasting contributions are
+        not meaningful here).  Used by the non-blocked TTM fast path
+        (paper Sec. V-B).
         """
-        if not isinstance(array, np.ndarray):
-            raise TypeError("reduce_scatter_block requires a numpy.ndarray")
-        if array.shape[0] % self.size != 0:
-            raise CommunicatorError(
-                f"axis 0 of shape {array.shape} not divisible by size {self.size}"
-            )
-        seq = self._advance_coll()
-        self._san_enter(
-            "reduce_scatter_block", seq, reduce_op=op, value=array
-        )
-        block = array.shape[0] // self.size
-        # Charge after the exchange, like the other reduction-family
-        # collectives: a failed exchange must not leave this rank's
-        # ledger ahead of its peers'.
-        if self.size == 1:
-            out = np.array(array, copy=True)
-        else:
-            win = self._window_round(array)
-            if win is not None:
-                acc = self._window_fold(win, op)
-                win.finish()
-                lo = self._rank * block
-                out = np.array(acc[lo : lo + block], copy=True)
-            else:
-                out = self._reduce_scatter_p2p(
-                    array if self._rank == 0 else self._tx(array), op, seq
-                )
-        self._charge_reduction("reduce_scatter", _words_of(array))
-        return out
-
-    def _reduce_scatter_p2p(
-        self, array_tx: np.ndarray, op: ReduceOp, seq: int
-    ) -> np.ndarray:
-        """Point-to-point relay body of :meth:`reduce_scatter_block`
-        (fold at group rank 0, scatter equal axis-0 blocks); uncharged."""
-        tag_in = ("coll", seq, 0)
-        tag_out = ("coll", seq, 1)
-        block = array_tx.shape[0] // self.size
-        if self._rank == 0:
-            acc = np.array(array_tx, copy=True)
-            for src in range(1, self.size):
-                acc = op(acc, self._transport.get(self._key(src, 0, tag_in)))
-            for dst in range(1, self.size):
-                self._put_key(
-                    0,
-                    dst,
-                    tag_out,
-                    np.array(acc[dst * block : (dst + 1) * block], copy=True),
-                )
-            return np.array(acc[:block], copy=True)
-        self._put_raw(0, tag_in, array_tx)
-        return _copy_payload(
-            self._transport.get(self._key(0, self._rank, tag_out))
-        )
-
-    # -- non-blocking collectives --------------------------------------------
-    #
-    # ireduce / iallreduce / ireduce_scatter_block return a Request whose
-    # wait() yields exactly what the blocking op returns and charges
-    # exactly what the blocking op charges — completion-time charging, so
-    # the ledger-symmetry invariants hold however far compute is pipelined
-    # between post and wait.
-    #
-    # On the window transport a post deposits this rank's contribution
-    # immediately: it opens the round, publishes the packed size and
-    # modeled words, and — when the payload fits the current slot — writes
-    # its slot and commit-flags it, all without waiting on any peer.  The
-    # fence *waits* (size exchange, write fence) are deferred to the
-    # request's wait(): by the time a rank stops computing and waits, the
-    # stragglers have usually posted too, so the spins resolve
-    # immediately — that deferral is what lets compute overlap the fences.
-    # Rounds alternate between two dedicated windows (double buffering,
-    # see ``_nb_wins`` in ``__init__``); posting to a buffer whose
-    # previous round this rank has not waited force-completes it first.
-    # Only the transport of the bytes differs from the blocking path: the
-    # fold order (group-rank), the results, and the charges are identical.
-
-    def ireduce(
-        self, value: Any, op: ReduceOp = SUM, root: int = 0
-    ) -> Request:
-        """Nonblocking :meth:`reduce`: ``wait()`` returns the root's
-        folded result (``None`` elsewhere) and lands the blocking op's
-        exact charge.  A non-root completes as soon as the size fence
-        resolves — it never waits on the write fence."""
-        self._check_peer(root, "root")
-        return self._nb_post(value, op, "reduce", root)
-
-    def iallreduce(self, value: Any, op: ReduceOp = SUM) -> Request:
-        """Nonblocking :meth:`allreduce` (deferred fences, charge and
-        rank-ordered fold at ``wait()``)."""
-        return self._nb_post(value, op, "allreduce", 0)
+        return self._reduce_scatter("reduce_scatter_block", array, op, False)
 
     def ireduce_scatter_block(
         self, array: np.ndarray, op: ReduceOp = SUM
     ) -> Request:
         """Nonblocking :meth:`reduce_scatter_block` (same validation; this
         rank's block arrives at ``wait()``)."""
+        return self._reduce_scatter("ireduce_scatter_block", array, op, True)
+
+    def _reduce_scatter(
+        self, name: str, array: np.ndarray, op: ReduceOp, nonblocking: bool
+    ) -> Any:
         if not isinstance(array, np.ndarray):
             raise TypeError("reduce_scatter_block requires a numpy.ndarray")
         if array.shape[0] % self.size != 0:
             raise CommunicatorError(
                 f"axis 0 of shape {array.shape} not divisible by size {self.size}"
             )
-        return self._nb_post(array, op, "reduce_scatter", 0)
+        words = _words_of(array)
 
-    def _complete_pending(self, buf: int) -> None:
-        """Force-complete this rank's outstanding request on ``buf``.
+        def finish(rnd):
+            acc = self._fold(rnd, op)
+            block = acc.shape[0] // self.size
+            lo = self._rank * block
+            return np.array(acc[lo : lo + block], copy=True), words
 
-        Reusing a buffer whose round this rank never waited would spin on
-        its own unpublished ``done`` flag; completing the old request
-        first (idempotent — a later user ``wait()`` returns the cached
-        value) keeps any depth of posted requests deadlock-free."""
-        req = self._nb_pending[buf]
-        if req is not None:
-            req._force()
-
-    def _nb_window(self, buf: int, needed: int):
-        win = self._nb_wins[buf]
-        if win is None:
-            win = self._open_window(self._transport.window_slot(needed))
-            self._nb_wins[buf] = win
-        return win
-
-    def _grow_nb_window(self, buf: int, needed: int):
-        """Non-blocking-round variant of :meth:`_grow_window`."""
-        new = self._open_window(self._transport.window_slot(needed))
-        old, self._nb_wins[buf] = self._nb_wins[buf], new
-        if old is not None:
-            self._transport.release_window(old)
-        return new
-
-    _NB_OP_NAMES = {
-        "reduce": "ireduce",
-        "allreduce": "iallreduce",
-        "reduce_scatter": "ireduce_scatter_block",
-    }
-
-    def _nb_post(self, value: Any, op: ReduceOp, kind: str, root: int) -> Request:
-        """Post one non-blocking reduction collective; see the section
-        comment for the overlap protocol.  The contribution must not be
-        mutated between post and ``wait()`` (MPI's usual rule)."""
-        seq = self._advance_coll()
-        op_name = self._NB_OP_NAMES[kind]
-        self._transport.note_collective(op_name, seq)
-        if self._faults is not None:
-            self._faults.fire(op_name)
-        # Record the signature without exchanging: the post must not
-        # block, so verification is deferred — the digest rides this
-        # round's size fence (window path) or the full signature is
-        # deposited now and peers' signatures are collected at wait()
-        # (point-to-point path).
-        sig = None
-        if self._san is not None:
-            sig = self._san.collective(
-                op_name,
-                seq,
-                self._rank,
-                root=root if kind == "reduce" else None,
-                reduce_op=op,
-                value=value,
-            )
-            self._san_sig = sig
-        my_words = _words_of(value)
-        if self.size == 1:
-            return self._make_request(
-                op_name,
-                lambda: self._nb_complete_single(kind, value, op, my_words),
-            )
-        if not self._transport.windows_enabled:
-            if sig is not None:
-                self._san_put_sigs(sig)
-            value_tx = self._tx(value)
-
-            def complete_p2p() -> Any:
-                if sig is not None:
-                    self._san_collect_sigs(sig)
-                return self._nb_complete_p2p(
-                    kind, value_tx, op, root, seq, my_words
-                )
-
-            return self._make_request(op_name, complete_p2p)
-        buf = self._nb_toggle
-        self._nb_toggle = 1 - self._nb_toggle
-        self._complete_pending(buf)
-        prefix, payload = pack_collective(value)
-        needed = packed_nbytes(prefix, payload)
-        win = self._nb_window(buf, needed)
-        if win is None:
-            # Window denied by resource exhaustion (collectively — every
-            # member saw the sentinel): run this round exactly like a
-            # windows-off transport.  The toggle already advanced on all
-            # members, so double buffering stays in step.
-            if sig is not None:
-                self._san_put_sigs(sig)
-            value_tx = self._tx(value)
-            nb_sig = sig
-
-            def complete_degraded() -> Any:
-                if nb_sig is not None:
-                    self._san_collect_sigs(nb_sig)
-                return self._nb_complete_p2p(
-                    kind, value_tx, op, root, seq, my_words
-                )
-
-            return self._make_request(op_name, complete_degraded)
-        win.begin()
-        win.post_size_nowait(
-            needed, my_words, sig.digest if sig is not None else 0
+        return self._collective(
+            name,
+            finish,
+            cc.reduce_scatter_cost,
+            _Deposit(send=array),
+            reduce_op=op,
+            value=array,
+            nonblocking=nonblocking,
         )
-        written = needed <= win.slot_bytes
-        if written:
-            # Optimistic deposit: our slot has no other writer this
-            # round, and readers only look after the (deferred) write
-            # fence, so writing before the size fence is safe.  If some
-            # other rank's payload forces growth the round is replayed
-            # on a grown window and these bytes are simply abandoned.
-            win.write(prefix, payload)
-            win.commit_nowait()
-        value_tx = self._tx(value)
-        req = self._make_request(
-            op_name,
-            lambda: self._nb_complete_window(
-                buf,
-                kind,
-                op,
-                root,
-                my_words,
-                prefix,
-                payload,
-                written,
-                sig,
-                seq=seq,
-                value_tx=value_tx,
-            ),
-        )
-        self._nb_pending[buf] = req
-        return req
-
-    def _nb_complete_single(
-        self, kind: str, value: Any, op: ReduceOp, my_words: int
-    ) -> Any:
-        """Size-1 completion: mirror the blocking ops' shortcut charges."""
-        if kind == "reduce_scatter":
-            self._charge_reduction(kind, my_words)
-            return np.array(value, copy=True)
-        acc = _copy_payload(value)
-        self._charge_reduction(
-            kind, my_words if kind == "reduce" else _words_of(acc)
-        )
-        return acc
-
-    def _nb_complete_p2p(
-        self,
-        kind: str,
-        value_tx: Any,
-        op: ReduceOp,
-        root: int,
-        seq: int,
-        my_words: int,
-    ) -> Any:
-        """Windows-off completion: run the blocking relay body (tags were
-        reserved at post time, so interleaved posts stay matched)."""
-        if kind == "reduce":
-            acc, peak_words = self._reduce_p2p(value_tx, op, root, seq)
-            self._charge_reduction(kind, peak_words)
-            return acc
-        if kind == "allreduce":
-            acc = self._allreduce_p2p(value_tx, op, seq)
-            self._charge_reduction(kind, _words_of(acc))
-            return acc
-        out = self._reduce_scatter_p2p(value_tx, op, seq)
-        self._charge_reduction(kind, my_words)
-        return out
-
-    def _nb_complete_window(
-        self,
-        buf: int,
-        kind: str,
-        op: ReduceOp,
-        root: int,
-        my_words: int,
-        prefix: bytes,
-        payload: np.ndarray | None,
-        written: bool,
-        sig: CollectiveCall | None = None,
-        seq: int = 0,
-        value_tx: Any = None,
-    ) -> Any:
-        """Window completion: finish the deferred fences, read, charge."""
-        self._nb_pending[buf] = None
-        win = self._nb_wins[buf]
-        largest = win.wait_posted()
-        if sig is not None:
-            # The deferred size fence has resolved, so every member's
-            # digest for this round is visible: verify before reading.
-            self._san_check_window(win, sig)
-        if largest > win.slot_bytes:
-            # Rare growth replay: some rank's payload outgrew the slots.
-            # Retire the optimistic round (flags only — nobody reads it)
-            # and replay it as one blocking round on a grown window; every
-            # member reaches the identical decision from the shared max,
-            # so the replacement stays collective.
-            if not written:
-                win.commit_nowait()
-            win.finish()
-            win = self._grow_nb_window(buf, largest)
-            if win is None:
-                # Growth denied by resource exhaustion — collectively, so
-                # every member replays the round point-to-point on the
-                # tags reserved at post time.  The sanitizer already
-                # verified this round's digests on the size fence above.
-                return self._nb_complete_p2p(
-                    kind, value_tx, op, root, seq, my_words
-                )
-            win.begin()
-            win.post_size(
-                packed_nbytes(prefix, payload),
-                my_words,
-                sig.digest if sig is not None else 0,
-            )
-            win.write(prefix, payload)
-            win.commit()
-        acc: Any = None
-        if kind != "reduce" or self._rank == root:
-            # Only readers pay the write fence; a non-root ireduce
-            # completes off the size fence alone (its charge needs the
-            # shared peak, nothing else, and window reuse is still gated
-            # by the root's own done flag).
-            win.wait_written()
-            acc = self._window_fold(win, op)
-        peak_words = win.max_words()
-        win.finish()
-        if kind == "reduce":
-            self._charge_reduction(kind, peak_words)
-            return acc
-        if kind == "allreduce":
-            self._charge_reduction(kind, _words_of(acc))
-            return acc
-        self._charge_reduction(kind, my_words)
-        block = acc.shape[0] // self.size
-        lo = self._rank * block
-        return np.array(acc[lo : lo + block], copy=True)
 
     def alltoall(self, values: Sequence[Any]) -> list[Any]:
         """Exchange ``values[j]`` with rank ``j`` for all j simultaneously.
 
         Charged from the *heaviest* rank's row total (the bulk-synchronous
-        exchange finishes when the busiest rank does), shared through the
-        window's size fence or piggybacked on each pairwise message, so
-        every member charges the identical cost under uneven rows.
+        exchange finishes when the busiest rank does), the largest of the
+        words shared at the fence, so every member charges the identical
+        cost under uneven rows.
         """
         if len(values) != self.size:
             raise CommunicatorError(
                 f"alltoall needs exactly {self.size} values, got {len(values)}"
             )
-        seq = self._advance_coll()
-        self._san_enter("alltoall", seq)
-        tag = ("coll", seq, 0)
-        p = self.size
-        row_words = sum(_words_of(v) for v in values)
-        out: list[Any] = [None] * p
-        out[self._rank] = _copy_payload(values[self._rank])
-        peak_words = row_words
-        if p > 1:
-            win = self._matrix_round(
-                [(dst, values[dst]) for dst in range(p) if dst != self._rank],
-                words=row_words,
-            )
-            if win is not None:
-                peak_words = win.max_words()
-                for src in range(p):
-                    if src != self._rank:
-                        out[src] = win.read_pair(src)
-                win.finish()
-            else:
-                for dst in range(p):
-                    if dst != self._rank:
-                        self._put_key(
-                            self._rank,
-                            dst,
-                            tag,
-                            (self._tx(values[dst]), row_words),
-                        )
-                for src in range(p):
-                    if src != self._rank:
-                        out[src], src_words = self._transport.get(
-                            self._key(src, self._rank, tag)
-                        )
-                        peak_words = max(peak_words, src_words)
-        # Pairwise-exchange cost: (P-1) messages of ceil(W/P) words each.
-        cost = (p - 1) * cc.send_recv_cost(
-            -(-peak_words // p) if p > 1 else 0, self._ledger.machine
+        me = self._rank
+
+        def finish(rnd):
+            out = [
+                _copy_payload(values[src]) if src == me else rnd.read_addressed(src)
+                for src in range(self.size)
+            ]
+            return out, rnd.max_words()
+
+        return self._collective(
+            "alltoall",
+            finish,
+            cc.alltoall_cost,
+            _Deposit(
+                sends=tuple(
+                    (dst, values[dst]) for dst in range(self.size) if dst != me
+                ),
+                words=sum(_words_of(v) for v in values),
+            ),
+            pairs=True,
         )
-        self._charge_all(cost, words=peak_words, messages=1 if p > 1 else 0)
-        return out
 
     # -- communicator construction -------------------------------------------
 
     def split(self, color: int | None, key: int | None = None) -> "Communicator | None":
         """Partition the communicator by ``color``; order new ranks by ``key``.
 
-        Ranks passing ``color=None`` (MPI's ``MPI_UNDEFINED``) receive ``None``.
+        Ranks passing ``color=None`` (MPI's ``MPI_UNDEFINED``) receive
+        ``None``.  ``(color, key)`` travels in one uncharged round:
+        communicator setup is out of band in the paper's model.
         """
-        seq = self._advance_coll()
-        # Split always relays point-to-point (never through windows), so
-        # its signature exchange is forced onto the point-to-point path.
-        self._san_enter("split", seq, windowed=False)
-        # Exchange (color, key, rank) without charging: communicator setup is
-        # out of band in the paper's model.
-        tag_in = ("coll", seq, 0)
-        tag_out = ("coll", seq, 1)
-        triple = (color, self._rank if key is None else key, self._rank)
-        if self.size == 1:
-            triples = [triple]
-        elif self._rank == 0:
-            triples = [triple] + [
-                self._transport.get(self._key(src, 0, tag_in))
-                for src in range(1, self.size)
-            ]
-            triples.sort(key=lambda t: t[2])
-            for dst in range(1, self.size):
-                self._put_key(0, dst, tag_out, triples)
-        else:
-            self._put_raw(0, tag_in, triple)
-            triples = self._transport.get(self._key(0, self._rank, tag_out))
+        seq = self._coll_seq  # the number the round below takes
+        entries = self._collective(
+            "split",
+            lambda rnd: ([rnd.read(src) for src in range(self.size)], 0),
+            None,
+            _Deposit(send=(color, self._rank if key is None else key)),
+        )
         if color is None:
             return None
         group = sorted(
-            (t for t in triples if t[0] == color),
-            key=lambda t: (t[1], t[2]),
+            (k, r) for r, (c, k) in enumerate(entries) if c == color
         )
-        members = tuple(self._members[t[2]] for t in group)
-        child_id = (self._comm_id, seq, color)
         return Communicator(
             self._transport,
             self._ledger,
-            child_id,
-            members,
+            (self._comm_id, seq, color),
+            tuple(self._members[r] for _, r in group),
             self._world_rank,
             sanitizer=self._san,
             faults=self._faults,

@@ -30,16 +30,16 @@ path cheap:
   ``gather``/``allgather``/``reduce``/``allreduce``/
   ``reduce_scatter_block`` through a P-slot window, ``scatter``/
   ``alltoall`` through a P×P pair-slotted one — one barrier-fenced
-  single-copy exchange instead of O(P) point-to-point segment hops
-  through rank 0.  Initial slots are sized from the communicator's first
-  payload.  Every fence is split into a non-blocking publish half
-  (``post_size_nowait`` / ``commit_nowait``) and a wait half
+  single-copy exchange per collective.  Initial slots are sized from the
+  communicator's first payload.  Every fence is split into a non-blocking
+  publish half (``post_size_nowait`` / ``commit_nowait``) and a wait half
   (``wait_posted`` / ``wait_written``) so the communicator's non-blocking
   collectives can deposit their contribution at post time and defer the
   fence spins to ``wait()``, overlapping them with local compute.
-  Windows open only where :data:`WINDOWS_ENABLED` says the platform
-  orders plain stores (x86-64); elsewhere collectives take the
-  point-to-point path.
+  Windows open only where :data:`WINDOWS_ENABLED` says
+  the platform orders plain stores (x86-64); elsewhere, and for a round
+  whose window allocation is denied, the communicator runs the same
+  round over this transport's messages (its mailbox round).
 
 Poisoning uses a shared event: when any rank dies its transport sets the
 event, and every sibling blocked in :meth:`ProcessTransport.get` (or
@@ -93,8 +93,8 @@ _TSO_MACHINES = frozenset({"x86_64", "amd64", "i386", "i686"})
 
 #: Whether collectives ride shared-memory windows on this host.  Elsewhere
 #: (aarch64, ppc64le, ...) the unfenced data-before-flag stores could be
-#: reordered, so collectives take the point-to-point path, whose ordering
-#: the OS queue guarantees.
+#: reordered, so collectives run their rounds over messages, whose
+#: ordering the OS queue guarantees.
 WINDOWS_ENABLED = platform.machine().lower() in _TSO_MACHINES
 
 #: Smallest arena bucket (one page), per-bucket free-list cap, and the
@@ -718,7 +718,7 @@ class CollectiveWindow:
     by storing the current exchange sequence number into its own slot
     and spins until every slot reaches the sequence.  One exchange is
     write → fence → read → fence, i.e. a single data copy per reader
-    instead of the O(P) point-to-point hops of the relayed collectives.
+    instead of one message per pair of members.
 
     ``digests`` and the slot generations serve the SPMD sanitizer
     (:mod:`repro.analysis.sanitizer`): each rank's collective-signature
@@ -738,9 +738,9 @@ class CollectiveWindow:
     Portability note: the data-before-flag ordering relies on the
     total-store-order guarantee of x86-64.  On architectures with weaker
     memory models (aarch64) the plain stores carry no fence, so there
-    :data:`WINDOWS_ENABLED` is false and no window is opened: collectives
-    take the queue-backed point-to-point path, whose ordering the OS
-    guarantees.
+    :data:`WINDOWS_ENABLED` is false and no window is opened: the
+    communicator runs the same rounds over queue-backed messages (its
+    mailbox round), whose ordering the OS guarantees.
     """
 
     def __init__(

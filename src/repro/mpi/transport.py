@@ -51,12 +51,13 @@ class TransportBase(abc.ABC):
     #: Collective-window protocol (optional).  A transport that sets
     #: ``windows_enabled`` must implement :meth:`window_slot`,
     #: :meth:`create_window`, :meth:`attach_window` and
-    #: :meth:`release_window`; the communicator then routes the data
-    #: movement of every collective through per-communicator exchange
-    #: windows (single-copy, fence-ordered) instead of relaying
-    #: point-to-point messages through group rank 0.  The thread
+    #: :meth:`release_window`; the communicator then runs each
+    #: collective's exchange round through per-communicator windows
+    #: (single-copy, fence-ordered).  Otherwise every round runs over
+    #: :meth:`put`/:meth:`get`: each member sends one message to each
+    #: peer, and receiving one from each peer is the fence.  The thread
     #: transport keeps the default: all ranks share one address space,
-    #: so its "relay" is already a pointer handoff.
+    #: so a message is already a pointer handoff.
     windows_enabled = False
 
     def window_slot(self, needed: int) -> int:
@@ -69,15 +70,15 @@ class TransportBase(abc.ABC):
     ):
         """Create (and own) an exchange window for ``size`` members.
 
-        ``matrix=True`` asks for a P×P pair-slotted window (alltoall /
-        scatter); otherwise one slot per member.  Returns an object with
-        the :class:`~repro.mpi.process_transport.CollectiveWindow`
-        surface (``begin``/``post_size``/``write``/``commit``/``read``/
-        ``finish``/``name``/``slot_bytes``..., plus the split fence
-        halves ``post_size_nowait``/``wait_posted`` and
-        ``commit_nowait``/``wait_written`` that the communicator's
-        non-blocking collectives use to defer fence waits to
-        ``Request.wait()``).
+        ``matrix=True`` asks for a P×P pair-slotted window (alltoall);
+        otherwise one slot per member.  Returns an object with the
+        :class:`~repro.mpi.process_transport.CollectiveWindow` surface
+        (``begin``/``fence``/``post_size``/``write``/``read``/``finish``/
+        ``name``/``slot_bytes``..., plus the split fence halves
+        ``post_size_nowait``/``wait_posted`` and
+        ``commit_nowait``/``wait_written``: a collective's round posts
+        with the first halves and waits with the second, at
+        ``Request.wait()`` for the non-blocking collectives).
         """
         raise NotImplementedError("transport has no collective windows")
 

@@ -90,3 +90,11 @@ def bcast_cost(p: int, w: float, machine: MachineSpec) -> float:
     if p == 1:
         return 0.0
     return machine.alpha * _log2(p) + machine.beta * (p - 1) / p * w
+
+
+def alltoall_cost(p: int, w: float, machine: MachineSpec) -> float:
+    """Pairwise all-to-all with heaviest row ``w``: ``(P-1) (alpha + beta ceil(W/P))``."""
+    w = _check_words(w)
+    if p == 1:
+        return 0.0
+    return (p - 1) * send_recv_cost(-(-w // p), machine)

@@ -267,14 +267,14 @@ def _window_rounds(comm):
     comm.alltoall([comm.rank * 10 + j for j in range(comm.size)])
     # 8 exchanges through the P-slot window (scatter is a root-writes
     # round on it), 1 through the P×P matrix (alltoall only).
-    return comm._win.seq, comm._mwin.seq
+    return comm._wins["slots"].seq, comm._wins["pairs"].seq
 
 
 def _window_slots(comm):
     comm.allreduce(comm.rank, SUM)  # scalar first exchange
-    small = comm._win.slot_bytes
+    small = comm._wins["slots"].slot_bytes
     comm.allreduce(np.arange(6000.0), SUM)  # ~48 KiB forces growth
-    return small, comm._win.slot_bytes
+    return small, comm._wins["slots"].slot_bytes
 
 
 def _collective_battery(comm, x):
