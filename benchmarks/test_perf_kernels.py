@@ -79,8 +79,7 @@ _OUT = Path(__file__).resolve().parents[1] / "BENCH_kernels.json"
 _LAUNCHES = 5
 
 #: The distributed rows run the process backend's one configuration: warm
-#: rank pool (the rank programs are module-level functions), arena and
-#: platform-chosen collective windows.
+#: rank pool (the rank programs are module-level functions) and arena.
 _BACKEND = "process"
 
 

@@ -8,15 +8,17 @@ the perf trajectory is visible across PRs:
 * ``launch``   — per-run ``run_spmd`` overhead, warm persistent pool vs.
   fork-per-run (a lambda rank function, which cannot ride the pool; the
   pool must be >= 5x cheaper);
-* ``allgather`` — collective throughput with the shared-memory windows vs.
-  the mailbox round a weakly ordered host takes (windows must not be
-  slower), with the thread backend's mailbox round recorded beside them;
+* ``allgather`` — collective throughput of the process backend's mailbox
+  round, with the thread backend's recorded beside it (recorded only);
 * ``p2p``      — small-message ping-pong latency (adaptive poll backoff)
   and large-array bandwidth over the segment arena;
 * ``dtype_rounds`` — float32 vs float64 allgather+allreduce rounds on
-  the window path at a bandwidth-bound payload: window slots and arena
-  buckets are sized by actual nbytes, so half-width elements must buy a
-  real round-time win (>= 1.3x asserted; measured ~2-3x);
+  the process backend at a bandwidth-bound payload: arena buckets are
+  sized by actual nbytes, so half-width elements must buy a real
+  round-time win (>= 1.3x asserted; measured ~2x);
+* ``barrier`` / ``gather`` / ``scatter`` / ``alltoall`` — latency of the
+  remaining collectives at 64 KiB payloads, process vs thread backend
+  (recorded only);
 * ``grid_setup`` — building a ``CartGrid`` and running one collective on
   every mode row and column, at P=2 and P=4 (recorded; the asserted
   claim is that construction sends no message);
@@ -27,7 +29,6 @@ Wall-clock numbers, so absolute values depend on the machine; the asserted
 claims are the *ratios* the fast path exists to deliver.
 """
 
-import contextlib
 import json
 import os
 import time
@@ -42,7 +43,6 @@ from repro.mpi import (
     run_spmd,
     shutdown_worker_pools,
 )
-from repro.mpi import process_transport
 
 from benchmarks.conftest import table
 
@@ -75,21 +75,6 @@ def _record(key: str, payload: dict) -> None:
 
 def _noop_prog(comm):
     return comm.rank
-
-
-@contextlib.contextmanager
-def _windows(enabled: bool):
-    """Collective windows on or off, as the platform constant would set
-    them: the pool is recycled at both edges so its workers are forked
-    under the setting."""
-    saved = process_transport.WINDOWS_ENABLED
-    shutdown_worker_pools()
-    process_transport.WINDOWS_ENABLED = enabled
-    try:
-        yield
-    finally:
-        process_transport.WINDOWS_ENABLED = saved
-        shutdown_worker_pools()
 
 
 def _allgather_timed(comm, x, iters):
@@ -192,31 +177,28 @@ def test_admission_overhead(benchmark):
     assert overhead < max(0.005, 0.5 * plain)
 
 
-def test_allgather_windows_vs_p2p(benchmark):
+def test_allgather_process_vs_thread(benchmark):
     p, iters, n = 4, 8, 131_072  # 1 MiB per rank
     x = np.random.default_rng(0).standard_normal(n)
     volume_mb = p * x.nbytes / 1e6  # moved per allgather
 
-    def timed(enabled, backend="process"):
-        with _windows(enabled):
-            res = run_spmd(p, _allgather_timed, x, iters, backend=backend)
+    def timed(backend):
+        res = run_spmd(p, _allgather_timed, x, iters, backend=backend)
         assert all(v[1] == x[0] for v in res.values)
         return max(v[0] for v in res.values) / iters
 
-    mailbox = timed(False)
-    threaded = timed(False, backend="thread")
-    windowed = benchmark.pedantic(
-        lambda: timed(True), rounds=1, iterations=1
+    shutdown_worker_pools()
+    threaded = timed("thread")
+    process = benchmark.pedantic(
+        lambda: timed("process"), rounds=1, iterations=1
     )
-    gain = mailbox / windowed
+    shutdown_worker_pools()
     table(
         f"allgather {volume_mb:.1f} MB across {p} ranks (mean of {iters})",
-        ["path", "sec/call", "MB/s", "gain"],
+        ["backend", "sec/call", "MB/s"],
         [
-            ["mailbox", mailbox, volume_mb / mailbox, 1.0],
-            ["shm window", windowed, volume_mb / windowed, gain],
-            ["thread mailbox", threaded, volume_mb / threaded,
-             mailbox / threaded],
+            ["process", process, volume_mb / process],
+            ["thread", threaded, volume_mb / threaded],
         ],
     )
     _record(
@@ -224,28 +206,23 @@ def test_allgather_windows_vs_p2p(benchmark):
         {
             "ranks": p,
             "mbytes_per_call": volume_mb,
-            "mailbox": mailbox,
-            "window": windowed,
+            "process": process,
             "thread": threaded,
-            "window_throughput_mb_s": volume_mb / windowed,
-            "gain": gain,
+            "process_throughput_mb_s": volume_mb / process,
         },
     )
-    # The single-copy window exchange must beat the mailbox round's one
-    # message per member pair at P >= 4.
-    assert gain > 1.0
 
 
 def _dtype_rounds_timed(comm, n, iters):
     """One float64 and one float32 round (allgather + allreduce) per
     iteration, paired inside the same launch: both sides see the same
-    windows, pool warmth and machine drift."""
+    arena, pool warmth and machine drift."""
     rng = np.random.default_rng(40 + comm.rank)
     wide = rng.standard_normal(n)
     narrow = wide.astype(np.float32)
     elapsed = []
     for x in (wide, narrow):
-        comm.allgather(x)  # warm (windows sized for this payload)
+        comm.allgather(x)  # warm (arena buckets for this payload)
         comm.allreduce(x, SUM)
         comm.barrier()
         start = time.perf_counter()
@@ -257,12 +234,11 @@ def _dtype_rounds_timed(comm, n, iters):
 
 
 def test_dtype_rounds_float32_vs_float64(benchmark):
-    # Bandwidth-bound collective rounds: 4 MiB float64 per rank, on the
-    # window path where the platform opens windows.  Slots and arena
-    # buckets are sized by the payload's actual nbytes, so float32
-    # elements genuinely move half the bytes through shared memory — and
-    # the allreduce folds run on half-width words too.  The dtype knob
-    # exists for this ratio; it must stay >= 1.3x.
+    # Bandwidth-bound collective rounds: 4 MiB float64 per rank on the
+    # process backend.  Arena buckets are sized by the payload's actual
+    # nbytes, so float32 elements genuinely move half the bytes through
+    # shared memory — and the allreduce folds run on half-width words
+    # too.  The dtype knob exists for this ratio; it must stay >= 1.3x.
     p, iters, n, launches = 4, 6, 524_288, 5
     volume_mb = n * 8 / 1e6
 
@@ -301,8 +277,8 @@ def test_dtype_rounds_float32_vs_float64(benchmark):
          "float64": wide_sec, "float32": narrow_sec, "gain": gain,
          "gain_min": ratios[0], "gain_max": ratios[-1]},
     )
-    # Half the bytes through the windows must buy a real win at
-    # bandwidth-bound sizes (measured 2-3x; 1.3x is the floor).
+    # Half the bytes through shared memory must buy a real win at
+    # bandwidth-bound sizes (measured ~2x; 1.3x is the floor).
     assert gain >= 1.3, (
         f"dtype_rounds: median paired gain {gain:.3f} < 1.3; spread "
         f"{ratios[0]:.3f}..{ratios[-1]:.3f}, per-launch ratios "
@@ -326,48 +302,41 @@ def _coll_timed(comm, op, x, iters):
     return time.perf_counter() - start
 
 
-def test_remaining_collectives_windows_vs_p2p(benchmark):
-    """barrier/gather/scatter/alltoall on the window round vs the mailbox.
-
-    The window round (barrier fences, root-only gather reads, root-written
-    scatter slots, P×P pair slots for alltoall) must at least match the
-    mailbox round a weakly ordered host runs; the thread backend's
-    mailbox round is recorded beside them.
-    """
+def test_remaining_collectives_process_vs_thread(benchmark):
+    """barrier/gather/scatter/alltoall latency, process vs thread backend
+    (recorded only)."""
     p, n = 4, 8192  # 64 KiB payloads: overheads visible, copies not free
     x = np.random.default_rng(2).standard_normal(n)
     ops = [("barrier", 200), ("gather", 50), ("scatter", 50), ("alltoall", 30)]
 
-    def sweep(enabled, backend="process"):
+    def sweep(backend):
         # Best-of-3 per op: sub-millisecond latencies on a shared box are
         # noisy, and the minimum is the honest latency estimator.  The
         # warm pool is shared within a sweep.
         per_op = {}
-        with _windows(enabled):
-            for op, iters in ops:
-                per_op[op] = min(
-                    max(
-                        run_spmd(
-                            p, _coll_timed, op, x, iters, backend=backend
-                        ).values
-                    )
-                    / iters
-                    for _ in range(3)
+        for op, iters in ops:
+            per_op[op] = min(
+                max(
+                    run_spmd(
+                        p, _coll_timed, op, x, iters, backend=backend
+                    ).values
                 )
+                / iters
+                for _ in range(3)
+            )
         return per_op
 
-    mailbox = sweep(False)
-    threaded = sweep(False, backend="thread")
-    windowed = benchmark.pedantic(
-        lambda: sweep(True), rounds=1, iterations=1
+    shutdown_worker_pools()
+    threaded = sweep("thread")
+    process = benchmark.pedantic(
+        lambda: sweep("process"), rounds=1, iterations=1
     )
-    gains = {op: mailbox[op] / windowed[op] for op, _ in ops}
+    shutdown_worker_pools()
     table(
         f"remaining collectives, {p} ranks, {x.nbytes // 1024} KiB payloads "
         f"(sec/call)",
-        ["op", "mailbox s", "window s", "gain", "thread s"],
-        [[op, mailbox[op], windowed[op], gains[op], threaded[op]]
-         for op, _ in ops],
+        ["op", "process s", "thread s"],
+        [[op, process[op], threaded[op]] for op, _ in ops],
     )
     for op, _ in ops:
         _record(
@@ -375,16 +344,10 @@ def test_remaining_collectives_windows_vs_p2p(benchmark):
             {
                 "ranks": p,
                 "payload_kib": x.nbytes // 1024,
-                "mailbox": mailbox[op],
-                "window": windowed[op],
+                "process": process[op],
                 "thread": threaded[op],
-                "gain": gains[op],
             },
         )
-    # The window round exists to beat the mailbox's one message per
-    # member pair; none of the four may regress below it.
-    for op, gain in gains.items():
-        assert gain >= 1.0, f"{op}: window path slower than p2p ({gain:.2f}x)"
 
 
 def test_p2p_latency_and_bandwidth(benchmark):
@@ -436,7 +399,7 @@ class _CountingTransport:
 
     def __getattr__(self, name):
         attr = getattr(self._inner, name)
-        if name in ("put", "get", "create_window", "attach_window"):
+        if name in ("put", "get"):
             def counted(*args, **kwargs):
                 self.calls += 1
                 return attr(*args, **kwargs)
@@ -452,7 +415,7 @@ def _grid_setup_timed(comm, dims):
     counting = _CountingTransport(comm._transport)
     comm._transport = counting
     try:
-        comm.allreduce(0.0, SUM)  # in step, the run's window sized
+        comm.allreduce(0.0, SUM)  # every rank in step
         before = counting.calls
         start = time.perf_counter()
         g = CartGrid(comm, dims)

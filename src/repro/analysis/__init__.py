@@ -3,15 +3,12 @@
 Two halves, sharing the SPMD-protocol vocabulary of :mod:`repro.mpi`:
 
 * :mod:`repro.analysis.sanitizer` — the runtime half.  At
-  ``REPRO_SANITIZE >= 1`` (or ``run_spmd(..., sanitize=1)``) every
+  ``REPRO_SANITIZE=1`` (or ``run_spmd(..., sanitize=1)``) every
   collective records a call-site signature and cross-rank verifies it by
-  piggybacking a digest on the collective windows' size fence (uncharged
-  point-to-point exchange on window-less transports), turning
-  mismatched/reordered collectives into precise diagnostics instead of
-  deadlocks; non-blocking requests are tracked so leaked handles and
-  double waits fail the run.  Level 2 adds per-slot generation counters
-  to the shm windows so a read of a stale or unfenced slot raises
-  :class:`~repro.mpi.errors.WindowProtocolError`.  Level 0 (default)
+  piggybacking a digest on every message of the collective's exchange
+  round, turning mismatched/reordered collectives into precise
+  diagnostics instead of deadlocks; non-blocking requests are tracked so
+  leaked handles and double waits fail the run.  Level 0 (default)
   compiles every check out of the fast path.
 * :mod:`repro.analysis.lint` — the static half: ``repro-lint`` (also
   ``python -m repro.analysis.lint``), an AST checker with SPMD-aware

@@ -13,8 +13,7 @@ SPMD002   non-blocking request discarded or never waited on any path
           (leaked completion; the sanitizer's RequestLeakError, caught
           before running)
 SPMD003   blocking collective entered while non-blocking posts are
-          outstanding (serializes the overlap region and, with the
-          double-buffered window protocol, risks fence reordering)
+          outstanding (serializes the overlap region)
 SPMD004   bare ``except:`` around transport calls (swallows
           DeadlockError/SpmdError poisoning, so sibling ranks hang)
 SPMD005   mutable default argument (list/dict/set/ndarray — shared
@@ -110,7 +109,7 @@ RULES: dict[str, str] = {
     ),
     "SPMD003": (
         "blocking collective while non-blocking requests are outstanding "
-        "— collapses the overlap region and risks fence reordering"
+        "— collapses the overlap region"
     ),
     "SPMD004": (
         "bare except around transport calls — swallows the poisoned-"
@@ -652,9 +651,7 @@ _SHM_ALLOC_EXEMPT = (
 )
 
 #: Call spellings that allocate a shared segment.
-_SHM_ALLOC_CALLS = frozenset(
-    {"create_segment", "create_window", "SharedMemory"}
-)
+_SHM_ALLOC_CALLS = frozenset({"create_segment", "SharedMemory"})
 
 #: ``except`` types that discriminate by construction — OSError
 #: subclasses narrower than the exhaustion set.
@@ -679,11 +676,6 @@ def _alloc_call_name(call: ast.Call) -> str | None:
         func, "id", None
     )
     if name not in _SHM_ALLOC_CALLS:
-        return None
-    if name == "create_window" and isinstance(func, ast.Attribute):
-        # ``transport.create_window(...)`` is the sanctioned protocol
-        # API (TransportBase); only a direct import of the constructor
-        # sidesteps the gated layer.
         return None
     if name == "SharedMemory":
         # Attaching by name reserves nothing; only create=True allocates.

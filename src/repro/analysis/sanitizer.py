@@ -2,17 +2,17 @@
 
 The simulated runtime's failure mode for protocol bugs is a deadlock
 timeout: a rank that posts ``bcast`` while its peers post ``allreduce``
-spins on a fence until the transport gives up, and the report names no
+waits on a receive until the transport gives up, and the report names no
 line of user code.  The sanitizer (modeled on MPI correctness tools in
 the MUST family) turns those hangs into immediate, precise diagnostics:
 
 * **Collective matching** — every collective entry records a
   :class:`CollectiveCall` signature ``(op, sequence number, root,
   reduction op, dtype, shape, call site)``.  A 63-bit digest of the
-  protocol-relevant fields rides the collective windows' existing size
-  fence (one extra int64 store per exchange); on transports without
-  windows the signatures travel an uncharged point-to-point exchange.
-  Any divergence raises
+  protocol-relevant fields rides every message of the collective's
+  exchange round (one extra integer per message); only on a divergence
+  do the full signatures travel, in one more uncharged round.  Any
+  divergence raises
   :class:`~repro.mpi.errors.CollectiveMismatchError` naming every
   diverging rank and its call site.  dtype/shape are recorded for
   diagnostics but deliberately excluded from the digest except for
@@ -21,16 +21,11 @@ the MUST family) turns those hangs into immediate, precise diagnostics:
 * **Request lifetimes** — non-blocking requests are registered at post;
   a request never waited by user code fails finalize with
   :class:`~repro.mpi.errors.RequestLeakError`, a second user wait raises
-  :class:`~repro.mpi.errors.RequestStateError` (the runtime's internal
-  force-completion of pipelined window rounds is exempt).
-* **Happens-before (level 2)** — the shm windows stamp a per-slot
-  generation on every write; a read of a slot whose generation lags the
-  round raises :class:`~repro.mpi.errors.WindowProtocolError`.
+  :class:`~repro.mpi.errors.RequestStateError`.
 
 Levels: ``0`` — off, zero instrumentation on the hot path; ``1`` —
-collective matching + request tracking; ``2`` — level 1 plus the window
-generation checks.  Select with ``REPRO_SANITIZE`` or
-``run_spmd(..., sanitize=)``.
+collective matching + request tracking.  Select with ``REPRO_SANITIZE``
+or ``run_spmd(..., sanitize=)``.
 """
 
 from __future__ import annotations
@@ -53,7 +48,7 @@ if TYPE_CHECKING:  # real imports happen lazily at the raise sites:
 SANITIZE_ENV_VAR = "REPRO_SANITIZE"
 
 #: Valid sanitizer levels.
-SANITIZE_LEVELS = (0, 1, 2)
+SANITIZE_LEVELS = (0, 1)
 
 #: Ops whose contract requires identical shapes/dtypes on every member,
 #: so those fields join the protocol digest.  The other reduction-family
@@ -140,9 +135,8 @@ class CollectiveCall:
     def digest(self) -> int:
         """63-bit non-zero digest of :meth:`protocol_key`.
 
-        Non-zero so a window digest row of 0 (a rank that has not posted
-        a sanitized round) is never mistaken for a match; 63-bit so it
-        stores losslessly in the window's int64 flag row.
+        Non-zero so the digest 0 of an unsanitized round is never
+        mistaken for a match.
         """
         raw = hashlib.blake2b(
             repr(self.protocol_key()).encode(), digest_size=8

@@ -429,10 +429,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", choices=_backend_choices(), default=None,
                    help="SPMD executor backend for --parallel (default: "
                         "$REPRO_SPMD_BACKEND or 'thread')")
-    p.add_argument("--sanitize", type=int, choices=(0, 1, 2), default=None,
+    p.add_argument("--sanitize", type=int, choices=(0, 1), default=None,
                    help="SPMD sanitizer level for --parallel runs: 1 checks "
-                        "collective matching and request lifetimes, 2 adds "
-                        "shared-memory window generation checks (default: "
+                        "collective matching and request lifetimes (default: "
                         "the REPRO_SANITIZE environment variable)")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                    help="deadlock-detection timeout for --parallel runs "

@@ -56,7 +56,7 @@ __all__ = [
 #: string replays a saved :class:`RuntimeConfig`.
 PLAN_ENV_VAR = "REPRO_PLAN"
 
-_SANITIZE_LEVELS = (0, 1, 2)
+_SANITIZE_LEVELS = (0, 1)
 _COMPUTE_DTYPES = ("float64", "float32", "mixed")
 
 
@@ -88,7 +88,7 @@ def _parse_sanitize(raw: str) -> int:
         return int(raw)
     except ValueError:
         raise ValueError(
-            f"invalid REPRO_SANITIZE value {raw!r}: use 0, 1 or 2"
+            f"invalid REPRO_SANITIZE value {raw!r}: use 0 or 1"
         ) from None
 
 
@@ -176,8 +176,7 @@ CONFIG_FIELDS: tuple[ConfigField, ...] = (
     ),
     ConfigField(
         "sanitize", "REPRO_SANITIZE", 0, _parse_sanitize, "runtime",
-        "SPMD sanitizer level: 0 off, 1 protocol checks, 2 + window "
-        "generation checks",
+        "SPMD sanitizer level: 0 off, 1 protocol checks",
     ),
     ConfigField(
         "faults", "REPRO_FAULTS", "", lambda raw: raw.strip(), "runtime",

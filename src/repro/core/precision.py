@@ -10,7 +10,7 @@ is the compute precision.  The ``compute_dtype`` runtime knob
     backend and knob combination.
 ``float32``
     Gram/TSQR/TTM run in single precision end to end; ring hops,
-    allgathers and reduces ship half the bytes per fence.  The delivered
+    allgathers and reduces ship half the bytes per message.  The delivered
     relative error carries a single-precision noise floor on top of the
     truncation error (see :func:`float32_error_budget`).
 ``mixed``

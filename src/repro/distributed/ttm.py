@@ -133,11 +133,9 @@ def _ttm_block_rows(
     """Alg. 3: P_n iterations of (local TTM block row, reduce to member l).
 
     Every block row's reduce is posted non-blocking and completed only
-    after the *next* block's local TTM, so the reduce's fences hide
-    behind the dgemms — on the process backend the reduces ride the
-    double-buffered collective windows, which is exactly the two-deep
-    pipeline they exist for.  Contributions fold in group-rank order at
-    each root and charge what a blocking ``reduce`` would.
+    after the *next* block's local TTM, so the reduce's messages travel
+    behind the dgemms.  Contributions fold in group-rank order at each
+    root and charge what a blocking ``reduce`` would.
     """
     col = dt.grid.mode_column(mode)
     pn, my_pn = col.size, col.rank

@@ -2,8 +2,8 @@
 
 One injector is built per rank per launch attempt (by the executor
 backend) and threaded to every hook point: the communicator fires
-collective-op sites, the process transport fires ``send``/``recv``,
-collective windows fire ``fence``, and the worker entry fires
+collective-op sites, the process transport fires ``send``/``recv``, the
+resource governor fires ``arena``, and the worker entry fires
 ``dispatch``.  Hit counting is local to the injector, so a retried
 launch starts its counters from zero and ``attempt=`` gating decides
 whether clauses apply at all.

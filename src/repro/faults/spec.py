@@ -4,7 +4,7 @@ A fault spec is a list of clauses separated by ``,`` or ``;``; each
 clause is a list of ``key=value`` fields separated by ``:``::
 
     rank=2:site=allreduce:nth=3:kind=crash
-    rank=*:site=send:kind=delay:delay=0.2,rank=1:site=fence:kind=exception
+    rank=*:site=send:kind=delay:delay=0.2,rank=1:site=recv:kind=exception
 
 Fields (all optional except ``kind``):
 
@@ -13,11 +13,11 @@ Fields (all optional except ``kind``):
 ``site``
     Injection site name, or ``*`` for any site (default ``*``).  Sites
     are collective op names (``allreduce``, ``bcast``, ...), ``send`` /
-    ``recv`` (process-transport point-to-point), ``fence`` (collective
-    window waits, process backend only), ``dispatch`` (worker entry,
-    before the SPMD function runs), and the resource-governor allocation
-    gates ``arena`` / ``window`` (fired before the nth matching shm
-    allocation, process backend only).
+    ``recv`` (process-transport messages: point-to-point and every
+    collective's exchange round), ``dispatch`` (worker entry, before the
+    SPMD function runs), and the resource-governor allocation gate
+    ``arena`` (fired before the nth shm allocation, process backend
+    only).
 ``nth``
     1-based hit count at which the clause fires: the clause triggers on
     the ``nth``-th time the matching rank reaches the matching site
@@ -27,8 +27,8 @@ Fields (all optional except ``kind``):
     :class:`~repro.mpi.errors.FaultInjectedError` on the thread
     backend), ``exception`` (raise ``FaultInjectedError``), ``delay``
     (sleep ``delay`` seconds, then continue), ``enospc`` (raise a
-    resource-exhaustion ``OSError`` — at the ``arena``/``window``
-    allocation gates this exercises the degradation-to-p2p path), or
+    resource-exhaustion ``OSError`` — at the ``arena`` allocation gate
+    this exercises the degradation-to-pickle path), or
     ``stall`` (hold the rank at the site: sleep in small increments
     checking the run deadline so a ``REPRO_DEADLINE`` run raises
     :class:`~repro.mpi.errors.DeadlineExceededError`; without a

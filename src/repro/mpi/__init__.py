@@ -10,11 +10,10 @@ table).
 The process backend has a shared-memory fast path: a persistent rank
 pool amortizes launch cost across ``run_spmd`` calls (see
 :mod:`repro.mpi.backends`), a segment arena recycles shm segments and
-hands receivers read-only zero-copy :class:`ShmArrayView`\\ s, and
-per-communicator collective windows turn every collective — including
-``barrier``, ``gather``, ``scatter``, ``reduce`` and ``alltoall`` — into
-one barrier-fenced single-copy exchange (see
-:mod:`repro.mpi.process_transport`).
+hands receivers read-only zero-copy :class:`ShmArrayView`\\ s (see
+:mod:`repro.mpi.process_transport`).  Every collective, on either
+backend, is one exchange round over the transport's mailboxes: each
+member sends one message to each peer.
 
 Public surface:
 
@@ -54,15 +53,13 @@ from repro.faults import (
 )
 from repro.mpi.ledger import CostLedger, RankCosts
 from repro.mpi.process_transport import (
-    CollectiveWindow,
-    MatrixWindow,
     ProcessTransport,
     SegmentArena,
     ShmArrayView,
     process_arena,
 )
 from repro.mpi.reduce_ops import MAX, MIN, PROD, SUM, ReduceOp
-from repro.mpi.transport import ThreadTransport, Transport, TransportBase
+from repro.mpi.transport import ThreadTransport, TransportBase
 from repro.analysis.sanitizer import SANITIZE_ENV_VAR, Sanitizer
 from repro.resources import (
     BudgetExceededError,
@@ -84,7 +81,6 @@ from repro.mpi.errors import (
     RequestStateError,
     SanitizerError,
     SpmdError,
-    WindowProtocolError,
 )
 
 __all__ = [
@@ -100,14 +96,11 @@ __all__ = [
     "MAX",
     "MIN",
     "PROD",
-    "Transport",
     "TransportBase",
     "ThreadTransport",
     "ProcessTransport",
     "SegmentArena",
     "ShmArrayView",
-    "CollectiveWindow",
-    "MatrixWindow",
     "process_arena",
     "ExecutorBackend",
     "ThreadBackend",
@@ -141,5 +134,4 @@ __all__ = [
     "CollectiveMismatchError",
     "RequestLeakError",
     "RequestStateError",
-    "WindowProtocolError",
 ]

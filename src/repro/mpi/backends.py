@@ -15,12 +15,11 @@ A backend decides *how* the N ranks of an SPMD run execute:
   strong/weak-scaling experiments (Fig. 9) actually measure.
 
 Both backends present identical semantics — same collectives (blocking
-and non-blocking: the process backend runs their rounds over shm
-windows, double-buffered for the ``ireduce`` family, the thread backend
-over message mailboxes, with identical results and charges), same
-deterministic reduction order, same poisoning/fail-fast behavior on rank
-error, same deadlock timeout, same cost-ledger contents — and are held to
-that by one shared conformance suite (``tests/mpi/test_backends.py``).
+and non-blocking, each one exchange round over the transport's mailboxes,
+with identical results and charges), same deterministic reduction order,
+same poisoning/fail-fast behavior on rank error, same deadlock timeout,
+same cost-ledger contents — and are held to that by one shared
+conformance suite (``tests/mpi/test_backends.py``).
 
 Select a backend per call (``run_spmd(..., backend="process")``) or
 globally via the ``REPRO_SPMD_BACKEND`` environment variable.
@@ -62,9 +61,9 @@ warm:
   are still in an inbox are dropped (and their segments reclaimed) by the
   transport, so runs never see each other's messages.
 * Any failure — a raised rank exception, a worker death, a deadlock —
-  *invalidates* the pool: the run's error is reported exactly as in fork
-  mode, and the pool is torn down so the next run starts from clean
-  workers.
+  is reported exactly as in fork mode.  A worker death retires the pool,
+  so the next run starts from fresh workers and inboxes; after any other
+  failure the pool is drained and health-checked before its next run.
 * Pools are torn down at interpreter exit (``atexit``) or explicitly via
   :func:`shutdown_worker_pools`; teardown sends a sentinel so workers
   unlink their pooled shared-memory segments before exiting.
@@ -220,8 +219,8 @@ class ExecutorBackend(abc.ABC):
 
         ``sanitize`` is the resolved SPMD-sanitizer level (see
         :mod:`repro.analysis.sanitizer`); backends build one
-        :class:`~repro.analysis.sanitizer.Sanitizer` per rank at levels
-        >= 1, finalize it after a successful rank return, and annotate
+        :class:`~repro.analysis.sanitizer.Sanitizer` per rank at level
+        1, finalize it after a successful rank return, and annotate
         deadlock timeouts with the rank's last collective.
 
         ``faults`` is the resolved fault-injection spec (``None`` when
@@ -422,6 +421,7 @@ def _run_one_rank(
     try:
         # Fault-tolerance options ride the dispatch as picklable primitives;
         # the live objects (injector, board) are built rank-side here.
+        sanitize: int = topts.pop("sanitize", 0)
         spec: FaultSpec | None = topts.pop("faults", None)
         attempt: int = topts.pop("attempt", 1)
         board_name: str | None = topts.pop("status", None)
@@ -451,13 +451,11 @@ def _run_one_rank(
         try:
             transport = ProcessTransport(
                 rank, inboxes, abort_event, timeout=timeout, run_seq=run_seq,
-                faults=injector, status=board, **topts,
+                faults=injector, status=board,
             )
             ledger = CostLedger(n_ranks, machine)
             sanitizer = (
-                Sanitizer(level=transport.sanitize, world_rank=rank)
-                if transport.sanitize
-                else None
+                Sanitizer(level=sanitize, world_rank=rank) if sanitize else None
             )
             comm = Communicator(
                 transport,
@@ -579,13 +577,6 @@ def _pool_worker(
             if item[0] == "ping":
                 # Pool health check: answer with a pong carrying the
                 # probe token.  The collect loops ignore pong blobs.
-                # When a sibling died, the probe also asks survivors to
-                # flush their arenas: pooled segments adopted from the
-                # dead rank were unlinked by the crash audit, and
-                # reusing such a mapping would break the next receiver's
-                # attach-by-name.
-                if item[2]:
-                    process_arena().teardown()
                 result_queue.put(pickle.dumps(("pong", item[1], rank)))
                 continue
             run_seq, blob = item
@@ -638,6 +629,12 @@ def _pool_worker(
     finally:
         take_back()
         process_arena().teardown()
+        # Messages still queued for a peer are stale once the worker
+        # leaves (nobody drains a retired pool's inboxes), and a feeder
+        # may wait forever on the write lock of an inbox a killed worker
+        # left held: exit without joining it.
+        for inbox in inboxes:
+            inbox.cancel_join_thread()
 
 
 class _RankPool:
@@ -787,17 +784,20 @@ class _RankPool:
                 return
 
     def recycle(self) -> bool:
-        """Return the pool to service after a failed run (surgical repair).
+        """Return the pool to service after a failed run in which no
+        worker died: drain every queue, clear the poison, and health-check
+        the workers with a ping/pong round trip before the pool serves
+        again.  Returns False when a worker died or fails the health
+        check — the caller then tears the pool down for a fresh one.
 
-        Instead of retiring the whole pool on any failure, drain every
-        queue, clear the poison, reap and respawn only the *dead*
-        workers (reclaiming the segments they leaked), and health-check
-        all of them with a ping/pong round trip before the pool serves
-        again.  Returns False when a worker fails the health check —
-        the caller then falls back to full teardown + fresh pool.
+        A death always retires the pool: every rank writes into every
+        other rank's inbox, and a worker killed mid-write leaves the
+        inbox's write lock held, or half a message in its pipe, which no
+        later run could get past.
         """
-        dead_pids = [p.pid for p in self.procs if not p.is_alive()]
         self.reclaim_staged()
+        if not all(p.is_alive() for p in self.procs):
+            return False
         self.drain_inboxes()
         for q in self.task_queues:
             self._drain_queue(q)
@@ -805,39 +805,22 @@ class _RankPool:
             self._drain_queue(q)
         self.abort_event.clear()
         self.board.reset()
-        for rank, p in enumerate(self.procs):
-            if not p.is_alive():
-                p.join(timeout=0.1)
-                self.procs[rank] = self._spawn(rank)
-        if dead_pids:
-            reap_stale_segments(dead_pids)
-        if not self._health_check(flush=bool(dead_pids)):
+        if not self._health_check():
             return False
-        if dead_pids:
-            # The flush ping made every surviving worker tear down its
-            # arena (and the dead workers' segments were reaped above),
-            # so the rank slots' live-byte truth is now zero; clear them
-            # to hand those free-list bytes back to the budget.
-            self.rboard.reset_ranks()
         self.needs_recycle = False
         return True
 
-    def _health_check(
-        self, flush: bool = False, grace: float = _POOL_SHUTDOWN_GRACE
-    ) -> bool:
+    def _health_check(self, grace: float = _POOL_SHUTDOWN_GRACE) -> bool:
         """Ping every worker; True when all pong within ``grace`` seconds.
 
         A worker still wedged in the poisoned run's user code never
         reaches its task queue, so a missing pong flags it for full
-        teardown instead of handing it the next dispatch.  ``flush``
-        additionally makes each worker tear down its segment arena
-        before ponging (required after a rank death — see the ping
-        handler in :func:`_pool_worker`).
+        teardown instead of handing it the next dispatch.
         """
         token = (os.getpid(), self.run_seq, time.monotonic_ns())
         for q in self.task_queues:
             try:
-                q.put(("ping", token, flush))
+                q.put(("ping", token))
             except (OSError, ValueError):  # pragma: no cover - dead queue
                 return False
         pending = set(range(self.n_ranks))
@@ -882,7 +865,9 @@ class _RankPool:
             if p.is_alive():  # pragma: no cover - wedged worker
                 p.terminate()
                 p.join()
-        self.drain_inboxes()
+        # Undelivered messages are not drained: a worker killed mid-write
+        # leaves half a message that a read would wait on forever.  The
+        # callers' creator-pid sweep reclaims their segments.
         for q in [*self.inboxes, *self.task_queues, *self.result_queues]:
             try:
                 q.close()
@@ -905,7 +890,7 @@ def _recycle_idle_pools(needed: int) -> int:
 
     Returns the live bytes handed back to the budget.  Only pools with
     no active run are eligible; each shutdown releases the pool's arena
-    free lists, pooled windows and boards.
+    free lists and boards.
     """
     freed = 0
     while freed < needed:
@@ -946,8 +931,8 @@ def shutdown_worker_pools() -> None:
     # release those pooled segments along with the workers.
     process_arena().teardown()
     # Crash audit: sweep every segment whose creating worker died
-    # without unlinking it — killed ranks leak arena buckets, in-flight
-    # payloads, and windows.
+    # without unlinking it — killed ranks leak arena buckets and in-flight
+    # payloads.
     reap_stale_segments(worker_pids)
 
 
@@ -958,9 +943,9 @@ def _get_pool(n_ranks: int) -> _RankPool:
     with _POOLS_LOCK:
         pool = _POOLS.get(n_ranks)
         if pool is not None and not pool.alive():
-            # Surgical repair first: respawn dead workers and health-check
-            # the rest.  Only a failed health check (or an explicitly
-            # broken pool) retires the whole pool.
+            # Repair first: drain and health-check the workers.  A dead
+            # worker, a failed health check or an explicitly broken pool
+            # retires the whole pool.
             if pool.broken or not pool.recycle():
                 _POOLS.pop(n_ranks, None)
                 worker_pids = [p.pid for p in pool.procs]
@@ -982,7 +967,7 @@ def _invalidate_pool(pool: _RankPool) -> None:
     pool.shutdown()
     # A pool is only retired like this on failure — exactly when a killed
     # or crashed worker may have leaked segments (arena buckets, staged
-    # payloads, windows); sweep its dead workers' names.
+    # payloads); sweep its dead workers' names.
     reap_stale_segments(worker_pids)
 
 
@@ -1142,18 +1127,17 @@ class ProcessBackend(ExecutorBackend):
             isinstance(exc, RankDeadError) for exc in failures.values()
         )
         if stale_task_load:
-            # The dispatched function resolves only in fresh forks.  After
-            # a surgical recycle workers can have *different* fork ages, so
-            # staleness may hit only a subset of ranks (the rest abort
-            # without running user code to completion); any such failure
-            # means the pool is stale for this function — retire it and
-            # fall back to fork-per-run, which inherits the definition.
+            # The dispatched function resolves only in fresh forks (the
+            # ranks that did not fail to load it abort without running
+            # user code to completion): the pool is stale for this
+            # function — retire it and fall back to fork-per-run, which
+            # inherits the definition.
             _invalidate_pool(pool)
             return None
         if failures or pool.abort_event.is_set():
             # Poisoned run: reclaim what dead workers leaked right away,
-            # and flag the pool for surgical recycling (dead workers
-            # respawned, survivors health-checked) before its next use.
+            # and flag the pool for recycling (retired if a worker died,
+            # else drained and health-checked) before its next use.
             dead_pids = [p.pid for p in pool.procs if not p.is_alive()]
             if dead_pids:
                 reap_stale_segments(dead_pids)
@@ -1322,7 +1306,12 @@ class ProcessBackend(ExecutorBackend):
             if p.is_alive():  # pragma: no cover - wedged child
                 p.terminate()
                 p.join()
-        self._reclaim(inboxes)
+        # Undelivered messages are not drained (a child killed mid-write
+        # leaves half a message a read would wait on forever): every
+        # child is gone, so the creator-pid sweep reclaims their segments.
+        for inbox in inboxes:
+            inbox.close()
+            inbox.join_thread()
         reap_stale_segments(p.pid for p in procs)
         raise_spmd_failures(failures)
         rsummaries[-1] = resources_mod.governor().summary()
@@ -1331,23 +1320,6 @@ class ProcessBackend(ExecutorBackend):
             ledger=ledger,
             resources=ResourceReport.from_rank_summaries(rsummaries),
         )
-
-    @staticmethod
-    def _reclaim(inboxes) -> None:
-        """Drain undelivered messages and unlink their shm segments."""
-        for inbox in inboxes:
-            while True:
-                try:
-                    blob = inbox.get_nowait()
-                except queue_mod.Empty:
-                    break
-                try:
-                    _seq, _key, encoded = pickle.loads(blob)
-                    release_payload(encoded)
-                except Exception:  # pragma: no cover - best-effort cleanup
-                    pass
-            inbox.close()
-            inbox.join_thread()
 
 
 _BACKENDS: dict[str, type[ExecutorBackend]] = {

@@ -12,19 +12,17 @@ the distributed algorithms read like ordinary MPI code.  Differences:
   measurements of the very runs the tests execute.
 * Each collective is one description (who writes, who reads, the fold or
   assembly, its Table I cost) run by one entry point over one exchange
-  round: every member posts its modeled words, its sanitizer digest and
-  its contribution, fences, reads and finishes.  On the process transport
-  on x86-64 the round rides a per-communicator shared-memory window
-  (:class:`_WindowRound`); on the thread transport, on weakly ordered
-  hosts and for any round whose window allocation was denied it rides
-  the transport's mailboxes (:class:`_MailboxRound`).  Either way the
-  *charged* cost is the closed-form tree cost, identical on every member,
-  not the cost of the round that moved the bytes.
+  round on the transport's mailboxes (:class:`_MailboxRound`): every
+  member sends each peer one message carrying its modeled words, its
+  sanitizer digest and, for the peers that read it, its contribution;
+  receiving one message from each peer is the fence.  The *charged* cost
+  is the closed-form tree cost, identical on every member, not the cost
+  of the messages that moved the bytes.
 * Non-blocking operations (``isend``/``irecv``/``isendrecv``,
   ``ireduce``/``iallreduce``/``ireduce_scatter_block``) defer completion
   to ``Request.wait()``: sends and round deposits are staged at post
-  time, the blocking receives and fence waits — and every ledger charge —
-  land at completion, so pipelined kernels overlap communication with
+  time, the blocking receives — and every ledger charge — land at
+  completion, so pipelined kernels overlap communication with
   compute while charging exactly what the blocking ops would.
 
 Determinism: reductions fold contributions in group-rank order, so repeated
@@ -42,7 +40,6 @@ from repro import resources
 from repro.analysis.sanitizer import CollectiveCall, Sanitizer
 from repro.mpi.errors import BufferMismatchError, CommunicatorError
 from repro.mpi.ledger import CostLedger
-from repro.mpi.process_transport import pack_collective, packed_nbytes
 from repro.mpi.reduce_ops import SUM, ReduceOp
 from repro.mpi.transport import TransportBase
 from repro.perfmodel import collectives as cc
@@ -77,18 +74,17 @@ class Request:
     """Handle for a nonblocking operation with deferred completion.
 
     ``wait()`` runs the deferred completion exactly once — any blocking
-    receive/fence happens there, and that is also where the operation's
+    receive happens there, and that is also where the operation's
     ledger charge lands, so pipelined code charges exactly what the
     blocking ops would — and caches the result for repeated waits.
     ``test()`` reports whether the handle has completed; there is no
     background progress thread, so a request only completes inside
-    ``wait()`` (or when the communicator force-completes it to recycle a
-    non-blocking collective's window buffer).
+    ``wait()``.
 
     SPMD discipline: like the blocking collectives, the posts *and* the
     waits of non-blocking collectives must occur in the same order on
     every member relative to the communicator's other collectives.
-    Under ``REPRO_SANITIZE >= 1`` the handle is strict MPI: a request
+    Under ``REPRO_SANITIZE=1`` the handle is strict MPI: a request
     never waited fails finalize (:class:`RequestLeakError`) and a second
     user ``wait()`` raises :class:`RequestStateError` even though the
     unsanitized runtime would serve it from the cache.
@@ -109,12 +105,6 @@ class Request:
     def wait(self) -> Any:
         if self._san is not None:
             self._san.user_wait(self._record)
-        return self._force()
-
-    def _force(self) -> Any:
-        """Complete without user-wait accounting (runtime internal: the
-        communicator force-completes pipelined rounds to recycle window
-        buffers, which must not count as the user's one wait)."""
         if not self._done:
             self._value = self._wait_fn()
             self._done = True
@@ -125,15 +115,12 @@ class Request:
         return self._done
 
 
-# -- exchange rounds ----------------------------------------------------------
+# -- the exchange round ------------------------------------------------------
 #
 # A collective is one exchange round.  Each member posts its modeled words
 # (so every member can charge from sizes only some of them hold), its
 # sanitizer digest (0 when the sanitizer is off) and its contribution for
-# the members that read it; then it fences (``wait_posted``: every member
-# has posted), settles the round's size (``fit``), waits for the writes
-# if it reads (``wait_written``), reads, and finishes.  Both round kinds
-# below expose exactly that surface.
+# the members that read it; then it fences (``wait_posted``) and reads.
 
 #: "This member deposits nothing this round" (``None`` is a payload).
 _NO_DATA: Any = object()
@@ -160,14 +147,11 @@ class _MailboxRound:
     Each member deposits exactly one message for each peer,
     ``(words, digest, payload)``, with the payload (``None`` otherwise)
     only for the peers that read it; receiving one message from each peer
-    is the fence.  A mailbox round never grows and is never denied.  Every
-    reader gets a private copy: a by-reference transport ships one
-    snapshot per writer, which each reader copies again at read.  On a
-    one-member communicator the round moves nothing, which makes it the
-    one-rank shortcut too.
+    is the fence.  Every reader gets a private copy: a by-reference
+    transport ships one snapshot per writer, which each reader copies
+    again at read.  On a one-member communicator the round moves nothing,
+    which makes it the one-rank shortcut too.
     """
-
-    buf = None
 
     def __init__(self, comm: "Communicator", tag: Hashable, deposit: _Deposit):
         self._comm = comm
@@ -185,10 +169,6 @@ class _MailboxRound:
                 payload = shared
             comm._put_raw(dst, tag, (deposit.words, deposit.digest, payload))
 
-    @property
-    def key(self) -> Hashable:
-        return ("sanx", self._tag)
-
     def wait_posted(self) -> None:
         for src in self._peers:
             self._got[src] = self._comm._get_raw(src, self._tag)
@@ -196,161 +176,18 @@ class _MailboxRound:
     def mismatched(self, digest: int) -> list[int]:
         return [src for src, msg in self._got.items() if msg[1] != digest]
 
-    def fit(self) -> "_MailboxRound":
-        return self
-
-    def wait_written(self) -> None:
-        pass
-
     def read(self, src: int) -> Any:
+        """What ``src`` posted for this member (its own ``send`` when
+        ``src`` is this member)."""
         if src == self._comm.rank:
             return _copy_payload(self._deposit.send)
         return _copy_payload(self._got[src][2])
-
-    #: What ``src`` addressed to this member (its ``sends`` entry).
-    read_addressed = read
 
     def total_words(self) -> int:
         return self._deposit.words + sum(msg[0] for msg in self._got.values())
 
     def max_words(self) -> int:
         return max([self._deposit.words, *(msg[0] for msg in self._got.values())])
-
-    def finish(self) -> None:
-        pass
-
-
-class _WindowRound:
-    """One exchange round over a communicator's shared-memory window.
-
-    The window (:class:`~repro.mpi.process_transport.CollectiveWindow`)
-    gives each member one data slot (a P×P matrix of pair slots for
-    ``pairs`` rounds) and single-writer flag rows: posted sizes, words and
-    digests, write commits and read completions.  The member opens the
-    round and publishes its packed size, words and digest; it writes in
-    :meth:`fit`, once the size fence has shown that every payload fits
-    (growing the window first when one did not — every member reaches that
-    decision from the shared maximum — or handing the round to the mailbox
-    when the growth is denied) and the digests were verified.  A
-    non-blocking post deposits optimistically instead: when its payload
-    fits the current slots it writes and commits at once, so its peers
-    need not wait for its ``wait()`` — its slots have no other writer this
-    round and readers only look after the write fence.  An unsanitized
-    round in which this member neither writes nor reads is the barrier:
-    one zero-byte rendezvous (``fence``).
-    """
-
-    def __init__(
-        self,
-        comm: "Communicator",
-        key: Hashable,
-        win,
-        tag: Hashable,
-        deposit: _Deposit,
-        packed: list,
-        reads: bool,
-    ):
-        self._comm = comm
-        self._key = key
-        self._tag = tag
-        self._deposit = deposit
-        self._packed = packed
-        self._needed = _packed_size(packed)
-        self.win = win
-        self.buf = key if isinstance(key, int) else None
-        self._largest = 0
-        self._written = True
-        self._sync = not (packed or reads or deposit.digest)
-        if self._sync:
-            win.fence()
-            return
-        win.begin()
-        win.post_size_nowait(self._needed, deposit.words, deposit.digest)
-        self._written = (
-            self.buf is not None
-            and self._needed <= win.slot_bytes
-            and not deposit.digest
-        )
-        if self._written:
-            self._write(win)
-            win.commit_nowait()
-
-    @property
-    def key(self) -> Hashable:
-        # Members of one window round share it even if their collective
-        # sequence numbers drifted.
-        return ("sanx", self.win.name, self.win.seq)
-
-    def _write(self, win) -> None:
-        for dst, (prefix, payload) in self._packed:
-            if dst is None:
-                win.write(prefix, payload)
-            elif self._key == "pairs":
-                win.write_pair(dst, prefix, payload)
-            else:
-                win.write_to(dst, prefix, payload)
-
-    def wait_posted(self) -> None:
-        if not self._sync:
-            self._largest = self.win.wait_posted()
-
-    def mismatched(self, digest: int) -> list[int]:
-        return self.win.digest_mismatch_ranks(digest)
-
-    def fit(self) -> "_WindowRound | _MailboxRound":
-        win = self.win
-        if self._largest > win.slot_bytes:
-            # Retire this round (nobody reads it) and post again on a
-            # grown window.
-            win.finish()
-            grown = self._comm._grow(self._key, self._largest)
-            if grown is None:
-                rnd = _MailboxRound(self._comm, self._tag, self._deposit)
-                rnd.wait_posted()
-                return rnd
-            self.win = win = grown
-            win.begin()
-            win.post_size(self._needed, self._deposit.words, self._deposit.digest)
-            self._written = False
-        if not self._written:
-            self._write(win)
-            win.commit_nowait()
-        return self
-
-    def wait_written(self) -> None:
-        if not self._sync:
-            self.win.wait_written()
-
-    def read(self, src: int) -> Any:
-        return self.win.read(src)
-
-    def read_addressed(self, src: int) -> Any:
-        if self._key == "pairs":
-            return self.win.read_pair(src)
-        return self.win.read(self.win.index)
-
-    def total_words(self) -> int:
-        return self.win.total_words()
-
-    def max_words(self) -> int:
-        return self.win.max_words()
-
-    def finish(self) -> None:
-        if not self._sync:
-            self.win.finish()
-
-
-def _pack(deposit: _Deposit) -> list:
-    """``[(dst or None, (prefix, payload))]``: a deposit packed for a
-    window (``None`` marks the member's own slot)."""
-    if deposit.send is not _NO_DATA:
-        return [(None, pack_collective(deposit.send))]
-    return [(dst, pack_collective(obj)) for dst, obj in deposit.sends]
-
-
-def _packed_size(packed: list) -> int:
-    """Slot bytes a packed deposit needs: its largest single payload."""
-    return max((packed_nbytes(*p) for _, p in packed), default=0)
 
 
 def _barrier_cost(p: int, w: float, machine: MachineSpec) -> float:
@@ -393,23 +230,6 @@ class Communicator:
             if getattr(transport, "copies_on_send", False)
             else _copy_payload
         )
-        # Lazily opened per-communicator collective windows (process
-        # transport on x86-64 only), by key: "slots" (one slot per member,
-        # every collective but alltoall), "pairs" (P×P, alltoall) and the
-        # non-blocking buffers 0 and 1.  The generation counter keys the
-        # creator's name messages.
-        self._wins: dict[Hashable, Any] = {}
-        self._win_gen = 0
-        # Non-blocking rounds alternate between two windows so round i+1
-        # can be posted while stragglers are still fencing round i.  (A
-        # single window would deadlock the post-then-wait pipeline: round
-        # i+1's reuse fence waits on `done` flags the other ranks only
-        # publish at their wait of round i, which follows their own post
-        # of round i+1.)  ``_nb_pending`` remembers this rank's outstanding
-        # request per buffer so a third post force-completes the round it
-        # reuses.
-        self._nb_pending: list[Request | None] = [None, None]
-        self._nb_toggle = 0
         # SPMD sanitizer (None when REPRO_SANITIZE=0): one per-rank
         # instance shared by every communicator of the rank, so request
         # bookkeeping and the last-collective deadlock context span
@@ -468,28 +288,25 @@ class Communicator:
 
     # -- SPMD sanitizer ------------------------------------------------------
     #
-    # At REPRO_SANITIZE >= 1 every collective entry records a signature
+    # At REPRO_SANITIZE=1 every collective entry records a signature
     # (op, sequence number, root, reduction op, call site) and its digest
-    # travels in the round like the modeled words: on the window's size
-    # fence or in every mailbox message.  After the fence each member
-    # compares every digest against its own; on a mismatch every member
-    # sees the divergence, so the group runs one more (uncharged) mailbox
-    # round that exchanges the full signatures purely to build the
-    # diagnostic.  Verification is symmetric — no rank plays collector —
-    # so it can never introduce a new deadlock among ranks that agree.
-    # Limitations: calls posted to different windows (an ``alltoall``
-    # against a ``bcast`` once both windows are open) or, on the mailbox,
-    # under diverging sequence numbers never meet — those still deadlock,
-    # but the timeout arrives annotated with this rank's last collective
-    # and call site.
+    # travels in every round message like the modeled words.  After the
+    # fence each member compares every digest against its own; on a
+    # mismatch every member sees the divergence, so the group runs one
+    # more (uncharged) round that exchanges the full signatures purely to
+    # build the diagnostic.  Verification is symmetric — no rank plays
+    # collector — so it can never introduce a new deadlock among ranks
+    # that agree.  Limitation: calls under diverging sequence numbers
+    # never meet — those still deadlock, but the timeout arrives annotated
+    # with this rank's last collective and call site.
 
     @property
     def sanitizer(self) -> Sanitizer | None:
         """The rank's sanitizer instance, or ``None`` at REPRO_SANITIZE=0."""
         return self._san
 
-    def _raise_mismatch(self, key: Hashable, sig: CollectiveCall) -> None:
-        exchange = _MailboxRound(self, key, _Deposit(send=sig.wire()))
+    def _raise_mismatch(self, tag: Hashable, sig: CollectiveCall) -> None:
+        exchange = _MailboxRound(self, ("sanx", tag), _Deposit(send=sig.wire()))
         exchange.wait_posted()
         peers = [
             CollectiveCall.from_wire(exchange.read(src))
@@ -660,8 +477,6 @@ class Communicator:
         cost: Callable[[int, float, MachineSpec], float] | None,
         deposit: _Deposit = _Deposit(),
         *,
-        pairs: bool = False,
-        reads: bool = True,
         root: int | None = None,
         reduce_op: ReduceOp | None = None,
         value: Any = None,
@@ -672,13 +487,12 @@ class Communicator:
         The shared steps run in a fixed order: the sequence number, the
         run deadline, the status-board note (this op becomes the rank's
         last-known context for death post-mortems), the fault site, the
-        sanitizer signature, then the round — a peerless mailbox round on
-        one member — and last the charge.  ``finish(round)`` reads the
-        round and returns ``(result, words)``; ``cost(P, words, machine)``
-        is the op's closed form (``None``: uncharged).  Members that read
-        nothing (``reads=False``) skip the write fence.  A non-blocking
-        op posts its round here and returns the :class:`Request` whose
-        ``wait()`` runs the fences, the reads and the charge.
+        sanitizer signature, then the round — a peerless round on one
+        member — and last the charge.  ``finish(round)`` reads the round
+        and returns ``(result, words)``; ``cost(P, words, machine)`` is the
+        op's closed form (``None``: uncharged).  A non-blocking op posts
+        its round here and returns the :class:`Request` whose ``wait()``
+        runs the fence, the reads and the charge.
         """
         seq = self._coll_seq
         self._coll_seq += 1
@@ -692,19 +506,14 @@ class Communicator:
                 op, seq, self._rank, root=root, reduce_op=reduce_op, value=value
             )
             deposit = deposit._replace(digest=sig.digest)
-        rnd = self._post(("coll", seq), deposit, pairs, reads, nonblocking)
+        tag = ("coll", seq)
+        rnd = _MailboxRound(self, tag, deposit)
 
         def complete() -> Any:
-            if rnd.buf is not None:
-                self._nb_pending[rnd.buf] = None
             rnd.wait_posted()
             if sig is not None and rnd.mismatched(sig.digest):
-                self._raise_mismatch(rnd.key, sig)
-            done = rnd.fit()
-            if reads:
-                done.wait_written()
-            result, words = finish(done)
-            done.finish()
+                self._raise_mismatch(tag, sig)
+            result, words = finish(rnd)
             if cost is not None:
                 seconds = cost(self.size, words, self._ledger.machine)
                 if self.size > 1 and words:
@@ -715,109 +524,15 @@ class Communicator:
 
         if not nonblocking:
             return complete()
-        req = self._make_request(op, complete)
-        if rnd.buf is not None:
-            self._nb_pending[rnd.buf] = req
-        return req
-
-    def _post(
-        self,
-        tag: Hashable,
-        deposit: _Deposit,
-        pairs: bool,
-        reads: bool,
-        nonblocking: bool,
-    ) -> _WindowRound | _MailboxRound:
-        """Post this member's part of one round: on the window where the
-        transport opens windows and the allocation is granted, else on
-        the mailbox."""
-        if self.size > 1 and self._transport.windows_enabled:
-            key: Hashable
-            if nonblocking:
-                buf = key = self._nb_toggle
-                self._nb_toggle = 1 - buf
-                # Reusing a buffer whose round this rank never waited
-                # would spin on its own unpublished `done` flag; complete
-                # the old request first (a later user wait() returns the
-                # cached value), so any depth of posts stays deadlock-free.
-                pending = self._nb_pending[buf]
-                if pending is not None:
-                    pending._force()
-            else:
-                key = "pairs" if pairs else "slots"
-            packed = _pack(deposit)
-            win = self._wins.get(key)
-            if win is None:
-                win = self._open_window(_packed_size(packed), key == "pairs")
-                if win is not None:
-                    self._wins[key] = win
-            if win is not None:
-                return _WindowRound(self, key, win, tag, deposit, packed, reads)
-        return _MailboxRound(self, tag, deposit)
+        return self._make_request(op, complete)
 
     def _fold(self, rnd: Any, op: ReduceOp) -> Any:
         """Fold every member's contribution in group-rank order, the same
-        order on every path, so results stay bit-identical."""
+        order on every member, so results stay bit-identical."""
         acc = rnd.read(0)
         for src in range(1, self.size):
             acc = op(acc, rnd.read(src))
         return acc
-
-    # -- collective windows --------------------------------------------------
-
-    def _open_window(self, needed: int, matrix: bool):
-        """Collectively open a window whose slots hold ``needed`` bytes:
-        group rank 0 creates it and sends every other member the segment
-        name and slot size (uncharged, and one way: the creator need not
-        wait for anyone), and they attach.  The creator's size wins; a
-        later round grows the window if another member's payload does not
-        fit.
-
-        Degrades under exhaustion: when the creator cannot allocate the
-        segment — tmpfs ``ENOSPC``/``ENOMEM``, a ``REPRO_SHM_BUDGET``
-        denial, or an injected ``enospc`` fault at the ``window`` site —
-        it publishes an empty name and *every* member returns ``None``,
-        so the whole group runs that round on the mailbox in lockstep.  A
-        later round simply tries again: degradation is per allocation,
-        and the budget may have freed.
-        """
-        slot_bytes = self._transport.window_slot(needed)
-        tag = ("win", self._win_gen)
-        self._win_gen += 1
-        if self._rank != 0:
-            name, slot_bytes = self._get_raw(0, tag)
-            if not name:  # the creator's denial
-                return None
-            return self._transport.attach_window(
-                name, self.size, self._rank, slot_bytes, matrix=matrix
-            )
-        win, name = None, ""
-        try:
-            win = self._transport.create_window(
-                self.size, 0, slot_bytes, matrix=matrix
-            )
-            name = win.name
-        except OSError as exc:
-            if not resources.is_exhaustion(exc):
-                raise
-            resources.governor().note_degradation(
-                "window", "p2p", slot_bytes * self.size, str(exc)
-            )
-        for dst in range(1, self.size):
-            self._put_raw(dst, tag, (name, slot_bytes))
-        return win
-
-    def _grow(self, key: Hashable, needed: int):
-        """Replace window ``key`` by one whose slots hold ``needed`` bytes
-        (collective: every member decides from the shared maximum).  The
-        old window is released at once — every member attached it at
-        creation, so the owner's unlink only removes the name.  A denied
-        growth keeps the old window and returns ``None``."""
-        new = self._open_window(needed, key == "pairs")
-        if new is not None:
-            self._transport.release_window(self._wins[key])
-            self._wins[key] = new
-        return new
 
     # -- collectives ---------------------------------------------------------
     #
@@ -825,12 +540,12 @@ class Communicator:
     # who reads, the fold or assembly (``finish``) and the charged words —
     # the total or the maximum of the words shared at the fence, or the
     # result's.  Charges are the closed-form Table I costs, identical on
-    # every member whatever round moved the bytes.
+    # every member whatever messages moved the bytes.
 
     def barrier(self) -> None:
         """Synchronize all members; charged as one zero-byte all-reduce."""
         self._collective(
-            "barrier", lambda rnd: (None, 0), _barrier_cost, reads=False
+            "barrier", lambda rnd: (None, 0), _barrier_cost
         )
 
     def bcast(self, obj: Any, root: int = 0) -> Any:
@@ -847,7 +562,6 @@ class Communicator:
             finish,
             cc.bcast_cost,
             _Deposit(send=obj) if is_root else _Deposit(),
-            reads=not is_root,
             root=root,
             value=obj,
         )
@@ -871,7 +585,6 @@ class Communicator:
             finish,
             cc.allgather_cost,
             _Deposit(send=value, reader=root, words=_words_of(value)),
-            reads=is_root,
             root=root,
             value=value,
         )
@@ -918,10 +631,10 @@ class Communicator:
         def finish(rnd):
             if is_root:
                 return _copy_payload(values[root]), rnd.total_words()
-            return rnd.read_addressed(root), rnd.total_words()
+            return rnd.read(root), rnd.total_words()
 
         return self._collective(
-            "scatter", finish, cc.bcast_cost, deposit, reads=not is_root, root=root
+            "scatter", finish, cc.bcast_cost, deposit, root=root
         )
 
     def reduce(self, value: Any, op: ReduceOp = SUM, root: int = 0) -> Any | None:
@@ -938,9 +651,8 @@ class Communicator:
     ) -> Request:
         """Nonblocking :meth:`reduce`: ``wait()`` returns the root's
         folded result (``None`` elsewhere) and lands the blocking op's
-        exact charge.  A non-root completes as soon as the size fence
-        resolves — it never waits on the write fence.  The contribution
-        must not be mutated between post and ``wait()``."""
+        exact charge.  The contribution must not be mutated between post
+        and ``wait()``."""
         return self._reduce("ireduce", value, op, root, nonblocking=True)
 
     def _reduce(
@@ -957,7 +669,6 @@ class Communicator:
             finish,
             cc.reduce_cost,
             _Deposit(send=value, reader=root, words=_words_of(value)),
-            reads=is_root,
             root=root,
             reduce_op=op,
             value=value,
@@ -974,7 +685,7 @@ class Communicator:
         return self._allreduce("allreduce", value, op, nonblocking=False)
 
     def iallreduce(self, value: Any, op: ReduceOp = SUM) -> Request:
-        """Nonblocking :meth:`allreduce` (deferred fences, charge and
+        """Nonblocking :meth:`allreduce` (deferred fence, charge and
         rank-ordered fold at ``wait()``)."""
         return self._allreduce("iallreduce", value, op, nonblocking=True)
 
@@ -1058,7 +769,7 @@ class Communicator:
 
         def finish(rnd):
             out = [
-                _copy_payload(values[src]) if src == me else rnd.read_addressed(src)
+                _copy_payload(values[src]) if src == me else rnd.read(src)
                 for src in range(self.size)
             ]
             return out, rnd.max_words()
@@ -1073,7 +784,6 @@ class Communicator:
                 ),
                 words=sum(_words_of(v) for v in values),
             ),
-            pairs=True,
         )
 
     # -- communicator construction -------------------------------------------
@@ -1114,7 +824,7 @@ class Communicator:
         Every member must pass the same ``ranks``.  Its id is derived from
         them, so the same group is one communicator however often it is
         asked for; the whole group in order is this communicator itself,
-        with its windows and sequence numbers.  Uncharged, like ``split``.
+        with its sequence numbers.  Uncharged, like ``split``.
         """
         key = tuple(ranks)
         if key == tuple(range(self.size)):

@@ -12,7 +12,7 @@ class DeadlockError(MpiError):
 
     In an SPMD program this almost always means a mismatched send/recv pair,
     a collective invoked by only a subset of the communicator, or mismatched
-    collective ordering between ranks.  Under ``REPRO_SANITIZE >= 1`` the
+    collective ordering between ranks.  Under ``REPRO_SANITIZE=1`` the
     sanitizer annotates the error with the last collective the rank entered
     (operation, sequence number, call site), so post-mortems name the hung
     call instead of a bare timeout.
@@ -50,7 +50,7 @@ class RankDeadError(MpiError):
 class DeadlineExceededError(MpiError):
     """The run blew past its cooperative deadline (``REPRO_DEADLINE``).
 
-    Checked at fences, blocking collectives/receives and checkpoint steps:
+    Checked at collective entries, blocking receives and checkpoint steps:
     every rank that reaches a check after the deadline raises promptly,
     naming the operation it was in and the elapsed time, so a stalled
     world converges to a clean multi-rank failure within seconds instead
@@ -103,7 +103,7 @@ class CommunicatorError(MpiError):
 
 
 class SanitizerError(MpiError):
-    """Base class for SPMD sanitizer diagnostics (``REPRO_SANITIZE >= 1``).
+    """Base class for SPMD sanitizer diagnostics (``REPRO_SANITIZE=1``).
 
     Every concrete subclass carries rank context (group rank, world rank)
     and the offending call site in its message, so a failure names the
@@ -116,9 +116,9 @@ class CollectiveMismatchError(SanitizerError):
 
     Raised instead of the deadlock the divergence would otherwise cause:
     the sanitizer cross-checks a per-collective signature digest (operation
-    name, sequence number, root, reduction op) on the window size fence —
-    or over an uncharged point-to-point exchange on transports without
-    windows — and reports every diverging rank with its call site.
+    name, sequence number, root, reduction op) carried in every message
+    of the collective's exchange round, and reports every diverging rank
+    with its call site.
     """
 
 
@@ -138,15 +138,6 @@ class RequestStateError(SanitizerError):
     The runtime caches the completed value, so a double wait *works*, but
     under MPI discipline a request handle is dead after its wait; a second
     wait usually indicates confused pipeline bookkeeping.
-    """
-
-
-class WindowProtocolError(SanitizerError):
-    """A collective-window slot was read before its round's write fence.
-
-    Detected at ``REPRO_SANITIZE=2`` through per-slot generation counters:
-    a read of a slot whose generation lags the current exchange sequence
-    observed stale bytes (happens-before violation).
     """
 
 

@@ -108,9 +108,9 @@ def run_spmd(
         return values to be picklable.
     sanitize:
         SPMD sanitizer level (:mod:`repro.analysis.sanitizer`): ``0``
-        off, ``1`` collective-protocol + request-lifetime checks, ``2``
-        adds shared-memory window generation checks.  ``None`` (default)
-        consults the ``REPRO_SANITIZE`` environment variable.  The level
+        off, ``1`` collective-protocol + request-lifetime checks.
+        ``None`` (default) consults the ``REPRO_SANITIZE`` environment
+        variable.  The level
         is resolved here, in the launching process, and rides the run
         dispatch — warm pool workers need no environment change.
     faults:
@@ -127,7 +127,7 @@ def run_spmd(
         resolved config's ``retry`` count (``REPRO_SPMD_RETRY``).
     config:
         A complete :class:`repro.config.RuntimeConfig` describing every
-        runtime knob (backend, pool, windows, dtype, ...).  Explicit
+        runtime knob (backend, timeout, dtype, ...).  Explicit
         keywords above win over it; unspecified knobs fall back to the
         environment, then to the defaults.  The resolved config is
         installed for the duration of the run (and shipped to pooled
@@ -137,8 +137,8 @@ def run_spmd(
         Cooperative wall-clock deadline for the whole run, in seconds
         (``None`` consults ``REPRO_DEADLINE``; ``0`` = no deadline).
         The budget starts counting *before* the first attempt and is
-        shared across retries: ranks check it at fences, blocking
-        receives and checkpoint steps, and every rank raises
+        shared across retries: ranks check it at collective entries,
+        blocking receives and checkpoint steps, and every rank raises
         :class:`~repro.mpi.errors.DeadlineExceededError` — naming the
         operation it was in — within seconds of expiry, with
         ``/dev/shm`` left clean.

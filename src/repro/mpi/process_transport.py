@@ -9,7 +9,7 @@ non-overtaking guarantee).
 Large ndarray payloads never travel through the queue's pipe: the sender
 parks the bytes in a POSIX shared-memory segment and sends only a small
 pickled header (name, shape, dtype); everything else — small arrays, Python
-scalars, tuples of headers — is pickled.  Three mechanisms keep the hot
+scalars, tuples of headers — is pickled.  Two mechanisms keep the hot
 path cheap:
 
 * **Segment arena** (:class:`SegmentArena`): segments are drawn from a
@@ -24,27 +24,14 @@ path cheap:
   segment.  The segment is recycled into the arena only when the last view
   dies (or :meth:`ShmArrayView.release` is called), so large TTM operands
   are never copied on the receive side.
-* **Collective windows** (:class:`CollectiveWindow`, :class:`MatrixWindow`):
-  each communicator can open preallocated shm windows (MPI-3 RMA style)
-  that every collective writes into directly — ``barrier``/``bcast``/
-  ``gather``/``allgather``/``reduce``/``allreduce``/
-  ``reduce_scatter_block`` through a P-slot window, ``scatter``/
-  ``alltoall`` through a P×P pair-slotted one — one barrier-fenced
-  single-copy exchange per collective.  Initial slots are sized from the
-  communicator's first payload.  Every fence is split into a non-blocking
-  publish half (``post_size_nowait`` / ``commit_nowait``) and a wait half
-  (``wait_posted`` / ``wait_written``) so the communicator's non-blocking
-  collectives can deposit their contribution at post time and defer the
-  fence spins to ``wait()``, overlapping them with local compute.
-  Windows open only where :data:`WINDOWS_ENABLED` says
-  the platform orders plain stores (x86-64); elsewhere, and for a round
-  whose window allocation is denied, the communicator runs the same
-  round over this transport's messages (its mailbox round).
+
+There is one message path: point-to-point messages and every collective's
+exchange round (one message from each member to each peer) ride the same
+inboxes and segments.
 
 Poisoning uses a shared event: when any rank dies its transport sets the
-event, and every sibling blocked in :meth:`ProcessTransport.get` (or
-spinning on a window fence) notices within one poll interval and raises
-:class:`DeadlockError`.
+event, and every sibling blocked in :meth:`ProcessTransport.get` notices
+within one poll interval and raises :class:`DeadlockError`.
 """
 
 from __future__ import annotations
@@ -53,10 +40,8 @@ import _posixshmem
 import mmap
 import os
 import pickle
-import platform
 import queue as queue_mod
 import secrets
-import struct
 import time
 import weakref
 from collections import deque
@@ -67,7 +52,6 @@ from typing import Any, Hashable
 import numpy as np
 
 from repro import resources
-from repro.config import default_for
 from repro.mpi.errors import DeadlockError
 from repro.mpi.transport import TransportBase
 
@@ -75,37 +59,22 @@ from repro.mpi.transport import TransportBase
 #: are cheaper to pickle straight through the queue's pipe.
 SHM_MIN_BYTES = 256
 
-#: Adaptive poll backoff while blocked on the inbox or a window fence:
-#: start fast so small-message latency is not floored at the poll interval,
-#: back off exponentially so idle waits stay cheap.
+#: Adaptive poll backoff while blocked on the inbox: start fast so
+#: small-message latency is not floored at the poll interval, back off
+#: exponentially so idle waits stay cheap.
 _POLL_MIN_INTERVAL = 0.001
 _POLL_MAX_INTERVAL = 0.05
 
-#: How long a window fence polls with bare ``sleep(0)`` scheduler yields
-#: before falling back to the exponential sleep above.  Fences between
-#: co-scheduled ranks resolve in this regime almost always.
-_FENCE_YIELD_SECONDS = 0.002
-
-#: Machines whose memory model is total store order: a plain store of a
-#: window's data is visible to another core before the later store of its
-#: flag (see :class:`CollectiveWindow`).
-_TSO_MACHINES = frozenset({"x86_64", "amd64", "i386", "i686"})
-
-#: Whether collectives ride shared-memory windows on this host.  Elsewhere
-#: (aarch64, ppc64le, ...) the unfenced data-before-flag stores could be
-#: reordered, so collectives run their rounds over messages, whose
-#: ordering the OS queue guarantees.
-WINDOWS_ENABLED = platform.machine().lower() in _TSO_MACHINES
-
 #: Smallest arena bucket (one page), per-bucket free-list cap, and the
 #: total bytes an arena may keep pinned in its free lists — recycles
-#: beyond the budget unlink instead, so a sweep of huge messages cannot
-#: leave gigabytes of dead segments parked in /dev/shm.  Collective window
-#: slots use the same buckets: the first exchange on a communicator sizes
-#: its slot, and windows grow a bucket at a time when a later payload does
-#: not fit.
+#: beyond either cap unlink instead, so a sweep of huge messages cannot
+#: leave gigabytes of dead segments parked in /dev/shm.  The per-bucket
+#: cap is small because a rank that only receives some size (a gather's
+#: root) adopts one segment per message and never sends one back: it
+#: keeps at most two such segments, while a rank that sends as well
+#: reuses what it adopted.
 _BUCKET_MIN = 4096
-_BUCKET_MAX_FREE = 8
+_BUCKET_MAX_FREE = 2
 _ARENA_MAX_FREE_BYTES = 128 << 20
 
 #: Name prefix for POSIX shm segments (and status boards — see
@@ -124,12 +93,12 @@ def create_segment(nbytes: int, purpose: str = "segment"):
     """A fresh shared segment of at least ``nbytes``.
 
     The resource governor gates every creation first: the ``purpose``
-    site (``"arena"``/``"window"``/...) fires any injected resource
-    faults, and a configured ``REPRO_SHM_BUDGET`` denies the request
-    with :class:`~repro.resources.BudgetExceededError` (an
-    ``errno.ENOSPC`` ``OSError``) *before* touching ``/dev/shm`` — the
-    caller's degradation handler routes either denial or a real tmpfs
-    ``ENOSPC`` to the p2p/pickle path.  Successful creations are charged
+    site (``"arena"``, ...) fires any injected resource faults, and a
+    configured ``REPRO_SHM_BUDGET`` denies the request with
+    :class:`~repro.resources.BudgetExceededError` (an ``errno.ENOSPC``
+    ``OSError``) *before* touching ``/dev/shm`` — the caller's
+    degradation handler routes either denial or a real tmpfs ``ENOSPC``
+    to the pickle path.  Successful creations are charged
     to the governor by their actual (page-rounded) size and released on
     unlink.
     """
@@ -153,9 +122,9 @@ def create_segment(nbytes: int, purpose: str = "segment"):
 def reap_stale_segments(creator_pids) -> list[str]:
     """Crash audit: reclaim every segment a dead world owned.
 
-    All ``rps_``-named segments (arena buckets, stash payloads, collective
-    windows, status boards) whose embedded creator pid is in
-    ``creator_pids`` and no longer running are attached and unlinked.
+    All ``rps_``-named segments (arena buckets, stash payloads, status
+    boards) whose embedded creator pid is in ``creator_pids`` and no
+    longer running are attached and unlinked.
     Attaching before unlinking keeps the multiprocessing resource
     tracker balanced (it registers on attach and unregisters on
     unlink), so no leak warnings fire at interpreter exit.  Ownership
@@ -652,479 +621,6 @@ def unstage_value(staged: StagedValue) -> Any:
     return pickle.loads(staged.body, buffers=buffers)
 
 
-# -- collective windows ------------------------------------------------------
-
-#: Slot prefix: little-endian uint64 length of the pickled metadata blob.
-_META_LEN = struct.Struct("<Q")
-
-
-def pack_collective(obj: Any) -> tuple[bytes, np.ndarray | None]:
-    """Split a collective contribution into (prefix bytes, raw payload).
-
-    Plain ndarrays travel as raw bytes after a tiny pickled header (shape,
-    dtype, layout order — the same layout preservation as point-to-point
-    sends); everything else is pickled whole into the prefix.
-    """
-    if isinstance(obj, np.ndarray) and not obj.dtype.hasobject:
-        order = _layout_order(obj)
-        src = np.asarray(obj, order=order)
-        meta = pickle.dumps(("nd", src.shape, src.dtype, order))
-        return _META_LEN.pack(len(meta)) + meta, src
-    meta = pickle.dumps(("py",))
-    return _META_LEN.pack(len(meta)) + meta + pickle.dumps(obj), None
-
-
-def packed_nbytes(prefix: bytes, payload: np.ndarray | None) -> int:
-    return len(prefix) + (payload.nbytes if payload is not None else 0)
-
-
-def _write_packed(
-    slot: memoryview, prefix: bytes, payload: np.ndarray | None
-) -> None:
-    slot[: len(prefix)] = prefix
-    if payload is not None and payload.nbytes:
-        dst = np.ndarray(
-            payload.shape,
-            dtype=payload.dtype,
-            buffer=slot[len(prefix) : len(prefix) + payload.nbytes],
-            order=_layout_order(payload),
-        )
-        dst[...] = payload
-
-
-def _read_packed(slot: memoryview) -> Any:
-    """Decode one slot, copying the payload out of the window."""
-    (meta_len,) = _META_LEN.unpack(slot[: _META_LEN.size])
-    off = _META_LEN.size + meta_len
-    meta = pickle.loads(slot[_META_LEN.size : off])
-    if meta[0] == "nd":
-        _, shape, dtype, order = meta
-        nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
-        view = np.ndarray(
-            shape, dtype=dtype, buffer=slot[off : off + nbytes], order=order
-        )
-        return np.array(view, copy=True)
-    return pickle.loads(slot[off:])
-
-
-class CollectiveWindow:
-    """A preallocated per-communicator shared-memory exchange window.
-
-    Layout: six int64 flag arrays of length P (``sizes``, ``posted``,
-    ``written``, ``done``, ``words``, ``digests``), one int64 generation
-    counter per data slot, then the P fixed-size data slots (P×P for
-    :class:`MatrixWindow`).  Every flag slot has exactly one writer (its
-    rank), so fences need no atomic read-modify-write: a rank publishes
-    by storing the current exchange sequence number into its own slot
-    and spins until every slot reaches the sequence.  One exchange is
-    write → fence → read → fence, i.e. a single data copy per reader
-    instead of one message per pair of members.
-
-    ``digests`` and the slot generations serve the SPMD sanitizer
-    (:mod:`repro.analysis.sanitizer`): each rank's collective-signature
-    digest rides the size fence so the communicator can detect diverging
-    collectives without extra messages, and every :meth:`write_to` /
-    :meth:`write_pair` stamps its slot's generation so a read of a stale
-    or unfenced slot is detectable.  Both are single int64 stores on the
-    hot path; the *checks* run only when ``sanitize`` is positive.
-
-    ``words`` carries each rank's *modeled* contribution size (in
-    8-byte words) alongside the exchange: collectives whose closed-form
-    charge depends on sizes only some ranks know locally (gather's
-    total, alltoall's heaviest row) read :meth:`total_words` /
-    :meth:`max_words` after the size fence, so every member charges the
-    identical cost without extra messages.
-
-    Portability note: the data-before-flag ordering relies on the
-    total-store-order guarantee of x86-64.  On architectures with weaker
-    memory models (aarch64) the plain stores carry no fence, so there
-    :data:`WINDOWS_ENABLED` is false and no window is opened: the
-    communicator runs the same rounds over queue-backed messages (its
-    mailbox round), whose ordering the OS guarantees.
-    """
-
-    def __init__(
-        self,
-        shm: shared_memory.SharedMemory,
-        size: int,
-        index: int,
-        slot_bytes: int,
-        owner: bool,
-        abort_event,
-        timeout: float,
-        sanitize: int = 0,
-        faults=None,
-        status=None,
-    ):
-        self._shm = shm
-        self.size = size
-        self.index = index
-        self.slot_bytes = slot_bytes
-        self.owner = owner
-        self._abort = abort_event
-        self.timeout = timeout
-        self.sanitize = sanitize
-        self._faults = faults
-        self._status = status
-        self.seq = 0
-        flag_bytes = 8 * size
-        n_data = self._n_data_slots(size)
-        buf = shm.buf
-        self._sizes = np.frombuffer(buf, np.int64, size, offset=0)
-        self._posted = np.frombuffer(buf, np.int64, size, offset=flag_bytes)
-        self._written = np.frombuffer(
-            buf, np.int64, size, offset=2 * flag_bytes
-        )
-        self._done = np.frombuffer(buf, np.int64, size, offset=3 * flag_bytes)
-        self._words = np.frombuffer(buf, np.int64, size, offset=4 * flag_bytes)
-        self._digests = np.frombuffer(
-            buf, np.int64, size, offset=5 * flag_bytes
-        )
-        self._gen = np.frombuffer(
-            buf, np.int64, n_data, offset=6 * flag_bytes
-        )
-        self._data_off = 6 * flag_bytes + 8 * n_data
-        self._closed = False
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    @classmethod
-    def _n_data_slots(cls, size: int) -> int:
-        """Data slots backing a P-member window (P×P for matrix windows)."""
-        return size
-
-    @classmethod
-    def create(
-        cls,
-        size: int,
-        index: int,
-        slot_bytes: int,
-        abort_event,
-        timeout: float,
-        sanitize: int = 0,
-        faults=None,
-        status=None,
-    ) -> "CollectiveWindow":
-        n_data = cls._n_data_slots(size)
-        total = 6 * 8 * size + 8 * n_data + n_data * slot_bytes
-        # Fresh segments are zero-filled by the OS, so all flags start at
-        # 0 — exactly "sequence 0 complete".
-        shm = create_segment(total, purpose="window")
-        return cls(
-            shm,
-            size,
-            index,
-            slot_bytes,
-            True,
-            abort_event,
-            timeout,
-            sanitize,
-            faults=faults,
-            status=status,
-        )
-
-    @classmethod
-    def attach(
-        cls,
-        name: str,
-        size: int,
-        index: int,
-        slot_bytes: int,
-        abort_event,
-        timeout: float,
-        sanitize: int = 0,
-        faults=None,
-        status=None,
-    ) -> "CollectiveWindow":
-        try:
-            shm = shared_memory.SharedMemory(name=name)
-        except FileNotFoundError:
-            # The creator failed and reclaimed the window before we got
-            # here; surface it as the poisoned-transport error it is.
-            exc = (
-                status.dead_error(f"attaching window {name!r}")
-                if status is not None
-                else None
-            )
-            if exc is not None:
-                raise exc from None
-            raise DeadlockError(
-                f"collective window {name!r} vanished before attach: "
-                f"a sibling rank failed"
-            ) from None
-        return cls(
-            shm,
-            size,
-            index,
-            slot_bytes,
-            False,
-            abort_event,
-            timeout,
-            sanitize,
-            faults=faults,
-            status=status,
-        )
-
-    # -- fences -------------------------------------------------------------
-
-    def _dead_sibling(self, doing: str):
-        """RankDeadError when the status board records a death, else None."""
-        if self._status is None:
-            return None
-        return self._status.dead_error(doing)
-
-    def _wait(self, flags: np.ndarray, threshold: int, what: str) -> None:
-        if self._faults is not None:
-            self._faults.fire("fence")
-        if int(flags.min()) >= threshold:
-            return
-        deadline = time.monotonic() + self.timeout
-        interval = _POLL_MIN_INTERVAL
-        # Fences usually resolve within microseconds of each other, so
-        # poll with a bare scheduler yield first; only a laggard fence
-        # falls back to the exponential sleep (which would otherwise
-        # floor every barrier-like exchange at the 1 ms poll interval).
-        yield_deadline = time.monotonic() + _FENCE_YIELD_SECONDS
-        last_progress = int((flags >= threshold).sum())
-        while True:
-            resources.check_deadline(f"window {what} fence")
-            if self._abort is not None and self._abort.is_set():
-                exc = self._dead_sibling(f"waiting on window {what}")
-                if exc is not None:
-                    raise exc
-                raise DeadlockError(
-                    f"transport aborted while waiting on window {what}: "
-                    f"a sibling rank failed"
-                )
-            ready = int((flags >= threshold).sum())
-            if ready >= self.size:
-                return
-            now = time.monotonic()
-            if ready > last_progress:
-                # Progress restarts the window, like the point-to-point
-                # timeout: it detects a silent transport, not a slow peer.
-                last_progress = ready
-                deadline = now + self.timeout
-                interval = _POLL_MIN_INTERVAL
-            if now > deadline:
-                exc = self._dead_sibling(f"waiting on window {what}")
-                if exc is not None:
-                    raise exc
-                raise DeadlockError(
-                    f"window {what} fence timed out after {self.timeout:g}s "
-                    f"(likely mismatched collective ordering)"
-                )
-            if now < yield_deadline:
-                time.sleep(0)  # yield the core to the rank we wait on
-                continue
-            time.sleep(interval)
-            interval = min(interval * 2, _POLL_MAX_INTERVAL)
-
-    def begin(self) -> int:
-        """Open the next exchange: wait until the previous one fully drained."""
-        self.seq += 1
-        self._wait(self._done, self.seq - 1, "reuse")
-        return self.seq
-
-    def fence(self) -> int:
-        """One zero-byte rendezvous (the whole of ``barrier``).
-
-        A fence moves no data, so the rank publishes its arrival
-        (``posted``) and its round completion (``done``) in the same
-        breath before waiting: nobody reads after the wait, and the next
-        round's reuse check is satisfied the moment everyone has posted
-        — one global rendezvous per barrier instead of three fences.
-        The reuse wait up front still protects the *previous* round's
-        readers from this rank's flag overwrites.
-        """
-        self.seq += 1
-        self._wait(self._done, self.seq - 1, "reuse")
-        self._sizes[self.index] = 0
-        self._words[self.index] = 0
-        self._done[self.index] = self.seq
-        self._posted[self.index] = self.seq
-        self._wait(self._posted, self.seq, "fence")
-        return self.seq
-
-    def post_size_nowait(
-        self, nbytes: int, words: int = 0, digest: int = 0
-    ) -> None:
-        """Publish this rank's packed size (bytes) and modeled ``words``
-        without waiting for the peers — the non-blocking half of
-        :meth:`post_size`.  Pair with :meth:`wait_posted` (typically at a
-        request's ``wait()``) before trusting ``max``/``total`` readers.
-        ``digest`` is the sanitizer's collective-signature digest riding
-        the fence (0 when the sanitizer is off)."""
-        self._words[self.index] = words
-        self._digests[self.index] = digest
-        self._sizes[self.index] = nbytes
-        self._posted[self.index] = self.seq
-
-    def wait_posted(self) -> int:
-        """Finish the size fence: wait until every rank posted this round's
-        size, then return the max packed size (drives window growth)."""
-        self._wait(self._posted, self.seq, "size exchange")
-        return int(self._sizes.max())
-
-    def post_size(self, nbytes: int, words: int = 0, digest: int = 0) -> int:
-        """Publish this rank's packed size (bytes) and modeled ``words``;
-        return the max packed size over ranks (drives window growth)."""
-        self.post_size_nowait(nbytes, words, digest)
-        return self.wait_posted()
-
-    def digest_mismatch_ranks(self, digest: int) -> list[int]:
-        """Group ranks whose posted signature digest differs from
-        ``digest`` (valid after the size fence, like ``max_words``)."""
-        return [
-            rank
-            for rank in range(self.size)
-            if int(self._digests[rank]) != digest
-        ]
-
-    def total_words(self) -> int:
-        """Sum of all ranks' posted modeled words (valid after the size
-        fence and until this rank's next :meth:`post_size`)."""
-        return int(self._words.sum())
-
-    def max_words(self) -> int:
-        """Largest posted modeled word count over ranks (same validity
-        window as :meth:`total_words`)."""
-        return int(self._words.max())
-
-    def write(self, prefix: bytes, payload: np.ndarray | None) -> None:
-        self.write_to(self.index, prefix, payload)
-
-    def write_to(
-        self, slot: int, prefix: bytes, payload: np.ndarray | None
-    ) -> None:
-        """Write a packed contribution into an arbitrary data slot.
-
-        Data slots need one writer *per round*, not one writer forever:
-        scatter's root fills every member's slot in its round (nobody
-        else writes that round), which is as single-writer as the usual
-        own-slot discipline.  The flag arrays stay strictly per-rank.
-        """
-        self._gen[slot] = self.seq
-        off = self._data_off + slot * self.slot_bytes
-        _write_packed(
-            self._shm.buf[off : off + self.slot_bytes], prefix, payload
-        )
-
-    def commit_nowait(self) -> None:
-        """Publish this rank's write without waiting for the peers — the
-        non-blocking half of :meth:`commit`.  Readers must still call
-        :meth:`wait_written` before touching other ranks' slots."""
-        self._written[self.index] = self.seq
-
-    def wait_written(self) -> None:
-        """Finish the write fence: wait until every rank committed."""
-        self._wait(self._written, self.seq, "write fence")
-
-    def commit(self) -> None:
-        self.commit_nowait()
-        self.wait_written()
-
-    def _check_slot(self, slot: int, writer: str) -> None:
-        """Level-2 happens-before check for one data-slot read."""
-        from repro.mpi.errors import WindowProtocolError
-
-        if int(self._written.min()) < self.seq:
-            raise WindowProtocolError(
-                f"rank {self.index}: read of window slot {slot} before the "
-                f"round-{self.seq} write fence completed (read-before-fence; "
-                f"call wait_written/commit first)"
-            )
-        gen = int(self._gen[slot])
-        if gen != self.seq:
-            raise WindowProtocolError(
-                f"rank {self.index}: read of stale window slot {slot} "
-                f"({writer} last wrote it in round {gen}, current round is "
-                f"{self.seq}): no rank contributed to this slot this round"
-            )
-
-    def read(self, rank: int) -> Any:
-        if self.sanitize >= 2:
-            self._check_slot(rank, f"rank {rank}")
-        off = self._data_off + rank * self.slot_bytes
-        return _read_packed(self._shm.buf[off : off + self.slot_bytes])
-
-    def finish(self) -> None:
-        self._done[self.index] = self.seq
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def close(self) -> None:
-        """Drop the mapping; the creating rank also unlinks the name."""
-        if self._closed:
-            return
-        self._closed = True
-        # The flag arrays export shm.buf; drop them before closing.
-        del self._sizes, self._posted, self._written, self._done, self._words
-        del self._digests, self._gen
-        try:
-            self._shm.close()
-        except BufferError:  # pragma: no cover - lingering export
-            pass
-        if self.owner:
-            nbytes = int(getattr(self._shm, "size", 0))
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - reclaimed
-                pass  # whoever unlinked it released its bytes
-            else:
-                resources.governor().release(nbytes)
-
-
-class MatrixWindow(CollectiveWindow):
-    """A P×P pair-slotted window for ``alltoall``.
-
-    Slot ``(src, dst)`` has exactly one writer (rank ``src``) and one
-    reader (rank ``dst``), so a full personalized exchange needs a single
-    write → fence → read round: rank ``i`` writes its row with
-    :meth:`write_pair`, the shared commit fence orders all P² writes, and
-    every rank reads its column with :meth:`read_pair`.  (Scatter, whose
-    only writer is the root, rides the plain P-slot window instead: the
-    root fills each member's slot via ``write_to``.)  Fences and growth
-    are inherited unchanged from :class:`CollectiveWindow`;
-    ``slot_bytes`` bounds one *pair* payload, and the posted size is
-    each rank's largest pair, so growth decisions stay collective.
-    """
-
-    @classmethod
-    def _n_data_slots(cls, size: int) -> int:
-        return size * size
-
-    def _pair_off(self, src: int, dst: int) -> int:
-        return self._data_off + (src * self.size + dst) * self.slot_bytes
-
-    def write_pair(
-        self, dst: int, prefix: bytes, payload: np.ndarray | None
-    ) -> None:
-        """Write this rank's contribution destined for rank ``dst``."""
-        self._gen[self.index * self.size + dst] = self.seq
-        off = self._pair_off(self.index, dst)
-        _write_packed(
-            self._shm.buf[off : off + self.slot_bytes], prefix, payload
-        )
-
-    def read_pair(self, src: int) -> Any:
-        """Read the contribution rank ``src`` wrote for this rank."""
-        if self.sanitize >= 2:
-            self._check_slot(src * self.size + self.index, f"rank {src}")
-        off = self._pair_off(src, self.index)
-        return _read_packed(self._shm.buf[off : off + self.slot_bytes])
-
-    # The per-rank slot accessors make no sense on a pair matrix; fail
-    # loudly if a collective confuses its window kinds.
-    def write(self, prefix, payload):  # pragma: no cover - guard
-        raise TypeError("MatrixWindow requires write_pair(dst, ...)")
-
-    def read(self, rank):  # pragma: no cover - guard
-        raise TypeError("MatrixWindow requires read_pair(src)")
-
-
 class ProcessTransport(TransportBase):
     """One rank-process's view of the shared inter-process mail system.
 
@@ -1143,24 +639,16 @@ class ProcessTransport(TransportBase):
         workers reuse inbox queues across runs; a message enveloped with a
         different ``run_seq`` is a straggler from an earlier run and is
         dropped (its segments reclaimed) instead of being delivered.
-    sanitize:
-        SPMD sanitizer level handed to the collective windows (level 2
-        enables their per-slot generation checks); ``None`` consults
-        ``REPRO_SANITIZE``.  The executor backend resolves the level
-        once per run and passes it explicitly, so pooled workers never
-        depend on environment inheritance at fork time.
     faults:
         Optional :class:`repro.faults.FaultInjector` for this rank:
         ``put``/``get`` fire the ``send``/``recv`` sites (``send`` fires
         *after* segments are staged, so a crash fault there exercises
-        the leaked-segment audit), and windows inherit it for the
-        ``fence`` site.
+        the leaked-segment audit).
     status:
         Optional :class:`repro.faults.StatusBoard`: blocking receives
-        and window fences consult it when the abort event trips, so a
-        recorded rank death surfaces as :class:`RankDeadError` (naming
-        the dead rank and its last collective) instead of a generic
-        :class:`DeadlockError`.
+        consult it when the abort event trips, so a recorded rank death
+        surfaces as :class:`RankDeadError` (naming the dead rank and its
+        last collective) instead of a generic :class:`DeadlockError`.
     """
 
     #: Sends already copy into a fresh segment (or a pickle), so the
@@ -1174,7 +662,6 @@ class ProcessTransport(TransportBase):
         abort_event,
         timeout: float = 60.0,
         run_seq: int = 0,
-        sanitize: int | None = None,
         faults=None,
         status=None,
     ):
@@ -1188,11 +675,6 @@ class ProcessTransport(TransportBase):
         self.faults = faults
         self.status = status
         self._stash: dict[Hashable, deque[Any]] = {}
-        self._windows: list[CollectiveWindow] = []
-        self.windows_enabled = WINDOWS_ENABLED
-        if sanitize is None:
-            sanitize = int(default_for("sanitize"))
-        self.sanitize = sanitize
 
     @property
     def arena(self) -> SegmentArena:
@@ -1300,53 +782,10 @@ class ProcessTransport(TransportBase):
         """
         return sum(len(box) for box in self._stash.values())
 
-    # -- collective windows --------------------------------------------------
-
-    def window_slot(self, needed: int) -> int:
-        """Slot size (bytes) for a window that must hold ``needed`` bytes:
-        the bucket covering ``needed`` (at least one page), so the first
-        exchange sizes the window."""
-        return _bucket_of(needed)
-
-    def create_window(
-        self, size: int, index: int, slot_bytes: int, matrix: bool = False
-    ) -> CollectiveWindow:
-        cls = MatrixWindow if matrix else CollectiveWindow
-        win = cls.create(
-            size, index, slot_bytes, self._abort, self.timeout,
-            sanitize=self.sanitize, faults=self.faults, status=self.status,
-        )
-        self._windows.append(win)
-        return win
-
-    def attach_window(
-        self,
-        name: str,
-        size: int,
-        index: int,
-        slot_bytes: int,
-        matrix: bool = False,
-    ) -> CollectiveWindow:
-        cls = MatrixWindow if matrix else CollectiveWindow
-        win = cls.attach(
-            name, size, index, slot_bytes, self._abort, self.timeout,
-            sanitize=self.sanitize, faults=self.faults, status=self.status,
-        )
-        self._windows.append(win)
-        return win
-
-    def release_window(self, win: CollectiveWindow) -> None:
-        """Close (and, for the owner, unlink) a window grown out of use."""
-        win.close()
-        try:
-            self._windows.remove(win)
-        except ValueError:  # pragma: no cover - double release
-            pass
-
     # -- end-of-run hygiene --------------------------------------------------
 
     def end_run(self) -> None:
-        """Release per-run resources: stashed leases and open windows.
+        """Release per-run resources: the leases of undelivered messages.
 
         Called by the executor worker when the rank function finishes
         (successfully or not).  The arena itself survives — pooled workers
@@ -1356,9 +795,6 @@ class ProcessTransport(TransportBase):
             for payload in box:
                 _release_views(payload)
         self._stash.clear()
-        for win in self._windows:
-            win.close()
-        self._windows.clear()
 
 
 def _release_views(obj: Any) -> None:

@@ -7,9 +7,9 @@ matches MPI's non-overtaking guarantee for messages sent on the same
 
 Two implementations exist:
 
-* :class:`ThreadTransport` (alias :class:`Transport`) — the in-process
-  store used by the thread executor backend: one dict of deques guarded by
-  a condition variable, shared by all rank threads.
+* :class:`ThreadTransport` — the in-process store used by the thread
+  executor backend: one dict of deques guarded by a condition variable,
+  shared by all rank threads.
 * :class:`~repro.mpi.process_transport.ProcessTransport` — the
   cross-process store used by the process executor backend: one OS-level
   inbox queue per rank, with large array payloads parked in POSIX shared
@@ -38,6 +38,10 @@ class TransportBase(abc.ABC):
     *world rank* of the receiving process so transports that physically
     route messages (one inbox per rank) know where to deliver.  The
     thread transport ignores it — all ranks share one mailbox store.
+    Point-to-point messages and every collective's exchange round ride
+    the same :meth:`put`/:meth:`get` mailboxes: in a round each member
+    sends one message to each peer, and receiving one from each peer is
+    the fence.
     """
 
     timeout: float
@@ -47,55 +51,6 @@ class TransportBase(abc.ABC):
     #: When True the communicator skips its defensive pre-send copy; the
     #: thread transport delivers by reference and keeps the default.
     copies_on_send = False
-
-    #: Collective-window protocol (optional).  A transport that sets
-    #: ``windows_enabled`` must implement :meth:`window_slot`,
-    #: :meth:`create_window`, :meth:`attach_window` and
-    #: :meth:`release_window`; the communicator then runs each
-    #: collective's exchange round through per-communicator windows
-    #: (single-copy, fence-ordered).  Otherwise every round runs over
-    #: :meth:`put`/:meth:`get`: each member sends one message to each
-    #: peer, and receiving one from each peer is the fence.  The thread
-    #: transport keeps the default: all ranks share one address space,
-    #: so a message is already a pointer handoff.
-    windows_enabled = False
-
-    def window_slot(self, needed: int) -> int:
-        """Collective slot size (bytes) for a first payload of ``needed``
-        bytes — the adaptive-sizing hint consulted at window creation."""
-        raise NotImplementedError("transport has no collective windows")
-
-    def create_window(
-        self, size: int, index: int, slot_bytes: int, matrix: bool = False
-    ):
-        """Create (and own) an exchange window for ``size`` members.
-
-        ``matrix=True`` asks for a P×P pair-slotted window (alltoall);
-        otherwise one slot per member.  Returns an object with the
-        :class:`~repro.mpi.process_transport.CollectiveWindow` surface
-        (``begin``/``fence``/``post_size``/``write``/``read``/``finish``/
-        ``name``/``slot_bytes``..., plus the split fence halves
-        ``post_size_nowait``/``wait_posted`` and
-        ``commit_nowait``/``wait_written``: a collective's round posts
-        with the first halves and waits with the second, at
-        ``Request.wait()`` for the non-blocking collectives).
-        """
-        raise NotImplementedError("transport has no collective windows")
-
-    def attach_window(
-        self,
-        name: str,
-        size: int,
-        index: int,
-        slot_bytes: int,
-        matrix: bool = False,
-    ):
-        """Attach the window another member created under ``name``."""
-        raise NotImplementedError("transport has no collective windows")
-
-    def release_window(self, win) -> None:
-        """Close (and, for the owner, unlink) a window grown out of use."""
-        raise NotImplementedError("transport has no collective windows")
 
     def note_collective(self, op: str, seq: int) -> None:
         """Record the collective this rank is entering (liveness context).
@@ -186,6 +141,3 @@ class ThreadTransport(TransportBase):
         with self._cond:
             return sum(len(box) for box in self._boxes.values())
 
-
-# Historical name, kept for callers that predate the backend split.
-Transport = ThreadTransport

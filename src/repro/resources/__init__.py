@@ -2,7 +2,7 @@
 
 Budgets and admission control (``REPRO_SHM_BUDGET`` /
 ``REPRO_MAX_WORLDS``), graceful per-allocation degradation of the
-shared-memory fast path to the p2p/pickle routes, cooperative deadline
+shared-memory fast path to the pickle route, cooperative deadline
 propagation (``REPRO_DEADLINE`` / ``run_spmd(deadline=)``), and the
 per-run :class:`ResourceReport` surfaced on ``SpmdResult.resources``.
 

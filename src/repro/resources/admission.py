@@ -2,8 +2,8 @@
 
 Enforced once per launch at the ``run_spmd`` boundary, *before* any rank
 starts.  The singleton :class:`AdmissionController` tracks every active
-world with its up-front footprint estimate (sized from the window and
-arena geometry — the perf model's memory picture of a launch) and
+world with its up-front footprint estimate (sized from the arena
+geometry — the perf model's memory picture of a launch) and
 reconciles estimates against actual allocations through the usage
 sources the backends register (warm-pool resource boards and the parent
 governor's staging bytes): admission usage is
@@ -11,9 +11,9 @@ governor's staging bytes): admission usage is
 launches is bounded by its promises until real allocations take over.
 
 Over-budget launches first trigger the registered recyclers (idle warm
-pools are shut down LRU-first, returning their arena free lists and
-windows to the budget), then wait with bounded backoff for running
-worlds to finish, and finally raise
+pools are shut down LRU-first, returning their arena free lists to the
+budget), then wait with bounded backoff for running worlds to finish, and
+finally raise
 :class:`~repro.mpi.errors.AdmissionError` with a machine-readable
 ``reason`` (``"max_worlds"`` or ``"shm_budget"``).
 
@@ -37,35 +37,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 ADMISSION_WAIT = 2.0
 _POLL = 0.02
 
-#: Matches process_transport: minimum arena bucket / adaptive window slot.
+#: Matches process_transport: minimum arena bucket.
 _MIN_SLOT = 4096
-_WINDOW_FLAG_ROWS = 6
 
 
 def estimate_world_shm(n_ranks: int, payload_hint: int = 0) -> int:
     """Up-front shm footprint estimate for one world, in bytes.
 
-    Models the launch-time allocations the transport will make: one
-    collective window (six int64 flag rows plus a data slot per rank
-    sized from the payload hint) where the platform opens windows, and
-    one arena bucket per rank for payload staging.  Deliberately a
-    *floor*, reconciled upward against actual allocations by the
-    controller; drivers with a better model can pass
+    Models the allocations the transport will make: one arena bucket
+    per rank for payload staging, a page unless the payload hint asks
+    for more.  Deliberately a *floor*, reconciled upward against actual
+    allocations by the controller; drivers with a better model can pass
     ``run_spmd(shm_estimate=)`` instead.
     """
-    from repro.mpi import process_transport
-
-    total = 0
-    if process_transport.WINDOWS_ENABLED:
-        slot = max(_MIN_SLOT, int(payload_hint))
-        total += _WINDOW_FLAG_ROWS * 8 * n_ranks + 8 * n_ranks
-        total += n_ranks * slot
-    if payload_hint:
-        bucket = _MIN_SLOT
-        while bucket < payload_hint:
-            bucket <<= 1
-        total += n_ranks * bucket
-    return total
+    bucket = _MIN_SLOT
+    while bucket < payload_hint:
+        bucket <<= 1
+    return n_ranks * bucket
 
 
 @dataclass

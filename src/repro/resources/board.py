@@ -103,13 +103,6 @@ class ResourceBoard:
         stop = (self.n_slots - 1) * _SLOT_WORDS
         return max(0, int(self._words[0:stop:_SLOT_WORDS].sum()))
 
-    def reset_ranks(self) -> None:
-        """Zero the rank slots after every worker arena was torn down —
-        the flushed free-list bytes go back to the budget accountant."""
-        assert self._words is not None
-        stop = (self.n_slots - 1) * _SLOT_WORDS
-        self._words[0:stop] = 0
-
     def degradations(self) -> int:
         assert self._words is not None
         return int(self._words[1::_SLOT_WORDS].sum())

@@ -7,7 +7,7 @@ into it:
 
 * :meth:`ResourceGovernor.gate` runs *before* a segment is created: it
   fires the resource fault sites (``enospc``/``stall`` clauses with
-  ``site=arena`` / ``site=window``) and raises
+  ``site=arena``) and raises
   :class:`BudgetExceededError` — an ``OSError`` with ``errno.ENOSPC`` —
   when the world's live bytes plus the request would exceed the budget,
   so a budget denial flows through exactly the same errno-discriminating
@@ -17,7 +17,7 @@ into it:
   while one is configured (so the budget is enforced world-wide, not
   per process).
 * :meth:`note_degradation` records each allocation that fell back to
-  the p2p/pickle path; the per-run summaries become the
+  the pickle path; the per-run summaries become the
   :class:`~repro.resources.report.ResourceReport`.
 
 The run-scoped state (board attachment, budget, fault injector, event
@@ -30,7 +30,7 @@ This module also owns the cooperative deadline:
 timestamp (shipped from the parent, so every retry attempt shares one
 budget) and :func:`check_deadline` raises
 :class:`~repro.mpi.errors.DeadlineExceededError` naming the operation
-and elapsed time.  Checks live at fences, blocking collectives/receives
+and elapsed time.  Checks live at collective entries, blocking receives
 and checkpoint steps — all ranks converge on the failure within seconds.
 """
 
@@ -173,7 +173,7 @@ class ResourceGovernor:
     def note_degradation(
         self, site: str, kind: str, nbytes: int, detail: str = ""
     ) -> None:
-        """Record one allocation that fell back to the p2p/pickle path."""
+        """Record one allocation that fell back to the pickle path."""
         with self._lock:
             self._events.append((site, kind, int(nbytes), detail))
             board = self._board

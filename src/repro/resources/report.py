@@ -14,11 +14,10 @@ from typing import Any
 
 @dataclass(frozen=True)
 class DegradationEvent:
-    """One allocation that fell back from shared memory to p2p/pickle.
+    """One allocation that fell back from shared memory to pickle.
 
-    ``site`` names the allocation purpose (``"arena"``, ``"window"``),
-    ``kind`` the fallback route taken (``"pickle"`` for arena staging,
-    ``"p2p"`` for collective windows), ``nbytes`` the allocation that
+    ``site`` names the allocation purpose (``"arena"``), ``kind`` the
+    fallback route taken (``"pickle"``), ``nbytes`` the allocation that
     was refused, and ``detail`` the cause — a budget denial or a real
     ``ENOSPC``/``ENOMEM``, indistinguishable by design.
     """
@@ -42,7 +41,7 @@ class ResourceReport:
     """Resource-governance outcome of one ``run_spmd`` call.
 
     ``degradations`` lists every shared-memory allocation that fell back
-    to the p2p/pickle path (results are bit-identical either way — the
+    to the pickle path (results are bit-identical either way — the
     report is how callers observe that the fast path was constrained).
     Byte totals aggregate the per-rank governors; ``admission_wait`` is
     the time the launch spent queued at admission control.
@@ -50,7 +49,7 @@ class ResourceReport:
 
     degradations: list[DegradationEvent] = field(default_factory=list)
     #: live shm bytes still attributed to each rank at run end (arena
-    #: free lists, persistent windows); keyed by world rank, -1 = parent.
+    #: free lists); keyed by world rank, -1 = parent.
     rank_live_bytes: dict[int, int] = field(default_factory=dict)
     peak_bytes: int = 0
     charged_bytes: int = 0

@@ -1,4 +1,4 @@
-"""Runtime SPMD sanitizer: protocol, request and window checks.
+"""Runtime SPMD sanitizer: collective-protocol and request checks.
 
 Every failure-mode test asserts the diagnostic names the rank *and* the
 call site — the whole point of the sanitizer is replacing a bare
@@ -17,13 +17,7 @@ from repro.analysis.sanitizer import (
     CollectiveCall,
     sanitize_level,
 )
-from repro.mpi import (
-    SUM,
-    CollectiveWindow,
-    SpmdError,
-    WindowProtocolError,
-    run_spmd,
-)
+from repro.mpi import SUM, SpmdError, run_spmd
 from tests.conftest import spmd
 
 
@@ -33,12 +27,19 @@ class TestLevelResolution:
         assert sanitize_level() == 0
 
     def test_env_sets_level(self, monkeypatch):
-        monkeypatch.setenv(SANITIZE_ENV_VAR, "2")
-        assert sanitize_level() == 2
+        monkeypatch.setenv(SANITIZE_ENV_VAR, "1")
+        assert sanitize_level() == 1
 
     def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(SANITIZE_ENV_VAR, "2")
+        monkeypatch.setenv(SANITIZE_ENV_VAR, "1")
         assert sanitize_level(0) == 0
+
+    def test_level_two_is_rejected(self, monkeypatch):
+        monkeypatch.setenv(SANITIZE_ENV_VAR, "2")
+        with pytest.raises(
+            ValueError, match=r"sanitize level must be one of \(0, 1\), got 2"
+        ):
+            sanitize_level()
 
     def test_invalid_env_value(self, monkeypatch):
         monkeypatch.setenv(SANITIZE_ENV_VAR, "chatty")
@@ -55,7 +56,7 @@ class TestLevelResolution:
 
 
 class TestCleanRuns:
-    @pytest.mark.parametrize("level", [0, 1, 2])
+    @pytest.mark.parametrize("level", [0, 1])
     def test_all_collectives_clean(self, level):
         def prog(comm):
             x = comm.bcast(np.arange(3.0), root=0)
@@ -90,11 +91,11 @@ class TestCleanRuns:
 
         times = {
             level: spmd(4, prog, sanitize=level).modeled_time
-            for level in (0, 1, 2)
+            for level in (0, 1)
         }
         # The sanitizer's verification is uncharged: bit-identical
         # modeled time at every level.
-        assert times[0] == times[1] == times[2]
+        assert times[0] == times[1]
 
     def test_sanitizer_exposed_on_comm(self):
         def prog(comm):
@@ -104,7 +105,7 @@ class TestCleanRuns:
                 comm.split(0).sanitizer is comm.sanitizer,
             )
 
-        assert spmd(2, prog, sanitize=2)[0] == (2, True)
+        assert spmd(2, prog, sanitize=1)[0] == (1, True)
 
         def prog_off(comm):
             return comm.sanitizer is None
@@ -169,11 +170,11 @@ class TestCollectiveMismatch:
             comm.reduce(np.ones(1) if comm.rank else np.ones((2, 1)), SUM, 0)
             return None if got is None else [g.size for g in got]
 
-        assert spmd(3, prog, sanitize=2)[0] == [1, 2, 3]
+        assert spmd(3, prog, sanitize=1)[0] == [1, 2, 3]
 
     def test_nb_vs_blocking_collective_flagged(self):
         # MPI forbids matching a non-blocking collective with a blocking
-        # one; here they also use different window protocols.
+        # one.
         def prog(comm):
             if comm.rank == 0:
                 comm.allreduce(np.ones(2))
@@ -231,10 +232,9 @@ class TestRequestLifetimes:
 
         assert all(spmd(2, prog, sanitize=0))
 
-    def test_force_completion_is_not_a_user_wait(self):
-        # More posts than window buffers: the runtime force-completes
-        # old rounds internally; the user's single wait per request must
-        # still be legal (and required) under the sanitizer.
+    def test_deep_pipeline_waits_once_each(self):
+        # Five rounds in flight at once: the user's single wait per
+        # request is legal (and required) under the sanitizer.
         def prog(comm):
             reqs = [
                 comm.ireduce(np.full(4, float(i)), SUM, root=0)
@@ -242,12 +242,12 @@ class TestRequestLifetimes:
             ]
             return [req.wait() is not None for req in reqs]
 
-        res = spmd(4, prog, sanitize=2)
+        res = spmd(4, prog, sanitize=1)
         assert res[0] == [True] * 5
 
     def test_deadlock_annotated_with_last_collective(self):
-        # Subset participation across *different windows* cannot be
-        # digest-checked; the timeout must carry the sanitizer context.
+        # Subset participation never meets a peer's digest; the timeout
+        # must carry the sanitizer context.
         def prog(comm):
             if comm.rank == 0:
                 comm.bcast(1.0, root=0)
@@ -258,97 +258,6 @@ class TestRequestLifetimes:
         msg = str(err.value)
         assert "sanitizer: last collective" in msg
         assert "bcast#0" in msg
-
-
-class TestWindowGenerationChecks:
-    """Level-2 happens-before checks, driving the shm window directly."""
-
-    def _pair(self, sanitize):
-        win0 = CollectiveWindow.create(
-            2, 0, 256, None, timeout=2.0, sanitize=sanitize
-        )
-        win1 = CollectiveWindow.attach(
-            win0.name, 2, 1, 256, None, timeout=2.0, sanitize=sanitize
-        )
-        return win0, win1
-
-    @staticmethod
-    def _packed(obj):
-        from repro.mpi.process_transport import pack_collective, packed_nbytes
-
-        prefix, payload = pack_collective(obj)
-        return prefix, payload, packed_nbytes(prefix, payload)
-
-    def test_read_before_fence(self):
-        win0, win1 = self._pair(sanitize=2)
-        try:
-            prefix, payload, nbytes = self._packed("hello")
-            win0.begin(), win1.begin()
-            win0.post_size_nowait(nbytes, digest=1)
-            win1.post_size(nbytes, digest=1)
-            win0.write(prefix, payload)
-            win0.commit_nowait()
-            # win1 never committed: reading now races its write.
-            with pytest.raises(WindowProtocolError, match="read-before-fence"):
-                win0.read(1)
-        finally:
-            win1.close()
-            win0.close()
-
-    def test_stale_slot_read(self):
-        win0, win1 = self._pair(sanitize=2)
-        try:
-            prefix, payload, nbytes = self._packed("round1")
-            # Round 1: both contribute properly.
-            win0.begin(), win1.begin()
-            win0.post_size_nowait(nbytes, digest=1)
-            win1.post_size(nbytes, digest=1)
-            win0.write(prefix, payload)
-            win1.write(prefix, payload)
-            win0.commit_nowait(), win1.commit_nowait()
-            win0.wait_written()
-            assert win0.read(1) == "round1"
-            win0.finish(), win1.finish()
-            # Round 2: rank 1 commits without writing its slot.
-            win0.begin(), win1.begin()
-            win0.post_size_nowait(nbytes, digest=1)
-            win1.post_size(nbytes, digest=1)
-            win0.write(prefix, payload)
-            win0.commit_nowait(), win1.commit_nowait()
-            win0.wait_written()
-            with pytest.raises(WindowProtocolError, match="stale"):
-                win0.read(1)
-        finally:
-            win1.close()
-            win0.close()
-
-    def test_unsanitized_window_skips_checks(self):
-        win0, win1 = self._pair(sanitize=0)
-        try:
-            prefix, payload, nbytes = self._packed("ok")
-            win0.begin(), win1.begin()
-            win0.post_size_nowait(nbytes)
-            win1.post_size(nbytes)
-            win0.write(prefix, payload)
-            win0.commit_nowait()
-            # Level 0: the racy read of rank 1's uncommitted slot is not
-            # intercepted — this rank just sees its own committed write.
-            assert win0.read(0) == "ok"
-        finally:
-            win1.close()
-            win0.close()
-
-    def test_digest_mismatch_ranks(self):
-        win0, win1 = self._pair(sanitize=1)
-        try:
-            win0.begin(), win1.begin()
-            win0.post_size_nowait(8, digest=11)
-            win1.post_size(8, digest=22)
-            assert win0.digest_mismatch_ranks(11) == [1]
-            assert win1.digest_mismatch_ranks(22) == [0]
-        finally:
-            win1.close()
-            win0.close()
 
 
 class TestSignatureModel:
@@ -385,9 +294,14 @@ class TestCliFlag:
 
         args = build_parser().parse_args(
             ["compress", "in.npy", "out.npz", "--parallel", "2",
-             "--sanitize", "2"]
+             "--sanitize", "1"]
         )
-        assert args.sanitize == 2
+        assert args.sanitize == 1
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["compress", "in.npy", "out.npz", "--parallel", "2",
+                 "--sanitize", "2"]
+            )
 
     def test_sanitize_requires_parallel(self, tmp_path):
         from repro.cli import main

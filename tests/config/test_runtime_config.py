@@ -67,11 +67,11 @@ class TestPrecedence:
         assert cfg.shm_budget == 0
 
     def test_kwarg_beats_config(self):
-        cfg = resolve_config(RuntimeConfig(sanitize=2), sanitize=1)
-        assert cfg.sanitize == 1
+        cfg = resolve_config(RuntimeConfig(sanitize=1), sanitize=0)
+        assert cfg.sanitize == 0
 
     def test_kwarg_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "2")
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
         assert resolve_config(sanitize=0).sanitize == 0
 
     def test_none_kwarg_means_unspecified(self, monkeypatch):
@@ -102,6 +102,11 @@ class TestEnvDefault:
         monkeypatch.setenv("REPRO_SANITIZE", "nope")
         with pytest.raises(ValueError, match="invalid REPRO_SANITIZE"):
             env_default("sanitize")
+        monkeypatch.setenv("REPRO_SANITIZE", "2")
+        with pytest.raises(
+            ValueError, match=r"sanitize level must be one of \(0, 1\), got 2"
+        ):
+            env_default("sanitize")
         monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "soon")
         with pytest.raises(ValueError, match="REPRO_SPMD_TIMEOUT"):
             env_default("timeout")
@@ -115,7 +120,7 @@ class TestValidation:
         "changes, match",
         [
             ({"compute_dtype": "float16"}, "unknown REPRO_DTYPE"),
-            ({"sanitize": 3}, "sanitize level"),
+            ({"sanitize": 2}, "sanitize level"),
             ({"retry": 0}, "retry"),
             ({"timeout": 0.0}, "timeout"),
             ({"shm_budget": -1}, "shm_budget"),
@@ -134,7 +139,7 @@ class TestSerialization:
     def test_json_round_trip(self):
         cfg = RuntimeConfig(
             backend="process", compute_dtype="mixed", shm_budget=64,
-            sanitize=2, faults="crash:rank=1:call=3", timeout=5.0,
+            sanitize=1, faults="crash:rank=1:call=3", timeout=5.0,
         )
         assert RuntimeConfig.from_json(cfg.to_json()) == cfg
 
@@ -221,12 +226,12 @@ class TestSerialization:
 class TestActiveConfigDispatch:
     def test_install_and_restore(self):
         assert active_config() is None
-        cfg = RuntimeConfig(sanitize=2)
+        cfg = RuntimeConfig(sanitize=1)
         previous = set_active_config(cfg)
         try:
             assert previous is None
             assert active_config() is cfg
-            assert default_for("sanitize") == 2
+            assert default_for("sanitize") == 1
         finally:
             set_active_config(previous)
         assert active_config() is None

@@ -7,14 +7,11 @@ backends run the very same deterministic rank code (reductions fold in
 group-rank order), so any divergence is a transport bug, not roundoff.
 """
 
-import platform
-
 import numpy as np
 import pytest
 
 from repro.distributed import DistTensor, dist_sthosvd
 from repro.mpi import SUM, CartGrid, run_spmd, shutdown_worker_pools
-from repro.mpi import process_transport
 from repro.tensor import low_rank_tensor
 from tests.conftest import recon_atol
 from tests.reference import st_hosvd
@@ -117,8 +114,8 @@ def _nine_collectives(comm, x):
 
 
 class TestAllCollectivesParity:
-    """Window-riding collectives: same bits and charges as the thread
-    backend's in-process relay, even under uneven payloads."""
+    """Every collective: same bits and charges on both backends, even
+    under uneven payloads."""
 
     def test_results_and_ledgers_match(self):
         x = np.random.default_rng(21).standard_normal(64)
@@ -152,7 +149,7 @@ def _nonblocking_battery(comm, x):
     got = comm.irecv(source=left, tag=7).wait()
     send_req.wait()
     out.append((got["r"], got["x"].tobytes()))
-    # Pipelined non-blocking reductions deeper than the double buffer.
+    # Pipelined non-blocking reductions, three deep.
     nb = [
         comm.ireduce(x[:6] * (comm.rank + 1) + i, op=SUM, root=i % comm.size)
         for i in range(3)
@@ -171,9 +168,7 @@ def _nonblocking_battery(comm, x):
 
 
 class TestNonblockingParity:
-    """Deferred requests: same bits and charges on both backends (the
-    process backend completes them over double-buffered windows, the
-    thread backend over the p2p relay)."""
+    """Deferred requests: same bits and charges on both backends."""
 
     def test_results_and_ledgers_match(self):
         x = np.random.default_rng(33).standard_normal(48)
@@ -234,35 +229,18 @@ class TestRetiredKnobsAreInert:
             )
 
 
-class TestWeaklyOrderedPlatform:
-    """On a host without total store order (aarch64) the platform constant
-    keeps every collective window closed, and the relayed collectives
-    give the thread backend's bits."""
+class TestTwoRankParity:
+    """A tolerance-driven run on two ranks gives the same bits and ledger
+    on both backends, by either factor method."""
 
     @pytest.mark.parametrize("method", ["gram", "svd"])
-    def test_no_window_opens_and_bits_match(self, method, monkeypatch):
-        monkeypatch.setattr(platform, "machine", lambda: "aarch64")
-        monkeypatch.setattr(
-            process_transport,
-            "WINDOWS_ENABLED",
-            platform.machine().lower() in process_transport._TSO_MACHINES,
-        )
-        assert not process_transport.WINDOWS_ENABLED
-
-        def no_window(*args, **kwargs):
-            raise AssertionError("a collective window was opened")
-
-        transport = process_transport.ProcessTransport
-        monkeypatch.setattr(transport, "create_window", no_window)
-        monkeypatch.setattr(transport, "attach_window", no_window)
+    def test_bits_and_ledgers_match(self, method):
         x = low_rank_tensor((8, 6, 4), (3, 3, 2), seed=23, noise=0.03)
         prog = _factors_prog(x, grid=(1, 2, 1), tol=0.1, method=method)
-        shutdown_worker_pools()  # ranks must be forked under the patch
         runs = {
             name: run_spmd(2, prog, backend=name)
             for name in ("thread", "process")
         }
-        shutdown_worker_pools()
         for t_val, p_val in zip(
             runs["thread"].values, runs["process"].values
         ):

@@ -64,7 +64,7 @@ def test_run_knobs_do_not_reach_the_sequential_entry_points(monkeypatch):
     unset = _fingerprint()
     monkeypatch.setenv("REPRO_DTYPE", "mixed")
     monkeypatch.setenv("REPRO_PLAN", "auto")
-    monkeypatch.setenv("REPRO_SANITIZE", "2")
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
     monkeypatch.setenv("REPRO_FAULTS", "rank=0:site=allreduce:kind=crash")
     assert _fingerprint() == unset
 

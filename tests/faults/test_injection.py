@@ -135,22 +135,22 @@ class TestResourceFaults:
     def test_enospc_respects_rank_and_site(self):
         from repro.faults import FaultInjector, FaultSpec
 
-        spec = FaultSpec.parse("rank=1:site=window:kind=enospc")
+        spec = FaultSpec.parse("rank=1:site=arena:kind=enospc")
         other_rank = FaultInjector(spec, rank=0)
-        other_rank.fire("window")  # clause targets rank 1: no-op
+        other_rank.fire("arena")  # clause targets rank 1: no-op
         hit_rank = FaultInjector(spec, rank=1)
-        hit_rank.fire("arena")  # wrong site: hits counted, nothing fires
+        hit_rank.fire("send")  # wrong site: hits counted, nothing fires
         with pytest.raises(OSError):
-            hit_rank.fire("window")
+            hit_rank.fire("arena")
 
     def test_stall_without_deadline_degrades_to_delay(self):
         from repro.faults import FaultInjector, FaultSpec
 
         inj = FaultInjector(
-            FaultSpec.parse("rank=0:site=fence:kind=stall:delay=0.05"), rank=0
+            FaultSpec.parse("rank=0:site=recv:kind=stall:delay=0.05"), rank=0
         )
         t0 = time.monotonic()
-        inj.fire("fence")
+        inj.fire("recv")
         assert time.monotonic() - t0 >= 0.05
 
     def test_stall_with_deadline_raises_deadline_error(self):
@@ -159,11 +159,11 @@ class TestResourceFaults:
         from repro.resources import set_active_deadline
 
         inj = FaultInjector(
-            FaultSpec.parse("rank=0:site=fence:kind=stall"), rank=0
+            FaultSpec.parse("rank=0:site=recv:kind=stall"), rank=0
         )
         previous = set_active_deadline((time.monotonic() + 0.1, 0.1))
         try:
             with pytest.raises(DeadlineExceededError, match="injected stall"):
-                inj.fire("fence")
+                inj.fire("recv")
         finally:
             set_active_deadline(previous)

@@ -44,7 +44,7 @@ class TestGrammar:
         assert spec.clauses[1].site == "recv"
 
     def test_roundtrip_through_str(self):
-        spec = FaultSpec.parse("rank=1:site=fence:nth=2:kind=crash:p=0.25")
+        spec = FaultSpec.parse("rank=1:site=recv:nth=2:kind=crash:p=0.25")
         assert FaultSpec.parse(str(spec)) == spec
 
     @pytest.mark.parametrize(

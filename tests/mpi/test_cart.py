@@ -144,7 +144,7 @@ class _CountingTransport:
 
     def __getattr__(self, name):
         attr = getattr(self._inner, name)
-        if name in ("put", "get", "create_window", "attach_window"):
+        if name in ("put", "get"):
             def counted(*args, **kwargs):
                 self.calls += 1
                 return attr(*args, **kwargs)

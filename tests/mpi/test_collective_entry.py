@@ -1,11 +1,9 @@
-"""Every collective's entry checks, on every round a collective can ride.
+"""Every collective's entry checks, on both transports.
 
 One parametrized sweep over the twelve collectives plus ``split``, at one
-and three ranks, on the thread backend (mailbox rounds), the process
-backend (shm-window rounds where the platform opens windows) and the
-process backend with ``WINDOWS_ENABLED`` patched off (mailbox rounds over
-the process transport).  Each case asserts the four concerns the
-communicator applies at its one collective entry point:
+and three ranks, on the thread and the process backend.  Each case
+asserts the four concerns the communicator applies at its one collective
+entry point:
 
 * an expired run deadline raises ``DeadlineExceededError`` naming the op
   at entry (for a non-blocking op: at the post, not inside ``wait()``);
@@ -14,6 +12,12 @@ communicator applies at its one collective entry point:
   call sites named;
 * the ledger charge equals the :mod:`repro.perfmodel.collectives`
   closed form.
+
+The deadline, fault and ledger checks run twice: unsanitized, and at
+``sanitize=1``, where the sanitizer records the call's signature at the
+same entry point and a protocol digest rides every message of the round.
+The sanitizer must not move the deadline check, the fault site's count
+or the charge.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from repro.mpi import (
     run_spmd,
     shutdown_worker_pools,
 )
-from repro.mpi import process_transport as pt
 from repro.perfmodel import collectives as cc
 
 #: Six float64 words: divisible into blocks at P = 1 and 3.
@@ -125,31 +128,27 @@ def spmd_backend():
     return None
 
 
-@pytest.fixture(
-    scope="module", params=["thread", "process", "process-windows-off"]
-)
+@pytest.fixture(scope="module", params=["thread", "process"])
 def backend(request):
-    """The backend to run on, with the window switch set the way a host
-    without x86-64's store order would have it for the last one."""
-    if request.param == "thread":
-        yield "thread"
-        return
-    shutdown_worker_pools()
-    with pytest.MonkeyPatch.context() as mp:
-        if request.param == "process-windows-off":
-            mp.setattr(pt, "WINDOWS_ENABLED", False)
-        yield "process"
+    """The backend to run on."""
+    yield request.param
+    if request.param == "process":
         shutdown_worker_pools()
 
 
 @pytest.mark.parametrize("p", [1, 3])
 @pytest.mark.parametrize("op", _OPS)
-class TestCollectiveEntry:
+class _EntryChecks:
+    """The entry checks that hold whatever the sanitizer level."""
+
+    #: Sanitizer level every run of these checks uses.
+    sanitize = 0
+
     def test_expired_deadline_raises_at_entry(self, backend, op, p):
         with pytest.raises(SpmdError) as exc_info:
             run_spmd(
                 p, _after_deadline, op, backend=backend, deadline=0.05,
-                timeout=20.0,
+                sanitize=self.sanitize, timeout=20.0,
             )
         failures = exc_info.value.failures
         assert set(failures) == set(range(p))
@@ -162,9 +161,28 @@ class TestCollectiveEntry:
             run_spmd(
                 p, _call_twice, op, backend=backend, timeout=20.0,
                 faults=f"rank=0:site={op}:nth=2:kind=exception",
+                sanitize=self.sanitize,
             )
         msg = str(exc_info.value.failures[0])
         assert msg.startswith("call 2: ") and f"site '{op}'" in msg, msg
+
+    def test_ledger_charge_is_the_closed_form(self, backend, op, p):
+        res = run_spmd(
+            p, _call_once, op, backend=backend, sanitize=self.sanitize,
+            timeout=20.0,
+        )
+        seconds, words, messages = _charge(op, p, res.ledger.machine)
+        for rank in range(p):
+            row = res.ledger.rank_costs(rank)
+            assert (row.time, row.words_sent, row.messages) == (
+                seconds,
+                words,
+                messages,
+            )
+
+
+class TestCollectiveEntry(_EntryChecks):
+    """The checks unsanitized, plus the sanitizer's own entry check."""
 
     def test_sanitizer_flags_a_different_op(self, backend, op, p):
         if p == 1:
@@ -193,13 +211,8 @@ class TestCollectiveEntry:
         assert f"{op}#0" in msg and f"{other}#0" in msg, msg
         assert _site(op) in msg and _site(other) in msg, msg
 
-    def test_ledger_charge_is_the_closed_form(self, backend, op, p):
-        res = run_spmd(p, _call_once, op, backend=backend, timeout=20.0)
-        seconds, words, messages = _charge(op, p, res.ledger.machine)
-        for rank in range(p):
-            row = res.ledger.rank_costs(rank)
-            assert (row.time, row.words_sent, row.messages) == (
-                seconds,
-                words,
-                messages,
-            )
+
+class TestSanitizedCollectiveEntry(_EntryChecks):
+    """The same checks with the sanitizer on."""
+
+    sanitize = 1

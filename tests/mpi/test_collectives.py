@@ -288,10 +288,9 @@ class TestNonblockingCollectives:
             expected = [3 if root == rank else None for root in range(p)]
             assert got[3:] == expected
 
-    def test_pipelined_posts_force_completion(self):
-        # More outstanding requests than window buffers: the third post
-        # must transparently complete the first, and user-side waits stay
-        # idempotent (cached values).  The repeat-wait check only runs
+    def test_five_pipelined_posts(self):
+        # Five requests outstanding at once complete in order, and
+        # user-side waits stay idempotent (cached values).  The repeat-wait check only runs
         # unsanitized: under REPRO_SANITIZE a second user wait is a
         # RequestStateError by design.
         def prog(comm):
@@ -316,9 +315,8 @@ class TestNonblockingCollectives:
         assert res[0] == [base + p * i for i in range(5)]
         assert res[1] == [None] * 5
 
-    def test_window_growth_mid_pipeline(self):
-        # A later round's payload outgrows the slots sized by the first
-        # round: the round is replayed on a grown window collectively.
+    def test_payload_size_changes_mid_pipeline(self):
+        # Small, large, then small again on one communicator.
         def prog(comm):
             small = comm.iallreduce(np.arange(4.0)).wait()
             big = comm.iallreduce(np.full(60_000, float(comm.rank))).wait()

@@ -4,35 +4,31 @@ The paper's model is bulk-synchronous — a collective completes on every
 member simultaneously and charges each of them the same closed-form tree
 cost.  This suite pins that property for all nine collectives: identical
 (seconds, words, messages) on every rank, under both executor backends,
-with the shared-memory windows on and off, including *uneven* payloads
+with the SPMD sanitizer off and on, including *uneven* payloads
 (where historical bugs lived: non-root ``scatter`` extrapolating its own
 slice, ``gather``/``allgather`` extrapolating ``my_words * P``,
 ``alltoall`` charging its own row).
 
-Backends come from the package-level ``spmd_backend`` sweep; the window
-toggle is a local parameterization that patches the platform constant
-``WINDOWS_ENABLED`` (pools are recycled around each test so workers are
-forked under the patch).  Rank functions live at module scope so the
-process runs ride the warm pool.
+Backends come from the package-level ``spmd_backend`` sweep; the
+sanitizer toggle is a local parameterization of ``REPRO_SANITIZE``.  At
+level 1 a protocol digest rides every message of every exchange round,
+uncharged, so each case must charge exactly what it does unsanitized.
+Rank functions live at module scope so the process runs ride the warm
+pool.
 """
 
 import numpy as np
 import pytest
 
-from repro.mpi import SUM, shutdown_worker_pools
-from repro.mpi import process_transport
+from repro.mpi import SANITIZE_ENV_VAR, SUM
 from tests.conftest import spmd_unit
 
 
-@pytest.fixture(params=[True, False], ids=["windows", "p2p"], autouse=True)
-def window_mode(request, monkeypatch, spmd_backend):
-    """Sweep the window fast path on/off (process backend only)."""
-    if spmd_backend == "thread" and not request.param:
-        pytest.skip("thread backend has no windows; one sweep suffices")
-    shutdown_worker_pools()  # drop workers forked under the old setting
-    monkeypatch.setattr(process_transport, "WINDOWS_ENABLED", request.param)
-    yield request.param
-    shutdown_worker_pools()
+@pytest.fixture(params=[0, 1], ids=["unsanitized", "sanitized"], autouse=True)
+def sanitize_mode(request, monkeypatch):
+    """Sweep the SPMD sanitizer off/on for every run in the case."""
+    monkeypatch.setenv(SANITIZE_ENV_VAR, str(request.param))
+    return request.param
 
 
 def _uneven(rank: int, scale: int = 1) -> np.ndarray:
@@ -322,8 +318,8 @@ NARROW_COLLECTIVES = [_allgather_f32, _allreduce_f32, _ring_f32]
 )
 @pytest.mark.parametrize("p", [3, 4])
 def test_narrowed_word_charges_are_rank_independent(prog, p):
-    # float32 payloads ship half-width words through windows and relays
-    # alike; the tree-cost charge must stay identical on every member.
+    # float32 payloads ship half-width words; the tree-cost charge must
+    # stay identical on every member.
     res = spmd_unit(p, prog)
     rows = [res.ledger.rank_costs(r) for r in range(p)]
     reference = (rows[0].time, rows[0].words_sent, rows[0].messages)
@@ -352,7 +348,8 @@ def test_narrowed_words_charge_half_of_float64():
 
 def _sub_communicator_battery(comm):
     # Collectives on split-off communicators must stay symmetric within
-    # each group as well (each group has its own window generation).
+    # each group as well (each group has its own sequence numbers and,
+    # sanitized, its own digest stream).
     sub = comm.split(color=comm.rank % 2)
     sub.gather(_uneven(sub.rank), root=0)
     sub.alltoall([_uneven(sub.rank + j) for j in range(sub.size)])

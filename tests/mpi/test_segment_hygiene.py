@@ -1,9 +1,9 @@
-"""Segment hygiene: nothing leaks — segments, windows, or pooled workers.
+"""Segment hygiene: nothing leaks — segments or pooled workers.
 
 Shared-memory names live in ``/dev/shm`` on Linux, so leak checking is
 direct: snapshot the directory, hammer the process backend (healthy runs,
-rank failures, deadlock timeouts — through the arena, the zero-copy views
-and the collective windows), tear the pools down, and require the
+rank failures, deadlock timeouts — through the arena and the zero-copy
+views), tear the pools down, and require the
 snapshot to match.  Worker hygiene is checked the same way through
 ``multiprocessing.active_children``.
 """
@@ -36,7 +36,7 @@ def spmd_backend():
 
 def _segments() -> set[str]:
     # psm_: multiprocessing auto-names; rps_: the runtime's explicitly
-    # named segments (transport payloads, status boards, windows).
+    # named segments (transport payloads, status boards).
     return {
         n for n in os.listdir("/dev/shm") if n.startswith(("psm_", "rps_"))
     }
@@ -82,7 +82,7 @@ def _unmatched_sender(comm):
 def _crash_mid_collective(comm, x):
     if comm.rank == 1:
         raise RuntimeError("induced failure")
-    comm.allgather(x)  # poisoned mid-window for the survivors
+    comm.allgather(x)  # poisoned mid-round for the survivors
     return None
 
 
@@ -124,9 +124,10 @@ class TestSegmentHygiene:
             run_spmd(2, _deadlock, backend="process", timeout=0.4)
 
     def test_sigkill_during_fence_leaks_nothing(self):
-        # A rank SIGKILLed while its siblings are inside a collective
-        # window fence: survivors must fail fast with RankDeadError and
-        # the parent must reclaim the dead rank's segments + the window.
+        # A rank SIGKILLed at the fence of a collective round (its first
+        # receive of the allreduce; the first is the ring's sendrecv):
+        # survivors must fail fast with RankDeadError and the parent must
+        # reclaim the dead rank's segments.
         from repro.config import RuntimeConfig
 
         x = np.random.default_rng(3).standard_normal(4096)
@@ -136,10 +137,8 @@ class TestSegmentHygiene:
                 _healthy,
                 x,
                 backend="process",
-                faults="rank=1:site=fence:kind=crash",
-                # The fence site only exists on the windowed path: pin
-                # windows on even when the environment turns them off.
-                config=RuntimeConfig(),
+                faults="rank=1:site=recv:nth=2:kind=crash",
+                config=RuntimeConfig(),  # no fault or budget from the env
             )
         assert any(
             isinstance(e, RankDeadError)
@@ -168,8 +167,8 @@ class TestSegmentHygiene:
         assert res.values == [0, 1, 2]
 
     def test_budget_exhausted_run_leaks_nothing(self):
-        # A budget small enough that every window/arena allocation is
-        # denied: the run degrades to the p2p/pickle paths and still
+        # A budget small enough that every arena allocation is denied:
+        # the run degrades to the pickle path and still
         # must leave /dev/shm exactly as it found it.
         from repro.config import RuntimeConfig
 
@@ -208,7 +207,7 @@ class TestSegmentHygiene:
 
     def test_deadline_abort_leaks_nothing(self):
         # Deadline blown mid-collective on every rank: teardown still
-        # reclaims windows and staged segments.
+        # reclaims staged segments.
         x = np.random.default_rng(6).standard_normal(4096)
         with pytest.raises(SpmdError):
             run_spmd(

@@ -1,16 +1,14 @@
-"""Shared-memory fast path: rank pool, segment arena, zero-copy, windows.
+"""Shared-memory fast path: rank pool, segment arena, zero-copy receives.
 
 Everything here targets the process backend explicitly (the thread backend
 has no shared-memory machinery), so the package-level backend sweep is
 shadowed out.  Rank functions that should ride the warm pool are defined
 at module scope — the pool pickles them by reference; closures exercise
-the fork fallback.  The window-off path is reached the way a weakly
-ordered host reaches it: ``WINDOWS_ENABLED`` patched off before the pool
-is spawned.
+the fork fallback.
 """
 
 import os
-import platform
+import signal
 
 import numpy as np
 import pytest
@@ -68,6 +66,11 @@ def _recv_properties(comm):
     )
 
 
+def _swap_ranks(comm):
+    peer = 1 - comm.rank
+    return comm.sendrecv(comm.rank, dest=peer, source=peer)
+
+
 def _boom(comm):
     raise RuntimeError(f"boom from rank {comm.rank}")
 
@@ -120,6 +123,23 @@ class TestRankPool:
         recycled = run_spmd(2, _pid, backend="process").values
         # No worker died, so the same warm workers serve the next run.
         assert set(recycled) == set(warm)
+
+    def test_inbox_left_locked_by_a_dead_worker_replaces_the_pool(self):
+        run_spmd(2, _pid, backend="process")
+        pool = _POOLS[2]
+        # As if rank 1 died while its queue feeder held rank 0's inbox
+        # write lock: no later message to rank 0 would be delivered.
+        lock = pool.inboxes[0]._wlock
+        lock.acquire()
+        try:
+            os.kill(pool.procs[1].pid, signal.SIGKILL)
+            pool.procs[1].join(timeout=10.0)
+            assert not pool.procs[1].is_alive()
+            res = run_spmd(2, _swap_ranks, backend="process", timeout=10.0)
+        finally:
+            lock.release()
+        assert res.values == [1, 0]
+        assert _POOLS[2] is not pool
 
     def test_pooled_runs_with_array_args(self):
         x = np.random.default_rng(3).standard_normal(2048)
@@ -227,16 +247,38 @@ class TestSegmentArena:
         assert [e[:2] for e in summary["events"]] == [("arena", "pickle")]
 
     def test_recycle_respects_byte_budget(self, monkeypatch):
-        monkeypatch.setattr(pt, "_ARENA_MAX_FREE_BYTES", 8192)
+        monkeypatch.setattr(pt, "_ARENA_MAX_FREE_BYTES", 12288)
         arena = SegmentArena()
-        kept = [arena.acquire(4096), arena.acquire(4096)]
+        kept = [arena.acquire(4096), arena.acquire(8192)]
         over = arena.acquire(4096)
         for s in kept:
-            arena.recycle(s)  # fills the 8 KiB budget
+            arena.recycle(s)  # fills the 12 KiB budget
         name = over.name
-        arena.recycle(over)  # over budget: unlinked, not pooled
+        arena.recycle(over)  # its bucket has room, the budget has not
         assert not os.path.exists(f"/dev/shm/{name}")
         arena.teardown()
+
+    def test_recycle_caps_each_bucket(self):
+        arena = SegmentArena()
+        segs = [arena.acquire(4096) for _ in range(pt._BUCKET_MAX_FREE + 1)]
+        for s in segs:
+            arena.recycle(s)
+        assert arena._free_bytes == pt._BUCKET_MAX_FREE * 4096
+        assert not os.path.exists(f"/dev/shm/{segs[-1].name}")
+        arena.teardown()
+
+    def test_receive_only_root_keeps_at_most_the_bucket_cap(self):
+        # Rank 1 sends a fresh 4 MiB segment to the gather's root on every
+        # run and never gets one back; the root adopts each but pools at
+        # most the per-bucket cap.
+        n = (4 << 20) // 8
+        frees = [
+            run_spmd(2, _one_way_gather, n, backend="process")[0]
+            for _ in range(6)
+        ]
+        bound = pt._BUCKET_MAX_FREE * _bucket_of(8 * n)
+        assert frees[-1] == bound
+        assert max(frees) <= bound
 
     def test_teardown_unlinks_pooled_segments(self):
         arena = SegmentArena()
@@ -250,31 +292,11 @@ class TestSegmentArena:
             assert not os.path.exists(f"/dev/shm/{name}")
 
 
-def _windows_enabled_prog(comm):
-    return comm._transport.windows_enabled
-
-
-def _window_rounds(comm):
-    """Run all nine collectives once; report the window round counters."""
-    comm.barrier()
-    comm.bcast(comm.rank if comm.rank == 0 else None, root=0)
-    comm.gather(comm.rank, root=0)
-    comm.allgather(comm.rank)
-    comm.reduce(float(comm.rank), SUM, root=0)
-    comm.allreduce(float(comm.rank), SUM)
-    comm.reduce_scatter_block(np.arange(float(2 * comm.size)), SUM)
-    comm.scatter(list(range(comm.size)) if comm.rank == 0 else None, root=0)
-    comm.alltoall([comm.rank * 10 + j for j in range(comm.size)])
-    # 8 exchanges through the P-slot window (scatter is a root-writes
-    # round on it), 1 through the P×P matrix (alltoall only).
-    return comm._wins["slots"].seq, comm._wins["pairs"].seq
-
-
-def _window_slots(comm):
-    comm.allreduce(comm.rank, SUM)  # scalar first exchange
-    small = comm._wins["slots"].slot_bytes
-    comm.allreduce(np.arange(6000.0), SUM)  # ~48 KiB forces growth
-    return small, comm._wins["slots"].slot_bytes
+def _one_way_gather(comm, n):
+    """Gather ``n`` float64s from rank 1 at rank 0; report rank 0's arena
+    free-list bytes (rank 0 only receives)."""
+    comm.gather(np.ones(n), root=0)
+    return pt.process_arena()._free_bytes
 
 
 def _collective_battery(comm, x):
@@ -289,8 +311,7 @@ def _collective_battery(comm, x):
     at_root = comm.gather(x * (comm.rank + 2), root=1)
     folded = comm.reduce(x + comm.rank, SUM, root=2)
     mine = comm.scatter(
-        # Uneven slices, small first: the P×P window opens small and must
-        # grow when the full-size alltoall rows arrive next.
+        # Uneven slices, small first, then the full-size alltoall rows.
         [x[: n + 3] * n for n in range(comm.size)] if comm.rank == 0 else None,
         root=0,
     )
@@ -313,63 +334,17 @@ def _collective_battery(comm, x):
     )
 
 
-class TestCollectiveWindows:
-    def test_the_platform_decides_windows(self, monkeypatch):
-        assert pt.WINDOWS_ENABLED == (
-            platform.machine().lower() in pt._TSO_MACHINES
-        )
-        assert run_spmd(2, _windows_enabled_prog, backend="process")[0] == (
-            pt.WINDOWS_ENABLED
-        )
-        # The retired switch is not read.
-        shutdown_worker_pools()
-        monkeypatch.setenv("REPRO_SPMD_WINDOWS", "0")
-        assert run_spmd(2, _windows_enabled_prog, backend="process")[0] == (
-            pt.WINDOWS_ENABLED
-        )
-
-    @pytest.mark.parametrize("n", [1024, 80_000])  # fits / forces growth
-    def test_windowed_results_match_p2p_and_thread(self, monkeypatch, n):
+class TestCollectiveRounds:
+    @pytest.mark.parametrize("n", [1024, 80_000])
+    def test_results_and_ledgers_match_thread(self, n):
         x = np.random.default_rng(11).standard_normal(n)
         p = 4
-        windowed = run_spmd(p, _collective_battery, x, backend="process")
-        shutdown_worker_pools()
-        monkeypatch.setattr(pt, "WINDOWS_ENABLED", False)
-        p2p = run_spmd(p, _collective_battery, x, backend="process")
+        process = run_spmd(p, _collective_battery, x, backend="process")
         threaded = run_spmd(p, _collective_battery, x, backend="thread")
-        assert windowed.values == p2p.values == threaded.values
-        assert (
-            windowed.ledger.summary()
-            == p2p.ledger.summary()
-            == threaded.ledger.summary()
-        )
+        assert process.values == threaded.values
+        assert process.ledger.summary() == threaded.ledger.summary()
 
-    def test_all_nine_collectives_ride_the_windows(self):
-        assert run_spmd(3, _window_rounds, backend="process").values == [
-            (8, 1)
-        ] * 3
-
-    def test_first_exchange_sizes_the_window(self):
-        # Scalar-only traffic gets a page-sized slot; array traffic gets
-        # the bucket covering its first payload — not a fixed 256 KiB.
-        small, big = run_spmd(2, _window_slots, backend="process")[0]
-        assert small == 4096
-        assert big == 65536  # 4096 doubles up to cover ~48 KiB packed
-
-    def test_weak_platform_disables_windows_on_pool_and_fork(
-        self, monkeypatch
-    ):
-        # Patched before the pool is spawned, as a weakly ordered host
-        # would have it from import: pooled and forked ranks both see it.
-        monkeypatch.setattr(pt, "WINDOWS_ENABLED", False)
-
-        def forked(comm):
-            return comm._transport.windows_enabled
-
-        assert not run_spmd(2, _windows_enabled_prog, backend="process")[0]
-        assert not run_spmd(2, forked, backend="process")[0]
-
-    def test_window_growth_preserves_fortran_order(self):
+    def test_large_bcast_preserves_fortran_order(self):
         f_big = np.asfortranarray(
             np.random.default_rng(5).standard_normal((300, 300))
         )

@@ -5,30 +5,30 @@ import threading
 import pytest
 
 from repro.mpi.errors import DeadlockError
-from repro.mpi.transport import Transport
+from repro.mpi.transport import ThreadTransport
 
 
 class TestBasicDelivery:
     def test_put_then_get(self):
-        t = Transport()
+        t = ThreadTransport()
         t.put("k", 42)
         assert t.get("k") == 42
 
     def test_fifo_per_mailbox(self):
-        t = Transport()
+        t = ThreadTransport()
         for i in range(5):
             t.put("k", i)
         assert [t.get("k") for _ in range(5)] == [0, 1, 2, 3, 4]
 
     def test_distinct_keys_isolated(self):
-        t = Transport()
+        t = ThreadTransport()
         t.put("a", 1)
         t.put("b", 2)
         assert t.get("b") == 2
         assert t.get("a") == 1
 
     def test_pending_counts_undelivered(self):
-        t = Transport()
+        t = ThreadTransport()
         assert t.pending() == 0
         t.put("x", 1)
         t.put("y", 2)
@@ -37,7 +37,7 @@ class TestBasicDelivery:
         assert t.pending() == 1
 
     def test_mailbox_cleanup_after_drain(self):
-        t = Transport()
+        t = ThreadTransport()
         t.put("k", 1)
         t.get("k")
         assert t.pending() == 0
@@ -45,7 +45,7 @@ class TestBasicDelivery:
 
 class TestBlockingBehaviour:
     def test_get_blocks_until_put(self):
-        t = Transport(timeout=5.0)
+        t = ThreadTransport(timeout=5.0)
         received = []
 
         def consumer():
@@ -58,12 +58,12 @@ class TestBlockingBehaviour:
         assert received == ["hello"]
 
     def test_timeout_raises_deadlock(self):
-        t = Transport(timeout=0.05)
+        t = ThreadTransport(timeout=0.05)
         with pytest.raises(DeadlockError, match="timed out"):
             t.get("never")
 
     def test_abort_wakes_waiter(self):
-        t = Transport(timeout=30.0)
+        t = ThreadTransport(timeout=30.0)
         errors = []
 
         def consumer():
@@ -80,7 +80,7 @@ class TestBlockingBehaviour:
         assert "boom" in str(errors[0])
 
     def test_aborted_transport_rejects_future_gets(self):
-        t = Transport()
+        t = ThreadTransport()
         t.abort(RuntimeError("dead"))
         with pytest.raises(DeadlockError):
             t.get("anything")
@@ -89,4 +89,4 @@ class TestBlockingBehaviour:
 class TestValidation:
     def test_rejects_nonpositive_timeout(self):
         with pytest.raises(ValueError):
-            Transport(timeout=0)
+            ThreadTransport(timeout=0)

@@ -14,13 +14,12 @@ import pytest
 from repro.config import RuntimeConfig
 from repro.faults import RetryPolicy
 from repro.mpi import DeadlineExceededError, SpmdError, shutdown_worker_pools
-from repro.mpi import process_transport
 from repro.mpi.backends import _recycle_idle_pools
 from tests.conftest import spmd
 
 
 def _collectives(comm, n):
-    """Windowed allreduce + bcast, big enough to want real segments."""
+    """Allreduce + bcast, big enough to want real segments."""
     data = np.arange(n, dtype=np.float64) * (comm.rank + 1)
     total = comm.allreduce(data)
     seed = total[:8] if comm.rank == 0 else None
@@ -44,8 +43,8 @@ def _slow_allreduce(comm):
 class TestBudgetDegradation:
     def test_tiny_budget_is_bit_identical_to_fast_path(self):
         fast = spmd(2, _collectives, 4096, backend="process")
-        # A warm pool's pre-budget segments (arena free lists, windows)
-        # are legitimately reused without new allocations; start cold so
+        # A warm pool's pre-budget segments (arena free lists) are
+        # legitimately reused without new allocations; start cold so
         # the constrained run has to allocate — and degrade.
         shutdown_worker_pools()
         lean = spmd(
@@ -59,18 +58,15 @@ class TestBudgetDegradation:
         report = lean.resources
         assert report is not None and report.degraded
         for event in report.degradations:
-            assert event.site in ("window", "arena")
-            assert event.kind in ("p2p", "pickle")
+            assert event.site == "arena"
+            assert event.kind == "pickle"
             assert event.nbytes > 0
         assert report.budget_bytes == 8192
         assert "degraded" in report.describe()
 
-    def test_arena_degradation_on_p2p_path(self, monkeypatch):
+    def test_arena_degradation_on_p2p_path(self):
         fast = spmd(3, _p2p_ring, 20_000, backend="process")
         shutdown_worker_pools()  # cold arenas: the lean run must allocate
-        # No windows (as on a weakly ordered host), so the only shm
-        # allocations left to degrade are the arena's.
-        monkeypatch.setattr(process_transport, "WINDOWS_ENABLED", False)
         lean = spmd(
             3,
             _p2p_ring,
@@ -78,7 +74,6 @@ class TestBudgetDegradation:
             backend="process",
             config=RuntimeConfig(shm_budget=4096),
         )
-        shutdown_worker_pools()  # no worker keeps the patched setting
         assert lean.values == fast.values
         report = lean.resources
         assert report.degraded
@@ -106,7 +101,7 @@ class TestBudgetDegradation:
 
 
 class TestFaultInjection:
-    def test_enospc_degrades_the_targeted_window(self):
+    def test_enospc_degrades_the_targeted_collective_segment(self):
         fast = spmd(2, _collectives, 4096, backend="process")
         shutdown_worker_pools()  # cold pool: the faulted run allocates
         hit = spmd(
@@ -114,13 +109,15 @@ class TestFaultInjection:
             _collectives,
             4096,
             backend="process",
-            faults="rank=0:site=window:kind=enospc:nth=1",
+            faults="rank=0:site=arena:kind=enospc:nth=1",
             config=RuntimeConfig(),  # no budget from the environment
         )
         assert hit.values == fast.values
         report = hit.resources
         assert report.degraded
-        assert any(e.site == "window" for e in report.degradations)
+        assert [(e.rank, e.site, e.kind) for e in report.degradations] == [
+            (0, "arena", "pickle")
+        ]
 
     def test_enospc_on_arena_site(self):
         fast = spmd(2, _p2p_ring, 20_000, backend="process")

@@ -7,7 +7,6 @@ import time
 import pytest
 
 from repro.config import RuntimeConfig, resolve_config
-from repro.mpi import process_transport
 from repro.mpi.errors import AdmissionError, DeadlineExceededError
 from repro.resources import (
     AdmissionController,
@@ -69,11 +68,11 @@ class TestGovernor:
         gov.gate("arena", 900)  # within budget: no raise
         gov.charge(900)
         with pytest.raises(BudgetExceededError) as exc_info:
-            gov.gate("window", 200)
+            gov.gate("arena", 200)
         exc = exc_info.value
         assert isinstance(exc, OSError)
         assert exc.errno == errno.ENOSPC
-        assert exc.purpose == "window" and exc.nbytes == 200
+        assert exc.purpose == "arena" and exc.nbytes == 200
         assert is_exhaustion(exc)
 
     def test_budget_exceeded_error_pickles(self):
@@ -99,10 +98,10 @@ class TestGovernor:
         gov = ResourceGovernor()
         gov.configure(budget=0)
         gov.charge(100)
-        gov.note_degradation("window", "p2p", 64, "why")
+        gov.note_degradation("arena", "pickle", 64, "why")
         gov.release(40)
         summary = gov.deconfigure()
-        assert summary["events"] == [("window", "p2p", 64, "why")]
+        assert summary["events"] == [("arena", "pickle", 64, "why")]
         assert summary["charged"] == 100
         assert summary["released"] == 40
         assert summary["live"] == 60
@@ -210,17 +209,10 @@ class TestAdmission:
         clone = pickle.loads(pickle.dumps(exc))
         assert clone.reason == "shm_budget"
 
-    def test_estimate_scales_with_world(self, monkeypatch):
-        monkeypatch.setattr(process_transport, "WINDOWS_ENABLED", True)
-        small = estimate_world_shm(2)
-        large = estimate_world_shm(16)
-        assert 0 < small < large
-        hinted = estimate_world_shm(2, payload_hint=1 << 20)
-        assert hinted > small
-        # Where the platform opens no windows only the arena buckets a
-        # payload hint asks for are left.
-        monkeypatch.setattr(process_transport, "WINDOWS_ENABLED", False)
-        assert estimate_world_shm(2) == 0
+    def test_estimate_scales_with_world(self):
+        # One arena bucket per rank: a page, or what the hint asks for.
+        assert estimate_world_shm(2) == 2 * 4096
+        assert estimate_world_shm(16) == 16 * 4096
         assert estimate_world_shm(2, payload_hint=1 << 20) == 2 << 20
 
 
@@ -229,7 +221,7 @@ class TestReport:
         report = ResourceReport.from_rank_summaries(
             {
                 0: {
-                    "events": [("window", "p2p", 64, "denied")],
+                    "events": [("arena", "pickle", 64, "denied")],
                     "live": 10,
                     "peak": 100,
                     "charged": 90,
@@ -247,7 +239,7 @@ class TestReport:
         )
         assert report.degraded
         (event,) = report.degradations
-        assert event == DegradationEvent(0, "window", "p2p", 64, "denied")
+        assert event == DegradationEvent(0, "arena", "pickle", 64, "denied")
         assert report.rank_live_bytes == {0: 10, -1: 5}
         assert report.charged_bytes == 140
         assert report.released_bytes == 125
