@@ -134,49 +134,6 @@ def test_launch_overhead_warm_pool_vs_fork(benchmark):
     assert speedup >= 5.0
 
 
-def test_admission_overhead(benchmark):
-    # Resource governance must be free when uncontended: an admitted
-    # launch with a (generous) budget configured pays only the admission
-    # bookkeeping over the plain warm-pool launch.
-    from repro.config import RuntimeConfig
-
-    p, rounds = 4, 10
-    shutdown_worker_pools()
-    governed = RuntimeConfig(shm_budget=1 << 30, max_worlds=8)
-
-    def sweep(config):
-        start = time.perf_counter()
-        for _ in range(rounds):
-            res = run_spmd(p, _noop_prog, backend="process", config=config)
-            assert res.values == list(range(p))
-        return (time.perf_counter() - start) / rounds, res
-
-    run_spmd(p, _noop_prog, backend="process")  # prime the pool once
-    plain, _ = sweep(None)
-    warm, res = benchmark.pedantic(
-        lambda: sweep(governed), rounds=1, iterations=1
-    )
-    shutdown_worker_pools()
-
-    overhead = warm - plain
-    wait = res.resources.admission_wait
-    table(
-        f"admission-control overhead, {p} ranks (mean of {rounds})",
-        ["mode", "sec/run"],
-        [["ungoverned", plain], ["budget + max_worlds", warm],
-         ["overhead", overhead]],
-    )
-    _record(
-        "admission",
-        {"ranks": p, "ungoverned": plain, "governed": warm,
-         "overhead": overhead, "admission_wait": wait},
-    )
-    # Negligible: the uncontended gate never queues and costs at most
-    # milliseconds against a launch that costs milliseconds itself.
-    assert wait < 0.05
-    assert overhead < max(0.005, 0.5 * plain)
-
-
 def test_allgather_process_vs_thread(benchmark):
     p, iters, n = 4, 8, 131_072  # 1 MiB per rank
     x = np.random.default_rng(0).standard_normal(n)

@@ -14,17 +14,15 @@ SPMD002   non-blocking request discarded or never waited on any path
           before running)
 SPMD003   blocking collective entered while non-blocking posts are
           outstanding (serializes the overlap region)
-SPMD004   bare ``except:`` around transport calls (swallows
-          DeadlockError/SpmdError poisoning, so sibling ranks hang)
 SPMD005   mutable default argument (list/dict/set/ndarray — shared
           across calls *and* across ranks on the thread backend)
 SPMD006   direct ``REPRO_*`` environment read outside
           :mod:`repro.config` (bypasses the one-shot config resolution
           at the ``run_spmd`` boundary; pooled workers never see it)
-SPMD007   shared-memory allocation outside the resources/transport
-          layers, or one guarded by an ``except OSError`` that does not
-          discriminate errno (bypasses the budget gate, or swallows the
-          ``ENOSPC``/``ENOMEM`` the degradation ladder must see)
+SPMD007   shared-memory allocation outside the transport layer, or one
+          guarded by an ``except OSError`` that does not discriminate
+          errno (bypasses the fault gate and accounting, or swallows
+          the ``ENOSPC``/``ENOMEM`` the degradation ladder must see)
 SPMD008   dtype-less NumPy allocation or literal conversion in the
           kernel/distributed layers (implicitly float64 — silently
           upcasts a float32 pipeline's buffers and doubles its wire
@@ -83,13 +81,6 @@ NB_COLLECTIVES = frozenset(
 #: still carries the wait obligation.
 NB_POSTS = NB_COLLECTIVES | frozenset({"isend", "irecv", "isendrecv"})
 
-#: Blocking point-to-point / transport-touching methods (for SPMD004).
-TRANSPORT_CALLS = (
-    BLOCKING_COLLECTIVES
-    | NB_POSTS
-    | frozenset({"send", "recv", "Send", "Recv", "sendrecv"})
-)
-
 #: Attribute / variable spellings that mean "this rank's identity".
 _RANK_NAMES = frozenset({"rank", "world_rank", "group_rank", "my_rank"})
 
@@ -111,10 +102,6 @@ RULES: dict[str, str] = {
         "blocking collective while non-blocking requests are outstanding "
         "— collapses the overlap region"
     ),
-    "SPMD004": (
-        "bare except around transport calls — swallows the poisoned-"
-        "transport errors that make sibling ranks fail fast"
-    ),
     "SPMD005": (
         "mutable default argument — shared across calls, and across "
         "ranks on the thread backend"
@@ -124,9 +111,9 @@ RULES: dict[str, str] = {
         "must resolve once at the run_spmd boundary, not mid-library"
     ),
     "SPMD007": (
-        "shm allocation outside the resources/transport layers, or "
-        "guarded by a non-errno-discriminating OSError handler — it "
-        "bypasses the budget gate or swallows ENOSPC/ENOMEM"
+        "shm allocation outside the transport layer, or guarded by a "
+        "non-errno-discriminating OSError handler — it bypasses the "
+        "fault gate and accounting or swallows ENOSPC/ENOMEM"
     ),
     "SPMD008": (
         "dtype-less NumPy allocation/conversion in kernel or distributed "
@@ -479,41 +466,6 @@ def _check_requests(tree: ast.AST, path: str) -> list[Finding]:
     return findings
 
 
-# -- SPMD004: bare except around transport calls -----------------------------
-
-
-def _check_bare_except(tree: ast.AST, path: str) -> list[Finding]:
-    findings = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Try):
-            continue
-        touched = sorted(
-            {
-                name
-                for call in _calls_in(node.body)
-                if (name := _method_name(call)) in TRANSPORT_CALLS
-            }
-        )
-        if not touched:
-            continue
-        for handler in node.handlers:
-            if handler.type is not None:
-                continue
-            findings.append(
-                Finding(
-                    path,
-                    handler.lineno,
-                    handler.col_offset,
-                    "SPMD004",
-                    f"bare 'except:' around transport call(s) "
-                    f"{', '.join(touched)} swallows DeadlockError/"
-                    f"poisoning, leaving sibling ranks hung; catch "
-                    f"specific exceptions",
-                )
-            )
-    return findings
-
-
 # -- SPMD005: mutable default arguments --------------------------------------
 
 
@@ -640,13 +592,12 @@ def _check_env_reads(tree: ast.AST, path: str) -> list[Finding]:
 # -- SPMD007: shm allocation sites and their error handling -------------------
 
 #: Layers allowed to allocate shared memory directly: the transport's
-#: choke points (``create_segment`` runs the budget gate), the resources
-#: package (the gate itself and the accounting boards) and the fault
-#: status board.  Everything else must allocate *through* them so every
-#: segment is gated, charged and crash-audited.
+#: choke point (``create_segment`` fires the ``arena`` fault site and
+#: charges the governor) and the fault status board.  Everything else
+#: must allocate *through* it so every segment is gated, charged and
+#: crash-audited.
 _SHM_ALLOC_EXEMPT = (
     "repro/mpi/process_transport",
-    "repro/resources/",
     "repro/faults/status",
 )
 
@@ -739,8 +690,8 @@ def _check_shm_alloc(tree: ast.AST, path: str) -> list[Finding]:
                     call.col_offset,
                     "SPMD007",
                     f"direct shm allocation '{name}' outside the "
-                    f"resources/transport layers bypasses the budget "
-                    f"gate and the crash audit; allocate through "
+                    f"transport layer bypasses the fault gate, the "
+                    f"accounting and the crash audit; allocate through "
                     f"repro.mpi.process_transport.create_segment",
                 )
             )
@@ -866,7 +817,6 @@ _CHECKS = {
     "SPMD001": _check_rank_branches,
     "SPMD002": _check_requests,
     "SPMD003": _check_requests,
-    "SPMD004": _check_bare_except,
     "SPMD005": _check_mutable_defaults,
     "SPMD006": _check_env_reads,
     "SPMD007": _check_shm_alloc,

@@ -92,42 +92,14 @@ def _parse_sanitize(raw: str) -> int:
         ) from None
 
 
-def _parse_int(env: str) -> Callable[[str], int]:
-    def parse(raw: str) -> int:
-        raw = raw.strip()
-        try:
-            return int(raw or "0")
-        except ValueError:
-            raise ValueError(
-                f"{env} must be an integer, got {raw!r}"
-            ) from None
-
-    return parse
-
-
-_SIZE_SUFFIXES = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30, "t": 1 << 40}
-
-
-def _parse_bytes(env: str) -> Callable[[str], int]:
-    """Byte-count parser accepting K/M/G/T suffixes (``"64M"`` = 64 MiB)."""
-
-    def parse(raw: str) -> int:
-        raw = raw.strip()
-        if not raw:
-            return 0
-        scale = 1
-        if raw[-1].lower() in _SIZE_SUFFIXES:
-            scale = _SIZE_SUFFIXES[raw[-1].lower()]
-            raw = raw[:-1]
-        try:
-            return int(float(raw) * scale)
-        except ValueError:
-            raise ValueError(
-                f"{env} must be a byte count (integer, optionally with a "
-                f"K/M/G/T suffix), got {raw!r}"
-            ) from None
-
-    return parse
+def _parse_retry(raw: str) -> int:
+    raw = raw.strip() or "1"
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(
+            f"REPRO_SPMD_RETRY must be an integer, got {raw!r}"
+        ) from None
 
 
 def _parse_deadline(raw: str) -> float:
@@ -165,7 +137,8 @@ class ConfigField:
 #: the values the environment switches have always fallen back to.
 CONFIG_FIELDS: tuple[ConfigField, ...] = (
     ConfigField(
-        "backend", "REPRO_SPMD_BACKEND", "thread", str, "executor",
+        "backend", "REPRO_SPMD_BACKEND", "thread",
+        lambda raw: raw.strip() or "thread", "executor",
         "executor backend: 'thread' or 'process'",
     ),
     ConfigField(
@@ -183,24 +156,12 @@ CONFIG_FIELDS: tuple[ConfigField, ...] = (
         "deterministic fault-injection spec string ('' = off)",
     ),
     ConfigField(
-        "retry", "REPRO_SPMD_RETRY", 1, _parse_int("REPRO_SPMD_RETRY"),
-        "executor",
+        "retry", "REPRO_SPMD_RETRY", 1, _parse_retry, "executor",
         "max launch attempts on retryable failures (1 = no retry)",
     ),
     ConfigField(
         "timeout", "REPRO_SPMD_TIMEOUT", 120.0, _parse_timeout, "runtime",
         "deadlock-detection timeout for blocking receives, seconds",
-    ),
-    ConfigField(
-        "shm_budget", "REPRO_SHM_BUDGET", 0,
-        _parse_bytes("REPRO_SHM_BUDGET"), "resources",
-        "total /dev/shm byte budget across live worlds (0 = unlimited); "
-        "over-budget allocations degrade to p2p/pickle paths",
-    ),
-    ConfigField(
-        "max_worlds", "REPRO_MAX_WORLDS", 0,
-        _parse_int("REPRO_MAX_WORLDS"), "resources",
-        "max concurrent SPMD worlds admitted (0 = unlimited)",
     ),
     ConfigField(
         "deadline", "REPRO_DEADLINE", 0.0, _parse_deadline, "resources",
@@ -229,8 +190,6 @@ class RuntimeConfig:
     faults: str = ""
     retry: int = 1
     timeout: float = 120.0
-    shm_budget: int = 0
-    max_worlds: int = 0
     deadline: float = 0.0
 
     def __post_init__(self) -> None:
@@ -243,8 +202,6 @@ class RuntimeConfig:
         object.__setattr__(self, "faults", str(self.faults))
         object.__setattr__(self, "retry", int(self.retry))
         object.__setattr__(self, "timeout", float(self.timeout))
-        object.__setattr__(self, "shm_budget", int(self.shm_budget))
-        object.__setattr__(self, "max_worlds", int(self.max_worlds))
         object.__setattr__(self, "deadline", float(self.deadline))
         if self.compute_dtype not in _COMPUTE_DTYPES:
             raise ValueError(
@@ -260,14 +217,6 @@ class RuntimeConfig:
             raise ValueError(f"retry must be >= 1, got {self.retry}")
         if self.timeout <= 0:
             raise ValueError(f"timeout must be positive, got {self.timeout}")
-        if self.shm_budget < 0:
-            raise ValueError(
-                f"shm_budget must be non-negative, got {self.shm_budget}"
-            )
-        if self.max_worlds < 0:
-            raise ValueError(
-                f"max_worlds must be non-negative, got {self.max_worlds}"
-            )
         if self.deadline < 0:
             raise ValueError(
                 f"deadline must be non-negative, got {self.deadline}"

@@ -14,6 +14,9 @@ hands receivers read-only zero-copy :class:`ShmArrayView`\\ s (see
 :mod:`repro.mpi.process_transport`).  Every collective, on either
 backend, is one exchange round over the transport's mailboxes: each
 member sends one message to each peer.
+The only shared-memory limit is the size of ``/dev/shm``: an allocation
+it refuses degrades to the pickle route and is recorded on the run's
+:class:`ResourceReport` (see :mod:`repro.resources`).
 
 Public surface:
 
@@ -61,14 +64,8 @@ from repro.mpi.process_transport import (
 from repro.mpi.reduce_ops import MAX, MIN, PROD, SUM, ReduceOp
 from repro.mpi.transport import ThreadTransport, TransportBase
 from repro.analysis.sanitizer import SANITIZE_ENV_VAR, Sanitizer
-from repro.resources import (
-    BudgetExceededError,
-    DegradationEvent,
-    ResourceReport,
-    estimate_world_shm,
-)
+from repro.resources import DegradationEvent, ResourceReport
 from repro.mpi.errors import (
-    AdmissionError,
     BufferMismatchError,
     CollectiveMismatchError,
     CommunicatorError,
@@ -119,12 +116,9 @@ __all__ = [
     "Sanitizer",
     "ResourceReport",
     "DegradationEvent",
-    "estimate_world_shm",
     "MpiError",
     "DeadlockError",
     "DeadlineExceededError",
-    "AdmissionError",
-    "BudgetExceededError",
     "RankDeadError",
     "FaultInjectedError",
     "BufferMismatchError",

@@ -89,11 +89,7 @@ from repro.faults import FaultInjector, FaultSpec, StatusBoard, describe_exitcod
 from repro.mpi.comm import Communicator
 from repro.mpi.errors import DeadlockError, RankDeadError, SpmdError
 from repro.mpi.ledger import CostLedger
-from repro.resources import (
-    ResourceBoard,
-    ResourceReport,
-    admission_controller,
-)
+from repro.resources import ResourceReport
 from repro.mpi.process_transport import (
     ProcessTransport,
     decode_borrowed,
@@ -141,9 +137,8 @@ class SpmdResult:
     """Return values of all ranks plus the run's cost ledger.
 
     ``resources`` is the run's :class:`~repro.resources.ResourceReport`
-    (degradation events, byte totals, admission wait); backends fold the
-    per-rank governor summaries into it, and ``run_spmd`` fills in the
-    admission-control fields.
+    (degradation events, byte totals): backends fold the per-rank
+    governor summaries into it.
     """
 
     values: list[Any]
@@ -425,8 +420,6 @@ def _run_one_rank(
         spec: FaultSpec | None = topts.pop("faults", None)
         attempt: int = topts.pop("attempt", 1)
         board_name: str | None = topts.pop("status", None)
-        rboard_name: str | None = topts.pop("rboard", None)
-        shm_budget: int = topts.pop("shm_budget", 0)
         injector = (
             FaultInjector(spec, rank, attempt, hard_crash=True)
             if spec is not None
@@ -438,16 +431,8 @@ def _run_one_rank(
                 board = StatusBoard.attach(board_name, n_ranks)
             except FileNotFoundError:  # pragma: no cover - board already audited
                 board = None
-        rboard = None
-        if rboard_name is not None:
-            try:
-                rboard = ResourceBoard.attach(rboard_name, n_ranks + 1)
-            except FileNotFoundError:  # pragma: no cover - board already audited
-                rboard = None
         gov = resources_mod.governor()
-        gov.configure(
-            budget=shm_budget, board=rboard, slot=rank, faults=injector
-        )
+        gov.configure(faults=injector)
         try:
             transport = ProcessTransport(
                 rank, inboxes, abort_event, timeout=timeout, run_seq=run_seq,
@@ -497,8 +482,6 @@ def _run_one_rank(
                     value, failure = None, exc
         finally:
             rsummary = gov.deconfigure()
-            if rboard is not None:
-                rboard.close()
         return value, failure, costs, rsummary
     finally:
         resources_mod.set_active_deadline(previous_deadline)
@@ -648,8 +631,6 @@ class _RankPool:
         self.run_seq = 0
         self.broken = False
         self.needs_recycle = False
-        self.busy = False
-        self.last_used = time.monotonic()
         self.inboxes = [self._ctx.Queue() for _ in range(n_ranks)]
         self.task_queues = [self._ctx.Queue() for _ in range(n_ranks)]
         # One result queue per rank (see _drain_ready_reports): a shared
@@ -661,12 +642,6 @@ class _RankPool:
         # collective, the parent's exit monitor records deaths on it so
         # survivors raise RankDeadError instead of deadlock-timing out.
         self.board = StatusBoard.create(n_ranks)
-        # Shared live-byte ledger: rank slots plus one parent slot, so
-        # the shm budget is enforced world-wide.  Registered with the
-        # admission controller so warm-pool free lists count against the
-        # budget between runs (and can be recycled back under pressure).
-        self.rboard = ResourceBoard.create(n_ranks + 1)
-        admission_controller().register_usage_source(self.rboard.ranks_live)
         self.procs = [self._spawn(rank) for rank in range(n_ranks)]
 
     def _spawn(self, rank: int):
@@ -723,11 +698,7 @@ class _RankPool:
         segments: list = []
         self.run_seq += 1
         self.board.reset()
-        topts = dict(
-            transport_opts or {},
-            status=self.board.name,
-            rboard=self.rboard.name,
-        )
+        topts = dict(transport_opts or {}, status=self.board.name)
         try:
             # Workers map these privately (decode_borrowed).
             common = (fn, args, machine, timeout)
@@ -876,39 +847,10 @@ class _RankPool:
                 pass
         self.board.close()
         self.board.unlink()
-        admission_controller().unregister_usage_source(self.rboard.ranks_live)
-        self.rboard.close()
-        self.rboard.unlink()
 
 
 _POOLS: dict[int, _RankPool] = {}
 _POOLS_LOCK = threading.Lock()
-
-
-def _recycle_idle_pools(needed: int) -> int:
-    """Admission recycler: shut down idle warm pools, LRU-first.
-
-    Returns the live bytes handed back to the budget.  Only pools with
-    no active run are eligible; each shutdown releases the pool's arena
-    free lists and boards.
-    """
-    freed = 0
-    while freed < needed:
-        with _POOLS_LOCK:
-            idle = [p for p in _POOLS.values() if not p.busy]
-            if not idle:
-                break
-            pool = min(idle, key=lambda p: p.last_used)
-            _POOLS.pop(pool.n_ranks, None)
-        worker_pids = [p.pid for p in pool.procs]
-        freed += pool.rboard.ranks_live()
-        pool.reclaim_staged()
-        pool.shutdown()
-        reap_stale_segments(worker_pids)
-    return freed
-
-
-admission_controller().register_recycler(_recycle_idle_pools)
 
 
 def shutdown_worker_pools() -> None:
@@ -999,22 +941,18 @@ class ProcessBackend(ExecutorBackend):
         # attempt) ride the per-run dispatch (never the environment:
         # warm pool workers were forked long ago and would not see an
         # env change).
-        shm_budget = config.shm_budget if config is not None else 0
         transport_opts = dict(
-            sanitize=sanitize, faults=faults,
-            attempt=attempt, config=config, shm_budget=shm_budget,
+            sanitize=sanitize, faults=faults, attempt=attempt, config=config,
             # The run deadline (installed by the executor) ships as an
             # absolute monotonic timestamp: fork children share the
             # parent's clock, so every rank counts down the same budget.
             deadline=resources_mod.active_deadline(),
         )
         pool = _get_pool(n_ranks)
-        pool.busy = True
-        # The parent stages dispatch payloads through its arena: govern
-        # those allocations against the same world budget, mirrored onto
-        # the pool's board at the parent slot.
+        # The parent stages dispatch payloads through its arena: account
+        # those allocations as the run's parent-side (-1) summary.
         gov = resources_mod.governor()
-        gov.configure(budget=shm_budget, board=pool.rboard, slot=n_ranks)
+        gov.configure()
         try:
             run_seq = pool.dispatch(
                 fn, args, rank_args, machine, timeout,
@@ -1028,8 +966,6 @@ class ProcessBackend(ExecutorBackend):
                 # newer than the (now retired) pool; fork inherits it.
         finally:
             gov.deconfigure()
-            pool.busy = False
-            pool.last_used = time.monotonic()
         return self._run_forked(
             n_ranks, fn, args, machine, timeout, rank_args, transport_opts
         )
@@ -1175,8 +1111,7 @@ class ProcessBackend(ExecutorBackend):
         result_queues = [ctx.Queue() for _ in range(n_ranks)]
         abort_event = ctx.Event()
         board = StatusBoard.create(n_ranks)
-        rboard = ResourceBoard.create(n_ranks + 1)
-        topts = dict(transport_opts, status=board.name, rboard=rboard.name)
+        topts = dict(transport_opts, status=board.name)
         procs = [
             ctx.Process(
                 target=_process_worker,
@@ -1198,12 +1133,10 @@ class ProcessBackend(ExecutorBackend):
             )
             for rank in range(n_ranks)
         ]
-        # Govern the parent side (drained payload releases) against the
-        # same world budget the forked ranks see, at the parent slot.
+        # Account the parent side (drained payload releases) as the
+        # run's parent-side (-1) summary.
         gov = resources_mod.governor()
-        gov.configure(
-            budget=topts.get("shm_budget", 0), board=rboard, slot=n_ranks
-        )
+        gov.configure()
         try:
             return self._collect_forked(
                 n_ranks, machine, procs, inboxes, result_queues, abort_event,
@@ -1213,8 +1146,6 @@ class ProcessBackend(ExecutorBackend):
             gov.deconfigure()
             board.close()
             board.unlink()
-            rboard.close()
-            rboard.unlink()
 
     def _collect_forked(
         self,

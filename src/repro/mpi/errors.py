@@ -1,4 +1,9 @@
-"""Exception hierarchy for the simulated MPI runtime."""
+"""Exception hierarchy for the simulated MPI runtime.
+
+A full ``/dev/shm`` is not among them: an allocation it refuses degrades
+to the pickle route (see :mod:`repro.resources`) instead of failing the
+run.
+"""
 
 from __future__ import annotations
 
@@ -58,25 +63,6 @@ class DeadlineExceededError(MpiError):
     monotonic timestamp shared by every retry attempt, so a relaunched
     attempt only gets the remaining budget.
     """
-
-
-class AdmissionError(MpiError):
-    """A launch was refused by admission control.
-
-    Raised at the ``run_spmd`` boundary — before any rank starts — when
-    the world cannot be admitted within the configured budget after
-    bounded backoff.  ``reason`` is machine-readable: ``"max_worlds"``
-    (too many concurrent worlds, ``REPRO_MAX_WORLDS``) or
-    ``"shm_budget"`` (the estimated footprint cannot fit the live
-    ``REPRO_SHM_BUDGET`` even after recycling idle pools).
-    """
-
-    def __init__(self, message: str, reason: str):
-        super().__init__(message)
-        self.reason = reason
-
-    def __reduce__(self):
-        return (type(self), (self.args[0], self.reason))
 
 
 class FaultInjectedError(MpiError):

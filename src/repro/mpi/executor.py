@@ -80,7 +80,6 @@ def run_spmd(
     retry: RetryPolicy | None = None,
     config: RuntimeConfig | None = None,
     deadline: float | None = None,
-    shm_estimate: int | None = None,
 ) -> SpmdResult:
     """Execute ``fn(comm, *args)`` on ``n_ranks`` simulated MPI ranks.
 
@@ -142,16 +141,6 @@ def run_spmd(
         :class:`~repro.mpi.errors.DeadlineExceededError` — naming the
         operation it was in — within seconds of expiry, with
         ``/dev/shm`` left clean.
-    shm_estimate:
-        Optional up-front shared-memory footprint estimate (bytes) for
-        admission control, for drivers that can model their launch
-        better than the default
-        :func:`repro.resources.estimate_world_shm` geometry.  With
-        ``REPRO_SHM_BUDGET`` / ``REPRO_MAX_WORLDS`` configured,
-        over-budget launches wait briefly for running worlds to finish
-        (idle warm pools are recycled LRU-first), then raise
-        :class:`~repro.mpi.errors.AdmissionError`; the sole world is
-        always admitted and degrades per allocation instead.
 
     Returns
     -------
@@ -190,17 +179,6 @@ def run_spmd(
         executor = backend
     else:
         executor = resolve_backend(cfg.backend)
-    # Admission control: one gate per launch, before any rank starts.
-    # The footprint estimate is reconciled against actual allocations by
-    # the controller's registered usage sources; AdmissionError (after a
-    # bounded wait) is raised here, never mid-run.
-    estimate = (
-        int(shm_estimate)
-        if shm_estimate is not None
-        else resources.estimate_world_shm(n_ranks)
-    )
-    controller = resources.admission_controller()
-    ticket, admission_wait = controller.admit(n_ranks, estimate, cfg)
     # The deadline is an *absolute* timestamp fixed before attempt 1, so
     # a retried attempt inherits only the remaining budget.
     deadline_info = (
@@ -214,7 +192,7 @@ def run_spmd(
         attempt = 1
         while True:
             try:
-                result = executor.run(
+                return executor.run(
                     n_ranks,
                     fn,
                     args,
@@ -226,11 +204,6 @@ def run_spmd(
                     attempt=attempt,
                     config=cfg,
                 )
-                if result.resources is not None:
-                    result.resources.admission_wait = admission_wait
-                    result.resources.estimate_bytes = estimate
-                    result.resources.budget_bytes = cfg.shm_budget
-                return result
             except SpmdError as exc:
                 if retry is None or not retry.should_retry(exc, attempt):
                     raise
@@ -242,4 +215,3 @@ def run_spmd(
     finally:
         resources.set_active_deadline(previous_deadline)
         set_active_config(previous)
-        controller.release(ticket)

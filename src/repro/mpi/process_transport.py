@@ -93,17 +93,14 @@ def create_segment(nbytes: int, purpose: str = "segment"):
     """A fresh shared segment of at least ``nbytes``.
 
     The resource governor gates every creation first: the ``purpose``
-    site (``"arena"``, ...) fires any injected resource faults, and a
-    configured ``REPRO_SHM_BUDGET`` denies the request with
-    :class:`~repro.resources.BudgetExceededError` (an ``errno.ENOSPC``
-    ``OSError``) *before* touching ``/dev/shm`` — the caller's
-    degradation handler routes either denial or a real tmpfs ``ENOSPC``
-    to the pickle path.  Successful creations are charged
-    to the governor by their actual (page-rounded) size and released on
-    unlink.
+    site (``"arena"``, ...) fires any injected resource fault, so an
+    injected ``ENOSPC`` and a real full tmpfs reach the caller's
+    degradation handler the same way, and both route to the pickle
+    path.  Successful creations are charged to the governor by their
+    actual (page-rounded) size and released on unlink.
     """
     gov = resources.governor()
-    gov.gate(purpose, nbytes)
+    gov.gate(purpose)
     for _ in range(3):
         name = f"{_SHM_PREFIX}{os.getpid()}_{secrets.token_hex(8)}"
         try:
@@ -252,8 +249,8 @@ def _close_and_unlink(shm: shared_memory.SharedMemory) -> None:
     except FileNotFoundError:  # pragma: no cover - already reclaimed
         return  # whoever unlinked it released its bytes
     # Release by the unlinker, not the creator: ownership of a segment is
-    # transferable between a world's processes, and the resource board
-    # sums per-process ledgers, so the world total nets out correctly.
+    # transferable between a world's processes, so a per-process ledger
+    # can go negative while the sum over the world nets out correctly.
     resources.governor().release(nbytes)
 
 
@@ -387,8 +384,8 @@ def encode_payload(
     receiver.
 
     Degrades gracefully under exhaustion: when the segment cannot be
-    created — tmpfs ``ENOSPC``/``ENOMEM``, a budget denial, or an
-    injected ``enospc`` fault at the ``arena`` site — the array is left
+    created — tmpfs ``ENOSPC``/``ENOMEM`` or an injected ``enospc``
+    fault at the ``arena`` site — the array is left
     in place so it rides the pickle stream instead, bit-identically; the
     fallback is recorded on the resource governor.  Any other ``OSError``
     still propagates.

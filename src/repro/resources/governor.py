@@ -1,4 +1,4 @@
-"""Per-process resource governor: budget gate, accounting, deadline.
+"""Per-process resource governor: fault gate, accounting, deadline.
 
 Every process that touches ``/dev/shm`` — the parent (staging arena) and
 each rank — owns exactly one :class:`ResourceGovernor` for its lifetime
@@ -6,24 +6,18 @@ each rank — owns exactly one :class:`ResourceGovernor` for its lifetime
 into it:
 
 * :meth:`ResourceGovernor.gate` runs *before* a segment is created: it
-  fires the resource fault sites (``enospc``/``stall`` clauses with
-  ``site=arena``) and raises
-  :class:`BudgetExceededError` — an ``OSError`` with ``errno.ENOSPC`` —
-  when the world's live bytes plus the request would exceed the budget,
-  so a budget denial flows through exactly the same errno-discriminating
-  handlers as a real tmpfs ``ENOSPC``.
-* :meth:`charge` / :meth:`release` keep the live-byte ledger, mirrored
-  onto the world's shared :class:`~repro.resources.board.ResourceBoard`
-  while one is configured (so the budget is enforced world-wide, not
-  per process).
+  fires the resource fault site (``enospc``/``stall`` clauses with
+  ``site=arena``), so an injected ``ENOSPC`` flows through exactly the
+  same errno-discriminating handlers as a real full tmpfs.
+* :meth:`charge` / :meth:`release` keep this process's live-byte ledger.
 * :meth:`note_degradation` records each allocation that fell back to
   the pickle path; the per-run summaries become the
   :class:`~repro.resources.report.ResourceReport`.
 
-The run-scoped state (board attachment, budget, fault injector, event
-list) is installed with :meth:`configure` at rank entry and removed with
-:meth:`deconfigure` at exit; the byte counters survive across runs
-because arena free lists do too.
+The run-scoped state (fault injector, event list, the run's byte
+totals and peak) is installed with :meth:`configure` at rank entry and
+removed with :meth:`deconfigure` at exit; the live-byte counter
+survives across runs because arena free lists do too.
 
 This module also owns the cooperative deadline:
 :func:`set_active_deadline` installs an absolute ``time.monotonic``
@@ -44,33 +38,6 @@ from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector
-    from repro.resources.board import ResourceBoard
-
-
-class BudgetExceededError(OSError):
-    """A shm allocation was denied by the resource budget.
-
-    Subclasses ``OSError`` with ``errno.ENOSPC`` so budget denials and
-    real tmpfs exhaustion take the same degradation path; carries the
-    machine-readable fields for reports and tests.
-    """
-
-    def __init__(self, purpose: str, nbytes: int, budget: int, usage: int):
-        super().__init__(
-            errno.ENOSPC,
-            f"shm budget denied {purpose} allocation of {nbytes} B "
-            f"(live {usage} B of {budget} B budget)",
-        )
-        self.purpose = purpose
-        self.nbytes = nbytes
-        self.budget = budget
-        self.usage = usage
-
-    def __reduce__(self):
-        return (
-            type(self),
-            (self.purpose, self.nbytes, self.budget, self.usage),
-        )
 
 
 #: errno values that mean "resources exhausted" — the only failures the
@@ -86,89 +53,57 @@ def is_exhaustion(exc: BaseException) -> bool:
 
 
 class ResourceGovernor:
-    """Budget gate + live-byte ledger for one process."""
+    """Fault gate + live-byte ledger for one process."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        # Lifetime counters (survive across runs, like the arena).
+        # Survives across runs, like the arena's free lists.
         self.live_bytes = 0
-        self.peak_bytes = 0
         # Run-scoped state.
-        self.budget = 0
-        self._board: "ResourceBoard | None" = None
-        self._slot = 0
         self._faults: "FaultInjector | None" = None
         self._events: list[tuple[str, str, int, str]] = []
         self._run_charged = 0
         self._run_released = 0
-        self._run_peak_base = 0
+        self._run_base = 0
+        self._run_peak = 0
 
     # -- run lifecycle -------------------------------------------------
 
-    def configure(
-        self,
-        budget: int = 0,
-        board: "ResourceBoard | None" = None,
-        slot: int = 0,
-        faults: "FaultInjector | None" = None,
-    ) -> None:
-        """Install the run-scoped budget/board/faults and reset the
-        per-run summary counters."""
+    def configure(self, faults: "FaultInjector | None" = None) -> None:
+        """Install the run's fault injector and reset the per-run
+        summary counters; the run's peak is measured from here."""
         with self._lock:
-            self.budget = int(budget)
-            self._board = board
-            self._slot = slot
             self._faults = faults
             self._events = []
             self._run_charged = 0
             self._run_released = 0
-            self._run_peak_base = self.live_bytes
+            self._run_base = self._run_peak = self.live_bytes
 
     def deconfigure(self) -> dict[str, Any]:
         """Remove run-scoped state; returns the run's picklable summary."""
         summary = self.summary()
         with self._lock:
-            self.budget = 0
-            self._board = None
             self._faults = None
         return summary
 
     # -- allocation path ----------------------------------------------
 
-    def usage(self) -> int:
-        """Live shm bytes counted against the budget: world-wide when a
-        board is configured, else this process alone."""
-        board = self._board
-        if board is not None:
-            return board.total()
-        return max(0, self.live_bytes)
-
-    def gate(self, purpose: str, nbytes: int) -> None:
-        """Pre-allocation check: fire resource fault sites, then deny
-        the request if it would blow the budget."""
+    def gate(self, purpose: str) -> None:
+        """Pre-allocation check: fire the ``purpose`` fault site."""
         faults = self._faults
         if faults is not None:
             faults.fire(purpose)
-        budget = self.budget
-        if budget and self.usage() + nbytes > budget:
-            raise BudgetExceededError(purpose, nbytes, budget, self.usage())
 
     def charge(self, nbytes: int) -> None:
         with self._lock:
             self.live_bytes += nbytes
-            self.peak_bytes = max(self.peak_bytes, self.live_bytes)
+            self._run_peak = max(self._run_peak, self.live_bytes)
             self._run_charged += nbytes
-            board = self._board
-        if board is not None:
-            board.add(self._slot, nbytes)
 
     def release(self, nbytes: int) -> None:
         with self._lock:
             self.live_bytes -= nbytes
             self._run_released += nbytes
-            board = self._board
-        if board is not None:
-            board.add(self._slot, -nbytes)
 
     def note_degradation(
         self, site: str, kind: str, nbytes: int, detail: str = ""
@@ -176,9 +111,6 @@ class ResourceGovernor:
         """Record one allocation that fell back to the pickle path."""
         with self._lock:
             self._events.append((site, kind, int(nbytes), detail))
-            board = self._board
-        if board is not None:
-            board.note_degradation(self._slot)
 
     def summary(self) -> dict[str, Any]:
         """Picklable per-run summary for the report channel."""
@@ -186,7 +118,7 @@ class ResourceGovernor:
             return {
                 "events": list(self._events),
                 "live": max(0, self.live_bytes),
-                "peak": max(0, self.peak_bytes - self._run_peak_base),
+                "peak": max(0, self._run_peak - self._run_base),
                 "charged": self._run_charged,
                 "released": self._run_released,
             }

@@ -18,8 +18,8 @@ class DegradationEvent:
 
     ``site`` names the allocation purpose (``"arena"``), ``kind`` the
     fallback route taken (``"pickle"``), ``nbytes`` the allocation that
-    was refused, and ``detail`` the cause — a budget denial or a real
-    ``ENOSPC``/``ENOMEM``, indistinguishable by design.
+    was refused, and ``detail`` the cause — a real ``ENOSPC``/``ENOMEM``
+    or an injected one, indistinguishable by design.
     """
 
     rank: int
@@ -43,8 +43,8 @@ class ResourceReport:
     ``degradations`` lists every shared-memory allocation that fell back
     to the pickle path (results are bit-identical either way — the
     report is how callers observe that the fast path was constrained).
-    Byte totals aggregate the per-rank governors; ``admission_wait`` is
-    the time the launch spent queued at admission control.
+    Byte totals aggregate the per-rank governors; ``peak_bytes`` sums
+    each process's peak live bytes above where its run started.
     """
 
     degradations: list[DegradationEvent] = field(default_factory=list)
@@ -54,9 +54,6 @@ class ResourceReport:
     peak_bytes: int = 0
     charged_bytes: int = 0
     released_bytes: int = 0
-    admission_wait: float = 0.0
-    estimate_bytes: int = 0
-    budget_bytes: int = 0
 
     @property
     def degraded(self) -> bool:
@@ -84,10 +81,7 @@ class ResourceReport:
     def describe(self) -> str:
         lines = [
             f"shm charged {self.charged_bytes} B / released "
-            f"{self.released_bytes} B (peak ~{self.peak_bytes} B, budget "
-            f"{self.budget_bytes or 'unlimited'}, estimate "
-            f"{self.estimate_bytes} B, admission wait "
-            f"{self.admission_wait * 1e3:.1f} ms)"
+            f"{self.released_bytes} B (peak ~{self.peak_bytes} B)"
         ]
         if not self.degradations:
             lines.append("no degradations: every allocation stayed on shm")

@@ -7,7 +7,7 @@ from repro.mpi.process_transport import create_segment
 
 
 def direct_shared_memory(nbytes):
-    # Allocating outside the transport bypasses the budget gate and the
+    # Allocating outside the transport bypasses the fault gate and the
     # crash audit's pid-prefixed naming.
     return shared_memory.SharedMemory(create=True, size=nbytes)
 

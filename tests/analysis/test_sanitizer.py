@@ -18,6 +18,7 @@ from repro.analysis.sanitizer import (
     sanitize_level,
 )
 from repro.mpi import SUM, SpmdError, run_spmd
+from tests.backend_param import spmd_backend  # noqa: F401 - both backends
 from tests.conftest import spmd
 
 

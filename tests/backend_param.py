@@ -1,12 +1,11 @@
 """Shared ``spmd_backend`` fixture: run a test package under every backend.
 
 Imported by the ``conftest.py`` of each package whose tests should execute
-under both executor backends (``tests/mpi``, ``tests/distributed``).  The
+under both executor backends (``tests/mpi``, ``tests/distributed``,
+``tests/faults``), or by a single test module (``test_sanitizer.py``).  The
 backend is selected through the ``REPRO_SPMD_BACKEND`` environment
 variable, which ``run_spmd`` consults whenever no explicit ``backend=`` is
 passed — exactly how a user would flip backends without touching code.
-Tests that exercise thread-specific machinery can opt out with
-``@pytest.mark.thread_only``.
 """
 
 from __future__ import annotations
@@ -19,7 +18,5 @@ from repro.mpi import BACKEND_ENV_VAR, available_backends
 @pytest.fixture(params=sorted(available_backends()), autouse=True)
 def spmd_backend(request, monkeypatch):
     backend = request.param
-    if backend != "thread" and request.node.get_closest_marker("thread_only"):
-        pytest.skip("thread-backend-only test")
     monkeypatch.setenv(BACKEND_ENV_VAR, backend)
     return backend

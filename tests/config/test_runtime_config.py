@@ -55,16 +55,16 @@ class TestDefaults:
 
 class TestPrecedence:
     def test_env_beats_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_BUDGET", "1M")
+        monkeypatch.setenv("REPRO_DEADLINE", "2.5")
         monkeypatch.setenv("REPRO_DTYPE", "float32")
         cfg = resolve_config()
-        assert cfg.shm_budget == 1 << 20
+        assert cfg.deadline == 2.5
         assert cfg.compute_dtype == "float32"
 
     def test_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_BUDGET", "1M")
-        cfg = resolve_config(RuntimeConfig(shm_budget=0))
-        assert cfg.shm_budget == 0
+        monkeypatch.setenv("REPRO_DEADLINE", "2.5")
+        cfg = resolve_config(RuntimeConfig(deadline=0.0))
+        assert cfg.deadline == 0.0
 
     def test_kwarg_beats_config(self):
         cfg = resolve_config(RuntimeConfig(sanitize=1), sanitize=0)
@@ -91,12 +91,29 @@ class TestPrecedence:
 
 class TestEnvDefault:
     def test_parses_each_field_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MAX_WORLDS", "128")
+        monkeypatch.setenv("REPRO_SPMD_RETRY", "3")
         monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "7.5")
-        monkeypatch.setenv("REPRO_SHM_BUDGET", "64K")
-        assert env_default("max_worlds") == 128
+        monkeypatch.setenv("REPRO_DEADLINE", "64")
+        assert env_default("retry") == 3
         assert env_default("timeout") == 7.5
-        assert env_default("shm_budget") == 64 << 10
+        assert env_default("deadline") == 64.0
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "backend", "compute_dtype", "sanitize", "faults", "retry",
+            "timeout", "deadline",
+        ],
+    )
+    def test_empty_value_reads_as_default(self, name, monkeypatch):
+        field = next(f for f in CONFIG_FIELDS if f.name == name)
+        monkeypatch.setenv(field.env, "")
+        assert env_default(name) == field.default
+
+    def test_empty_retry_still_launches(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SPMD_RETRY", "")
+        assert resolve_config().retry == 1
+        assert list(spmd(2, lambda comm: comm.rank)) == [0, 1]
 
     def test_historical_error_messages(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "nope")
@@ -113,6 +130,9 @@ class TestEnvDefault:
         monkeypatch.setenv("REPRO_DTYPE", "float16")
         with pytest.raises(ValueError, match="unknown REPRO_DTYPE"):
             env_default("compute_dtype")
+        monkeypatch.setenv("REPRO_SPMD_RETRY", "twice")
+        with pytest.raises(ValueError, match="REPRO_SPMD_RETRY"):
+            env_default("retry")
 
 
 class TestValidation:
@@ -123,7 +143,7 @@ class TestValidation:
             ({"sanitize": 2}, "sanitize level"),
             ({"retry": 0}, "retry"),
             ({"timeout": 0.0}, "timeout"),
-            ({"shm_budget": -1}, "shm_budget"),
+            ({"deadline": -0.1}, "deadline"),
         ],
     )
     def test_bad_values_rejected(self, changes, match):
@@ -138,7 +158,7 @@ class TestValidation:
 class TestSerialization:
     def test_json_round_trip(self):
         cfg = RuntimeConfig(
-            backend="process", compute_dtype="mixed", shm_budget=64,
+            backend="process", compute_dtype="mixed", retry=3,
             sanitize=1, faults="crash:rank=1:call=3", timeout=5.0,
         )
         assert RuntimeConfig.from_json(cfg.to_json()) == cfg
@@ -163,6 +183,8 @@ class TestSerialization:
             ("windows", True),
             ("window_slot", 0),
             ("hugepages", "auto"),
+            ("shm_budget", 0),
+            ("max_worlds", 0),
         ],
     )
     def test_retired_knob_in_persisted_json_is_rejected(self, retired, value):
@@ -176,7 +198,7 @@ class TestSerialization:
         ):
             RuntimeConfig.from_json(json.dumps(stale))
         assert retired not in {f.name for f in CONFIG_FIELDS}
-        assert len(CONFIG_FIELDS) == 9
+        assert len(CONFIG_FIELDS) == 7
 
     @pytest.mark.parametrize(
         "env_var, value",
@@ -189,6 +211,8 @@ class TestSerialization:
             ("REPRO_SPMD_WINDOWS", "0"),
             ("REPRO_SPMD_WINDOW_SLOT", "131072"),
             ("REPRO_SPMD_HUGEPAGES", "not-a-mode"),
+            ("REPRO_SHM_BUDGET", "1M"),
+            ("REPRO_MAX_WORLDS", "2"),
         ],
     )
     def test_retired_env_var_is_not_consulted(self, env_var, value, monkeypatch):
@@ -211,7 +235,7 @@ class TestSerialization:
     def test_to_env_reproduces_the_config(self, monkeypatch):
         cfg = RuntimeConfig(
             backend="process", compute_dtype="mixed", sanitize=1,
-            timeout=30.0, shm_budget=4096, deadline=2.5,
+            timeout=30.0, retry=2, deadline=2.5,
         )
         for env, raw in cfg.to_env().items():
             monkeypatch.setenv(env, raw)
@@ -237,18 +261,18 @@ class TestActiveConfigDispatch:
         assert active_config() is None
 
     def test_default_for_falls_back_to_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MAX_WORLDS", "256")
-        assert default_for("max_worlds") == 256
+        monkeypatch.setenv("REPRO_SPMD_RETRY", "4")
+        assert default_for("retry") == 4
 
     def test_run_spmd_installs_config_in_ranks(self):
-        cfg = RuntimeConfig(shm_budget=1 << 20, compute_dtype="mixed",
+        cfg = RuntimeConfig(deadline=60.0, compute_dtype="mixed",
                             timeout=20.0)
 
         def prog(comm):
-            return default_for("shm_budget"), default_for("compute_dtype")
+            return default_for("deadline"), default_for("compute_dtype")
 
         results = run_spmd(2, prog, config=cfg)
-        assert list(results) == [(1 << 20, "mixed")] * 2
+        assert list(results) == [(60.0, "mixed")] * 2
         # The installation is scoped to the run.
         assert active_config() is None
 

@@ -21,6 +21,14 @@ def spmd(n_ranks, fn, *args, **kwargs):
     return run_spmd(n_ranks, fn, *args, **kwargs)
 
 
+def deny_first_arena_allocations(n: int) -> str:
+    """Fault spec failing each rank's first ``n`` shm allocations with
+    ``ENOSPC``, as a full ``/dev/shm`` would."""
+    return ";".join(
+        f"rank=*:site=arena:kind=enospc:nth={k}" for k in range(1, n + 1)
+    )
+
+
 def spmd_unit(n_ranks, fn, *args, **kwargs):
     """SPMD run on the unit-cost machine (time == messages+words+flops)."""
     kwargs.setdefault("machine", UNIT)

@@ -9,13 +9,13 @@ argument can travel (a staged segment, pickle after ``ENOSPC``,
 fork-per-run) shows rank code the same thing.
 """
 
+import errno
 import gc
 import os
 
 import numpy as np
 import pytest
 
-from repro.config import RuntimeConfig
 from repro.mpi import (
     ProcessBackend,
     RankDeadError,
@@ -164,14 +164,24 @@ class TestEveryRouteLooksTheSame:
         after = run_spmd(2, _maps_only, backend=_POOLED)
         assert after.values == [[], []]
 
-    def test_enospc_degrades_to_pickle(self):
+    def test_enospc_degrades_to_pickle(self, monkeypatch):
         expected = self._reference()
         shutdown_worker_pools()  # empty arena: staging must allocate
-        x = _input()
-        res = run_spmd(
-            2, _scribble, x, backend=_POOLED,
-            config=RuntimeConfig(shm_budget=4096),
+
+        def full_tmpfs(nbytes, purpose="segment"):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        # No fault site reaches the parent's own staging: stand in for a
+        # full /dev/shm in this process, before the pool forks (so its
+        # workers see the same full tmpfs).
+        monkeypatch.setattr(
+            "repro.mpi.process_transport.create_segment", full_tmpfs
         )
+        x = _input()
+        try:
+            res = run_spmd(2, _scribble, x, backend=_POOLED)
+        finally:
+            shutdown_worker_pools()  # retire the workers that inherited it
         assert any(e.site == "arena" for e in res.resources.degradations)
         assert [v[:3] for v in res.values] == expected
         assert all(v[3] == [] for v in res.values)  # nothing was staged

@@ -33,6 +33,7 @@ from repro.mpi.process_transport import (
     stage_value,
     unstage_value,
 )
+from tests.conftest import deny_first_arena_allocations
 
 pytestmark = pytest.mark.skipif(
     not os.path.isdir("/dev/shm"), reason="needs a Linux /dev/shm"
@@ -202,11 +203,12 @@ class TestThroughThePool:
             for e in res.resources.degradations
         )
 
-    def test_budget_denial_falls_back_to_the_pickle_stream(self):
+    def test_refused_allocations_fall_back_to_the_pickle_stream(self):
         shutdown_worker_pools()
         res = run_spmd(
             2, _return_array, 50_000, backend=_POOLED,
-            config=RuntimeConfig(shm_budget=4096),
+            faults=deny_first_arena_allocations(3),
+            config=RuntimeConfig(),
         )
         assert [float(v[-1]) for v in res.values] == [0.0, 1.0]
         assert any(e.site == "arena" for e in res.resources.degradations)

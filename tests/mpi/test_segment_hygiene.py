@@ -22,6 +22,7 @@ from repro.mpi import (
     run_spmd,
     shutdown_worker_pools,
 )
+from tests.conftest import deny_first_arena_allocations
 
 pytestmark = pytest.mark.skipif(
     not os.path.isdir("/dev/shm"), reason="needs a Linux /dev/shm"
@@ -138,7 +139,7 @@ class TestSegmentHygiene:
                 x,
                 backend="process",
                 faults="rank=1:site=recv:nth=2:kind=crash",
-                config=RuntimeConfig(),  # no fault or budget from the env
+                config=RuntimeConfig(),  # no fault spec from the env
             )
         assert any(
             isinstance(e, RankDeadError)
@@ -166,28 +167,25 @@ class TestSegmentHygiene:
         res = run_spmd(3, _unmatched_sender, backend="process")
         assert res.values == [0, 1, 2]
 
-    def test_budget_exhausted_run_leaks_nothing(self):
-        # A budget small enough that every arena allocation is denied:
-        # the run degrades to the pickle path and still
+    def test_exhausted_arena_run_leaks_nothing(self):
+        # Every rank's first arena allocations fail with ENOSPC, as on a
+        # full /dev/shm: the run degrades to the pickle path and still
         # must leave /dev/shm exactly as it found it.
-        from repro.config import RuntimeConfig
-
         x = np.random.default_rng(4).standard_normal(4096)
         res = run_spmd(
             4,
             _healthy,
             x,
             backend="process",
-            config=RuntimeConfig(shm_budget=4096),
+            faults=deny_first_arena_allocations(4),
         )
         assert res.resources is not None and res.resources.degraded
 
     def test_sigkill_mid_degradation_leaks_nothing(self):
-        # A rank dies while the world is running degraded (tiny budget):
-        # the crash audit must sweep whatever the denied-then-degraded
-        # allocation path did manage to create.
-        from repro.config import RuntimeConfig
-
+        # A rank dies while the world is running degraded (its first
+        # arena allocations refused): the crash audit must sweep
+        # whatever the denied-then-degraded allocation path did manage
+        # to create.
         x = np.random.default_rng(5).standard_normal(4096)
         with pytest.raises(SpmdError) as exc_info:
             run_spmd(
@@ -195,8 +193,8 @@ class TestSegmentHygiene:
                 _healthy,
                 x,
                 backend="process",
-                config=RuntimeConfig(shm_budget=4096),
-                faults="rank=1:site=allreduce:kind=crash",
+                faults=deny_first_arena_allocations(2)
+                + ";rank=1:site=allreduce:kind=crash",
             )
         assert any(
             isinstance(e, RankDeadError)

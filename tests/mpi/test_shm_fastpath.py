@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro import resources
+from repro.faults import FaultInjector, FaultSpec
 from repro.mpi import (
     SpmdError,
     SUM,
@@ -227,12 +228,13 @@ class TestSegmentArena:
             arena.recycle(again)
             arena.teardown()
 
-    def test_budget_denied_arena_leaves_no_segment(self):
-        # A shm budget too small for one bucket denies the arena before
-        # anything reaches /dev/shm; the payload stays in the pickle
-        # stream and the fallback is recorded.
+    def test_enospc_denied_arena_leaves_no_segment(self):
+        # An ENOSPC at the arena's fault gate denies the allocation
+        # before anything reaches /dev/shm; the payload stays in the
+        # pickle stream and the fallback is recorded.
         gov = resources.governor()
-        gov.configure(budget=1024)
+        spec = FaultSpec.parse("rank=0:site=arena:kind=enospc")
+        gov.configure(faults=FaultInjector(spec, 0))
         arena = SegmentArena()
         before = set(os.listdir("/dev/shm"))
         try:

@@ -81,14 +81,14 @@ class TestPlanMechanics:
         assert plan.predicted.time == pytest.approx(expected.time)
 
     def test_base_config_knobs_survive(self):
-        base = RuntimeConfig(backend="process", sanitize=1, shm_budget=4096)
+        base = RuntimeConfig(backend="process", sanitize=1, deadline=30.0)
         plan = plan_sthosvd(
             BENCH_SHAPE, ranks=BENCH_RANKS, grid=BENCH_GRID,
             machine=EDISON, base=base,
         )
         assert plan.config.backend == "process"
         assert plan.config.sanitize == 1
-        assert plan.config.shm_budget == 4096
+        assert plan.config.deadline == 30.0
 
     def test_deterministic(self):
         a = plan_sthosvd(BENCH_SHAPE, ranks=BENCH_RANKS, grid=BENCH_GRID)

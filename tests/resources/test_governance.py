@@ -1,11 +1,10 @@
 """End-to-end resource governance at the ``run_spmd`` boundary.
 
 Backend choices are deliberate per test (the package sweep is shadowed
-in conftest): budget degradation and pool recycling only mean anything
-on the process backend, while deadlines must fire on both.
+in conftest): shm degradation only means anything on the process
+backend, while deadlines must fire on both.
 """
 
-import multiprocessing
 import time
 
 import numpy as np
@@ -14,8 +13,7 @@ import pytest
 from repro.config import RuntimeConfig
 from repro.faults import RetryPolicy
 from repro.mpi import DeadlineExceededError, SpmdError, shutdown_worker_pools
-from repro.mpi.backends import _recycle_idle_pools
-from tests.conftest import spmd
+from tests.conftest import deny_first_arena_allocations, spmd
 
 
 def _collectives(comm, n):
@@ -36,23 +34,37 @@ def _p2p_ring(comm, n):
     return float(got[0])
 
 
+def _six_sends_in_flight(comm, n):
+    """Six arena-staged messages in flight per rank: more same-bucket
+    segments than the arena keeps, so the receivers unlink some."""
+    x = np.arange(n, dtype=np.float64) * (comm.rank + 1)
+    dest = (comm.rank + 1) % comm.size
+    source = (comm.rank - 1) % comm.size
+    reqs = [comm.isend(x + k, dest=dest, tag=k) for k in range(6)]
+    got = [comm.recv(source=source, tag=k) for k in range(6)]
+    for req in reqs:
+        req.wait()
+    return float(sum(g[0] for g in got))
+
+
 def _slow_allreduce(comm):
     return float(comm.allreduce(np.ones(4))[0])
 
 
-class TestBudgetDegradation:
-    def test_tiny_budget_is_bit_identical_to_fast_path(self):
+class TestExhaustionDegradation:
+    def test_exhausted_arena_is_bit_identical_to_fast_path(self):
         fast = spmd(2, _collectives, 4096, backend="process")
-        # A warm pool's pre-budget segments (arena free lists) are
-        # legitimately reused without new allocations; start cold so
-        # the constrained run has to allocate — and degrade.
+        # A warm pool's segments (arena free lists) are legitimately
+        # reused without new allocations; start cold so the constrained
+        # run has to allocate — and degrade.
         shutdown_worker_pools()
         lean = spmd(
             2,
             _collectives,
             4096,
             backend="process",
-            config=RuntimeConfig(shm_budget=8192),
+            faults=deny_first_arena_allocations(4),
+            config=RuntimeConfig(),
         )
         assert lean.values == fast.values
         report = lean.resources
@@ -61,7 +73,6 @@ class TestBudgetDegradation:
             assert event.site == "arena"
             assert event.kind == "pickle"
             assert event.nbytes > 0
-        assert report.budget_bytes == 8192
         assert "degraded" in report.describe()
 
     def test_arena_degradation_on_p2p_path(self):
@@ -72,7 +83,8 @@ class TestBudgetDegradation:
             _p2p_ring,
             20_000,
             backend="process",
-            config=RuntimeConfig(shm_budget=4096),
+            faults=deny_first_arena_allocations(3),
+            config=RuntimeConfig(),
         )
         assert lean.values == fast.values
         report = lean.resources
@@ -81,7 +93,7 @@ class TestBudgetDegradation:
         assert {e.kind for e in report.degradations} == {"pickle"}
 
     def test_unconstrained_run_reports_no_degradations(self):
-        # Explicit default config: an environment budget (the
+        # Explicit default config: an environment fault spec (the
         # constrained-resources CI step) must not reach this run.
         res = spmd(
             2, _collectives, 4096, backend="process", config=RuntimeConfig()
@@ -90,14 +102,28 @@ class TestBudgetDegradation:
         assert report is not None
         assert not report.degraded
         assert report.charged_bytes > 0
-        assert report.estimate_bytes > 0
-        assert report.admission_wait >= 0.0
+        assert report.peak_bytes <= report.charged_bytes
 
     def test_thread_backend_reports_empty_resources(self):
         res = spmd(2, _collectives, 256, backend="thread")
         assert res.resources is not None
         assert not res.resources.degraded
         assert res.resources.charged_bytes == 0
+
+
+class TestAccounting:
+    def test_peak_is_the_runs_own_on_a_warm_pool(self):
+        # A big run raises each process's high-water mark and unlinks
+        # part of what it allocated; the small runs after it on the same
+        # warm pool must report their own peak, not the big run's.
+        shutdown_worker_pools()
+        for n in (200_000, 1000, 1000):
+            report = spmd(
+                2, _six_sends_in_flight, n, backend="process",
+                config=RuntimeConfig(),
+            ).resources
+            assert 0 < report.charged_bytes
+            assert report.peak_bytes <= report.charged_bytes, n
 
 
 class TestFaultInjection:
@@ -110,7 +136,7 @@ class TestFaultInjection:
             4096,
             backend="process",
             faults="rank=0:site=arena:kind=enospc:nth=1",
-            config=RuntimeConfig(),  # no budget from the environment
+            config=RuntimeConfig(),  # no faults from the environment
         )
         assert hit.values == fast.values
         report = hit.resources
@@ -128,7 +154,7 @@ class TestFaultInjection:
             20_000,
             backend="process",
             faults="rank=1:site=arena:kind=enospc",
-            config=RuntimeConfig(),  # no budget from the environment
+            config=RuntimeConfig(),  # no faults from the environment
         )
         assert hit.values == fast.values
         assert any(
@@ -174,26 +200,3 @@ class TestDeadline:
             deadline=30.0,
         )
         assert res.values == [2.0, 2.0]
-
-
-class TestAdmission:
-    def test_result_carries_admission_fields(self):
-        res = spmd(
-            2,
-            _collectives,
-            1024,
-            backend="process",
-            config=RuntimeConfig(max_worlds=1, shm_budget=1 << 20),
-        )
-        report = res.resources
-        assert report.estimate_bytes > 0
-        assert report.budget_bytes == 1 << 20
-        assert 0.0 <= report.admission_wait < 1.0
-
-    def test_recycler_reclaims_idle_warm_pools(self):
-        shutdown_worker_pools()
-        spmd(2, _slow_allreduce, backend="process")
-        warm = len(multiprocessing.active_children())
-        assert warm >= 2  # the pool stays warm between runs
-        _recycle_idle_pools(1)
-        assert len(multiprocessing.active_children()) < warm

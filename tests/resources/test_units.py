@@ -1,4 +1,4 @@
-"""Unit tests for the resources package: governor, admission, report."""
+"""Unit tests for the resources package: governor, deadline, report."""
 
 import errno
 import pickle
@@ -7,86 +7,53 @@ import time
 import pytest
 
 from repro.config import RuntimeConfig, resolve_config
-from repro.mpi.errors import AdmissionError, DeadlineExceededError
+from repro.faults import FaultInjector, FaultSpec
+from repro.mpi.errors import DeadlineExceededError
 from repro.resources import (
-    AdmissionController,
-    BudgetExceededError,
     DegradationEvent,
-    ResourceBoard,
     ResourceGovernor,
     ResourceReport,
     check_deadline,
-    estimate_world_shm,
     is_exhaustion,
     remaining_deadline,
     set_active_deadline,
 )
 
+_MB = 1 << 20
+
 
 class TestConfigKnobs:
-    def test_budget_size_suffixes(self, monkeypatch):
-        for raw, expected in (
-            ("4096", 4096),
-            ("64K", 64 << 10),
-            ("64M", 64 << 20),
-            ("2g", 2 << 30),
-            ("0.5M", 1 << 19),
-            ("", 0),
-        ):
-            monkeypatch.setenv("REPRO_SHM_BUDGET", raw)
-            assert resolve_config().shm_budget == expected
-
-    def test_bad_budget_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_BUDGET", "lots")
-        with pytest.raises(ValueError, match="REPRO_SHM_BUDGET"):
-            resolve_config()
-
-    def test_max_worlds_and_deadline_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MAX_WORLDS", "3")
+    def test_deadline_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_DEADLINE", "2.5")
-        cfg = resolve_config()
-        assert cfg.max_worlds == 3
-        assert cfg.deadline == 2.5
+        assert resolve_config().deadline == 2.5
 
-    def test_negative_values_rejected(self):
-        with pytest.raises(ValueError, match="shm_budget"):
-            RuntimeConfig(shm_budget=-1)
-        with pytest.raises(ValueError, match="max_worlds"):
-            RuntimeConfig(max_worlds=-1)
+    def test_negative_deadline_rejected(self):
         with pytest.raises(ValueError, match="deadline"):
             RuntimeConfig(deadline=-0.1)
 
-    def test_json_roundtrip_with_resource_fields(self):
-        cfg = RuntimeConfig(shm_budget=1 << 20, max_worlds=2, deadline=9.0)
+    def test_json_roundtrip_with_deadline(self):
+        cfg = RuntimeConfig(deadline=9.0)
         assert RuntimeConfig.from_json(cfg.to_json()) == cfg
 
 
 class TestGovernor:
-    def test_gate_denies_over_budget_with_enospc(self):
+    def test_gate_fires_the_arena_fault_site(self):
         gov = ResourceGovernor()
-        gov.configure(budget=1000)
-        gov.gate("arena", 900)  # within budget: no raise
-        gov.charge(900)
-        with pytest.raises(BudgetExceededError) as exc_info:
-            gov.gate("arena", 200)
-        exc = exc_info.value
-        assert isinstance(exc, OSError)
-        assert exc.errno == errno.ENOSPC
-        assert exc.purpose == "arena" and exc.nbytes == 200
-        assert is_exhaustion(exc)
+        spec = FaultSpec.parse("rank=0:site=arena:kind=enospc:nth=2")
+        gov.configure(faults=FaultInjector(spec, 0, 1))
+        gov.gate("arena")  # first hit: no clause
+        with pytest.raises(OSError) as exc_info:
+            gov.gate("arena")
+        assert exc_info.value.errno == errno.ENOSPC
+        assert is_exhaustion(exc_info.value)
+        gov.deconfigure()
+        gov.gate("arena")  # no injector outside a run
 
-    def test_budget_exceeded_error_pickles(self):
-        exc = BudgetExceededError("arena", 10, 5, 4)
-        clone = pickle.loads(pickle.dumps(exc))
-        assert clone.errno == errno.ENOSPC
-        assert (clone.purpose, clone.nbytes) == ("arena", 10)
-
-    def test_release_frees_budget(self):
+    def test_gate_without_faults_never_denies(self):
         gov = ResourceGovernor()
-        gov.configure(budget=1000)
-        gov.charge(900)
-        gov.release(900)
-        gov.gate("arena", 900)  # fits again
+        gov.configure()
+        gov.charge(1 << 40)
+        gov.gate("arena")
 
     def test_is_exhaustion_routes_on_errno(self):
         assert is_exhaustion(OSError(errno.ENOSPC, "full"))
@@ -96,7 +63,7 @@ class TestGovernor:
 
     def test_summary_counts_events_and_bytes(self):
         gov = ResourceGovernor()
-        gov.configure(budget=0)
+        gov.configure()
         gov.charge(100)
         gov.note_degradation("arena", "pickle", 64, "why")
         gov.release(40)
@@ -107,23 +74,28 @@ class TestGovernor:
         assert summary["live"] == 60
         assert summary["peak"] == 100
 
-    def test_board_mirror_is_world_wide(self):
-        board = ResourceBoard.create(3)
-        try:
-            a, b = ResourceGovernor(), ResourceGovernor()
-            a.configure(budget=100, board=board, slot=0)
-            b.configure(budget=100, board=board, slot=1)
-            a.charge(80)
-            # b sees a's bytes through the board and denies its request.
-            with pytest.raises(BudgetExceededError):
-                b.gate("arena", 40)
-            # Ownership transfer: b unlinks a's segment; the sum nets out.
-            b.release(80)
-            assert board.total() == 0
-            b.gate("arena", 40)
-        finally:
-            board.close()
-            board.unlink()
+    def test_peak_is_the_runs_own(self):
+        # An earlier run's high-water mark must not leak into a later
+        # run's peak: it is measured from the live bytes at configure.
+        gov = ResourceGovernor()
+        gov.configure()
+        gov.charge(10 * _MB)
+        gov.release(8 * _MB)
+        assert gov.deconfigure()["peak"] == 10 * _MB
+        gov.configure()
+        gov.charge(1 * _MB)
+        summary = gov.deconfigure()
+        assert summary["peak"] == 1 * _MB
+        assert summary["live"] == 3 * _MB
+
+    def test_run_that_allocates_nothing_has_no_peak(self):
+        gov = ResourceGovernor()
+        gov.configure()
+        gov.charge(4 * _MB)
+        gov.deconfigure()
+        gov.configure()
+        gov.release(4 * _MB)
+        assert gov.deconfigure()["peak"] == 0
 
 
 class TestDeadline:
@@ -144,76 +116,6 @@ class TestDeadline:
             set_active_deadline(previous)
         check_deadline("no deadline installed")
         assert remaining_deadline() is None
-
-
-class TestAdmission:
-    def test_sole_world_always_admitted(self):
-        ctrl = AdmissionController()
-        cfg = RuntimeConfig(shm_budget=10, max_worlds=1)
-        ticket, waited = ctrl.admit(4, estimate=10**9, config=cfg)
-        assert waited < 1.0
-        ctrl.release(ticket)
-
-    def test_max_worlds_denial_reason(self):
-        ctrl = AdmissionController()
-        cfg = RuntimeConfig(max_worlds=2)
-        t1, _ = ctrl.admit(2, 0, cfg)
-        t2, _ = ctrl.admit(2, 0, cfg)
-        with pytest.raises(AdmissionError) as exc_info:
-            ctrl.admit(2, 0, cfg, max_wait=0.05)
-        assert exc_info.value.reason == "max_worlds"
-        ctrl.release(t1)
-        ctrl.release(t2)
-
-    def test_shm_budget_denial_reason(self):
-        ctrl = AdmissionController()
-        cfg = RuntimeConfig(shm_budget=1000)
-        t1, _ = ctrl.admit(2, 800, cfg)
-        with pytest.raises(AdmissionError) as exc_info:
-            ctrl.admit(2, 400, cfg, max_wait=0.05)
-        assert exc_info.value.reason == "shm_budget"
-        ctrl.release(t1)
-        # With the first world gone its promise is released too.
-        t2, _ = ctrl.admit(2, 400, cfg)
-        ctrl.release(t2)
-
-    def test_waiting_launch_admitted_when_world_finishes(self):
-        import threading
-
-        ctrl = AdmissionController()
-        cfg = RuntimeConfig(max_worlds=1)
-        t1, _ = ctrl.admit(2, 0, cfg)
-        threading.Timer(0.1, ctrl.release, args=(t1,)).start()
-        t2, waited = ctrl.admit(2, 0, cfg, max_wait=2.0)
-        assert 0.05 <= waited < 1.5
-        ctrl.release(t2)
-
-    def test_denial_runs_recyclers_before_rejecting(self):
-        ctrl = AdmissionController()
-        cfg = RuntimeConfig(shm_budget=1000)
-        freed: list[int] = []
-
-        def recycler(needed: int) -> int:
-            freed.append(needed)
-            return 0
-
-        ctrl.register_recycler(recycler)
-        t1, _ = ctrl.admit(2, 900, cfg)
-        with pytest.raises(AdmissionError):
-            ctrl.admit(2, 500, cfg, max_wait=0.05)
-        assert freed  # the recycler was consulted
-        ctrl.release(t1)
-
-    def test_admission_error_pickles(self):
-        exc = AdmissionError("denied", reason="shm_budget")
-        clone = pickle.loads(pickle.dumps(exc))
-        assert clone.reason == "shm_budget"
-
-    def test_estimate_scales_with_world(self):
-        # One arena bucket per rank: a page, or what the hint asks for.
-        assert estimate_world_shm(2) == 2 * 4096
-        assert estimate_world_shm(16) == 16 * 4096
-        assert estimate_world_shm(2, payload_hint=1 << 20) == 2 << 20
 
 
 class TestReport:

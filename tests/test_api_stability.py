@@ -62,6 +62,12 @@ PUBLIC_API = {
     "repro.baselines": [
         "PcaCompressor", "Tucker1Compressor",
     ],
+    "repro.resources": [
+        "ResourceGovernor", "ResourceReport", "DegradationEvent",
+        "governor", "is_exhaustion", "EXHAUSTED_ERRNOS",
+        "check_deadline", "remaining_deadline", "set_active_deadline",
+        "active_deadline",
+    ],
     "repro.io": ["save_tucker", "load_tucker", "stored_bytes"],
     "repro.report": ["EXPERIMENTS", "generate_all", "write_csv"],
 }
@@ -134,3 +140,30 @@ def test_no_schedule_keywords(module_name, name):
         f"{module_name}.{name} takes retired keyword(s) "
         f"{sorted(params & RETIRED_KEYWORDS)}"
     )
+
+
+# A full /dev/shm is the only shm limit: the in-process budget, admission
+# control and the resource board are gone, and so are their names.
+RETIRED_NAMES = {
+    "repro.mpi": ["AdmissionError", "BudgetExceededError", "estimate_world_shm"],
+    "repro.mpi.errors": ["AdmissionError"],
+    "repro.resources": [
+        "AdmissionController", "admission_controller", "ADMISSION_WAIT",
+        "estimate_world_shm", "BudgetExceededError", "ResourceBoard",
+    ],
+}
+
+
+@pytest.mark.parametrize("module_name", sorted(RETIRED_NAMES))
+def test_retired_names_stay_gone(module_name):
+    module = importlib.import_module(module_name)
+    present = [n for n in RETIRED_NAMES[module_name] if hasattr(module, n)]
+    assert not present, f"{module_name} still exports {present}"
+
+
+def test_run_spmd_takes_no_shm_estimate():
+    import inspect
+
+    from repro.mpi import run_spmd
+
+    assert "shm_estimate" not in inspect.signature(run_spmd).parameters

@@ -197,7 +197,8 @@ def test_small_modes_compress_within_tol(tmp_path, shape):
 #: What ``repro-tucker plan ... --json`` printed before the ``overlap``,
 #: ``tsqr_tree`` and ``compress_wire`` knobs were removed (and the five
 #: transport knobs after them: ``pool``, ``arena``, ``windows``,
-#: ``window_slot`` and ``hugepages``).
+#: ``window_slot`` and ``hugepages``; then the shm budget knobs
+#: ``shm_budget`` and ``max_worlds``).
 STALE_PLAN = (
     '{"arena": true, "backend": "thread", "compress_wire": false, '
     '"compute_dtype": "float64", "deadline": 0.0, "faults": "", '
@@ -213,8 +214,8 @@ STALE_PLAN = (
     [
         (
             STALE_PLAN,
-            "arena, compress_wire, hugepages, overlap, pool, tsqr_tree, "
-            "window_slot, windows",
+            "arena, compress_wire, hugepages, max_worlds, overlap, pool, "
+            "shm_budget, tsqr_tree, window_slot, windows",
         ),
         ("[1, 2]", "must be a mapping"),
         ("{not json", "invalid RuntimeConfig JSON"),
