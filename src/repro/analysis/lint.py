@@ -516,7 +516,7 @@ def _repro_key(node: ast.expr) -> str | None:
 
     Matches string literals starting ``REPRO_`` and names/attributes
     ending ``_ENV_VAR`` (the repo's constant convention, e.g.
-    ``PLAN_ENV_VAR``).
+    ``FAULTS_ENV_VAR``).
     """
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return node.value if node.value.startswith("REPRO_") else None

@@ -87,8 +87,7 @@ def _scale_metadata(info) -> dict:
 
 
 def _compress_prog(
-    comm, src, dst, grid, species_mode, tol, ranks, method, plan, dtype,
-    metadata,
+    comm, src, dst, grid, species_mode, tol, ranks, method, dtype, metadata
 ):
     """SPMD program behind ``compress --parallel``.
 
@@ -110,9 +109,7 @@ def _compress_prog(
     if species_mode is not None:
         info = dist_center_and_scale(dt, species_mode)
         metadata = {**metadata, "normalized": _scale_metadata(info)}
-    t = dist_sthosvd(
-        dt, tol=tol, ranks=ranks, method=method, plan=plan, compute_dtype=dtype
-    )
+    t = dist_sthosvd(dt, tol=tol, ranks=ranks, method=method, compute_dtype=dtype)
     model = t.to_tucker(root=0)  # collective: every rank participates
     if model is None:
         return None
@@ -130,8 +127,10 @@ def _compress_parallel(
     The parent ships paths and scalars only — no rank ever receives more
     of the tensor than its own block.  Returns what rank 0 returned;
     factors are bit-identical across backends, so the container does not
-    depend on the choice.
+    depend on the choice.  The compute dtype is resolved here, once, so
+    the container records the one the ranks ran with.
     """
+    from repro.core.precision import resolve_compute_dtype
     from repro.distributed import choose_grid
     from repro.mpi import resolve_backend, run_spmd
 
@@ -139,13 +138,13 @@ def _compress_parallel(
     grid = choose_grid(args.parallel, shape, ranks=ranks)
 
     backend = resolve_backend(args.backend)
+    dtype = resolve_compute_dtype(args.dtype)
     metadata["parallel"] = {
         "ranks": args.parallel,
         "grid": list(grid),
         "backend": backend.name,
+        "compute_dtype": dtype,
     }
-    if args.dtype is not None:
-        metadata["parallel"]["compute_dtype"] = args.dtype
     res = run_spmd(
         args.parallel,
         _compress_prog,
@@ -156,8 +155,7 @@ def _compress_parallel(
         args.tol,
         ranks,
         args.method,
-        args.plan,
-        args.dtype,
+        dtype,
         metadata,
         backend=backend,
         sanitize=args.sanitize,
@@ -169,20 +167,6 @@ def _compress_parallel(
         f"modeled time {res.modeled_time:.3e} s"
     )
     return res[0]
-
-
-def _check_plan(plan: str | None) -> None:
-    """Reject a saved-config plan (``--plan`` or ``$REPRO_PLAN``) before
-    any rank is launched: every rank would parse it and fail alike."""
-    from repro.config import RuntimeConfig, resolve_plan
-
-    selector = resolve_plan(plan)
-    if selector is None or selector == "auto":
-        return
-    try:
-        RuntimeConfig.from_json(selector)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"--plan: {exc}") from None
 
 
 def _cmd_compress(args: argparse.Namespace) -> int:
@@ -216,15 +200,8 @@ def _cmd_compress(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.timeout is not None and args.timeout <= 0:
+    if args.timeout is not None and not args.timeout > 0:  # NaN too
         print("error: --timeout must be positive", file=sys.stderr)
-        return 2
-    if args.plan is not None and not args.parallel:
-        print(
-            "error: --plan requires --parallel (plans tune the distributed "
-            "kernels)",
-            file=sys.stderr,
-        )
         return 2
     if args.dtype is not None and not args.parallel:
         print(
@@ -233,8 +210,6 @@ def _cmd_compress(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.parallel:
-        _check_plan(args.plan)
     shape, dtype, species_mode = _input_header(args.input, args.species_mode)
     metadata: dict = {"source": args.input, "tol": args.tol,
                       "method": args.method}
@@ -270,65 +245,6 @@ def _cmd_compress(args: argparse.Namespace) -> int:
         f"{raw / disk:.1f}x on disk\n"
         f"  error (est.) : {error_estimate:.3e}"
     )
-    return 0
-
-
-def _cmd_plan(args: argparse.Namespace) -> int:
-    """Print the autotuned execution plan for a problem, without running it.
-
-    Resolves a :class:`~repro.config.RuntimeConfig` exactly as
-    ``compress --parallel P --plan auto`` would, then shows every knob
-    (with its environment spelling and the layer it steers), the chosen
-    processor grid, the decision evidence, and the model's predicted
-    per-mode kernel costs.  ``--json`` emits the config alone, ready to
-    replay via ``--plan '<json>'`` or ``REPRO_PLAN``.
-    """
-    from repro.perfmodel import EDISON_CALIBRATED, MachineSpec, plan_sthosvd
-
-    if (args.tol is None) == (args.ranks is None):
-        print("error: specify exactly one of --tol / --ranks", file=sys.stderr)
-        return 2
-    shape = tuple(args.shape)
-    ranks = tuple(args.ranks) if args.ranks else None
-    if ranks is not None and len(ranks) != len(shape):
-        print(
-            f"error: need {len(shape)} --ranks entries, got {len(ranks)}",
-            file=sys.stderr,
-        )
-        return 2
-    machine = EDISON_CALIBRATED
-    if args.machine is not None:
-        with open(args.machine) as fh:
-            machine = MachineSpec.from_json(fh.read())
-    plan = plan_sthosvd(
-        shape,
-        ranks=ranks,
-        tol=args.tol,
-        n_ranks=args.parallel,
-        machine=machine,
-    )
-    if args.json:
-        print(plan.config.to_json())
-        return 0
-    print(
-        f"plan for {'x'.join(map(str, shape))} on {args.parallel} ranks "
-        f"(grid {'x'.join(map(str, plan.grid))}, machine {machine.name}):"
-    )
-    print(f"  {'knob':<15}{'env var':<24}{'value':<12}layer")
-    for field, env, value, layer in plan.config.describe():
-        print(f"  {field:<15}{env:<24}{value:<12}{layer}")
-    print("decisions:")
-    for name, reason in plan.decisions.items():
-        print(f"  {name} = {getattr(plan.config, name)}: {reason}")
-    print("predicted per-mode costs:")
-    for kernel, mode, cost in plan.predicted.steps:
-        print(
-            f"  mode {mode} {kernel:<6}: {cost.time:.3e} s "
-            f"(flop {cost.flop_time:.2e}, bw {cost.bw_time:.2e}, "
-            f"lat {cost.lat_time:.2e})"
-        )
-    print(f"predicted total: {plan.predicted.time:.3e} s")
-    print(f"replay: --plan '{plan.config.to_json()}'")
     return 0
 
 
@@ -436,10 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                    help="deadlock-detection timeout for --parallel runs "
                         "(default: $REPRO_SPMD_TIMEOUT or 120)")
-    p.add_argument("--plan", default=None, metavar="PLAN",
-                   help="execution plan for --parallel runs: 'auto' (pick "
-                        "the compute dtype from the perf model), 'default', or "
-                        "a RuntimeConfig JSON object (default: $REPRO_PLAN)")
     p.add_argument("--dtype", choices=("float64", "float32", "mixed"),
                    default=None,
                    help="compute precision for --parallel runs: float32 "
@@ -447,28 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "refinement sweep under the error budget), or full "
                         "float64 (default: $REPRO_DTYPE)")
     p.set_defaults(fn=_cmd_compress)
-
-    p = sub.add_parser(
-        "plan",
-        help="print the autotuned execution plan for a problem "
-             "(no data needed)",
-    )
-    p.add_argument("shape", type=int, nargs="+",
-                   help="global tensor dimensions, e.g. 672 672 33 626")
-    p.add_argument("--tol", type=float, default=None,
-                   help="relative error tolerance (exclusive with --ranks)")
-    p.add_argument("--ranks", type=int, nargs="+", default=None,
-                   help="target reduced dimensions per mode")
-    p.add_argument("--parallel", "-p", type=int, required=True, metavar="P",
-                   help="processor count to plan for")
-    p.add_argument("--machine", default=None, metavar="FILE",
-                   help="plan against a MachineSpec JSON file "
-                        "(MachineSpec.to_json output; default: the "
-                        "calibrated Edison description)")
-    p.add_argument("--json", action="store_true",
-                   help="emit only the RuntimeConfig JSON (for --plan/"
-                        "REPRO_PLAN replay)")
-    p.set_defaults(fn=_cmd_plan)
 
     p = sub.add_parser("info", help="describe a Tucker container")
     p.add_argument("model")

@@ -7,26 +7,22 @@ the rest of the stack receives an explicit :class:`RuntimeConfig`.
 
 from repro.config.runtime import (
     CONFIG_FIELDS,
-    PLAN_ENV_VAR,
     ConfigField,
     RuntimeConfig,
     active_config,
     default_for,
     env_default,
     resolve_config,
-    resolve_plan,
     set_active_config,
 )
 
 __all__ = [
     "CONFIG_FIELDS",
-    "PLAN_ENV_VAR",
     "ConfigField",
     "RuntimeConfig",
     "active_config",
     "default_for",
     "env_default",
     "resolve_config",
-    "resolve_plan",
     "set_active_config",
 ]

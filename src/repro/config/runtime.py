@@ -1,10 +1,5 @@
 """Typed runtime configuration: every ``REPRO_*`` knob as one frozen object.
 
-Historically each runtime knob — backend, dtype, sanitize, faults,
-timeout, ... — was resolved ad hoc at its point of use by a scattered
-``os.environ`` read, which meant there was no single object describing
-how a run would execute (and nothing an autotuner could decide).  This module is the fix:
-
 * :class:`RuntimeConfig` — a frozen dataclass holding every knob, with
   the same defaults the environment switches have always had.
 * :func:`resolve_config` — the *only* place knob precedence lives:
@@ -22,16 +17,14 @@ how a run would execute (and nothing an autotuner could decide).  This module is
   helper (``sanitize_level``, ``resolve_compute_dtype``, ...) consults
   :func:`default_for` instead of the environment.
 
-The config is plain data (str/int/float only), picklable and
-JSON-round-trippable, so it can ride the process backend's per-run
-dispatch and be printed, saved and replayed (``repro-tucker plan``,
-``dist_sthosvd(plan=...)``).
+The config is plain data (str/int/float only) and picklable, so it can
+ride the process backend's per-run dispatch.  The README's runtime
+configuration table documents each knob.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -40,21 +33,12 @@ __all__ = [
     "RuntimeConfig",
     "ConfigField",
     "CONFIG_FIELDS",
-    "PLAN_ENV_VAR",
     "resolve_config",
-    "resolve_plan",
     "env_default",
     "default_for",
     "set_active_config",
     "active_config",
 ]
-
-#: Plan selector consulted by ``dist_sthosvd``/``dist_hooi`` when no
-#: ``plan=`` keyword is given: ``default`` (or unset) keeps the explicit
-#: config/environment, ``auto`` asks the perf model
-#: (:func:`repro.perfmodel.autotune.plan_sthosvd`), and a JSON object
-#: string replays a saved :class:`RuntimeConfig`.
-PLAN_ENV_VAR = "REPRO_PLAN"
 
 _SANITIZE_LEVELS = (0, 1)
 _COMPUTE_DTYPES = ("float64", "float32", "mixed")
@@ -85,11 +69,16 @@ def _parse_timeout(raw: str) -> float:
 def _parse_sanitize(raw: str) -> int:
     raw = raw.strip() or "0"
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise ValueError(
             f"invalid REPRO_SANITIZE value {raw!r}: use 0 or 1"
         ) from None
+    if value not in _SANITIZE_LEVELS:
+        raise ValueError(
+            f"sanitize level must be one of {_SANITIZE_LEVELS}, got {value}"
+        )
+    return value
 
 
 def _parse_retry(raw: str) -> int:
@@ -122,9 +111,6 @@ class ConfigField:
     env: str
     default: Any
     parse: Callable[[str], Any]
-    #: Which layer of the stack the knob steers (for the config table).
-    layer: str
-    help: str
 
     def from_env_raw(self, raw: str | None) -> Any:
         """Value for this field given the raw env string (None = unset)."""
@@ -138,36 +124,14 @@ class ConfigField:
 CONFIG_FIELDS: tuple[ConfigField, ...] = (
     ConfigField(
         "backend", "REPRO_SPMD_BACKEND", "thread",
-        lambda raw: raw.strip() or "thread", "executor",
-        "executor backend: 'thread' or 'process'",
+        lambda raw: raw.strip() or "thread",
     ),
-    ConfigField(
-        "compute_dtype", "REPRO_DTYPE", "float64", _parse_dtype, "kernels",
-        "kernel compute precision: 'float64', 'float32', or 'mixed' "
-        "(float32 kernels + float64 refinement against the split error "
-        "budget)",
-    ),
-    ConfigField(
-        "sanitize", "REPRO_SANITIZE", 0, _parse_sanitize, "runtime",
-        "SPMD sanitizer level: 0 off, 1 protocol checks",
-    ),
-    ConfigField(
-        "faults", "REPRO_FAULTS", "", lambda raw: raw.strip(), "runtime",
-        "deterministic fault-injection spec string ('' = off)",
-    ),
-    ConfigField(
-        "retry", "REPRO_SPMD_RETRY", 1, _parse_retry, "executor",
-        "max launch attempts on retryable failures (1 = no retry)",
-    ),
-    ConfigField(
-        "timeout", "REPRO_SPMD_TIMEOUT", 120.0, _parse_timeout, "runtime",
-        "deadlock-detection timeout for blocking receives, seconds",
-    ),
-    ConfigField(
-        "deadline", "REPRO_DEADLINE", 0.0, _parse_deadline, "resources",
-        "cooperative wall-clock deadline for the whole run, seconds "
-        "(0 = none); shared across retry attempts",
-    ),
+    ConfigField("compute_dtype", "REPRO_DTYPE", "float64", _parse_dtype),
+    ConfigField("sanitize", "REPRO_SANITIZE", 0, _parse_sanitize),
+    ConfigField("faults", "REPRO_FAULTS", "", lambda raw: raw.strip()),
+    ConfigField("retry", "REPRO_SPMD_RETRY", 1, _parse_retry),
+    ConfigField("timeout", "REPRO_SPMD_TIMEOUT", 120.0, _parse_timeout),
+    ConfigField("deadline", "REPRO_DEADLINE", 0.0, _parse_deadline),
 )
 
 _FIELD_BY_NAME: dict[str, ConfigField] = {f.name: f for f in CONFIG_FIELDS}
@@ -175,13 +139,12 @@ _FIELD_BY_NAME: dict[str, ConfigField] = {f.name: f for f in CONFIG_FIELDS}
 
 @dataclass(frozen=True)
 class RuntimeConfig:
-    """A complete, validated execution plan for one SPMD run.
+    """The complete, validated knob settings of one SPMD run.
 
     Field defaults match the environment-variable defaults exactly, so
     ``RuntimeConfig()`` is the out-of-the-box configuration.  Instances
-    are immutable, hashable on their field tuple, picklable (they ride
-    the process backend's per-run dispatch to pooled workers) and
-    JSON-round-trippable via :meth:`to_json`/:meth:`from_json`.
+    are immutable, hashable on their field tuple and picklable (they
+    ride the process backend's per-run dispatch to pooled workers).
     """
 
     backend: str = "thread"
@@ -215,66 +178,14 @@ class RuntimeConfig:
             )
         if self.retry < 1:
             raise ValueError(f"retry must be >= 1, got {self.retry}")
-        if self.timeout <= 0:
+        # ``not x > 0`` rather than ``x <= 0``: NaN must fail too (a NaN
+        # timeout would never expire, a NaN deadline would mean none).
+        if not self.timeout > 0:
             raise ValueError(f"timeout must be positive, got {self.timeout}")
-        if self.deadline < 0:
+        if not self.deadline >= 0:
             raise ValueError(
                 f"deadline must be non-negative, got {self.deadline}"
             )
-
-    # -- serialization --------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "RuntimeConfig":
-        if not isinstance(data, dict):
-            raise TypeError(
-                f"RuntimeConfig data must be a mapping, got "
-                f"{type(data).__name__}"
-            )
-        unknown = sorted(set(data) - set(_FIELD_BY_NAME))
-        if unknown:
-            raise ValueError(
-                f"unknown RuntimeConfig key(s): {', '.join(unknown)}; "
-                f"known: {', '.join(f.name for f in CONFIG_FIELDS)}"
-            )
-        return cls(**data)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, blob: str) -> "RuntimeConfig":
-        try:
-            data = json.loads(blob)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid RuntimeConfig JSON: {exc}") from None
-        return cls.from_dict(data)
-
-    def replace(self, **changes: Any) -> "RuntimeConfig":
-        """A copy with ``changes`` applied (validated like a fresh config)."""
-        unknown = sorted(set(changes) - set(_FIELD_BY_NAME))
-        if unknown:
-            raise ValueError(
-                f"unknown RuntimeConfig key(s): {', '.join(unknown)}; "
-                f"known: {', '.join(f.name for f in CONFIG_FIELDS)}"
-            )
-        return dataclasses.replace(self, **changes)
-
-    def to_env(self) -> dict[str, str]:
-        """The equivalent environment assignment (the user surface)."""
-        return {f.env: str(getattr(self, f.name)) for f in CONFIG_FIELDS}
-
-    def describe(self) -> list[tuple[str, str, str, str]]:
-        """Rows of ``(field, env var, value, layer)`` for display."""
-        rows = []
-        for f in CONFIG_FIELDS:
-            value = getattr(self, f.name)
-            shown = str(value) if value != "" else "''"
-            rows.append((f.name, f.env, shown, f.layer))
-        return rows
 
 
 # -- resolution ---------------------------------------------------------
@@ -285,23 +196,12 @@ def env_default(name: str) -> Any:
 
     The single place in the repository where a ``REPRO_*`` variable is
     read (rule SPMD006 keeps it that way).  Raises ``ValueError`` with
-    the knob's historical message on an unparsable value.
+    the knob's historical message on a value its parser rejects; the
+    numeric ranges (``retry``, ``timeout``, ``deadline``) are checked
+    where the value reaches :class:`RuntimeConfig`.
     """
     field = _FIELD_BY_NAME[name]
-    raw = os.environ.get(field.env)
-    value = field.from_env_raw(raw)
-    if name == "timeout" and value <= 0:
-        raise ValueError(f"timeout must be positive, got {value}")
-    if name == "sanitize" and value not in _SANITIZE_LEVELS:
-        raise ValueError(
-            f"sanitize level must be one of {_SANITIZE_LEVELS}, got {value}"
-        )
-    if name == "compute_dtype" and value not in _COMPUTE_DTYPES:
-        raise ValueError(
-            f"unknown REPRO_DTYPE value {value!r}; "
-            f"use one of {_COMPUTE_DTYPES}"
-        )
-    return value
+    return field.from_env_raw(os.environ.get(field.env))
 
 
 def resolve_config(
@@ -322,7 +222,7 @@ def resolve_config(
     if config is None:
         values = {f.name: env_default(f.name) for f in CONFIG_FIELDS}
     elif isinstance(config, RuntimeConfig):
-        values = config.to_dict()
+        values = dataclasses.asdict(config)
     else:
         raise TypeError(
             f"config must be a RuntimeConfig or None, got "
@@ -332,20 +232,6 @@ def resolve_config(
         if value is not None:
             values[key] = value
     return RuntimeConfig(**values)
-
-
-def resolve_plan(override: str | None = None) -> str | None:
-    """Resolve the plan selector: kwarg > ``REPRO_PLAN`` > none.
-
-    Returns ``None`` for "no plan" (unset or ``"default"``), otherwise
-    the raw selector string (``"auto"`` or a JSON config).
-    """
-    raw = override if override is not None else os.environ.get(
-        PLAN_ENV_VAR, ""
-    ).strip()
-    if not raw or raw == "default":
-        return None
-    return raw
 
 
 # -- active-config dispatch ---------------------------------------------

@@ -25,7 +25,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.config import RuntimeConfig
 from repro.core.sthosvd import SthosvdResult, one_rank_tensor, sthosvd
 from repro.core.tucker import TuckerTensor
 from repro.distributed.dist_tensor import DistTensor
@@ -131,7 +130,7 @@ def hooi(
             ),
         ),
         mode_order=range(n_modes)[::step],
-        config=RuntimeConfig(),  # the run knobs (REPRO_*) do not apply
+        compute_dtype="float64",  # REPRO_DTYPE does not apply
     )
     t = res.decomposition
     return HooiResult(

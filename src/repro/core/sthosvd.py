@@ -34,7 +34,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.config import RuntimeConfig
 from repro.core.errors import error_bound
 from repro.core.tucker import TuckerTensor
 from repro.distributed.dist_tensor import DistTensor
@@ -161,7 +160,7 @@ def sthosvd(
         ranks=ranks,
         mode_order=mode_order,
         method=method,
-        config=RuntimeConfig(),  # the run knobs (REPRO_*) do not apply
+        compute_dtype="float64",  # REPRO_DTYPE does not apply
         mode_labels=labels,
     )
     core = t.core.local.T if flipped else t.core.local

@@ -14,13 +14,11 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.config import RuntimeConfig
 from repro.core.precision import resolve_compute_dtype
 from repro.distributed.dist_tensor import DistTensor
 from repro.distributed.sthosvd import (
     DistTucker,
     _hooi_sweep,
-    _resolve_driver_config,
     dist_sthosvd,
     resolve_mode_order,
 )
@@ -55,8 +53,6 @@ def dist_hooi(
     init: DistTucker | None = None,
     ttm_strategy: str = "auto",
     method: str = "gram",
-    config: RuntimeConfig | None = None,
-    plan: str | None = None,
     compute_dtype: str | None = None,
     mode_order: Sequence[int] | None = None,
 ) -> DistHooiResult:
@@ -67,13 +63,10 @@ def dist_hooi(
     the normalized fit improvement falls below ``improvement_tol`` or after
     ``max_iterations`` outer iterations.  ``method="svd"`` uses the
     TSQR-based factor kernel for both the initialization and the inner
-    updates (the Sec. IX numerical improvement).  ``config=``/``plan=``
-    pin or select the kernel precision exactly as in
-    :func:`~repro.distributed.sthosvd.dist_sthosvd` (and are forwarded
-    to the ST-HOSVD initialization).
+    updates (the Sec. IX numerical improvement).
 
-    ``compute_dtype=`` selects the kernel precision (default the resolved
-    config's ``compute_dtype`` / ``REPRO_DTYPE``).  ``"mixed"`` runs the
+    ``compute_dtype=`` selects the kernel precision (default the run's
+    ``RuntimeConfig.compute_dtype`` / ``REPRO_DTYPE``).  ``"mixed"`` runs the
     ST-HOSVD initialization in float32 and the outer iterations in
     float64: the HOOI sweeps against the original tensor *are* iterative
     refinement, so no separate refinement pass is needed (the cheap init
@@ -93,9 +86,6 @@ def dist_hooi(
     if method not in ("gram", "svd"):
         raise ValueError(f"unknown method {method!r}; use 'gram' or 'svd'")
     order = resolve_mode_order(mode_order, dt.ndim)
-    cfg = _resolve_driver_config(dt, tol, ranks, order, config, plan)
-    if compute_dtype is None and cfg is not None:
-        compute_dtype = cfg.compute_dtype
     compute = resolve_compute_dtype(compute_dtype)
     # Mixed precision: float32 init, float64 iterations (the sweeps against
     # the original tensor are the refinement); pure float32 iterates narrow.
@@ -105,7 +95,7 @@ def dist_hooi(
     if init is None:
         init = dist_sthosvd(
             dt, tol=tol, ranks=ranks, mode_order=order,
-            ttm_strategy=ttm_strategy, method=method, config=cfg,
+            ttm_strategy=ttm_strategy, method=method,
             compute_dtype=init_compute,
         )
     factors = [np.array(f, dtype=iter_dtype, copy=True) for f in init.factors_local]

@@ -18,7 +18,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.config import RuntimeConfig, resolve_plan
 from repro.core.errors import compression_ratio, error_bound
 from repro.core.precision import (
     FLOAT32_NOISE_FLOOR,
@@ -532,49 +531,6 @@ def resolve_mode_order(
     return order
 
 
-def _resolve_driver_config(
-    dt: DistTensor,
-    tol: float | None,
-    ranks: Sequence[int] | None,
-    mode_order: Sequence[int] | None,
-    config: RuntimeConfig | None,
-    plan: str | None,
-) -> RuntimeConfig | None:
-    """The config whose ``compute_dtype`` a driver call should run under.
-
-    Precedence: explicit ``config=`` > explicit ``plan=`` > the
-    ``REPRO_PLAN`` selector > none (the dtype falls back to the run's
-    active config / environment).  ``plan="auto"`` asks the perf model
-    (:func:`repro.perfmodel.autotune.plan_sthosvd`) using this call's
-    actual shape, ranks/tol, grid and the ledger's machine constants —
-    a pure function of collectively-identical arguments, so every rank
-    selects the same plan without communicating.  Any other selector is
-    parsed as a saved :class:`RuntimeConfig` JSON object.
-    """
-    if config is not None:
-        if not isinstance(config, RuntimeConfig):
-            raise TypeError(
-                f"config must be a RuntimeConfig or None, got "
-                f"{type(config).__name__}"
-            )
-        return config
-    selector = resolve_plan(plan)
-    if selector is None:
-        return None
-    if selector == "auto":
-        from repro.perfmodel.autotune import plan_sthosvd
-
-        return plan_sthosvd(
-            dt.global_shape,
-            ranks=ranks,
-            tol=tol,
-            grid=dt.grid.dims,
-            machine=dt.comm.ledger.machine,
-            mode_order=mode_order,
-        ).config
-    return RuntimeConfig.from_json(selector)
-
-
 def dist_sthosvd(
     dt: DistTensor,
     tol: float | None = None,
@@ -583,8 +539,6 @@ def dist_sthosvd(
     ttm_strategy: str = "auto",
     method: str = "gram",
     checkpoint: str | os.PathLike | None = None,
-    config: RuntimeConfig | None = None,
-    plan: str | None = None,
     compute_dtype: str | None = None,
     *,
     mode_labels: Sequence[int] | None = None,
@@ -607,16 +561,8 @@ def dist_sthosvd(
     producing bit-identical factors.  The store is validated against the
     call's parameters (digest) and cleared on successful completion.
 
-    ``config=`` pins the kernel precision to an explicit
-    :class:`~repro.config.RuntimeConfig`'s ``compute_dtype`` for this
-    call; ``plan=`` selects one instead: ``"auto"`` asks the perf model
-    for this problem (see :func:`repro.perfmodel.autotune.plan_sthosvd`),
-    ``"default"``/None keeps the run's active config, and any other
-    string is parsed as a saved config's JSON.  ``None`` consults
-    ``REPRO_PLAN``.
-
-    ``compute_dtype=`` selects the kernel precision (default the
-    resolved config's ``compute_dtype`` / ``REPRO_DTYPE``) under the
+    ``compute_dtype=`` selects the kernel precision (default the run's
+    ``RuntimeConfig.compute_dtype`` / ``REPRO_DTYPE``) under the
     contracts of :mod:`repro.core.precision`; ``"mixed"`` ends, when the
     measured float32 defect exceeds the precision share, with one float64
     :func:`~repro.distributed.hooi.dist_hooi` sweep against the original
@@ -667,9 +613,6 @@ def dist_sthosvd(
     labels = _mode_labels(mode_labels, n_modes)
     planned = mode_order is None and tol is not None and n_modes > 1
     order = None if planned else resolve_mode_order(mode_order, n_modes)
-    cfg = _resolve_driver_config(dt, tol, ranks, order, config, plan)
-    if compute_dtype is None and cfg is not None:
-        compute_dtype = cfg.compute_dtype
     compute = resolve_compute_dtype(compute_dtype)
     work = kernel_dtype(compute)
 

@@ -59,12 +59,12 @@ DEFAULT_TIMEOUT = 120.0
 
 
 def resolve_timeout(override: float | None = None) -> float:
-    """Effective deadlock timeout: explicit override > config/env > default."""
-    if override is None:
-        return float(default_for("timeout"))
-    if override <= 0:
-        raise ValueError(f"timeout must be positive, got {override}")
-    return float(override)
+    """Effective deadlock timeout: explicit override > config/env > default.
+
+    The value is not range-checked here: ``run_spmd`` validates it, with
+    every other knob, when it builds the run's :class:`RuntimeConfig`.
+    """
+    return float(default_for("timeout") if override is None else override)
 
 
 def run_spmd(
@@ -166,7 +166,7 @@ def run_spmd(
         backend=backend if isinstance(backend, str) else None,
         sanitize=sanitize,
         faults=faults if isinstance(faults, str) else None,
-        timeout=resolve_timeout(timeout) if timeout is not None else None,
+        timeout=timeout,
         deadline=deadline,
     )
     if faults is None or isinstance(faults, str):

@@ -662,7 +662,7 @@ class ProcessTransport(TransportBase):
         faults=None,
         status=None,
     ):
-        if timeout <= 0:
+        if not timeout > 0:  # NaN too
             raise ValueError(f"timeout must be positive, got {timeout}")
         self.timeout = timeout
         self._rank = rank

@@ -23,6 +23,7 @@ real MPI hangs forever, but a test suite should fail fast instead.
 from __future__ import annotations
 
 import abc
+import math
 import threading
 from collections import defaultdict, deque
 from typing import Any, Hashable
@@ -89,7 +90,7 @@ class ThreadTransport(TransportBase):
     """Mailbox-based message store shared by all rank threads of one run."""
 
     def __init__(self, timeout: float = 60.0):
-        if timeout <= 0:
+        if not timeout > 0:  # NaN too
             raise ValueError(f"timeout must be positive, got {timeout}")
         self.timeout = timeout
         self._boxes: dict[Hashable, deque[Any]] = defaultdict(deque)
@@ -129,7 +130,10 @@ class ThreadTransport(TransportBase):
                 left = resources.remaining_deadline()
                 if left is not None:
                     interval = min(interval, max(left, 0.0) + 0.005)
-                if not self._cond.wait(interval) and interval >= self.timeout:
+                # An infinite timeout waits unbounded (a finite wait of
+                # ``inf`` seconds overflows the platform's time_t).
+                bounded = None if interval == math.inf else interval
+                if not self._cond.wait(bounded) and interval >= self.timeout:
                     raise DeadlockError(
                         f"receive on {key!r} timed out after "
                         f"{self.timeout:g}s (likely mismatched send/recv or "

@@ -44,11 +44,6 @@ from repro.perfmodel.scaling import (
     grid_sweep,
     mode_order_sweep,
 )
-from repro.perfmodel.autotune import (
-    ExecutionPlan,
-    plan_sthosvd,
-    refine_machine,
-)
 
 __all__ = [
     "MachineSpec",
@@ -77,7 +72,4 @@ __all__ = [
     "weak_scaling_curve",
     "grid_sweep",
     "mode_order_sweep",
-    "ExecutionPlan",
-    "plan_sthosvd",
-    "refine_machine",
 ]

@@ -20,8 +20,6 @@ blocks (the paper reports 66% of peak at best).
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass, replace
 
 
@@ -66,7 +64,7 @@ class MachineSpec:
     def __post_init__(self) -> None:
         for field in ("alpha", "beta", "gamma"):
             value = getattr(self, field)
-            if value < 0:
+            if not value >= 0:  # NaN too
                 raise ValueError(f"{field} must be non-negative, got {value}")
 
     @property
@@ -111,47 +109,6 @@ class MachineSpec:
             raise ValueError(f"flops must be non-negative, got {flops}")
         eff = 1.0 if gemm_dims is None else self.blas_efficiency(*gemm_dims)
         return self.gamma * flops / eff
-
-    def beta_for_itemsize(self, itemsize: int) -> float:
-        """Per-*element* transfer time for elements of ``itemsize`` bytes.
-
-        ``beta`` is calibrated per 8-byte word; narrower elements move
-        proportionally faster on a bandwidth-bound link, so one float32
-        element costs ``beta / 2``.  The ledger needs no dtype awareness
-        (it charges 8-byte words of the actual payload bytes) — this is
-        for the *predictive* model, which compares candidate compute
-        dtypes element-for-element (see ``plan_sthosvd``'s dtype
-        decision).
-        """
-        if itemsize <= 0:
-            raise ValueError(f"itemsize must be positive, got {itemsize}")
-        return self.beta * (itemsize / 8.0)
-
-    def to_json(self) -> str:
-        """Serialize every field to a JSON document (``from_json`` inverse)."""
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MachineSpec":
-        """Rebuild a spec from :meth:`to_json` output.
-
-        Optional fields may be omitted (dataclass defaults apply); unknown
-        keys and missing required constants are rejected with the field
-        names, so a hand-edited machine file fails loudly.
-        """
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError(
-                f"machine JSON must be an object, got {type(data).__name__}"
-            )
-        names = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - names)
-        if unknown:
-            raise ValueError(f"unknown MachineSpec fields: {unknown}")
-        missing = sorted({"alpha", "beta", "gamma"} - set(data))
-        if missing:
-            raise ValueError(f"machine JSON missing required fields: {missing}")
-        return cls(**data)
 
 
 #: One Edison (Cray XC30) core, the paper's experimental platform.

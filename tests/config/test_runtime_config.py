@@ -1,4 +1,4 @@
-"""RuntimeConfig layer: resolution precedence, serialization, dispatch.
+"""RuntimeConfig layer: resolution precedence, validation, dispatch.
 
 The contract under test is the tentpole of the config refactor: every
 ``REPRO_*`` knob is resolved exactly once at the ``run_spmd`` boundary
@@ -8,23 +8,23 @@ through the active-config dispatch — so an explicit ``RuntimeConfig``
 and the equivalent environment produce bit-identical runs.
 """
 
-import json
+import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.config import (
     CONFIG_FIELDS,
-    PLAN_ENV_VAR,
     RuntimeConfig,
     active_config,
     default_for,
     env_default,
     resolve_config,
-    resolve_plan,
     set_active_config,
 )
-from repro.distributed import DistTensor, dist_sthosvd
+from repro.distributed import DistTensor, dist_hooi, dist_sthosvd
 from repro.mpi import CartGrid, run_spmd
 from repro.tensor import low_rank_tensor
 from tests.conftest import spmd
@@ -35,7 +35,6 @@ def clean_knob_env(monkeypatch):
     """Start every test from an unset REPRO_* environment."""
     for field in CONFIG_FIELDS:
         monkeypatch.delenv(field.env, raising=False)
-    monkeypatch.delenv(PLAN_ENV_VAR, raising=False)
 
 
 class TestDefaults:
@@ -51,6 +50,15 @@ class TestDefaults:
         envs = [f.env for f in CONFIG_FIELDS]
         assert len(envs) == len(set(envs))
         assert all(env.startswith("REPRO_") for env in envs)
+
+    def test_readme_table_lists_exactly_the_fields(self):
+        # The README's configuration table is the knobs' only description.
+        readme = Path(__file__).resolve().parents[2] / "README.md"
+        rows = re.findall(
+            r"^\| `(REPRO_\w+)`\s*\|([^|]*)\|", readme.read_text(), re.M
+        )
+        listed = sorted((env, field.strip().strip("`")) for env, field in rows)
+        assert listed == sorted((f.env, f.name) for f in CONFIG_FIELDS)
 
 
 class TestPrecedence:
@@ -144,33 +152,47 @@ class TestValidation:
             ({"retry": 0}, "retry"),
             ({"timeout": 0.0}, "timeout"),
             ({"deadline": -0.1}, "deadline"),
+            # NaN fails every comparison, so a ``<= 0`` check lets it by.
+            ({"timeout": float("nan")}, "timeout"),
+            ({"deadline": float("nan")}, "deadline"),
         ],
     )
     def test_bad_values_rejected(self, changes, match):
         with pytest.raises(ValueError, match=match):
             RuntimeConfig(**changes)
 
+    @pytest.mark.parametrize(
+        "env, name",
+        [("REPRO_SPMD_TIMEOUT", "timeout"), ("REPRO_DEADLINE", "deadline")],
+    )
+    def test_nan_from_the_environment_rejected(self, env, name, monkeypatch):
+        monkeypatch.setenv(env, "nan")
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            resolve_config()
+
+    def test_dataclasses_replace_validates(self):
+        # ``dataclasses.replace`` is how a config is varied; it runs
+        # ``__post_init__``, so a bad value cannot slip in that way.
+        with pytest.raises(ValueError, match="timeout must be positive"):
+            dataclasses.replace(RuntimeConfig(), timeout=float("nan"))
+        assert dataclasses.replace(
+            RuntimeConfig(), compute_dtype="mixed"
+        ) == RuntimeConfig(compute_dtype="mixed")
+
+    def test_dataclasses_replace_rejects_a_retired_knob(self):
+        with pytest.raises(TypeError, match="plan"):
+            dataclasses.replace(RuntimeConfig(), plan="auto")
+
+    def test_infinite_timeout_and_deadline_accepted(self):
+        cfg = RuntimeConfig(timeout=float("inf"), deadline=float("inf"))
+        assert cfg.timeout == cfg.deadline == float("inf")
+
     def test_frozen(self):
         with pytest.raises(Exception):
             RuntimeConfig().sanitize = 1
 
 
-class TestSerialization:
-    def test_json_round_trip(self):
-        cfg = RuntimeConfig(
-            backend="process", compute_dtype="mixed", retry=3,
-            sanitize=1, faults="crash:rank=1:call=3", timeout=5.0,
-        )
-        assert RuntimeConfig.from_json(cfg.to_json()) == cfg
-
-    def test_from_json_rejects_garbage(self):
-        with pytest.raises(ValueError, match="invalid RuntimeConfig JSON"):
-            RuntimeConfig.from_json("{not json")
-
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="unknown RuntimeConfig key"):
-            RuntimeConfig.from_dict({"sanitize": 1, "bogus": 1})
-
+class TestRetiredKnobs:
     @pytest.mark.parametrize(
         "retired, value",
         [
@@ -187,16 +209,13 @@ class TestSerialization:
             ("max_worlds", 0),
         ],
     )
-    def test_retired_knob_in_persisted_json_is_rejected(self, retired, value):
-        # A config or plan saved while a knob still had two settings
-        # carries its key; replaying it must say so, not silently drop
-        # the key.
-        stale = json.loads(RuntimeConfig().to_json())
-        stale[retired] = value
-        with pytest.raises(
-            ValueError, match=f"unknown RuntimeConfig key.*{retired}"
-        ):
-            RuntimeConfig.from_json(json.dumps(stale))
+    def test_retired_knob_is_rejected_by_the_constructor(self, retired, value):
+        # An old call site that still passes the knob fails loudly instead
+        # of having it silently dropped.
+        with pytest.raises(TypeError, match=retired):
+            RuntimeConfig(**{retired: value})
+        with pytest.raises(ValueError, match="unknown RuntimeConfig key"):
+            resolve_config(**{retired: value})
         assert retired not in {f.name for f in CONFIG_FIELDS}
         assert len(CONFIG_FIELDS) == 7
 
@@ -213,6 +232,7 @@ class TestSerialization:
             ("REPRO_SPMD_HUGEPAGES", "not-a-mode"),
             ("REPRO_SHM_BUDGET", "1M"),
             ("REPRO_MAX_WORLDS", "2"),
+            ("REPRO_PLAN", "auto"),
         ],
     )
     def test_retired_env_var_is_not_consulted(self, env_var, value, monkeypatch):
@@ -224,27 +244,16 @@ class TestSerialization:
         assert resolve_config() == clean
         assert env_var not in {f.env for f in CONFIG_FIELDS}
 
-    def test_replace_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="unknown RuntimeConfig key"):
-            RuntimeConfig().replace(bogus=1)
-
-    def test_replace_validates(self):
-        with pytest.raises(ValueError, match="unknown REPRO_DTYPE"):
-            RuntimeConfig().replace(compute_dtype="float16")
-
-    def test_to_env_reproduces_the_config(self, monkeypatch):
+    def test_env_spelling_of_every_field_reproduces_the_config(
+        self, monkeypatch
+    ):
         cfg = RuntimeConfig(
             backend="process", compute_dtype="mixed", sanitize=1,
             timeout=30.0, retry=2, deadline=2.5,
         )
-        for env, raw in cfg.to_env().items():
-            monkeypatch.setenv(env, raw)
+        for f in CONFIG_FIELDS:
+            monkeypatch.setenv(f.env, str(getattr(cfg, f.name)))
         assert resolve_config() == cfg
-
-    def test_describe_covers_every_field(self):
-        rows = RuntimeConfig().describe()
-        assert [r[0] for r in rows] == [f.name for f in CONFIG_FIELDS]
-        assert all(len(r) == 4 for r in rows)
 
 
 class TestActiveConfigDispatch:
@@ -284,69 +293,80 @@ class TestActiveConfigDispatch:
 
         assert list(run_spmd(2, prog, config=cfg, sanitize=1)) == [1, 1]
 
-
-class TestResolvePlan:
-    def test_unset_is_none(self):
-        assert resolve_plan() is None
-
-    def test_default_is_none(self, monkeypatch):
-        assert resolve_plan("default") is None
-        monkeypatch.setenv(PLAN_ENV_VAR, "default")
-        assert resolve_plan() is None
-
-    def test_env_selector(self, monkeypatch):
-        monkeypatch.setenv(PLAN_ENV_VAR, "auto")
-        assert resolve_plan() == "auto"
-
-    def test_kwarg_beats_env(self, monkeypatch):
-        monkeypatch.setenv(PLAN_ENV_VAR, "auto")
-        assert resolve_plan("default") is None
+    @pytest.mark.parametrize("via", ["keyword", "env"])
+    def test_nan_timeout_starts_no_rank(self, via, monkeypatch):
+        # A NaN timeout would never expire: deadlock detection would be off.
+        started = []
+        kwargs = {}
+        if via == "keyword":
+            kwargs["timeout"] = float("nan")
+        else:
+            monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "nan")
+        with pytest.raises(ValueError, match="timeout must be positive"):
+            run_spmd(2, lambda comm: started.append(comm.rank), **kwargs)
+        assert started == []
 
 
 class TestBitIdentity:
-    """Explicit config == equivalent environment, bit for bit."""
+    """Every way of setting the kernel dtype gives the same bytes."""
 
     GRID = (2, 2, 1)
     RANKS = (3, 3, 2)
 
-    def _factors_and_core(self, **sthosvd_kwargs):
+    def _factors_and_core(self, compute_dtype=None, **run_kwargs):
         x = low_rank_tensor((8, 6, 4), (3, 3, 2), seed=11, noise=0.02)
 
         def prog(comm):
             g = CartGrid(comm, self.GRID)
             dt = DistTensor.from_global(g, x)
-            t = dist_sthosvd(dt, ranks=self.RANKS, **sthosvd_kwargs)
+            t = dist_sthosvd(dt, ranks=self.RANKS, compute_dtype=compute_dtype)
             tucker = t.to_tucker()
-            return tucker.core, tucker.factors
+            return [tucker.core.tobytes()] + [u.tobytes() for u in tucker.factors]
 
-        return spmd(int(np.prod(self.GRID)), prog)[0]
+        return spmd(int(np.prod(self.GRID)), prog, **run_kwargs)[0]
 
-    def test_config_matches_equivalent_env(self, monkeypatch):
-        cfg = RuntimeConfig(compute_dtype="float32")
-        via_config = self._factors_and_core(config=cfg)
-
-        monkeypatch.setenv("REPRO_DTYPE", "float32")
+    @pytest.mark.parametrize("dtype", ["float32", "mixed"])
+    def test_keyword_config_and_env_agree(self, dtype, monkeypatch):
+        via_keyword = self._factors_and_core(compute_dtype=dtype)
+        via_config = self._factors_and_core(
+            config=RuntimeConfig(compute_dtype=dtype, timeout=20.0)
+        )
+        monkeypatch.setenv("REPRO_DTYPE", dtype)
         via_env = self._factors_and_core()
+        assert via_keyword == via_config == via_env
+        assert via_keyword != self._factors_and_core(compute_dtype="float64")
 
-        assert via_config[0].tobytes() == via_env[0].tobytes()
-        for u_cfg, u_env in zip(via_config[1], via_env[1]):
-            assert u_cfg.tobytes() == u_env.tobytes()
+    @pytest.mark.parametrize(
+        "dtype, init_dtype",
+        [("float64", "float64"), ("float32", "float32"), ("mixed", "float32")],
+    )
+    def test_dist_hooi_runs_its_init_in_the_forwarded_dtype(
+        self, dtype, init_dtype
+    ):
+        # dist_hooi hands its ST-HOSVD initialization only
+        # ``compute_dtype``: float32 for float32 and mixed (the float64
+        # sweeps refine a mixed run), float64 otherwise.  With no sweeps
+        # the core and eigenvalues are the initialization's, byte for byte.
+        x = low_rank_tensor((8, 6, 4), (3, 3, 2), seed=11, noise=0.02)
 
-    def test_auto_plan_matches_its_explicit_config(self):
-        from repro.perfmodel import plan_sthosvd
+        def prog(comm, hooi_dtype, sthosvd_dtype):
+            dt = DistTensor.from_global(CartGrid(comm, self.GRID), x)
+            if hooi_dtype is not None:
+                t = dist_hooi(
+                    dt, ranks=self.RANKS, max_iterations=0,
+                    compute_dtype=hooi_dtype,
+                ).decomposition
+            else:
+                t = dist_sthosvd(
+                    dt, ranks=self.RANKS, compute_dtype=sthosvd_dtype
+                )
+            return [t.to_tucker().core.tobytes()] + [
+                np.asarray(ev).tobytes() for ev in t.eigenvalues
+            ]
 
-        planned = plan_sthosvd(
-            (8, 6, 4), ranks=self.RANKS, grid=self.GRID
-        ).config
-        via_plan = self._factors_and_core(plan="auto")
-        via_config = self._factors_and_core(config=planned)
-
-        assert via_plan[0].tobytes() == via_config[0].tobytes()
-        for u_plan, u_cfg in zip(via_plan[1], via_config[1]):
-            assert u_plan.tobytes() == u_cfg.tobytes()
-
-    def test_json_plan_replays_a_config(self):
-        cfg = RuntimeConfig(compute_dtype="float32")
-        via_json = self._factors_and_core(plan=cfg.to_json())
-        via_config = self._factors_and_core(config=cfg)
-        assert via_json[0].tobytes() == via_config[0].tobytes()
+        n = int(np.prod(self.GRID))
+        via_hooi = spmd(n, prog, dtype, None)[0]
+        assert via_hooi == spmd(n, prog, None, init_dtype)[0]
+        assert (via_hooi == spmd(n, prog, None, "float64")[0]) == (
+            init_dtype == "float64"
+        )

@@ -38,6 +38,11 @@ class TestChooseGrid:
         with pytest.raises(ValueError):
             choose_grid(4, (10, 10), ranks=(2,))
 
+    def test_sixteen_ranks_go_to_the_last_mode(self):
+        grid = choose_grid(16, (200, 200, 200, 200), ranks=(20,) * 4,
+                           machine=EDISON)
+        assert grid == (1, 1, 1, 16)
+
     def test_machine_parameter_accepted(self):
         grid = choose_grid(12, (48, 48, 48), ranks=(12, 12, 12), machine=EDISON)
         assert prod(grid) == 12

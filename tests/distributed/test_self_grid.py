@@ -58,12 +58,11 @@ def _fingerprint():
 
 
 def test_run_knobs_do_not_reach_the_sequential_entry_points(monkeypatch):
-    # A narrowed dtype, an autotuned plan (which may pick one), the
-    # sanitizer and a fault clause that would fire at the first all-reduce:
-    # none of them may change a bit of the sequential results.
+    # A narrowed dtype, the sanitizer and a fault clause that would fire
+    # at the first all-reduce: none of them may change a bit of the
+    # sequential results.
     unset = _fingerprint()
     monkeypatch.setenv("REPRO_DTYPE", "mixed")
-    monkeypatch.setenv("REPRO_PLAN", "auto")
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     monkeypatch.setenv("REPRO_FAULTS", "rank=0:site=allreduce:kind=crash")
     assert _fingerprint() == unset

@@ -1,5 +1,7 @@
 """SPMD executor tests: results, failures, deadlock detection."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,18 @@ class TestDeadlockDetection:
         assert any(
             isinstance(e, DeadlockError) for e in exc_info.value.failures.values()
         )
+
+    def test_infinite_timeout_waits(self):
+        # ``inf`` turns detection off; a rank that has to wait still gets
+        # its message.
+        def prog(comm):
+            if comm.rank == 1:
+                time.sleep(0.05)
+                comm.send("late", dest=0)
+                return None
+            return comm.recv(source=1)
+
+        assert run_spmd(2, prog, timeout=float("inf"))[0] == "late"
 
     def test_mismatched_collective_order(self):
         # Rank 0 calls bcast, rank 1 calls allreduce: sequence numbers match

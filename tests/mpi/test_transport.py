@@ -5,6 +5,7 @@ import threading
 import pytest
 
 from repro.mpi.errors import DeadlockError
+from repro.mpi.process_transport import ProcessTransport
 from repro.mpi.transport import ThreadTransport
 
 
@@ -90,3 +91,15 @@ class TestValidation:
     def test_rejects_nonpositive_timeout(self):
         with pytest.raises(ValueError):
             ThreadTransport(timeout=0)
+
+    def test_rejects_nan_timeout(self, spmd_backend):
+        # NaN fails every comparison: a ``<= 0`` check would let it by and
+        # a receive with no sender would never time out.
+        make = {
+            "thread": lambda: ThreadTransport(timeout=float("nan")),
+            "process": lambda: ProcessTransport(
+                0, [], None, timeout=float("nan")
+            ),
+        }[spmd_backend]
+        with pytest.raises(ValueError, match="timeout must be positive"):
+            make()

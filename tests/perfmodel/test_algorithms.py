@@ -8,7 +8,7 @@ from repro.perfmodel import (
     sthosvd_cost,
     sthosvd_memory_bound,
 )
-from repro.perfmodel.machine import EDISON, UNIT
+from repro.perfmodel.machine import EDISON, UNIT, MachineSpec
 from repro.util.validation import prod
 
 
@@ -62,6 +62,27 @@ class TestSthosvdCost:
     def test_rank_exceeds_dim(self):
         with pytest.raises(ValueError):
             sthosvd_cost((8, 8), (9, 2), (1, 1), UNIT)
+
+    def test_rejects_mismatched_ranks(self):
+        with pytest.raises(ValueError, match="differ in order"):
+            sthosvd_cost((24, 16, 12), (6, 4), (2, 2, 1), UNIT)
+
+    def test_rejects_mismatched_grid(self):
+        with pytest.raises(ValueError, match="differ in order"):
+            sthosvd_cost((24, 16, 12), (6, 4, 4), (2, 2), UNIT)
+
+    def test_uniform_rescale_scales_time(self):
+        # Every term is linear in alpha, beta and gamma: a machine k times
+        # slower in all three predicts exactly k times the time.
+        shape, ranks, grid = (24, 16, 12), (6, 4, 4), (2, 2, 1)
+        slow = MachineSpec(
+            alpha=3.7 * EDISON.alpha, beta=3.7 * EDISON.beta,
+            gamma=3.7 * EDISON.gamma,
+        )
+        base = sthosvd_cost(shape, ranks, grid, EDISON)
+        scaled = sthosvd_cost(shape, ranks, grid, slow)
+        assert scaled.time == pytest.approx(3.7 * base.time)
+        assert scaled.flops == base.flops
 
 
 class TestHooiIterationCost:

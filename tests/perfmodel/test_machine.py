@@ -18,6 +18,15 @@ class TestMachineSpec:
         with pytest.raises(ValueError):
             MachineSpec(alpha=-1, beta=1, gamma=1)
 
+    @pytest.mark.parametrize("field", ["alpha", "beta", "gamma"])
+    def test_rejects_nan_constants(self, field):
+        # A NaN constant would make every modeled time NaN, and every
+        # comparison between them false.
+        constants = {"alpha": 1.0, "beta": 1.0, "gamma": 1.0}
+        constants[field] = float("nan")
+        with pytest.raises(ValueError, match=field):
+            MachineSpec(**constants)
+
     def test_with_efficiency(self):
         derated = EDISON.with_efficiency(0.5)
         assert derated.gamma == pytest.approx(2 * EDISON.gamma)

@@ -31,10 +31,6 @@ class TestConfigKnobs:
         with pytest.raises(ValueError, match="deadline"):
             RuntimeConfig(deadline=-0.1)
 
-    def test_json_roundtrip_with_deadline(self):
-        cfg = RuntimeConfig(deadline=9.0)
-        assert RuntimeConfig.from_json(cfg.to_json()) == cfg
-
 
 class TestGovernor:
     def test_gate_fires_the_arena_fault_site(self):

@@ -16,8 +16,8 @@ PUBLIC_API = {
         "RuntimeConfig", "__version__",
     ],
     "repro.config": [
-        "RuntimeConfig", "ConfigField", "CONFIG_FIELDS", "PLAN_ENV_VAR",
-        "resolve_config", "resolve_plan", "env_default", "default_for",
+        "RuntimeConfig", "ConfigField", "CONFIG_FIELDS",
+        "resolve_config", "env_default", "default_for",
         "set_active_config", "active_config",
     ],
     "repro.core": [
@@ -50,7 +50,6 @@ PUBLIC_API = {
         "AlgorithmCost", "sthosvd_cost", "hooi_cost", "hooi_iteration_cost",
         "sthosvd_memory_bound", "strong_scaling_curve", "weak_scaling_curve",
         "grid_sweep", "mode_order_sweep",
-        "ExecutionPlan", "plan_sthosvd", "refine_machine",
     ],
     "repro.data": [
         "hcci_proxy", "tjlr_proxy", "sp_proxy", "load_dataset", "DATASETS",
@@ -103,12 +102,13 @@ def test_all_lists_are_accurate():
 
 
 # Each kernel runs one schedule (pipelined ring, posted-ireduce blocked
-# TTM, binary TSQR tree, full-width wire).  The keywords that once chose
-# another must stay gone: an old call site should fail loudly, not be
-# silently accepted.
+# TTM, binary TSQR tree, full-width wire), and the drivers take their
+# dtype from ``compute_dtype=`` alone (no execution plan).  The keywords
+# that once chose otherwise must stay gone: an old call site should fail
+# loudly, not be silently accepted.
 RETIRED_KEYWORDS = {
     "overlap", "pipelined", "tree", "tsqr_tree", "compress_wire",
-    "exploit_symmetry",
+    "exploit_symmetry", "plan", "config",
 }
 ONE_SCHEDULE_CALLABLES = [
     ("repro.distributed", "dist_gram"),
@@ -123,7 +123,6 @@ ONE_SCHEDULE_CALLABLES = [
     ("repro.core", "sthosvd"),
     ("repro.core", "hooi"),
     ("repro.core", "StreamingTucker"),
-    ("repro.perfmodel", "plan_sthosvd"),
 ]
 
 
@@ -143,8 +142,11 @@ def test_no_schedule_keywords(module_name, name):
 
 
 # A full /dev/shm is the only shm limit: the in-process budget, admission
-# control and the resource board are gone, and so are their names.
+# control and the resource board are gone, and so are their names.  So is
+# the execution-plan layer.
 RETIRED_NAMES = {
+    "repro.config": ["PLAN_ENV_VAR", "resolve_plan"],
+    "repro.perfmodel": ["ExecutionPlan", "plan_sthosvd", "refine_machine"],
     "repro.mpi": ["AdmissionError", "BudgetExceededError", "estimate_world_shm"],
     "repro.mpi.errors": ["AdmissionError"],
     "repro.resources": [

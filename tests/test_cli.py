@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.mpi
 from repro.cli import _parse_selection, main
 from repro.io import load_tucker
 from repro.tensor import low_rank_tensor
@@ -121,15 +122,36 @@ class TestCompress:
         assert rc == 2
         assert "--timeout requires --parallel" in capsys.readouterr().err
 
-    def test_timeout_must_be_positive(self, field, tmp_path, capsys):
+    @pytest.mark.parametrize("value", ["-3", "nan"])
+    def test_timeout_must_be_positive(
+        self, field, tmp_path, capsys, monkeypatch, value
+    ):
+        # A NaN timeout would never expire: deadlock detection would be off.
         src, _ = field
+        monkeypatch.setattr(
+            repro.mpi, "run_spmd",
+            lambda *a, **k: pytest.fail("a rank was launched"),
+        )
         out = tmp_path / "m.npz"
         rc = main(
             ["compress", str(src), str(out), "--tol", "1e-2",
-             "--parallel", "2", "--timeout", "-3"]
+             "--parallel", "2", "--timeout", value]
         )
         assert rc == 2
-        assert "must be positive" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: --timeout must be positive\n"
+
+    def test_infinite_timeout_is_accepted(self, field, tmp_path):
+        # ``inf`` keeps its meaning, "never time out", through the CLI.
+        src, x = field
+        out = tmp_path / "m.npz"
+        assert main(
+            ["compress", str(src), str(out), "--tol", "1e-2",
+             "--parallel", "2", "--timeout", "inf"]
+        ) == 0
+        t, meta = load_tucker(out)
+        assert meta["parallel"]["ranks"] == 2
+        err = np.linalg.norm(x - t.reconstruct()) / np.linalg.norm(x)
+        assert err <= 1e-2
 
     def test_injected_fault_prints_error_not_traceback(
         self, field, tmp_path, capsys, monkeypatch

@@ -13,6 +13,7 @@ import os
 import numpy as np
 import pytest
 
+import repro.cli
 import repro.mpi
 from repro.cli import main
 from repro.io import load_tucker
@@ -177,6 +178,42 @@ def test_bad_input_is_one_error_line(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "env, value, message",
+    [
+        ("REPRO_DTYPE", "float16", "unknown REPRO_DTYPE value 'float16'"),
+        ("REPRO_SPMD_BACKEND", "mpi", "unknown SPMD backend 'mpi'"),
+        ("REPRO_SANITIZE", "2", "sanitize level"),
+        ("REPRO_SPMD_RETRY", "0", "retry must be >= 1"),
+        ("REPRO_SPMD_TIMEOUT", "nan", "timeout must be positive"),
+        ("REPRO_DEADLINE", "nan", "deadline must be non-negative"),
+    ],
+    ids=["dtype", "backend", "sanitize", "retry", "timeout", "deadline"],
+)
+def test_bad_knob_in_the_environment_is_one_error_line_before_launch(
+    field, tmp_path, capsys, monkeypatch, env, value, message
+):
+    # Every knob is resolved before a rank starts; a bad one is the
+    # CLI's single error line, never a traceback or a half-written model.
+    src, _ = field
+    started = []
+    monkeypatch.setenv("REPRO_SPMD_BACKEND", "thread")
+    monkeypatch.setenv(env, value)
+    monkeypatch.setattr(
+        repro.cli, "_compress_prog",
+        lambda comm, *args: started.append(comm.rank),
+    )
+    out = tmp_path / "out.npz"
+    assert main(
+        ["compress", str(src), str(out), "--tol", "1e-2", "--parallel", "2"]
+    ) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
+    assert started == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("shape", [(12, 10, 8), (16, 16, 16)])
 def test_small_modes_compress_within_tol(tmp_path, shape):
     # Every mode is below 20: no grid fits the planner's 10x rank guess,
@@ -194,69 +231,37 @@ def test_small_modes_compress_within_tol(tmp_path, shape):
     assert err <= tol
 
 
-#: What ``repro-tucker plan ... --json`` printed before the ``overlap``,
-#: ``tsqr_tree`` and ``compress_wire`` knobs were removed (and the five
-#: transport knobs after them: ``pool``, ``arena``, ``windows``,
-#: ``window_slot`` and ``hugepages``; then the shm budget knobs
-#: ``shm_budget`` and ``max_worlds``).
-STALE_PLAN = (
-    '{"arena": true, "backend": "thread", "compress_wire": false, '
-    '"compute_dtype": "float64", "deadline": 0.0, "faults": "", '
-    '"hugepages": "auto", "max_worlds": 0, "overlap": true, "pool": true, '
-    '"retry": 1, "sanitize": 0, "shm_budget": 0, "timeout": 120.0, '
-    '"tsqr_tree": "binary", "window_slot": 0, "windows": true}'
-)
-
-
-@pytest.mark.parametrize("via_env", [False, True])
 @pytest.mark.parametrize(
-    "plan, message",
+    "extra, message",
     [
-        (
-            STALE_PLAN,
-            "arena, compress_wire, hugepages, max_worlds, overlap, pool, "
-            "shm_budget, tsqr_tree, window_slot, windows",
-        ),
-        ("[1, 2]", "must be a mapping"),
-        ("{not json", "invalid RuntimeConfig JSON"),
+        # The process backend has one configuration.
+        (["--backend", "process", "--no-pool"],
+         "unrecognized arguments: --no-pool"),
+        # The kernel dtype is chosen by --dtype / REPRO_DTYPE alone.
+        (["--plan", "auto"], "unrecognized arguments: --plan auto"),
+        (None, "invalid choice: 'plan'"),
     ],
-    ids=["stale", "not-an-object", "not-json"],
+    ids=["no-pool", "plan-flag", "plan-subcommand"],
 )
-def test_bad_plan_is_one_error_line_before_launch(
-    field, tmp_path, capsys, monkeypatch, plan, message, via_env
+def test_retired_cli_surface_is_gone(
+    field, tmp_path, capsys, monkeypatch, extra, message
 ):
-    src, _ = field
-    monkeypatch.setattr(
-        repro.mpi, "run_spmd",
-        lambda *a, **k: pytest.fail("a rank was launched on a bad plan"),
-    )
-    out = tmp_path / "out.npz"
-    argv = ["compress", str(src), str(out), "--tol", "1e-2", "--parallel", "2"]
-    if via_env:
-        monkeypatch.setenv("REPRO_PLAN", plan)
-    else:
-        argv += ["--plan", plan]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: --plan:") and err.count("\n") == 1
-    assert message in err
-    assert not out.exists()
-
-
-def test_no_pool_flag_is_gone(field, tmp_path, capsys, monkeypatch):
-    # The process backend has one configuration: argparse rejects the
-    # retired flag before anything is read or launched.
+    # argparse rejects it before anything is read or launched.
     src, _ = field
     monkeypatch.setattr(
         repro.mpi, "run_spmd",
         lambda *a, **k: pytest.fail("a rank was launched"),
     )
     out = tmp_path / "out.npz"
+    if extra is None:
+        argv = ["plan", "24", "16", "12", "--tol", "1e-2", "-p", "4"]
+    else:
+        argv = ["compress", str(src), str(out), "--tol", "1e-2",
+                "--parallel", "2"] + extra
     with pytest.raises(SystemExit) as exc_info:
-        main(["compress", str(src), str(out), "--tol", "1e-2",
-              "--parallel", "2", "--backend", "process", "--no-pool"])
+        main(argv)
     assert exc_info.value.code == 2
-    assert "unrecognized arguments: --no-pool" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

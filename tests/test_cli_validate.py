@@ -5,7 +5,7 @@ import pytest
 
 from repro.cli import main
 from repro.core import TuckerTensor, sthosvd
-from repro.io import save_tucker
+from repro.io import load_tucker, save_tucker
 from repro.tensor import low_rank_tensor
 
 
@@ -52,6 +52,30 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "OK" in out
         assert "dtype bar" in out and "mixed" in out
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32", "mixed"])
+    def test_container_records_the_dtype_taken_from_the_environment(
+        self, tmp_path, capsys, monkeypatch, dtype
+    ):
+        # REPRO_DTYPE selects the dtype as --dtype does, so the container
+        # must record it too, or validate holds a mixed model to
+        # float64's bar.
+        x = low_rank_tensor((40, 30, 20, 10), (4, 4, 3, 2), seed=3, noise=0.0)
+        src = tmp_path / "x.npy"
+        np.save(src, x)
+        model = tmp_path / "m.npz"
+        monkeypatch.setenv("REPRO_DTYPE", dtype)
+        assert main([
+            "compress", str(src), str(model), "--tol", "1e-2",
+            "--parallel", "2",
+        ]) == 0
+        _, meta = load_tucker(model)
+        assert meta["parallel"]["compute_dtype"] == dtype
+        capsys.readouterr()
+        assert main(["validate", str(model)]) == 0
+        out = capsys.readouterr().out
+        assert "OK" in out
+        assert ("dtype bar" in out) == (dtype != "float64")
 
     def test_broken_model_fails(self, clean_model, tmp_path, capsys):
         _, _, t = clean_model
