@@ -128,11 +128,17 @@ def _compress_parallel(
     of the tensor than its own block.  Returns what rank 0 returned;
     factors are bit-identical across backends, so the container does not
     depend on the choice.  The compute dtype is resolved here, once, so
-    the container records the one the ranks ran with.
+    the container records the one the ranks ran with.  ``--method svd``
+    loads its LAPACK QR pair here too, so forked ranks inherit it and
+    none imports SciPy inside a collective.
     """
     from repro.core.precision import resolve_compute_dtype
     from repro.distributed import choose_grid
     from repro.mpi import resolve_backend, run_spmd
+    from repro.tensor.qr import lapack_qr
+
+    if args.method == "svd":
+        lapack_qr()
 
     ranks = tuple(args.ranks) if args.ranks else None
     grid = choose_grid(args.parallel, shape, ranks=ranks)

@@ -42,12 +42,7 @@ from repro.mpi.backends import (
     resolve_backend,
     shutdown_worker_pools,
 )
-from repro.mpi.executor import (
-    TIMEOUT_ENV_VAR,
-    SpmdResult,
-    resolve_timeout,
-    run_spmd,
-)
+from repro.mpi.executor import SpmdResult, run_spmd
 from repro.faults import (
     FAULTS_ENV_VAR,
     FaultSpec,
@@ -108,11 +103,9 @@ __all__ = [
     "BACKEND_ENV_VAR",
     "SANITIZE_ENV_VAR",
     "FAULTS_ENV_VAR",
-    "TIMEOUT_ENV_VAR",
     "FaultSpec",
     "RetryPolicy",
     "resolve_faults",
-    "resolve_timeout",
     "Sanitizer",
     "ResourceReport",
     "DegradationEvent",

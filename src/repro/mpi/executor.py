@@ -26,12 +26,7 @@ import time
 from typing import Any, Callable, Sequence
 
 from repro import resources
-from repro.config import (
-    RuntimeConfig,
-    default_for,
-    resolve_config,
-    set_active_config,
-)
+from repro.config import RuntimeConfig, resolve_config, set_active_config
 from repro.faults import FaultSpec, RetryPolicy, resolve_faults
 from repro.mpi.backends import (
     ExecutorBackend,
@@ -42,29 +37,7 @@ from repro.mpi.backends import (
 from repro.mpi.errors import SpmdError
 from repro.perfmodel.machine import EDISON, MachineSpec
 
-__all__ = [
-    "SpmdResult",
-    "run_spmd",
-    "available_backends",
-    "resolve_timeout",
-    "TIMEOUT_ENV_VAR",
-    "DEFAULT_TIMEOUT",
-]
-
-#: Environment override for the deadlock-detection timeout (seconds);
-#: an explicit ``run_spmd(timeout=)`` / ``--timeout`` wins over it.
-TIMEOUT_ENV_VAR = "REPRO_SPMD_TIMEOUT"
-
-DEFAULT_TIMEOUT = 120.0
-
-
-def resolve_timeout(override: float | None = None) -> float:
-    """Effective deadlock timeout: explicit override > config/env > default.
-
-    The value is not range-checked here: ``run_spmd`` validates it, with
-    every other knob, when it builds the run's :class:`RuntimeConfig`.
-    """
-    return float(default_for("timeout") if override is None else override)
+__all__ = ["SpmdResult", "run_spmd", "available_backends"]
 
 
 def run_spmd(

@@ -1,7 +1,8 @@
 """Symmetric eigensolver kernel and epsilon-driven rank selection.
 
 The paper computes factor matrices as the leading eigenvectors of the mode-n
-Gram matrix (dsyevx in LAPACK; here ``scipy.linalg.eigh``), and inside
+Gram matrix (dsyevx in LAPACK; here ``numpy.linalg.eigh``, LAPACK's
+divide-and-conquer ``syevd``), and inside
 ST-HOSVD chooses the reduced dimension ``R_n`` on the fly as
 
     ``R_n = min R such that sum_{r > R} lambda_r(S) <= eps^2 ||X||^2 / N``
@@ -17,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def eigendecompose(s: np.ndarray) -> EigResult:
         raise ValueError(f"expected a square matrix, got shape {s.shape}")
     if not np.allclose(s, s.T, atol=sym_atol * max(1.0, float(np.abs(s).max(initial=0.0)))):
         raise ValueError("matrix is not symmetric")
-    values, vectors = scipy.linalg.eigh(s)
+    values, vectors = np.linalg.eigh(s)
     order = np.argsort(values)[::-1]
     values = np.clip(values[order], 0.0, None)
     vectors = _fix_signs(vectors[:, order])

@@ -36,8 +36,9 @@ large shapes (the README's "Local kernels" tables).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from repro.tensor.dense import (
     PANEL_BYTES,
@@ -52,12 +53,25 @@ from repro.util.validation import check_axis, prod
 #: Householder panel width handed to ``?geqrt`` / ``?tpqrt``.
 PANEL_WIDTH = 8
 
-# Resolved at import so a SciPy build without the triangular-pentagonal
-# routines fails in the parent process, not inside a rank.
-_LAPACK = {
-    np.dtype(dt): get_lapack_funcs(("geqrt", "tpqrt"), dtype=dt)
-    for dt in (np.float32, np.float64)
-}
+
+@functools.cache
+def lapack_qr() -> dict[np.dtype, tuple]:
+    """``{dtype: (?geqrt, ?tpqrt)}`` for float32 and float64, resolved on
+    first use.
+
+    SciPy is the only source of the triangular-pentagonal pair and only
+    this path needs it, so it is imported here and not when
+    :mod:`repro.tensor` is: the Gram path never loads it.  A launcher
+    that will run ``qr_r`` on ranks calls this in the parent first, so a
+    SciPy build without the routines fails there and forked workers
+    inherit them instead of importing SciPy inside a collective.
+    """
+    from scipy.linalg import get_lapack_funcs
+
+    return {
+        np.dtype(dt): get_lapack_funcs(("geqrt", "tpqrt"), dtype=dt)
+        for dt in (np.float32, np.float64)
+    }
 
 
 def chunk_rows(n: int, itemsize: int) -> int:
@@ -114,7 +128,7 @@ def qr_r(x: "Tensor | np.ndarray", mode: int) -> np.ndarray:
     dtype = match_dtype(flat.dtype)
     if m == 0 or n == 0:
         return np.zeros((0, n), dtype=dtype)
-    geqrt, tpqrt = _LAPACK[dtype]
+    geqrt, tpqrt = lapack_qr()[dtype]
     step = chunk_rows(n, dtype.itemsize)
     scratch = np.empty(min(step, m) * n, dtype=dtype)
     r = None

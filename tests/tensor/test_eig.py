@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
+import repro.data
+from repro.core import sthosvd
 from repro.tensor import (
     eigendecompose,
+    gram,
     leading_eigenvectors,
     rank_from_tolerance,
 )
 from repro.tensor.eig import EigResult
+from tests import reference
 
 
 def _spd_matrix(rng, n, eigenvalues=None):
@@ -63,6 +67,42 @@ class TestEigendecompose:
     def test_rejects_nonsquare(self, rng):
         with pytest.raises(ValueError, match="square"):
             eigendecompose(rng.standard_normal((3, 4)))
+
+
+class TestAgainstOtherSolvers:
+    """The solver is NumPy's ``eigh`` (LAPACK ``syevd``)."""
+
+    def test_matches_the_reference(self, rng):
+        x = rng.standard_normal((9, 5, 4))
+        for mode in range(x.ndim):
+            vectors, values = reference.leading(x, mode, rank=x.shape[mode])
+            eig = eigendecompose(gram(x, mode))
+            np.testing.assert_allclose(
+                eig.values, values, rtol=0, atol=1e-12 * values[0]
+            )
+            # The same columns up to sign, each with its largest-|entry|
+            # positive.
+            signs = np.sign(np.sum(eig.vectors * vectors, axis=0))
+            np.testing.assert_allclose(eig.vectors, vectors * signs, atol=1e-10)
+            rows = np.argmax(np.abs(eig.vectors), axis=0)
+            assert np.all(eig.vectors[rows, np.arange(x.shape[mode])] > 0)
+
+    @pytest.mark.parametrize(
+        "proxy, shape",
+        [("hcci_proxy", (24, 24, 16, 12)), ("sp_proxy", (16, 16, 16, 11, 10))],
+    )
+    def test_ranks_match_the_scipy_solver(self, proxy, shape, monkeypatch):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        data = getattr(repro.data, proxy)(shape=shape)
+        x, _ = repro.data.center_and_scale(data.tensor, data.species_mode)
+        ours = sthosvd(x, tol=1e-3)
+        monkeypatch.setattr(np.linalg, "eigh", scipy_linalg.eigh)
+        theirs = sthosvd(x, tol=1e-3)
+        assert ours.ranks == theirs.ranks
+        assert ours.mode_order == theirs.mode_order
+        assert ours.error_estimate() == pytest.approx(
+            theirs.error_estimate(), rel=1e-8
+        )
 
 
 class TestTailSums:

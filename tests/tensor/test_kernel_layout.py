@@ -191,15 +191,17 @@ def test_qr_bits_depend_on_the_unfolding_not_the_layout(
                 assert qr_r(same, 1).tobytes() == want.tobytes()
 
 
-def test_lapack_routines_are_resolved_at_import():
-    # An unsuitable SciPy must fail where `repro.tensor` is imported — in
-    # the parent — not at the first QR inside a rank.
+def test_lapack_routines_are_resolved_once_on_first_use():
+    # A launcher resolves them in the parent before forking ranks (the
+    # CLI's `--method svd`); every later `qr_r` reuses the same pair.
     from scipy.linalg import get_lapack_funcs
 
     import repro.tensor.qr as qr_module
 
+    routines = qr_module.lapack_qr()
+    assert qr_module.lapack_qr() is routines
     for dtype, prefix in ((np.float32, "s"), (np.float64, "d")):
-        resolved = qr_module._LAPACK[np.dtype(dtype)]
+        resolved = routines[np.dtype(dtype)]
         again = get_lapack_funcs(("geqrt", "tpqrt"), dtype=dtype)
         assert [f.typecode for f in resolved] == [prefix, prefix]
         assert [f.__name__ for f in resolved] == [f.__name__ for f in again]
