@@ -18,8 +18,13 @@ repo root so the perf trajectory is visible across PRs:
   workloads' models in increasing mode order vs ``chain_order``, with
   each chain's flops; ``ttm_first_mode`` — the first-mode product in
   512 KB column panels vs one dgemm over the whole view, at every
-  first-mode step of those workloads (both recorded only, as above.
-  Asserted: the two sides agree);
+  first-mode step of those workloads; ``ttm_large_block`` — a sub-block
+  taller than one panel walked in 512 KB row panels vs one stacked
+  ``matmul``, at every compress and reconstruct step of those workloads
+  that has one (``seq-hcci``'s last-mode shrink and expansion,
+  ``cli-tjlr``'s rank-local mode-4 projections and its mode-4
+  reconstruction step; ``dist-sp`` has none) (all three recorded only,
+  as above.  Asserted: the two sides agree);
 * ``mode_order`` — tolerance-driven ``core.sthosvd`` on the repo
   benchmark's three gated inputs in increasing mode order, in the order
   the driver plans (Sec. VIII-C's ratio rule on sampled ranks), and in
@@ -374,6 +379,46 @@ def test_ttm_first_mode_panels_vs_one_dgemm(benchmark):
                   rows)
     _record("ttm_first_mode", {"reference": "one dgemm on the (I_n, trail) view",
                                "rows": rows})
+
+
+#: Every TTM step of the three workloads whose sub-block is taller than
+#: one panel: ``seq-hcci``'s mode-3 shrink (first in its planned order)
+#: and the last step of its reconstruction chain, ``cli-tjlr``'s mode-4
+#: projection on each rank of its 1x1x1x2x1 grid and the mode-4 step of
+#: its reconstruction chain — ``(working shape, mode, output extent)``.
+#: ``dist-sp``'s chains never reach the row walk: their large step is
+#: the first mode.
+_LARGE_BLOCK_SHAPES = {
+    "seq-hcci": [((96, 96, 33, 40), 3, 10), ((96, 96, 33, 10), 3, 40)],
+    "cli-tjlr": [((14, 8, 11, 18, 16), 4, 16), ((14, 8, 11, 17, 16), 4, 16),
+                 ((14, 8, 11, 35, 16), 4, 16)],
+}
+
+
+def _ttm_one_stacked_matmul(x, u, mode):
+    """The product the kernel ran before it walked row panels: one stacked
+    ``matmul`` over the ``(lead, I_n)`` sub-blocks, each a single dgemm."""
+    lead, rows, k = int(np.prod(x.shape[:mode])), x.shape[mode], u.shape[1]
+    out = np.empty(x.shape[:mode] + (k,) + x.shape[mode + 1:], order="F")
+    np.matmul(
+        np.reshape(x, (lead, rows, -1), order="F").transpose(2, 0, 1), u,
+        out=np.reshape(out, (lead, k, -1), order="F").transpose(2, 0, 1),
+    )
+    return out
+
+
+def test_ttm_large_block_row_panels_vs_one_matmul(benchmark):
+    rows = benchmark.pedantic(
+        lambda: _layout_rows(
+            lambda x, u, mode: ttm(x, u, mode, transpose=True),
+            _ttm_one_stacked_matmul, _LARGE_BLOCK_SHAPES,
+        ),
+        rounds=1, iterations=1,
+    )
+    _layout_table("ttm tall sub-block: 512 KB row panels vs one matmul",
+                  "one matmul", rows)
+    _record("ttm_large_block", {"reference": "one stacked matmul over the "
+                                "(lead, I_n) sub-blocks", "rows": rows})
 
 
 #: The repo benchmark's gated inputs (``bench/workloads.py``, seed

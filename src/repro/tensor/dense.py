@@ -58,8 +58,9 @@ def fold(matrix: np.ndarray, mode: int, shape: Sequence[int]) -> np.ndarray:
 
 
 #: Bytes of one cache-sized working piece of the local kernels: the
-#: column panel of a first-mode ``ttm``, the packed sub-block panel of an
-#: interior-mode ``gram`` and the row chunk of ``qr_r``.  Why it is one
+#: column panel of a first-mode ``ttm``, the row panel of a tall ``ttm``
+#: sub-block, the packed sub-block panel of an interior-mode ``gram`` and
+#: the row chunk of ``qr_r``.  Why it is one
 #: constant and not a knob: the README's "Local kernels" tables.
 PANEL_BYTES = 512 * 1024
 

@@ -37,6 +37,9 @@ large shapes (the README's "Local kernels" tables).
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
 
 import numpy as np
 
@@ -60,17 +63,39 @@ def lapack_qr() -> dict[np.dtype, tuple]:
     first use.
 
     SciPy is the only source of the triangular-pentagonal pair and only
-    this path needs it, so it is imported here and not when
-    :mod:`repro.tensor` is: the Gram path never loads it.  A launcher
-    that will run ``qr_r`` on ranks calls this in the parent first, so a
-    SciPy build without the routines fails there and forked workers
-    inherit them instead of importing SciPy inside a collective.
+    this path needs it, so it is loaded here and not when
+    :mod:`repro.tensor` is: the Gram path never loads it.  Only SciPy's
+    compiled LAPACK wrapper ``scipy.linalg._flapack`` is loaded — the
+    routines ``scipy.linalg.get_lapack_funcs`` hands out — and not the
+    ``scipy.linalg`` package, whose import costs hundreds of milliseconds
+    and tens of MB for nothing this path uses.  A launcher that will run
+    ``qr_r`` on ranks calls this in the parent first, so a missing wrapper
+    fails there and forked workers inherit the pair instead of loading it
+    inside a collective.
     """
-    from scipy.linalg import get_lapack_funcs
-
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("the QR path needs SciPy's LAPACK wrapper; "
+                          "SciPy is not installed")
+    linalg = os.path.join(spec.submodule_search_locations[0], "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(linalg, "_flapack" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise ImportError(f"SciPy's LAPACK wrapper _flapack not found in "
+                          f"{linalg}")
+    loader = importlib.machinery.ExtensionFileLoader(
+        "scipy.linalg._flapack", path
+    )
+    flapack = importlib.util.module_from_spec(
+        importlib.util.spec_from_loader(loader.name, loader)
+    )
+    loader.exec_module(flapack)
     return {
-        np.dtype(dt): get_lapack_funcs(("geqrt", "tpqrt"), dtype=dt)
-        for dt in (np.float32, np.float64)
+        np.dtype(dt): (getattr(flapack, f"{prefix}geqrt"),
+                       getattr(flapack, f"{prefix}tpqrt"))
+        for dt, prefix in ((np.float32, "s"), (np.float64, "d"))
     }
 
 

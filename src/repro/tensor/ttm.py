@@ -19,7 +19,15 @@ There is one kernel, and it never permutes the tensor: the paper's layout
 * otherwise: each of the ``trail`` slices is one contiguous ``lead x I_n``
   sub-block (Fig. 3b) and ``block @ V^T`` is its dgemm; one stacked
   ``matmul`` issues them all from C, written straight into the result's
-  sub-blocks.  The last mode is the one-slice case of the same call.
+  sub-blocks.  A sub-block taller than one panel (the same
+  :data:`~repro.tensor.dense.PANEL_BYTES` rule, counted in rows) is
+  walked in row panels instead, one stacked ``matmul`` per panel over all
+  the sub-blocks: the last mode is one sub-block of ``lead`` rows, and
+  reconstruction's last step, which expands it, would otherwise be one
+  dgemm writing the whole result out of cache.  A row split changes no
+  element's sum either, with the same caveat: on the benchmark's shapes
+  the bits are the one ``matmul``'s, but BLAS may round the rows at the
+  end of a panel differently from the same rows inside one large view.
 * a C-ordered tensor is the same buffer with the modes reversed
   (``ttm(x, V, n) == ttm(x.T, V, N-1-n).T``), so it rides the same two
   cases and gets a C-ordered result back; only a genuinely strided input
@@ -41,7 +49,7 @@ intermediate is larger than the chain's input or its output.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -69,6 +77,20 @@ def _check_ttm_shapes(
             f"matrix{'(transposed)' if transpose else ''} expects {inner}"
         )
     return out
+
+
+def _panels(total: int, size: int) -> Iterator[tuple[int, int]]:
+    """``(start, stop)`` ranges of ``size`` covering ``range(total)``.
+
+    No range is one wide unless ``total`` is 1: NumPy hands a one-row or
+    one-column product to gemv, whose sums associate differently from the
+    dgemm's, so a lone remainder joins the range before it.
+    """
+    start = 0
+    while start < total:
+        stop = total if total - start <= size + 1 else start + size
+        yield start, stop
+        start = stop
 
 
 def ttm(
@@ -110,24 +132,18 @@ def ttm(
     trail = prod(src.shape[mode + 1 :])  # number of sub-blocks
     # V^T, C-contiguous: the right-hand operand of every sub-block's dgemm.
     vt = np.ascontiguousarray(v if transpose else v.T)
+    # Panels of PANEL_BYTES, counted on the wider of operand and result.
+    size = max(2, PANEL_BYTES // (max(rows, k, 1) * src.itemsize))
     if lead == 1:
         mat = np.reshape(src, (rows, trail), order="F")
         res = np.reshape(dst, (k, trail), order="F")
-        # Never a one-column panel (a one-column remainder joins the panel
-        # before it): NumPy hands a single column to gemv, whose sums
-        # associate differently from the dgemm's.
-        width = max(2, PANEL_BYTES // (max(rows, k, 1) * src.itemsize))
-        start = 0
-        while start < trail:
-            stop = trail if trail - start <= width + 1 else start + width
+        for start, stop in _panels(trail, size):
             np.matmul(vt.T, mat[:, start:stop], out=res[:, start:stop])
-            start = stop
     else:
-        np.matmul(
-            np.reshape(src, (lead, rows, trail), order="F").transpose(2, 0, 1),
-            vt,
-            out=np.reshape(dst, (lead, k, trail), order="F").transpose(2, 0, 1),
-        )
+        flat = np.reshape(src, (lead, rows, trail), order="F").transpose(2, 0, 1)
+        res = np.reshape(dst, (lead, k, trail), order="F").transpose(2, 0, 1)
+        for start, stop in _panels(lead, size):
+            np.matmul(flat[:, start:stop], vt, out=res[:, start:stop])
     return out
 
 

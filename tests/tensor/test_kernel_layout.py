@@ -9,6 +9,7 @@ multiply or factorize it — so an agreement is an agreement with the
 """
 
 import importlib
+import importlib.machinery
 import tracemalloc
 from itertools import permutations
 
@@ -193,7 +194,8 @@ def test_qr_bits_depend_on_the_unfolding_not_the_layout(
 
 def test_lapack_routines_are_resolved_once_on_first_use():
     # A launcher resolves them in the parent before forking ranks (the
-    # CLI's `--method svd`); every later `qr_r` reuses the same pair.
+    # CLI's `--method svd`); every later `qr_r` reuses the same pair, and
+    # it is the pair SciPy's own lookup hands out, from the same wrapper.
     from scipy.linalg import get_lapack_funcs
 
     import repro.tensor.qr as qr_module
@@ -203,8 +205,18 @@ def test_lapack_routines_are_resolved_once_on_first_use():
     for dtype, prefix in ((np.float32, "s"), (np.float64, "d")):
         resolved = routines[np.dtype(dtype)]
         again = get_lapack_funcs(("geqrt", "tpqrt"), dtype=dtype)
-        assert [f.typecode for f in resolved] == [prefix, prefix]
-        assert [f.__name__ for f in resolved] == [f.__name__ for f in again]
+        assert [f.typecode for f in again] == [prefix, prefix]
+        assert all(f is g for f, g in zip(resolved, again))
+
+
+def test_missing_lapack_wrapper_names_the_directory_searched(monkeypatch):
+    import repro.tensor.qr as qr_module
+
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".none"])
+    qr_module.lapack_qr.cache_clear()
+    with pytest.raises(ImportError, match=r"_flapack not found in .*linalg"):
+        qr_module.lapack_qr()
+    qr_module.lapack_qr.cache_clear()
 
 
 class TestQrShapesAndDegenerateInputs:
@@ -343,6 +355,56 @@ def test_first_mode_panels_never_hand_blas_a_single_column(rng):
             assert ttm(x, v, 0).tobytes() == whole.tobytes()
 
 
+@given(
+    shape=st.lists(st.integers(1, 6), min_size=2, max_size=4).map(tuple),
+    seed=st.integers(0, 2**16), new_dim=st.integers(1, 7),
+    panel_rows=st.integers(1, 5), transpose=st.booleans(), dtype=dtypes,
+    layout=layouts,
+)
+@settings(max_examples=150, deadline=None)
+def test_row_panels_of_tall_sub_blocks_match_definition(
+    shape, seed, new_dim, panel_rows, transpose, dtype, layout
+):
+    # The panel shrunk to a few rows, so the interior and last-mode
+    # sub-blocks of the (lead, I_n, trail) view span many row panels and
+    # usually end in a ragged one.  A C-ordered tensor reaches them through
+    # the reversed view, its modes before the last.
+    x = tensor_in(layout, shape, dtype, seed)
+    for mode in range(len(shape)):
+        v = matrix_in("plain", new_dim, shape[mode], seed)
+        wider = max(shape[mode], new_dim) * np.dtype(dtype).itemsize
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ttm_module, "PANEL_BYTES", panel_rows * wider)
+            y = ttm(x, v.T if transpose else v, mode, transpose=transpose)
+        assert y.dtype == dtype
+        assert_owned_in_layout_of(y, x)
+        np.testing.assert_allclose(
+            y, ttm_reference(x.astype(np.float64), v, mode),
+            rtol=0, atol=25 * tolerance(dtype, shape[mode]),
+        )
+
+
+@pytest.mark.parametrize("mode", [1, 2])
+def test_row_panels_never_hand_blas_a_single_row(rng, mode):
+    # The row twin of the column rule: a height of 1 becomes 2, and a
+    # lone last row joins the panel before it, so on this view every
+    # height returns the bits of one stacked matmul over the sub-blocks.
+    # I_n (13 or 7) is wider than the 5 result rows, so it sets the panel.
+    x = np.asfortranarray(rng.standard_normal((10, 13, 7)))
+    rows = x.shape[mode]
+    lead = int(np.prod(x.shape[:mode]))
+    v = rng.standard_normal((5, rows))
+    shape = x.shape[:mode] + (5,) + x.shape[mode + 1:]
+    whole = np.empty(shape, order="F")
+    np.matmul(np.reshape(x, (lead, rows, -1), order="F").transpose(2, 0, 1),
+              np.ascontiguousarray(v.T),
+              out=np.reshape(whole, (lead, 5, -1), order="F").transpose(2, 0, 1))
+    for height in (1, 2, 3, lead - 1, lead + 7):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ttm_module, "PANEL_BYTES", height * rows * 8)
+            assert ttm(x, v, mode).tobytes() == whole.tobytes()
+
+
 def chain_flops(steps, order):
     """Flops of the TTM chain ``steps[m] = (a_m, b_m)`` run in ``order``."""
     sizes, total = [a for a, _ in steps], 0
@@ -442,6 +504,17 @@ class TestNoTensorSizedTemporary:
         v = np.random.default_rng(6).standard_normal((36, 6))
         y, peak = self.peak_of(lambda: ttm(x, v, 0))
         assert y.shape == (36, 64, 512)
+        assert peak - y.nbytes < self.BUDGET, (peak, y.nbytes)
+
+    def test_ttm_last_mode_expanding(self):
+        # Reconstruction's last step: one sub-block of lead rows, many
+        # panels tall, each row panel written straight into the result.
+        x = np.asfortranarray(
+            np.random.default_rng(5).standard_normal((512, 64, 6))
+        )
+        v = np.random.default_rng(6).standard_normal((36, 6))
+        y, peak = self.peak_of(lambda: ttm(x, v, 2))
+        assert y.shape == (512, 64, 36)
         assert peak - y.nbytes < self.BUDGET, (peak, y.nbytes)
 
     @pytest.mark.parametrize("mode", [0, 1, 2])

@@ -2,7 +2,8 @@
 
 The Gram path runs on NumPy's ``eigh``, so importing ``repro`` and
 compressing by Gram eigenvectors never loads SciPy; ``qr_r`` loads its
-LAPACK pair on first use, and ``repro-tucker compress --method svd`` does
+LAPACK pair on first use, from SciPy's compiled wrapper alone (never the
+``scipy.linalg`` package), and ``repro-tucker compress --method svd`` does
 that in the parent before any rank is launched.  Each check runs in a
 fresh interpreter, because any earlier ``method="svd"`` call in the test
 process has loaded SciPy for good.  Only module names are checked.
@@ -45,7 +46,7 @@ after_gram = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 svd = repro.core.sthosvd(x, tol=1e-2, method="svd")
 print(json.dumps({
     "after_gram": after_gram,
-    "after_svd": "scipy.linalg" in sys.modules,
+    "after_svd": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
     "same_ranks": svd.ranks == gram.ranks,
 }))
 """
@@ -54,32 +55,38 @@ print(json.dumps({
 def test_gram_path_never_loads_scipy():
     seen = _run(GRAM_THEN_SVD)
     assert seen["after_gram"] == []
-    assert seen["after_svd"]
+    assert seen["after_svd"] == ["scipy.linalg._flapack"]
     assert seen["same_ranks"]
 
 
 SPY_ON_LAUNCH = """
 import json, sys
 import repro.cli, repro.mpi
+from repro.tensor.qr import lapack_qr
 
 real = repro.mpi.run_spmd
-loaded = []
+resolved, linalg = [], []
 
 def spy(*args, **kwargs):
-    loaded.append("scipy.linalg" in sys.modules)
+    resolved.append(lapack_qr.cache_info().currsize == 1)
+    linalg.append("scipy.linalg" in sys.modules)
     return real(*args, **kwargs)
 
 repro.mpi.run_spmd = spy
 status = repro.cli.main(["compress", *sys.argv[1:], "--ranks", "2", "2", "2",
                          "--parallel", "2", "--backend", "thread"])
-print(json.dumps({"status": status, "loaded": loaded}))
+linalg.append("scipy.linalg" in sys.modules)
+print(json.dumps({"status": status, "resolved": resolved, "linalg": linalg}))
 """
 
 
-@pytest.mark.parametrize("method, loaded", [("svd", True), ("gram", False)])
-def test_cli_loads_the_qr_pair_before_launch(tmp_path, method, loaded):
+@pytest.mark.parametrize("method, resolved", [("svd", True), ("gram", False)])
+def test_cli_loads_the_qr_pair_before_launch(tmp_path, method, resolved):
+    # Under svd the pair is resolved before the launch, and neither path
+    # imports scipy.linalg, before the launch or after the run.
     src, dst = tmp_path / "x.npy", tmp_path / "x.npz"
     np.save(src, np.random.default_rng(3).standard_normal((6, 5, 4)))
     seen = _run(SPY_ON_LAUNCH, str(src), str(dst), "--method", method)
-    assert seen == {"status": 0, "loaded": [loaded]}
+    assert seen == {"status": 0, "resolved": [resolved],
+                    "linalg": [False, False]}
     assert dst.exists()
