@@ -46,12 +46,19 @@ times both variants back-to-back inside the same ranks, so machine drift
 equally.  N such launches are interleaved, each contributing one paired
 ratio (slowest rank per side, since a collective finishes when its last
 rank does); the recorded gain is the **median** ratio with the min/max
-spread alongside.  Wall-clock numbers, so absolute values depend on the
-machine.
+spread alongside.  The single-process layout rows (``ttm_layout``,
+``gram_layout``, ``qr_layout``, ``ttm_first_mode``, ``ttm_large_block``)
+are taken in one child interpreter per row set, started as the repo
+benchmark starts its stages (``MALLOC_MMAP_MAX_=0``,
+``MALLOC_TRIM_THRESHOLD_=2**40``, one BLAS thread), so the page faults
+of each call's fresh result do not hide the kernels' times.  Wall-clock
+numbers, so absolute values depend on the machine.
 """
 
 import json
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -76,9 +83,11 @@ from repro.tensor import (
 )
 from repro.tensor.ttm import chain_order
 
+from bench.run import child_env
 from benchmarks.conftest import table
 
-_OUT = Path(__file__).resolve().parents[1] / "BENCH_kernels.json"
+_ROOT = Path(__file__).resolve().parents[1]
+_OUT = _ROOT / "BENCH_kernels.json"
 
 #: Interleaved launches per row: one paired ratio each.
 _LAUNCHES = 5
@@ -175,7 +184,15 @@ def _ttm_tensordot(x, u, mode):
     return np.asfortranarray(np.moveaxis(out, 0, mode))
 
 
-def _gram_unfold_copy(x, mode):
+def _ttm_kernel(x, u, mode):
+    return ttm(x, u, mode, transpose=True)
+
+
+def _gram_kernel(x, u, mode):
+    return gram(x, mode)
+
+
+def _gram_unfold_copy(x, u, mode):
     """The Gram the kernel replaced: syrk on a materialised unfolding."""
     mat = unfold(x, mode)
     s = mat @ mat.T
@@ -196,13 +213,32 @@ _QR_SHAPES = {
 }
 
 
-def _qr_unfold_copy(x, mode):
+def _qr_kernel(x, u, mode):
+    # |R| on both sides: the two factorizations differ by row signs only.
+    return np.abs(qr_r(x, mode))
+
+
+def _qr_unfold_copy(x, u, mode):
     """The local TSQR step the kernel replaced: LAPACK's unblocked QR of a
-    materialised, transposed unfolding."""
-    return np.linalg.qr(unfold(x, mode).T, mode="r")
+    materialised, transposed unfolding (``|R|``, as ``_qr_kernel``)."""
+    return np.abs(np.linalg.qr(unfold(x, mode).T, mode="r"))
 
 
-def _layout_rows(kernel, reference, step_shapes=_STEP_SHAPES):
+def _layout_rows(key):
+    """``_LAYOUTS[key]``'s rows, taken in a child interpreter started as
+    the repo benchmark starts its stages (``bench.run.child_env``: glibc
+    keeps freed memory, one BLAS thread).  Without those malloc pins each
+    call's fresh result faults its pages in, and the fault time hides
+    most of what the rows show."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "benchmarks.test_perf_kernels", key],
+        env=child_env(), cwd=_ROOT, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _measure_layout_rows(kernel, reference, step_shapes):
     """Per step shape: paired in-process medians of reference and kernel."""
     rows = []
     for workload, steps in step_shapes.items():
@@ -232,7 +268,7 @@ def _layout_rows(kernel, reference, step_shapes=_STEP_SHAPES):
 
 def _layout_table(title, reference_name, rows):
     table(
-        f"{title} (median of {_LAUNCHES}, paired, one process)",
+        f"{title} (median of {_LAUNCHES}, paired, one pinned process)",
         ["workload", "shape", "mode", reference_name, "kernel", "gain"],
         [[r["workload"], "x".join(map(str, r["shape"])), r["mode"],
           r["reference"], r["kernel"], r["gain"]] for r in rows],
@@ -241,10 +277,7 @@ def _layout_table(title, reference_name, rows):
 
 def test_ttm_layout_vs_tensordot(benchmark):
     rows = benchmark.pedantic(
-        lambda: _layout_rows(
-            lambda x, u, mode: ttm(x, u, mode, transpose=True), _ttm_tensordot
-        ),
-        rounds=1, iterations=1,
+        lambda: _layout_rows("ttm_layout"), rounds=1, iterations=1
     )
     _layout_table("ttm: layout-true kernel vs tensordot", "tensordot", rows)
     _record("ttm_layout", {"reference": "tensordot+asfortranarray",
@@ -253,11 +286,7 @@ def test_ttm_layout_vs_tensordot(benchmark):
 
 def test_gram_layout_vs_unfold_copy(benchmark):
     rows = benchmark.pedantic(
-        lambda: _layout_rows(
-            lambda x, u, mode: gram(x, mode),
-            lambda x, u, mode: _gram_unfold_copy(x, mode),
-        ),
-        rounds=1, iterations=1,
+        lambda: _layout_rows("gram_layout"), rounds=1, iterations=1
     )
     _layout_table("gram: layout-true kernel vs unfold copy", "unfold copy",
                   rows)
@@ -265,14 +294,8 @@ def test_gram_layout_vs_unfold_copy(benchmark):
 
 
 def test_qr_layout_vs_unfold_copy(benchmark):
-    # |R| on both sides: the two factorizations differ by row signs only.
     rows = benchmark.pedantic(
-        lambda: _layout_rows(
-            lambda x, u, mode: np.abs(qr_r(x, mode)),
-            lambda x, u, mode: np.abs(_qr_unfold_copy(x, mode)),
-            _QR_SHAPES,
-        ),
-        rounds=1, iterations=1,
+        lambda: _layout_rows("qr_layout"), rounds=1, iterations=1
     )
     _layout_table("qr: streaming layout-true kernel vs QR of an unfold copy",
                   "unfold + qr", rows)
@@ -369,11 +392,7 @@ def _ttm_one_dgemm(x, u, mode):
 
 def test_ttm_first_mode_panels_vs_one_dgemm(benchmark):
     rows = benchmark.pedantic(
-        lambda: _layout_rows(
-            lambda x, u, mode: ttm(x, u, mode, transpose=True), _ttm_one_dgemm,
-            _FIRST_MODE_SHAPES,
-        ),
-        rounds=1, iterations=1,
+        lambda: _layout_rows("ttm_first_mode"), rounds=1, iterations=1
     )
     _layout_table("ttm first mode: 512 KB panels vs one dgemm", "one dgemm",
                   rows)
@@ -409,11 +428,7 @@ def _ttm_one_stacked_matmul(x, u, mode):
 
 def test_ttm_large_block_row_panels_vs_one_matmul(benchmark):
     rows = benchmark.pedantic(
-        lambda: _layout_rows(
-            lambda x, u, mode: ttm(x, u, mode, transpose=True),
-            _ttm_one_stacked_matmul, _LARGE_BLOCK_SHAPES,
-        ),
-        rounds=1, iterations=1,
+        lambda: _layout_rows("ttm_large_block"), rounds=1, iterations=1
     )
     _layout_table("ttm tall sub-block: 512 KB row panels vs one matmul",
                   "one matmul", rows)
@@ -559,3 +574,19 @@ def test_dist_sthosvd_mixed_vs_float64(benchmark):
     # The gain itself is recorded, not asserted: paired ratios measured
     # 0.63..1.48 on one box (see benchmarks/RECORDED.md); the narrow
     # words are asserted where they dominate, in ``dtype_rounds``.
+
+
+#: The layout row sets by record key: ``(kernel, reference, step shapes)``.
+_LAYOUTS = {
+    "ttm_layout": (_ttm_kernel, _ttm_tensordot, _STEP_SHAPES),
+    "gram_layout": (_gram_kernel, _gram_unfold_copy, _STEP_SHAPES),
+    "qr_layout": (_qr_kernel, _qr_unfold_copy, _QR_SHAPES),
+    "ttm_first_mode": (_ttm_kernel, _ttm_one_dgemm, _FIRST_MODE_SHAPES),
+    "ttm_large_block": (_ttm_kernel, _ttm_one_stacked_matmul,
+                        _LARGE_BLOCK_SHAPES),
+}
+
+
+if __name__ == "__main__":
+    # The child side of _layout_rows: one row set, as a JSON line.
+    print(json.dumps(_measure_layout_rows(*_LAYOUTS[sys.argv[1]])))

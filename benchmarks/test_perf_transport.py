@@ -6,8 +6,8 @@ backend and records them to ``BENCH_transport.json`` at the repo root so
 the perf trajectory is visible across PRs:
 
 * ``launch``   — per-run ``run_spmd`` overhead, warm persistent pool vs.
-  fork-per-run (a lambda rank function, which cannot ride the pool; the
-  pool must be >= 5x cheaper);
+  a one-shot pool forked for each run (a lambda rank function, which
+  cannot ride the warm pool; the warm pool must be >= 5x cheaper);
 * ``allgather`` — collective throughput of the process backend's mailbox
   round, with the thread backend's recorded beside it (recorded only);
 * ``p2p``      — small-message ping-pong latency (adaptive poll backoff)
@@ -112,7 +112,8 @@ def test_launch_overhead_warm_pool_vs_fork(benchmark):
         return (time.perf_counter() - start) / rounds
 
     run_spmd(p, _noop_prog, backend="process")  # prime the pool once
-    # A lambda cannot be pickled by reference: every run forks fresh ranks.
+    # A lambda cannot be pickled by reference: every run forks a one-shot
+    # pool.
     cold = sweep(lambda comm: comm.rank)
     warm = benchmark.pedantic(
         lambda: sweep(_noop_prog), rounds=1, iterations=1
@@ -123,11 +124,11 @@ def test_launch_overhead_warm_pool_vs_fork(benchmark):
     table(
         f"run_spmd launch overhead, {p} ranks (mean of {rounds})",
         ["mode", "sec/run", "speedup"],
-        [["fork-per-run", cold, 1.0], ["warm pool", warm, speedup]],
+        [["one-shot pool", cold, 1.0], ["warm pool", warm, speedup]],
     )
     _record(
         "launch",
-        {"ranks": p, "fork_per_run": cold, "warm_pool": warm,
+        {"ranks": p, "one_shot_pool": cold, "warm_pool": warm,
          "speedup": speedup},
     )
     # Acceptance bar for the persistent pool: >= 5x lower launch overhead.

@@ -238,8 +238,8 @@ def resolve_config(
 
 #: The config installed for the currently-executing run, if any.
 #: ``run_spmd`` installs the resolved config in the launching process
-#: (thread ranks and fork-per-run children see it directly) and the
-#: process backend ships it to pooled workers via the run dispatch.
+#: (thread ranks see it directly) and the process backend ships it to
+#: its rank workers with the run's task.
 _ACTIVE: RuntimeConfig | None = None
 
 

@@ -27,8 +27,8 @@ globally via the ``REPRO_SPMD_BACKEND`` environment variable.
 Process-backend restrictions (it crosses a real process boundary):
 
 * rank functions and arguments reach the children by pickle (warm pool)
-  or by ``fork`` (fallback), so closures and lambdas work, but mutations
-  they make to parent objects stay in the child;
+  or by ``fork`` (one-shot pool), so closures and lambdas work, but
+  mutations they make to parent objects stay in the child;
 * per-rank return values come back through a result queue (one per rank,
   so a crashed sibling can never wedge a survivor's report) and must be
   picklable — a rank returning an unpicklable value fails that rank;
@@ -48,22 +48,25 @@ warm:
 
 * Pools are keyed by world size and created lazily on the first process
   run of that size (``_RankPool``).  Workers block on a per-rank task
-  queue; dispatching a run costs two pickles and a queue hop per rank
+  pipe; dispatching a run costs two pickles and a pipe write per rank
   instead of a fork.
 * A task carries ``(fn, args, rank_args, machine, timeout)``.  Large
   ndarray arguments are staged through the shared-memory arena, not the
-  queue pipe, and mapped copy-on-write by each worker (private and
+  task pipe, and mapped copy-on-write by each worker (private and
   writable, valid only while the rank function runs).  The rank
-  function itself is pickled *by reference*, so
-  closures and lambdas cannot ride the pool — those runs transparently
-  fall back to fork-per-run (fork inherits closures for free).
+  function itself is pickled *by reference*, so closures and lambdas
+  cannot ride the warm pool.  Such a run (or one whose function the
+  warm workers cannot load) gets a *one-shot* pool forked for it: the
+  same workers, which inherit the task through ``fork`` and run it
+  first, then shut down.  There is one rank body (``_pool_worker``) and
+  one collect loop whatever the launch.
 * Each run gets a fresh ``run_seq``; stragglers from an earlier run that
   are still in an inbox are dropped (and their segments reclaimed) by the
   transport, so runs never see each other's messages.
 * Any failure — a raised rank exception, a worker death, a deadlock —
-  is reported exactly as in fork mode.  A worker death retires the pool,
-  so the next run starts from fresh workers and inboxes; after any other
-  failure the pool is drained and health-checked before its next run.
+  retires the pool: its workers are shut down and the segments they
+  leaked are swept, so the next run starts from fresh workers and
+  inboxes.
 * Pools are torn down at interpreter exit (``atexit``) or explicitly via
   :func:`shutdown_worker_pools`; teardown sends a sentinel so workers
   unlink their pooled shared-memory segments before exiting.
@@ -112,10 +115,6 @@ BACKEND_ENV_VAR = "REPRO_SPMD_BACKEND"
 #: failure has poisoned the run (bounds cleanup, not healthy execution).
 _DRAIN_GRACE = 30.0
 
-#: Seconds a cleanly-exited child's result may stay in flight in the
-#: result queue before the parent declares the rank dead-without-report.
-_EXIT_REPORT_GRACE = 5.0
-
 #: Seconds to wait for pool workers to honor the shutdown sentinel before
 #: terminating them.
 _POOL_SHUTDOWN_GRACE = 5.0
@@ -126,9 +125,10 @@ class _TaskLoadError(RuntimeError):
 
     Happens when the rank function pickles by reference in the parent but
     does not resolve in a worker forked before it was defined (fresh
-    definitions in a REPL).  When *every* rank reports this, no user code
-    ran, so the executor falls back to fork-per-run — fork inherits the
-    definition for free — instead of failing the run.
+    definitions in a REPL).  No user code ran to completion, so the
+    executor retires the stale pool and reruns the task on a one-shot
+    pool — fork inherits the definition for free — instead of failing
+    the run.
     """
 
 
@@ -226,10 +226,10 @@ class ExecutorBackend(abc.ABC):
 
         ``config`` is the run's resolved
         :class:`~repro.config.RuntimeConfig`.  ``run_spmd`` installs it
-        in the launching process (thread ranks and fork-per-run children
-        see it directly); the process backend additionally ships it on
-        the run dispatch so *pooled* workers — forked long before this
-        run — install the same configuration around the rank function.
+        in the launching process (thread ranks see it directly); the
+        process backend additionally ships it with the run's task so its
+        workers — a warm pool's were forked long before this run — install
+        the same configuration around the rank function.
         """
 
 
@@ -323,9 +323,20 @@ def _safe_report_blob(
 
     Pre-pickling in the worker matters: a pickling error inside the
     queue's feeder thread would silently drop the report and wedge the
-    parent.  ``rsummary`` is the rank governor's per-run resource summary
-    (plain dict, always picklable).
+    parent.  A failure is round-tripped here too (exceptions are small):
+    one that pickles but does not unpickle — an ``__init__`` whose
+    signature differs from ``args`` — would otherwise escape from the
+    parent's ``pickle.loads`` as a bare error.  ``rsummary`` is the rank
+    governor's per-run resource summary (plain dict, always picklable).
     """
+    if failure is not None:
+        try:
+            pickle.loads(pickle.dumps(failure))
+        except Exception:
+            failure = RuntimeError(
+                f"rank {rank} raised {type(failure).__qualname__}: {failure} "
+                f"(the exception cannot be sent back by pickle)"
+            )
     try:
         return pickle.dumps((run_seq, rank, value, failure, costs, rsummary))
     except Exception as exc:
@@ -334,10 +345,6 @@ def _safe_report_blob(
                 f"rank {rank} returned a value the process backend cannot "
                 f"send back ({exc}); return picklable data or use "
                 f"backend='thread'"
-            )
-        else:
-            failure = RuntimeError(
-                f"rank {rank} raised an unpicklable exception: {failure!r}"
             )
         return pickle.dumps((run_seq, rank, None, failure, costs, rsummary))
 
@@ -393,19 +400,19 @@ def _run_one_rank(
     inboxes,
     abort_event,
     run_seq: int,
-    transport_opts: dict | None = None,
-    stage: Callable[[Any], Any] | None = None,
+    transport_opts: dict,
+    stage: Callable[[Any], Any],
 ) -> tuple[Any, BaseException | None, Any, dict | None]:
     """Execute one rank against a fresh transport; always cleans up.
 
-    ``stage`` (pool workers) maps a healthy rank's return value to what
-    is reported; it runs while the rank's governor is still configured,
-    so its allocation is gated, charged and summarised like any other.
+    ``stage`` maps a healthy rank's return value to what is reported; it
+    runs while the rank's governor is still configured, so its
+    allocation is gated, charged and summarised like any other.
     """
-    topts = dict(transport_opts or {})
+    topts = dict(transport_opts)
     # The run's resolved RuntimeConfig is installed around everything
-    # rank-side — pooled workers were forked long before this run, so
-    # the dispatch payload (not the environment) is the source of truth.
+    # rank-side — warm workers were forked long before this run, so the
+    # task (not the environment) is the source of truth.
     config: RuntimeConfig | None = topts.pop("config", None)
     previous_config = set_active_config(config) if config is not None else None
     # The run deadline ships as an absolute monotonic timestamp (fork
@@ -475,7 +482,7 @@ def _run_one_rank(
                     if board is not None:
                         board.close()
             costs = ledger.rank_costs(rank)
-            if stage is not None and failure is None:
+            if failure is None:
                 try:
                     value = stage(value)
                 except Exception as exc:  # noqa: BLE001 - reraised via SpmdError
@@ -489,44 +496,21 @@ def _run_one_rank(
             set_active_config(previous_config)
 
 
-def _process_worker(
-    rank: int,
-    n_ranks: int,
-    fn: Callable[..., Any],
-    args: tuple,
-    rank_args: Sequence[tuple] | None,
-    machine: MachineSpec,
-    timeout: float,
-    inboxes,
-    result_queue,
-    abort_event,
-    transport_opts: dict | None = None,
-) -> None:
-    """Fork-mode child body: run one rank, report (value, failure, costs)."""
-    extra = rank_args[rank] if rank_args is not None else ()
-    value, failure, costs, rsummary = _run_one_rank(
-        rank, n_ranks, fn, args, extra, machine, timeout, inboxes,
-        abort_event, run_seq=0, transport_opts=transport_opts,
-    )
-    blob = _safe_report_blob(0, rank, value, failure, costs, rsummary)
-    # Unlink pooled segments before reporting: once the parent has every
-    # report it may immediately check /dev/shm hygiene.
-    process_arena().teardown()
-    result_queue.put(blob)
-
-
 def _pool_worker(
     rank: int,
     n_ranks: int,
-    task_queue,
+    tasks,
     result_queue,
     inboxes,
     abort_event,
+    first: tuple | None = None,
 ) -> None:
-    """Persistent pool worker: loop over dispatched runs until the sentinel.
+    """The one process-rank body: loop over runs until the sentinel.
 
-    A run's array arguments are borrowed: copy-on-write mappings of
-    segments the parent staged and recycles once every report is in
+    ``first`` is a one-shot pool's ``(run_seq, task)``, inherited through
+    ``fork`` (never pickled) and run before the task pipe is read.  A
+    dispatched run's array arguments are borrowed: copy-on-write mappings
+    of segments the parent staged and recycles once every report is in
     (:func:`~repro.mpi.process_transport.decode_borrowed`).  So before it
     reports, the worker drops the run's references, and any mapping that
     something still references — a block a rank function kept — is made
@@ -553,31 +537,29 @@ def _pool_worker(
 
     try:
         while True:
-            item = task_queue.get()
-            take_back()
-            if item is None:
-                break
-            if item[0] == "ping":
-                # Pool health check: answer with a pong carrying the
-                # probe token.  The collect loops ignore pong blobs.
-                result_queue.put(pickle.dumps(("pong", item[1], rank)))
-                continue
-            run_seq, blob = item
+            if first is not None:
+                (run_seq, task), first = first, None
+            else:
+                item = tasks.recv()
+                take_back()
+                if item is None:
+                    break
+                run_seq, task = item
             value: Any = None
             failure: BaseException | None = None
             costs = None
             rsummary: dict | None = None
             try:
-                # Unpickle here, not in Queue.get(): the rank function is
+                # Unpickle here, not in recv(): the rank function is
                 # pickled by reference and may not resolve in a worker
                 # forked before it was defined — that must fail the rank,
-                # not crash the worker inside the queue machinery.
+                # not crash the worker inside the pipe machinery.
                 # Arguments are staged once in the parent's arena and
                 # borrowed copy-on-write: rank code gets private writable
                 # arrays, as under fork, and copies only what it touches.
-                fn, args, extra, machine, timeout, topts = decode_borrowed(
-                    pickle.loads(blob), mapped
-                )
+                if isinstance(task, bytes):
+                    task = decode_borrowed(pickle.loads(task), mapped)
+                fn, args, extra, machine, timeout, topts = task
             except BaseException as exc:  # noqa: BLE001
                 failure = _TaskLoadError(
                     f"rank {rank} could not load the dispatched task: {exc!r}"
@@ -590,6 +572,7 @@ def _pool_worker(
                     stage=stage,
                 )
                 del fn, args, extra
+            del task
             report = _safe_report_blob(run_seq, rank, value, failure, costs,
                                        rsummary)
             # Drop the run's references *before* reporting (the parent
@@ -621,18 +604,27 @@ def _pool_worker(
 
 
 class _RankPool:
-    """A warm set of rank worker processes for one world size."""
+    """A set of rank worker processes for one world size.
 
-    def __init__(self, n_ranks: int):
+    A warm pool serves run after run from its task pipes.  ``first`` —
+    ``(fn, args, rank_args, machine, timeout, transport_opts)`` — makes a
+    *one-shot* pool instead: its workers inherit that run through
+    ``fork`` and run it before anything else, and the collect retires the
+    pool once the reports are in.
+    """
+
+    def __init__(self, n_ranks: int, first: tuple | None = None):
         import multiprocessing
 
         self._ctx = multiprocessing.get_context("fork")
         self.n_ranks = n_ranks
         self.run_seq = 0
-        self.broken = False
-        self.needs_recycle = False
+        self.one_shot = first is not None
         self.inboxes = [self._ctx.Queue() for _ in range(n_ranks)]
-        self.task_queues = [self._ctx.Queue() for _ in range(n_ranks)]
+        # Tasks travel a plain pipe per rank: a send is written at once,
+        # with no feeder thread to start (a worker reads only while idle,
+        # and only the parent writes).
+        self.tasks = [self._ctx.Pipe(duplex=False) for _ in range(n_ranks)]
         # One result queue per rank (see _drain_ready_reports): a shared
         # queue's write lock is a single point of failure under SIGKILL.
         self.result_queues = [self._ctx.Queue() for _ in range(n_ranks)]
@@ -642,18 +634,30 @@ class _RankPool:
         # collective, the parent's exit monitor records deaths on it so
         # survivors raise RankDeadError instead of deadlock-timing out.
         self.board = StatusBoard.create(n_ranks)
-        self.procs = [self._spawn(rank) for rank in range(n_ranks)]
+        tasks: list = [None] * n_ranks
+        if first is not None:
+            fn, args, rank_args, machine, timeout, topts = first
+            self.run_seq = 1
+            topts = dict(topts, status=self.board.name)
+            tasks = [
+                (self.run_seq, (fn, args,
+                                rank_args[rank] if rank_args is not None else (),
+                                machine, timeout, topts))
+                for rank in range(n_ranks)
+            ]
+        self.procs = [self._spawn(rank, tasks[rank]) for rank in range(n_ranks)]
 
-    def _spawn(self, rank: int):
+    def _spawn(self, rank: int, first: tuple | None):
         p = self._ctx.Process(
             target=_pool_worker,
             args=(
                 rank,
                 self.n_ranks,
-                self.task_queues[rank],
+                self.tasks[rank][0],
                 self.result_queues[rank],
                 self.inboxes,
                 self.abort_event,
+                first,
             ),
             name=f"spmd-pool-{self.n_ranks}-rank-{rank}",
             daemon=True,
@@ -662,11 +666,7 @@ class _RankPool:
         return p
 
     def alive(self) -> bool:
-        return (
-            not self.broken
-            and not self.needs_recycle
-            and all(p.is_alive() for p in self.procs)
-        )
+        return all(p.is_alive() for p in self.procs)
 
     def dispatch(
         self,
@@ -680,11 +680,11 @@ class _RankPool:
         """Enqueue one run on every warm worker.
 
         Returns the run's sequence number, or ``None`` when the task is
-        not picklable (closures, lambdas) and the caller must fall back to
-        fork-per-run.  Ndarray arguments are staged through the parent's
+        not picklable (closures, lambdas) and the caller must run it on a
+        one-shot pool.  Ndarray arguments are staged through the parent's
         arena *once*, shared by every rank (workers map them
         copy-on-write and the parent recycles the segments after the
-        run), so only headers travel the queue pipe and a P-rank dispatch
+        run), so only headers travel the task pipe and a P-rank dispatch
         costs one staged copy, not P.
         """
         try:
@@ -723,7 +723,7 @@ class _RankPool:
             return None
         self.staged = segments
         for rank, task in enumerate(tasks):
-            self.task_queues[rank].put(task)
+            self.tasks[rank][1].send(task)
         return self.run_seq
 
     def reclaim_staged(self) -> None:
@@ -747,74 +747,6 @@ class _RankPool:
                 except Exception:  # pragma: no cover - best-effort cleanup
                     pass
 
-    def _drain_queue(self, q) -> None:
-        while True:
-            try:
-                q.get_nowait()
-            except (queue_mod.Empty, OSError, ValueError):
-                return
-
-    def recycle(self) -> bool:
-        """Return the pool to service after a failed run in which no
-        worker died: drain every queue, clear the poison, and health-check
-        the workers with a ping/pong round trip before the pool serves
-        again.  Returns False when a worker died or fails the health
-        check — the caller then tears the pool down for a fresh one.
-
-        A death always retires the pool: every rank writes into every
-        other rank's inbox, and a worker killed mid-write leaves the
-        inbox's write lock held, or half a message in its pipe, which no
-        later run could get past.
-        """
-        self.reclaim_staged()
-        if not all(p.is_alive() for p in self.procs):
-            return False
-        self.drain_inboxes()
-        for q in self.task_queues:
-            self._drain_queue(q)
-        for q in self.result_queues:
-            self._drain_queue(q)
-        self.abort_event.clear()
-        self.board.reset()
-        if not self._health_check():
-            return False
-        self.needs_recycle = False
-        return True
-
-    def _health_check(self, grace: float = _POOL_SHUTDOWN_GRACE) -> bool:
-        """Ping every worker; True when all pong within ``grace`` seconds.
-
-        A worker still wedged in the poisoned run's user code never
-        reaches its task queue, so a missing pong flags it for full
-        teardown instead of handing it the next dispatch.
-        """
-        token = (os.getpid(), self.run_seq, time.monotonic_ns())
-        for q in self.task_queues:
-            try:
-                q.put(("ping", token))
-            except (OSError, ValueError):  # pragma: no cover - dead queue
-                return False
-        pending = set(range(self.n_ranks))
-        deadline = time.monotonic() + grace
-        while pending and time.monotonic() < deadline:
-            blobs = _drain_ready_reports(
-                {rank: self.result_queues[rank] for rank in sorted(pending)},
-                timeout=0.2,
-            )
-            for blob in blobs:
-                try:
-                    msg = pickle.loads(blob)
-                except Exception:  # pragma: no cover - stale partial report
-                    continue
-                if (
-                    isinstance(msg, tuple)
-                    and len(msg) == 3
-                    and msg[0] == "pong"
-                    and msg[1] == token
-                ):
-                    pending.discard(msg[2])
-        return not pending
-
     def shutdown(self) -> None:
         """Stop the workers (gracefully first, so they unlink segments).
 
@@ -823,10 +755,10 @@ class _RankPool:
         be dead (crashed ranks, daemon reaping), and teardown must not
         spray tracebacks for pipes nobody is reading.
         """
-        for p, q in zip(self.procs, self.task_queues):
+        for p, (_, writer) in zip(self.procs, self.tasks):
             if p.is_alive():
                 try:
-                    q.put(None)
+                    writer.send(None)
                 except (OSError, ValueError):  # pragma: no cover
                     pass
         deadline = time.monotonic() + _POOL_SHUTDOWN_GRACE
@@ -839,18 +771,37 @@ class _RankPool:
         # Undelivered messages are not drained: a worker killed mid-write
         # leaves half a message that a read would wait on forever.  The
         # callers' creator-pid sweep reclaims their segments.
-        for q in [*self.inboxes, *self.task_queues, *self.result_queues]:
+        for q in [*self.inboxes, *self.result_queues]:
             try:
                 q.close()
                 q.join_thread()
             except (OSError, ValueError):  # pragma: no cover - dead feeder
                 pass
+        for reader, writer in self.tasks:
+            reader.close()
+            writer.close()
         self.board.close()
         self.board.unlink()
 
 
 _POOLS: dict[int, _RankPool] = {}
 _POOLS_LOCK = threading.Lock()
+
+
+def _retire_pool(pool: _RankPool) -> None:
+    """Shut ``pool`` down for good and sweep what its workers leaked.
+
+    A pool is retired after any failure — exactly when a killed or
+    crashed worker may have leaked segments (arena buckets, in-flight
+    payloads) — and after a one-shot pool's run, so the creator-pid sweep
+    follows the shutdown.
+    """
+    with _POOLS_LOCK:
+        if _POOLS.get(pool.n_ranks) is pool:
+            del _POOLS[pool.n_ranks]
+    pool.reclaim_staged()
+    pool.shutdown()
+    reap_stale_segments(p.pid for p in pool.procs)
 
 
 def shutdown_worker_pools() -> None:
@@ -863,62 +814,35 @@ def shutdown_worker_pools() -> None:
     """
     with _POOLS_LOCK:
         pools = list(_POOLS.values())
-        _POOLS.clear()
-    worker_pids = set()
     for pool in pools:
-        worker_pids.update(p.pid for p in pool.procs)
-        pool.reclaim_staged()
-        pool.shutdown()
+        _retire_pool(pool)
     # The dispatching side stages task arguments through its own arena;
     # release those pooled segments along with the workers.
     process_arena().teardown()
-    # Crash audit: sweep every segment whose creating worker died
-    # without unlinking it — killed ranks leak arena buckets and in-flight
-    # payloads.
-    reap_stale_segments(worker_pids)
 
 
 atexit.register(shutdown_worker_pools)
 
 
 def _get_pool(n_ranks: int) -> _RankPool:
+    """The warm pool for ``n_ranks``, replacing one whose worker died
+    between runs (a death may leave an inbox's write lock held)."""
+    pool = _POOLS.get(n_ranks)
+    if pool is not None and not pool.alive():
+        _retire_pool(pool)
     with _POOLS_LOCK:
         pool = _POOLS.get(n_ranks)
-        if pool is not None and not pool.alive():
-            # Repair first: drain and health-check the workers.  A dead
-            # worker, a failed health check or an explicitly broken pool
-            # retires the whole pool.
-            if pool.broken or not pool.recycle():
-                _POOLS.pop(n_ranks, None)
-                worker_pids = [p.pid for p in pool.procs]
-                pool.shutdown()
-                reap_stale_segments(worker_pids)
-                pool = None
         if pool is None:
-            pool = _RankPool(n_ranks)
-            _POOLS[n_ranks] = pool
+            pool = _POOLS[n_ranks] = _RankPool(n_ranks)
         return pool
-
-
-def _invalidate_pool(pool: _RankPool) -> None:
-    pool.broken = True
-    with _POOLS_LOCK:
-        if _POOLS.get(pool.n_ranks) is pool:
-            del _POOLS[pool.n_ranks]
-    worker_pids = [p.pid for p in pool.procs]
-    pool.shutdown()
-    # A pool is only retired like this on failure — exactly when a killed
-    # or crashed worker may have leaked segments (arena buckets, staged
-    # payloads); sweep its dead workers' names.
-    reap_stale_segments(worker_pids)
 
 
 class ProcessBackend(ExecutorBackend):
     """Ranks as forked processes with shared-memory message payloads.
 
     A picklable rank function rides the warm rank pool; a closure or
-    lambda (or a function the pool's workers cannot resolve) is run by
-    fresh forks instead.
+    lambda (or a function the pool's workers cannot resolve) runs on a
+    one-shot pool forked for the run.
     """
 
     name = "process"
@@ -938,9 +862,8 @@ class ProcessBackend(ExecutorBackend):
     ) -> SpmdResult:
         self._ensure_resource_tracker()
         # The resolved RuntimeConfig (and sanitize level, fault spec,
-        # attempt) ride the per-run dispatch (never the environment:
-        # warm pool workers were forked long ago and would not see an
-        # env change).
+        # attempt) ride the run's task (never the environment: warm pool
+        # workers were forked long ago and would not see an env change).
         transport_opts = dict(
             sanitize=sanitize, faults=faults, attempt=attempt, config=config,
             # The run deadline (installed by the executor) ships as an
@@ -959,16 +882,18 @@ class ProcessBackend(ExecutorBackend):
                 transport_opts=transport_opts,
             )
             if run_seq is not None:
-                result = self._collect_pooled(pool, run_seq, n_ranks, machine)
+                result = self._collect(pool, run_seq, n_ranks, machine)
                 if result is not None:
                     return result
-                # Every worker reported _TaskLoadError: the function is
-                # newer than the (now retired) pool; fork inherits it.
+            # Not picklable, or the warm workers could not load it (that
+            # pool is retired): fork a one-shot pool that inherits the run.
+            pool = _RankPool(
+                n_ranks,
+                first=(fn, args, rank_args, machine, timeout, transport_opts),
+            )
+            return self._collect(pool, pool.run_seq, n_ranks, machine)
         finally:
             gov.deconfigure()
-        return self._run_forked(
-            n_ranks, fn, args, machine, timeout, rank_args, transport_opts
-        )
 
     @staticmethod
     def _ensure_resource_tracker() -> None:
@@ -983,28 +908,54 @@ class ProcessBackend(ExecutorBackend):
         except Exception:  # pragma: no cover - tracker is an optimization
             pass
 
-    def _collect_pooled(
+    def _collect(
         self, pool: _RankPool, run_seq: int, n_ranks: int, machine: MachineSpec
     ) -> SpmdResult | None:
-        """Gather one pooled run's reports into an :class:`SpmdResult`.
+        """Gather one run's reports into an :class:`SpmdResult`.
 
-        Returns ``None`` when no rank executed any user code because the
-        dispatched function did not resolve in the warm workers — the
-        caller then retries the run under fork-per-run.
+        A failed run retires its pool, as does the end of a one-shot run;
+        a healthy warm pool takes back what the run left behind.  Returns
+        ``None`` when the warm workers could not load the dispatched
+        function, so no user code ran to completion — the caller reruns
+        it on a one-shot pool.
         """
+        healthy = False
         try:
-            return self._collect_pooled_inner(pool, run_seq, n_ranks, machine)
+            values, failures, ledger, rsummaries = self._collect_pooled_inner(
+                pool, run_seq, n_ranks, machine
+            )
+            healthy = not failures and not pool.abort_event.is_set()
         finally:
-            pool.reclaim_staged()
+            if healthy and not pool.one_shot:
+                pool.drain_inboxes()
+                pool.reclaim_staged()
+            else:
+                _retire_pool(pool)
+        if any(
+            isinstance(exc, _TaskLoadError) for exc in failures.values()
+        ) and not any(
+            isinstance(exc, RankDeadError) for exc in failures.values()
+        ):
+            return None
+        raise_spmd_failures(failures)
+        return SpmdResult(
+            values=values,
+            ledger=ledger,
+            resources=ResourceReport.from_rank_summaries(rsummaries),
+        )
 
     def _collect_pooled_inner(
         self, pool: _RankPool, run_seq: int, n_ranks: int, machine: MachineSpec
-    ) -> SpmdResult | None:
+    ) -> tuple[list[Any], dict[int, BaseException], CostLedger, dict]:
         values: list[Any] = [None] * n_ranks
         failures: dict[int, BaseException] = {}
         ledger = CostLedger(n_ranks, machine)
         rsummaries: dict[int, dict | None] = {}
         pending = set(range(n_ranks))
+        # No cap on healthy execution: like the thread backend's join, the
+        # parent waits as long as ranks are alive — deadlocks are detected
+        # *inside* ranks by the transport timeout.  Only once the run is
+        # poisoned does a drain deadline bound the wait for the rest.
         drain_deadline: float | None = None
         while pending:
             blobs = _drain_ready_reports(
@@ -1041,10 +992,9 @@ class ProcessBackend(ExecutorBackend):
                     pending.clear()
                 continue
             for blob in blobs:
-                report = pickle.loads(blob)
-                if not (isinstance(report, tuple) and len(report) == 6):
-                    continue  # stray health-check pong from a recycle
-                msg_seq, rank, value, failure, costs, rsummary = report
+                msg_seq, rank, value, failure, costs, rsummary = (
+                    pickle.loads(blob)
+                )
                 if msg_seq != run_seq:  # pragma: no cover - straggler report
                     continue
                 pending.discard(rank)
@@ -1057,200 +1007,10 @@ class ProcessBackend(ExecutorBackend):
                     values[rank] = unstage_value(value)
                 else:
                     values[rank] = value
-        stale_task_load = any(
-            isinstance(exc, _TaskLoadError) for exc in failures.values()
-        ) and not any(
-            isinstance(exc, RankDeadError) for exc in failures.values()
-        )
-        if stale_task_load:
-            # The dispatched function resolves only in fresh forks (the
-            # ranks that did not fail to load it abort without running
-            # user code to completion): the pool is stale for this
-            # function — retire it and fall back to fork-per-run, which
-            # inherits the definition.
-            _invalidate_pool(pool)
-            return None
-        if failures or pool.abort_event.is_set():
-            # Poisoned run: reclaim what dead workers leaked right away,
-            # and flag the pool for recycling (retired if a worker died,
-            # else drained and health-checked) before its next use.
-            dead_pids = [p.pid for p in pool.procs if not p.is_alive()]
-            if dead_pids:
-                reap_stale_segments(dead_pids)
-            pool.needs_recycle = True
-        else:
-            pool.drain_inboxes()
-        raise_spmd_failures(failures)
         # The parent's staging governor is still configured here (the
         # caller deconfigures it); snapshot its summary as the -1 slot.
         rsummaries[-1] = resources_mod.governor().summary()
-        return SpmdResult(
-            values=values,
-            ledger=ledger,
-            resources=ResourceReport.from_rank_summaries(rsummaries),
-        )
-
-    def _run_forked(
-        self,
-        n_ranks: int,
-        fn: Callable[..., Any],
-        args: tuple,
-        machine: MachineSpec,
-        timeout: float,
-        rank_args: Sequence[tuple] | None,
-        transport_opts: dict,
-    ) -> SpmdResult:
-        import multiprocessing
-
-        # fork keeps closures working (fn and args are inherited, never
-        # pickled) and makes launches cheap; the seed toolchain is
-        # Linux-only so fork is always available.
-        ctx = multiprocessing.get_context("fork")
-        inboxes = [ctx.Queue() for _ in range(n_ranks)]
-        # Per-rank result queues, like the pool (see _drain_ready_reports).
-        result_queues = [ctx.Queue() for _ in range(n_ranks)]
-        abort_event = ctx.Event()
-        board = StatusBoard.create(n_ranks)
-        topts = dict(transport_opts, status=board.name)
-        procs = [
-            ctx.Process(
-                target=_process_worker,
-                args=(
-                    rank,
-                    n_ranks,
-                    fn,
-                    args,
-                    rank_args,
-                    machine,
-                    timeout,
-                    inboxes,
-                    result_queues[rank],
-                    abort_event,
-                    topts,
-                ),
-                name=f"spmd-rank-{rank}",
-                daemon=True,
-            )
-            for rank in range(n_ranks)
-        ]
-        # Account the parent side (drained payload releases) as the
-        # run's parent-side (-1) summary.
-        gov = resources_mod.governor()
-        gov.configure()
-        try:
-            return self._collect_forked(
-                n_ranks, machine, procs, inboxes, result_queues, abort_event,
-                board,
-            )
-        finally:
-            gov.deconfigure()
-            board.close()
-            board.unlink()
-
-    def _collect_forked(
-        self,
-        n_ranks: int,
-        machine: MachineSpec,
-        procs,
-        inboxes,
-        result_queues,
-        abort_event,
-        board: StatusBoard,
-    ) -> SpmdResult:
-        for p in procs:
-            p.start()
-
-        values: list[Any] = [None] * n_ranks
-        failures: dict[int, BaseException] = {}
-        ledger = CostLedger(n_ranks, machine)
-        rsummaries: dict[int, dict | None] = {}
-        pending = set(range(n_ranks))
-        # No cap on healthy execution: like the thread backend's join, the
-        # parent waits as long as ranks are alive and making progress —
-        # deadlocks are detected *inside* ranks by the transport timeout.
-        # Only once the run is poisoned does a drain deadline bound how
-        # long we wait for the remaining reports.
-        drain_deadline: float | None = None
-        exited_at: dict[int, float] = {}
-        while pending:
-            blobs = _drain_ready_reports(
-                {rank: result_queues[rank] for rank in sorted(pending)},
-                timeout=0.1,
-            )
-            if not blobs:
-                for rank in sorted(pending):
-                    p = procs[rank]
-                    if p.is_alive() or p.exitcode is None:
-                        continue
-                    if p.exitcode != 0:
-                        # Died without reporting (segfault, kill):
-                        # record the death on the board first, then
-                        # poison the siblings and synthesize the
-                        # failure — survivors woken by the abort read
-                        # the board and raise RankDeadError.
-                        board.mark_dead(rank, p.exitcode)
-                        abort_event.set()
-                        failures[rank] = _rank_dead_error(
-                            rank, p.exitcode, board
-                        )
-                        pending.discard(rank)
-                        continue
-                    # Exited cleanly but no report yet: the result may
-                    # still be in the queue's pipe, so allow a short
-                    # grace before declaring the rank lost (os._exit in
-                    # rank code, a native library pulling the plug...).
-                    first_seen = exited_at.setdefault(rank, time.monotonic())
-                    if time.monotonic() - first_seen > _EXIT_REPORT_GRACE:
-                        board.mark_dead(rank, 0)
-                        abort_event.set()
-                        failures[rank] = _rank_dead_error(rank, 0, board)
-                        pending.discard(rank)
-                if drain_deadline is None and (
-                    failures or abort_event.is_set()
-                ):
-                    drain_deadline = time.monotonic() + _DRAIN_GRACE
-                if drain_deadline is not None and (
-                    time.monotonic() > drain_deadline
-                ):
-                    for rank in sorted(pending):
-                        failures[rank] = DeadlockError(
-                            f"rank {rank} did not report within "
-                            f"{_DRAIN_GRACE:g}s of the run being poisoned"
-                        )
-                    pending.clear()
-                continue
-            for blob in blobs:
-                _seq, rank, value, failure, costs, rsummary = (
-                    pickle.loads(blob)
-                )
-                pending.discard(rank)
-                rsummaries[rank] = rsummary
-                if costs is not None:
-                    ledger.install_rank(rank, costs)
-                if failure is not None:
-                    failures[rank] = failure
-                else:
-                    values[rank] = value
-
-        for p in procs:
-            p.join(timeout=5.0)
-            if p.is_alive():  # pragma: no cover - wedged child
-                p.terminate()
-                p.join()
-        # Undelivered messages are not drained (a child killed mid-write
-        # leaves half a message a read would wait on forever): every
-        # child is gone, so the creator-pid sweep reclaims their segments.
-        for inbox in inboxes:
-            inbox.close()
-            inbox.join_thread()
-        reap_stale_segments(p.pid for p in procs)
-        raise_spmd_failures(failures)
-        rsummaries[-1] = resources_mod.governor().summary()
-        return SpmdResult(
-            values=values,
-            ledger=ledger,
-            resources=ResourceReport.from_rank_summaries(rsummaries),
-        )
+        return values, failures, ledger, rsummaries
 
 
 _BACKENDS: dict[str, type[ExecutorBackend]] = {

@@ -4,10 +4,10 @@ The actual execution strategy lives in a pluggable backend
 (:mod:`repro.mpi.backends`): ``"thread"`` runs ranks as threads sharing an
 in-process transport, ``"process"`` runs one OS process per rank —
 dispatched to a persistent warm rank pool when the rank function is
-picklable, forked per run otherwise — and moves ndarray payloads through
-pooled POSIX shared-memory segments, so rank code runs genuinely in
-parallel on multi-core hardware and short benchmark runs are not
-dominated by launch overhead.
+picklable, to a one-shot pool forked for the run otherwise — and moves
+ndarray payloads through pooled POSIX shared-memory segments, so rank
+code runs genuinely in parallel on multi-core hardware and short
+benchmark runs are not dominated by launch overhead.
 
 Whatever the backend, if any rank raises, the transport is poisoned so
 sibling ranks blocked on receives fail fast, and the whole run raises

@@ -31,6 +31,19 @@ def _pid_prog(comm):
     return os.getpid()
 
 
+class TwoArgError(Exception):
+    """Pickles, but ``pickle.loads`` calls ``__init__`` with one argument."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+def _raise_two_arg_error(comm):
+    if comm.rank == 1:
+        raise TwoArgError("left", "right")
+    return comm.rank
+
+
 class TestSelection:
     def test_available_backends(self):
         assert set(available_backends()) >= {"thread", "process"}
@@ -296,6 +309,15 @@ class TestConformance:
             run_spmd(3, prog, backend=spmd_backend)
         assert set(exc_info.value.failures) == {0, 1, 2}
 
+    def test_exception_that_does_not_unpickle_names_its_rank(
+        self, spmd_backend
+    ):
+        with pytest.raises(SpmdError, match="left and right") as exc_info:
+            run_spmd(2, _raise_two_arg_error, backend=spmd_backend)
+        failure = exc_info.value.failures[1]
+        assert set(exc_info.value.failures) == {1}
+        assert "TwoArgError" in f"{type(failure).__name__}: {failure}"
+
     def test_ledger_charges_recorded(self, spmd_backend):
         def prog(comm):
             with comm.section("work"):
@@ -380,14 +402,10 @@ class TestProcessBackendRestrictions(ExplicitBackends):
         res = run_spmd(2, _pid_prog, backend=ProcessBackend())
         assert len(set(res.values)) == 2
 
-    def test_clean_exit_without_report_detected(self, monkeypatch):
+    def test_clean_exit_without_report_detected(self):
         # A rank whose process dies with exit code 0 before reporting
         # (os._exit in rank code, a native library pulling the plug) must
         # surface as a failure, not hang the parent forever.
-        from repro.mpi import backends
-
-        monkeypatch.setattr(backends, "_EXIT_REPORT_GRACE", 0.5)
-
         def prog(comm):
             if comm.rank == 1:
                 os._exit(0)

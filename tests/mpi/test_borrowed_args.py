@@ -6,7 +6,7 @@ argument is private and writable (a write reaches neither the caller, nor
 the other rank, nor the next run), the mapping is gone once the rank
 function has returned, nothing is left in ``/dev/shm``, and every way an
 argument can travel (a staged segment, pickle after ``ENOSPC``,
-fork-per-run) shows rank code the same thing.
+inherited by a one-shot pool's fork) shows rank code the same thing.
 """
 
 import errno
@@ -187,11 +187,11 @@ class TestEveryRouteLooksTheSame:
         assert all(v[3] == [] for v in res.values)  # nothing was staged
         assert np.array_equal(x, _input())
 
-    def test_fork_per_run(self):
+    def test_one_shot_pool(self):
         expected = self._reference()
         x = _input()
 
-        def forked(comm, x):  # a closure: fork-per-run
+        def forked(comm, x):  # a closure: runs on a one-shot pool
             return _scribble(comm, x)
 
         res = run_spmd(2, forked, x, backend=_POOLED)

@@ -213,8 +213,8 @@ class TestThroughThePool:
         assert [float(v[-1]) for v in res.values] == [0.0, 1.0]
         assert any(e.site == "arena" for e in res.resources.degradations)
 
-    def test_fork_per_run_returns_the_same(self):
-        def forked(comm, seed):  # a closure: fork-per-run
+    def test_one_shot_pool_returns_the_same(self):
+        def forked(comm, seed):  # a closure: runs on a one-shot pool
             return _return_model(comm, seed)
 
         res = run_spmd(2, forked, 31, backend=_POOLED)

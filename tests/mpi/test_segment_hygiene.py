@@ -109,15 +109,15 @@ class TestSegmentHygiene:
         with pytest.raises(SpmdError, match="induced failure"):
             run_spmd(3, _crash_mid_collective, x, backend="process")
 
-    def test_fork_mode_failure_leaks_nothing(self):
+    def test_one_shot_failure_leaks_nothing(self):
         big = np.random.default_rng(2).standard_normal(50_000)
 
-        def prog(comm):  # closure: rides the fork fallback
+        def prog(comm):  # closure: runs on a one-shot pool
             if comm.rank == 0:
-                raise ValueError("fork-mode failure")
+                raise ValueError("one-shot failure")
             comm.bcast(big, root=1)
 
-        with pytest.raises(SpmdError, match="fork-mode failure"):
+        with pytest.raises(SpmdError, match="one-shot failure"):
             run_spmd(3, prog, backend="process", timeout=10.0)
 
     def test_deadlock_timeout_leaks_nothing(self):

@@ -4,7 +4,7 @@ Everything here targets the process backend explicitly (the thread backend
 has no shared-memory machinery), so the package-level backend sweep is
 shadowed out.  Rank functions that should ride the warm pool are defined
 at module scope — the pool pickles them by reference; closures exercise
-the fork fallback.
+the one-shot pool.
 """
 
 import os
@@ -76,6 +76,10 @@ def _boom(comm):
     raise RuntimeError(f"boom from rank {comm.rank}")
 
 
+def _shm_names() -> set[str]:
+    return {n for n in os.listdir("/dev/shm") if n.startswith(("psm_", "rps_"))}
+
+
 class TestRankPool:
     def test_workers_are_reused_across_runs(self):
         first = run_spmd(2, _pid, backend="process").values
@@ -114,16 +118,35 @@ class TestRankPool:
         assert first == second
         assert set(_POOLS) == {2}
 
-    def test_failure_flags_pool_for_recycle(self):
+    def test_closure_run_leaves_the_warm_pool_alone(self):
+        import multiprocessing
+
+        def prog(comm):  # closure: runs on a one-shot pool
+            return os.getpid()
+
+        warm = run_spmd(2, _pid, backend="process").values
+        pool = _POOLS[2]
+        children = {p.pid for p in multiprocessing.active_children()}
+        one_shot = run_spmd(2, prog, backend="process").values
+        assert set(one_shot).isdisjoint(warm)
+        # The one-shot workers are gone, and the warm pool is the same
+        # object with the same workers.
+        assert {p.pid for p in multiprocessing.active_children()} == children
+        assert _POOLS[2] is pool
+        assert run_spmd(2, _pid, backend="process").values == warm
+
+    def test_failed_run_retires_the_pool(self):
+        before = _shm_names()
         warm = run_spmd(2, _pid, backend="process").values
         with pytest.raises(SpmdError, match="boom"):
             run_spmd(2, _boom, backend="process")
-        # A failed run no longer retires the pool: it is flagged for a
-        # surgical recycle (drain + health check) before its next use.
-        assert 2 in _POOLS and _POOLS[2].needs_recycle
-        recycled = run_spmd(2, _pid, backend="process").values
-        # No worker died, so the same warm workers serve the next run.
-        assert set(recycled) == set(warm)
+        # The failed run shut its pool down and swept its segments.
+        assert 2 not in _POOLS
+        assert _shm_names() <= before
+        fresh = run_spmd(2, _pid, backend="process").values
+        assert set(fresh).isdisjoint(warm)
+        shutdown_worker_pools()
+        assert _shm_names() <= before
 
     def test_inbox_left_locked_by_a_dead_worker_replaces_the_pool(self):
         run_spmd(2, _pid, backend="process")
@@ -160,8 +183,8 @@ class TestRankPool:
         run_spmd(2, _pid, backend="process")  # warm the pool
         # A function installed at module scope *after* the workers forked
         # pickles by reference in the parent but cannot resolve in the
-        # warm workers; the run must fall back to fork-per-run (which
-        # inherits the definition), not raise.
+        # warm workers; the run must go to a one-shot pool (which
+        # inherits the definition through fork), not raise.
         mod = sys.modules[_pid.__module__]
 
         def late(comm):
@@ -194,8 +217,8 @@ class TestZeroCopyReceive:
         assert got[1]  # writable private copy
 
     def test_view_data_survives_sender_exit(self):
-        # The fork-mode sender tears down its arena on exit; the
-        # receiver's view must keep the segment alive regardless.
+        # The sender's rank function returns before the receiver reads;
+        # the receiver's view must keep the segment alive regardless.
         def prog(comm):
             if comm.rank == 0:
                 comm.send(np.full(1000, 7.0), dest=1)
