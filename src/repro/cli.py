@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.core import hooi, sthosvd
 from repro.data.preprocess import center_and_scale
+from repro.distributed.dist_tensor import read_npy_header
 from repro.io import load_tucker, save_tucker, stored_bytes
 from repro.mpi.errors import SpmdError
 from repro.util.validation import check_axis, prod
@@ -57,24 +58,19 @@ def _parse_selection(token: str, dim: int):
 def _input_header(path: str, species_mode: int | None):
     """``(shape, dtype, species mode)`` of the ``.npy`` tensor at ``path``.
 
-    Only the header is read (the file is memory-mapped and dropped).
+    Only the header is read, by the parser the ranks' ``from_npy`` uses.
     Raises ``ValueError`` unless the file is a single real numeric array
     with at least one mode and ``species_mode`` names one of them.
     """
-    try:
-        header = np.load(path, mmap_mode="r")
-    except (ValueError, EOFError) as exc:
-        raise ValueError(f"{path} is not a .npy tensor: {exc}") from None
-    if not isinstance(header, np.ndarray):  # an .npz archive
-        header.close()
-        raise ValueError(f"{path} is not a single .npy array")
-    if header.dtype.kind not in "iuf" or header.ndim < 1:
+    header = read_npy_header(path)
+    ndim = len(header.shape)
+    if header.dtype.kind not in "iuf" or ndim < 1:
         raise ValueError(
             f"{path} must hold a dense numeric tensor, got dtype "
-            f"{header.dtype} with {header.ndim} modes"
+            f"{header.dtype} with {ndim} modes"
         )
     if species_mode is not None:
-        species_mode = check_axis(species_mode, header.ndim, "--species-mode")
+        species_mode = check_axis(species_mode, ndim, "--species-mode")
     return header.shape, header.dtype, species_mode
 
 

@@ -8,9 +8,11 @@ here ever redistributes tensor data — the property the paper's design is
 built around.
 
 Construction helpers: ``from_npy`` is the ingest path — every rank copies
-only its own block out of a memory-mapped ``.npy`` file, so no process ever
-holds the whole tensor (how the paper's code reads its data, and what
-``repro-tucker compress --parallel`` runs).  ``from_global`` is the
+only its own block out of a ``.npy`` file, one slab of at most
+:data:`SLAB_BYTES` of the file at a time, and drops each slab's file pages
+once it is copied, so no process ever holds the whole tensor or maps more
+than about one slab of the file (how the paper's code reads its data, and
+what ``repro-tucker compress --parallel`` runs).  ``from_global`` is the
 replicated-array convenience (every rank already holds the whole array and
 slices its block — tests, and callers whose data is in memory anyway; a
 pooled process rank's array is its own copy-on-write mapping, and a
@@ -22,8 +24,10 @@ simulated tensors larger than any single rank would want to hold.
 
 from __future__ import annotations
 
+import itertools
+import mmap
 import os
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,7 +37,118 @@ from repro.mpi.errors import CommunicatorError
 from repro.mpi.process_transport import is_borrowed
 from repro.mpi.reduce_ops import SUM
 from repro.tensor.dense import match_dtype, norm_sq, unfold
-from repro.util.validation import check_shape_like
+from repro.util.validation import check_shape_like, prod
+
+#: Bytes of the input file one step of :meth:`DistTensor.from_npy` spans:
+#: a run of whole indices of the file's slowest-varying mode, or of the
+#: next mode when one index is larger.  The copied slab's file pages are
+#: dropped before the next one is read, so this bounds what a rank maps of
+#: the file at once.  Why it is one constant and not a knob: from 1 to
+#: 16 MB the read of a block takes the same time, and the peak is lowest
+#: from 4 MB down (the README's ``compress --parallel`` section).
+SLAB_BYTES = 2 * 1024 * 1024
+
+#: ``mmap.MADV_DONTNEED`` where the platform has it: dropping a read slab's
+#: file pages is best-effort, and without it the mapping is only dropped
+#: whole, on return.
+_DONTNEED = getattr(mmap, "MADV_DONTNEED", None)
+
+_ZIP_PREFIXES = (b"PK\x03\x04", b"PK\x05\x06")
+
+
+class NpyHeader(NamedTuple):
+    """What a ``.npy`` file's header says about the array after it."""
+
+    shape: tuple[int, ...]
+    dtype: np.dtype
+    fortran_order: bool
+    offset: int  # file offset of the first element
+
+
+def read_npy_header(path: str | os.PathLike) -> NpyHeader:
+    """Parse the header of the ``.npy`` file at ``path``; no data is read.
+
+    Raises ``ValueError`` (naming ``path``) unless the file is a single
+    ``.npy`` array without Python objects whose data is all there.
+    """
+    path = os.fspath(path)
+    fmt = np.lib.format
+    with open(path, "rb") as fh:
+        if fh.read(4).startswith(_ZIP_PREFIXES):  # an .npz archive
+            raise ValueError(f"{path} is not a single .npy array")
+        fh.seek(0)
+        try:
+            version = fmt.read_magic(fh)
+            if version == (1, 0):
+                shape, fortran_order, dtype = fmt.read_array_header_1_0(fh)
+            elif version in ((2, 0), (3, 0)):
+                shape, fortran_order, dtype = fmt.read_array_header_2_0(fh)
+            else:
+                raise ValueError(f"unsupported format version {version}")
+            if dtype.hasobject:
+                raise ValueError("Python objects in dtype")
+            offset = fh.tell()
+            stored = os.fstat(fh.fileno()).st_size - offset
+            needed = prod(shape) * dtype.itemsize
+            if stored < needed:
+                raise ValueError(
+                    f"header promises {needed} data bytes, file holds {stored}"
+                )
+        except (ValueError, EOFError) as exc:
+            raise ValueError(f"{path} is not a .npy tensor: {exc}") from None
+    return NpyHeader(tuple(shape), dtype, fortran_order, offset)
+
+
+def _copy_slabs(
+    mapped: mmap.mmap,
+    header: NpyHeader,
+    slices: tuple[slice, ...],
+    out: np.ndarray,
+) -> None:
+    """Copy ``slices`` of the array ``header`` describes in ``mapped`` into
+    ``out``, slab by slab in file order, dropping the pages behind each.
+
+    A C-ordered file is read as the Fortran-ordered file of the reversed
+    shape, so mode 0 below always varies fastest in the file.
+    """
+    shape, block, dst = header.shape, slices, out
+    if not header.fortran_order:
+        shape, block, dst = shape[::-1], block[::-1], out.T
+    # File bytes one index of each mode spans; the slab mode is the
+    # slowest one whose single index fits the slab bound.
+    spans = [header.dtype.itemsize]
+    for extent in shape[:-1]:
+        spans.append(spans[-1] * extent)
+    k = max(m for m, span in enumerate(spans) if span <= SLAB_BYTES)
+    step = SLAB_BYTES // spans[k]
+    file = np.ndarray(
+        shape, dtype=header.dtype, buffer=mapped, offset=header.offset,
+        order="F",
+    )
+    try:
+        behind = 0  # mapping offset below which pages are dropped
+        lead = (slice(None),) * k
+        first, last = block[k].start, block[k].stop
+        # Slowest mode outermost, so slabs are visited in file order.
+        outer = [range(s.start, s.stop) for s in block[:k:-1]]
+        for fixed in itertools.product(*outer):
+            fixed = fixed[::-1]  # indices of modes k+1 .. N-1
+            base = header.offset + sum(
+                i * spans[m] for m, i in enumerate(fixed, k + 1)
+            )
+            at = tuple(i - s.start for i, s in zip(fixed, block[k + 1:]))
+            for lo in range(first, last, step):
+                hi = min(lo + step, last)
+                dst[lead + (slice(lo - first, hi - first),) + at] = file[
+                    block[:k] + (slice(lo, hi),) + fixed
+                ]
+                end = base + hi * spans[k]
+                end -= end % mmap.PAGESIZE
+                if _DONTNEED is not None and end > behind:
+                    mapped.madvise(_DONTNEED, behind, end - behind)
+                    behind = end
+    finally:
+        del file  # no view may outlive the mapping's close
 
 
 class DistTensor:
@@ -100,12 +215,28 @@ class DistTensor:
     def from_npy(cls, grid: CartGrid, path: str | os.PathLike) -> "DistTensor":
         """Each rank reads only its own block of the ``.npy`` file at ``path``.
 
-        The file is memory-mapped (C- or Fortran-ordered alike) and the
-        rank's slice copied once into an owned Fortran-ordered block; the
-        mapping is dropped on return, so the file may be replaced or
-        deleted afterwards.
+        The block is what :meth:`from_global` of the loaded file holds,
+        byte for byte.  The file is memory-mapped (C- or Fortran-ordered
+        alike) and the block copied into an owned Fortran-ordered array
+        one slab of at most :data:`SLAB_BYTES` of the file at a time, in
+        file order; each copied slab's pages are dropped from the mapping
+        (``MADV_DONTNEED``), so a rank maps about one slab of the file at
+        once, never the whole file.  The mapping is closed on return, so
+        the file may be replaced or deleted afterwards.
         """
-        return cls.from_global(grid, np.load(os.fspath(path), mmap_mode="r"))
+        path = os.fspath(path)
+        header = read_npy_header(path)
+        slices = local_block(header.shape, grid.dims, grid.coords)
+        out = np.empty(
+            tuple(s.stop - s.start for s in slices),
+            dtype=match_dtype(header.dtype),
+            order="F",
+        )
+        with open(path, "rb") as fh, mmap.mmap(
+            fh.fileno(), 0, access=mmap.ACCESS_READ
+        ) as mapped:
+            _copy_slabs(mapped, header, slices, out)
+        return cls(grid, header.shape, out)
 
     @classmethod
     def scatter(

@@ -582,9 +582,11 @@ def dist_sthosvd(
     fibre sample (one all-reduce, ledger section ``"plan"``) and the
     modes go highest ``I_n / R_n`` first, the same order on every grid
     and backend — unless the grid divides the mode that order puts
-    first.  Then the modes go in increasing order, the order
-    :func:`~repro.distributed.grid.choose_grid` scores grids in: the
-    Gram of a divided first mode rings the whole tensor.
+    first but not mode 0.  Then the modes go in increasing order, the
+    order :func:`~repro.distributed.grid.choose_grid` scores grids in:
+    the Gram of a divided first mode rings the whole tensor.  A grid
+    that divides mode 0 as well keeps the plan, as increasing order
+    would start on a divided mode too.
     ``mode_labels=`` (checked to permute the modes, whether or not the
     order is planned) gives the caller's index of each of ``dt``'s
     modes, on which that sample and its tie-break are defined (default
@@ -625,10 +627,13 @@ def dist_sthosvd(
         tol_trunc, prec_share = split_tolerance(tol)
     if planned:
         order = plan_mode_order(dt, tol_trunc**2 / n_modes, labels)
-        if dt.grid.dims[order[0]] > 1:
+        if dt.grid.dims[order[0]] > 1 and dt.grid.dims[0] == 1:
             # choose_grid scores grids in increasing order.  A divided
             # first mode would ring the whole tensor through its Gram,
-            # which costs more than the plan saves: keep that order.
+            # which costs more than the plan saves: keep that order,
+            # whose first mode is undivided.  On a grid that divides mode
+            # 0 as well, increasing order starts on a divided mode too,
+            # so the plan stands.
             order = list(range(n_modes))
     # ||X||^2 is the whole spectrum of the first mode processed (trace S_n,
     # or ||R||_F^2), summed before that mode is truncated.  A float32

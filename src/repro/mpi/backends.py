@@ -55,8 +55,9 @@ warm:
   task pipe, and mapped copy-on-write by each worker (private and
   writable, valid only while the rank function runs).  The rank
   function itself is pickled *by reference*, so closures and lambdas
-  cannot ride the warm pool.  Such a run (or one whose function the
-  warm workers cannot load) gets a *one-shot* pool forked for it: the
+  cannot ride the warm pool.  Such a run (probed before any warm pool
+  is taken, so none is forked for it), or one whose function the warm
+  workers cannot load, gets a *one-shot* pool forked for it: the
   same workers, which inherit the task through ``fork`` and run it
   first, then shut down.  There is one rank body (``_pool_worker``) and
   one collect loop whatever the launch.
@@ -679,20 +680,15 @@ class _RankPool:
     ) -> int | None:
         """Enqueue one run on every warm worker.
 
-        Returns the run's sequence number, or ``None`` when the task is
-        not picklable (closures, lambdas) and the caller must run it on a
-        one-shot pool.  Ndarray arguments are staged through the parent's
-        arena *once*, shared by every rank (workers map them
-        copy-on-write and the parent recycles the segments after the
-        run), so only headers travel the task pipe and a P-rank dispatch
-        costs one staged copy, not P.
+        ``fn`` is known to pickle (the caller probed it).  Returns the
+        run's sequence number, or ``None`` when the arguments are not
+        picklable and the caller must run the task on a one-shot pool.
+        Ndarray arguments are staged through the parent's arena *once*,
+        shared by every rank (workers map them copy-on-write and the
+        parent recycles the segments after the run), so only headers
+        travel the task pipe and a P-rank dispatch costs one staged copy,
+        not P.
         """
-        try:
-            # Probe the function alone first: the common fallback reason
-            # (a closure) is caught before any argument staging happens.
-            pickle.dumps(fn)
-        except Exception:
-            return None
         arena = process_arena()
         tasks = []
         segments: list = []
@@ -871,20 +867,29 @@ class ProcessBackend(ExecutorBackend):
             # parent's clock, so every rank counts down the same budget.
             deadline=resources_mod.active_deadline(),
         )
-        pool = _get_pool(n_ranks)
+        # Probe the function first: a closure or lambda goes straight to a
+        # one-shot pool, and never forks a warm pool it would not use.
+        pool: _RankPool | None = None
+        try:
+            pickle.dumps(fn)
+        except Exception:
+            pass
+        else:
+            pool = _get_pool(n_ranks)
         # The parent stages dispatch payloads through its arena: account
         # those allocations as the run's parent-side (-1) summary.
         gov = resources_mod.governor()
         gov.configure()
         try:
-            run_seq = pool.dispatch(
-                fn, args, rank_args, machine, timeout,
-                transport_opts=transport_opts,
-            )
-            if run_seq is not None:
-                result = self._collect(pool, run_seq, n_ranks, machine)
-                if result is not None:
-                    return result
+            if pool is not None:
+                run_seq = pool.dispatch(
+                    fn, args, rank_args, machine, timeout,
+                    transport_opts=transport_opts,
+                )
+                if run_seq is not None:
+                    result = self._collect(pool, run_seq, n_ranks, machine)
+                    if result is not None:
+                        return result
             # Not picklable, or the warm workers could not load it (that
             # pool is retired): fork a one-shot pool that inherits the run.
             pool = _RankPool(

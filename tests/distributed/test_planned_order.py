@@ -9,8 +9,9 @@ the global tensor and the tolerance only — not on the layout, the grid,
 the backend or a restart — and that the guarantees still hold under it:
 eq. 3, the exact tail estimate, and agreement with the textbook
 ST-HOSVD of ``tests/reference.py`` run in the reported order.  The one
-exception is a grid that divides the mode the plan puts first: that run
-keeps increasing order, the order ``choose_grid`` scores grids in.
+exception is a grid that divides the mode the plan puts first and leaves
+mode 0 undivided: that run keeps increasing order, the order
+``choose_grid`` scores grids in.
 """
 
 import itertools
@@ -184,9 +185,10 @@ class TestTiesAndDegenerateModes:
 X = low_rank_tensor((10, 12, 8), (6, 3, 2), seed=21, noise=0.001)
 TOL = 0.05
 #: The plan puts mode 1 first on ``X`` (``test_hooi_...`` checks it).
-GRIDS = [(1, 1, 1), (2, 1, 1), (1, 1, 2), (2, 1, 2), (4, 1, 1)]
-#: Grids that divide mode 1.
-DIVIDING_GRIDS = [(1, 2, 1), (2, 2, 1), (1, 2, 2)]
+#: ``(2, 2, 1)`` divides mode 1 and mode 0 alike, so it keeps the plan.
+GRIDS = [(1, 1, 1), (2, 1, 1), (1, 1, 2), (2, 1, 2), (4, 1, 1), (2, 2, 1)]
+#: Grids that divide mode 1 and leave mode 0 undivided.
+DIVIDING_GRIDS = [(1, 2, 1), (1, 2, 2)]
 
 
 def _factorise(comm, grid, order, checkpoint=None):

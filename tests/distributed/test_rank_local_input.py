@@ -8,7 +8,10 @@ replaces (``from_global`` of the loaded file, the sequential
 ``center_and_scale``, the all-gathering ``to_tucker()``).
 """
 
+import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -21,7 +24,8 @@ from repro.data.preprocess import (
     dist_center_and_scale,
 )
 from repro.distributed import DistTensor, dist_sthosvd
-from repro.mpi import CartGrid
+from repro.distributed import dist_tensor
+from repro.mpi import CartGrid, run_spmd
 from repro.util.seeding import rng_for
 from repro.util.validation import prod
 from tests.conftest import spmd
@@ -123,36 +127,136 @@ def test_single_rank_grid_is_bit_identical(tmp_path, layout, mode):
     assert got.stds.tobytes() == info.stds.tobytes()
 
 
-@pytest.mark.parametrize("layout", sorted(LAYOUTS))
-def test_from_npy_is_from_global_of_the_file(tmp_path, layout):
-    """Block for block what ``from_global(np.load(path))`` builds, and an
-    owned copy: it outlives the file it was read from."""
-    grid = (2, 1, 3)
-    stored = LAYOUTS[layout](
-        np.random.default_rng(3).standard_normal((5, 4, 7))
-    )
-    path = str(tmp_path / "x.npy")
-    np.save(path, stored)
+#: ``(shape, grid)`` with mode 0 varying fastest in the file; a C-ordered
+#: file stores both reversed, so each case keeps its slowest mode.
+BLOCK_CASES = {
+    "uneven": ((7, 5, 6), (2, 1, 3)),
+    "size-1 modes": ((1, 6, 1, 5), (1, 2, 1, 2)),
+    "1-D": ((11,), (3,)),
+    # One index of the slowest mode spans more than SLAB_BYTES in every
+    # dtype, so the slabs run along the mode before it.
+    "slab in the next mode": ((1100, 600, 2), (2, 2, 1)),
+}
+DTYPES = [np.float64, np.float32, np.int64]
+
+
+def _stored(shape, dtype, order):
+    x = np.random.default_rng(11).standard_normal(shape) * 1000
+    return np.asarray(x, dtype=dtype, order=order)
+
+
+def _blocks_equal(path, grid, **spmd_kwargs):
+    """Per rank: does ``from_npy`` hold what ``from_global`` of the loaded
+    file holds, byte for byte, with the same global shape, dtype and
+    layout, in an owned writable array that outlives the file?  The file
+    is deleted once every rank has read its block."""
 
     def prog(comm):
         g = CartGrid(comm, grid)
+        want = DistTensor.from_global(g, np.load(path))
         dt = DistTensor.from_npy(g, path)
         comm.barrier()
         if comm.rank == 0:
             os.remove(path)
         comm.barrier()
-        reference = DistTensor.from_global(g, stored)
+        got = dt.local
         return (
-            dt.global_shape == reference.global_shape,
-            dt.local.base is None and dt.local.flags.owndata,
-            dt.local.flags.f_contiguous and dt.local.flags.writeable,
-            dt.local.dtype == reference.local.dtype,
-            dt.local.tobytes(order="A") == reference.local.tobytes(order="A"),
+            dt.global_shape == want.global_shape
+            and got.base is None and got.flags.owndata
+            and got.flags.writeable and got.flags.f_contiguous
+            and got.dtype == want.local.dtype
+            and got.tobytes(order="A") == want.local.tobytes(order="A")
         )
 
-    for checks in spmd(prod(grid), prog):
-        assert checks == (True,) * 5
+    results = spmd(prod(grid), prog, **spmd_kwargs)
     assert not os.path.exists(path)
+    return results
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("order", ["F", "C"])
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_from_npy_is_from_global_of_the_file(tmp_path, case, order, dtype):
+    """Block for block what ``from_global(np.load(path))`` builds, as an
+    owned copy."""
+    shape, grid = BLOCK_CASES[case]
+    if order == "C":
+        shape, grid = shape[::-1], grid[::-1]
+    path = str(tmp_path / "x.npy")
+    np.save(path, _stored(shape, dtype, order))
+    assert all(_blocks_equal(path, grid))
+
+
+@pytest.mark.parametrize("slab", [8, 24, 200, 1000])
+@pytest.mark.parametrize("order", ["F", "C"])
+def test_any_slab_bound_reads_the_same_block(
+    tmp_path, monkeypatch, slab, order
+):
+    """Slab bounds from one element up split the read in every mode."""
+    monkeypatch.setattr(dist_tensor, "SLAB_BYTES", slab)
+    path = str(tmp_path / "x.npy")
+    for grid in [(2, 1, 3, 2), (1, 4, 1, 1), (1, 1, 1, 1)]:
+        np.save(path, _stored((5, 4, 3, 6), np.float64, order))
+        assert all(_blocks_equal(path, grid, backend="thread"))
+
+
+#: Run in a fresh interpreter: rank 0 of a four-rank grid that divides the
+#: fastest mode reads its quarter block, so every page of the file holds
+#: some of it.  Prints the rise of ``VmHWM`` over the read, in bytes.
+_QUARTER_READ = """
+import json, sys
+from repro.distributed import DistTensor
+from repro.mpi import CartGrid, run_spmd
+
+def hwm():
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) * 1024
+
+def prog(comm, path):
+    grid = CartGrid(comm, (4, 1, 1, 1))
+    comm.barrier()
+    rise = block = None
+    if comm.rank == 0:
+        before = hwm()
+        block = DistTensor.from_npy(grid, path).local.nbytes
+        rise = hwm() - before
+    comm.barrier()
+    return rise, block
+
+rise, block = run_spmd(4, prog, sys.argv[1], backend="thread")[0]
+print(json.dumps({"rise": rise, "block": block}))
+"""
+
+
+def test_a_quarter_block_read_maps_about_one_slab_of_the_file(tmp_path):
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs /proc/self/status")
+    shape = (64, 64, 48, 32)  # 48 MiB of float64
+    path = str(tmp_path / "big.npy")
+    x = np.lib.format.open_memmap(
+        path, mode="w+", dtype=np.float64, shape=shape, fortran_order=True
+    )
+    for j in range(shape[-1]):
+        x[..., j] = j
+    x.flush()
+    del x
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _QUARTER_READ, path],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert got["block"] == prod(shape) * 8 // 4
+    # Reading through a whole-file mapping raises it by block + file.
+    slack = 4 << 20
+    assert got["rise"] <= got["block"] + 2 * dist_tensor.SLAB_BYTES + slack, got
 
 
 @pytest.mark.parametrize("grid", [(2, 1, 3), (1, 2, 2), (1, 1, 1)])

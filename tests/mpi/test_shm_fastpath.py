@@ -135,6 +135,18 @@ class TestRankPool:
         assert _POOLS[2] is pool
         assert run_spmd(2, _pid, backend="process").values == warm
 
+    def test_closure_first_at_a_size_forks_no_warm_pool(self):
+        import multiprocessing
+
+        def prog(comm):  # closure: runs on a one-shot pool
+            return os.getpid()
+
+        assert 2 not in _POOLS
+        one_shot = run_spmd(2, prog, backend="process").values
+        assert os.getpid() not in one_shot
+        assert 2 not in _POOLS
+        assert not multiprocessing.active_children()
+
     def test_failed_run_retires_the_pool(self):
         before = _shm_names()
         warm = run_spmd(2, _pid, backend="process").values

@@ -143,6 +143,10 @@ def _bad_inputs(tmp_path):
     np.save(tmp_path / "text.npy", np.array(["a", "b"]))
     np.save(tmp_path / "fine.npy", x)
     (tmp_path / "garbage.npy").write_bytes(b"not an array")
+    # A header whose data was cut short: found before any rank reads it.
+    (tmp_path / "truncated.npy").write_bytes(
+        (tmp_path / "fine.npy").read_bytes()[:-8]
+    )
 
 
 @pytest.mark.parametrize("parallel", [[], ["--parallel", "2"]])
@@ -154,6 +158,7 @@ def _bad_inputs(tmp_path):
         ("objects.npy", [], "not a .npy tensor"),
         ("text.npy", [], "dense numeric tensor"),
         ("garbage.npy", [], "not a .npy tensor"),
+        ("truncated.npy", [], "not a .npy tensor"),
         ("fine.npy", ["--species-mode", "3"], "--species-mode"),
         ("fine.npy", ["--species-mode", "-4"], "--species-mode"),
     ],
