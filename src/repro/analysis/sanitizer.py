@@ -41,7 +41,7 @@ from repro.config import default_for
 if TYPE_CHECKING:  # real imports happen lazily at the raise sites:
     # importing repro.mpi.errors at module load would run the repro.mpi
     # package __init__, which imports repro.mpi.comm, which imports this
-    # module — a cycle whenever repro.analysis loads first (repro-lint).
+    # module — a cycle whenever repro.analysis loads first.
     from repro.mpi.errors import CollectiveMismatchError
 
 #: Environment variable consulted when ``run_spmd`` gets no ``sanitize=``.

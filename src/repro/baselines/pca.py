@@ -81,7 +81,7 @@ class PcaCompressor:
         mat = unfold(arr, mode)
         u, s, vt = np.linalg.svd(mat, full_matrices=False)
         if rank is None:
-            if tol <= 0:
+            if not tol > 0:  # NaN too
                 raise ValueError(f"tol must be positive, got {tol}")
             sq = s**2
             tail = np.concatenate([np.cumsum(sq[::-1])[::-1], [0.0]])

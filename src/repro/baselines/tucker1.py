@@ -75,7 +75,7 @@ class Tucker1Compressor:
         mode = check_axis(self.mode, arr.ndim, "mode")
         eig = eigendecompose(gram(arr, mode))
         if rank is None:
-            if tol <= 0:
+            if not tol > 0:  # NaN too
                 raise ValueError(f"tol must be positive, got {tol}")
             x_norm_sq = norm_sq(arr)
             rank = rank_from_tolerance(eig.values, (tol**2) * x_norm_sq)

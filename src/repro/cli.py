@@ -205,6 +205,9 @@ def _cmd_compress(args: argparse.Namespace) -> int:
     if args.timeout is not None and not args.timeout > 0:  # NaN too
         print("error: --timeout must be positive", file=sys.stderr)
         return 2
+    if args.tol is not None and not args.tol > 0:  # NaN too
+        print("error: --tol must be positive", file=sys.stderr)
+        return 2
     if args.dtype is not None and not args.parallel:
         print(
             "error: --dtype requires --parallel (precision selection lives "

@@ -1,8 +1,9 @@
 """Runtime configuration layer: typed knobs, one resolver, one env reader.
 
 See :mod:`repro.config.runtime`.  Every ``REPRO_*`` environment variable
-is resolved here and only here (repro-lint rule SPMD006 enforces it);
-the rest of the stack receives an explicit :class:`RuntimeConfig`.
+is resolved here and only here (``tests/analysis/test_source_rules.py``
+checks it); the rest of the stack receives an explicit
+:class:`RuntimeConfig`.
 """
 
 from repro.config.runtime import (

@@ -6,9 +6,9 @@
   explicit keyword > explicit config object > environment variable >
   default, resolved **once** at the ``run_spmd`` boundary.
 * :func:`env_default` — the repository's single ``os.environ`` reader
-  for ``REPRO_*`` knobs (repro-lint rule SPMD006 enforces that no other
-  module reads them directly).  Environment variables remain the user
-  surface; this resolver is their only consumer.
+  for ``REPRO_*`` knobs (``tests/analysis/test_source_rules.py`` checks
+  that no other module reads them directly).  Environment variables
+  remain the user surface; this resolver is their only consumer.
 * :func:`set_active_config` / :func:`default_for` — the dispatch
   mechanism that threads a resolved config through transport, kernels
   and drivers without changing any public helper contract: ``run_spmd``
@@ -195,7 +195,7 @@ def env_default(name: str) -> Any:
     """This knob's value from its environment variable (or its default).
 
     The single place in the repository where a ``REPRO_*`` variable is
-    read (rule SPMD006 keeps it that way).  Raises ``ValueError`` with
+    read (``tests/analysis/test_source_rules.py`` keeps it that way).  Raises ``ValueError`` with
     the knob's historical message on a value its parser rejects; the
     numeric ranges (``retry``, ``timeout``, ``deadline``) are checked
     where the value reaches :class:`RuntimeConfig`.

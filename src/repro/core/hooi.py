@@ -102,7 +102,7 @@ def hooi(
     n_modes = arr.ndim
     if max_iterations < 0:
         raise ValueError(f"max_iterations must be >= 0, got {max_iterations}")
-    if improvement_tol < 0:
+    if not improvement_tol >= 0:  # NaN too
         raise ValueError(f"improvement_tol must be >= 0, got {improvement_tol}")
 
     if init is None:

@@ -39,7 +39,7 @@ def hosvd(
     n_modes = arr.ndim
     if (tol is None) == (ranks is None):
         raise ValueError("specify exactly one of tol= or ranks=")
-    if tol is not None and tol <= 0:
+    if tol is not None and not tol > 0:  # NaN too
         raise ValueError(f"tol must be positive, got {tol}")
     if ranks is not None:
         ranks = check_shape_like(ranks, "ranks")

@@ -81,7 +81,7 @@ def dist_hooi(
     """
     if max_iterations < 0:
         raise ValueError(f"max_iterations must be >= 0, got {max_iterations}")
-    if improvement_tol < 0:
+    if not improvement_tol >= 0:  # NaN too
         raise ValueError(f"improvement_tol must be >= 0, got {improvement_tol}")
     if method not in ("gram", "svd"):
         raise ValueError(f"unknown method {method!r}; use 'gram' or 'svd'")

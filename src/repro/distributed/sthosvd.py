@@ -597,7 +597,7 @@ def dist_sthosvd(
     n_modes = dt.ndim
     if (tol is None) == (ranks is None):
         raise ValueError("specify exactly one of tol= or ranks=")
-    if tol is not None and tol <= 0:
+    if tol is not None and not tol > 0:  # NaN too
         raise ValueError(f"tol must be positive, got {tol}")
     if method not in ("gram", "svd"):
         raise ValueError(f"unknown method {method!r}; use 'gram' or 'svd'")

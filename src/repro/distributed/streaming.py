@@ -61,7 +61,7 @@ class DistStreamingTucker:
         tol: float,
     ):
         self._spatial_shape = check_shape_like(spatial_shape, "spatial_shape")
-        if tol <= 0:
+        if not tol > 0:  # NaN too
             raise ValueError(f"tol must be positive, got {tol}")
         n_spatial = len(self._spatial_shape)
         if grid.ndim != n_spatial + 1:

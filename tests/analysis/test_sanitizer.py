@@ -7,6 +7,7 @@ deadlock timeout with an actionable message.
 
 from __future__ import annotations
 
+import inspect
 import os
 
 import numpy as np
@@ -17,7 +18,13 @@ from repro.analysis.sanitizer import (
     CollectiveCall,
     sanitize_level,
 )
-from repro.mpi import SUM, SpmdError, run_spmd
+from repro.mpi import (
+    SUM,
+    DeadlockError,
+    RequestLeakError,
+    SpmdError,
+    run_spmd,
+)
 from tests.backend_param import spmd_backend  # noqa: F401 - both backends
 from tests.conftest import spmd
 
@@ -259,6 +266,118 @@ class TestRequestLifetimes:
         msg = str(err.value)
         assert "sanitizer: last collective" in msg
         assert "bcast#0" in msg
+
+
+# -- SPMD programs with protocol bugs, run under the sanitizer ----------------
+#
+# Each program runs on two ranks.  A collective that only some ranks reach
+# deadlocks, and the timeout carries the hung rank's last collective and
+# its line; a request nobody waits fails the run at finalize, naming the
+# line that posted it.  These are the checks' only evidence: a bug on a
+# path no test runs is invisible to them.
+
+
+def broken(comm, data):
+    if comm.rank == 0:
+        # Only rank 0 enters the reduction: everyone else has returned.
+        total = comm.allreduce(data)
+    else:
+        total = None
+    return total
+
+
+def also_broken(comm, data):
+    if comm.Get_rank() % 2 == 0:
+        comm.barrier()
+    return data
+
+
+def legal_root_asymmetry(comm, data):
+    # Both paths reach the *same* collective: root/non-root pairing.
+    if comm.rank == 0:
+        out = comm.bcast(data, root=0)
+    else:
+        out = comm.bcast(None, root=0)
+    return out
+
+
+def discarded(comm):
+    peer = 1 - comm.rank
+    comm.isend(np.ones(4), dest=peer)  # nothing holds the handle
+    return comm.recv(source=peer)
+
+
+def never_waited(comm):
+    req = comm.ireduce(np.ones(8), root=0)  # noqa: F841 - no wait on any path
+    return comm.rank
+
+
+def waited_is_fine(comm):
+    req = comm.iallreduce(np.ones(2))
+    return req.wait()
+
+
+def escaped(comm, bag):
+    # The handle escapes into a container, but nobody waits it before
+    # the rank returns: still a leak.
+    peer = 1 - comm.rank
+    bag.append(comm.isendrecv(np.ones(2), dest=peer, source=peer))
+    return len(bag)
+
+
+def _line_of(fn, needle: str) -> int:
+    lines, start = inspect.getsourcelines(fn)
+    return start + next(i for i, text in enumerate(lines) if needle in text)
+
+
+class TestProtocolBugPrograms:
+    @pytest.mark.parametrize(
+        "prog, op, needle",
+        [
+            (broken, "allreduce", "comm.allreduce(data)"),
+            (also_broken, "barrier", "comm.barrier()"),
+        ],
+        ids=["broken", "also_broken"],
+    )
+    def test_partial_collective_deadlock_names_the_call(self, prog, op, needle):
+        with pytest.raises(SpmdError) as err:
+            spmd(2, prog, 1.0, sanitize=1, timeout=1.0)
+        assert set(err.value.failures) == {0}
+        exc = err.value.failures[0]
+        assert isinstance(exc, DeadlockError)
+        site = f"test_sanitizer.py:{_line_of(prog, needle)}"
+        assert [
+            note for note in getattr(exc, "__notes__", [])
+            if f"sanitizer: last collective rank 0 (world 0): {op}#0" in note
+            and note.endswith(site)
+        ]
+
+    @pytest.mark.parametrize(
+        "prog, args, op, needle",
+        [
+            (discarded, (), "isend", "comm.isend("),
+            (never_waited, (), "ireduce", "comm.ireduce("),
+            (escaped, ([],), "isendrecv", "comm.isendrecv("),
+        ],
+        ids=["discarded", "never_waited", "escaped"],
+    )
+    def test_unwaited_request_leaks(self, prog, args, op, needle):
+        with pytest.raises(SpmdError) as err:
+            spmd(2, prog, *args, sanitize=1)
+        site = f"test_sanitizer.py:{_line_of(prog, needle)}"
+        assert err.value.failures
+        for exc in err.value.failures.values():
+            assert isinstance(exc, RequestLeakError)
+            assert f"{op} (request #0) posted at " in str(exc)
+            assert str(exc).endswith(site)
+
+    @pytest.mark.parametrize(
+        "prog, args",
+        [(legal_root_asymmetry, (1.0,)), (waited_is_fine, ())],
+        ids=["legal_root_asymmetry", "waited_is_fine"],
+    )
+    def test_correct_programs_pass(self, prog, args):
+        assert len(spmd(2, prog, *args, sanitize=1).values) == 2
 
 
 class TestSignatureModel:

@@ -37,6 +37,8 @@ class TestPcaCompressor:
             comp.compress(x)
         with pytest.raises(ValueError):
             comp.compress(x, tol=-1.0)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            comp.compress(x, tol=float("nan"))
         with pytest.raises(ValueError):
             comp.compress(x, rank=7)
 
@@ -77,6 +79,11 @@ class TestTucker1Compressor:
         x = low_rank_tensor((10, 8, 6), (4, 8, 6), seed=79, noise=0.05)
         c = Tucker1Compressor(0).compress(x, tol=0.05)
         assert c.relative_error(x) <= 0.05
+
+    def test_nan_tol_rejected(self):
+        x = random_tensor((6, 6), seed=74)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            Tucker1Compressor(0).compress(x, tol=float("nan"))
 
 
 class TestTuckerBeatsBaselines:

@@ -41,7 +41,8 @@ def suite_compute_dtype() -> str:
     Agreement tests compare distributed results against float64 sequential
     references; under a narrowed suite dtype those comparisons legitimately
     loosen.  Tests read the environment directly on purpose — they describe
-    the launch configuration, unlike library code (see lint rule SPMD006).
+    the launch configuration, unlike library code (see
+    ``tests/analysis/test_source_rules.py``).
     """
     import os
 

@@ -75,6 +75,11 @@ class TestConvergenceControls:
         with pytest.raises(ValueError):
             hooi(x, ranks=(2, 2), improvement_tol=-0.1)
 
+    def test_nan_improvement_tol_rejected(self):
+        x = random_tensor((4, 5), seed=0)
+        with pytest.raises(ValueError, match="improvement_tol must be >= 0"):
+            hooi(x, ranks=(2, 2), improvement_tol=float("nan"))
+
 
 class TestInitHandling:
     def test_init_shape_mismatch(self):

@@ -60,6 +60,8 @@ class TestHosvd:
             hosvd(x)
         with pytest.raises(ValueError):
             hosvd(x, tol=-1.0)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            hosvd(x, tol=float("nan"))
         with pytest.raises(ValueError):
             hosvd(x, ranks=(9, 2))
 

@@ -126,6 +126,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             sthosvd(random_tensor((4, 5), seed=0), tol=0.0)
 
+    def test_nan_tol(self):
+        # NaN passes ``tol <= 0``; it would keep full ranks and report a
+        # zero error estimate.
+        with pytest.raises(ValueError, match="tol must be positive"):
+            sthosvd(random_tensor((8, 7, 6), seed=0), tol=float("nan"))
+
     def test_rank_exceeds_dim(self):
         with pytest.raises(ValueError, match="exceeds dimension"):
             sthosvd(random_tensor((4, 5), seed=0), ranks=(5, 5))

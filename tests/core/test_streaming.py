@@ -136,3 +136,7 @@ class TestEdgeCases:
     def test_invalid_tol(self):
         with pytest.raises(ValueError):
             StreamingTucker((4, 4), tol=0.0)
+
+    def test_nan_tol(self):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            StreamingTucker((4, 4), tol=float("nan"))

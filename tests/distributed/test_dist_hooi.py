@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.distributed import DistTensor, dist_hooi, dist_sthosvd
+from repro.distributed import DistTensor, dist_hooi, dist_sthosvd, self_grid
 from repro.mpi import CartGrid
 from repro.tensor import low_rank_tensor
 from tests.conftest import spmd, suite_compute_dtype
@@ -95,3 +95,11 @@ class TestAgreement:
         for ranks, est in spmd(4, prog):
             assert ranks == (3, 2, 2)
             assert est == pytest.approx(want, rel=1e-6)
+
+
+class TestValidation:
+    def test_nan_improvement_tol_rejected(self):
+        x = low_rank_tensor((8, 6, 4), (4, 3, 2), seed=3, noise=0.1)
+        dt = DistTensor.from_global(self_grid(3), x)
+        with pytest.raises(ValueError, match="improvement_tol must be >= 0"):
+            dist_hooi(dt, ranks=(3, 2, 2), improvement_tol=float("nan"))

@@ -179,6 +179,58 @@ class TestOutputDtypes:
             assert factor_dts == ["float64"] * 3
 
 
+class TestKernelDtypes:
+    """Under float32 every kernel's output stays float32: a dtype-less
+    allocation inside a kernel would silently widen the pipeline."""
+
+    KERNELS = {
+        "gram": {
+            "dist_gram": lambda out: out,  # Gram block rows
+            "dist_evecs": lambda out: out[0],  # eigenvector block rows
+            "dist_ttm": lambda out: out.local,
+        },
+        "svd": {
+            "qr_r": lambda out: out,  # QR triangle
+            "dist_mode_svd": lambda out: out[0],  # factor block rows
+            "dist_ttm": lambda out: out.local,
+        },
+    }
+
+    @pytest.mark.parametrize("method", ["gram", "svd"])
+    def test_float32_kernel_outputs(self, method, monkeypatch):
+        import repro.distributed.sthosvd as driver
+        import repro.distributed.tsqr as tsqr
+
+        x = low_rank_tensor((8, 6, 4), (3, 3, 2), seed=53, noise=0.02)
+        seen: list[tuple[str, str]] = []
+
+        def recording(name, kernel, output):
+            def wrapper(*args, **kwargs):
+                out = kernel(*args, **kwargs)
+                seen.append((name, str(output(out).dtype)))
+                return out
+
+            return wrapper
+
+        for name, output in self.KERNELS[method].items():
+            module = tsqr if name == "qr_r" else driver
+            monkeypatch.setattr(
+                module, name, recording(name, getattr(module, name), output)
+            )
+
+        def prog(comm):
+            # The closure runs on a pool forked after the patches.
+            g = CartGrid(comm, (2, 1, 1))
+            dt = DistTensor.from_global(g, x)
+            dist_sthosvd(dt, tol=0.1, method=method, compute_dtype="float32")
+            return list(seen)
+
+        per_rank = spmd(2, prog).values
+        for calls in per_rank:
+            assert {name for name, _ in calls} == set(self.KERNELS[method])
+            assert {dtype for _, dtype in calls} == {"float32"}
+
+
 class TestFloat64IsBitExact:
     def test_explicit_float64_matches_default(self):
         """compute_dtype="float64" is the historical pipeline, bit for bit."""

@@ -91,10 +91,10 @@ class TestRankDeath:
         res = run_spmd(3, _sum_prog, backend="process")
         assert res.values == [3.0, 3.0, 3.0]
 
-    def test_fork_mode_death_detected(self):
+    def test_closure_death_detected(self):
         captured = {}
 
-        def prog(comm):  # closure: rides the fork-per-run fallback
+        def prog(comm):  # closure: runs on a one-shot rank pool
             captured["ran"] = True
             return _sum_prog(comm)
 

@@ -169,3 +169,20 @@ def test_run_spmd_takes_no_shm_estimate():
     from repro.mpi import run_spmd
 
     assert "shm_estimate" not in inspect.signature(run_spmd).parameters
+
+
+# The static SPMD linter is retired: the runtime sanitizer, ruff and the
+# source-rule tests carry its checks (tests/analysis).
+def test_linter_module_stays_gone():
+    import importlib.util
+
+    assert importlib.util.find_spec("repro.analysis.lint") is None
+
+
+def test_no_linter_console_script():
+    from pathlib import Path
+
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert "repro-lint" not in scripts

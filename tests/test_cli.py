@@ -140,6 +140,26 @@ class TestCompress:
         assert rc == 2
         assert capsys.readouterr().err == "error: --timeout must be positive\n"
 
+    @pytest.mark.parametrize(
+        "value, parallel", [("nan", []), ("nan", ["--parallel", "2"]),
+                            ("-1", ["--parallel", "2"])],
+    )
+    def test_tol_must_be_positive(
+        self, field, tmp_path, capsys, monkeypatch, value, parallel
+    ):
+        # A NaN tol passes ``tol <= 0``: it would keep full ranks and
+        # write a model larger than its input.
+        src, _ = field
+        monkeypatch.setattr(
+            repro.mpi, "run_spmd",
+            lambda *a, **k: pytest.fail("a rank was launched"),
+        )
+        out = tmp_path / "m.npz"
+        rc = main(["compress", str(src), str(out), "--tol", value, *parallel])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --tol must be positive\n"
+        assert not out.exists()
+
     def test_infinite_timeout_is_accepted(self, field, tmp_path):
         # ``inf`` keeps its meaning, "never time out", through the CLI.
         src, x = field
