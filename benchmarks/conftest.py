@@ -2,9 +2,8 @@
 
 Every benchmark regenerates one table or figure of the paper and prints a
 paper-vs-measured comparison.  Absolute numbers come from proxies and the
-calibrated machine model (see DESIGN.md's substitution table); the *shapes*
-— orderings, ratios, crossovers — are the reproduced claims, and each
-benchmark asserts them.
+calibrated machine model; the *shapes* — orderings, ratios, crossovers —
+are the reproduced claims, and each benchmark asserts them.
 """
 
 from __future__ import annotations

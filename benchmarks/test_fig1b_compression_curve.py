@@ -4,7 +4,7 @@ Paper series (550 GB SP dataset): ratios 5, 16, 55, 231, 5580 at errors
 1e-6 .. 1e-2 — roughly a decade of compression per decade of error, with
 acceleration at loose tolerances.  The proxy reproduces the monotone
 decade-per-decade *shape*; absolute ratios are capped by the proxy's much
-smaller dimensions (see EXPERIMENTS.md).
+smaller dimensions.
 """
 
 

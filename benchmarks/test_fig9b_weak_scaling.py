@@ -13,7 +13,7 @@ Divergence disclosed: the paper measures per-core rates *decaying* to 17%
 at 1296 nodes; the alpha-beta-gamma + BLAS-surrogate model keeps ST-HOSVD
 rates roughly flat (its dominant first-mode GEMM grows with k).  The decay
 is attributed by the paper to grid-tradeoff and system effects outside
-this model — recorded in EXPERIMENTS.md rather than asserted away.
+this model — disclosed here rather than asserted away.
 """
 
 

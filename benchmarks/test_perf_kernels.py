@@ -38,7 +38,7 @@ repo root so the perf trajectory is visible across PRs:
   whose noise floor sits below both tolerance shares.  Asserted: same
   truncation decisions, and the delivered relative error meets the
   requested tolerance (the achieved/requested ratio is recorded); the
-  gain is recorded only, see RECORDED.md.
+  gain is recorded only, see benchmarks/RECORDED.md.
 
 **Harness.**  Every two-sided row is measured *paired*: each SPMD launch
 times both variants back-to-back inside the same ranks, so machine drift

@@ -2,7 +2,7 @@
 """Strong/weak scaling study with the alpha-beta-gamma model (paper Sec. VIII).
 
 Regenerates, at paper scale, the predictions behind Figs. 9a and 9b using
-the analytic cost model (the physical Cray is simulated — see DESIGN.md),
+the analytic cost model (the physical Cray is simulated by that model),
 and validates the model's grid preferences at small scale by actually
 executing the simulated-MPI ST-HOSVD and reading its cost ledger.
 
@@ -33,7 +33,7 @@ def strong_scaling() -> None:
     print(f"\nmodeled: {t0:.2f} s on one node (paper: ~3 s), speedup "
           f"{t0 / t512:.0f}x to 512 nodes.\npaper measured ~20x with "
           f"saturation past 256 nodes — system effects beyond the\n"
-          f"alpha-beta-gamma + BLAS-efficiency model (see EXPERIMENTS.md).")
+          f"alpha-beta-gamma + BLAS-efficiency model.")
 
 
 def weak_scaling() -> None:
@@ -53,7 +53,7 @@ def weak_scaling() -> None:
           "1296 nodes.\nthe model reproduces single-node efficiency and "
           "HOOI < ST-HOSVD per-core rates;\nits per-core rate stays ~flat "
           "with k (the paper's decay is dominated by effects\noutside the "
-          "alpha-beta-gamma model — see EXPERIMENTS.md).")
+          "alpha-beta-gamma model).")
 
 
 def validate_grid_choice() -> None:

@@ -2,8 +2,9 @@
 
 A from-scratch Python reproduction of W. Austin, G. Ballard, T. G. Kolda,
 *Parallel Tensor Compression for Large-Scale Scientific Data* (IPDPS 2016),
-the system that became TuckerMPI.  See DESIGN.md for the system inventory
-and EXPERIMENTS.md for paper-vs-measured results.
+the system that became TuckerMPI.  See README.md's "Layout" for the
+system inventory; the ``benchmarks/`` suite prints paper-vs-measured
+results (``python -m pytest benchmarks -s``).
 
 Quick start (sequential)::
 

@@ -4,7 +4,7 @@ The paper's evaluation uses three proprietary combustion DNS datasets
 (HCCI, TJLR, SP — Sec. VII-A).  This package builds laptop-sized synthetic
 stand-ins with the same *multiway structure* and, crucially, tunable
 per-mode spectral decay, which is the only property the compression
-experiments depend on (see DESIGN.md).  Generators:
+experiments depend on.  Generators:
 
 * :func:`hcci_proxy` / :func:`tjlr_proxy` / :func:`sp_proxy` — the three
   datasets, with compressibility ordered SP >> HCCI >> TJLR as in the paper.

@@ -3,8 +3,8 @@
 Each helper returns ``(shape, ranks, grid-or-grids, extras)`` describing one
 experiment, at either paper scale (for the analytic model) or a reduced
 scale (for actual simulated execution).  Keeping the definitions here — and
-importing them from both tests and benchmarks — guarantees the experiments
-the benches run are the ones DESIGN.md documents.
+importing them from both tests and benchmarks — guarantees the benchmarks
+run the experiments the tests check.
 """
 
 from __future__ import annotations

@@ -14,25 +14,23 @@ can raise :class:`~repro.mpi.errors.RankDeadError` naming the dead
 rank, its signal, and its last collective context — instead of a
 generic :class:`~repro.mpi.errors.DeadlockError`.
 
-The segment is named with the creator's pid under the same ``rps_``
-prefix as transport segments (see ``process_transport._SHM_PREFIX``)
-so the crash audit ``reap_stale_segments`` reclaims boards whose
-creator died.  Import-pure at module level (lazy ``repro.mpi.errors``
-imports) so ``repro.mpi`` internals can import it without cycles.
+The segment comes from the transport's one creation site
+(``process_transport.Segment.create``), so it is named with the
+creator's pid under the same ``rps_`` prefix as transport segments and
+the crash audit ``reap_stale_segments`` reclaims boards whose creator
+died.  Import-pure at module level (lazy ``repro.mpi`` imports) so
+``repro.mpi`` internals can import it without cycles.
 """
 
 from __future__ import annotations
 
-import os
-import secrets
 import signal
-from multiprocessing import shared_memory
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-# Keep in sync with process_transport._SHM_PREFIX (not imported to stay
-# import-pure): boards must be swept by the same crash audit.
-_PREFIX = "rps_"
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.mpi.process_transport import Segment
 
 _HEADER_WORDS = 2
 _SLOT_WORDS = 5
@@ -73,7 +71,7 @@ def _unpack_op(lo: int, hi: int) -> str:
 class StatusBoard:
     """Liveness/death board shared between the parent and all ranks."""
 
-    def __init__(self, shm: shared_memory.SharedMemory, n_ranks: int, owner: bool):
+    def __init__(self, shm: "Segment", n_ranks: int, owner: bool):
         self._shm = shm
         self.n_ranks = n_ranks
         self._owner = owner
@@ -86,24 +84,18 @@ class StatusBoard:
 
     @classmethod
     def create(cls, n_ranks: int) -> "StatusBoard":
-        nbytes = (_HEADER_WORDS + n_ranks * _SLOT_WORDS) * 8
-        for _ in range(3):
-            name = f"{_PREFIX}{os.getpid()}_{secrets.token_hex(8)}"
-            try:
-                shm = shared_memory.SharedMemory(name=name, create=True, size=nbytes)
-                break
-            except FileExistsError:  # pragma: no cover - 64-bit token collision
-                continue
-        else:  # pragma: no cover
-            raise RuntimeError("could not allocate a status board segment")
+        from repro.mpi.process_transport import Segment
+
+        shm = Segment.create((_HEADER_WORDS + n_ranks * _SLOT_WORDS) * 8)
         board = cls(shm, n_ranks, owner=True)
         board.reset()
         return board
 
     @classmethod
     def attach(cls, name: str, n_ranks: int) -> "StatusBoard":
-        shm = shared_memory.SharedMemory(name=name)
-        return cls(shm, n_ranks, owner=False)
+        from repro.mpi.process_transport import Segment
+
+        return cls(Segment(name), n_ranks, owner=False)
 
     def reset(self) -> None:
         """Parent-side: clear all state before (re)using the board."""

@@ -4,8 +4,7 @@ This package replaces MPI for the reproduction: ranks execute under a
 pluggable executor backend — threads sharing an in-process transport, or
 OS processes exchanging ndarrays through POSIX shared memory — and
 every operation charges an alpha-beta-gamma cost ledger so that modeled
-runtimes of real executions can be reported (see DESIGN.md, substitution
-table).
+runtimes of real executions can be reported.
 
 The process backend has a shared-memory fast path: a persistent rank
 pool amortizes launch cost across ``run_spmd`` calls (see

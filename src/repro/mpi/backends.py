@@ -61,6 +61,12 @@ warm:
   same workers, which inherit the task through ``fork`` and run it
   first, then shut down.  There is one rank body (``_pool_worker``) and
   one collect loop whatever the launch.
+* A function redefined after the workers forked never runs in its old
+  form.  The parent retires a warm pool that ran a different function
+  object under the same qualified name, and each task carries a digest
+  of the function's code, which a worker checks against the function it
+  resolves (a mismatch is a load failure, so the run goes to a one-shot
+  pool).
 * Each run gets a fresh ``run_seq``; stragglers from an earlier run that
   are still in an inbox are dropped (and their segments reclaimed) by the
   transport, so runs never see each other's messages.
@@ -77,11 +83,14 @@ from __future__ import annotations
 
 import abc
 import atexit
+import hashlib
+import marshal
 import os
 import pickle
 import queue as queue_mod
 import threading
 import time
+import types
 import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
@@ -126,11 +135,22 @@ class _TaskLoadError(RuntimeError):
 
     Happens when the rank function pickles by reference in the parent but
     does not resolve in a worker forked before it was defined (fresh
-    definitions in a REPL).  No user code ran to completion, so the
-    executor retires the stale pool and reruns the task on a one-shot
-    pool — fork inherits the definition for free — instead of failing
-    the run.
+    definitions in a REPL), or resolves to code other than the parent's
+    (it was redefined after the worker forked; see :func:`_code_digest`).
+    No user code ran to completion, so the executor retires the stale
+    pool and reruns the task on a one-shot pool — fork inherits the
+    definition for free — instead of failing the run.
     """
+
+
+def _code_digest(fn: Any) -> bytes | None:
+    """A digest of a plain function's compiled code (``None`` for any
+    other callable): what a warm worker compares with the function it
+    resolves by name, so a definition changed after it forked is never
+    run in its stale form."""
+    if not isinstance(fn, types.FunctionType):
+        return None
+    return hashlib.blake2b(marshal.dumps(fn.__code__), digest_size=16).digest()
 
 
 @dataclass
@@ -505,11 +525,16 @@ def _pool_worker(
     inboxes,
     abort_event,
     first: tuple | None = None,
+    writers: Sequence = (),
 ) -> None:
     """The one process-rank body: loop over runs until the sentinel.
 
     ``first`` is a one-shot pool's ``(run_seq, task)``, inherited through
-    ``fork`` (never pickled) and run before the task pipe is read.  A
+    ``fork`` (never pickled) and run before the task pipe is read.
+    ``writers`` are the pool's task-pipe write ends this worker inherited:
+    it closes them, so the parent holds the only ones and its death reads
+    as the end of the pipe, on which the worker exits as on the sentinel
+    and unlinks what the dead parent owned.  A
     dispatched run's array arguments are borrowed: copy-on-write mappings
     of segments the parent staged and recycles once every report is in
     (:func:`~repro.mpi.process_transport.decode_borrowed`).  So before it
@@ -536,12 +561,22 @@ def _pool_worker(
     # The mappings behind the current run's borrowed arguments.
     mapped: weakref.WeakSet = weakref.WeakSet()
 
+    parent = os.getppid()
+    for writer in writers:
+        writer.close()
+    orphaned = False
     try:
         while True:
             if first is not None:
                 (run_seq, task), first = first, None
             else:
-                item = tasks.recv()
+                try:
+                    item = tasks.recv()
+                except EOFError:
+                    # A live parent sends the sentinel before it closes
+                    # the pipe: it died, and nobody will send again.
+                    orphaned = True
+                    break
                 take_back()
                 if item is None:
                     break
@@ -561,6 +596,11 @@ def _pool_worker(
                 if isinstance(task, bytes):
                     task = decode_borrowed(pickle.loads(task), mapped)
                 fn, args, extra, machine, timeout, topts = task
+                if topts.pop("code", None) not in (None, _code_digest(fn)):
+                    raise RuntimeError(
+                        f"{fn.__qualname__} was redefined after this "
+                        f"worker forked"
+                    )
             except BaseException as exc:  # noqa: BLE001
                 failure = _TaskLoadError(
                     f"rank {rank} could not load the dispatched task: {exc!r}"
@@ -580,10 +620,8 @@ def _pool_worker(
             # recycles the segments behind the borrowed arguments once
             # every report is in), and break the exception<->frame
             # reference cycle: traceback frames pin shm-backed views,
-            # and cyclic garbage finalizes in arbitrary order — a
-            # SharedMemory handle collected before its exporting ndarray
-            # spews BufferError from __del__.  Refcount teardown
-            # releases views first.  A borrowed block that something
+            # which would keep their segments leased until a cyclic
+            # collection.  A borrowed block that something
             # still references (a rank function kept it) is made
             # private, so the next run's staging never shows through.
             if failure is not None:
@@ -596,6 +634,10 @@ def _pool_worker(
     finally:
         take_back()
         process_arena().teardown()
+        if orphaned:
+            # Its staging arena and status boards: nobody else is left
+            # to unlink them.
+            reap_stale_segments([parent], exited=True)
         # Messages still queued for a peer are stale once the worker
         # leaves (nobody drains a retired pool's inboxes), and a feeder
         # may wait forever on the write lock of an inbox a killed worker
@@ -631,6 +673,8 @@ class _RankPool:
         self.result_queues = [self._ctx.Queue() for _ in range(n_ranks)]
         self.abort_event = self._ctx.Event()
         self.staged: list = []  # arena segments loaned to the active run
+        # The function object each warm run dispatched, by qualified name.
+        self.ran: dict[tuple[str, str], weakref.ref] = {}
         # Shared liveness/death board: children stamp their pid and last
         # collective, the parent's exit monitor records deaths on it so
         # survivors raise RankDeadError instead of deadlock-timing out.
@@ -659,6 +703,7 @@ class _RankPool:
                 self.inboxes,
                 self.abort_event,
                 first,
+                [writer for _, writer in self.tasks],
             ),
             name=f"spmd-pool-{self.n_ranks}-rank-{rank}",
             daemon=True,
@@ -668,6 +713,15 @@ class _RankPool:
 
     def alive(self) -> bool:
         return all(p.is_alive() for p in self.procs)
+
+    def redefined(self, fn: Callable[..., Any]) -> bool:
+        """Whether a different function object ran here under ``fn``'s
+        qualified name: ``fn`` was redefined after the workers forked, and
+        they would resolve the name to their old copy."""
+        if not isinstance(fn, types.FunctionType):
+            return False
+        ref = self.ran.get((fn.__module__, fn.__qualname__))
+        return ref is not None and ref() is not fn
 
     def dispatch(
         self,
@@ -694,7 +748,9 @@ class _RankPool:
         segments: list = []
         self.run_seq += 1
         self.board.reset()
-        topts = dict(transport_opts or {}, status=self.board.name)
+        topts = dict(
+            transport_opts or {}, status=self.board.name, code=_code_digest(fn)
+        )
         try:
             # Workers map these privately (decode_borrowed).
             common = (fn, args, machine, timeout)
@@ -720,6 +776,8 @@ class _RankPool:
         self.staged = segments
         for rank, task in enumerate(tasks):
             self.tasks[rank][1].send(task)
+        if isinstance(fn, types.FunctionType):
+            self.ran[(fn.__module__, fn.__qualname__)] = weakref.ref(fn)
         return self.run_seq
 
     def reclaim_staged(self) -> None:
@@ -820,11 +878,12 @@ def shutdown_worker_pools() -> None:
 atexit.register(shutdown_worker_pools)
 
 
-def _get_pool(n_ranks: int) -> _RankPool:
+def _get_pool(n_ranks: int, fn: Callable[..., Any]) -> _RankPool:
     """The warm pool for ``n_ranks``, replacing one whose worker died
-    between runs (a death may leave an inbox's write lock held)."""
+    between runs (a death may leave an inbox's write lock held) or whose
+    workers hold an older definition of ``fn``."""
     pool = _POOLS.get(n_ranks)
-    if pool is not None and not pool.alive():
+    if pool is not None and (not pool.alive() or pool.redefined(fn)):
         _retire_pool(pool)
     with _POOLS_LOCK:
         pool = _POOLS.get(n_ranks)
@@ -856,7 +915,6 @@ class ProcessBackend(ExecutorBackend):
         attempt: int = 1,
         config: RuntimeConfig | None = None,
     ) -> SpmdResult:
-        self._ensure_resource_tracker()
         # The resolved RuntimeConfig (and sanitize level, fault spec,
         # attempt) ride the run's task (never the environment: warm pool
         # workers were forked long ago and would not see an env change).
@@ -875,7 +933,7 @@ class ProcessBackend(ExecutorBackend):
         except Exception:
             pass
         else:
-            pool = _get_pool(n_ranks)
+            pool = _get_pool(n_ranks, fn)
         # The parent stages dispatch payloads through its arena: account
         # those allocations as the run's parent-side (-1) summary.
         gov = resources_mod.governor()
@@ -899,19 +957,6 @@ class ProcessBackend(ExecutorBackend):
             return self._collect(pool, pool.run_seq, n_ranks, machine)
         finally:
             gov.deconfigure()
-
-    @staticmethod
-    def _ensure_resource_tracker() -> None:
-        from multiprocessing import resource_tracker
-
-        # Start the shared-memory resource tracker before forking so every
-        # child inherits the same tracker process; otherwise a segment
-        # registered by the sending child and unlinked by the receiving
-        # child looks "leaked" to the sender's private tracker.
-        try:
-            resource_tracker.ensure_running()
-        except Exception:  # pragma: no cover - tracker is an optimization
-            pass
 
     def _collect(
         self, pool: _RankPool, run_seq: int, n_ranks: int, machine: MachineSpec

@@ -63,7 +63,12 @@ def run_spmd(
     fn:
         The SPMD program.  Receives a world :class:`Communicator` as its
         first argument, then ``args`` (identical on every rank) and, if
-        ``rank_args`` is given, that rank's extra tuple appended.
+        ``rank_args`` is given, that rank's extra tuple appended.  On the
+        process backend's warm pool a module-level function runs as the
+        workers resolve it by name; one redefined since they forked is
+        detected and run on fresh workers, but a module global rebound
+        without redefining the function stays invisible to them (they
+        read their forked copy): pass such values as arguments.
     machine:
         Machine constants used by the cost ledger (default: Edison core).
     timeout:

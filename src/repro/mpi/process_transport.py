@@ -32,6 +32,33 @@ inboxes and segments.
 Poisoning uses a shared event: when any rank dies its transport sets the
 event, and every sibling blocked in :meth:`ProcessTransport.get` notices
 within one poll interval and raises :class:`DeadlockError`.
+
+Who owns a segment, and who unlinks it
+--------------------------------------
+
+Every segment is a :class:`Segment` named ``rps_<creator pid>_<token>``,
+and exactly one process owns it at a time; the owner is the one that
+unlinks it.  No helper process watches ``/dev/shm``:
+
+* **The sender's arena** owns a segment from creation until the send
+  completes, and owns its free lists for good (reused, or unlinked past
+  a cap).  The parent's staged task arguments and a worker's staged
+  return value stay their stager's: the other side only maps them.
+* **The adopting receiver** owns a message's segment once it decodes
+  the message; it adopts the segment into its own arena when the last
+  view dies.  A message nobody received is unlinked by whoever drains
+  it (a straggler dropped by the next run, an inbox drained after a run).
+* **Teardown at exit**: a worker unlinks its arena's segments when it
+  leaves its loop, and the parent unlinks its own at
+  :func:`~repro.mpi.backends.shutdown_worker_pools`, which ``atexit``
+  runs.
+* **The retire sweep**: a retired pool's workers are joined, then
+  :func:`reap_stale_segments` unlinks every segment whose creator pid is
+  one of them and no longer runs — what a killed rank owned, or what was
+  in flight to it.
+* **A dead parent's workers**: a parent killed outright runs no
+  teardown; each worker sees the end of its task pipe, unlinks its own
+  arena and sweeps the parent's segments, then exits.
 """
 
 from __future__ import annotations
@@ -46,7 +73,6 @@ import time
 import weakref
 from collections import deque
 from dataclasses import dataclass
-from multiprocessing import shared_memory
 from typing import Any, Hashable
 
 import numpy as np
@@ -89,7 +115,65 @@ _SHM_PREFIX = "rps_"
 _SHM_DIR = "/dev/shm"
 
 
-def create_segment(nbytes: int, purpose: str = "segment"):
+class Segment:
+    """One POSIX shared-memory segment, mapped whole and read-write.
+
+    The runtime's own handle for ``/dev/shm``: ``name``, ``size``,
+    ``buf``, :meth:`close` and :meth:`unlink`, as the standard library's
+    shared-memory handle has, but nothing registers the segment with a
+    helper process and the descriptor is closed once the segment is
+    mapped.  Who unlinks a segment, and when, is set out in this
+    module's docstring.  ``Segment(name)`` attaches to an existing
+    segment; :meth:`create` is the one place a segment is made.
+    """
+
+    __slots__ = ("name", "size", "buf", "_mmap")
+
+    def __init__(self, name: str, nbytes: int | None = None):
+        # With ``nbytes`` (from :meth:`create`): make the name, exclusively.
+        create = nbytes is not None
+        fd = _posixshmem.shm_open(
+            "/" + name,
+            os.O_CREAT | os.O_EXCL | os.O_RDWR if create else os.O_RDWR,
+            mode=0o600,
+        )
+        try:
+            if nbytes is not None:
+                os.ftruncate(fd, nbytes)
+            self.size = os.fstat(fd).st_size
+            self._mmap = mmap.mmap(fd, self.size)
+        except BaseException:
+            if create:
+                _posixshmem.shm_unlink("/" + name)
+            raise
+        finally:
+            os.close(fd)
+        self.name = name
+        self.buf = memoryview(self._mmap)
+
+    @classmethod
+    def create(cls, nbytes: int) -> "Segment":
+        """A new segment of ``nbytes`` named ``rps_<pid>_<token>``, so
+        the creator-pid sweep can find it if this process dies."""
+        while True:
+            name = f"{_SHM_PREFIX}{os.getpid()}_{secrets.token_hex(8)}"
+            try:
+                return cls(name, nbytes)
+            except FileExistsError:  # pragma: no cover - 64-bit token collision
+                continue
+
+    def close(self) -> None:
+        """Unmap this process's view; raises ``BufferError`` while an
+        array still exports :attr:`buf`."""
+        self.buf.release()
+        self._mmap.close()
+
+    def unlink(self) -> None:
+        """Remove the name; mappings stay valid until they are closed."""
+        _posixshmem.shm_unlink("/" + self.name)
+
+
+def create_segment(nbytes: int, purpose: str = "segment") -> Segment:
     """A fresh shared segment of at least ``nbytes``.
 
     The resource governor gates every creation first: the ``purpose``
@@ -97,39 +181,28 @@ def create_segment(nbytes: int, purpose: str = "segment"):
     injected ``ENOSPC`` and a real full tmpfs reach the caller's
     degradation handler the same way, and both route to the pickle
     path.  Successful creations are charged to the governor by their
-    actual (page-rounded) size and released on unlink.
+    actual size and released on unlink.
     """
     gov = resources.governor()
     gov.gate(purpose)
-    for _ in range(3):
-        name = f"{_SHM_PREFIX}{os.getpid()}_{secrets.token_hex(8)}"
-        try:
-            shm = shared_memory.SharedMemory(name=name, create=True, size=nbytes)
-        except FileExistsError:  # pragma: no cover - 64-bit token collision
-            continue
-        gov.charge(shm.size)
-        return shm
-    # Astronomically unlikely; fall back to an auto-generated psm_ name
-    # (invisible to the crash audit but still tracker-reclaimed).
-    shm = shared_memory.SharedMemory(create=True, size=nbytes)  # pragma: no cover
-    gov.charge(shm.size)  # pragma: no cover
-    return shm  # pragma: no cover
+    shm = Segment.create(nbytes)
+    gov.charge(shm.size)
+    return shm
 
 
-def reap_stale_segments(creator_pids) -> list[str]:
+def reap_stale_segments(creator_pids, exited: bool = False) -> list[str]:
     """Crash audit: reclaim every segment a dead world owned.
 
     All ``rps_``-named segments (arena buckets, stash payloads, status
     boards) whose embedded creator pid is in ``creator_pids`` and no
-    longer running are attached and unlinked.
-    Attaching before unlinking keeps the multiprocessing resource
-    tracker balanced (it registers on attach and unregisters on
-    unlink), so no leak warnings fire at interpreter exit.  Ownership
-    of a segment is transferable between a run's processes, so the
-    sweep runs only after the whole world is down — the caller passes
-    the pids it just joined or reaped.  Pid reuse is guarded by a
-    liveness re-check: a still-running pid is skipped (a leak beats
-    unlinking live data).  Returns the removed names.
+    longer running are unlinked by name.  Ownership of a segment is
+    transferable between a run's processes, so the sweep runs only
+    after the whole world is down — the caller passes the pids it just
+    joined or reaped.  Pid reuse is guarded by a liveness re-check: a
+    still-running pid is skipped (a leak beats unlinking live data).
+    ``exited=True`` skips it, for a caller that knows the pids have
+    exited but may not be reaped yet (a zombie still answers ``kill``).
+    Returns the removed names.
     """
     creator_pids = {int(p) for p in creator_pids if p is not None}
     creator_pids.discard(os.getpid())
@@ -149,19 +222,19 @@ def reap_stale_segments(creator_pids) -> list[str]:
             continue
         if pid not in creator_pids:
             continue
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
+        if not exited:
             try:
-                shm = shared_memory.SharedMemory(name=name)
-            except FileNotFoundError:  # raced removal
+                os.kill(pid, 0)
                 continue
-            except OSError:  # pragma: no cover - unreadable entry
+            except ProcessLookupError:
+                pass
+            except PermissionError:  # pragma: no cover - reused pid, other user
                 continue
-            _close_and_unlink(shm)
-            removed.append(name)
-        except PermissionError:  # pragma: no cover - reused pid, other user
-            pass
+        try:
+            _posixshmem.shm_unlink("/" + name)
+        except FileNotFoundError:  # raced removal
+            continue
+        removed.append(name)
     return removed
 
 
@@ -185,14 +258,14 @@ class SegmentArena:
     """
 
     def __init__(self) -> None:
-        self._free: dict[int, deque[shared_memory.SharedMemory]] = {}
+        self._free: dict[int, deque[Segment]] = {}
         self._free_bytes = 0
         self._leases: weakref.WeakSet[_SegmentLease] = weakref.WeakSet()
         self.created = 0
         self.reused = 0
         self.adopted = 0
 
-    def acquire(self, nbytes: int) -> shared_memory.SharedMemory:
+    def acquire(self, nbytes: int) -> Segment:
         """A mapped segment of at least ``nbytes`` (caller owns it)."""
         bucket = _bucket_of(nbytes)
         box = self._free.get(bucket)
@@ -203,7 +276,7 @@ class SegmentArena:
         self.created += 1
         return create_segment(bucket, purpose="arena")
 
-    def recycle(self, shm: shared_memory.SharedMemory) -> None:
+    def recycle(self, shm: Segment) -> None:
         """Return an owned segment to the free list (or unlink it)."""
         bucket = _BUCKET_MIN
         while bucket * 2 <= shm.size:
@@ -218,7 +291,7 @@ class SegmentArena:
             return
         _close_and_unlink(shm)
 
-    def adopt(self, shm: shared_memory.SharedMemory) -> None:
+    def adopt(self, shm: Segment) -> None:
         """Take ownership of a segment another process created."""
         self.adopted += 1
         self.recycle(shm)
@@ -238,8 +311,8 @@ class SegmentArena:
         self._free_bytes = 0
 
 
-def _close_and_unlink(shm: shared_memory.SharedMemory) -> None:
-    nbytes = int(getattr(shm, "size", 0))
+def _close_and_unlink(shm: Segment) -> None:
+    nbytes = shm.size
     try:
         shm.close()
     except BufferError:  # pragma: no cover - a view still exports the buffer
@@ -269,8 +342,8 @@ def _reset_after_fork() -> None:
     # A child must not inherit the parent's arena: the pooled segments in
     # it are owned by the parent, and two processes unlinking or reusing
     # the same free list would corrupt messages.  Dropping the reference
-    # only closes the child's inherited mappings (SharedMemory.__del__
-    # never unlinks).
+    # only closes the child's inherited mappings (a Segment never
+    # unlinks on its own).
     global _ARENA
     _ARENA = None
 
@@ -289,7 +362,7 @@ class _SegmentLease:
 
     __slots__ = ("_arena", "_shm", "_closed", "__weakref__")
 
-    def __init__(self, arena: SegmentArena, shm: shared_memory.SharedMemory):
+    def __init__(self, arena: SegmentArena, shm: Segment):
         self._arena = arena
         self._shm = shm
         self._closed = False
@@ -371,7 +444,7 @@ def _layout_order(arr: np.ndarray) -> str:
 
 def encode_payload(
     obj: Any,
-    segments: list[shared_memory.SharedMemory],
+    segments: list[Segment],
     arena: SegmentArena | None = None,
 ) -> Any:
     """Replace large ndarrays in ``obj`` with shared-memory headers.
@@ -433,7 +506,7 @@ def decode_payload(obj: Any, arena: SegmentArena) -> Any:
     ``arena`` when the last view dies.
     """
     if isinstance(obj, ShmHeader):
-        lease = _SegmentLease(arena, shared_memory.SharedMemory(name=obj.name))
+        lease = _SegmentLease(arena, Segment(obj.name))
         return ShmArrayView(lease, obj.shape, obj.dtype, obj.order)
     if isinstance(obj, tuple):
         return tuple(decode_payload(x, arena) for x in obj)
@@ -448,7 +521,7 @@ def _map_borrowed(
     name: str, access: int, kind: type[mmap.mmap] = mmap.mmap
 ) -> mmap.mmap:
     """Map a POSIX shm segment another process owns, whole, without
-    adopting it (no ``SharedMemory`` handle, no resource-tracker entry)."""
+    adopting it (no :class:`Segment` handle, nothing to unlink)."""
     fd = _posixshmem.shm_open("/" + name, os.O_RDONLY, mode=0)
     try:
         return kind(fd, 0, access=access)
@@ -524,7 +597,7 @@ def release_payload(obj: Any) -> None:
     """
     if isinstance(obj, ShmHeader):
         try:
-            shm = shared_memory.SharedMemory(name=obj.name)
+            shm = Segment(obj.name)
         except FileNotFoundError:  # pragma: no cover - already reclaimed
             return
         _close_and_unlink(shm)
@@ -554,7 +627,7 @@ class StagedValue:
 
 def stage_value(
     value: Any, arena: SegmentArena
-) -> tuple[Any, shared_memory.SharedMemory | None]:
+) -> tuple[Any, Segment | None]:
     """The return-path mirror of :func:`decode_borrowed`: write the
     buffers of ``value`` once to one arena segment so
     that only a small pickle has to cross the result queue.
@@ -683,7 +756,7 @@ class ProcessTransport(TransportBase):
                 "ProcessTransport.put requires the destination world rank"
             )
         arena = self.arena
-        segments: list[shared_memory.SharedMemory] = []
+        segments: list[Segment] = []
         try:
             blob = pickle.dumps(
                 (self._run_seq, key, encode_payload(payload, segments, arena))
@@ -698,7 +771,7 @@ class ProcessTransport(TransportBase):
                 arena.recycle(shm)
             raise
         # Ownership of the segments now rides with the message; dropping
-        # our SharedMemory handles closes this process's mappings only.
+        # our Segment handles closes this process's mappings only.
         self._inboxes[dst].put(blob)
 
     def get(self, key: Hashable) -> Any:

@@ -7,9 +7,9 @@ benchmark suite asserts on.  ``write_csv`` serializes any of them, and
 ``examples/generate_paper_tables.py``).
 
 The compression studies run on the synthetic proxies and the performance
-studies on the calibrated machine model — see DESIGN.md for why those
-substitutions preserve the paper's claims, and EXPERIMENTS.md for the
-recorded paper-vs-measured comparison.
+studies on the calibrated machine model; the ``benchmarks/`` suite
+asserts the claims those substitutions must preserve and prints the
+paper-vs-measured comparison.
 """
 
 from __future__ import annotations

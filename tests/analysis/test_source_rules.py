@@ -3,9 +3,13 @@
 * Every ``REPRO_*`` knob is read in :mod:`repro.config` only, so it is
   resolved once at the ``run_spmd`` boundary and reaches pooled workers
   with the run's config.
-* Shared memory is created in the transport (``create_segment``, which
-  fires the ``arena`` fault site and names the segment for the crash
-  sweep) and in the fault status board only.
+* Shared memory is created at one site, ``Segment.create`` in the
+  transport, which names the segment for the crash sweep.  Only the
+  transport (``create_segment`` fires the ``arena`` fault site first)
+  and the fault status board call it.
+* Nothing uses ``multiprocessing.shared_memory`` or its resource
+  tracker: the runtime owns and unlinks its segments itself, and no
+  helper process runs beside the ranks.
 """
 
 from __future__ import annotations
@@ -20,7 +24,9 @@ SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 ENV_READ = re.compile(
     r"(?:environ\s*\[|environ\.get\(|getenv\()\s*(?:[\"']REPRO_|[\w.]*_ENV_VAR\b)"
 )
-SHM_CREATE = re.compile(r"SharedMemory\([^)]*create=True|create_segment\(")
+SHM_OPEN_CREATE = re.compile(r"shm_open\([^)]*O_CREAT")
+SHM_CREATE = re.compile(r"Segment\.create\(|create_segment\(")
+STDLIB_SHM = re.compile(r"\bshared_memory\b|\bresource_tracker\b")
 
 
 def _hits(pattern: re.Pattern, exempt: tuple[str, ...]) -> list[str]:
@@ -41,9 +47,13 @@ def test_repro_env_vars_are_read_in_config_only():
 
 
 def test_shared_memory_is_created_in_the_transport_only():
+    assert [
+        hit.split(":")[0] for hit in _hits(SHM_OPEN_CREATE, ())
+    ] == ["repro/mpi/process_transport.py"]
     assert _hits(
         SHM_CREATE, ("repro/mpi/process_transport.py", "repro/faults/status.py")
     ) == []
+    assert _hits(STDLIB_SHM, ()) == []
 
 
 @pytest.mark.parametrize(
@@ -54,10 +64,17 @@ def test_shared_memory_is_created_in_the_transport_only():
         (ENV_READ, "os.getenv('REPRO_FAULTS')", True),
         (ENV_READ, "os.environ.get(config.OVERLAP_ENV_VAR, '1')", True),
         (ENV_READ, 'os.environ.get("HOME", "/")', False),
-        (SHM_CREATE, "shared_memory.SharedMemory(create=True, size=n)", True),
-        (SHM_CREATE, "SharedMemory(name=name, create=True, size=64)", True),
+        (SHM_OPEN_CREATE, 'shm_open("/" + name, os.O_CREAT | os.O_RDWR)', True),
+        (SHM_OPEN_CREATE, 'shm_open(\n    "/" + name,\n    os.O_CREAT,\n)', True),
+        (SHM_OPEN_CREATE, 'shm_open("/" + name, os.O_RDONLY, mode=0)', False),
+        (SHM_CREATE, "shm = Segment.create(nbytes)", True),
         (SHM_CREATE, "return create_segment(nbytes)", True),
-        (SHM_CREATE, "shared_memory.SharedMemory(name=name)", False),
+        (SHM_CREATE, "Segment(obj.name)", False),
+        (STDLIB_SHM, "from multiprocessing import shared_memory", True),
+        (STDLIB_SHM, "multiprocessing.shared_memory.SharedMemory(name=n)", True),
+        (STDLIB_SHM, "from multiprocessing import resource_tracker", True),
+        (STDLIB_SHM, "resource_tracker.ensure_running()", True),
+        (STDLIB_SHM, "no shared-memory handle", False),
     ],
 )
 def test_patterns(pattern, line, caught):

@@ -4,7 +4,7 @@ Beyond the figures and tables, the paper makes specific quantitative
 statements in prose.  This module pins each to an executable check, with
 the section quoted, so a reader can audit claim coverage in one place.
 Claims about the physical Cray (absolute wall-clock) are checked against
-the calibrated model — see EXPERIMENTS.md.
+the calibrated model (``repro.perfmodel``).
 """
 
 import numpy as np

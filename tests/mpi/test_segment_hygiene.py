@@ -5,12 +5,20 @@ direct: snapshot the directory, hammer the process backend (healthy runs,
 rank failures, deadlock timeouts — through the arena and the zero-copy
 views), tear the pools down, and require the
 snapshot to match.  Worker hygiene is checked the same way through
-``multiprocessing.active_children``.
+``multiprocessing.active_children``, and, in a fresh interpreter, through
+the OS's own list of its children: no helper process runs beside the
+rank workers.
 """
 
 import gc
+import json
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -36,8 +44,9 @@ def spmd_backend():
 
 
 def _segments() -> set[str]:
-    # psm_: multiprocessing auto-names; rps_: the runtime's explicitly
-    # named segments (transport payloads, status boards).
+    # rps_: the runtime's segments (transport payloads, status boards);
+    # psm_: the standard library's auto-names, which the runtime never
+    # makes, so any one of them is a leak too.
     return {
         n for n in os.listdir("/dev/shm") if n.startswith(("psm_", "rps_"))
     }
@@ -222,3 +231,116 @@ class TestSegmentHygiene:
         assert _children() >= 2  # warm workers alive
         shutdown_worker_pools()
         assert _children() == 0
+
+    def test_one_shot_pool_leaves_no_segment_when_it_retires(self):
+        big = np.random.default_rng(3).standard_normal(50_000)
+
+        def prog(comm):  # closure: runs on a one-shot pool
+            comm.allreduce(big, SUM)  # every worker's arena makes segments
+            return os.getpid()
+
+        pids = run_spmd(3, prog, backend="process").values
+        # Checked before any shutdown: the pool retired with the run.
+        assert not _created_by(pids)
+
+
+def _created_by(pids) -> set[str]:
+    return {n for n in _segments() if n.startswith(tuple(f"rps_{p}_" for p in pids))}
+
+
+#: Run in a fresh interpreter: a P=2 process-backend run whose ranks read
+#: their parent's OS children while the run is on, then the parent's
+#: children once the pools are shut down (with ``exit``, nothing more:
+#: the interpreter just exits; with ``kill``, it SIGKILLs itself).
+_CHILDREN_PROBE = """
+import json, os, signal, sys
+import numpy as np
+from repro.mpi import run_spmd, shutdown_worker_pools
+
+def children(pid):
+    kids = set()
+    for task in os.listdir(f"/proc/{pid}/task"):
+        with open(f"/proc/{pid}/task/{task}/children") as fh:
+            kids.update(int(p) for p in fh.read().split())
+    return sorted(kids)
+
+def prog(comm, x):
+    during = children(os.getppid())
+    comm.allreduce(x)
+    return os.getpid(), during
+
+res = run_spmd(2, prog, np.ones(4096), backend="process")
+out = {"parent": os.getpid(), "workers": sorted(v[0] for v in res.values),
+       "during": [v[1] for v in res.values]}
+if sys.argv[1] == "shutdown":
+    shutdown_worker_pools()
+    out["after"] = children(os.getpid())
+print(json.dumps(out), flush=True)
+if sys.argv[1] == "kill":
+    os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def _probe(mode: str) -> dict:
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # Files, not pipes: workers that outlive the probe must not hold up
+    # the wait for its output.
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+        proc = subprocess.run(
+            [sys.executable, "-c", _CHILDREN_PROBE, mode],
+            stdout=out, stderr=err, timeout=120, env=env,
+        )
+        out.seek(0)
+        err.seek(0)
+        assert proc.returncode == (-9 if mode == "kill" else 0), err.read()
+        return json.loads(out.read())
+
+
+def _running(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(
+    not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+    reason="needs /proc/<pid>/task/<tid>/children",
+)
+class TestNoHelperProcess:
+    def test_the_only_children_are_the_rank_workers(self):
+        out = _probe("shutdown")
+        # Each rank saw exactly the pool's workers as the parent's
+        # children while the run was on: no helper process beside them.
+        assert out["during"] == [out["workers"]] * 2
+        assert out["after"] == []
+
+    def test_a_normal_exit_leaves_no_segment(self):
+        # No shutdown call: the pools and the parent's staging arena are
+        # torn down at exit, by the runtime's own atexit hook.
+        out = _probe("exit")
+        assert not _created_by([out["parent"], *out["workers"]])
+
+    def test_workers_of_a_sigkilled_parent_exit_and_clean_up(self):
+        # The parent dies without any teardown: each worker reads the end
+        # of its task pipe, unlinks its own segments and the parent's,
+        # and exits.
+        out = _probe("kill")
+        pids = [out["parent"], *out["workers"]]
+        try:
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline and (
+                any(_running(p) for p in out["workers"]) or _created_by(pids)
+            ):
+                time.sleep(0.05)
+            assert not [p for p in out["workers"] if _running(p)]
+            assert not _created_by(pids)
+        finally:
+            for pid in out["workers"]:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+            for name in _created_by(pids):
+                os.unlink(os.path.join("/dev/shm", name))

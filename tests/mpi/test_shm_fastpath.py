@@ -76,6 +76,13 @@ def _boom(comm):
     raise RuntimeError(f"boom from rank {comm.rank}")
 
 
+def _define(name: str, body: str):
+    """(Re)define ``name(comm)`` at module scope, as a script's ``def``
+    does, so the warm pool pickles it by reference; returns it."""
+    exec(compile(f"def {name}(comm):\n    {body}\n", __file__, "exec"), globals())
+    return globals()[name]
+
+
 def _shm_names() -> set[str]:
     return {n for n in os.listdir("/dev/shm") if n.startswith(("psm_", "rps_"))}
 
@@ -212,6 +219,37 @@ class TestRankPool:
         assert [v[0] for v in res.values] == ["late", "late"]
         assert os.getpid() not in [v[1] for v in res.values]
         assert 2 not in _POOLS  # the stale pool was retired
+
+    def test_redefined_function_runs_its_new_definition(self):
+        # A module-level rank function redefined after the warm workers
+        # forked: they still resolve its name to the old body, so the
+        # parent must retire them rather than dispatch.
+        old = _define("_redefined", "return 'old'")
+        assert run_spmd(2, old, backend="process").values == ["old"] * 2
+        pool = _POOLS[2]
+        new = _define("_redefined", "return 'new'")
+        assert run_spmd(2, new, backend="process").values == ["new"] * 2
+        assert _POOLS[2] is not pool
+
+    def test_same_body_redefined_in_a_loop_reads_the_new_global(self):
+        # The same code defined again, reading a global rebound beside
+        # it: the digest matches, the function object does not.
+        got = []
+        for tag in ("gram", "svd"):
+            globals()["_TAG"] = tag
+            fn = _define("_tagged", "return _TAG")
+            got.append(run_spmd(2, fn, backend="process").values)
+        assert got == [["gram"] * 2, ["svd"] * 2]
+
+    def test_redefined_before_its_first_warm_run_falls_back(self):
+        # The parent never dispatched the old definition, so only the
+        # code digest the worker checks can tell the two apart.
+        _define("_unseen", "return 'old'")
+        run_spmd(2, _pid, backend="process")  # fork workers holding 'old'
+        pool = _POOLS[2]
+        new = _define("_unseen", "return 'new'")
+        assert run_spmd(2, new, backend="process").values == ["new"] * 2
+        assert _POOLS.get(2) is not pool
 
 
 class TestZeroCopyReceive:
