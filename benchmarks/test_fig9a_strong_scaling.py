@@ -16,7 +16,6 @@ measured modeled-time speedups.
 """
 
 
-from repro.data import strong_scaling_problem
 from repro.distributed import DistTensor, dist_sthosvd
 from repro.mpi import CartGrid, resolve_backend, run_spmd
 from repro.perfmodel import EDISON_CALIBRATED, strong_scaling_curve
@@ -26,8 +25,7 @@ from benchmarks.conftest import table
 
 
 def test_fig9a_model_at_paper_scale(benchmark):
-    problems = [strong_scaling_problem(k) for k in range(10)]
-    procs = [p.n_procs for p in problems]
+    procs = [24 * 2**k for k in range(10)]
     points = benchmark.pedantic(
         lambda: strong_scaling_curve(
             (200,) * 4, (20,) * 4, procs, EDISON_CALIBRATED

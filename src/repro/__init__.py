@@ -31,7 +31,7 @@ Quick start (distributed, on the simulated MPI runtime)::
 
 Subpackages
 -----------
-``repro.core``         sequential Tucker algorithms (ST-HOSVD, HOOI, T-HOSVD)
+``repro.core``         sequential Tucker algorithms (ST-HOSVD, HOOI)
 ``repro.distributed``  the paper's parallel algorithms (Algs. 3-5 + drivers)
 ``repro.mpi``          simulated distributed-memory message-passing runtime
 ``repro.tensor``       dense tensor kernels (unfoldings, TTM, Gram, eig)
@@ -49,7 +49,6 @@ from repro.core import (
     TuckerTensor,
     compression_ratio,
     hooi,
-    hosvd,
     max_abs_error,
     normalized_rms,
     sthosvd,
@@ -64,7 +63,6 @@ __all__ = [
     "HooiResult",
     "sthosvd",
     "hooi",
-    "hosvd",
     "normalized_rms",
     "max_abs_error",
     "compression_ratio",

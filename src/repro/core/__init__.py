@@ -6,7 +6,6 @@ The sequential entry points of the paper's algorithms:
   initialization and, in practice, its complete compression method.
 * :func:`hooi` — higher-order orthogonal iteration (Alg. 2), the iterative
   refinement.
-* :func:`hosvd` — truncated HOSVD (T-HOSVD) baseline.
 * :class:`TuckerTensor` — the compressed object: core + factor matrices,
   with full and *partial* (subtensor) reconstruction (paper Sec. II-C) and
   compression accounting (Sec. VII-B).
@@ -14,7 +13,7 @@ The sequential entry points of the paper's algorithms:
   curves of Fig. 6, and the T-HOSVD error bound, eq. (3).
 
 Each algorithm is written once, in :mod:`repro.distributed`: ``sthosvd``,
-``hooi`` and :class:`StreamingTucker` run its drivers on a one-rank grid
+``hooi`` run its drivers on a one-rank grid
 (:func:`repro.distributed.grid.self_grid`), on the caller's array.
 """
 
@@ -26,7 +25,6 @@ from repro.core.sthosvd import (
     sthosvd,
 )
 from repro.core.hooi import HooiResult, hooi
-from repro.core.hosvd import hosvd
 from repro.core.errors import (
     compression_ratio,
     error_bound,
@@ -46,7 +44,6 @@ from repro.core.precision import (
     resolve_compute_dtype,
     split_tolerance,
 )
-from repro.core.streaming import StreamingTucker
 
 __all__ = [
     "TuckerTensor",
@@ -56,7 +53,6 @@ __all__ = [
     "greedy_ratio_order",
     "HooiResult",
     "hooi",
-    "hosvd",
     "normalized_rms",
     "relative_error",
     "max_abs_error",
@@ -65,7 +61,6 @@ __all__ = [
     "compression_ratio",
     "ValidationReport",
     "validate_tucker",
-    "StreamingTucker",
     "COMPUTE_DTYPES",
     "FLOAT32_NOISE_FLOOR",
     "MIXED_TRUNC_SHARE",

@@ -35,8 +35,6 @@ from repro.data.s3d import (
 from repro.data.synthetic import (
     fig8a_problem,
     fig8b_problem,
-    strong_scaling_problem,
-    weak_scaling_problem,
 )
 
 __all__ = [
@@ -55,6 +53,4 @@ __all__ = [
     "sp_proxy",
     "fig8a_problem",
     "fig8b_problem",
-    "strong_scaling_problem",
-    "weak_scaling_problem",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.util.validation import check_positive_int, prod
+from repro.util.validation import check_positive_int
 
 
 @dataclass(frozen=True)
@@ -80,38 +80,4 @@ def fig8b_problem(scale: int = 1) -> ScalingProblem:
         n_procs=16,
         grids=((2, 2, 2, 2),),
         note="Fig. 8b mode-ordering sweep",
-    )
-
-
-def strong_scaling_problem(k: int, cores_per_node: int = 24) -> ScalingProblem:
-    """Fig. 9a: 200^4 tensor -> 20^4 core on 24 * 2^k cores (k = 0..9)."""
-    if not 0 <= k <= 9:
-        raise ValueError(f"k must be in [0, 9], got {k}")
-    return ScalingProblem(
-        shape=(200,) * 4,
-        ranks=(20,) * 4,
-        n_procs=cores_per_node * 2**k,
-        grids=(),
-        note=f"Fig. 9a strong scaling point, {2**k} node(s)",
-    )
-
-
-def weak_scaling_problem(k: int, cores_per_node: int = 24) -> ScalingProblem:
-    """Fig. 9b: (200k)^4 tensor -> (20k)^4 core on 24 k^4 cores, the paper's
-    three candidate grids."""
-    check_positive_int(k, "k")
-    if k > 6:
-        raise ValueError(f"the paper runs k in [1, 6], got {k}")
-    grids = (
-        (1, 1, 4 * k * k, 6 * k * k),
-        (k, k, 4 * k, 6 * k),
-        (k, 2 * k, 3 * k, 4 * k),
-    )
-    return ScalingProblem(
-        shape=(200 * k,) * 4,
-        ranks=(20 * k,) * 4,
-        n_procs=cores_per_node * k**4,
-        grids=grids,
-        note=f"Fig. 9b weak scaling point k={k} "
-        f"({prod((200 * k,) * 4) * 8 / 1e9:.0f} GB tensor)",
     )

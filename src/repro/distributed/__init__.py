@@ -33,7 +33,6 @@ from repro.distributed.sthosvd import DistTucker, dist_sthosvd
 from repro.distributed.hooi import dist_hooi
 from repro.distributed.grid import choose_grid, self_grid
 from repro.distributed.tsqr import dist_mode_svd, tsqr_r
-from repro.distributed.streaming import DistStreamingTucker
 
 __all__ = [
     "block_range",
@@ -53,5 +52,4 @@ __all__ = [
     "self_grid",
     "dist_mode_svd",
     "tsqr_r",
-    "DistStreamingTucker",
 ]

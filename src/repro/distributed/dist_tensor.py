@@ -16,10 +16,8 @@ what ``repro-tucker compress --parallel`` runs).  ``from_global`` is the
 replicated-array convenience (every rank already holds the whole array and
 slices its block — tests, and callers whose data is in memory anyway; a
 pooled process rank's array is its own copy-on-write mapping, and a
-Fortran-contiguous block of it is used where it is mapped),
-``scatter`` has the root hold the array and send blocks, and
-``from_local_factory`` lets each rank generate its own block, allowing
-simulated tensors larger than any single rank would want to hold.
+Fortran-contiguous block of it is used where it is mapped), and
+``scatter`` has the root hold the array and send blocks.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from __future__ import annotations
 import itertools
 import mmap
 import os
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -266,18 +264,6 @@ class DistTensor:
             blocks = None
         local = comm.scatter(blocks, root=root)
         return cls(grid, shape, local)
-
-    @classmethod
-    def from_local_factory(
-        cls,
-        grid: CartGrid,
-        global_shape: Sequence[int],
-        factory: Callable[[tuple[slice, ...]], np.ndarray],
-    ) -> "DistTensor":
-        """Each rank builds its block from its global slices (no global array)."""
-        global_shape = check_shape_like(global_shape, "global_shape")
-        slices = local_block(global_shape, grid.dims, grid.coords)
-        return cls(grid, global_shape, factory(slices))
 
     # -- geometry ------------------------------------------------------------------
 

@@ -596,11 +596,14 @@ def release_payload(obj: Any) -> None:
     somebody must unlink the name.
     """
     if isinstance(obj, ShmHeader):
+        # The name is all it takes: the size for the governor comes from
+        # the tmpfs entry, so the segment is never opened or mapped.
         try:
-            shm = Segment(obj.name)
-        except FileNotFoundError:  # pragma: no cover - already reclaimed
+            nbytes = os.stat(f"{_SHM_DIR}/{obj.name}").st_size
+            _posixshmem.shm_unlink("/" + obj.name)
+        except FileNotFoundError:  # already reclaimed
             return
-        _close_and_unlink(shm)
+        resources.governor().release(nbytes)
         return
     if isinstance(obj, (list, tuple)):
         for x in obj:

@@ -27,14 +27,10 @@ from repro.perfmodel.kernels import (
     ttm_cost,
     gram_cost,
     evecs_cost,
-    ttm_memory,
-    gram_memory,
-    evecs_memory,
 )
 from repro.perfmodel.algorithms import (
     AlgorithmCost,
     sthosvd_cost,
-    hooi_cost,
     hooi_iteration_cost,
     sthosvd_memory_bound,
 )
@@ -60,12 +56,8 @@ __all__ = [
     "ttm_cost",
     "gram_cost",
     "evecs_cost",
-    "ttm_memory",
-    "gram_memory",
-    "evecs_memory",
     "AlgorithmCost",
     "sthosvd_cost",
-    "hooi_cost",
     "hooi_iteration_cost",
     "sthosvd_memory_bound",
     "strong_scaling_curve",

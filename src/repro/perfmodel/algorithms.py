@@ -150,32 +150,6 @@ def hooi_iteration_cost(
     return cost
 
 
-def hooi_cost(
-    shape: Sequence[int],
-    ranks: Sequence[int],
-    grid: Sequence[int],
-    machine: MachineSpec,
-    n_iterations: int = 1,
-    include_init: bool = True,
-) -> AlgorithmCost:
-    """Modeled cost of a full HOOI run (Alg. 2): init + outer iterations.
-
-    The paper reports ST-HOSVD and one HOOI iteration separately (Figs. 9a,
-    9b); this helper composes them for end-to-end predictions, e.g. "how
-    long would k iterations of refinement cost at this scale".
-    """
-    if n_iterations < 0:
-        raise ValueError(f"n_iterations must be >= 0, got {n_iterations}")
-    total = AlgorithmCost()
-    if include_init:
-        total = total + sthosvd_cost(shape, ranks, grid, machine)
-    if n_iterations:
-        per_iter = hooi_iteration_cost(shape, ranks, grid, machine)
-        for _ in range(n_iterations):
-            total = total + per_iter
-    return total
-
-
 def sthosvd_memory_bound(
     shape: Sequence[int], ranks: Sequence[int], grid: Sequence[int]
 ) -> float:

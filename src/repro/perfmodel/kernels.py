@@ -226,33 +226,3 @@ def evecs_cost(
         memory_words=memory,
     )
 
-
-def ttm_memory(
-    shape: Sequence[int], mode: int, new_dim: int, grid: Sequence[int]
-) -> float:
-    """``M_TTM`` in words per processor (Sec. V-B)."""
-    shape, grid = _check_grid(shape, grid)
-    mode = check_axis(mode, len(shape))
-    j = prod(shape)
-    jn = shape[mode]
-    jhat = j // jn
-    p = prod(grid)
-    pn = grid[mode]
-    return j / p + jn * new_dim / pn + 2.0 * jhat * new_dim / p
-
-
-def gram_memory(shape: Sequence[int], mode: int, grid: Sequence[int]) -> float:
-    """``M_GRAM`` in words per processor (Sec. V-C)."""
-    shape, grid = _check_grid(shape, grid)
-    mode = check_axis(mode, len(shape))
-    j = prod(shape)
-    jn = shape[mode]
-    p = prod(grid)
-    pn = grid[mode]
-    return 2.0 * j / p + 2.0 * jn * jn / pn
-
-
-def evecs_memory(n_rows: int, rank: int, mode_procs: int) -> float:
-    """``M_EIG`` in words per processor (Sec. V-D)."""
-    in2 = float(n_rows) * n_rows
-    return in2 / mode_procs + in2 + n_rows * rank + n_rows * rank / mode_procs

@@ -16,7 +16,6 @@ from repro.tensor.qr import qr_r
 from repro.tensor.eig import (
     EigResult,
     eigendecompose,
-    leading_eigenvectors,
     rank_from_tolerance,
 )
 from repro.tensor.random import low_rank_tensor, random_factor, random_tensor
@@ -34,7 +33,6 @@ __all__ = [
     "qr_r",
     "EigResult",
     "eigendecompose",
-    "leading_eigenvectors",
     "rank_from_tolerance",
     "low_rank_tensor",
     "random_factor",

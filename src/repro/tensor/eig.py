@@ -108,22 +108,3 @@ def rank_from_tolerance(values: np.ndarray, threshold: float) -> int:
             return max(1, r)
     return n  # pragma: no cover - tail[n] == 0 <= threshold always triggers
 
-
-def leading_eigenvectors(
-    s: np.ndarray,
-    rank: int | None = None,
-    threshold: float | None = None,
-) -> tuple[np.ndarray, EigResult]:
-    """Leading eigenvectors of a Gram matrix, with optional on-the-fly rank.
-
-    Exactly one of ``rank`` / ``threshold`` must be given.  With
-    ``threshold``, the rank is chosen by :func:`rank_from_tolerance` (the
-    paper's epsilon-based truncation).  Returns ``(U, eig)`` where ``U`` is
-    ``n x R``.
-    """
-    if (rank is None) == (threshold is None):
-        raise ValueError("specify exactly one of rank= or threshold=")
-    eig = eigendecompose(s)
-    if rank is None:
-        rank = rank_from_tolerance(eig.values, threshold)  # type: ignore[arg-type]
-    return eig.leading(rank), eig

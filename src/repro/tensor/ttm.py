@@ -33,8 +33,8 @@ There is one kernel, and it never permutes the tensor: the paper's layout
   cases and gets a C-ordered result back; only a genuinely strided input
   is copied, once.
 
-Every caller — the sequential drivers, reconstruction, the baselines and
-the distributed Alg. 3 — runs this function.  ``multi_ttm`` applies a
+Every caller — the sequential drivers, reconstruction and the
+distributed Alg. 3 — runs this function.  ``multi_ttm`` applies a
 sequence of factor matrices along multiple modes, optionally skipping one
 (the HOOI inner step ``X x {U^T}_{m != n}``), by default in the
 flop-minimal order of :func:`chain_order`.  A step that takes a mode's

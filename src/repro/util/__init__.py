@@ -11,7 +11,6 @@ from repro.util.validation import (
     prod,
 )
 from repro.util.flops import (
-    gemm_flops,
     syrk_flops,
     eig_flops,
     ttm_flops,
@@ -24,7 +23,6 @@ __all__ = [
     "check_positive_int",
     "check_shape_like",
     "prod",
-    "gemm_flops",
     "syrk_flops",
     "eig_flops",
     "ttm_flops",

@@ -17,11 +17,6 @@ from typing import Sequence
 from repro.util.validation import check_axis, prod
 
 
-def gemm_flops(m: int, n: int, k: int) -> int:
-    """Flops for a dense ``m x k`` times ``k x n`` matrix multiply."""
-    return 2 * m * n * k
-
-
 def syrk_flops(n: int, k: int, exploit_symmetry: bool = False) -> int:
     """Flops for a rank-k update producing an ``n x n`` Gram matrix.
 

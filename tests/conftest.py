@@ -35,6 +35,24 @@ def spmd_unit(n_ranks, fn, *args, **kwargs):
     return spmd(n_ranks, fn, *args, **kwargs)
 
 
+def resolve_dotted(dotted: str):
+    """What a dotted ``repro.a.b`` name refers to: the longest prefix that
+    imports, then attributes of it.  Raises ``AttributeError`` when the
+    name refers to nothing."""
+    import importlib
+
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[cut:]:
+            obj = getattr(obj, attr)
+        return obj
+    raise AttributeError(f"{dotted} names no module")
+
+
 def suite_compute_dtype() -> str:
     """The compute dtype the whole suite runs under (the REPRO_DTYPE CI leg).
 

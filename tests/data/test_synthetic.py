@@ -5,8 +5,6 @@ import pytest
 from repro.data import (
     fig8a_problem,
     fig8b_problem,
-    strong_scaling_problem,
-    weak_scaling_problem,
 )
 from repro.util.validation import prod
 
@@ -44,31 +42,3 @@ class TestFig8b:
         p = fig8b_problem(scale=5)
         assert p.shape[1:] == (50, 50, 50)
 
-
-class TestStrongScaling:
-    def test_paper_points(self):
-        for k in range(10):
-            p = strong_scaling_problem(k)
-            assert p.n_procs == 24 * 2**k
-            assert p.shape == (200,) * 4
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            strong_scaling_problem(10)
-
-
-class TestWeakScaling:
-    def test_paper_points(self):
-        p = weak_scaling_problem(3)
-        assert p.shape == (600,) * 4
-        assert p.ranks == (60,) * 4
-        assert p.n_procs == 24 * 81
-        assert len(p.grids) == 3
-        for g in p.grids:
-            assert prod(g) == p.n_procs
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            weak_scaling_problem(7)
-        with pytest.raises(ValueError):
-            weak_scaling_problem(0)

@@ -50,26 +50,6 @@ class TestConstruction:
         for recovered in spmd(4, prog):
             np.testing.assert_array_equal(recovered, x)
 
-    def test_from_local_factory(self):
-        shape = (6, 8)
-
-        def prog(comm):
-            g = CartGrid(comm, (2, 2))
-            dt = DistTensor.from_local_factory(
-                g,
-                shape,
-                lambda slices: np.fromfunction(
-                    lambda i, j: (i + slices[0].start) * 100 + (j + slices[1].start),
-                    (slices[0].stop - slices[0].start,
-                     slices[1].stop - slices[1].start),
-                ),
-            )
-            return dt.to_global()
-
-        expected = np.fromfunction(lambda i, j: i * 100 + j, shape)
-        for recovered in spmd(4, prog):
-            np.testing.assert_array_equal(recovered, expected)
-
     def test_uneven_distribution(self):
         x = _x((7, 5, 3))
 

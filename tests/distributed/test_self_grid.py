@@ -1,7 +1,7 @@
 """The one-rank grid, and the sequential entry points that run on it.
 
-``core.sthosvd``, ``core.hooi`` and ``StreamingTucker`` are the distributed
-drivers on :func:`repro.distributed.self_grid`.  What that must preserve:
+``core.sthosvd`` and ``core.hooi`` are the distributed drivers on
+:func:`repro.distributed.self_grid`.  What that must preserve:
 the run knobs (``REPRO_*``) do not reach them, either input layout runs
 where it lies, and the drivers' own contracts (float64 deliverables, the
 exact fit quantity) hold on one rank as on many.
@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core import StreamingTucker, hooi, sthosvd
+from repro.core import hooi, sthosvd
 from repro.distributed import DistTensor, dist_hooi, dist_sthosvd, self_grid
 from repro.mpi import CartGrid, available_backends
 from repro.tensor import low_rank_tensor
@@ -49,11 +49,6 @@ def _fingerprint():
             out += [d.core.tobytes()] + [f.tobytes() for f in d.factors]
     h = hooi(x, ranks=(3, 2, 2), max_iterations=3, improvement_tol=0.0)
     out += [h.decomposition.core.tobytes(), repr(h.residual_history)]
-    streamer = StreamingTucker(x.shape[:-1], tol=0.05)
-    for t0 in range(0, x.shape[-1], 3):
-        streamer.update(x[..., t0:t0 + 3])
-    t = streamer.finalize()
-    out += [t.core.tobytes()] + [f.tobytes() for f in t.factors]
     return out
 
 

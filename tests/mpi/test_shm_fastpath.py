@@ -367,6 +367,29 @@ class TestSegmentArena:
             assert not os.path.exists(f"/dev/shm/{name}")
 
 
+class TestReleasePayload:
+    def test_reclaims_by_name_without_mapping(self, monkeypatch):
+        # An undelivered message's segments are reclaimed by name: the
+        # governor's size comes from the tmpfs entry, so no mapping is
+        # made (every straggler and inbox drain runs this).
+        segments: list = []
+        header = encode_payload([{"x": np.arange(5000.0)}], segments)
+        (shm,) = segments
+        shm.close()  # the sender's view, as after a completed send
+        gov = resources.governor()
+        before = gov.live_bytes
+
+        def no_mapping(*args, **kwargs):
+            raise AssertionError("release_payload mapped a segment")
+
+        monkeypatch.setattr(pt.mmap, "mmap", no_mapping)
+        pt.release_payload(header)
+        assert not os.path.exists(f"/dev/shm/{shm.name}")
+        assert gov.live_bytes == before - shm.size
+        pt.release_payload(header)  # already reclaimed: a no-op
+        assert gov.live_bytes == before - shm.size
+
+
 def _one_way_gather(comm, n):
     """Gather ``n`` float64s from rank 1 at rank 0; report rank 0's arena
     free-list bytes (rank 0 only receives)."""

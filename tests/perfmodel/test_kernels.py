@@ -7,11 +7,8 @@ import pytest
 from repro.perfmodel import (
     KernelCost,
     evecs_cost,
-    evecs_memory,
     gram_cost,
-    gram_memory,
     ttm_cost,
-    ttm_memory,
 )
 from repro.perfmodel.machine import UNIT
 
@@ -55,8 +52,10 @@ class TestTtmCost:
         assert c.lat_time == pytest.approx(4 * math.log2(4))
 
     def test_memory_matches_m_ttm(self):
+        # M_TTM = J/P + J_n K / P_n + 2 Jhat K / P: J = 64, J_n = Jhat = 8,
+        # K = 4, P = 4, P_n = 2.
         assert ttm_cost((8, 8), 0, 4, (2, 2), UNIT).memory_words == pytest.approx(
-            ttm_memory((8, 8), 0, 4, (2, 2))
+            64 / 4 + 8 * 4 / 2 + 2 * 8 * 4 / 4
         )
 
     def test_validation(self):
@@ -86,8 +85,9 @@ class TestGramCost:
         assert c.bw_time + c.lat_time == pytest.approx(expected)
 
     def test_memory_matches_m_gram(self):
+        # M_GRAM = 2 J/P + 2 J_n^2 / P_n: J = 64, J_n = 8, P = 4, P_n = 2.
         assert gram_cost((8, 8), 0, (2, 2), UNIT).memory_words == pytest.approx(
-            gram_memory((8, 8), 0, (2, 2))
+            2 * 64 / 4 + 2 * 8 * 8 / 2
         )
 
 
@@ -106,8 +106,10 @@ class TestEvecsCost:
         assert c.bw_time == 0 and c.lat_time == 0
 
     def test_memory(self):
+        # M_EIG = I_n^2 / P_n + I_n^2 + I_n R + I_n R / P_n: I_n = 8, R = 4,
+        # P_n = 2.
         assert evecs_cost(8, 4, 2, UNIT).memory_words == pytest.approx(
-            evecs_memory(8, 4, 2)
+            64 / 2 + 64 + 8 * 4 + 8 * 4 / 2
         )
 
     def test_validation(self):

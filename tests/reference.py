@@ -22,7 +22,9 @@ def leading(y, mode, rank=None, threshold=None, method="gram"):
     smallest one whose discarded eigenvalue tail is at most ``threshold``."""
     mat = unfold(y, mode)
     if method == "svd":
-        vectors, sing, _ = np.linalg.svd(mat)
+        # Only a tall unfolding needs the full U (its trailing columns span
+        # the null space of Y_(n)^T); a wide one's U is square either way.
+        vectors, sing, _ = np.linalg.svd(mat, full_matrices=mat.shape[0] > mat.shape[1])
         values = np.zeros(mat.shape[0])
         values[: sing.size] = sing**2
     else:

@@ -8,7 +8,6 @@ from repro.core import sthosvd
 from repro.tensor import (
     eigendecompose,
     gram,
-    leading_eigenvectors,
     rank_from_tolerance,
 )
 from repro.tensor.eig import EigResult
@@ -132,29 +131,22 @@ class TestRankFromTolerance:
             rank_from_tolerance(rng.standard_normal((2, 2)), 1.0)
 
 
-class TestLeadingEigenvectors:
+class TestEigResultLeading:
+    """``EigResult.leading``: how the Gram path (Alg. 5) and the SVD path
+    take their factor from a decomposition."""
+
     def test_by_rank(self, rng):
         s, _ = _spd_matrix(rng, 6)
-        u, eig = leading_eigenvectors(s, rank=3)
+        eig = eigendecompose(s)
+        u = eig.leading(3)
         assert u.shape == (6, 3)
         np.testing.assert_array_equal(u, eig.vectors[:, :3])
-
-    def test_by_threshold(self, rng):
-        s, _ = _spd_matrix(rng, 6, eigenvalues=[8, 4, 2, 1, 0.5, 0.25])
-        u, eig = leading_eigenvectors(s, threshold=1.8)
-        # tail after rank 4 = 0.75 <= 1.8, after rank 3 = 1.75 <= 1.8.
-        assert u.shape[1] == 3
-
-    def test_requires_exactly_one_selector(self, rng):
-        s, _ = _spd_matrix(rng, 4)
-        with pytest.raises(ValueError, match="exactly one"):
-            leading_eigenvectors(s)
-        with pytest.raises(ValueError, match="exactly one"):
-            leading_eigenvectors(s, rank=2, threshold=0.1)
+        assert not np.shares_memory(u, eig.vectors)
 
     def test_rank_out_of_range(self, rng):
         s, _ = _spd_matrix(rng, 4)
+        eig = eigendecompose(s)
         with pytest.raises(ValueError):
-            leading_eigenvectors(s, rank=5)
+            eig.leading(5)
         with pytest.raises(ValueError):
-            leading_eigenvectors(s, rank=0)
+            eig.leading(0)

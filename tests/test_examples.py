@@ -49,9 +49,3 @@ def test_custom_machine_study():
     out = _run("custom_machine_study.py")
     assert "edison-calibrated" in out
     assert "efficiency" in out
-
-
-def test_streaming_compression():
-    out = _run("streaming_compression.py")
-    assert "streamed" in out
-    assert "batch" in out
