@@ -16,7 +16,7 @@ the perf trajectory is visible across PRs:
   the process backend at a bandwidth-bound payload: arena buckets are
   sized by actual nbytes, so half-width elements must buy a real
   round-time win (>= 1.3x asserted; measured ~2x);
-* ``barrier`` / ``gather`` / ``scatter`` / ``alltoall`` — latency of the
+* ``barrier`` / ``gather`` / ``scatter`` — latency of the
   remaining collectives at 64 KiB payloads, process vs thread backend
   (recorded only);
 * ``grid_setup`` — building a ``CartGrid`` and running one collective on
@@ -253,19 +253,17 @@ def _coll_timed(comm, op, x, iters):
             comm.barrier()
         elif op == "gather":
             comm.gather(x, root=0)
-        elif op == "scatter":
-            comm.scatter(values if comm.rank == 0 else None, root=0)
         else:
-            comm.alltoall(values)
+            comm.scatter(values if comm.rank == 0 else None, root=0)
     return time.perf_counter() - start
 
 
 def test_remaining_collectives_process_vs_thread(benchmark):
-    """barrier/gather/scatter/alltoall latency, process vs thread backend
+    """barrier/gather/scatter latency, process vs thread backend
     (recorded only)."""
     p, n = 4, 8192  # 64 KiB payloads: overheads visible, copies not free
     x = np.random.default_rng(2).standard_normal(n)
-    ops = [("barrier", 200), ("gather", 50), ("scatter", 50), ("alltoall", 30)]
+    ops = [("barrier", 200), ("gather", 50), ("scatter", 50)]
 
     def sweep(backend):
         # Best-of-3 per op: sub-millisecond latencies on a shared box are

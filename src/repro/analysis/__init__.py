@@ -17,7 +17,6 @@ from repro.analysis.sanitizer import (
     RequestRecord,
     Sanitizer,
     call_site,
-    sanitize_level,
 )
 
 __all__ = [
@@ -26,5 +25,4 @@ __all__ = [
     "RequestRecord",
     "Sanitizer",
     "call_site",
-    "sanitize_level",
 ]

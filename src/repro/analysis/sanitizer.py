@@ -36,8 +36,6 @@ import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.config import default_for
-
 if TYPE_CHECKING:  # real imports happen lazily at the raise sites:
     # importing repro.mpi.errors at module load would run the repro.mpi
     # package __init__, which imports repro.mpi.comm, which imports this
@@ -47,15 +45,10 @@ if TYPE_CHECKING:  # real imports happen lazily at the raise sites:
 #: Environment variable consulted when ``run_spmd`` gets no ``sanitize=``.
 SANITIZE_ENV_VAR = "REPRO_SANITIZE"
 
-#: Valid sanitizer levels.
-SANITIZE_LEVELS = (0, 1)
-
 #: Ops whose contract requires identical shapes/dtypes on every member,
 #: so those fields join the protocol digest.  The other reduction-family
 #: and gather-family collectives legally take uneven contributions.
-_SHAPE_STRICT_OPS = frozenset(
-    {"reduce_scatter_block", "ireduce_scatter_block"}
-)
+_SHAPE_STRICT_OPS = frozenset({"reduce_scatter_block"})
 
 #: Frames from these path fragments are runtime internals, skipped when
 #: attributing a collective or request post to user code.
@@ -63,21 +56,6 @@ _INTERNAL_FRAGMENTS = (
     os.path.join("repro", "mpi") + os.sep,
     os.path.join("repro", "analysis") + os.sep,
 )
-
-
-def sanitize_level(override: int | None = None) -> int:
-    """Resolve the sanitizer level: explicit ``override``, else the run's
-    resolved config (the ``REPRO_SANITIZE`` environment variable outside
-    a run; default 0)."""
-    if override is None:
-        level = int(default_for("sanitize"))
-    else:
-        level = int(override)
-    if level not in SANITIZE_LEVELS:
-        raise ValueError(
-            f"sanitize level must be one of {SANITIZE_LEVELS}, got {level}"
-        )
-    return level
 
 
 def call_site() -> str:
@@ -196,7 +174,7 @@ class Sanitizer:
 
     Created by the executor backend when the resolved sanitize level is
     positive and threaded through :class:`~repro.mpi.comm.Communicator`
-    (``split`` children share their parent's instance, so request
+    (``group`` children share their parent's instance, so request
     bookkeeping and the deadlock context span the whole rank).
     """
 

@@ -10,7 +10,6 @@ from repro.config.runtime import (
     CONFIG_FIELDS,
     ConfigField,
     RuntimeConfig,
-    active_config,
     default_for,
     env_default,
     resolve_config,
@@ -21,7 +20,6 @@ __all__ = [
     "CONFIG_FIELDS",
     "ConfigField",
     "RuntimeConfig",
-    "active_config",
     "default_for",
     "env_default",
     "resolve_config",

@@ -14,7 +14,7 @@
   and drivers without changing any public helper contract: ``run_spmd``
   installs the resolved config for the duration of the run (and ships
   it to pooled workers via the per-run dispatch), and every legacy
-  helper (``sanitize_level``, ``resolve_compute_dtype``, ...) consults
+  helper (``resolve_compute_dtype``, ``resolve_backend``, ...) consults
   :func:`default_for` instead of the environment.
 
 The config is plain data (str/int/float only) and picklable, so it can
@@ -37,7 +37,6 @@ __all__ = [
     "env_default",
     "default_for",
     "set_active_config",
-    "active_config",
 ]
 
 _SANITIZE_LEVELS = (0, 1)
@@ -250,11 +249,6 @@ def set_active_config(config: RuntimeConfig | None) -> RuntimeConfig | None:
     previous = _ACTIVE
     _ACTIVE = config
     return previous
-
-
-def active_config() -> RuntimeConfig | None:
-    """The currently-installed run config (``None`` outside a run)."""
-    return _ACTIVE
 
 
 def default_for(name: str) -> Any:

@@ -132,14 +132,6 @@ class TuckerTensor:
         """``||G||``; equals ``||X~||`` when all factors are orthonormal."""
         return norm(self.core)
 
-    def residual_norm_sq(self, x_norm_sq: float) -> float:
-        """``||X||^2 - ||G||^2``, the paper's fit quantity (Alg. 2 line 10).
-
-        Valid when the factors are orthonormal and ``G = X x {U^(n)T}``;
-        clipped at 0 against roundoff.
-        """
-        return max(0.0, x_norm_sq - self.core_norm() ** 2)
-
     def relative_error(self, x: np.ndarray) -> float:
         """Normalized RMS error ``||X - X~|| / ||X||`` by explicit residual."""
         arr = as_ndarray(x)

@@ -30,12 +30,11 @@ from repro.resources import check_deadline
 from repro.distributed.dist_tensor import DistTensor
 from repro.distributed.evecs import dist_evecs
 from repro.distributed.gram import dist_gram
-from repro.distributed.layout import block_range, local_block
+from repro.distributed.layout import local_block
 from repro.distributed.tsqr import dist_mode_svd
 from repro.distributed.ttm import dist_ttm
 from repro.mpi.reduce_ops import SUM
 from repro.tensor.eig import EigResult, rank_from_tolerance
-from repro.tensor.ttm import chain_order
 from repro.util.validation import check_shape_like, prod
 
 #: Fibres a tolerance-driven call samples per row of each mode's unfolding
@@ -141,17 +140,6 @@ class DistTucker:
             core=core, factors=tuple(np.vstack(rows) for rows in stacks)
         )
 
-    def reconstruct_distributed(self) -> DistTensor:
-        """Distributed reconstruction ``X~ = G x {U^(n)}`` (eq. 1).
-
-        Each mode-n TTM uses the reconstruction-direction distribution of
-        Sec. IV-B: the ``I_n x R_n`` factor's columns are blocked by the
-        rank's local core extent.
-        """
-        return reconstruct_modes(
-            self.core, self.factors_local, range(self.core.ndim)
-        )
-
     def reconstruct_subtensor(self, indices) -> np.ndarray:
         """Reconstruct a subtensor on every rank (paper Sec. II-C).
 
@@ -191,26 +179,6 @@ def project_modes(
     for m in modes:
         u = factors_local[m]
         y = dist_ttm(y, u.T.copy(), m, u.shape[1], strategy=strategy)
-    return y
-
-
-def reconstruct_modes(
-    y: DistTensor, factors_local: Sequence[np.ndarray], modes: Sequence[int]
-) -> DistTensor:
-    """``y x_m U^(m)`` for ``m`` in ``modes``: the reconstruction direction
-    of Sec. IV-B, the gathered factor's columns blocked by this rank's
-    local core extent.  The products run in the flop-minimal
-    :func:`~repro.tensor.ttm.chain_order` of the global extents, the same
-    on every rank."""
-    full = {m: gather_rows(y.grid, m, factors_local[m]) for m in modes}
-    for m in chain_order(
-        (m, y.global_shape[m], u.shape[0]) for m, u in full.items()
-    ):
-        u = full.pop(m)
-        start, stop = block_range(
-            y.global_shape[m], y.grid.dims[m], y.grid.coords[m]
-        )
-        y = dist_ttm(y, u[:, start:stop].copy(), m, u.shape[0])
     return y
 
 

@@ -42,11 +42,6 @@ class FaultInjector:
         self._hard_crash = hard_crash
         self._hits: dict[str, int] = {}
 
-    @property
-    def active(self) -> bool:
-        """Whether any clause can ever fire for this rank/attempt."""
-        return bool(self._clauses)
-
     def fire(self, site: str) -> None:
         """Record a hit at ``site`` and trigger any matching clause.
 

@@ -20,7 +20,10 @@ it refuses degrades to the pickle route and is recorded on the run's
 Public surface:
 
 * :func:`run_spmd` — launch an SPMD function on N ranks.
-* :class:`Communicator` — mpi4py-flavoured point-to-point + collectives.
+* :class:`Communicator` — the mpi4py-flavoured ops the drivers call:
+  ``send``/``recv``/``sendrecv``, the paper's Table I collectives plus
+  ``gather``/``scatter``/``barrier``, the ``isendrecv``/``ireduce``
+  pipeline ops, and ``group`` for grid sub-communicators.
 * :class:`CartGrid` — N-way Cartesian processor grids with mode row/column
   sub-communicators (paper Sec. IV).
 * :data:`SUM`/:data:`MAX`/:data:`MIN`/:data:`PROD` — reduction operators.
@@ -60,7 +63,6 @@ from repro.mpi.transport import ThreadTransport, TransportBase
 from repro.analysis.sanitizer import SANITIZE_ENV_VAR, Sanitizer
 from repro.resources import DegradationEvent, ResourceReport
 from repro.mpi.errors import (
-    BufferMismatchError,
     CollectiveMismatchError,
     CommunicatorError,
     DeadlineExceededError,
@@ -113,7 +115,6 @@ __all__ = [
     "DeadlineExceededError",
     "RankDeadError",
     "FaultInjectedError",
-    "BufferMismatchError",
     "CommunicatorError",
     "SpmdError",
     "SanitizerError",

@@ -67,31 +67,11 @@ class CartGrid:
         """This rank's grid coordinates ``(p1, ..., pN)``."""
         return self._coords
 
-    def rank_of(self, coords: tuple[int, ...] | list[int]) -> int:
-        """Flat rank of the processor at ``coords``."""
-        if len(coords) != self.ndim:
-            raise CommunicatorError(
-                f"coords {coords} do not match grid order {self.ndim}"
-            )
-        for c, d in zip(coords, self._dims):
-            if not 0 <= c < d:
-                raise CommunicatorError(f"coords {coords} outside grid {self._dims}")
-        return int(np.ravel_multi_index(coords, self._dims, order="C"))
-
     def coords_of(self, rank: int) -> tuple[int, ...]:
         """Grid coordinates of a flat rank."""
         if not 0 <= rank < self._comm.size:
             raise CommunicatorError(f"rank {rank} outside communicator")
         return tuple(int(c) for c in np.unravel_index(rank, self._dims, order="C"))
-
-    def shifted(self, mode: int, offset: int) -> int:
-        """Flat rank of the processor at ``coords`` shifted cyclically in ``mode``.
-
-        Used by the Gram ring exchange (Alg. 4 lines 7-8).
-        """
-        coords = list(self._coords)
-        coords[mode] = (coords[mode] + offset) % self._dims[mode]
-        return self.rank_of(tuple(coords))
 
     # -- sub-communicators -----------------------------------------------------
 

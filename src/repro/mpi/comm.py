@@ -1,8 +1,12 @@
 """Simulated MPI communicator.
 
-The API mirrors mpi4py where practical (``Get_rank``, ``Send``/``Recv`` for
-NumPy buffers, lowercase object variants, ``allreduce``, ``split``...), so
-the distributed algorithms read like ordinary MPI code.  Differences:
+The API is the subset of mpi4py's lowercase object interface the
+distributed drivers call — ``rank``/``size``, ``send``/``recv``/
+``sendrecv``, the paper's Table I collectives (``bcast``, ``reduce``,
+``allreduce``, ``reduce_scatter_block``, ``allgather``) plus ``gather``,
+``scatter`` and ``barrier``, and ``group`` for the processor grid's
+sub-communicators — so the algorithms read like ordinary MPI code.
+Differences:
 
 * Ranks are threads or forked processes (an executor-backend choice, see
   :mod:`repro.mpi.backends`); messages move by copy through a
@@ -18,12 +22,12 @@ the distributed algorithms read like ordinary MPI code.  Differences:
   receiving one message from each peer is the fence.  The *charged* cost
   is the closed-form tree cost, identical on every member, not the cost
   of the messages that moved the bytes.
-* Non-blocking operations (``isend``/``irecv``/``isendrecv``,
-  ``ireduce``/``iallreduce``/``ireduce_scatter_block``) defer completion
-  to ``Request.wait()``: sends and round deposits are staged at post
-  time, the blocking receives — and every ledger charge — land at
-  completion, so pipelined kernels overlap communication with
-  compute while charging exactly what the blocking ops would.
+* The non-blocking operations (``isendrecv`` for the ring pipeline,
+  ``ireduce`` for the blocked TTM) defer completion to ``Request.wait()``:
+  sends and round deposits are staged at post time, the blocking
+  receives — and every ledger charge — land at completion, so pipelined
+  kernels overlap communication with compute while charging exactly what
+  the blocking ops would.
 
 Determinism: reductions fold contributions in group-rank order, so repeated
 runs give bitwise-identical floating-point results.
@@ -38,7 +42,7 @@ import numpy as np
 
 from repro import resources
 from repro.analysis.sanitizer import CollectiveCall, Sanitizer
-from repro.mpi.errors import BufferMismatchError, CommunicatorError
+from repro.mpi.errors import CommunicatorError
 from repro.mpi.ledger import CostLedger
 from repro.mpi.reduce_ops import SUM, ReduceOp
 from repro.mpi.transport import TransportBase
@@ -77,9 +81,8 @@ class Request:
     receive happens there, and that is also where the operation's
     ledger charge lands, so pipelined code charges exactly what the
     blocking ops would — and caches the result for repeated waits.
-    ``test()`` reports whether the handle has completed; there is no
-    background progress thread, so a request only completes inside
-    ``wait()``.
+    There is no background progress thread, so a request only completes
+    inside ``wait()``.
 
     SPMD discipline: like the blocking collectives, the posts *and* the
     waits of non-blocking collectives must occur in the same order on
@@ -109,10 +112,6 @@ class Request:
             self._value = self._wait_fn()
             self._done = True
         return self._value
-
-    def test(self) -> bool:
-        """Whether :meth:`wait` has completed.  (No true background progress.)"""
-        return self._done
 
 
 # -- the exchange round ------------------------------------------------------
@@ -233,13 +232,13 @@ class Communicator:
         # SPMD sanitizer (None when REPRO_SANITIZE=0): one per-rank
         # instance shared by every communicator of the rank, so request
         # bookkeeping and the last-collective deadlock context span
-        # `split` children too.
+        # `group` children too.
         self._san = sanitizer
         # Fault injector (None unless REPRO_FAULTS / run_spmd(faults=) is
         # active): every collective entry fires its op-name site before
         # any protocol traffic, so injected failures land at a precise,
         # reproducible point in the collective schedule.  Shared across
-        # `split` children like the sanitizer.
+        # `group` children like the sanitizer.
         self._faults = faults
         # Sub-communicators built by `group`, by their ranks here.
         self._groups: dict[tuple[int, ...], Communicator] = {}
@@ -253,12 +252,6 @@ class Communicator:
     @property
     def size(self) -> int:
         return len(self._members)
-
-    def Get_rank(self) -> int:
-        return self._rank
-
-    def Get_size(self) -> int:
-        return self.size
 
     @property
     def world_rank(self) -> int:
@@ -337,52 +330,49 @@ class Communicator:
 
     # -- charged point-to-point ---------------------------------------------
 
-    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        """Send a Python object or array; charges ``alpha + beta W``."""
-        self._check_peer(dest, "dest")
-        words = _words_of(obj)
+    def _charge_p2p(self, words: int) -> None:
+        """Charge one message leg of ``words`` words: ``alpha + beta W``."""
         self._ledger.charge_message(
             self._world_rank, words, cc.send_recv_cost(words, self._ledger.machine)
         )
+
+    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
+        """Send a Python object or array; charges ``alpha + beta W``."""
+        self._check_peer(dest, "dest")
+        self._charge_p2p(_words_of(obj))
         self._put_raw(dest, ("p2p", tag), self._tx(obj))
 
     def recv(self, source: int, tag: int = 0) -> Any:
         """Receive an object sent by :meth:`send`; charges ``alpha + beta W``."""
         self._check_peer(source, "source")
         obj = self._get_raw(source, ("p2p", tag))
-        words = _words_of(obj)
-        self._ledger.charge_message(
-            self._world_rank, words, cc.send_recv_cost(words, self._ledger.machine)
-        )
+        self._charge_p2p(_words_of(obj))
         return obj
 
-    def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
-        """Nonblocking send with deferred completion.
+    def _post_exchange(
+        self, obj: Any, dest: int, source: int, tag: int
+    ) -> Callable[[], Any]:
+        """Stage the send leg now; the returned completion receives.
 
-        The payload is staged into the transport immediately (MPI's eager
-        protocol — the receiver can match it before this rank waits), but
-        the request only completes at ``wait()``, which is where the
-        send's ledger charge lands; a pipelined sender therefore charges
-        exactly what a blocking :meth:`send` would.  The payload must not
-        be mutated between post and ``wait()``.
+        The send leg is charged from the sent payload, the receive leg
+        from the *received* payload — the legs may carry different sizes.
         """
         self._check_peer(dest, "dest")
+        self._check_peer(source, "source")
         words = _words_of(obj)
         self._put_raw(dest, ("p2p", tag), self._tx(obj))
 
-        def complete() -> None:
-            self._ledger.charge_message(
-                self._world_rank,
-                words,
-                cc.send_recv_cost(words, self._ledger.machine),
-            )
+        def complete() -> Any:
+            self._charge_p2p(words)
+            received = self._get_raw(source, ("p2p", tag))
+            self._charge_p2p(_words_of(received))
+            return received
 
-        return self._make_request("isend", complete)
+        return complete
 
-    def irecv(self, source: int, tag: int = 0) -> Request:
-        """Nonblocking receive; the message is consumed (and the receive
-        charged) at ``wait()``."""
-        return self._make_request("irecv", lambda: self.recv(source, tag))
+    def sendrecv(self, obj: Any, dest: int, source: int, tag: int = 0) -> Any:
+        """Simultaneous send+receive (safe against the blocking-order deadlock)."""
+        return self._post_exchange(obj, dest, source, tag)()
 
     def isendrecv(
         self, obj: Any, dest: int, source: int, tag: int = 0
@@ -391,82 +381,12 @@ class Communicator:
 
         The send leg is staged immediately so the peer can match it while
         this rank computes; ``wait()`` blocks for the matching receive and
-        returns it.  Both legs' charges land at completion and equal
-        :meth:`sendrecv`'s exactly (send leg from the sent words, receive
-        leg from the received words), so a pipelined ring ledger-matches
-        the blocking one.
+        returns it, and lands exactly :meth:`sendrecv`'s two charges, so a
+        pipelined ring ledger-matches the blocking one.
         """
-        self._check_peer(dest, "dest")
-        self._check_peer(source, "source")
-        words = _words_of(obj)
-        self._put_raw(dest, ("p2p", tag), self._tx(obj))
-
-        def complete() -> Any:
-            self._ledger.charge_message(
-                self._world_rank,
-                words,
-                cc.send_recv_cost(words, self._ledger.machine),
-            )
-            received = self._get_raw(source, ("p2p", tag))
-            recv_words = _words_of(received)
-            self._ledger.charge_message(
-                self._world_rank,
-                recv_words,
-                cc.send_recv_cost(recv_words, self._ledger.machine),
-            )
-            return received
-
-        return self._make_request("isendrecv", complete)
-
-    def Send(self, array: np.ndarray, dest: int, tag: int = 0) -> None:
-        """Buffer send (mpi4py-style uppercase): NumPy arrays only."""
-        if not isinstance(array, np.ndarray):
-            raise TypeError("Send requires a numpy.ndarray; use send() for objects")
-        self.send(array, dest, tag)
-
-    def Recv(self, buf: np.ndarray, source: int, tag: int = 0) -> None:
-        """Receive into a preallocated buffer; shape/dtype must be compatible."""
-        if not isinstance(buf, np.ndarray):
-            raise TypeError("Recv requires a preallocated numpy.ndarray buffer")
-        data = self.recv(source, tag)
-        if not isinstance(data, np.ndarray):
-            raise BufferMismatchError(
-                f"Recv expected an ndarray message, got {type(data).__name__}"
-            )
-        if data.dtype != buf.dtype:
-            raise BufferMismatchError(
-                f"dtype mismatch: message {data.dtype} vs buffer {buf.dtype}"
-            )
-        if data.size != buf.size:
-            raise BufferMismatchError(
-                f"size mismatch: message {data.shape} ({data.size} elems) vs "
-                f"buffer {buf.shape} ({buf.size} elems)"
-            )
-        buf.reshape(-1)[:] = data.reshape(-1)
-
-    def sendrecv(self, obj: Any, dest: int, source: int, tag: int = 0) -> Any:
-        """Simultaneous send+receive (safe against the blocking-order deadlock).
-
-        The send leg is charged from the sent payload, the receive leg
-        from the *received* payload — the legs may carry different sizes
-        (the receive leg used to be mischarged with the sent size,
-        double-charging the send cost when sizes differed).
-        """
-        self._check_peer(dest, "dest")
-        self._check_peer(source, "source")
-        words = _words_of(obj)
-        self._ledger.charge_message(
-            self._world_rank, words, cc.send_recv_cost(words, self._ledger.machine)
+        return self._make_request(
+            "isendrecv", self._post_exchange(obj, dest, source, tag)
         )
-        self._put_raw(dest, ("p2p", tag), self._tx(obj))
-        received = self._get_raw(source, ("p2p", tag))
-        recv_words = _words_of(received)
-        self._ledger.charge_message(
-            self._world_rank,
-            recv_words,
-            cc.send_recv_cost(recv_words, self._ledger.machine),
-        )
-        return received
 
     # -- collectives: the one entry point ------------------------------------
 
@@ -474,7 +394,7 @@ class Communicator:
         self,
         op: str,
         finish: Callable[[Any], tuple[Any, int]],
-        cost: Callable[[int, float, MachineSpec], float] | None,
+        cost: Callable[[int, float, MachineSpec], float],
         deposit: _Deposit = _Deposit(),
         *,
         root: int | None = None,
@@ -490,9 +410,9 @@ class Communicator:
         sanitizer signature, then the round — a peerless round on one
         member — and last the charge.  ``finish(round)`` reads the round
         and returns ``(result, words)``; ``cost(P, words, machine)`` is the
-        op's closed form (``None``: uncharged).  A non-blocking op posts
-        its round here and returns the :class:`Request` whose ``wait()``
-        runs the fence, the reads and the charge.
+        op's closed form.  A non-blocking op posts its round here and
+        returns the :class:`Request` whose ``wait()`` runs the fence, the
+        reads and the charge.
         """
         seq = self._coll_seq
         self._coll_seq += 1
@@ -514,12 +434,11 @@ class Communicator:
             if sig is not None and rnd.mismatched(sig.digest):
                 self._raise_mismatch(tag, sig)
             result, words = finish(rnd)
-            if cost is not None:
-                seconds = cost(self.size, words, self._ledger.machine)
-                if self.size > 1 and words:
-                    self._ledger.charge_message(self._world_rank, words, seconds)
-                else:  # one member, or the zero-word barrier
-                    self._ledger.charge_time(self._world_rank, seconds)
+            seconds = cost(self.size, words, self._ledger.machine)
+            if self.size > 1 and words:
+                self._ledger.charge_message(self._world_rank, words, seconds)
+            else:  # one member, or the zero-word barrier
+                self._ledger.charge_time(self._world_rank, seconds)
             return result
 
         if not nonblocking:
@@ -682,28 +601,18 @@ class Communicator:
         construction), so even broadcasting ops with uneven contributions
         charge rank-independent costs.
         """
-        return self._allreduce("allreduce", value, op, nonblocking=False)
 
-    def iallreduce(self, value: Any, op: ReduceOp = SUM) -> Request:
-        """Nonblocking :meth:`allreduce` (deferred fence, charge and
-        rank-ordered fold at ``wait()``)."""
-        return self._allreduce("iallreduce", value, op, nonblocking=True)
-
-    def _allreduce(
-        self, name: str, value: Any, op: ReduceOp, nonblocking: bool
-    ) -> Any:
         def finish(rnd):
             acc = self._fold(rnd, op)
             return acc, _words_of(acc)
 
         return self._collective(
-            name,
+            "allreduce",
             finish,
             cc.allreduce_cost,
             _Deposit(send=value),
             reduce_op=op,
             value=value,
-            nonblocking=nonblocking,
         )
 
     def reduce_scatter_block(
@@ -717,18 +626,6 @@ class Communicator:
         not meaningful here).  Used by the non-blocked TTM fast path
         (paper Sec. V-B).
         """
-        return self._reduce_scatter("reduce_scatter_block", array, op, False)
-
-    def ireduce_scatter_block(
-        self, array: np.ndarray, op: ReduceOp = SUM
-    ) -> Request:
-        """Nonblocking :meth:`reduce_scatter_block` (same validation; this
-        rank's block arrives at ``wait()``)."""
-        return self._reduce_scatter("ireduce_scatter_block", array, op, True)
-
-    def _reduce_scatter(
-        self, name: str, array: np.ndarray, op: ReduceOp, nonblocking: bool
-    ) -> Any:
         if not isinstance(array, np.ndarray):
             raise TypeError("reduce_scatter_block requires a numpy.ndarray")
         if array.shape[0] % self.size != 0:
@@ -744,78 +641,15 @@ class Communicator:
             return np.array(acc[lo : lo + block], copy=True), words
 
         return self._collective(
-            name,
+            "reduce_scatter_block",
             finish,
             cc.reduce_scatter_cost,
             _Deposit(send=array),
             reduce_op=op,
             value=array,
-            nonblocking=nonblocking,
-        )
-
-    def alltoall(self, values: Sequence[Any]) -> list[Any]:
-        """Exchange ``values[j]`` with rank ``j`` for all j simultaneously.
-
-        Charged from the *heaviest* rank's row total (the bulk-synchronous
-        exchange finishes when the busiest rank does), the largest of the
-        words shared at the fence, so every member charges the identical
-        cost under uneven rows.
-        """
-        if len(values) != self.size:
-            raise CommunicatorError(
-                f"alltoall needs exactly {self.size} values, got {len(values)}"
-            )
-        me = self._rank
-
-        def finish(rnd):
-            out = [
-                _copy_payload(values[src]) if src == me else rnd.read(src)
-                for src in range(self.size)
-            ]
-            return out, rnd.max_words()
-
-        return self._collective(
-            "alltoall",
-            finish,
-            cc.alltoall_cost,
-            _Deposit(
-                sends=tuple(
-                    (dst, values[dst]) for dst in range(self.size) if dst != me
-                ),
-                words=sum(_words_of(v) for v in values),
-            ),
         )
 
     # -- communicator construction -------------------------------------------
-
-    def split(self, color: int | None, key: int | None = None) -> "Communicator | None":
-        """Partition the communicator by ``color``; order new ranks by ``key``.
-
-        Ranks passing ``color=None`` (MPI's ``MPI_UNDEFINED``) receive
-        ``None``.  ``(color, key)`` travels in one uncharged round:
-        communicator setup is out of band in the paper's model.
-        """
-        seq = self._coll_seq  # the number the round below takes
-        entries = self._collective(
-            "split",
-            lambda rnd: ([rnd.read(src) for src in range(self.size)], 0),
-            None,
-            _Deposit(send=(color, self._rank if key is None else key)),
-        )
-        if color is None:
-            return None
-        group = sorted(
-            (k, r) for r, (c, k) in enumerate(entries) if c == color
-        )
-        return Communicator(
-            self._transport,
-            self._ledger,
-            (self._comm_id, seq, color),
-            tuple(self._members[r] for _, r in group),
-            self._world_rank,
-            sanitizer=self._san,
-            faults=self._faults,
-        )
 
     def group(self, ranks: Sequence[int]) -> "Communicator":
         """The communicator over this one's ranks ``ranks``, in that order,
@@ -824,7 +658,8 @@ class Communicator:
         Every member must pass the same ``ranks``.  Its id is derived from
         them, so the same group is one communicator however often it is
         asked for; the whole group in order is this communicator itself,
-        with its sequence numbers.  Uncharged, like ``split``.
+        with its sequence numbers.  Uncharged: communicator setup is out of
+        band in the paper's model.
         """
         key = tuple(ranks)
         if key == tuple(range(self.size)):
@@ -840,12 +675,6 @@ class Communicator:
                 faults=self._faults,
             )
         return self._groups[key]
-
-    def dup(self) -> "Communicator":
-        """Duplicate the communicator with a fresh tag space."""
-        child = self.split(color=0, key=self._rank)
-        assert child is not None
-        return child
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

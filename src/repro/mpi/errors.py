@@ -76,16 +76,8 @@ class FaultInjectedError(MpiError):
     """
 
 
-class BufferMismatchError(MpiError):
-    """A received message did not match the posted receive buffer.
-
-    Raised when dtype or shape (element count) of an incoming message is
-    incompatible with the buffer supplied to ``Recv``.
-    """
-
-
 class CommunicatorError(MpiError):
-    """Invalid communicator construction or usage (bad rank, bad split...)."""
+    """Invalid communicator construction or usage (bad rank, bad group...)."""
 
 
 class SanitizerError(MpiError):

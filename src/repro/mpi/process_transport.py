@@ -832,9 +832,6 @@ class ProcessTransport(TransportBase):
     def abort(self, exc: BaseException) -> None:
         self._abort.set()
 
-    def aborted(self) -> bool:
-        return self._abort.is_set()
-
     def _dead_sibling(self, doing: str):
         """RankDeadError when the status board records a death, else None."""
         if self.status is None:

@@ -61,18 +61,6 @@ class KernelCost:
             memory_words=max(self.memory_words, other.memory_words),
         )
 
-    def scaled(self, factor: float) -> "KernelCost":
-        """Cost of ``factor`` repetitions (memory bound unchanged)."""
-        return KernelCost(
-            flop_time=self.flop_time * factor,
-            bw_time=self.bw_time * factor,
-            lat_time=self.lat_time * factor,
-            flops=self.flops * factor,
-            words=self.words * factor,
-            messages=self.messages * factor,
-            memory_words=self.memory_words,
-        )
-
 
 def _check_grid(
     shape: Sequence[int], grid: Sequence[int]

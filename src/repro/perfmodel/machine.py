@@ -20,7 +20,7 @@ blocks (the paper reports 66% of peak at best).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -66,23 +66,6 @@ class MachineSpec:
             value = getattr(self, field)
             if not value >= 0:  # NaN too
                 raise ValueError(f"{field} must be non-negative, got {value}")
-
-    @property
-    def peak_flops(self) -> float:
-        """Sustained flop rate implied by gamma (flops/second)."""
-        if self.gamma == 0:
-            raise ValueError("gamma is zero; peak flop rate is undefined")
-        return 1.0 / self.gamma
-
-    def with_efficiency(self, efficiency: float) -> "MachineSpec":
-        """Return a copy whose gamma is derated by a BLAS efficiency in (0, 1]."""
-        if not 0 < efficiency <= 1:
-            raise ValueError(f"efficiency must be in (0, 1], got {efficiency}")
-        return replace(
-            self,
-            gamma=self.gamma / efficiency,
-            name=f"{self.name}(eff={efficiency:g})",
-        )
 
     def blas_efficiency(self, m: float, n: float, k: float) -> float:
         """Fraction of peak an ``m x k @ k x n`` GEMM achieves.

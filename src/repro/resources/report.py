@@ -55,10 +55,6 @@ class ResourceReport:
     charged_bytes: int = 0
     released_bytes: int = 0
 
-    @property
-    def degraded(self) -> bool:
-        return bool(self.degradations)
-
     @classmethod
     def from_rank_summaries(
         cls, summaries: dict[int, dict[str, Any] | None]

@@ -118,12 +118,6 @@ class Tensor:
             copy=False,
         )
 
-    @classmethod
-    def from_unfolding(
-        cls, matrix: np.ndarray, mode: int, shape: Sequence[int]
-    ) -> "Tensor":
-        return cls(fold(matrix, mode, shape))
-
     # -- basic properties -------------------------------------------------------
 
     @property
@@ -161,11 +155,6 @@ class Tensor:
         """Tensor norm ``||X|| = ||X_(1)||_F`` (root of sum of squares)."""
         return norm(self._data)
 
-    def nrank(self, mode: int, tol: float | None = None) -> int:
-        """n-rank: column rank of the mode-``mode`` unfolding."""
-        mat = self.unfold(mode)
-        return int(np.linalg.matrix_rank(mat, tol=tol))
-
     def ttm(self, v: np.ndarray, mode: int, transpose: bool = False) -> "Tensor":
         """Mode-``mode`` product ``X x_n V`` (see :func:`repro.tensor.ttm.ttm`)."""
         from repro.tensor.ttm import ttm as _ttm
@@ -177,9 +166,6 @@ class Tensor:
         from repro.tensor.gram import gram as _gram
 
         return _gram(self._data, mode)
-
-    def scale_by(self, value: float) -> "Tensor":
-        return Tensor(self._data * value, copy=False)
 
     def __sub__(self, other: "Tensor | np.ndarray") -> "Tensor":
         other_arr = other.data if isinstance(other, Tensor) else np.asarray(other)

@@ -44,16 +44,6 @@ class EigResult:
             )
         return np.array(self.vectors[:, :rank], copy=True)
 
-    def tail_sums(self) -> np.ndarray:
-        """``tail[r] = sum_{i >= r} values[i]`` for r = 0..n (tail[n] = 0).
-
-        ``tail[r]`` is the squared error of truncating to rank ``r``.
-        """
-        n = self.values.shape[0]
-        tail = np.zeros(n + 1, dtype=np.float64)
-        tail[:n] = np.cumsum(self.values[::-1])[::-1]
-        return tail
-
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Make the largest-|.| entry of every column positive (deterministic)."""

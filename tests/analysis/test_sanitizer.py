@@ -9,15 +9,13 @@ from __future__ import annotations
 
 import inspect
 import os
+import re
 
 import numpy as np
 import pytest
 
-from repro.analysis.sanitizer import (
-    SANITIZE_ENV_VAR,
-    CollectiveCall,
-    sanitize_level,
-)
+from repro.analysis.sanitizer import SANITIZE_ENV_VAR, CollectiveCall
+from repro.config import resolve_config
 from repro.mpi import (
     SUM,
     DeadlockError,
@@ -32,31 +30,31 @@ from tests.conftest import spmd
 class TestLevelResolution:
     def test_default_is_off(self, monkeypatch):
         monkeypatch.delenv(SANITIZE_ENV_VAR, raising=False)
-        assert sanitize_level() == 0
+        assert resolve_config().sanitize == 0
 
     def test_env_sets_level(self, monkeypatch):
         monkeypatch.setenv(SANITIZE_ENV_VAR, "1")
-        assert sanitize_level() == 1
+        assert resolve_config().sanitize == 1
 
     def test_override_beats_env(self, monkeypatch):
         monkeypatch.setenv(SANITIZE_ENV_VAR, "1")
-        assert sanitize_level(0) == 0
+        assert resolve_config(sanitize=0).sanitize == 0
 
     def test_level_two_is_rejected(self, monkeypatch):
         monkeypatch.setenv(SANITIZE_ENV_VAR, "2")
         with pytest.raises(
             ValueError, match=r"sanitize level must be one of \(0, 1\), got 2"
         ):
-            sanitize_level()
+            resolve_config()
 
     def test_invalid_env_value(self, monkeypatch):
         monkeypatch.setenv(SANITIZE_ENV_VAR, "chatty")
         with pytest.raises(ValueError, match="REPRO_SANITIZE"):
-            sanitize_level()
+            resolve_config()
 
     def test_invalid_level(self):
         with pytest.raises(ValueError, match="sanitize level"):
-            sanitize_level(3)
+            resolve_config(sanitize=3)
 
     def test_run_spmd_rejects_bad_level(self):
         with pytest.raises(ValueError, match="sanitize level"):
@@ -77,13 +75,12 @@ class TestCleanRuns:
             r = comm.reduce(np.ones(2), SUM, root=0)
             ar = comm.allreduce(float(comm.rank))
             rs = comm.reduce_scatter_block(np.ones((comm.size, 2)))
-            a2a = comm.alltoall([comm.rank] * comm.size)
             comm.barrier()
             req = comm.ireduce(np.full(2, 1.0), SUM, root=0)
             folded = req.wait()
-            sub = comm.split(comm.rank % 2)
+            sub = comm.group([r for r in range(comm.size) if r % 2 == comm.rank % 2])
             sub_sum = sub.allreduce(1)
-            return (x.sum(), g, ag, sc, r, ar, rs.sum(), a2a, folded, sub_sum)
+            return (x.sum(), g, ag, sc, r, ar, rs.sum(), folded, sub_sum)
 
         res = spmd(4, prog, sanitize=level)
         assert res[2][3] == 20  # rank 2's scatter piece
@@ -93,7 +90,7 @@ class TestCleanRuns:
         def prog(comm):
             comm.allreduce(np.arange(64.0))
             comm.barrier()
-            req = comm.iallreduce(np.ones(8))
+            req = comm.ireduce(np.ones(8))
             req.wait()
             return comm.allgather(comm.rank)
 
@@ -110,7 +107,7 @@ class TestCleanRuns:
             return (
                 comm.sanitizer is not None
                 and comm.sanitizer.level,
-                comm.split(0).sanitizer is comm.sanitizer,
+                comm.group([1, 0]).sanitizer is comm.sanitizer,
             )
 
         assert spmd(2, prog, sanitize=1)[0] == (1, True)
@@ -185,29 +182,29 @@ class TestCollectiveMismatch:
         # one.
         def prog(comm):
             if comm.rank == 0:
-                comm.allreduce(np.ones(2))
+                comm.reduce(np.ones(2))
             else:
-                comm.iallreduce(np.ones(2)).wait()
+                comm.ireduce(np.ones(2)).wait()
 
         with pytest.raises(SpmdError) as err:
             spmd(2, prog, sanitize=1)
         msg = str(err.value)
-        assert "allreduce#0" in msg and "iallreduce#0" in msg
+        assert re.search(r"(?<!i)reduce#0", msg) and "ireduce#0" in msg
 
 
 class TestRequestLifetimes:
-    def test_leaked_isend(self):
+    def test_leaked_isendrecv(self):
         def prog(comm):
             if comm.rank == 0:
-                comm.isend(np.ones(4), dest=1)  # never waited
+                comm.isendrecv(np.ones(4), dest=1, source=1)  # never waited
             else:
-                comm.recv(0)
+                comm.sendrecv(np.ones(4), dest=0, source=0)
 
         with pytest.raises(SpmdError) as err:
             spmd(2, prog, sanitize=1)
         msg = str(err.value)
         assert "RequestLeakError" in msg
-        assert "isend" in msg and "never waited" in msg
+        assert "isendrecv" in msg and "never waited" in msg
         assert "test_sanitizer.py" in msg
 
     def test_leaked_ireduce(self):
@@ -287,7 +284,7 @@ def broken(comm, data):
 
 
 def also_broken(comm, data):
-    if comm.Get_rank() % 2 == 0:
+    if comm.rank % 2 == 0:
         comm.barrier()
     return data
 
@@ -303,8 +300,8 @@ def legal_root_asymmetry(comm, data):
 
 def discarded(comm):
     peer = 1 - comm.rank
-    comm.isend(np.ones(4), dest=peer)  # nothing holds the handle
-    return comm.recv(source=peer)
+    comm.isendrecv(np.ones(4), dest=peer, source=peer)  # nothing holds it
+    return comm.rank
 
 
 def never_waited(comm):
@@ -313,7 +310,7 @@ def never_waited(comm):
 
 
 def waited_is_fine(comm):
-    req = comm.iallreduce(np.ones(2))
+    req = comm.ireduce(np.ones(2))
     return req.wait()
 
 
@@ -355,7 +352,7 @@ class TestProtocolBugPrograms:
     @pytest.mark.parametrize(
         "prog, args, op, needle",
         [
-            (discarded, (), "isend", "comm.isend("),
+            (discarded, (), "isendrecv", "comm.isendrecv("),
             (never_waited, (), "ireduce", "comm.ireduce("),
             (escaped, ([],), "isendrecv", "comm.isendrecv("),
         ],

@@ -18,7 +18,6 @@ import pytest
 from repro.config import (
     CONFIG_FIELDS,
     RuntimeConfig,
-    active_config,
     default_for,
     env_default,
     resolve_config,
@@ -256,18 +255,25 @@ class TestRetiredKnobs:
         assert resolve_config() == cfg
 
 
+def _installed():
+    """The installed run config: what installing ``None`` displaces."""
+    current = set_active_config(None)
+    set_active_config(current)
+    return current
+
+
 class TestActiveConfigDispatch:
     def test_install_and_restore(self):
-        assert active_config() is None
+        assert _installed() is None
         cfg = RuntimeConfig(sanitize=1)
         previous = set_active_config(cfg)
         try:
             assert previous is None
-            assert active_config() is cfg
+            assert _installed() is cfg
             assert default_for("sanitize") == 1
         finally:
             set_active_config(previous)
-        assert active_config() is None
+        assert _installed() is None
 
     def test_default_for_falls_back_to_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SPMD_RETRY", "4")
@@ -283,7 +289,7 @@ class TestActiveConfigDispatch:
         results = run_spmd(2, prog, config=cfg)
         assert list(results) == [(60.0, "mixed")] * 2
         # The installation is scoped to the run.
-        assert active_config() is None
+        assert _installed() is None
 
     def test_run_spmd_kwarg_beats_config_field(self):
         cfg = RuntimeConfig(sanitize=0, timeout=20.0)

@@ -197,13 +197,6 @@ class TestNormsAndErrors:
         with pytest.raises(ValueError, match="zero tensor"):
             _random_tucker().relative_error(np.zeros((6, 7, 8)))
 
-    def test_residual_norm_sq_identity(self):
-        # ||X - X~||^2 = ||X||^2 - ||G||^2 when G is the optimal core.
-        t = _random_tucker()
-        x = t.reconstruct() + 0.0
-        # Add a component orthogonal to the factor subspaces.
-        assert t.residual_norm_sq(t.core_norm() ** 2) == pytest.approx(0.0)
-
 
 class TestCompressionAccounting:
     def test_storage_words(self):

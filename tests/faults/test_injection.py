@@ -40,7 +40,7 @@ class TestExceptionFaults:
         assert isinstance(exc_info.value.failures[0], FaultInjectedError)
 
     def test_unmatched_site_never_fires(self):
-        res = spmd(2, _two_collectives, faults="rank=0:site=alltoall:kind=exception")
+        res = spmd(2, _two_collectives, faults="rank=0:site=gather:kind=exception")
         assert res.values == [2.0, 2.0]
 
     def test_p_zero_never_fires(self):

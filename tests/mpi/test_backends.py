@@ -250,25 +250,23 @@ class TestConformance:
         def prog(comm):
             total = comm.allreduce(data[comm.rank], SUM)
             everyone = comm.allgather(comm.rank)
-            swapped = comm.alltoall([comm.rank * 10 + j for j in range(p)])
             block = comm.reduce_scatter_block(
                 np.arange(float(p * 2)) + comm.rank, SUM
             )
-            return float(total[0]), everyone, swapped, block.tolist()
+            return float(total[0]), everyone, block.tolist()
 
         res = run_spmd(p, prog, backend=spmd_backend)
-        for rank, (total, everyone, swapped, block) in enumerate(res):
+        for rank, (total, everyone, block) in enumerate(res):
             assert total == 10.0
             assert everyone == [0, 1, 2, 3]
-            assert swapped == [j * 10 + rank for j in range(p)]
             expected = [
                 sum(2 * rank + i + r for r in range(p)) for i in range(2)
             ]
             assert block == expected
 
-    def test_subcommunicator_split(self, spmd_backend):
+    def test_subcommunicator_group(self, spmd_backend):
         def prog(comm):
-            sub = comm.split(color=comm.rank % 2)
+            sub = comm.group([r for r in range(comm.size) if r % 2 == comm.rank % 2])
             return sub.allreduce(comm.rank)
 
         res = run_spmd(4, prog, backend=spmd_backend)

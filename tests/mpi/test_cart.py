@@ -19,7 +19,6 @@ class TestGeometry:
     def test_coords_roundtrip(self):
         def prog(comm):
             g = CartGrid(comm, (2, 3, 2))
-            assert g.rank_of(g.coords) == comm.rank
             assert g.coords_of(comm.rank) == g.coords
             return g.coords
 
@@ -44,18 +43,10 @@ class TestGeometry:
         with pytest.raises(SpmdError):
             spmd(6, prog)
 
-    def test_shifted_wraps(self):
-        def prog(comm):
-            g = CartGrid(comm, (4,))
-            return g.shifted(0, 1), g.shifted(0, -1)
-
-        res = spmd(4, prog)
-        assert res.values == [(1, 3), (2, 0), (3, 1), (0, 2)]
-
-    def test_rank_of_validates(self):
+    def test_coords_of_validates(self):
         def prog(comm):
             g = CartGrid(comm, (2, 2))
-            g.rank_of((2, 0))
+            g.coords_of(4)
 
         with pytest.raises(SpmdError):
             spmd(4, prog)
@@ -153,15 +144,19 @@ class _CountingTransport:
         return attr
 
 
-def _split_reference(comm, g, mode, row):
-    """The sub-communicator ``comm.split`` builds for the same group."""
-    coords = g.coords
-    others = [c for i, c in enumerate(coords) if i != mode]
-    others_dims = [d for i, d in enumerate(g.dims) if i != mode]
-    rest = int(np.ravel_multi_index(others, others_dims)) if others else 0
-    if row:
-        return comm.split(color=coords[mode], key=rest)
-    return comm.split(color=rest, key=coords[mode])
+def _expected_members(g, mode, row):
+    """The flat ranks of this rank's mode-``mode`` row (same coordinate
+    ``mode``) or column (same other coordinates), in increasing flat rank:
+    a column is then ordered by coordinate ``mode``, a row by the other
+    coordinates in C order, the order ``MPI_Comm_split`` keyed on them
+    gives."""
+    def same(r):
+        theirs = g.coords_of(r)
+        return all(
+            (i == mode) != row or c == g.coords[i] for i, c in enumerate(theirs)
+        )
+
+    return tuple(r for r in range(g.comm.size) if same(r))
 
 
 def _members(sub, comm):
@@ -170,17 +165,17 @@ def _members(sub, comm):
 
 @pytest.mark.parametrize("dims", GRIDS, ids=str)
 class TestLocallyBuilt:
-    def test_members_and_order_match_split(self, dims):
+    def test_members_and_order_follow_the_grid(self, dims):
         def prog(comm):
             g = CartGrid(comm, dims)
             out = []
             for mode in range(len(dims)):
                 for row, sub in ((False, g.mode_column(mode)),
                                  (True, g.mode_row(mode))):
-                    ref = _split_reference(comm, g, mode, row)
+                    expected = _expected_members(g, mode, row)
                     out.append(
                         (_members(sub, comm), sub.rank)
-                        == (_members(ref, comm), ref.rank)
+                        == (expected, expected.index(comm.rank))
                     )
             return out
 
@@ -228,7 +223,7 @@ _X = np.asfortranarray(
 
 #: ``(dims, method, tol, ranks)`` -> digest of every rank's ranks, order,
 #: core block, factor block rows and spectra, as the sub-communicators
-#: built by ``Communicator.split`` (and a separate norm pass) produced
+#: built by a message-based ``split`` (and a separate norm pass) produced
 #: them on an x86-64 OpenBLAS host, with the Gram rows' eigenvectors
 #: from NumPy's ``eigh`` (``syevd``).
 _RECORDED = {

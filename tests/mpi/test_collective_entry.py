@@ -1,9 +1,12 @@
 """Every collective's entry checks, on both transports.
 
-One parametrized sweep over the twelve collectives plus ``split``, at one
-and three ranks, on the thread and the process backend.  Each case
-asserts the four concerns the communicator applies at its one collective
-entry point:
+One parametrized sweep over the nine collectives, at one and three
+ranks, on the thread and the process backend, and at three ranks on a
+communicator built by ``group`` as well as on the world: the drivers run
+almost every collective on the grid's ``group``-built rows and columns,
+which must carry the rank's deadline, fault injector and sanitizer.
+Each case asserts the four concerns the communicator applies at its one
+collective entry point:
 
 * an expired run deadline raises ``DeadlineExceededError`` naming the op
   at entry (for a non-blocking op: at the post, not inside ``wait()``);
@@ -56,13 +59,7 @@ _CALLS = {
     "reduce": lambda comm: comm.reduce(_X, SUM, root=0),
     "allreduce": lambda comm: comm.allreduce(_X, SUM),
     "reduce_scatter_block": lambda comm: comm.reduce_scatter_block(_X, SUM),
-    "alltoall": lambda comm: comm.alltoall([_X] * comm.size),
     "ireduce": lambda comm: comm.ireduce(_X, SUM, root=0).wait(),
-    "iallreduce": lambda comm: comm.iallreduce(_X, SUM).wait(),
-    "ireduce_scatter_block": lambda comm: comm.ireduce_scatter_block(
-        _X, SUM
-    ).wait(),
-    "split": lambda comm: comm.split(comm.rank % 2),
 }
 
 _OPS = sorted(_CALLS)
@@ -70,8 +67,6 @@ _OPS = sorted(_CALLS)
 
 def _charge(op: str, p: int, machine) -> tuple[float, int, int]:
     """The closed-form ``(seconds, words, messages)`` one call charges."""
-    if op == "split":
-        return 0.0, 0, 0
     if op == "barrier":
         return cc.allreduce_cost(p, 1, machine), 0, 0
     cost, words = {
@@ -82,26 +77,32 @@ def _charge(op: str, p: int, machine) -> tuple[float, int, int]:
         "reduce": (cc.reduce_cost, _W),
         "ireduce": (cc.reduce_cost, _W),
         "allreduce": (cc.allreduce_cost, _W),
-        "iallreduce": (cc.allreduce_cost, _W),
         "reduce_scatter_block": (cc.reduce_scatter_cost, _W),
-        "ireduce_scatter_block": (cc.reduce_scatter_cost, _W),
-        "alltoall": (cc.alltoall_cost, _W * p),
     }[op]
     if p == 1:
         return cost(p, words, machine), 0, 0
     return cost(p, words, machine), words, 1
 
 
-def _call_once(comm, op):
-    _CALLS[op](comm)
+def _on(comm, on):
+    """The world, or the ``group`` of its ranks in reverse order."""
+    if on == "world":
+        return comm
+    return comm.group(reversed(range(comm.size)))
 
 
-def _after_deadline(comm, op):
+def _call_once(comm, op, on):
+    _CALLS[op](_on(comm, on))
+
+
+def _after_deadline(comm, op, on):
+    comm = _on(comm, on)
     time.sleep(max(resources.remaining_deadline(), 0.0) + 0.01)
     _CALLS[op](comm)
 
 
-def _call_twice(comm, op):
+def _call_twice(comm, op, on):
+    comm = _on(comm, on)
     for nth in (1, 2):
         try:
             _CALLS[op](comm)
@@ -109,12 +110,12 @@ def _call_twice(comm, op):
             raise RuntimeError(f"call {nth}: {exc}") from None
 
 
-def _rank0_diverges(comm, op, other):
-    _CALLS[op if comm.rank == 0 else other](comm)
+def _rank0_diverges(comm, op, other, on):
+    _CALLS[op if comm.rank == 0 else other](_on(comm, on))
 
 
-def _signature(comm, op):
-    _CALLS[op](comm)
+def _signature(comm, op, on):
+    _CALLS[op](_on(comm, on))
     return comm.sanitizer.current.describe()
 
 
@@ -136,7 +137,10 @@ def backend(request):
         shutdown_worker_pools()
 
 
-@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize(
+    "p, on", [(1, "world"), (3, "world"), (3, "group")],
+    ids=["1", "3", "3-group"],
+)
 @pytest.mark.parametrize("op", _OPS)
 class _EntryChecks:
     """The entry checks that hold whatever the sanitizer level."""
@@ -144,10 +148,10 @@ class _EntryChecks:
     #: Sanitizer level every run of these checks uses.
     sanitize = 0
 
-    def test_expired_deadline_raises_at_entry(self, backend, op, p):
+    def test_expired_deadline_raises_at_entry(self, backend, op, p, on):
         with pytest.raises(SpmdError) as exc_info:
             run_spmd(
-                p, _after_deadline, op, backend=backend, deadline=0.05,
+                p, _after_deadline, op, on, backend=backend, deadline=0.05,
                 sanitize=self.sanitize, timeout=20.0,
             )
         failures = exc_info.value.failures
@@ -156,19 +160,19 @@ class _EntryChecks:
             assert isinstance(exc, DeadlineExceededError), repr(exc)
             assert str(exc).endswith(f" in {op}"), str(exc)
 
-    def test_fault_site_fires_on_the_second_call(self, backend, op, p):
+    def test_fault_site_fires_on_the_second_call(self, backend, op, p, on):
         with pytest.raises(SpmdError) as exc_info:
             run_spmd(
-                p, _call_twice, op, backend=backend, timeout=20.0,
+                p, _call_twice, op, on, backend=backend, timeout=20.0,
                 faults=f"rank=0:site={op}:nth=2:kind=exception",
                 sanitize=self.sanitize,
             )
         msg = str(exc_info.value.failures[0])
         assert msg.startswith("call 2: ") and f"site '{op}'" in msg, msg
 
-    def test_ledger_charge_is_the_closed_form(self, backend, op, p):
+    def test_ledger_charge_is_the_closed_form(self, backend, op, p, on):
         res = run_spmd(
-            p, _call_once, op, backend=backend, sanitize=self.sanitize,
+            p, _call_once, op, on, backend=backend, sanitize=self.sanitize,
             timeout=20.0,
         )
         seconds, words, messages = _charge(op, p, res.ledger.machine)
@@ -184,19 +188,19 @@ class _EntryChecks:
 class TestCollectiveEntry(_EntryChecks):
     """The checks unsanitized, plus the sanitizer's own entry check."""
 
-    def test_sanitizer_flags_a_different_op(self, backend, op, p):
+    def test_sanitizer_flags_a_different_op(self, backend, op, p, on):
         if p == 1:
             # Nothing to diverge from: the signature is recorded at the
             # entry point with the caller's site.
             res = run_spmd(
-                1, _signature, op, backend=backend, sanitize=1, timeout=20.0
+                1, _signature, op, on, backend=backend, sanitize=1, timeout=20.0
             )
             assert f"{op}#0" in res[0] and _site(op) in res[0]
             return
         other = "allreduce" if op != "allreduce" else "allgather"
         with pytest.raises(SpmdError) as exc_info:
             run_spmd(
-                p, _rank0_diverges, op, other, backend=backend, sanitize=1,
+                p, _rank0_diverges, op, other, on, backend=backend, sanitize=1,
                 timeout=20.0,
             )
         # Every member sees the divergence; the first to raise aborts

@@ -179,23 +179,6 @@ class TestCollectiveCharging:
         for rank in range(2):
             assert res.ledger.rank_costs(rank).time == pytest.approx(2 * (1 + 4))
 
-    def test_alltoall_rounds_fractional_words_up(self):
-        # Regression: 7 words across 4 ranks used to charge W/P = 1.75
-        # words per message; the model counts whole words, so the share
-        # must be ceil(7/4) = 2.
-        p = 4
-
-        def prog(comm):
-            values = [np.zeros(1) for _ in range(comm.size)]
-            values[0] = np.zeros(4)  # row total 7 words on every rank
-            comm.alltoall(values)
-            return None
-
-        res = spmd_unit(p, prog)
-        expected = (p - 1) * (1 + 2)  # (P-1) * (alpha + beta * ceil(7/4))
-        for rank in range(p):
-            assert res.ledger.rank_costs(rank).time == pytest.approx(expected)
-
     def test_scatter_uneven_payloads_charge_the_roots_total(self):
         # Regression: non-roots used to extrapolate their own slice
         # (my_words * P), diverging from the root's exact sum under

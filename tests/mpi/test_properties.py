@@ -104,11 +104,13 @@ def test_ring_sendrecv_is_permutation(p, seed):
     seed=st.integers(0, 2**16),
 )
 @settings(max_examples=20, deadline=None)
-def test_split_partitions_exactly(p, colors, seed):
+def test_group_partitions_exactly(p, colors, seed):
     colors = colors[:p]
 
     def prog(comm):
-        sub = comm.split(color=colors[comm.rank])
+        sub = comm.group(
+            [r for r in range(comm.size) if colors[r] == colors[comm.rank]]
+        )
         return sorted(sub.allgather(comm.rank))
 
     results = spmd(p, prog)

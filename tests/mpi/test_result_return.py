@@ -174,8 +174,8 @@ class TestThroughThePool:
         second = run_spmd(2, _return_model, 12, backend=_POOLED)
         _assert_same_model(second[0][0], _model(12))
         assert np.all(model.core == 7.0)
-        assert not first.resources.degraded
-        assert not second.resources.degraded
+        assert not first.resources.degradations
+        assert not second.resources.degradations
 
     def test_the_segment_stays_with_the_rank_and_is_reused(self):
         n = 50_000

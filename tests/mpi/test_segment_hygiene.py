@@ -188,7 +188,7 @@ class TestSegmentHygiene:
             backend="process",
             faults=deny_first_arena_allocations(4),
         )
-        assert res.resources is not None and res.resources.degraded
+        assert res.resources is not None and res.resources.degradations
 
     def test_sigkill_mid_degradation_leaks_nothing(self):
         # A rank dies while the world is running degraded (its first

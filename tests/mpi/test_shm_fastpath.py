@@ -409,14 +409,11 @@ def _collective_battery(comm, x):
     at_root = comm.gather(x * (comm.rank + 2), root=1)
     folded = comm.reduce(x + comm.rank, SUM, root=2)
     mine = comm.scatter(
-        # Uneven slices, small first, then the full-size alltoall rows.
+        # Uneven slices, small first.
         [x[: n + 3] * n for n in range(comm.size)] if comm.rank == 0 else None,
         root=0,
     )
-    swapped = comm.alltoall(
-        [x * (j + 1) + comm.rank for j in range(comm.size)]
-    )
-    sub = comm.split(color=comm.rank % 2)
+    sub = comm.group([r for r in range(comm.size) if r % 2 == comm.rank % 2])
     sub_total = sub.allreduce(float(comm.rank))
     return (
         total.tobytes(),
@@ -427,7 +424,6 @@ def _collective_battery(comm, x):
         None if at_root is None else [g.tobytes() for g in at_root],
         None if folded is None else folded.tobytes(),
         mine.tobytes(),
-        [s.tobytes() for s in swapped],
         sub_total,
     )
 

@@ -52,15 +52,18 @@ class TestScaleStress:
         second = spmd(24, prog).values
         assert first == second  # determinism under load
 
-    def test_deep_split_tree(self):
+    def test_deep_group_tree(self):
         # Repeated halving: world -> halves -> quarters -> ...
         def prog(comm):
             current = comm
             labels = []
             while current.size > 1:
-                color = current.rank >= current.size // 2
-                labels.append(int(color))
-                current = current.split(color=int(color))
+                half = current.size // 2
+                upper = current.rank >= half
+                labels.append(int(upper))
+                current = current.group(
+                    range(half, current.size) if upper else range(half)
+                )
             return labels
 
         res = spmd(16, prog)

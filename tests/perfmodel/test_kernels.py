@@ -26,10 +26,6 @@ class TestKernelCost:
         assert c.flops == 30
         assert c.memory_words == 100  # max, not sum
 
-    def test_scaled(self):
-        c = KernelCost(flop_time=1, bw_time=1, flops=5).scaled(3)
-        assert c.flop_time == 3 and c.flops == 15
-
 
 class TestTtmCost:
     def test_flops_formula(self):

@@ -6,14 +6,6 @@ from repro.perfmodel import EDISON, EDISON_CALIBRATED, MachineSpec, UNIT
 
 
 class TestMachineSpec:
-    def test_peak_flops(self):
-        assert EDISON.peak_flops == pytest.approx(19.2e9)
-
-    def test_zero_gamma_has_no_peak(self):
-        m = MachineSpec(alpha=1, beta=1, gamma=0)
-        with pytest.raises(ValueError):
-            m.peak_flops
-
     def test_rejects_negative_constants(self):
         with pytest.raises(ValueError):
             MachineSpec(alpha=-1, beta=1, gamma=1)
@@ -26,17 +18,6 @@ class TestMachineSpec:
         constants[field] = float("nan")
         with pytest.raises(ValueError, match=field):
             MachineSpec(**constants)
-
-    def test_with_efficiency(self):
-        derated = EDISON.with_efficiency(0.5)
-        assert derated.gamma == pytest.approx(2 * EDISON.gamma)
-        assert "eff" in derated.name
-
-    def test_with_efficiency_validation(self):
-        with pytest.raises(ValueError):
-            EDISON.with_efficiency(0.0)
-        with pytest.raises(ValueError):
-            EDISON.with_efficiency(1.5)
 
     def test_frozen(self):
         with pytest.raises(Exception):

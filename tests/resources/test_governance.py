@@ -40,10 +40,8 @@ def _six_sends_in_flight(comm, n):
     x = np.arange(n, dtype=np.float64) * (comm.rank + 1)
     dest = (comm.rank + 1) % comm.size
     source = (comm.rank - 1) % comm.size
-    reqs = [comm.isend(x + k, dest=dest, tag=k) for k in range(6)]
-    got = [comm.recv(source=source, tag=k) for k in range(6)]
-    for req in reqs:
-        req.wait()
+    reqs = [comm.isendrecv(x + k, dest, source, tag=k) for k in range(6)]
+    got = [req.wait() for req in reqs]
     return float(sum(g[0] for g in got))
 
 
@@ -68,7 +66,7 @@ class TestExhaustionDegradation:
         )
         assert lean.values == fast.values
         report = lean.resources
-        assert report is not None and report.degraded
+        assert report is not None and report.degradations
         for event in report.degradations:
             assert event.site == "arena"
             assert event.kind == "pickle"
@@ -88,7 +86,7 @@ class TestExhaustionDegradation:
         )
         assert lean.values == fast.values
         report = lean.resources
-        assert report.degraded
+        assert report.degradations
         assert {e.site for e in report.degradations} == {"arena"}
         assert {e.kind for e in report.degradations} == {"pickle"}
 
@@ -100,14 +98,14 @@ class TestExhaustionDegradation:
         )
         report = res.resources
         assert report is not None
-        assert not report.degraded
+        assert not report.degradations
         assert report.charged_bytes > 0
         assert report.peak_bytes <= report.charged_bytes
 
     def test_thread_backend_reports_empty_resources(self):
         res = spmd(2, _collectives, 256, backend="thread")
         assert res.resources is not None
-        assert not res.resources.degraded
+        assert not res.resources.degradations
         assert res.resources.charged_bytes == 0
 
 
@@ -140,7 +138,7 @@ class TestFaultInjection:
         )
         assert hit.values == fast.values
         report = hit.resources
-        assert report.degraded
+        assert report.degradations
         assert [(e.rank, e.site, e.kind) for e in report.degradations] == [
             (0, "arena", "pickle")
         ]

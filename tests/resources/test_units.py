@@ -135,7 +135,7 @@ class TestReport:
                 },
             }
         )
-        assert report.degraded
+        assert report.degradations
         (event,) = report.degradations
         assert event == DegradationEvent(0, "arena", "pickle", 64, "denied")
         assert report.rank_live_bytes == {0: 10, -1: 5}
@@ -145,7 +145,7 @@ class TestReport:
 
     def test_empty_report(self):
         report = ResourceReport()
-        assert not report.degraded
+        assert not report.degradations
         assert "no degradations" in report.describe()
 
     def test_events_survive_pickle(self):

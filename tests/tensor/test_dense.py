@@ -72,29 +72,16 @@ class TestTensorClass:
         t = Tensor(x)
         assert t.norm() == pytest.approx(np.linalg.norm(t.unfold(0)))
 
-    def test_nrank_of_low_rank(self):
-        from repro.tensor import low_rank_tensor
-
-        x = low_rank_tensor((8, 9, 10), (2, 3, 4), seed=0)
-        t = Tensor(x)
-        assert (t.nrank(0), t.nrank(1), t.nrank(2)) == (2, 3, 4)
-
     def test_zeros_factory(self):
         t = Tensor.zeros((2, 3))
         assert t.shape == (2, 3)
         assert t.norm() == 0.0
-
-    def test_from_unfolding_roundtrip(self, rng):
-        x = rng.standard_normal((3, 4, 5))
-        t = Tensor.from_unfolding(unfold(x, 1), 1, x.shape)
-        assert t.allclose(x)
 
     def test_arithmetic(self, rng):
         x = rng.standard_normal((3, 3))
         t = Tensor(x)
         assert (t - t).norm() == 0.0
         assert (t + t).allclose(2 * x)
-        assert t.scale_by(3.0).allclose(3 * x)
 
     def test_rejects_scalar(self):
         with pytest.raises(ValueError):

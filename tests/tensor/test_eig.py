@@ -104,12 +104,6 @@ class TestAgainstOtherSolvers:
         )
 
 
-class TestTailSums:
-    def test_tail_structure(self):
-        eig = EigResult(values=np.array([4.0, 2.0, 1.0]), vectors=np.eye(3))
-        np.testing.assert_allclose(eig.tail_sums(), [7.0, 3.0, 1.0, 0.0])
-
-
 class TestRankFromTolerance:
     def test_exact_thresholds(self):
         values = np.array([4.0, 2.0, 1.0, 0.5])

@@ -20,7 +20,7 @@ PUBLIC_API = {
     "repro.config": [
         "RuntimeConfig", "ConfigField", "CONFIG_FIELDS",
         "resolve_config", "env_default", "default_for",
-        "set_active_config", "active_config",
+        "set_active_config",
     ],
     "repro.core": [
         "TuckerTensor", "sthosvd", "hooi",
@@ -38,7 +38,6 @@ PUBLIC_API = {
         "run_spmd", "Communicator", "CartGrid", "CostLedger",
         "SUM", "MAX", "MIN", "PROD",
         "MpiError", "DeadlockError", "SpmdError", "CommunicatorError",
-        "BufferMismatchError",
     ],
     "repro.distributed": [
         "DistTensor", "DistTucker", "dist_ttm", "dist_gram", "dist_evecs",
@@ -141,26 +140,50 @@ def test_no_schedule_keywords(module_name, name):
 # control and the resource board are gone, and so are their names.  So is
 # the execution-plan layer, and so is what lay outside the paper's surface
 # with only tests to call it (the streaming extension, T-HOSVD, the
-# baselines and the definitions below).
+# baselines and the definitions below), and the communicator ops and
+# definitions nothing in the program called (tests/analysis/
+# test_no_orphans.py keeps new ones from appearing).
 RETIRED_NAMES = {
     "repro": ["hosvd"],
-    "repro.config": ["PLAN_ENV_VAR", "resolve_plan"],
+    "repro.analysis": ["sanitize_level"],
+    "repro.analysis.sanitizer": ["sanitize_level", "SANITIZE_LEVELS"],
+    "repro.config": ["PLAN_ENV_VAR", "resolve_plan", "active_config"],
+    "repro.core.TuckerTensor": ["residual_norm_sq"],
     "repro.core": ["hosvd", "StreamingTucker"],
     "repro.data": ["strong_scaling_problem", "weak_scaling_problem"],
     "repro.distributed": ["DistStreamingTucker"],
     "repro.distributed.DistTensor": ["from_local_factory"],
+    "repro.distributed.DistTucker": ["reconstruct_distributed"],
+    "repro.distributed.sthosvd": ["reconstruct_modes"],
     "repro.perfmodel": [
         "ExecutionPlan", "plan_sthosvd", "refine_machine", "hooi_cost",
-        "ttm_memory", "gram_memory", "evecs_memory",
+        "ttm_memory", "gram_memory", "evecs_memory", "alltoall_cost",
     ],
+    "repro.perfmodel.collectives": ["alltoall_cost"],
+    "repro.perfmodel.KernelCost": ["scaled"],
+    "repro.perfmodel.MachineSpec": ["peak_flops", "with_efficiency"],
     "repro.tensor": ["leading_eigenvectors"],
+    "repro.tensor.Tensor": ["nrank", "scale_by", "from_unfolding"],
+    "repro.tensor.eig.EigResult": ["tail_sums"],
     "repro.util": ["gemm_flops"],
-    "repro.mpi": ["AdmissionError", "BudgetExceededError", "estimate_world_shm"],
-    "repro.mpi.errors": ["AdmissionError"],
+    "repro.faults.injector.FaultInjector": ["active"],
+    "repro.mpi": [
+        "AdmissionError", "BudgetExceededError", "estimate_world_shm",
+        "BufferMismatchError",
+    ],
+    "repro.mpi.errors": ["AdmissionError", "BufferMismatchError"],
+    "repro.mpi.CartGrid": ["rank_of", "shifted"],
+    "repro.mpi.Communicator": [
+        "alltoall", "iallreduce", "ireduce_scatter_block", "isend", "irecv",
+        "Send", "Recv", "split", "dup", "Get_rank", "Get_size",
+    ],
+    "repro.mpi.Request": ["test"],
+    "repro.mpi.ProcessTransport": ["aborted"],
     "repro.resources": [
         "AdmissionController", "admission_controller", "ADMISSION_WAIT",
         "estimate_world_shm", "BudgetExceededError", "ResourceBoard",
     ],
+    "repro.resources.ResourceReport": ["degraded"],
 }
 
 

@@ -12,15 +12,23 @@ import sys
 
 import pytest
 
-EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "examples")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+EXAMPLES = os.path.join(ROOT, "examples")
 
 
 def _run(name: str, timeout: float = 300.0) -> str:
+    # The examples import ``repro`` from the checkout's ``src``: pytest's
+    # ``pythonpath`` setting reaches only the pytest process, not a child.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
+    )
     result = subprocess.run(
         [sys.executable, os.path.join(EXAMPLES, name)],
         capture_output=True,
         text=True,
         timeout=timeout,
+        env=env,
     )
     assert result.returncode == 0, (
         f"{name} failed:\nstdout:\n{result.stdout}\nstderr:\n{result.stderr}"
