@@ -14,8 +14,6 @@ tolerances near machine precision remain meaningful at proxy scale.
 Run:  python examples/combustion_compression.py
 """
 
-import numpy as np
-
 from repro import hooi, max_abs_error, normalized_rms, sthosvd
 from repro.data import center_and_scale, hcci_proxy, sp_proxy, tjlr_proxy
 

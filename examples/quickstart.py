@@ -12,8 +12,6 @@ Run:  python examples/quickstart.py
 import os
 import tempfile
 
-import numpy as np
-
 from repro import normalized_rms, sthosvd
 from repro.data import center_and_scale, hcci_proxy
 from repro.io import load_tucker, save_tucker, stored_bytes

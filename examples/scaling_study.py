@@ -9,9 +9,6 @@ executing the simulated-MPI ST-HOSVD and reading its cost ledger.
 Run:  python examples/scaling_study.py
 """
 
-import numpy as np
-
-from repro.data import center_and_scale
 from repro.distributed import DistTensor, dist_sthosvd
 from repro.mpi import CartGrid, run_spmd
 from repro.perfmodel import EDISON_CALIBRATED, strong_scaling_curve, weak_scaling_curve

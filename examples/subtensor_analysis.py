@@ -11,8 +11,6 @@ reporting per-extraction cost (elements touched) and accuracy.
 Run:  python examples/subtensor_analysis.py
 """
 
-import numpy as np
-
 from repro import normalized_rms, sthosvd
 from repro.data import center_and_scale, sp_proxy
 

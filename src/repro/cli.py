@@ -414,7 +414,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SpmdError as exc:
-        # A parallel run failed — dead rank, injected fault, mismatched
+        # A parallel run failed — dead rank, full /dev/shm, mismatched
         # collectives, deadlock; the per-rank diagnoses ride the message.
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -80,16 +80,6 @@ def _parse_sanitize(raw: str) -> int:
     return value
 
 
-def _parse_retry(raw: str) -> int:
-    raw = raw.strip() or "1"
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_SPMD_RETRY must be an integer, got {raw!r}"
-        ) from None
-
-
 def _parse_deadline(raw: str) -> float:
     raw = raw.strip()
     if not raw:
@@ -127,8 +117,6 @@ CONFIG_FIELDS: tuple[ConfigField, ...] = (
     ),
     ConfigField("compute_dtype", "REPRO_DTYPE", "float64", _parse_dtype),
     ConfigField("sanitize", "REPRO_SANITIZE", 0, _parse_sanitize),
-    ConfigField("faults", "REPRO_FAULTS", "", lambda raw: raw.strip()),
-    ConfigField("retry", "REPRO_SPMD_RETRY", 1, _parse_retry),
     ConfigField("timeout", "REPRO_SPMD_TIMEOUT", 120.0, _parse_timeout),
     ConfigField("deadline", "REPRO_DEADLINE", 0.0, _parse_deadline),
 )
@@ -149,8 +137,6 @@ class RuntimeConfig:
     backend: str = "thread"
     compute_dtype: str = "float64"
     sanitize: int = 0
-    faults: str = ""
-    retry: int = 1
     timeout: float = 120.0
     deadline: float = 0.0
 
@@ -161,8 +147,6 @@ class RuntimeConfig:
         object.__setattr__(self, "backend", str(self.backend))
         object.__setattr__(self, "compute_dtype", str(self.compute_dtype))
         object.__setattr__(self, "sanitize", int(self.sanitize))
-        object.__setattr__(self, "faults", str(self.faults))
-        object.__setattr__(self, "retry", int(self.retry))
         object.__setattr__(self, "timeout", float(self.timeout))
         object.__setattr__(self, "deadline", float(self.deadline))
         if self.compute_dtype not in _COMPUTE_DTYPES:
@@ -175,8 +159,6 @@ class RuntimeConfig:
                 f"sanitize level must be one of {_SANITIZE_LEVELS}, "
                 f"got {self.sanitize}"
             )
-        if self.retry < 1:
-            raise ValueError(f"retry must be >= 1, got {self.retry}")
         # ``not x > 0`` rather than ``x <= 0``: NaN must fail too (a NaN
         # timeout would never expire, a NaN deadline would mean none).
         if not self.timeout > 0:
@@ -196,7 +178,7 @@ def env_default(name: str) -> Any:
     The single place in the repository where a ``REPRO_*`` variable is
     read (``tests/analysis/test_source_rules.py`` keeps it that way).  Raises ``ValueError`` with
     the knob's historical message on a value its parser rejects; the
-    numeric ranges (``retry``, ``timeout``, ``deadline``) are checked
+    numeric ranges (``timeout``, ``deadline``) are checked
     where the value reaches :class:`RuntimeConfig`.
     """
     field = _FIELD_BY_NAME[name]

@@ -100,8 +100,8 @@ def tolerance_ranks(
 def self_grid(ndim: int) -> CartGrid:
     """An all-ones grid of order ``ndim`` over a one-rank communicator.
 
-    Built in the calling thread: no launch, no rank thread, no sanitizer
-    or fault injector, a private ledger.  Every collective of a size-1
+    Built in the calling thread: no launch, no rank thread, no
+    sanitizer, a private ledger.  Every collective of a size-1
     group is an identity, so the distributed drivers run on it as the
     sequential algorithm, on the caller's array.
     """

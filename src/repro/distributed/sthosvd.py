@@ -12,7 +12,6 @@ call also plans its mode order (:func:`plan_mode_order`, section
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,7 +25,6 @@ from repro.core.precision import (
     split_tolerance,
 )
 from repro.core.tucker import TuckerTensor
-from repro.resources import check_deadline
 from repro.distributed.dist_tensor import DistTensor
 from repro.distributed.evecs import dist_evecs
 from repro.distributed.gram import dist_gram
@@ -180,116 +178,6 @@ def project_modes(
         u = factors_local[m]
         y = dist_ttm(y, u.T.copy(), m, u.shape[1], strategy=strategy)
     return y
-
-
-def _checkpoint_digest(
-    dt: DistTensor,
-    tol: float | None,
-    ranks: Sequence[int] | None,
-    order: Sequence[int],
-    method: str,
-    compute: str = "float64",
-) -> str:
-    from repro.io.tucker_io import checkpoint_digest
-
-    return checkpoint_digest(
-        {
-            "global_shape": [int(s) for s in dt.global_shape],
-            "grid": [int(p) for p in dt.grid.dims],
-            "n_ranks": dt.comm.size,
-            "tol": tol,
-            "ranks": None if ranks is None else [int(r) for r in ranks],
-            "order": [int(n) for n in order],
-            "method": method,
-            "compute": compute,
-        }
-    )
-
-
-def _checkpoint_resume(
-    checkpoint: str | os.PathLike,
-    digest: str,
-    dt: DistTensor,
-    factors: list[np.ndarray | None],
-    eigenvalues: list[np.ndarray | None],
-) -> tuple[int, DistTensor, float | None]:
-    """Restore ``(completed steps, working tensor, ||X||^2)`` from a
-    committed checkpoint, or ``(0, dt, None)`` when none exists.
-
-    Safe to run concurrently on all ranks: the committed ``meta.json``
-    is stable (nobody writes it until every rank is past this point),
-    and each rank loads only its own step file.
-    """
-    from repro.io.tucker_io import load_checkpoint_state, read_checkpoint_meta
-
-    check_deadline("checkpoint resume")
-    meta = read_checkpoint_meta(checkpoint)
-    if meta is None:
-        return 0, dt, None
-    if meta["digest"] != digest:
-        raise ValueError(
-            f"checkpoint {os.fspath(checkpoint)!r} was written for "
-            "different parameters (shape, grid, tol/ranks, mode order, or "
-            "method); refusing to resume from it"
-        )
-    completed = int(meta["completed"])
-    if completed <= 0:
-        return 0, dt, None
-    state = load_checkpoint_state(checkpoint, completed - 1, dt.comm.rank)
-    for mode, f in state["factors"].items():
-        factors[mode] = f
-    for mode, e in state["eigenvalues"].items():
-        eigenvalues[mode] = e
-    return (
-        completed,
-        dt.with_local(state["local"], state["global_shape"]),
-        float(meta["x_norm_sq"]),
-    )
-
-
-def _checkpoint_commit(
-    checkpoint: str | os.PathLike,
-    digest: str,
-    step: int,
-    order: Sequence[int],
-    y: DistTensor,
-    factors: list[np.ndarray | None],
-    eigenvalues: list[np.ndarray | None],
-    x_norm_sq: float,
-) -> None:
-    """Commit the state after step ``step`` (position in ``order``),
-    with the ``||X||^2`` the run carries.
-
-    Every rank writes its step file, a barrier establishes that all
-    files exist, then rank 0 publishes ``meta.json`` and retires the
-    superseded step.  A crash anywhere in between leaves the previous
-    committed checkpoint fully intact.
-    """
-    from repro.io.tucker_io import (
-        clear_checkpoint_step,
-        commit_checkpoint_meta,
-        save_checkpoint_state,
-    )
-
-    comm = y.comm
-    check_deadline("checkpoint commit")
-    save_checkpoint_state(
-        checkpoint,
-        step,
-        comm.rank,
-        y.local,
-        y.global_shape,
-        {n: f for n, f in enumerate(factors) if f is not None},
-        {n: e for n, e in enumerate(eigenvalues) if e is not None},
-    )
-    comm.barrier()
-    if comm.rank == 0:
-        commit_checkpoint_meta(
-            checkpoint, digest, step + 1, comm.size, tuple(order), x_norm_sq
-        )
-        if step > 0:
-            clear_checkpoint_step(checkpoint, step - 1)
-    comm.barrier()
 
 
 def _orthonormality_defect(grid, factors: Sequence[np.ndarray]) -> float:
@@ -506,7 +394,6 @@ def dist_sthosvd(
     mode_order: Sequence[int] | str | None = None,
     ttm_strategy: str = "auto",
     method: str = "gram",
-    checkpoint: str | os.PathLike | None = None,
     compute_dtype: str | None = None,
     *,
     mode_labels: Sequence[int] | None = None,
@@ -519,15 +406,6 @@ def dist_sthosvd(
     kernels with the TSQR-based factor computation of
     :func:`repro.distributed.tsqr.dist_mode_svd` (the paper's Sec. IX
     numerical improvement, at roughly twice the cost).
-
-    ``checkpoint=`` names a directory used for crash recovery: after
-    each mode completes, every rank writes its shrunk core block and
-    factor rows there (atomic per-mode commit, see
-    :mod:`repro.io.tucker_io`), and a relaunch — e.g. a
-    ``run_spmd(retry=RetryPolicy(...))`` attempt after a rank death —
-    resumes from the last committed mode instead of recomputing,
-    producing bit-identical factors.  The store is validated against the
-    call's parameters (digest) and cleared on successful completion.
 
     ``compute_dtype=`` selects the kernel precision (default the run's
     ``RuntimeConfig.compute_dtype`` / ``REPRO_DTYPE``) under the
@@ -619,20 +497,7 @@ def dist_sthosvd(
         y = dt.with_local(np.asarray(dt.local, dtype=np.float32))
     factors: list[np.ndarray | None] = [None] * n_modes
     eigenvalues: list[np.ndarray | None] = [None] * n_modes
-    completed = 0
-    ckpt_digest = ""
-    if checkpoint is not None:
-        ckpt_digest = _checkpoint_digest(dt, tol, ranks, order, method,
-                                         compute)
-        with comm.section("checkpoint"):
-            completed, y, stored = _checkpoint_resume(
-                checkpoint, ckpt_digest, y, factors, eigenvalues
-            )
-        if completed:
-            x_norm_sq = stored
-    for step, n in enumerate(order):
-        if step < completed:
-            continue
+    for n in order:
         # Threshold-based selection is floored at the grid extent: the
         # block distribution needs one output row per processor in the
         # mode (strictly more accurate than requested, never worse).
@@ -659,12 +524,6 @@ def dist_sthosvd(
         eigenvalues[n] = eig.values
         with comm.section("ttm"):
             y = project_modes(y, factors, [n], ttm_strategy)  # type: ignore[arg-type]
-        if checkpoint is not None:
-            with comm.section("checkpoint"):
-                _checkpoint_commit(
-                    checkpoint, ckpt_digest, step, order, y,
-                    factors, eigenvalues, x_norm_sq,
-                )
 
     if compute == "mixed" and tol is not None:
         # Precision-share gate: the float32 sweep's residual estimate is
@@ -692,17 +551,6 @@ def dist_sthosvd(
     factors = [np.asarray(f, dtype=np.float64) for f in factors]
     if y.local.dtype != np.float64:
         y = y.with_local(np.asarray(y.local, dtype=np.float64))
-
-    if checkpoint is not None:
-        # The run is complete; restart files are transient by design —
-        # a later call with the same parameters must recompute, not
-        # replay stale state.
-        with comm.section("checkpoint"):
-            comm.barrier()
-            if comm.rank == 0:
-                from repro.io.tucker_io import clear_checkpoint
-
-                clear_checkpoint(checkpoint)
 
     return DistTucker(
         core=y,

@@ -7,28 +7,6 @@ containers with JSON metadata and reports on-disk compression relative to
 the raw tensor.
 """
 
-from repro.io.tucker_io import (
-    checkpoint_digest,
-    clear_checkpoint,
-    clear_checkpoint_step,
-    commit_checkpoint_meta,
-    load_checkpoint_state,
-    load_tucker,
-    read_checkpoint_meta,
-    save_checkpoint_state,
-    save_tucker,
-    stored_bytes,
-)
+from repro.io.tucker_io import load_tucker, save_tucker, stored_bytes
 
-__all__ = [
-    "save_tucker",
-    "load_tucker",
-    "stored_bytes",
-    "checkpoint_digest",
-    "save_checkpoint_state",
-    "load_checkpoint_state",
-    "commit_checkpoint_meta",
-    "read_checkpoint_meta",
-    "clear_checkpoint_step",
-    "clear_checkpoint",
-]
+__all__ = ["save_tucker", "load_tucker", "stored_bytes"]

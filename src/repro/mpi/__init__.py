@@ -45,12 +45,6 @@ from repro.mpi.backends import (
     shutdown_worker_pools,
 )
 from repro.mpi.executor import SpmdResult, run_spmd
-from repro.faults import (
-    FAULTS_ENV_VAR,
-    FaultSpec,
-    RetryPolicy,
-    resolve_faults,
-)
 from repro.mpi.ledger import CostLedger, RankCosts
 from repro.mpi.process_transport import (
     ProcessTransport,
@@ -67,7 +61,6 @@ from repro.mpi.errors import (
     CommunicatorError,
     DeadlineExceededError,
     DeadlockError,
-    FaultInjectedError,
     MpiError,
     RankDeadError,
     RequestLeakError,
@@ -103,10 +96,6 @@ __all__ = [
     "shutdown_worker_pools",
     "BACKEND_ENV_VAR",
     "SANITIZE_ENV_VAR",
-    "FAULTS_ENV_VAR",
-    "FaultSpec",
-    "RetryPolicy",
-    "resolve_faults",
     "Sanitizer",
     "ResourceReport",
     "DegradationEvent",
@@ -114,7 +103,6 @@ __all__ = [
     "DeadlockError",
     "DeadlineExceededError",
     "RankDeadError",
-    "FaultInjectedError",
     "CommunicatorError",
     "SpmdError",
     "SanitizerError",

@@ -98,7 +98,6 @@ from typing import Any, Callable, Sequence
 from repro import resources as resources_mod
 from repro.analysis.sanitizer import Sanitizer
 from repro.config import RuntimeConfig, default_for, set_active_config
-from repro.faults import FaultInjector, FaultSpec, StatusBoard, describe_exitcode
 from repro.mpi.comm import Communicator
 from repro.mpi.errors import DeadlockError, RankDeadError, SpmdError
 from repro.mpi.ledger import CostLedger
@@ -115,6 +114,7 @@ from repro.mpi.process_transport import (
     stage_value,
     unstage_value,
 )
+from repro.mpi.status import StatusBoard, describe_exitcode
 from repro.mpi.transport import ThreadTransport
 from repro.perfmodel.machine import MachineSpec
 
@@ -227,8 +227,6 @@ class ExecutorBackend(abc.ABC):
         timeout: float,
         rank_args: Sequence[tuple] | None,
         sanitize: int = 0,
-        faults: FaultSpec | None = None,
-        attempt: int = 1,
         config: RuntimeConfig | None = None,
     ) -> SpmdResult:
         """Execute ``fn(comm, *args[, *rank_args[rank]])`` on every rank.
@@ -238,12 +236,6 @@ class ExecutorBackend(abc.ABC):
         :class:`~repro.analysis.sanitizer.Sanitizer` per rank at level
         1, finalize it after a successful rank return, and annotate
         deadlock timeouts with the rank's last collective.
-
-        ``faults`` is the resolved fault-injection spec (``None`` when
-        chaos is off) and ``attempt`` the 1-based launch attempt number
-        (advanced by ``run_spmd``'s retry loop): backends build one
-        :class:`~repro.faults.FaultInjector` per rank from them and fire
-        the ``dispatch`` site before the rank function runs.
 
         ``config`` is the run's resolved
         :class:`~repro.config.RuntimeConfig`.  ``run_spmd`` installs it
@@ -268,8 +260,6 @@ class ThreadBackend(ExecutorBackend):
         timeout: float,
         rank_args: Sequence[tuple] | None,
         sanitize: int = 0,
-        faults: FaultSpec | None = None,
-        attempt: int = 1,
         config: RuntimeConfig | None = None,
     ) -> SpmdResult:
         # Thread ranks share the launching process, where run_spmd has
@@ -284,14 +274,6 @@ class ThreadBackend(ExecutorBackend):
             sanitizer = (
                 Sanitizer(level=sanitize, world_rank=rank) if sanitize else None
             )
-            # Thread ranks share the parent process, so kind=crash
-            # degrades to FaultInjectedError (hard_crash=False) — a
-            # SIGKILL would take the whole test runner down.
-            injector = (
-                FaultInjector(faults, rank, attempt, hard_crash=False)
-                if faults is not None
-                else None
-            )
             comm = Communicator(
                 transport,
                 ledger,
@@ -299,11 +281,8 @@ class ThreadBackend(ExecutorBackend):
                 tuple(range(n_ranks)),
                 rank,
                 sanitizer=sanitizer,
-                faults=injector,
             )
             try:
-                if injector is not None:
-                    injector.fire("dispatch")
                 extra = rank_args[rank] if rank_args is not None else ()
                 values[rank] = fn(comm, *args, *extra)
                 if sanitizer is not None:
@@ -427,8 +406,8 @@ def _run_one_rank(
     """Execute one rank against a fresh transport; always cleans up.
 
     ``stage`` maps a healthy rank's return value to what is reported; it
-    runs while the rank's governor is still configured, so its
-    allocation is gated, charged and summarised like any other.
+    runs before the rank's governor is summarised, so its allocation is
+    charged and summarised like any other.
     """
     topts = dict(transport_opts)
     # The run's resolved RuntimeConfig is installed around everything
@@ -437,22 +416,15 @@ def _run_one_rank(
     config: RuntimeConfig | None = topts.pop("config", None)
     previous_config = set_active_config(config) if config is not None else None
     # The run deadline ships as an absolute monotonic timestamp (fork
-    # children share the parent's clock), so every rank — and every
-    # retry attempt — counts down the same wall-clock budget.
+    # children share the parent's clock), so every rank counts down the
+    # same wall-clock budget.
     deadline = topts.pop("deadline", None)
     previous_deadline = resources_mod.set_active_deadline(deadline)
     try:
-        # Fault-tolerance options ride the dispatch as picklable primitives;
-        # the live objects (injector, board) are built rank-side here.
+        # Run options ride the dispatch as picklable primitives; the
+        # status board is attached rank-side here.
         sanitize: int = topts.pop("sanitize", 0)
-        spec: FaultSpec | None = topts.pop("faults", None)
-        attempt: int = topts.pop("attempt", 1)
         board_name: str | None = topts.pop("status", None)
-        injector = (
-            FaultInjector(spec, rank, attempt, hard_crash=True)
-            if spec is not None
-            else None
-        )
         board = None
         if board_name is not None:
             try:
@@ -460,57 +432,51 @@ def _run_one_rank(
             except FileNotFoundError:  # pragma: no cover - board already audited
                 board = None
         gov = resources_mod.governor()
-        gov.configure(faults=injector)
+        gov.configure()
+        transport = ProcessTransport(
+            rank, inboxes, abort_event, timeout=timeout, run_seq=run_seq,
+            status=board,
+        )
+        ledger = CostLedger(n_ranks, machine)
+        sanitizer = (
+            Sanitizer(level=sanitize, world_rank=rank) if sanitize else None
+        )
+        comm = Communicator(
+            transport,
+            ledger,
+            "world",
+            tuple(range(n_ranks)),
+            rank,
+            sanitizer=sanitizer,
+        )
+        value: Any = None
+        failure: BaseException | None = None
         try:
-            transport = ProcessTransport(
-                rank, inboxes, abort_event, timeout=timeout, run_seq=run_seq,
-                faults=injector, status=board,
-            )
-            ledger = CostLedger(n_ranks, machine)
-            sanitizer = (
-                Sanitizer(level=sanitize, world_rank=rank) if sanitize else None
-            )
-            comm = Communicator(
-                transport,
-                ledger,
-                "world",
-                tuple(range(n_ranks)),
-                rank,
-                sanitizer=sanitizer,
-                faults=injector,
-            )
-            value: Any = None
-            failure: BaseException | None = None
-            try:
-                if board is not None:
-                    board.mark_running(rank, os.getpid())
-                if injector is not None:
-                    injector.fire("dispatch")
-                value = fn(comm, *args, *extra)
-                if sanitizer is not None:
-                    sanitizer.finalize()
-                if board is not None:
-                    board.mark_done(rank)
-            except BaseException as exc:  # noqa: BLE001 - reraised via SpmdError
-                if sanitizer is not None and isinstance(exc, DeadlockError):
-                    sanitizer.annotate(exc)
-                failure = exc
-                transport.abort(exc)
-            finally:
-                try:
-                    transport.end_run()
-                finally:
-                    if board is not None:
-                        board.close()
-            costs = ledger.rank_costs(rank)
-            if failure is None:
-                try:
-                    value = stage(value)
-                except Exception as exc:  # noqa: BLE001 - reraised via SpmdError
-                    value, failure = None, exc
+            if board is not None:
+                board.mark_running(rank, os.getpid())
+            value = fn(comm, *args, *extra)
+            if sanitizer is not None:
+                sanitizer.finalize()
+            if board is not None:
+                board.mark_done(rank)
+        except BaseException as exc:  # noqa: BLE001 - reraised via SpmdError
+            if sanitizer is not None and isinstance(exc, DeadlockError):
+                sanitizer.annotate(exc)
+            failure = exc
+            transport.abort(exc)
         finally:
-            rsummary = gov.deconfigure()
-        return value, failure, costs, rsummary
+            try:
+                transport.end_run()
+            finally:
+                if board is not None:
+                    board.close()
+        costs = ledger.rank_costs(rank)
+        if failure is None:
+            try:
+                value = stage(value)
+            except Exception as exc:  # noqa: BLE001 - reraised via SpmdError
+                value, failure = None, exc
+        return value, failure, costs, gov.summary()
     finally:
         resources_mod.set_active_deadline(previous_deadline)
         if config is not None:
@@ -911,15 +877,13 @@ class ProcessBackend(ExecutorBackend):
         timeout: float,
         rank_args: Sequence[tuple] | None,
         sanitize: int = 0,
-        faults: FaultSpec | None = None,
-        attempt: int = 1,
         config: RuntimeConfig | None = None,
     ) -> SpmdResult:
-        # The resolved RuntimeConfig (and sanitize level, fault spec,
-        # attempt) ride the run's task (never the environment: warm pool
-        # workers were forked long ago and would not see an env change).
+        # The resolved RuntimeConfig (and sanitize level) ride the run's
+        # task (never the environment: warm pool workers were forked long
+        # ago and would not see an env change).
         transport_opts = dict(
-            sanitize=sanitize, faults=faults, attempt=attempt, config=config,
+            sanitize=sanitize, config=config,
             # The run deadline (installed by the executor) ships as an
             # absolute monotonic timestamp: fork children share the
             # parent's clock, so every rank counts down the same budget.
@@ -936,27 +900,23 @@ class ProcessBackend(ExecutorBackend):
             pool = _get_pool(n_ranks, fn)
         # The parent stages dispatch payloads through its arena: account
         # those allocations as the run's parent-side (-1) summary.
-        gov = resources_mod.governor()
-        gov.configure()
-        try:
-            if pool is not None:
-                run_seq = pool.dispatch(
-                    fn, args, rank_args, machine, timeout,
-                    transport_opts=transport_opts,
-                )
-                if run_seq is not None:
-                    result = self._collect(pool, run_seq, n_ranks, machine)
-                    if result is not None:
-                        return result
-            # Not picklable, or the warm workers could not load it (that
-            # pool is retired): fork a one-shot pool that inherits the run.
-            pool = _RankPool(
-                n_ranks,
-                first=(fn, args, rank_args, machine, timeout, transport_opts),
+        resources_mod.governor().configure()
+        if pool is not None:
+            run_seq = pool.dispatch(
+                fn, args, rank_args, machine, timeout,
+                transport_opts=transport_opts,
             )
-            return self._collect(pool, pool.run_seq, n_ranks, machine)
-        finally:
-            gov.deconfigure()
+            if run_seq is not None:
+                result = self._collect(pool, run_seq, n_ranks, machine)
+                if result is not None:
+                    return result
+        # Not picklable, or the warm workers could not load it (that
+        # pool is retired): fork a one-shot pool that inherits the run.
+        pool = _RankPool(
+            n_ranks,
+            first=(fn, args, rank_args, machine, timeout, transport_opts),
+        )
+        return self._collect(pool, pool.run_seq, n_ranks, machine)
 
     def _collect(
         self, pool: _RankPool, run_seq: int, n_ranks: int, machine: MachineSpec
@@ -1057,8 +1017,8 @@ class ProcessBackend(ExecutorBackend):
                     values[rank] = unstage_value(value)
                 else:
                     values[rank] = value
-        # The parent's staging governor is still configured here (the
-        # caller deconfigures it); snapshot its summary as the -1 slot.
+        # The parent's staging governor has counted this run since the
+        # caller configured it: its summary is the -1 slot.
         rsummaries[-1] = resources_mod.governor().summary()
         return values, failures, ledger, rsummaries
 

@@ -205,7 +205,6 @@ class Communicator:
         members: Sequence[int],
         world_rank: int,
         sanitizer: Sanitizer | None = None,
-        faults=None,
     ):
         members = tuple(members)
         if len(set(members)) != len(members):
@@ -234,12 +233,6 @@ class Communicator:
         # bookkeeping and the last-collective deadlock context span
         # `group` children too.
         self._san = sanitizer
-        # Fault injector (None unless REPRO_FAULTS / run_spmd(faults=) is
-        # active): every collective entry fires its op-name site before
-        # any protocol traffic, so injected failures land at a precise,
-        # reproducible point in the collective schedule.  Shared across
-        # `group` children like the sanitizer.
-        self._faults = faults
         # Sub-communicators built by `group`, by their ranks here.
         self._groups: dict[tuple[int, ...], Communicator] = {}
 
@@ -406,9 +399,9 @@ class Communicator:
 
         The shared steps run in a fixed order: the sequence number, the
         run deadline, the status-board note (this op becomes the rank's
-        last-known context for death post-mortems), the fault site, the
-        sanitizer signature, then the round — a peerless round on one
-        member — and last the charge.  ``finish(round)`` reads the round
+        last-known context for death post-mortems), the sanitizer
+        signature, then the round — a peerless round on one member — and
+        last the charge.  ``finish(round)`` reads the round
         and returns ``(result, words)``; ``cost(P, words, machine)`` is the
         op's closed form.  A non-blocking op posts its round here and
         returns the :class:`Request` whose ``wait()`` runs the fence, the
@@ -418,8 +411,6 @@ class Communicator:
         self._coll_seq += 1
         resources.check_deadline(op)
         self._transport.note_collective(op, seq)
-        if self._faults is not None:
-            self._faults.fire(op)
         sig = None
         if self._san is not None:
             sig = self._san.collective(
@@ -672,7 +663,6 @@ class Communicator:
                 tuple(self._members[r] for r in key),
                 self._world_rank,
                 sanitizer=self._san,
-                faults=self._faults,
             )
         return self._groups[key]
 

@@ -55,24 +55,14 @@ class RankDeadError(MpiError):
 class DeadlineExceededError(MpiError):
     """The run blew past its cooperative deadline (``REPRO_DEADLINE``).
 
-    Checked at collective entries, blocking receives and checkpoint steps:
-    every rank that reaches a check after the deadline raises promptly,
-    naming the operation it was in and the elapsed time, so a stalled
-    world converges to a clean multi-rank failure within seconds instead
-    of burning the full deadlock timeout.  The deadline is an absolute
-    monotonic timestamp shared by every retry attempt, so a relaunched
-    attempt only gets the remaining budget.
-    """
-
-
-class FaultInjectedError(MpiError):
-    """An injected fault fired (``REPRO_FAULTS`` / ``run_spmd(faults=)``).
-
-    Raised by ``kind=exception`` faults on any backend and by
-    ``kind=crash`` faults on the thread backend (where killing the
-    process would take the test runner down with it); ``kind=crash`` on
-    the process backend SIGKILLs the rank instead and surfaces as
-    :class:`RankDeadError`.
+    Checked at collective entries, blocking receives and the CLI's file
+    steps (``input read``, ``model save``): every rank that reaches a
+    check after the deadline raises promptly, naming the operation it
+    was in and the elapsed time, so a stalled world converges to a clean
+    multi-rank failure within seconds instead of burning the full
+    deadlock timeout.  The deadline is an absolute monotonic timestamp
+    fixed in the launching process before any rank starts, so every rank
+    counts down the same budget.
     """
 
 

@@ -11,13 +11,10 @@ benchmark runs are not dominated by launch overhead.
 
 Whatever the backend, if any rank raises, the transport is poisoned so
 sibling ranks blocked on receives fail fast, and the whole run raises
-:class:`~repro.mpi.errors.SpmdError` carrying every rank's exception.
-
-Fault tolerance rides here too: ``faults=`` (or ``REPRO_FAULTS``)
-injects deterministic failures for chaos testing, and ``retry=`` wraps
-the launch in a bounded exponential-backoff loop — a rank death
-(:class:`~repro.mpi.errors.RankDeadError`) triggers a clean relaunch
-instead of surfacing immediately.
+:class:`~repro.mpi.errors.SpmdError` carrying every rank's exception.  A
+process rank that dies without reporting surfaces as
+:class:`~repro.mpi.errors.RankDeadError`, naming the rank, its signal and
+its last collective.
 """
 
 from __future__ import annotations
@@ -27,14 +24,12 @@ from typing import Any, Callable, Sequence
 
 from repro import resources
 from repro.config import RuntimeConfig, resolve_config, set_active_config
-from repro.faults import FaultSpec, RetryPolicy, resolve_faults
 from repro.mpi.backends import (
     ExecutorBackend,
     SpmdResult,
     available_backends,
     resolve_backend,
 )
-from repro.mpi.errors import SpmdError
 from repro.perfmodel.machine import EDISON, MachineSpec
 
 __all__ = ["SpmdResult", "run_spmd", "available_backends"]
@@ -49,8 +44,6 @@ def run_spmd(
     rank_args: Sequence[tuple] | None = None,
     backend: str | ExecutorBackend | None = None,
     sanitize: int | None = None,
-    faults: FaultSpec | str | None = None,
-    retry: RetryPolicy | None = None,
     config: RuntimeConfig | None = None,
     deadline: float | None = None,
 ) -> SpmdResult:
@@ -90,18 +83,6 @@ def run_spmd(
         variable.  The level
         is resolved here, in the launching process, and rides the run
         dispatch — warm pool workers need no environment change.
-    faults:
-        Deterministic fault-injection spec (:class:`repro.faults.FaultSpec`
-        or its string grammar, e.g. ``"rank=1:site=allreduce:kind=crash"``).
-        ``None`` (default) consults ``REPRO_FAULTS``.  Resolved here and
-        carried by the run dispatch, like ``sanitize``.
-    retry:
-        Optional :class:`repro.faults.RetryPolicy`: relaunch the whole
-        SPMD section (with exponential backoff) when it fails with a
-        retryable error — by default a rank death.  Fault clauses apply
-        to attempt 1 only unless they say ``attempt=``, so an injected
-        crash is not re-injected on the retry.  ``None`` consults the
-        resolved config's ``retry`` count (``REPRO_SPMD_RETRY``).
     config:
         A complete :class:`repro.config.RuntimeConfig` describing every
         runtime knob (backend, timeout, dtype, ...).  Explicit
@@ -113,9 +94,9 @@ def run_spmd(
     deadline:
         Cooperative wall-clock deadline for the whole run, in seconds
         (``None`` consults ``REPRO_DEADLINE``; ``0`` = no deadline).
-        The budget starts counting *before* the first attempt and is
-        shared across retries: ranks check it at collective entries,
-        blocking receives and checkpoint steps, and every rank raises
+        The budget starts counting here, before any rank is launched:
+        ranks check it at collective entries and blocking receives, and
+        every rank raises
         :class:`~repro.mpi.errors.DeadlineExceededError` — naming the
         operation it was in — within seconds of expiry, with
         ``/dev/shm`` left clean.
@@ -143,22 +124,15 @@ def run_spmd(
         config,
         backend=backend if isinstance(backend, str) else None,
         sanitize=sanitize,
-        faults=faults if isinstance(faults, str) else None,
         timeout=timeout,
         deadline=deadline,
     )
-    if faults is None or isinstance(faults, str):
-        spec = FaultSpec.parse(cfg.faults) if cfg.faults else None
-    else:
-        spec = resolve_faults(faults)  # FaultSpec passthrough / TypeError
-    if retry is None and cfg.retry > 1:
-        retry = RetryPolicy(max_attempts=cfg.retry)
     if isinstance(backend, ExecutorBackend):
         executor = backend
     else:
         executor = resolve_backend(cfg.backend)
-    # The deadline is an *absolute* timestamp fixed before attempt 1, so
-    # a retried attempt inherits only the remaining budget.
+    # The deadline is an *absolute* timestamp, so every rank — a process
+    # rank too — counts down the same budget.
     deadline_info = (
         (time.monotonic() + cfg.deadline, cfg.deadline)
         if cfg.deadline > 0
@@ -167,29 +141,16 @@ def run_spmd(
     previous = set_active_config(cfg)
     previous_deadline = resources.set_active_deadline(deadline_info)
     try:
-        attempt = 1
-        while True:
-            try:
-                return executor.run(
-                    n_ranks,
-                    fn,
-                    args,
-                    machine,
-                    cfg.timeout,
-                    rank_args,
-                    sanitize=cfg.sanitize,
-                    faults=spec,
-                    attempt=attempt,
-                    config=cfg,
-                )
-            except SpmdError as exc:
-                if retry is None or not retry.should_retry(exc, attempt):
-                    raise
-                resources.check_deadline(
-                    f"retry backoff before attempt {attempt + 1}"
-                )
-                time.sleep(retry.delay(attempt))
-                attempt += 1
+        return executor.run(
+            n_ranks,
+            fn,
+            args,
+            machine,
+            cfg.timeout,
+            rank_args,
+            sanitize=cfg.sanitize,
+            config=cfg,
+        )
     finally:
         resources.set_active_deadline(previous_deadline)
         set_active_config(previous)

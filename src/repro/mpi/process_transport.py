@@ -104,7 +104,7 @@ _BUCKET_MAX_FREE = 2
 _ARENA_MAX_FREE_BYTES = 128 << 20
 
 #: Name prefix for POSIX shm segments (and status boards — see
-#: ``repro.faults.status``).  ``rps_`` names embed the creator's pid,
+#: ``repro.mpi.status``).  ``rps_`` names embed the creator's pid,
 #: which is what lets :func:`reap_stale_segments` audit /dev/shm after a
 #: rank crash: only segments whose creator is a *dead* process of this
 #: run are reclaimed.
@@ -173,20 +173,16 @@ class Segment:
         _posixshmem.shm_unlink("/" + self.name)
 
 
-def create_segment(nbytes: int, purpose: str = "segment") -> Segment:
+def create_segment(nbytes: int) -> Segment:
     """A fresh shared segment of at least ``nbytes``.
 
-    The resource governor gates every creation first: the ``purpose``
-    site (``"arena"``, ...) fires any injected resource fault, so an
-    injected ``ENOSPC`` and a real full tmpfs reach the caller's
-    degradation handler the same way, and both route to the pickle
-    path.  Successful creations are charged to the governor by their
-    actual size and released on unlink.
+    A full tmpfs raises ``ENOSPC`` here, which the caller's degradation
+    handler routes to the pickle path.  Successful creations are charged
+    to the resource governor by their actual size and released on
+    unlink.
     """
-    gov = resources.governor()
-    gov.gate(purpose)
     shm = Segment.create(nbytes)
-    gov.charge(shm.size)
+    resources.governor().charge(shm.size)
     return shm
 
 
@@ -274,7 +270,7 @@ class SegmentArena:
             self._free_bytes -= bucket
             return box.popleft()
         self.created += 1
-        return create_segment(bucket, purpose="arena")
+        return create_segment(bucket)
 
     def recycle(self, shm: Segment) -> None:
         """Return an owned segment to the free list (or unlink it)."""
@@ -457,11 +453,10 @@ def encode_payload(
     receiver.
 
     Degrades gracefully under exhaustion: when the segment cannot be
-    created — tmpfs ``ENOSPC``/``ENOMEM`` or an injected ``enospc``
-    fault at the ``arena`` site — the array is left
-    in place so it rides the pickle stream instead, bit-identically; the
-    fallback is recorded on the resource governor.  Any other ``OSError``
-    still propagates.
+    created — tmpfs ``ENOSPC``/``ENOMEM`` — the array is left in place so
+    it rides the pickle stream instead, bit-identically; the fallback is
+    recorded on the resource governor.  Any other ``OSError`` still
+    propagates.
     """
     if (
         isinstance(obj, np.ndarray)
@@ -476,7 +471,7 @@ def encode_payload(
             if arena is not None:
                 shm = arena.acquire(src.nbytes)
             else:
-                shm = create_segment(src.nbytes, purpose="arena")
+                shm = create_segment(src.nbytes)
         except OSError as exc:
             if not resources.is_exhaustion(exc):
                 raise
@@ -712,13 +707,8 @@ class ProcessTransport(TransportBase):
         workers reuse inbox queues across runs; a message enveloped with a
         different ``run_seq`` is a straggler from an earlier run and is
         dropped (its segments reclaimed) instead of being delivered.
-    faults:
-        Optional :class:`repro.faults.FaultInjector` for this rank:
-        ``put``/``get`` fire the ``send``/``recv`` sites (``send`` fires
-        *after* segments are staged, so a crash fault there exercises
-        the leaked-segment audit).
     status:
-        Optional :class:`repro.faults.StatusBoard`: blocking receives
+        Optional :class:`repro.mpi.status.StatusBoard`: blocking receives
         consult it when the abort event trips, so a recorded rank death
         surfaces as :class:`RankDeadError` (naming the dead rank and its
         last collective) instead of a generic :class:`DeadlockError`.
@@ -735,7 +725,6 @@ class ProcessTransport(TransportBase):
         abort_event,
         timeout: float = 60.0,
         run_seq: int = 0,
-        faults=None,
         status=None,
     ):
         if not timeout > 0:  # NaN too
@@ -745,7 +734,6 @@ class ProcessTransport(TransportBase):
         self._inboxes = inboxes
         self._abort = abort_event
         self._run_seq = run_seq
-        self.faults = faults
         self.status = status
         self._stash: dict[Hashable, deque[Any]] = {}
 
@@ -764,11 +752,6 @@ class ProcessTransport(TransportBase):
             blob = pickle.dumps(
                 (self._run_seq, key, encode_payload(payload, segments, arena))
             )
-            if self.faults is not None:
-                # After staging, before the queue put: a crash fault here
-                # dies with segments parked in /dev/shm — the exact leak
-                # the crash audit must reclaim.
-                self.faults.fire("send")
         except Exception:
             for shm in segments:
                 arena.recycle(shm)
@@ -778,8 +761,6 @@ class ProcessTransport(TransportBase):
         self._inboxes[dst].put(blob)
 
     def get(self, key: Hashable) -> Any:
-        if self.faults is not None:
-            self.faults.fire("recv")
         box = self._stash.get(key)
         if box:
             payload = box.popleft()

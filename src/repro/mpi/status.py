@@ -18,19 +18,17 @@ The segment comes from the transport's one creation site
 (``process_transport.Segment.create``), so it is named with the
 creator's pid under the same ``rps_`` prefix as transport segments and
 the crash audit ``reap_stale_segments`` reclaims boards whose creator
-died.  Import-pure at module level (lazy ``repro.mpi`` imports) so
-``repro.mpi`` internals can import it without cycles.
+died.
 """
 
 from __future__ import annotations
 
 import signal
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.mpi.process_transport import Segment
+from repro.mpi.errors import RankDeadError
+from repro.mpi.process_transport import Segment
 
 _HEADER_WORDS = 2
 _SLOT_WORDS = 5
@@ -71,7 +69,7 @@ def _unpack_op(lo: int, hi: int) -> str:
 class StatusBoard:
     """Liveness/death board shared between the parent and all ranks."""
 
-    def __init__(self, shm: "Segment", n_ranks: int, owner: bool):
+    def __init__(self, shm: Segment, n_ranks: int, owner: bool):
         self._shm = shm
         self.n_ranks = n_ranks
         self._owner = owner
@@ -84,8 +82,6 @@ class StatusBoard:
 
     @classmethod
     def create(cls, n_ranks: int) -> "StatusBoard":
-        from repro.mpi.process_transport import Segment
-
         shm = Segment.create((_HEADER_WORDS + n_ranks * _SLOT_WORDS) * 8)
         board = cls(shm, n_ranks, owner=True)
         board.reset()
@@ -93,8 +89,6 @@ class StatusBoard:
 
     @classmethod
     def attach(cls, name: str, n_ranks: int) -> "StatusBoard":
-        from repro.mpi.process_transport import Segment
-
         return cls(Segment(name), n_ranks, owner=False)
 
     def reset(self) -> None:
@@ -152,8 +146,6 @@ class StatusBoard:
         if death is None:
             return None
         rank, exitcode = death
-        from repro.mpi.errors import RankDeadError
-
         msg = f"rank {rank} died ({describe_exitcode(exitcode)})"
         context = self.last_context(rank)
         if context:

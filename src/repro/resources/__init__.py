@@ -1,14 +1,13 @@
 """Resource governance for the SPMD runtime.
 
 Graceful per-allocation degradation of the shared-memory fast path to
-the pickle route (a full ``/dev/shm``, or an injected ``enospc`` at the
-``arena`` fault site), cooperative deadline propagation
+the pickle route (a full ``/dev/shm``), cooperative deadline propagation
 (``REPRO_DEADLINE`` / ``run_spmd(deadline=)``), and the per-run
 :class:`ResourceReport` surfaced on ``SpmdResult.resources``.
 
-The :func:`~repro.resources.governor.governor` of each process gates
-(fires the ``arena`` fault site) and accounts every segment the
-transport creates; the per-rank summaries fold into the report.
+The :func:`~repro.resources.governor.governor` of each process accounts
+every segment the transport creates; the per-rank summaries fold into
+the report.
 """
 
 from repro.resources.governor import (

@@ -1,31 +1,28 @@
-"""Per-process resource governor: fault gate, accounting, deadline.
+"""Per-process resource governor: accounting and the run deadline.
 
 Every process that touches ``/dev/shm`` — the parent (staging arena) and
 each rank — owns exactly one :class:`ResourceGovernor` for its lifetime
 (:func:`governor`).  The transport's allocation/unlink choke points call
 into it:
 
-* :meth:`ResourceGovernor.gate` runs *before* a segment is created: it
-  fires the resource fault site (``enospc``/``stall`` clauses with
-  ``site=arena``), so an injected ``ENOSPC`` flows through exactly the
-  same errno-discriminating handlers as a real full tmpfs.
-* :meth:`charge` / :meth:`release` keep this process's live-byte ledger.
+* :meth:`ResourceGovernor.charge` / :meth:`release` keep this process's
+  live-byte ledger.
 * :meth:`note_degradation` records each allocation that fell back to
-  the pickle path; the per-run summaries become the
-  :class:`~repro.resources.report.ResourceReport`.
+  the pickle path (a full tmpfs refused it with ``ENOSPC``); the per-run
+  summaries become the :class:`~repro.resources.report.ResourceReport`.
 
-The run-scoped state (fault injector, event list, the run's byte
-totals and peak) is installed with :meth:`configure` at rank entry and
-removed with :meth:`deconfigure` at exit; the live-byte counter
-survives across runs because arena free lists do too.
+The run-scoped state (event list, the run's byte totals and peak) is
+reset with :meth:`configure` at rank entry and read with :meth:`summary`
+at exit; the live-byte counter survives across runs because arena free
+lists do too.
 
 This module also owns the cooperative deadline:
 :func:`set_active_deadline` installs an absolute ``time.monotonic``
-timestamp (shipped from the parent, so every retry attempt shares one
-budget) and :func:`check_deadline` raises
+timestamp (shipped from the parent, so every rank shares one budget)
+and :func:`check_deadline` raises
 :class:`~repro.mpi.errors.DeadlineExceededError` naming the operation
-and elapsed time.  Checks live at collective entries, blocking receives
-and checkpoint steps — all ranks converge on the failure within seconds.
+and elapsed time.  Checks live at collective entries and blocking
+receives — all ranks converge on the failure within seconds.
 """
 
 from __future__ import annotations
@@ -34,10 +31,7 @@ import errno
 import os
 import threading
 import time
-from typing import TYPE_CHECKING, Any
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.faults.injector import FaultInjector
+from typing import Any
 
 
 #: errno values that mean "resources exhausted" — the only failures the
@@ -53,14 +47,13 @@ def is_exhaustion(exc: BaseException) -> bool:
 
 
 class ResourceGovernor:
-    """Fault gate + live-byte ledger for one process."""
+    """Live-byte ledger and degradation log for one process."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         # Survives across runs, like the arena's free lists.
         self.live_bytes = 0
         # Run-scoped state.
-        self._faults: "FaultInjector | None" = None
         self._events: list[tuple[str, str, int, str]] = []
         self._run_charged = 0
         self._run_released = 0
@@ -69,30 +62,16 @@ class ResourceGovernor:
 
     # -- run lifecycle -------------------------------------------------
 
-    def configure(self, faults: "FaultInjector | None" = None) -> None:
-        """Install the run's fault injector and reset the per-run
-        summary counters; the run's peak is measured from here."""
+    def configure(self) -> None:
+        """Reset the per-run summary counters; the run's peak is
+        measured from here."""
         with self._lock:
-            self._faults = faults
             self._events = []
             self._run_charged = 0
             self._run_released = 0
             self._run_base = self._run_peak = self.live_bytes
 
-    def deconfigure(self) -> dict[str, Any]:
-        """Remove run-scoped state; returns the run's picklable summary."""
-        summary = self.summary()
-        with self._lock:
-            self._faults = None
-        return summary
-
     # -- allocation path ----------------------------------------------
-
-    def gate(self, purpose: str) -> None:
-        """Pre-allocation check: fire the ``purpose`` fault site."""
-        faults = self._faults
-        if faults is not None:
-            faults.fire(purpose)
 
     def charge(self, nbytes: int) -> None:
         with self._lock:

@@ -18,8 +18,7 @@ class DegradationEvent:
 
     ``site`` names the allocation purpose (``"arena"``), ``kind`` the
     fallback route taken (``"pickle"``), ``nbytes`` the allocation that
-    was refused, and ``detail`` the cause — a real ``ENOSPC``/``ENOMEM``
-    or an injected one, indistinguishable by design.
+    was refused, and ``detail`` the cause (``ENOSPC``/``ENOMEM``).
     """
 
     rank: int

@@ -8,7 +8,6 @@ deadlock timeout with an actionable message.
 from __future__ import annotations
 
 import inspect
-import os
 import re
 
 import numpy as np

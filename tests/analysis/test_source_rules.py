@@ -5,8 +5,8 @@
   with the run's config.
 * Shared memory is created at one site, ``Segment.create`` in the
   transport, which names the segment for the crash sweep.  Only the
-  transport (``create_segment`` fires the ``arena`` fault site first)
-  and the fault status board call it.
+  transport (through ``create_segment``, which charges the resource
+  governor) and the rank status board call it.
 * Nothing uses ``multiprocessing.shared_memory`` or its resource
   tracker: the runtime owns and unlinks its segments itself, and no
   helper process runs beside the ranks.
@@ -51,7 +51,7 @@ def test_shared_memory_is_created_in_the_transport_only():
         hit.split(":")[0] for hit in _hits(SHM_OPEN_CREATE, ())
     ] == ["repro/mpi/process_transport.py"]
     assert _hits(
-        SHM_CREATE, ("repro/mpi/process_transport.py", "repro/faults/status.py")
+        SHM_CREATE, ("repro/mpi/process_transport.py", "repro/mpi/status.py")
     ) == []
     assert _hits(STDLIB_SHM, ()) == []
 

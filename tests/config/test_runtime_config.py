@@ -98,28 +98,25 @@ class TestPrecedence:
 
 class TestEnvDefault:
     def test_parses_each_field_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPMD_RETRY", "3")
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
         monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "7.5")
         monkeypatch.setenv("REPRO_DEADLINE", "64")
-        assert env_default("retry") == 3
+        assert env_default("sanitize") == 1
         assert env_default("timeout") == 7.5
         assert env_default("deadline") == 64.0
 
     @pytest.mark.parametrize(
         "name",
-        [
-            "backend", "compute_dtype", "sanitize", "faults", "retry",
-            "timeout", "deadline",
-        ],
+        ["backend", "compute_dtype", "sanitize", "timeout", "deadline"],
     )
     def test_empty_value_reads_as_default(self, name, monkeypatch):
         field = next(f for f in CONFIG_FIELDS if f.name == name)
         monkeypatch.setenv(field.env, "")
         assert env_default(name) == field.default
 
-    def test_empty_retry_still_launches(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPMD_RETRY", "")
-        assert resolve_config().retry == 1
+    def test_empty_backend_still_launches(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SPMD_BACKEND", "")
+        assert resolve_config().backend == "thread"
         assert list(spmd(2, lambda comm: comm.rank)) == [0, 1]
 
     def test_historical_error_messages(self, monkeypatch):
@@ -137,9 +134,6 @@ class TestEnvDefault:
         monkeypatch.setenv("REPRO_DTYPE", "float16")
         with pytest.raises(ValueError, match="unknown REPRO_DTYPE"):
             env_default("compute_dtype")
-        monkeypatch.setenv("REPRO_SPMD_RETRY", "twice")
-        with pytest.raises(ValueError, match="REPRO_SPMD_RETRY"):
-            env_default("retry")
 
 
 class TestValidation:
@@ -148,7 +142,7 @@ class TestValidation:
         [
             ({"compute_dtype": "float16"}, "unknown REPRO_DTYPE"),
             ({"sanitize": 2}, "sanitize level"),
-            ({"retry": 0}, "retry"),
+            ({"sanitize": -1}, "sanitize level"),
             ({"timeout": 0.0}, "timeout"),
             ({"deadline": -0.1}, "deadline"),
             # NaN fails every comparison, so a ``<= 0`` check lets it by.
@@ -179,8 +173,9 @@ class TestValidation:
         ) == RuntimeConfig(compute_dtype="mixed")
 
     def test_dataclasses_replace_rejects_a_retired_knob(self):
-        with pytest.raises(TypeError, match="plan"):
-            dataclasses.replace(RuntimeConfig(), plan="auto")
+        for knob, value in [("plan", "auto"), ("faults", ""), ("retry", 2)]:
+            with pytest.raises(TypeError, match=knob):
+                dataclasses.replace(RuntimeConfig(), **{knob: value})
 
     def test_infinite_timeout_and_deadline_accepted(self):
         cfg = RuntimeConfig(timeout=float("inf"), deadline=float("inf"))
@@ -206,6 +201,8 @@ class TestRetiredKnobs:
             ("hugepages", "auto"),
             ("shm_budget", 0),
             ("max_worlds", 0),
+            ("faults", "rank=1:site=allreduce:kind=crash"),
+            ("retry", 2),
         ],
     )
     def test_retired_knob_is_rejected_by_the_constructor(self, retired, value):
@@ -216,7 +213,7 @@ class TestRetiredKnobs:
         with pytest.raises(ValueError, match="unknown RuntimeConfig key"):
             resolve_config(**{retired: value})
         assert retired not in {f.name for f in CONFIG_FIELDS}
-        assert len(CONFIG_FIELDS) == 7
+        assert len(CONFIG_FIELDS) == 5
 
     @pytest.mark.parametrize(
         "env_var, value",
@@ -232,6 +229,8 @@ class TestRetiredKnobs:
             ("REPRO_SHM_BUDGET", "1M"),
             ("REPRO_MAX_WORLDS", "2"),
             ("REPRO_PLAN", "auto"),
+            ("REPRO_FAULTS", "rank=0:site=allreduce:kind=crash"),
+            ("REPRO_SPMD_RETRY", "0"),
         ],
     )
     def test_retired_env_var_is_not_consulted(self, env_var, value, monkeypatch):
@@ -248,7 +247,7 @@ class TestRetiredKnobs:
     ):
         cfg = RuntimeConfig(
             backend="process", compute_dtype="mixed", sanitize=1,
-            timeout=30.0, retry=2, deadline=2.5,
+            timeout=30.0, deadline=2.5,
         )
         for f in CONFIG_FIELDS:
             monkeypatch.setenv(f.env, str(getattr(cfg, f.name)))
@@ -276,8 +275,8 @@ class TestActiveConfigDispatch:
         assert _installed() is None
 
     def test_default_for_falls_back_to_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPMD_RETRY", "4")
-        assert default_for("retry") == 4
+        monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "4")
+        assert default_for("timeout") == 4.0
 
     def test_run_spmd_installs_config_in_ranks(self):
         cfg = RuntimeConfig(deadline=60.0, compute_dtype="mixed",

@@ -7,6 +7,25 @@ import pytest
 
 from repro.mpi import run_spmd
 from repro.perfmodel.machine import UNIT
+from tests.faults.inject import CONSTRAINED, in_every_run
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--constrained", choices=sorted(CONSTRAINED), default=None,
+        help="run every SPMD run under these faults (tests/faults/inject.py)",
+    )
+
+
+@pytest.fixture(autouse=True)
+def constrained_resources(request):
+    """The faults ``--constrained`` names, installed in every SPMD run."""
+    name = request.config.getoption("--constrained")
+    if name is None:
+        yield
+        return
+    with in_every_run(*CONSTRAINED[name]):
+        yield
 
 
 @pytest.fixture
@@ -19,14 +38,6 @@ def spmd(n_ranks, fn, *args, **kwargs):
     """Run an SPMD function with test-friendly defaults (short timeout)."""
     kwargs.setdefault("timeout", 20.0)
     return run_spmd(n_ranks, fn, *args, **kwargs)
-
-
-def deny_first_arena_allocations(n: int) -> str:
-    """Fault spec failing each rank's first ``n`` shm allocations with
-    ``ENOSPC``, as a full ``/dev/shm`` would."""
-    return ";".join(
-        f"rank=*:site=arena:kind=enospc:nth={k}" for k in range(1, n + 1)
-    )
 
 
 def spmd_unit(n_ranks, fn, *args, **kwargs):

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import compression_ratio, hooi, sthosvd
 from repro.tensor import low_rank_tensor
-from repro.util.seeding import rng_for
 
 orders = st.integers(2, 3)
 

@@ -5,8 +5,8 @@ mode's rank from a fixed-seed sample of its unfolding's columns and
 processes the modes highest ``I_n / R_n`` first
 (:func:`~repro.distributed.sthosvd.plan_mode_order`, Sec. VIII-C).  The
 order is a plan decision, so what is checked here is that it depends on
-the global tensor and the tolerance only — not on the layout, the grid,
-the backend or a restart — and that the guarantees still hold under it:
+the global tensor and the tolerance only — not on the layout, the grid
+or the backend — and that the guarantees still hold under it:
 eq. 3, the exact tail estimate, and agreement with the textbook
 ST-HOSVD of ``tests/reference.py`` run in the reported order.  The one
 exception is a grid that divides the mode the plan puts first and leaves
@@ -24,8 +24,7 @@ from repro.core import greedy_ratio_order, hooi, sthosvd
 from repro.distributed import DistTensor, dist_sthosvd
 from repro.distributed.sthosvd import plan_mode_order
 from repro.distributed.grid import self_grid
-from repro.io import read_checkpoint_meta
-from repro.mpi import CartGrid, SpmdError, available_backends, run_spmd
+from repro.mpi import CartGrid, available_backends, run_spmd
 from repro.tensor import low_rank_tensor
 from repro.util.validation import prod
 from tests.reference import st_hosvd
@@ -191,12 +190,9 @@ GRIDS = [(1, 1, 1), (2, 1, 1), (1, 1, 2), (2, 1, 2), (4, 1, 1), (2, 2, 1)]
 DIVIDING_GRIDS = [(1, 2, 1), (1, 2, 2)]
 
 
-def _factorise(comm, grid, order, checkpoint=None):
+def _factorise(comm, grid, order):
     dt = DistTensor.from_global(CartGrid(comm, grid), X)
-    t = dist_sthosvd(
-        dt, tol=TOL, mode_order=order, compute_dtype="float64",
-        checkpoint=checkpoint,
-    )
+    t = dist_sthosvd(dt, tol=TOL, mode_order=order, compute_dtype="float64")
     return (
         t.mode_order,
         t.core.local.tobytes(),
@@ -281,31 +277,3 @@ def test_hooi_initialises_in_its_sweep_order():
     # ST-HOSVD initialisation, keep increasing order on both entry points.
     assert sthosvd(X, tol=TOL).mode_order == (1, 2, 0)
     assert hooi(X, tol=TOL, max_iterations=1).init.mode_order == (0, 1, 2)
-
-
-def _interruptible(comm, ckpt):
-    return _factorise(comm, (2, 1, 2), None, checkpoint=ckpt)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_resume_after_a_mode_reproduces_the_order_and_every_bit(
-    backend, tmp_path
-):
-    reference = run_spmd(
-        4, _interruptible, None, backend=backend, timeout=20.0
-    ).values
-    ckpt = tmp_path / "ck"
-    # Rank 1's third all-reduce (after the plan's and the first mode's)
-    # falls between the first mode's commit and the second's.
-    with pytest.raises(SpmdError):
-        run_spmd(
-            4, _interruptible, str(ckpt), backend=backend, timeout=20.0,
-            faults="rank=1:site=allreduce:nth=3:kind=exception",
-        )
-    meta = read_checkpoint_meta(ckpt)
-    assert meta is not None and 1 <= meta["completed"] < X.ndim
-    assert tuple(meta["order"]) == reference[0][0]
-    resumed = run_spmd(
-        4, _interruptible, str(ckpt), backend=backend, timeout=20.0
-    ).values
-    assert resumed == reference

@@ -25,7 +25,7 @@ from repro.data.preprocess import (
 )
 from repro.distributed import DistTensor, dist_sthosvd
 from repro.distributed import dist_tensor
-from repro.mpi import CartGrid, run_spmd
+from repro.mpi import CartGrid
 from repro.util.seeding import rng_for
 from repro.util.validation import prod
 from tests.conftest import spmd

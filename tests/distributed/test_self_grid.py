@@ -18,6 +18,7 @@ from repro.mpi import CartGrid, available_backends
 from repro.tensor import low_rank_tensor
 from repro.tensor.dense import PANEL_BYTES, norm_sq
 from tests.conftest import spmd
+from tests.faults.inject import Fault, in_every_run
 from tests.reference import st_hosvd
 
 BACKENDS = sorted(available_backends())
@@ -53,14 +54,14 @@ def _fingerprint():
 
 
 def test_run_knobs_do_not_reach_the_sequential_entry_points(monkeypatch):
-    # A narrowed dtype, the sanitizer and a fault clause that would fire
+    # A narrowed dtype, the sanitizer and, in every launched run, a crash
     # at the first all-reduce: none of them may change a bit of the
-    # sequential results.
+    # sequential results, which launch nothing.
     unset = _fingerprint()
     monkeypatch.setenv("REPRO_DTYPE", "mixed")
     monkeypatch.setenv("REPRO_SANITIZE", "1")
-    monkeypatch.setenv("REPRO_FAULTS", "rank=0:site=allreduce:kind=crash")
-    assert _fingerprint() == unset
+    with in_every_run(Fault("allreduce", "crash", 0)):
+        assert _fingerprint() == unset
 
 
 @pytest.mark.parametrize("method", ["gram", "svd"])

@@ -1,4 +1,4 @@
-"""Rank-death detection: crash faults, prompt failure, clean reclamation.
+"""Rank-death detection: SIGKILLed ranks, prompt failure, clean reclamation.
 
 Everything here is process-backend-specific (SIGKILL needs a real
 process), so the package's backend sweep is shadowed and the backend is
@@ -11,13 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.faults import RetryPolicy
-from repro.mpi import (
-    FaultInjectedError,
-    RankDeadError,
-    SpmdError,
-    run_spmd,
-)
+from repro.mpi import RankDeadError, SpmdError, run_spmd
+from tests.faults.inject import Fault, Faulty, InjectedFault
 
 pytestmark = pytest.mark.skipif(
     not os.path.isdir("/dev/shm"), reason="needs a Linux /dev/shm"
@@ -45,10 +40,9 @@ class TestRankDeath:
         with pytest.raises(SpmdError) as exc_info:
             run_spmd(
                 4,
-                _allreduce_prog,
+                Faulty(_allreduce_prog, Fault("allreduce", "crash", 1)),
                 backend="process",
                 timeout=60.0,
-                faults="rank=1:site=allreduce:kind=crash",
             )
         elapsed = time.monotonic() - t0
         # Detection must be event-driven (seconds), nowhere near the 60 s
@@ -64,9 +58,8 @@ class TestRankDeath:
         with pytest.raises(SpmdError) as exc_info:
             run_spmd(
                 3,
-                _allreduce_prog,
+                Faulty(_allreduce_prog, Fault("allreduce", "crash", 2)),
                 backend="process",
-                faults="rank=2:site=allreduce:kind=crash",
             )
         assert "allreduce" in str(exc_info.value.failures[2])
 
@@ -74,9 +67,8 @@ class TestRankDeath:
         with pytest.raises(SpmdError) as exc_info:
             run_spmd(
                 2,
-                _sum_prog,
+                Faulty(_sum_prog, Fault("dispatch", "crash", 0)),
                 backend="process",
-                faults="rank=0:site=dispatch:kind=crash",
             )
         assert isinstance(exc_info.value.failures[0], RankDeadError)
 
@@ -84,9 +76,8 @@ class TestRankDeath:
         with pytest.raises(SpmdError):
             run_spmd(
                 3,
-                _sum_prog,
+                Faulty(_sum_prog, Fault("allreduce", "crash", 0)),
                 backend="process",
-                faults="rank=0:site=allreduce:kind=crash",
             )
         res = run_spmd(3, _sum_prog, backend="process")
         assert res.values == [3.0, 3.0, 3.0]
@@ -101,33 +92,11 @@ class TestRankDeath:
         with pytest.raises(SpmdError) as exc_info:
             run_spmd(
                 3,
-                prog,
+                Faulty(prog, Fault("allreduce", "crash", 1)),
                 backend="process",
-                faults="rank=1:site=allreduce:kind=crash",
             )
         assert isinstance(exc_info.value.failures[1], RankDeadError)
         assert exc_info.value.failures[1].dead_rank == 1
-
-    def test_retry_policy_relaunches_after_death(self):
-        res = run_spmd(
-            4,
-            _sum_prog,
-            backend="process",
-            faults="rank=2:site=allreduce:kind=crash",
-            retry=RetryPolicy(max_attempts=3, backoff=0.01),
-        )
-        assert res.values == [4.0] * 4
-
-    def test_retry_exhaustion_surfaces_death(self):
-        with pytest.raises(SpmdError) as exc_info:
-            run_spmd(
-                2,
-                _sum_prog,
-                backend="process",
-                faults="rank=0:site=allreduce:kind=crash:attempt=*",
-                retry=RetryPolicy(max_attempts=2, backoff=0.01),
-            )
-        assert isinstance(exc_info.value.failures[0], RankDeadError)
 
     def test_sanitizer_does_not_mask_rank_death(self):
         # Under REPRO_SANITIZE=1 the survivors' sanitizer finalization
@@ -135,10 +104,9 @@ class TestRankDeath:
         with pytest.raises(SpmdError) as exc_info:
             run_spmd(
                 3,
-                _allreduce_prog,
+                Faulty(_allreduce_prog, Fault("allreduce", "crash", 1)),
                 backend="process",
                 sanitize=1,
-                faults="rank=1:site=allreduce:kind=crash",
             )
         assert any(
             isinstance(e, RankDeadError)
@@ -147,12 +115,11 @@ class TestRankDeath:
 
     def test_thread_backend_crash_degrades_to_exception(self):
         # SIGKILL would take the whole test process down on the thread
-        # backend; kind=crash must degrade to FaultInjectedError there.
+        # backend; a crash must degrade to InjectedFault there.
         with pytest.raises(SpmdError) as exc_info:
             run_spmd(
                 2,
-                _sum_prog,
+                Faulty(_sum_prog, Fault("allreduce", "crash", 1)),
                 backend="thread",
-                faults="rank=1:site=allreduce:kind=crash",
             )
-        assert isinstance(exc_info.value.failures[1], FaultInjectedError)
+        assert isinstance(exc_info.value.failures[1], InjectedFault)

@@ -23,6 +23,7 @@ from repro.mpi import (
     run_spmd,
     shutdown_worker_pools,
 )
+from tests.faults.inject import Fault, Faulty
 
 pytestmark = pytest.mark.skipif(
     not os.path.isdir("/dev/shm"), reason="needs a Linux /dev/shm and /proc"
@@ -168,11 +169,11 @@ class TestEveryRouteLooksTheSame:
         expected = self._reference()
         shutdown_worker_pools()  # empty arena: staging must allocate
 
-        def full_tmpfs(nbytes, purpose="segment"):
+        def full_tmpfs(nbytes):
             raise OSError(errno.ENOSPC, "No space left on device")
 
-        # No fault site reaches the parent's own staging: stand in for a
-        # full /dev/shm in this process, before the pool forks (so its
+        # The parent's own staging runs outside every rank: stand in for
+        # a full /dev/shm in this process, before the pool forks (so its
         # workers see the same full tmpfs).
         monkeypatch.setattr(
             "repro.mpi.process_transport.create_segment", full_tmpfs
@@ -204,8 +205,8 @@ class TestRankDeath:
         x = _input()
         with pytest.raises(SpmdError) as exc_info:
             run_spmd(
-                2, _scribble, x, backend=_POOLED,
-                faults="rank=1:site=barrier:kind=crash",
+                2, Faulty(_scribble, Fault("barrier", "crash", 1)), x,
+                backend=_POOLED,
             )
         assert any(
             isinstance(e, RankDeadError)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.distributed import DistTensor, dist_sthosvd
-from repro.mpi import SUM, CartGrid, CommunicatorError, SpmdError
+from repro.mpi import SUM, CartGrid, SpmdError
 from repro.tensor import low_rank_tensor
 from repro.tensor.eig import eigendecompose
 from repro.tensor.gram import gram

@@ -4,13 +4,14 @@ One parametrized sweep over the nine collectives, at one and three
 ranks, on the thread and the process backend, and at three ranks on a
 communicator built by ``group`` as well as on the world: the drivers run
 almost every collective on the grid's ``group``-built rows and columns,
-which must carry the rank's deadline, fault injector and sanitizer.
+which must carry the rank's deadline, status note and sanitizer.
 Each case asserts the four concerns the communicator applies at its one
 collective entry point:
 
 * an expired run deadline raises ``DeadlineExceededError`` naming the op
   at entry (for a non-blocking op: at the post, not inside ``wait()``);
-* a ``site=<op>:nth=2`` fault fires on the second call;
+* a fault installed at the op's entry (``tests/faults/inject.py``: just
+  after the status note) fires on the second call;
 * at ``sanitize=1`` the op is flagged against a different op, with both
   call sites named;
 * the ledger charge equals the :mod:`repro.perfmodel.collectives`
@@ -35,12 +36,12 @@ from repro.mpi import (
     SUM,
     CollectiveMismatchError,
     DeadlineExceededError,
-    FaultInjectedError,
     SpmdError,
     run_spmd,
     shutdown_worker_pools,
 )
 from repro.perfmodel import collectives as cc
+from tests.faults.inject import Fault, Faulty, InjectedFault
 
 #: Six float64 words: divisible into blocks at P = 1 and 3.
 _X = np.arange(6.0)
@@ -106,7 +107,7 @@ def _call_twice(comm, op, on):
     for nth in (1, 2):
         try:
             _CALLS[op](comm)
-        except FaultInjectedError as exc:
+        except InjectedFault as exc:
             raise RuntimeError(f"call {nth}: {exc}") from None
 
 
@@ -163,9 +164,8 @@ class _EntryChecks:
     def test_fault_site_fires_on_the_second_call(self, backend, op, p, on):
         with pytest.raises(SpmdError) as exc_info:
             run_spmd(
-                p, _call_twice, op, on, backend=backend, timeout=20.0,
-                faults=f"rank=0:site={op}:nth=2:kind=exception",
-                sanitize=self.sanitize,
+                p, Faulty(_call_twice, Fault(op, "raise", 0, nth=2)), op, on,
+                backend=backend, timeout=20.0, sanitize=self.sanitize,
             )
         msg = str(exc_info.value.failures[0])
         assert msg.startswith("call 2: ") and f"site '{op}'" in msg, msg

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mpi import MAX, MIN, PROD, SUM, CommunicatorError, SpmdError
+from repro.mpi import MAX, MIN, PROD, SUM, SpmdError
 from tests.conftest import spmd
 
 

@@ -7,7 +7,7 @@ array shapes, rank counts, and reduction operators.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.mpi import MAX, MIN, PROD, SUM
+from repro.mpi import MAX, MIN, SUM
 from repro.util.seeding import rng_for
 from tests.conftest import spmd
 

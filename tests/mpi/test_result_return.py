@@ -17,7 +17,6 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.config import RuntimeConfig
 from repro.core import TuckerTensor
 from repro.mpi import (
     ProcessBackend,
@@ -33,7 +32,7 @@ from repro.mpi.process_transport import (
     stage_value,
     unstage_value,
 )
-from tests.conftest import deny_first_arena_allocations
+from tests.faults.inject import Fault, Faulty, refuse_arena
 
 pytestmark = pytest.mark.skipif(
     not os.path.isdir("/dev/shm"), reason="needs a Linux /dev/shm"
@@ -193,9 +192,8 @@ class TestThroughThePool:
         want = _model(21)
         shutdown_worker_pools()  # cold arenas: staging must allocate
         res = run_spmd(
-            2, _return_model, 21, backend=_POOLED,
-            faults="rank=0:site=arena:kind=enospc",
-            config=RuntimeConfig(),
+            2, Faulty(_return_model, Fault("arena", "enospc", 0)), 21,
+            backend=_POOLED,
         )
         _assert_same_model(res[0][0], want)
         assert any(
@@ -206,9 +204,8 @@ class TestThroughThePool:
     def test_refused_allocations_fall_back_to_the_pickle_stream(self):
         shutdown_worker_pools()
         res = run_spmd(
-            2, _return_array, 50_000, backend=_POOLED,
-            faults=deny_first_arena_allocations(3),
-            config=RuntimeConfig(),
+            2, Faulty(_return_array, *refuse_arena(3)), 50_000,
+            backend=_POOLED,
         )
         assert [float(v[-1]) for v in res.values] == [0.0, 1.0]
         assert any(e.site == "arena" for e in res.resources.degradations)
@@ -241,8 +238,8 @@ class TestNothingIsLeftBehind:
         run_spmd(2, _return_array, 50_000, backend=_POOLED)
         with pytest.raises(SpmdError) as exc_info:
             run_spmd(
-                2, _return_array, 50_000, backend=_POOLED,
-                faults="rank=1:site=barrier:kind=crash",
+                2, Faulty(_return_array, Fault("barrier", "crash", 1)),
+                50_000, backend=_POOLED,
             )
         assert any(
             isinstance(e, RankDeadError)

@@ -30,7 +30,7 @@ from repro.mpi import (
     run_spmd,
     shutdown_worker_pools,
 )
-from tests.conftest import deny_first_arena_allocations
+from tests.faults.inject import Fault, Faulty, refuse_arena
 
 pytestmark = pytest.mark.skipif(
     not os.path.isdir("/dev/shm"), reason="needs a Linux /dev/shm"
@@ -138,17 +138,13 @@ class TestSegmentHygiene:
         # receive of the allreduce; the first is the ring's sendrecv):
         # survivors must fail fast with RankDeadError and the parent must
         # reclaim the dead rank's segments.
-        from repro.config import RuntimeConfig
-
         x = np.random.default_rng(3).standard_normal(4096)
         with pytest.raises(SpmdError) as exc_info:
             run_spmd(
                 4,
-                _healthy,
+                Faulty(_healthy, Fault("recv", "crash", 1, nth=2)),
                 x,
                 backend="process",
-                faults="rank=1:site=recv:nth=2:kind=crash",
-                config=RuntimeConfig(),  # no fault spec from the env
             )
         assert any(
             isinstance(e, RankDeadError)
@@ -165,9 +161,8 @@ class TestSegmentHygiene:
         with pytest.raises(SpmdError) as exc_info:
             run_spmd(
                 3,
-                _unmatched_sender,
+                Faulty(_unmatched_sender, Fault("send", "crash", 2)),
                 backend="process",
-                faults="rank=2:site=send:kind=crash",
             )
         assert any(
             isinstance(e, RankDeadError)
@@ -182,11 +177,7 @@ class TestSegmentHygiene:
         # must leave /dev/shm exactly as it found it.
         x = np.random.default_rng(4).standard_normal(4096)
         res = run_spmd(
-            4,
-            _healthy,
-            x,
-            backend="process",
-            faults=deny_first_arena_allocations(4),
+            4, Faulty(_healthy, *refuse_arena(4)), x, backend="process"
         )
         assert res.resources is not None and res.resources.degradations
 
@@ -199,11 +190,11 @@ class TestSegmentHygiene:
         with pytest.raises(SpmdError) as exc_info:
             run_spmd(
                 4,
-                _healthy,
+                Faulty(
+                    _healthy, *refuse_arena(2), Fault("allreduce", "crash", 1)
+                ),
                 x,
                 backend="process",
-                faults=deny_first_arena_allocations(2)
-                + ";rank=1:site=allreduce:kind=crash",
             )
         assert any(
             isinstance(e, RankDeadError)
@@ -219,10 +210,9 @@ class TestSegmentHygiene:
         with pytest.raises(SpmdError):
             run_spmd(
                 4,
-                _healthy,
+                Faulty(_healthy, Fault("allreduce", "stall", 1)),
                 x,
                 backend="process",
-                faults="rank=1:site=allreduce:kind=stall",
                 deadline=1.0,
             )
 

@@ -7,6 +7,7 @@ at module scope — the pool pickles them by reference; closures exercise
 the one-shot pool.
 """
 
+import errno
 import os
 import signal
 
@@ -14,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro import resources
-from repro.faults import FaultInjector, FaultSpec
 from repro.mpi import (
     SpmdError,
     SUM,
@@ -25,7 +25,6 @@ from repro.mpi import process_transport as pt
 from repro.mpi.backends import _POOLS
 from repro.mpi.process_transport import (
     SegmentArena,
-    ShmArrayView,
     _bucket_of,
     encode_payload,
 )
@@ -301,13 +300,16 @@ class TestSegmentArena:
             arena.recycle(again)
             arena.teardown()
 
-    def test_enospc_denied_arena_leaves_no_segment(self):
-        # An ENOSPC at the arena's fault gate denies the allocation
-        # before anything reaches /dev/shm; the payload stays in the
-        # pickle stream and the fallback is recorded.
+    def test_enospc_denied_arena_leaves_no_segment(self, monkeypatch):
+        # A full tmpfs refuses the segment with ENOSPC before anything
+        # reaches /dev/shm; the payload stays in the pickle stream and
+        # the fallback is recorded.
+        def full_tmpfs(cls, nbytes):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(pt.Segment, "create", classmethod(full_tmpfs))
         gov = resources.governor()
-        spec = FaultSpec.parse("rank=0:site=arena:kind=enospc")
-        gov.configure(faults=FaultInjector(spec, 0))
+        gov.configure()
         arena = SegmentArena()
         before = set(os.listdir("/dev/shm"))
         try:
@@ -317,7 +319,7 @@ class TestSegmentArena:
             assert not segments
             assert set(os.listdir("/dev/shm")) == before
         finally:
-            summary = gov.deconfigure()
+            summary = gov.summary()
             arena.teardown()
         assert [e[:2] for e in summary["events"]] == [("arena", "pickle")]
 

@@ -6,7 +6,6 @@ interleaved collectives on different sub-communicators).
 """
 
 import numpy as np
-import pytest
 
 from repro.mpi import SUM, CartGrid
 from tests.conftest import spmd

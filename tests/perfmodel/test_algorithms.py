@@ -3,7 +3,6 @@
 import pytest
 
 from repro.perfmodel import (
-    AlgorithmCost,
     hooi_iteration_cost,
     sthosvd_cost,
     sthosvd_memory_bound,

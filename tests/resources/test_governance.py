@@ -10,10 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.config import RuntimeConfig
-from repro.faults import RetryPolicy
 from repro.mpi import DeadlineExceededError, SpmdError, shutdown_worker_pools
-from tests.conftest import deny_first_arena_allocations, spmd
+from tests.conftest import spmd
+from tests.faults.inject import Fault, Faulty, refuse_arena
 
 
 def _collectives(comm, n):
@@ -58,11 +57,9 @@ class TestExhaustionDegradation:
         shutdown_worker_pools()
         lean = spmd(
             2,
-            _collectives,
+            Faulty(_collectives, *refuse_arena(4)),
             4096,
             backend="process",
-            faults=deny_first_arena_allocations(4),
-            config=RuntimeConfig(),
         )
         assert lean.values == fast.values
         report = lean.resources
@@ -78,11 +75,9 @@ class TestExhaustionDegradation:
         shutdown_worker_pools()  # cold arenas: the lean run must allocate
         lean = spmd(
             3,
-            _p2p_ring,
+            Faulty(_p2p_ring, *refuse_arena(3)),
             20_000,
             backend="process",
-            faults=deny_first_arena_allocations(3),
-            config=RuntimeConfig(),
         )
         assert lean.values == fast.values
         report = lean.resources
@@ -91,11 +86,9 @@ class TestExhaustionDegradation:
         assert {e.kind for e in report.degradations} == {"pickle"}
 
     def test_unconstrained_run_reports_no_degradations(self):
-        # Explicit default config: an environment fault spec (the
-        # constrained-resources CI step) must not reach this run.
-        res = spmd(
-            2, _collectives, 4096, backend="process", config=RuntimeConfig()
-        )
+        # Faulty with no faults: the faults of a constrained suite run
+        # (pytest --constrained) must not reach this run.
+        res = spmd(2, Faulty(_collectives), 4096, backend="process")
         report = res.resources
         assert report is not None
         assert not report.degradations
@@ -117,8 +110,7 @@ class TestAccounting:
         shutdown_worker_pools()
         for n in (200_000, 1000, 1000):
             report = spmd(
-                2, _six_sends_in_flight, n, backend="process",
-                config=RuntimeConfig(),
+                2, Faulty(_six_sends_in_flight), n, backend="process",
             ).resources
             assert 0 < report.charged_bytes
             assert report.peak_bytes <= report.charged_bytes, n
@@ -130,11 +122,9 @@ class TestFaultInjection:
         shutdown_worker_pools()  # cold pool: the faulted run allocates
         hit = spmd(
             2,
-            _collectives,
+            Faulty(_collectives, Fault("arena", "enospc", 0)),
             4096,
             backend="process",
-            faults="rank=0:site=arena:kind=enospc:nth=1",
-            config=RuntimeConfig(),  # no faults from the environment
         )
         assert hit.values == fast.values
         report = hit.resources
@@ -148,11 +138,9 @@ class TestFaultInjection:
         shutdown_worker_pools()  # cold arenas
         hit = spmd(
             2,
-            _p2p_ring,
+            Faulty(_p2p_ring, Fault("arena", "enospc", 1)),
             20_000,
             backend="process",
-            faults="rank=1:site=arena:kind=enospc",
-            config=RuntimeConfig(),  # no faults from the environment
         )
         assert hit.values == fast.values
         assert any(
@@ -168,9 +156,8 @@ class TestDeadline:
         with pytest.raises(SpmdError) as exc_info:
             spmd(
                 2,
-                _slow_allreduce,
+                Faulty(_slow_allreduce, Fault("allreduce", "stall", 1)),
                 backend=backend,
-                faults="rank=1:site=allreduce:kind=stall",
                 deadline=1.5,
             )
         elapsed = time.monotonic() - start
@@ -184,17 +171,4 @@ class TestDeadline:
 
     def test_generous_deadline_is_invisible(self):
         res = spmd(2, _slow_allreduce, backend="process", deadline=30.0)
-        assert res.values == [2.0, 2.0]
-
-    def test_deadline_composes_with_retry(self):
-        # First attempt crashes; the relaunch shares the (generous)
-        # deadline budget and completes.
-        res = spmd(
-            2,
-            _slow_allreduce,
-            backend="process",
-            faults="rank=1:site=allreduce:kind=crash:attempt=1",
-            retry=RetryPolicy(max_attempts=2, backoff=0.01),
-            deadline=30.0,
-        )
         assert res.values == [2.0, 2.0]

@@ -7,13 +7,13 @@ import time
 import pytest
 
 from repro.config import RuntimeConfig, resolve_config
-from repro.faults import FaultInjector, FaultSpec
 from repro.mpi.errors import DeadlineExceededError
 from repro.resources import (
     DegradationEvent,
     ResourceGovernor,
     ResourceReport,
     check_deadline,
+    governor,
     is_exhaustion,
     remaining_deadline,
     set_active_deadline,
@@ -33,23 +33,29 @@ class TestConfigKnobs:
 
 
 class TestGovernor:
-    def test_gate_fires_the_arena_fault_site(self):
-        gov = ResourceGovernor()
-        spec = FaultSpec.parse("rank=0:site=arena:kind=enospc:nth=2")
-        gov.configure(faults=FaultInjector(spec, 0, 1))
-        gov.gate("arena")  # first hit: no clause
-        with pytest.raises(OSError) as exc_info:
-            gov.gate("arena")
-        assert exc_info.value.errno == errno.ENOSPC
-        assert is_exhaustion(exc_info.value)
-        gov.deconfigure()
-        gov.gate("arena")  # no injector outside a run
+    def test_refused_creation_is_exhaustion_and_charges_nothing(
+        self, monkeypatch
+    ):
+        from repro.mpi import process_transport
 
-    def test_gate_without_faults_never_denies(self):
+        def full_tmpfs(cls, nbytes):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(
+            process_transport.Segment, "create", classmethod(full_tmpfs)
+        )
+        gov = governor()
+        live = gov.live_bytes
+        with pytest.raises(OSError) as exc_info:
+            process_transport.create_segment(4096)
+        assert is_exhaustion(exc_info.value)
+        assert gov.live_bytes == live
+
+    def test_charge_never_denies(self):
         gov = ResourceGovernor()
         gov.configure()
         gov.charge(1 << 40)
-        gov.gate("arena")
+        assert gov.summary()["peak"] == 1 << 40
 
     def test_is_exhaustion_routes_on_errno(self):
         assert is_exhaustion(OSError(errno.ENOSPC, "full"))
@@ -63,7 +69,7 @@ class TestGovernor:
         gov.charge(100)
         gov.note_degradation("arena", "pickle", 64, "why")
         gov.release(40)
-        summary = gov.deconfigure()
+        summary = gov.summary()
         assert summary["events"] == [("arena", "pickle", 64, "why")]
         assert summary["charged"] == 100
         assert summary["released"] == 40
@@ -77,10 +83,10 @@ class TestGovernor:
         gov.configure()
         gov.charge(10 * _MB)
         gov.release(8 * _MB)
-        assert gov.deconfigure()["peak"] == 10 * _MB
+        assert gov.summary()["peak"] == 10 * _MB
         gov.configure()
         gov.charge(1 * _MB)
-        summary = gov.deconfigure()
+        summary = gov.summary()
         assert summary["peak"] == 1 * _MB
         assert summary["live"] == 3 * _MB
 
@@ -88,10 +94,10 @@ class TestGovernor:
         gov = ResourceGovernor()
         gov.configure()
         gov.charge(4 * _MB)
-        gov.deconfigure()
+        gov.summary()
         gov.configure()
         gov.release(4 * _MB)
-        assert gov.deconfigure()["peak"] == 0
+        assert gov.summary()["peak"] == 0
 
 
 class TestDeadline:

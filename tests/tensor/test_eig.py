@@ -10,7 +10,6 @@ from repro.tensor import (
     gram,
     rank_from_tolerance,
 )
-from repro.tensor.eig import EigResult
 from tests import reference
 
 

@@ -142,7 +142,15 @@ def test_no_schedule_keywords(module_name, name):
 # with only tests to call it (the streaming extension, T-HOSVD, the
 # baselines and the definitions below), and the communicator ops and
 # definitions nothing in the program called (tests/analysis/
-# test_no_orphans.py keeps new ones from appearing).
+# test_no_orphans.py keeps new ones from appearing).  So is the recovery
+# layer Alg. 1 has no step for: the fault-injection grammar, launch retry
+# and the checkpoint store (tests install their faults themselves, from
+# tests/faults/inject.py).
+_CHECKPOINT_STORE = [
+    "checkpoint_digest", "save_checkpoint_state", "load_checkpoint_state",
+    "commit_checkpoint_meta", "read_checkpoint_meta",
+    "clear_checkpoint_step", "clear_checkpoint",
+]
 RETIRED_NAMES = {
     "repro": ["hosvd"],
     "repro.analysis": ["sanitize_level"],
@@ -166,12 +174,16 @@ RETIRED_NAMES = {
     "repro.tensor.Tensor": ["nrank", "scale_by", "from_unfolding"],
     "repro.tensor.eig.EigResult": ["tail_sums"],
     "repro.util": ["gemm_flops"],
-    "repro.faults.injector.FaultInjector": ["active"],
+    "repro.io": _CHECKPOINT_STORE,
+    "repro.io.tucker_io": [*_CHECKPOINT_STORE, "CHECKPOINT_VERSION"],
     "repro.mpi": [
         "AdmissionError", "BudgetExceededError", "estimate_world_shm",
-        "BufferMismatchError",
+        "BufferMismatchError", "FaultInjectedError", "FAULTS_ENV_VAR",
+        "FaultSpec", "RetryPolicy", "resolve_faults",
     ],
-    "repro.mpi.errors": ["AdmissionError", "BufferMismatchError"],
+    "repro.mpi.errors": [
+        "AdmissionError", "BufferMismatchError", "FaultInjectedError",
+    ],
     "repro.mpi.CartGrid": ["rank_of", "shifted"],
     "repro.mpi.Communicator": [
         "alltoall", "iallreduce", "ireduce_scatter_block", "isend", "irecv",
@@ -183,6 +195,7 @@ RETIRED_NAMES = {
         "AdmissionController", "admission_controller", "ADMISSION_WAIT",
         "estimate_world_shm", "BudgetExceededError", "ResourceBoard",
     ],
+    "repro.resources.ResourceGovernor": ["gate", "deconfigure"],
     "repro.resources.ResourceReport": ["degraded"],
 }
 
@@ -202,6 +215,7 @@ RETIRED_MODULES = [
     "repro.core.hosvd",
     "repro.core.streaming",
     "repro.distributed.streaming",
+    "repro.faults",
 ]
 
 
@@ -218,6 +232,41 @@ def test_run_spmd_takes_no_shm_estimate():
     from repro.mpi import run_spmd
 
     assert "shm_estimate" not in inspect.signature(run_spmd).parameters
+
+
+@pytest.mark.parametrize(
+    "module_name, name, keyword",
+    [
+        ("repro.mpi", "run_spmd", "faults"),
+        ("repro.mpi", "run_spmd", "retry"),
+        ("repro.distributed", "dist_sthosvd", "checkpoint"),
+    ],
+)
+def test_recovery_keywords_stay_gone(module_name, name, keyword):
+    import inspect
+
+    obj = getattr(importlib.import_module(module_name), name)
+    assert keyword not in inspect.signature(obj).parameters
+
+
+@pytest.mark.parametrize(
+    "env_var, value",
+    [
+        ("REPRO_FAULTS", "rank=0:site=allreduce:kind=exception"),
+        ("REPRO_SPMD_RETRY", "0"),
+    ],
+)
+def test_recovery_env_vars_are_not_read(env_var, value, monkeypatch):
+    from repro.config import CONFIG_FIELDS
+    from repro.mpi import run_spmd
+
+    assert env_var not in {f.env for f in CONFIG_FIELDS}
+    monkeypatch.setenv(env_var, value)
+    assert run_spmd(2, _allreduce_ranks, timeout=20.0).values == [1, 1]
+
+
+def _allreduce_ranks(comm):
+    return comm.allreduce(comm.rank)
 
 
 # The static SPMD linter is retired: the runtime sanitizer, ruff and the

@@ -7,6 +7,7 @@ import repro.mpi
 from repro.cli import _parse_selection, main
 from repro.io import load_tucker
 from repro.tensor import low_rank_tensor
+from tests.faults.inject import Fault, in_every_run
 
 
 @pytest.fixture
@@ -174,23 +175,21 @@ class TestCompress:
         assert err <= 1e-2
 
     def test_injected_fault_prints_error_not_traceback(
-        self, field, tmp_path, capsys, monkeypatch
+        self, field, tmp_path, capsys
     ):
         # A failed parallel run (here an injected fault) must surface as
         # the CLI's `error: ...` + exit 2 convention, never a traceback.
-        monkeypatch.setenv(
-            "REPRO_FAULTS", "rank=1:site=allreduce:kind=exception"
-        )
         src, _ = field
         out = tmp_path / "m.npz"
-        rc = main(
-            ["compress", str(src), str(out), "--ranks", "3", "3", "2",
-             "--parallel", "2"]
-        )
+        with in_every_run(Fault("allreduce", "raise", 1)):
+            rc = main(
+                ["compress", str(src), str(out), "--ranks", "3", "3", "2",
+                 "--parallel", "2"]
+            )
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
-        assert "fault" in err
+        assert "InjectedFault" in err
 
 
 class TestInfoReconstructExtract:

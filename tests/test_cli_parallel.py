@@ -19,6 +19,7 @@ from repro.cli import main
 from repro.io import load_tucker
 from repro.mpi import shutdown_worker_pools
 from repro.tensor import low_rank_tensor
+from tests.faults.inject import Fault, in_every_run
 
 BACKENDS = sorted(repro.mpi.available_backends())
 
@@ -189,11 +190,10 @@ def test_bad_input_is_one_error_line(
         ("REPRO_DTYPE", "float16", "unknown REPRO_DTYPE value 'float16'"),
         ("REPRO_SPMD_BACKEND", "mpi", "unknown SPMD backend 'mpi'"),
         ("REPRO_SANITIZE", "2", "sanitize level"),
-        ("REPRO_SPMD_RETRY", "0", "retry must be >= 1"),
         ("REPRO_SPMD_TIMEOUT", "nan", "timeout must be positive"),
         ("REPRO_DEADLINE", "nan", "deadline must be non-negative"),
     ],
-    ids=["dtype", "backend", "sanitize", "retry", "timeout", "deadline"],
+    ids=["dtype", "backend", "sanitize", "timeout", "deadline"],
 )
 def test_bad_knob_in_the_environment_is_one_error_line_before_launch(
     field, tmp_path, capsys, monkeypatch, env, value, message
@@ -328,14 +328,14 @@ class TestFailedParallelCompress:
         )
         assert "No space left" in err
 
-    def test_rank_dies(self, published, capsys, monkeypatch, shm_clean):
+    def test_rank_dies(self, published, capsys, shm_clean):
         src, model, before = published
-        monkeypatch.setenv("REPRO_FAULTS", "rank=1:site=gather:kind=crash")
-        err = self._fails_cleanly(
-            ["compress", str(src), str(model), "--tol", "1e-2",
-             "--parallel", "2", "--backend", "process"],
-            capsys, model, before,
-        )
+        with in_every_run(Fault("gather", "crash", 1)):
+            err = self._fails_cleanly(
+                ["compress", str(src), str(model), "--tol", "1e-2",
+                 "--parallel", "2", "--backend", "process"],
+                capsys, model, before,
+            )
         assert "RankDeadError" in err
 
     def test_deadline_passes_before_the_read(

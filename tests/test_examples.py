@@ -10,7 +10,6 @@ import os
 import subprocess
 import sys
 
-import pytest
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 EXAMPLES = os.path.join(ROOT, "examples")

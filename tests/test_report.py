@@ -1,9 +1,7 @@
 """Tests for the experiment-regeneration registry (repro.report)."""
 
 import csv
-import os
 
-import numpy as np
 import pytest
 
 from repro import report
