@@ -5,8 +5,8 @@ written lock-free (each field has exactly one writer):
 
 * header word 0: dead rank (-1 while everyone lives) — parent-written
 * header word 1: dead rank's exitcode — parent-written
-* per-rank slot of 5 words — written only by that rank:
-  ``[state, pid, packed op name (2 words), op sequence]``
+* per-rank slot of 6 words — written only by that rank:
+  ``[state, pid, packed op name (3 words), op sequence]``
 
 When the parent's exit monitor sees a child die it records the death
 here *before* setting the abort event, so survivors woken by the abort
@@ -23,6 +23,7 @@ died.
 
 from __future__ import annotations
 
+import functools
 import signal
 
 import numpy as np
@@ -31,7 +32,8 @@ from repro.mpi.errors import RankDeadError
 from repro.mpi.process_transport import Segment
 
 _HEADER_WORDS = 2
-_SLOT_WORDS = 5
+_SLOT_WORDS = 6
+_OP_WORDS = 3
 
 STATE_IDLE = 0
 STATE_RUNNING = 1
@@ -50,19 +52,20 @@ def describe_exitcode(exitcode: int | None) -> str:
     return f"exit code {exitcode}"
 
 
-def _pack_op(op: str) -> tuple[int, int]:
-    # 7 bytes per word keeps each value positive in an int64; two words
-    # cover every collective name ("reduce_scatter" is 14 bytes).
-    raw = op.encode("utf-8", "replace")[:14]
-    lo = int.from_bytes(raw[:7], "little")
-    hi = int.from_bytes(raw[7:], "little")
-    return lo, hi
+@functools.lru_cache(maxsize=64)
+def _pack_op(op: str) -> tuple[int, int, int]:
+    # 7 bytes per word keeps each value positive in an int64; three words
+    # cover every collective name ("reduce_scatter_block" is 20 bytes).
+    raw = op.encode("utf-8", "replace")[: 7 * _OP_WORDS]
+    return tuple(
+        int.from_bytes(raw[7 * i : 7 * i + 7], "little") for i in range(_OP_WORDS)
+    )
 
 
-def _unpack_op(lo: int, hi: int) -> str:
-    if lo <= 0:
+def _unpack_op(*words: int) -> str:
+    if words[0] <= 0:
         return ""
-    raw = int(lo).to_bytes(7, "little") + int(hi).to_bytes(7, "little")
+    raw = b"".join(int(w).to_bytes(7, "little") for w in words)
     return raw.rstrip(b"\x00").decode("utf-8", "replace")
 
 
@@ -112,10 +115,11 @@ class StatusBoard:
     def note(self, rank: int, op: str, seq: int) -> None:
         """Record the collective a rank is entering (its last-op context)."""
         base = self._slot(rank)
-        lo, hi = _pack_op(op)
+        lo, mid, hi = _pack_op(op)
         self._words[base + 2] = lo
-        self._words[base + 3] = hi
-        self._words[base + 4] = seq
+        self._words[base + 3] = mid
+        self._words[base + 4] = hi
+        self._words[base + 5] = seq
 
     # -- parent-side death notice -------------------------------------
 
@@ -135,10 +139,10 @@ class StatusBoard:
     def last_context(self, rank: int) -> str | None:
         """The last collective the rank recorded, e.g. ``allreduce#3``."""
         base = self._slot(rank)
-        op = _unpack_op(int(self._words[base + 2]), int(self._words[base + 3]))
+        op = _unpack_op(*(int(w) for w in self._words[base + 2 : base + 5]))
         if not op:
             return None
-        return f"{op}#{int(self._words[base + 4])}"
+        return f"{op}#{int(self._words[base + 5])}"
 
     def dead_error(self, doing: str | None = None):
         """A ``RankDeadError`` for the recorded death, or None."""

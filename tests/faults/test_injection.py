@@ -10,7 +10,10 @@ import pytest
 
 from repro import resources
 from repro.mpi import DeadlineExceededError, SpmdError, process_transport
+from repro.mpi.transport import TransportBase
 from tests.conftest import spmd
+from tests.faults import inject
+from tests.faults.collectives import OPS, run_op, same
 from tests.faults.inject import Fault, Faulty, InjectedFault
 
 
@@ -43,13 +46,14 @@ def _allocate_three(comm):
 
 
 class TestExceptionFaults:
-    def test_targets_one_rank_at_one_site(self):
+    @pytest.mark.parametrize("op", OPS)
+    def test_targets_one_rank_at_one_site(self, op):
         with pytest.raises(SpmdError) as exc_info:
-            spmd(3, Faulty(_allreduce_prog, Fault("allreduce", "raise", 1)))
+            spmd(3, Faulty(run_op, Fault(op, "raise", 1)), op)
         failures = exc_info.value.failures
         assert set(failures) == {1}
         assert isinstance(failures[1], InjectedFault)
-        assert "site 'allreduce'" in str(failures[1])
+        assert f"site {op!r} (hit #1)" in str(failures[1])
 
     def test_nth_counts_per_site(self):
         # barrier is hit first; nth=1 on allreduce must skip it and fire
@@ -108,3 +112,44 @@ class TestResourceFaults:
         failure = exc_info.value.failures[0]
         assert isinstance(failure, DeadlineExceededError)
         assert "injected stall" in str(failure)
+
+
+class TestEveryCollective:
+    @pytest.mark.parametrize("op", OPS)
+    def test_stall_at_entry_trips_the_deadline_on_every_rank(self, op):
+        with pytest.raises(SpmdError) as exc_info:
+            spmd(2, Faulty(run_op, Fault(op, "stall", 0)), op, deadline=0.3)
+        failures = exc_info.value.failures
+        assert set(failures) == {0, 1}
+        for exc in failures.values():
+            assert isinstance(exc, DeadlineExceededError)
+            assert "deadline of 0.3" in str(exc)
+        assert "injected stall" in str(failures[0])
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_an_unreached_fault_changes_no_result(self, op):
+        plain = spmd(3, run_op, op)
+        faulted = spmd(3, Faulty(run_op, Fault(op, "raise", nth=2)), op)
+        assert same(faulted.values, plain.values)
+
+
+def _active_faults(comm):
+    """The fault lists installed in this rank's thread or process now."""
+    return [f.faults for f in inject._local.ranks]
+
+
+class TestPatchLifetime:
+    """A fault lives for one rank's run: nothing of it is left on the
+    warm workers (or in the test process) for the next run."""
+
+    @pytest.mark.parametrize("kind", ["enospc", "stall", "raise"])
+    def test_the_next_run_sees_only_its_own_faults(self, kind):
+        faulty = Faulty(_allocate_three, Fault("arena", kind, 0))
+        try:
+            spmd(2, faulty)
+        except SpmdError:
+            assert kind == "raise"
+        own = Fault("gather", "raise")
+        assert spmd(2, Faulty(_active_faults, own)).values == [[[own]]] * 2
+        patched = vars(TransportBase)["note_collective"]
+        assert patched.__qualname__ == "TransportBase.note_collective"

@@ -6,12 +6,16 @@ passed explicitly.
 """
 
 import os
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.mpi.comm
 from repro.mpi import RankDeadError, SpmdError, run_spmd
+from tests.faults.collectives import OPS, rank_death
 from tests.faults.inject import Fault, Faulty, InjectedFault
 
 pytestmark = pytest.mark.skipif(
@@ -54,14 +58,14 @@ class TestRankDeath:
         assert failures[1].exitcode == -9  # SIGKILL
         assert "SIGKILL" in str(failures[1])
 
-    def test_death_error_names_last_collective(self):
-        with pytest.raises(SpmdError) as exc_info:
-            run_spmd(
-                3,
-                Faulty(_allreduce_prog, Fault("allreduce", "crash", 2)),
-                backend="process",
-            )
-        assert "allreduce" in str(exc_info.value.failures[2])
+    @pytest.mark.parametrize("op", OPS)
+    def test_death_error_names_last_collective(self, op):
+        rank_death(Fault(op, "crash", 2), op)
+
+    def test_the_sweep_covers_every_collective(self):
+        source = Path(repro.mpi.comm.__file__).read_text()
+        entered = re.findall(r'self\._(?:collective|reduce)\(\s*"(\w+)"', source)
+        assert set(entered) == set(OPS)
 
     def test_dispatch_crash_detected(self):
         with pytest.raises(SpmdError) as exc_info:

@@ -30,6 +30,7 @@ from repro.mpi import (
     run_spmd,
     shutdown_worker_pools,
 )
+from tests.faults.collectives import OPS, rank_death
 from tests.faults.inject import Fault, Faulty, refuse_arena
 
 pytestmark = pytest.mark.skipif(
@@ -232,6 +233,19 @@ class TestSegmentHygiene:
         pids = run_spmd(3, prog, backend="process").values
         # Checked before any shutdown: the pool retired with the run.
         assert not _created_by(pids)
+
+
+class TestDeathAtEveryCollective:
+    """A SIGKILL in each collective's messages; ``clean_slate`` checks
+    that ``/dev/shm`` is as it was."""
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_crash_after_staging_a_send_leaks_nothing(self, op):
+        rank_death(Fault("send", "crash", 1), op)
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_crash_in_a_receive_leaks_nothing(self, op):
+        rank_death(Fault("recv", "crash", 2), op)
 
 
 def _created_by(pids) -> set[str]:

@@ -12,6 +12,7 @@ import pytest
 
 from repro.mpi import DeadlineExceededError, SpmdError, shutdown_worker_pools
 from tests.conftest import spmd
+from tests.faults.collectives import CARRYING, run_op, same
 from tests.faults.inject import Fault, Faulty, refuse_arena
 
 
@@ -100,6 +101,20 @@ class TestExhaustionDegradation:
         assert res.resources is not None
         assert not res.resources.degradations
         assert res.resources.charged_bytes == 0
+
+
+    @pytest.mark.parametrize("op", CARRYING)
+    def test_every_collective_degrades_bit_identically(self, op):
+        roomy = spmd(3, run_op, op, backend="process", sanitize=1)
+        shutdown_worker_pools()  # cold arenas: the full run must allocate
+        full = spmd(3, Faulty(run_op, *refuse_arena(3)), op, backend="process", sanitize=1)
+        assert same(full.values, roomy.values)
+        events = full.resources.degradations
+        assert events and {(e.site, e.kind) for e in events} == {("arena", "pickle")}
+
+    def test_a_barrier_allocates_nothing_to_refuse(self):
+        full = spmd(3, Faulty(run_op, *refuse_arena(3)), "barrier", backend="process")
+        assert full.values == [None] * 3 and full.resources.degradations == []
 
 
 class TestAccounting:
